@@ -17,8 +17,8 @@ import sys
 from . import compiler as comp
 from .engine import (
     MbqcPlan,
+    _point_table,
     extract_output_function,
-    is_deterministic,
     run,
     simulation_support_bound,
 )
@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedWitnessError,
     VerificationError,
 )
-from .fields import combined_degree, is_prime, is_polynomial_over_ring
+from .fields import combined_degree, interpolate, is_prime, is_polynomial_over_ring, make_field
 from .witnesses import degree_witness, degree_witness_for_table, ncva_search, temporal_degree_bound
 
 EXIT_OK = 0
@@ -211,16 +211,15 @@ def cmd_analyze(args) -> int:
         "temporally_flat": plan.temporally_flat,
         "temporal_bound": temporal_degree_bound(plan),
     }
-    deterministic = plan.temporally_flat and is_deterministic(plan)
+    table = _point_table(plan) if plan.temporally_flat else None
+    deterministic = table is not None
     out["deterministic"] = deterministic
     if deterministic:
-        table, poly = extract_output_function(plan)
         inputs = sorted(table)
         out["inputs"] = [list(i) for i in inputs]
         out["table"] = [table[i] for i in inputs]
-        if poly is None and not is_prime(plan.d):
-            ring_poly = is_polynomial_over_ring(table, plan.d)
-            poly = ring_poly
+        poly = (interpolate(make_field(plan.d), table) if is_prime(plan.d)
+                else is_polynomial_over_ring(table, plan.d))
         if poly is not None:
             out["polynomial"] = poly.pretty()
             out["polynomial_serialized"] = poly.serialize()

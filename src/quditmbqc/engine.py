@@ -8,6 +8,10 @@ setting offset q0, and the linear post-processing row z with constant s0.
 Settings follow q = T*m + Q*i + q0 mod d and the output is o = z*m + s0.
 Plans are immutable after load; runs are pure given a seed, so enumeration
 over inputs can be parallelized freely.
+
+Extraction, the determinism check and success scoring read one exact output
+law per input (output_distribution): the spectral law of W(i) for flat plans.
+Only temporally ordered plans may fall back to sampling.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PlanFormatError, QuditMbqcError
+from .errors import PlanFormatError, QuditMbqcError, SparseFormError
 from .fields import MultiPoly, interpolate, is_prime, make_field
-from .phases import tau_exponent_of_omega, tau_period
+from .phases import PhaseSum, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
     MonomialOp,
     SparseState,
+    _draw_branch,
+    apply_observable,
     eigenphase_of,
     measure_local,
     measurement_distribution,
@@ -54,9 +60,6 @@ class TableResource:
     @classmethod
     def deterministic(cls, N: int, mapping: dict[tuple[int, ...], tuple[int, ...]]) -> "TableResource":
         return cls(N, {q: [(m, Fraction(1))] for q, m in mapping.items()})
-
-    def is_point(self) -> bool:
-        return all(len(dist) == 1 for dist in self.behavior.values())
 
     def distribution(self, q: tuple[int, ...]) -> list[tuple[tuple[int, ...], Fraction]]:
         if q not in self.behavior:
@@ -116,6 +119,7 @@ class MbqcPlan:
         self.parties = tuple((fid, ctrl) for fid, ctrl in parties)
         self.Q = tuple(tuple(v % d for v in row) for row in Q)
         self.T = tuple(tuple(v % d for v in row) for row in T)
+        self.temporally_flat = all(v == 0 for row in self.T for v in row)
         self.z = tuple(v % d for v in z)
         self.s0 = s0 % d
         self.q0 = tuple((v % d for v in q0)) if q0 is not None else (0,) * N
@@ -145,10 +149,6 @@ class MbqcPlan:
         if len(self.z) != self.N or len(self.q0) != self.N:
             raise QuditMbqcError("z and q0 must have one entry per party")
 
-    @property
-    def temporally_flat(self) -> bool:
-        return all(v == 0 for row in self.T for v in row)
-
     def inputs(self) -> list[tuple[int, ...]]:
         return list(itertools.product(range(self.d), repeat=self.n))
 
@@ -160,10 +160,14 @@ class MbqcPlan:
 
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form."""
+        tau, label = self._site_weyl(k, q_k)
+        return MonomialOp.from_weyl(self.d, label, tau)
+
+    def _site_weyl(self, k: int, q_k: int) -> tuple[int, tuple[int, int]]:
+        """M_k(q_k) as (tau exponent, Weyl label)."""
         fid, ctrl = self.parties[k]
         phase, label = conjugate_weyl(ctrl, fid.v, q_k)
-        tau = (fid.tau_exp + tau_exponent_of_omega(phase, self.d)) % tau_period(self.d)
-        return MonomialOp.from_weyl(self.d, label, tau)
+        return (fid.tau_exp + tau_exponent_of_omega(phase, self.d)) % tau_period(self.d), label
 
     def output_of(self, outcomes: tuple[int, ...]) -> int:
         return (sum(zk * mk for zk, mk in zip(self.z, outcomes)) + self.s0) % self.d
@@ -190,8 +194,10 @@ class MbqcPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MbqcPlan":
+        d = obj.get("d")
+        if type(d) is not int or d < 2:
+            raise PlanFormatError(f"malformed plan: d must be an integer >= 2, got {d!r}")
         try:
-            d = obj["d"]
             res = obj["resource"]
             if res.get("kind") == "table":
                 resource = TableResource.from_json(res)
@@ -203,8 +209,10 @@ class MbqcPlan:
             ]
             return cls(d, obj["n"], obj["N"], resource, parties,
                        obj["Q"], obj["T"], obj["z"], obj["s0"], obj.get("q0"))
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ZeroDivisionError) as exc:
             raise PlanFormatError(f"malformed plan: missing or bad field {exc}") from exc
+        except QuditMbqcError as exc:
+            raise PlanFormatError(f"malformed plan: {exc}") from exc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":")) + "\n"
@@ -267,8 +275,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         if not plan.temporally_flat:
             raise QuditMbqcError("table resources support temporally flat plans only")
         q = tuple(plan.setting(k, i, ()) for k in range(plan.N))
-        dist = plan.resource.distribution(q)
-        m = _sample(dist, rng)
+        m, _ = _draw_branch(plan.resource.distribution(q), rng)
         settings, outcomes = list(q), list(m)
     else:
         psi = plan.resource
@@ -281,84 +288,70 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(tuple(outcomes)))
 
 
-def _sample(dist, rng: random.Random):
-    den = 1
-    for _, p in dist:
-        den = den * p.denominator // math.gcd(den, p.denominator)
-    draw = rng.randrange(den)
-    acc = 0
-    for m, p in dist:
-        acc += p.numerator * (den // p.denominator)
-        if draw < acc:
-            return m
-    raise AssertionError("sampling fell through")
-
-
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
-    d = plan.d
     sites = []
     for k in range(plan.N):
-        q_k = plan.setting(k, i, ())
-        fid, ctrl = plan.parties[k]
-        phase, label = conjugate_weyl(ctrl, fid.v, q_k)
-        tau = (fid.tau_exp + tau_exponent_of_omega(phase, d)) % tau_period(d)
-        tau_p, label_p = weyl_power(tau, label, plan.z[k], d)
-        sites.append(MonomialOp.from_weyl(d, label_p, tau_p))
-    return GlobalObservable(d, sites)
+        tau, label = plan._site_weyl(k, plan.setting(k, i, ()))
+        tau, label = weyl_power(tau, label, plan.z[k], plan.d)
+        sites.append(MonomialOp.from_weyl(plan.d, label, tau))
+    return GlobalObservable(plan.d, sites)
 
 
 def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
     """Analytic output table over all d^n inputs, plus its interpolation
     when d is prime.
 
-    Requires a temporally flat, deterministic plan; the resource must be an
-    eigenstate of every weighted global observable.
+    Requires a temporally flat, deterministic plan: the output law of every
+    input must be a point mass.
     """
     if not plan.temporally_flat:
         raise QuditMbqcError("analytic extraction needs a temporally flat plan")
-    table: dict[tuple[int, ...], int] = {}
-    for i in plan.inputs():
-        if isinstance(plan.resource, TableResource):
-            dist = _table_output_distribution(plan, i)
-            if len(dist) != 1:
-                raise QuditMbqcError(
-                    "plan is not deterministic; use empirical_success instead"
-                )
-            table[i] = next(iter(dist))
-        else:
-            o = eigenphase_of(weighted_observable(plan, i), plan.resource)
-            if o is None:
-                raise QuditMbqcError(
-                    "plan is not deterministic; use empirical_success instead"
-                )
-            table[i] = (o + plan.s0) % plan.d
+    table = _point_table(plan)
+    if table is None:
+        raise QuditMbqcError("plan is not deterministic; use empirical_success instead")
     poly = None
     if is_prime(plan.d):
         poly = interpolate(make_field(plan.d), table)
     return table, poly
 
 
-def _table_output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
-    q = tuple(plan.setting(k, i, ()) for k in range(plan.N))
-    out: dict[int, Fraction] = {}
-    for m, p in plan.resource.distribution(q):
-        o = plan.output_of(m)
-        out[o] = out.get(o, Fraction(0)) + p
-    return {o: p for o, p in out.items() if p}
+def _point_table(plan: MbqcPlan) -> dict[tuple[int, ...], int] | None:
+    """A flat plan's output per input; None at the first law that is not a point mass."""
+    table = {}
+    for i in plan.inputs():
+        try:
+            law = output_distribution(plan, i)
+        except SparseFormError:
+            # only a law that failed the eigenstate check can be irrational
+            return None
+        if len(law) != 1:
+            return None
+        (table[i],) = law
+    return table
 
 
 def output_distribution(plan: MbqcPlan, i, budget: int = EXACT_BRANCH_BUDGET) -> dict[int, Fraction]:
-    """Exact distribution of the output for one input, if affordable.
+    """Exact distribution of the output for one input.
 
-    Walks the adaptive measurement tree with exact branch probabilities.
-    Raises QuditMbqcError when the branch budget is exhausted.
+    Flat plans are exact on every input: a table resource is read off, a
+    quantum one follows P(o) = <psi|(1/d) sum_j omega^(-j(o-s0)) W^j|psi>
+    with W = weighted_observable(plan, i), or raises SparseFormError when a
+    probability is irrational.  Temporally ordered plans walk the
+    measurement tree and raise past `budget` branches.
     """
     i = tuple(v % plan.d for v in i)
     if isinstance(plan.resource, TableResource):
         if not plan.temporally_flat:
             raise QuditMbqcError("table resources support temporally flat plans only")
-        return _table_output_distribution(plan, i)
+        q = tuple(plan.setting(k, i, ()) for k in range(plan.N))
+        out = {}
+        for m, p in plan.resource.distribution(q):
+            o = plan.output_of(m)
+            out[o] = out.get(o, Fraction(0)) + p
+        return {o: p for o, p in out.items() if p}
+    if plan.temporally_flat:
+        return _spectral_law(plan, i)
     counter = [0]
     out: dict[int, Fraction] = {}
 
@@ -379,21 +372,37 @@ def output_distribution(plan: MbqcPlan, i, budget: int = EXACT_BRANCH_BUDGET) ->
     return out
 
 
+def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
+    """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with psi."""
+    d, psi = plan.d, plan.resource
+    W = weighted_observable(plan, i)
+    o = eigenphase_of(W, psi)  # the j = 1 moment decides a point mass
+    if o is not None:
+        return {(o + plan.s0) % d: Fraction(1)}
+    tau_of = {ket: t for t, ket in psi.terms}
+    laws = [PhaseSum(d) for _ in range(d)]
+    phi = psi
+    for j in range(d):
+        for t, ket in phi.terms:
+            if ket in tau_of:
+                for o, law in enumerate(laws):
+                    law.add_tau_power(t - tau_of[ket] - 2 * j * (o - plan.s0))
+        phi = apply_observable(W, phi)
+    weights = [law.as_rational_integer() for law in laws]
+    if None in weights:
+        raise SparseFormError(f"output law at input {i} has an irrational probability")
+    return {o: Fraction(w, d * len(psi.terms)) for o, w in enumerate(weights) if w}
+
+
 def is_deterministic(plan: MbqcPlan, seeds=None) -> bool:
     """Whether the output is input-determined, independent of outcomes.
 
-    Flat quantum plans are checked analytically (the weighted global
-    observable must stabilize the resource up to an omega power for every
-    input).  Table resources are checked exactly; temporally ordered
-    quantum plans fall back to seeded sampling.
+    Temporally flat plans are checked exactly: every input's output law
+    must be a point mass, and the check stops at the first input whose law
+    is not.  Temporally ordered plans fall back to seeded sampling.
     """
-    if isinstance(plan.resource, TableResource):
-        return all(len(_table_output_distribution(plan, i)) == 1 for i in plan.inputs())
     if plan.temporally_flat:
-        return all(
-            eigenphase_of(weighted_observable(plan, i), plan.resource) is not None
-            for i in plan.inputs()
-        )
+        return _point_table(plan) is not None
     seeds = seeds if seeds is not None else range(8)
     for i in plan.inputs():
         outputs = {run(plan, i, seed).output for seed in seeds}
@@ -438,36 +447,27 @@ def empirical_success(plan: MbqcPlan, target: dict, trials: int = 1000,
                       seed=0) -> tuple[Fraction, Fraction]:
     """(worst-case, average) probability of matching the target table.
 
-    Deterministic flat plans are scored analytically; otherwise the exact
-    per-input output distribution is used when affordable, with seeded
-    Monte-Carlo sampling as the fallback.  Plans whose measurement
-    sequences are too entangled for either path raise rather than grind.
+    Every input is scored from its exact output law (output_distribution).
+    Temporally flat plans are always exact and never sample.  Temporally
+    ordered plans fall back to seeded Monte-Carlo sampling where the tree
+    walk gives up, and raise rather than grind when their measurement
+    support is too large for sampling.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not plan.temporally_flat and simulation_support_bound(plan) > EXACT_BRANCH_BUDGET:
+        raise QuditMbqcError("measurement support too large for sampling; no exact path applies")
     per_input: list[Fraction] = []
     rng = random.Random(seed)
-    heavy = (isinstance(plan.resource, SparseState)
-             and simulation_support_bound(plan) > EXACT_BRANCH_BUDGET)
-    if heavy:
-        if not (plan.temporally_flat and is_deterministic(plan)):
-            raise QuditMbqcError(
-                "measurement support too large for sampling; no exact path applies"
-            )
-        table, _ = extract_output_function(plan)
-        per_input = [
-            Fraction(1 if table[i] == target[i] % plan.d else 0)
-            for i in plan.inputs()
-        ]
-    else:
-        for i in plan.inputs():
-            want = target[tuple(i)] % plan.d
-            try:
-                dist = output_distribution(plan, i)
-                per_input.append(dist.get(want, Fraction(0)))
-            except QuditMbqcError:
-                hits = sum(1 for _ in range(trials) if run(plan, i, rng).output == want)
-                per_input.append(Fraction(hits, trials))
+    for i in plan.inputs():
+        want = target[tuple(i)] % plan.d
+        try:
+            per_input.append(output_distribution(plan, i).get(want, Fraction(0)))
+        except QuditMbqcError:
+            if plan.temporally_flat:
+                raise
+            hits = sum(1 for _ in range(trials) if run(plan, i, rng).output == want)
+            per_input.append(Fraction(hits, trials))
     p_min = min(per_input)
     p_avg = sum(per_input, Fraction(0)) / len(per_input)
     return p_min, p_avg

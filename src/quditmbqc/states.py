@@ -117,11 +117,6 @@ class GlobalObservable:
             if not op.has_omega_spectrum():
                 raise QuditMbqcError(f"site {k} operator spectrum is not omega powers")
 
-    @classmethod
-    def from_site_labels(cls, d: int, labels: list[tuple[int, tuple[int, int]]]) -> "GlobalObservable":
-        """Build from per-site (tau_exp, weyl-label) pairs."""
-        return cls(d, [MonomialOp.from_weyl(d, v, t) for t, v in labels])
-
     @property
     def N(self) -> int:
         return len(self.sites)
@@ -342,14 +337,17 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    branches = measurement_distribution(psi, site, op)
-    den = 1
-    for _, prob, _ in branches:
-        den = den * prob.denominator // math.gcd(den, prob.denominator)
+    m, _, post = _draw_branch(measurement_distribution(psi, site, op), rng)
+    return m, post
+
+
+def _draw_branch(branches, rng: random.Random):
+    """A branch drawn with its exact weight branch[1]; never a zero-weight one."""
+    den = math.lcm(*(branch[1].denominator for branch in branches))
     draw = rng.randrange(den)
     acc = 0
-    for m, prob, post in branches:
-        acc += prob.numerator * (den // prob.denominator)
+    for branch in branches:
+        acc += branch[1].numerator * (den // branch[1].denominator)
         if draw < acc:
-            return m, post
+            return branch
     raise AssertionError("sampling fell through")  # unreachable

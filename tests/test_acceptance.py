@@ -107,6 +107,7 @@ def test_criterion_05_exponent_table_byte_exact():
     proc = subprocess.run(
         [sys.executable, "-m", "quditmbqc", "table", "--appendix-b", "--p", "5"],
         capture_output=True, check=True,
+        cwd=GOLDEN.parent.parent / "src",  # the child imports the package from the checkout
     )
     assert proc.stdout == (GOLDEN / "appendix_b_p5.txt").read_bytes()
     assert b"sigma_5 : 1 0 0 0 1" in proc.stdout

@@ -3,7 +3,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from quditmbqc.cli import main
+from quditmbqc.compiler import compile_general_prime
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -109,6 +112,22 @@ class TestAnalyze:
         bad.write_text('{"d": 2, "n": 1}')
         assert main(["analyze", "--plan", str(bad)]) == 4
 
+    @pytest.mark.parametrize("mutate", [
+        lambda o: o["T"][0].__setitem__(1, 1),
+        lambda o: o.__setitem__("d", 0),
+        lambda o: o.__setitem__("z", o["z"][:-1]),
+        lambda o: o["resource"]["terms"][0]["ket"].__setitem__(0, o["d"]),
+        lambda o: o["parties"][0].__setitem__(
+            "control", {"C": [[1, 1], [1, 1]], "x": [0, 0], "tau_exp": 0}),
+    ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C"])
+    def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, mutate):
+        obj = compile_general_prime([1, 0, 2]).plan.to_json()
+        mutate(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["analyze", "--plan", str(bad)]) == 4
+        assert capsys.readouterr().err.startswith("error: malformed plan: ")
+
     def test_exponential_plan(self, tmp_path, capsys):
         from planlib import exponential_plan
 
@@ -153,6 +172,7 @@ class TestTable:
         proc = subprocess.run(
             [sys.executable, "-m", "quditmbqc", "table", "--appendix-b", "--p", "5"],
             capture_output=True, check=True,
+            cwd=GOLDEN.parent.parent / "src",  # the child imports the package from the checkout
         )
         golden = (GOLDEN / "appendix_b_p5.txt").read_bytes()
         assert proc.stdout == golden

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from quditmbqc.engine import (
     run,
     temporal_graph,
 )
-from quditmbqc.errors import PlanFormatError, QuditMbqcError
-from quditmbqc.states import basis_state, make_ghz
+from quditmbqc.errors import PlanFormatError, QuditMbqcError, SparseFormError
+from quditmbqc.states import SparseState, basis_state, make_ghz
 from planlib import exponential_plan, nand_plan, quadratic_plan
 from quditmbqc.weyl import WeylLabel, named_clifford
 
@@ -167,6 +168,20 @@ class TestDeterminism:
                                  named_clifford(2, "weyl-displacement", x=(0, 0)))] * 2,
                        Q=[[0], [0]], T=[[0, 0], [1, 0]], z=[1, 0], s0=0)
         assert not is_deterministic(rnd)
+
+    def test_irrational_law_is_not_deterministic(self):
+        # (|0> + |1>)/sqrt(2) measured in X at d=5 has P(o) = (1 + cos(2 pi o/5))/5
+        d = 5
+        plan = MbqcPlan(
+            d=d, n=1, N=1, resource=SparseState(d, 1, ((0, (0,)), (0, (1,)))),
+            parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "weyl-displacement", x=(0, 0)))],
+            Q=[[0]], T=[[0]], z=[1], s0=0,
+        )
+        assert not is_deterministic(plan)
+        with pytest.raises(SparseFormError):
+            output_distribution(plan, (0,))
+        with pytest.raises(QuditMbqcError, match="empirical_success"):
+            extract_output_function(plan)
 
     def test_simulation_support_bound(self):
         from quditmbqc.engine import simulation_support_bound
@@ -322,15 +337,14 @@ class TestEmpiricalSuccess:
         p_min, p_avg = empirical_success(plan, nand)
         assert p_min == 0 and p_avg == Fraction(1, 4)
 
-    def test_monte_carlo_within_3sigma(self):
-        # force the sampling path with a tiny budget via a noisy plan
+    def test_seeded_run_statistics_on_coin_flip_table(self):
+        # seeded runs of a fair coin-flip table resource hit 0 within 3 sigma of 1/2
         res = TableResource(1, {(0,): [((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))]})
         plan = MbqcPlan(
             d=2, n=1, N=1, resource=res,
             parties=[(WeylLabel(2, (1, 0)), named_clifford(2, "weyl-displacement", x=(0, 0)))],
             Q=[[0]], T=[[0]], z=[1], s0=0,
         )
-        target = {(0,): 0, (1,): 0}
         trials = 10**4
         hits = sum(1 for t in range(trials) if run(plan, (0,), t).output == 0)
         assert abs(hits / trials - 0.5) < 3 * 0.5 / trials**0.5
@@ -351,6 +365,16 @@ class TestEmpiricalSuccess:
         wrong[(0,)] = (wrong[(0,)] + 1) % 5
         p_min, p_avg = empirical_success(plan, wrong)
         assert p_min == 0 and p_avg == Fraction(4, 5)
+
+    def test_nondeterministic_heavy_flat_plan_scored_exactly(self):
+        # without the last party in the output, W(i) of the quadratic d=5 plan
+        # shifts nine sites of each ket and not the tenth, so W^j psi is
+        # orthogonal to psi for 0 < j < 5 and every output law is uniform
+        base = quadratic_plan(5)
+        plan = MbqcPlan(d=5, n=1, N=10, resource=base.resource, parties=base.parties,
+                        Q=base.Q, T=base.T, z=[1] * 9 + [0], s0=0)
+        target = {(x,): x for x in range(5)}
+        assert empirical_success(plan, target) == (Fraction(1, 5), Fraction(1, 5))
 
     def test_output_distribution_matches_dense_projectors(self):
         # joint outcome probabilities from sequential exact measurement must
@@ -413,6 +437,57 @@ class TestEmpiricalSuccess:
                     assert set(dense) == set(got)
                     for o, p in dense.items():
                         assert abs(p - float(got[o])) < 1e-9
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_spectral_law_matches_dense_projectors(self, d):
+        # the exact output law of random flat GHZ plans against dense
+        # site-by-site projective measurement, deterministic inputs or not
+        import numpy as np
+
+        rng = random.Random(40 + d)
+        omega = np.exp(2j * np.pi / d)
+        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+        nondeterministic = 0
+        for _trial in range(6):
+            N = rng.randrange(2, 4)
+            parties = []
+            for _ in range(N):
+                fid = WeylLabel(d, (rng.randrange(d), rng.randrange(d)), 2 * rng.randrange(d))
+                ctrl = rng.choice([
+                    named_clifford(d, "S"),
+                    named_clifford(d, "Mu", u=rng.choice(units)),
+                    named_clifford(d, "weyl-displacement",
+                                   x=(rng.randrange(d), rng.randrange(d))),
+                ])
+                parties.append((fid, ctrl))
+            plan = MbqcPlan(
+                d=d, n=1, N=N, resource=make_ghz(d, N), parties=parties,
+                Q=[[rng.randrange(d)] for _ in range(N)], T=[[0] * N] * N,
+                z=[rng.randrange(d) for _ in range(N)], s0=rng.randrange(d),
+            )
+            for i in plan.inputs():
+                sites = [plan.site_observable(k, plan.setting(k, i, ())).to_dense()
+                         for k in range(N)]
+                projectors = [[sum(omega ** (-m * j) * np.linalg.matrix_power(M, j)
+                                   for j in range(d)) / d for m in range(d)]
+                              for M in sites]
+                dense: dict[int, float] = {}
+                for m in itertools.product(range(d), repeat=N):
+                    proj = plan.resource.to_dense().reshape((d,) * N)
+                    for k in range(N):
+                        proj = np.moveaxis(np.tensordot(projectors[k][m[k]], proj,
+                                                        axes=([1], [k])), 0, k)
+                    p = float(np.vdot(proj, proj).real)
+                    if p > 1e-12:
+                        o = plan.output_of(m)
+                        dense[o] = dense.get(o, 0.0) + p
+                got = output_distribution(plan, i)
+                nondeterministic += len(got) > 1
+                assert all(isinstance(p, Fraction) for p in got.values())
+                assert set(got) == set(dense)
+                for o, p in dense.items():
+                    assert abs(p - float(got[o])) < 1e-9
+        assert nondeterministic > 0
 
 
 class TestPlanSerialization:
