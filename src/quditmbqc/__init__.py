@@ -22,7 +22,6 @@ from .engine import (
     longest_path,
     output_distribution,
     run,
-    simulation_support_bound,
     temporal_graph,
     weighted_observable,
 )

@@ -20,7 +20,6 @@ from .engine import (
     _point_table,
     extract_output_function,
     run,
-    simulation_support_bound,
 )
 from .errors import (
     PlanFormatError,
@@ -102,15 +101,11 @@ def _report_dict(report: comp.CompileReport, seed: int) -> dict:
         out["searched"] = w.searched
     except SizeGuardError as exc:
         out["assignment_search"] = f"skipped ({exc})"
-    # seeded simulation cross-check on every input, where affordable
-    if simulation_support_bound(plan) <= 4096:
-        for i in inputs:
-            trace = run(plan, i, seed)
-            if trace.output != table[i]:
-                raise VerificationError(f"simulation disagrees at input {i}")
-        out["simulated"] = True
-    else:
-        out["simulated"] = False
+    # seeded simulation cross-check on every input
+    for i in inputs:
+        if run(plan, i, seed).output != table[i]:
+            raise VerificationError(f"simulation disagrees at input {i}")
+    out["simulated"] = True
     return out
 
 
@@ -293,10 +288,9 @@ def cmd_verify_all(args) -> int:
         try:
             report = job()
             table, _ = extract_output_function(report.plan)
-            if simulation_support_bound(report.plan) <= 4096:
-                for i in sorted(table):
-                    if run(report.plan, i, args.seed).output != table[i]:
-                        raise VerificationError(f"simulation mismatch at {i}")
+            for i in sorted(table):
+                if run(report.plan, i, args.seed).output != table[i]:
+                    raise VerificationError(f"simulation mismatch at {i}")
             print(f"PASS {name}")
         except QuditMbqcError as exc:
             failures += 1

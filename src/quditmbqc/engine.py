@@ -10,26 +10,28 @@ Plans are immutable after load; runs are pure given a seed, so enumeration
 over inputs can be parallelized freely.
 
 Extraction, the determinism check and success scoring read one exact output
-law per input (output_distribution): the spectral law of W(i) for flat plans.
-Only temporally ordered plans may fall back to sampling.
+law per input (output_distribution): the spectral law of W(i) for flat plans,
+a walk of the measurement tree for temporally ordered ones; none of them
+samples.  Seeded runs forget each measured qudit (states._discard_site), so
+their sparse support never exceeds the resource's term count.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PlanFormatError, QuditMbqcError, SparseFormError
+from .errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
 from .fields import MultiPoly, interpolate, is_prime, make_field
 from .phases import PhaseSum, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
     MonomialOp,
     SparseState,
+    _discard_site,
     _draw_branch,
     apply_observable,
     eigenphase_of,
@@ -38,7 +40,7 @@ from .states import (
 )
 from .weyl import CliffordSpec, WeylLabel, conjugate_weyl, weyl_power
 
-EXACT_BRANCH_BUDGET = 20000  # leaves before falling back to sampling
+EXACT_BRANCH_BUDGET = 20000  # measurement-tree branches one exact law may walk
 
 
 class TableResource:
@@ -136,9 +138,13 @@ class MbqcPlan:
             raise QuditMbqcError(f"unsupported resource {type(self.resource).__name__}")
         if len(self.parties) != self.N:
             raise QuditMbqcError(f"expected {self.N} parties, got {len(self.parties)}")
-        for fid, ctrl in self.parties:
+        for k, (fid, ctrl) in enumerate(self.parties):
             if fid.d != self.d or ctrl.d != self.d:
                 raise QuditMbqcError("party dimension does not match the plan")
+            # conjugation by the control keeps the spectrum, so one check
+            # per party covers every setting
+            if weyl_power(fid.tau_exp, fid.v, self.d, self.d) != (0, (0, 0)):
+                raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
         if len(self.Q) != self.N or any(len(r) != self.n for r in self.Q):
             raise QuditMbqcError(f"Q must be {self.N}x{self.n}")
         if len(self.T) != self.N or any(len(r) != self.N for r in self.T):
@@ -240,31 +246,12 @@ class MbqcPlan:
         return isinstance(other, MbqcPlan) and self.to_json() == other.to_json()
 
 
-def simulation_support_bound(plan: MbqcPlan) -> int:
-    """Worst-case sparse-term count across a full measurement sequence.
-
-    Each site measurement can grow the support by at most the orbit length
-    of its observable's shift part (1 for diagonal observables); the worst
-    setting is taken per site.  Sequential simulation is affordable iff
-    this bound is small; analytic extraction never depends on it.
-    """
-    if isinstance(plan.resource, TableResource):
-        return 1
-    d = plan.d
-    bound = len(plan.resource.terms)
-    for k in range(plan.N):
-        worst = 1
-        for q in range(d):
-            b = plan.site_observable(k, q).perm[0] % d  # image of |0>: shift amount
-            worst = max(worst, d // math.gcd(b, d) if b else 1)
-        bound *= worst
-        if bound > 10**9:
-            break
-    return bound
-
-
 def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
-    """Execute one seeded run, measuring parties in index order."""
+    """Execute one seeded run, measuring parties in index order.
+
+    Each measured qudit is then forgotten (states._discard_site); the rng
+    draws a component only when the post-state does not factor.
+    """
     i = tuple(v % plan.d for v in i)
     if len(i) != plan.n:
         raise QuditMbqcError(f"input needs {plan.n} symbols, got {len(i)}")
@@ -285,6 +272,8 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
             op = plan.site_observable(k, q_k)
             m_k, psi = measure_local(psi, k, op, rng)
             outcomes.append(m_k)
+            parts = _discard_site(psi, k)
+            psi = parts[0][0] if len(parts) == 1 else _draw_branch(parts, rng)[0]
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(tuple(outcomes)))
 
 
@@ -317,13 +306,15 @@ def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
 
 
 def _point_table(plan: MbqcPlan) -> dict[tuple[int, ...], int] | None:
-    """A flat plan's output per input; None at the first law that is not a point mass."""
+    """The output per input; None at the first law that is not a point mass."""
     table = {}
     for i in plan.inputs():
         try:
             law = output_distribution(plan, i)
         except SparseFormError:
-            # only a law that failed the eigenstate check can be irrational
+            # a flat law is irrational only after failing the eigenstate check
+            if not plan.temporally_flat:
+                raise
             return None
         if len(law) != 1:
             return None
@@ -331,14 +322,15 @@ def _point_table(plan: MbqcPlan) -> dict[tuple[int, ...], int] | None:
     return table
 
 
-def output_distribution(plan: MbqcPlan, i, budget: int = EXACT_BRANCH_BUDGET) -> dict[int, Fraction]:
+def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     """Exact distribution of the output for one input.
 
     Flat plans are exact on every input: a table resource is read off, a
     quantum one follows P(o) = <psi|(1/d) sum_j omega^(-j(o-s0)) W^j|psi>
     with W = weighted_observable(plan, i), or raises SparseFormError when a
     probability is irrational.  Temporally ordered plans walk the
-    measurement tree and raise past `budget` branches.
+    measurement tree, forgetting each measured qudit, and raise
+    SizeGuardError past EXACT_BRANCH_BUDGET branches.
     """
     i = tuple(v % plan.d for v in i)
     if isinstance(plan.resource, TableResource):
@@ -352,21 +344,25 @@ def output_distribution(plan: MbqcPlan, i, budget: int = EXACT_BRANCH_BUDGET) ->
         return {o: p for o, p in out.items() if p}
     if plan.temporally_flat:
         return _spectral_law(plan, i)
-    counter = [0]
+    branches = 0
     out: dict[int, Fraction] = {}
 
     def walk(k, psi, outcomes, prob):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise QuditMbqcError("branch budget exhausted; use sampled estimates")
+        nonlocal branches
+        branches += 1
+        if branches > EXACT_BRANCH_BUDGET:
+            raise SizeGuardError(
+                f"measurement tree of input {i} reached {branches} branches, "
+                f"over the limit {EXACT_BRANCH_BUDGET}"
+            )
         if k == plan.N:
             o = plan.output_of(tuple(outcomes))
             out[o] = out.get(o, Fraction(0)) + prob
             return
-        q_k = plan.setting(k, i, tuple(outcomes))
-        op = plan.site_observable(k, q_k)
+        op = plan.site_observable(k, plan.setting(k, i, tuple(outcomes)))
         for m_k, p, post in measurement_distribution(psi, k, op):
-            walk(k + 1, post, outcomes + [m_k], prob * p)
+            for part, w in _discard_site(post, k):
+                walk(k + 1, part, outcomes + [m_k], prob * p * w)
 
     walk(0, plan.resource, [], Fraction(1))
     return out
@@ -394,21 +390,15 @@ def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     return {o: Fraction(w, d * len(psi.terms)) for o, w in enumerate(weights) if w}
 
 
-def is_deterministic(plan: MbqcPlan, seeds=None) -> bool:
+def is_deterministic(plan: MbqcPlan) -> bool:
     """Whether the output is input-determined, independent of outcomes.
 
-    Temporally flat plans are checked exactly: every input's output law
-    must be a point mass, and the check stops at the first input whose law
-    is not.  Temporally ordered plans fall back to seeded sampling.
+    Every input's exact output law must be a point mass; the check stops at
+    the first input whose law is not.  A flat plan's irrational law reads
+    as not deterministic; an ordered plan's walk raises SizeGuardError or
+    SparseFormError rather than guess.
     """
-    if plan.temporally_flat:
-        return _point_table(plan) is not None
-    seeds = seeds if seeds is not None else range(8)
-    for i in plan.inputs():
-        outputs = {run(plan, i, seed).output for seed in seeds}
-        if len(outputs) > 1:
-            return False
-    return True
+    return _point_table(plan) is not None
 
 
 def temporal_graph(plan: MbqcPlan) -> dict[int, list[int]]:
@@ -443,31 +433,12 @@ def longest_path(adj: dict[int, list[int]]) -> int:
     return max((visit(v) for v in adj), default=1)
 
 
-def empirical_success(plan: MbqcPlan, target: dict, trials: int = 1000,
-                      seed=0) -> tuple[Fraction, Fraction]:
+def empirical_success(plan: MbqcPlan, target: dict) -> tuple[Fraction, Fraction]:
     """(worst-case, average) probability of matching the target table.
 
-    Every input is scored from its exact output law (output_distribution).
-    Temporally flat plans are always exact and never sample.  Temporally
-    ordered plans fall back to seeded Monte-Carlo sampling where the tree
-    walk gives up, and raise rather than grind when their measurement
-    support is too large for sampling.
+    Every input is scored from its exact output law (output_distribution),
+    so the result is exact or an error, never an estimate.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not plan.temporally_flat and simulation_support_bound(plan) > EXACT_BRANCH_BUDGET:
-        raise QuditMbqcError("measurement support too large for sampling; no exact path applies")
-    per_input: list[Fraction] = []
-    rng = random.Random(seed)
-    for i in plan.inputs():
-        want = target[tuple(i)] % plan.d
-        try:
-            per_input.append(output_distribution(plan, i).get(want, Fraction(0)))
-        except QuditMbqcError:
-            if plan.temporally_flat:
-                raise
-            hits = sum(1 for _ in range(trials) if run(plan, i, rng).output == want)
-            per_input.append(Fraction(hits, trials))
-    p_min = min(per_input)
-    p_avg = sum(per_input, Fraction(0)) / len(per_input)
-    return p_min, p_avg
+    per_input = [output_distribution(plan, i).get(target[i] % plan.d, Fraction(0))
+                 for i in plan.inputs()]
+    return min(per_input), sum(per_input, Fraction(0)) / len(per_input)

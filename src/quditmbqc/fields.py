@@ -107,39 +107,11 @@ class Modulus:
         return f"{self.kind}({self.d})"
 
 
-class PrimeField(Modulus):
-    def __init__(self, p: int):
-        super().__init__(p, PRIME_FIELD)
-        self.zero = 0
-        self.one = 1
+class IntegerRing(Modulus):
+    """Z_d: a field when d is prime, the ring Z_d otherwise."""
 
-    def canon(self, v):
-        return int(v) % self.d
-
-    def add(self, a, b):
-        return (a + b) % self.d
-
-    def mul(self, a, b):
-        return (a * b) % self.d
-
-    def neg(self, a):
-        return (-a) % self.d
-
-    def inv(self, a):
-        if a % self.d == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.d)
-
-    def elements(self):
-        return list(range(self.d))
-
-    def from_int(self, i):
-        return i % self.d
-
-
-class CompositeRing(Modulus):
     def __init__(self, d: int):
-        super().__init__(d, COMPOSITE_RING)
+        super().__init__(d, PRIME_FIELD if is_prime(d) else COMPOSITE_RING)
         self.zero = 0
         self.one = 1
 
@@ -267,17 +239,14 @@ def make_field(d: int) -> Modulus:
     """
     if d < 2:
         raise ValueError("modulus must be >= 2")
-    if is_prime(d):
-        return PrimeField(d)
-    factors = factorize(d)
-    if len(factors) == 1:
-        (p, r), = factors.items()
+    (p, r), *others = factorize(d).items()
+    if not others and r >= 2:
         for tail in itertools.product(range(p), repeat=r):
             cand = list(tail) + [1]
             if _is_irreducible_zp(cand, p):
                 return PrimePowerField(p, r, tuple(cand))
         raise AssertionError("no irreducible polynomial found")  # unreachable
-    return CompositeRing(d)
+    return IntegerRing(d)
 
 
 def _reduce_exponent(e: int, d: int) -> int:
@@ -587,7 +556,7 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     d by elimination with unit pivots, then recombines via the CRT.  A None
     result certifies that no polynomial with partial degrees <= d-1 matches.
     """
-    ring = CompositeRing(d) if not is_prime(d) else PrimeField(d)
+    ring = IntegerRing(d)
     points = sorted(table)
     n = len(points[0]) if points else 1
     if d**n > RING_SOLVER_GUARD:

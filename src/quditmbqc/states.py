@@ -341,6 +341,34 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     return m, post
 
 
+def _discard_site(psi: SparseState, k: int) -> list[tuple[SparseState, Fraction]]:
+    """psi with site k read in the computational basis, as (state, weight)
+    pure components with exact weights.
+
+    Only for a site that no later operation touches, so the reading changes
+    nothing later.  A psi that factors as (site k) (x) (rest) gives one
+    component of weight 1 (its first slice); otherwise each value of site k
+    gives its slice, weighted by its share of the terms.
+    """
+    slices: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for term in psi.terms:
+        slices.setdefault(term[1][k], []).append(term)
+    period = tau_period(psi.d)
+
+    def rest(part):
+        # kets are sorted, so slices of one rest list it in the same order
+        t0 = part[0][0]
+        return [((t - t0) % period, ket[:k] + ket[k + 1:]) for t, ket in part]
+
+    first, *others = slices.values()
+    first_rest = rest(first)
+    if all(rest(part) == first_rest for part in others):
+        return [(SparseState(psi.d, psi.N, tuple(first)), Fraction(1))]
+    K = len(psi.terms)
+    return [(SparseState(psi.d, psi.N, tuple(part)), Fraction(len(part), K))
+            for _, part in sorted(slices.items())]
+
+
 def _draw_branch(branches, rng: random.Random):
     """A branch drawn with its exact weight branch[1]; never a zero-weight one."""
     den = math.lcm(*(branch[1].denominator for branch in branches))

@@ -16,6 +16,7 @@ from .engine import MbqcPlan, extract_output_function, longest_path, temporal_gr
 from .errors import QuditMbqcError, SizeGuardError, UnsupportedWitnessError
 from .fields import (
     MultiPoly,
+    _int_monomial,
     combined_degree,
     interpolate,
     is_polynomial_over_ring,
@@ -223,10 +224,7 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     points = sorted(table)
     values = [table[x] % d for x in points]
     # monomial evaluations per point, in the fixed monomial order
-    rows = [
-        [_eval_monomial(x, e, d) for e in mons]
-        for x in points
-    ]
+    rows = [[_int_monomial(x, e, d) for e in mons] for x in points]
     best = None
     best_coeffs = None
     for coeffs in itertools.product(range(d), repeat=len(mons)):
@@ -244,13 +242,6 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
                 break
     poly = MultiPoly(field, n, dict(zip(mons, best_coeffs)))
     return best, poly
-
-
-def _eval_monomial(x: tuple, exps: tuple, d: int) -> int:
-    out = 1
-    for xi, a in zip(x, exps):
-        out = (out * pow(xi, a, d)) % d
-    return out
 
 
 @dataclass(frozen=True)

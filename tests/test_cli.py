@@ -6,9 +6,13 @@ import sys
 import pytest
 
 from quditmbqc.cli import main
-from quditmbqc.compiler import compile_general_prime
+from quditmbqc.compiler import compile_general_prime, compile_nand
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _prime3():
+    return compile_general_prime([1, 0, 2])
 
 
 class TestDemo:
@@ -32,6 +36,12 @@ class TestDemo:
 
     def test_bad_params_exit_2(self, capsys):
         assert main(["demo", "quadratic", "--d", "4"]) == 2
+
+    def test_quadratic_d5_simulated(self, capsys):
+        assert main(["demo", "quadratic", "--d", "5", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["simulated"] is True
+        assert obj["table"] == [0, 0, 1, 3, 1]
 
     def test_json_mode(self, capsys):
         assert main(["demo", "nand", "--json"]) == 0
@@ -112,16 +122,19 @@ class TestAnalyze:
         bad.write_text('{"d": 2, "n": 1}')
         assert main(["analyze", "--plan", str(bad)]) == 4
 
-    @pytest.mark.parametrize("mutate", [
-        lambda o: o["T"][0].__setitem__(1, 1),
-        lambda o: o.__setitem__("d", 0),
-        lambda o: o.__setitem__("z", o["z"][:-1]),
-        lambda o: o["resource"]["terms"][0]["ket"].__setitem__(0, o["d"]),
-        lambda o: o["parties"][0].__setitem__(
-            "control", {"C": [[1, 1], [1, 1]], "x": [0, 0], "tau_exp": 0}),
-    ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C"])
-    def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, mutate):
-        obj = compile_general_prime([1, 0, 2]).plan.to_json()
+    @pytest.mark.parametrize("base, mutate", [
+        (_prime3, lambda o: o["T"][0].__setitem__(1, 1)),
+        (_prime3, lambda o: o.__setitem__("d", 0)),
+        (_prime3, lambda o: o.__setitem__("z", o["z"][:-1])),
+        (_prime3, lambda o: o["resource"]["terms"][0]["ket"].__setitem__(0, o["d"])),
+        (_prime3, lambda o: o["parties"][0].__setitem__(
+            "control", {"C": [[1, 1], [1, 1]], "x": [0, 0], "tau_exp": 0})),
+        # at d=2, tau * W_v squares to -1: its spectrum is not omega powers
+        (compile_nand, lambda o: o["parties"][0]["fiducial"].__setitem__("tau_exp", 1)),
+    ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C",
+            "fiducial_spectrum"])
+    def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, base, mutate):
+        obj = base().plan.to_json()
         mutate(obj)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))

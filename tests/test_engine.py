@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from quditmbqc import engine, states
 from quditmbqc.engine import (
+    EXACT_BRANCH_BUDGET,
     MbqcPlan,
     RunTrace,
     TableResource,
@@ -17,7 +19,7 @@ from quditmbqc.engine import (
     run,
     temporal_graph,
 )
-from quditmbqc.errors import PlanFormatError, QuditMbqcError, SparseFormError
+from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.states import SparseState, basis_state, make_ghz
 from planlib import exponential_plan, nand_plan, quadratic_plan
 from quditmbqc.weyl import WeylLabel, named_clifford
@@ -56,6 +58,24 @@ class TestRun:
     def test_bad_input_length(self):
         with pytest.raises(QuditMbqcError):
             run(nand_plan(), (0,), 0)
+
+    def test_quadratic_runs_stay_within_resource_support(self, monkeypatch):
+        # measured qudits are forgotten, so no measurement sees more terms
+        # than the resource has, and seeded runs give the closed-form table
+        sizes = []
+
+        def spy(psi, site, op, rng):
+            sizes.append(len(psi.terms))
+            return states.measure_local(psi, site, op, rng)
+
+        monkeypatch.setattr(engine, "measure_local", spy)
+        for d in (5, 7):
+            plan = quadratic_plan(d)
+            sizes.clear()
+            for x in range(d):
+                assert run(plan, (x,), x).output == (x * (x - 1) // 2) % d
+            assert len(sizes) == d * plan.N
+            assert max(sizes) <= len(plan.resource.terms)
 
 
 class TestExtract:
@@ -152,9 +172,9 @@ class TestDeterminism:
             tr = run(plan, i, 3)
             assert tr.settings == expect
 
-    def test_ordered_plan_sampling_fallback(self):
+    def test_ordered_plan_determinism_from_exact_walk(self):
         # adaptive settings on diagonal observables: outcomes feed forward but
-        # the output z*m stays input-determined, caught by the seeded check
+        # the output z*m stays input-determined, as the exact walk shows
         d = 3
         fidZ = WeylLabel(d, (1, 0))
         mu = named_clifford(d, "Mu", u=2)
@@ -183,15 +203,28 @@ class TestDeterminism:
         with pytest.raises(QuditMbqcError, match="empirical_success"):
             extract_output_function(plan)
 
-    def test_simulation_support_bound(self):
-        from quditmbqc.engine import simulation_support_bound
-        from planlib import quadratic_plan as qp
-
-        assert simulation_support_bound(nand_plan()) == 2 * 2**3
-        assert simulation_support_bound(qp(5)) == 5 * 5**10
-        # diagonal observables never grow the support
-        plan = exponential_plan(5, 2)
-        assert simulation_support_bound(plan) == 1
+    def test_ordered_walk_raises_rather_than_guess(self):
+        # X on 16 qubits in |0..0> opens 2^16 leaves, past the branch guard
+        d, N = 2, 16
+        T = [[0] * N for _ in range(N)]
+        T[1][0] = 1
+        big = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (0,) * N),
+                       parties=[(WeylLabel(d, (0, 1)),
+                                 named_clifford(d, "weyl-displacement", x=(0, 0)))] * N,
+                       Q=[[0]] * N, T=T, z=[1] * N, s0=0)
+        with pytest.raises(SizeGuardError, match=str(EXACT_BRANCH_BUDGET)):
+            is_deterministic(big)
+        # an X measurement of (|0> + |1>)/sqrt(2) at d=5 leaves the sparse form
+        d = 5
+        irrational = MbqcPlan(
+            d=d, n=1, N=2, resource=SparseState(d, 2, ((0, (0, 0)), (0, (1, 0)))),
+            parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "weyl-displacement", x=(0, 0)))] * 2,
+            Q=[[0], [0]], T=[[0, 0], [1, 0]], z=[1, 1], s0=0,
+        )
+        with pytest.raises(SparseFormError):
+            is_deterministic(irrational)
+        with pytest.raises(SparseFormError):
+            empirical_success(irrational, {(x,): 0 for x in range(d)})
 
     def test_ordered_plan_exact_distribution(self):
         d = 3
@@ -256,6 +289,7 @@ class TestTemporal:
             ("Q", [[0, 1]] * 2),                         # wrong column count
             ("z", [1]),                                  # wrong length
             ("parties", [(WeylLabel(3, (1, 0)), ident)] * 2),  # dimension clash
+            ("parties", [(WeylLabel(d, (1, 0), 1), ident)] * 2),  # tau*Z squares to -1
         ]:
             broken = dict(good)
             broken[field] = bad
@@ -376,19 +410,14 @@ class TestEmpiricalSuccess:
         target = {(x,): x for x in range(5)}
         assert empirical_success(plan, target) == (Fraction(1, 5), Fraction(1, 5))
 
-    def test_output_distribution_matches_dense_projectors(self):
-        # joint outcome probabilities from sequential exact measurement must
-        # match ||P_mN ... P_m1 psi||^2 computed densely, on random flat plans
-        import itertools as it
-
-        import numpy as np
-
-        from quditmbqc.states import GlobalObservable, MonomialOp, dense_apply, make_ghz
-
+    def test_output_distribution_matches_dense_projectors(self, monkeypatch):
+        # exact output laws (spectral for flat plans, the tree walk for
+        # ordered ones) must match ||P_mN ... P_m1 psi||^2 computed densely
+        discards = _spy_discards(monkeypatch)
         rng = random.Random(88)
+        order_rng = random.Random(188)
         for d in (2, 3):
-            omega = np.exp(2j * np.pi / d)
-            units = [u for u in range(1, d) if __import__("math").gcd(u, d) == 1]
+            units = [u for u in range(1, d) if math.gcd(u, d) == 1]
             for _trial in range(8):
                 N = rng.randrange(2, 4)
                 parties = []
@@ -412,40 +441,20 @@ class TestEmpiricalSuccess:
                     z=[rng.randrange(d) for _ in range(N)],
                     s0=rng.randrange(d),
                 )
-                for i in plan.inputs():
-                    got = output_distribution(plan, i)
-                    vec = plan.resource.to_dense()
-                    sites = [plan.site_observable(k, plan.setting(k, i, ()))
-                             for k in range(N)]
-                    dense: dict[int, float] = {}
-                    for m in it.product(range(d), repeat=N):
-                        proj = vec
-                        for k in range(N):
-                            M = GlobalObservable(
-                                d, [sites[k] if j == k else MonomialOp.identity(d)
-                                    for j in range(N)])
-                            acc = np.zeros_like(proj)
-                            power = proj
-                            for j in range(d):
-                                acc = acc + omega ** (-m[k] * j) * power
-                                power = dense_apply(M, power)
-                            proj = acc / d
-                        p = float(np.vdot(proj, proj).real)
-                        if p > 1e-12:
-                            o = plan.output_of(m)
-                            dense[o] = dense.get(o, 0.0) + p
-                    assert set(dense) == set(got)
-                    for o, p in dense.items():
-                        assert abs(p - float(got[o])) < 1e-9
+                for variant in (plan, _ordered(plan, order_rng)):
+                    for i in variant.inputs():
+                        _assert_matches_dense(output_distribution(variant, i),
+                                              _dense_law(variant, i))
+        assert discards[0] > 0
 
     @pytest.mark.parametrize("d", [4, 5, 6])
-    def test_spectral_law_matches_dense_projectors(self, d):
-        # the exact output law of random flat GHZ plans against dense
-        # site-by-site projective measurement, deterministic inputs or not
-        import numpy as np
-
+    def test_spectral_law_matches_dense_projectors(self, d, monkeypatch):
+        # the exact output law of random GHZ plans, flat and ordered, against
+        # dense site-by-site projective measurement, deterministic or not;
+        # at composite d a measured site need not factor out of the state
+        discards = _spy_discards(monkeypatch)
         rng = random.Random(40 + d)
-        omega = np.exp(2j * np.pi / d)
+        order_rng = random.Random(140 + d)
         units = [u for u in range(1, d) if math.gcd(u, d) == 1]
         nondeterministic = 0
         for _trial in range(6):
@@ -465,29 +474,68 @@ class TestEmpiricalSuccess:
                 Q=[[rng.randrange(d)] for _ in range(N)], T=[[0] * N] * N,
                 z=[rng.randrange(d) for _ in range(N)], s0=rng.randrange(d),
             )
-            for i in plan.inputs():
-                sites = [plan.site_observable(k, plan.setting(k, i, ())).to_dense()
-                         for k in range(N)]
-                projectors = [[sum(omega ** (-m * j) * np.linalg.matrix_power(M, j)
-                                   for j in range(d)) / d for m in range(d)]
-                              for M in sites]
-                dense: dict[int, float] = {}
-                for m in itertools.product(range(d), repeat=N):
-                    proj = plan.resource.to_dense().reshape((d,) * N)
-                    for k in range(N):
-                        proj = np.moveaxis(np.tensordot(projectors[k][m[k]], proj,
-                                                        axes=([1], [k])), 0, k)
-                    p = float(np.vdot(proj, proj).real)
-                    if p > 1e-12:
-                        o = plan.output_of(m)
-                        dense[o] = dense.get(o, 0.0) + p
-                got = output_distribution(plan, i)
-                nondeterministic += len(got) > 1
-                assert all(isinstance(p, Fraction) for p in got.values())
-                assert set(got) == set(dense)
-                for o, p in dense.items():
-                    assert abs(p - float(got[o])) < 1e-9
+            for variant in (plan, _ordered(plan, order_rng)):
+                for i in variant.inputs():
+                    got = output_distribution(variant, i)
+                    nondeterministic += len(got) > 1
+                    _assert_matches_dense(got, _dense_law(variant, i))
         assert nondeterministic > 0
+        if d in (4, 6):
+            assert discards[0] > 0
+
+
+def _ordered(plan: MbqcPlan, rng: random.Random) -> MbqcPlan:
+    """plan with a random strictly lower-triangular T."""
+    d, N = plan.d, plan.N
+    T = [[rng.randrange(d) if j < k else 0 for j in range(N)] for k in range(N)]
+    return MbqcPlan(d=d, n=plan.n, N=N, resource=plan.resource, parties=plan.parties,
+                    Q=plan.Q, T=T, z=plan.z, s0=plan.s0)
+
+
+def _dense_law(plan: MbqcPlan, i) -> dict[int, float]:
+    """Output law from dense site-by-site projectors; each setting reads the
+    outcomes before it, so ordered plans are covered too."""
+    import numpy as np
+
+    d, N = plan.d, plan.N
+    omega = np.exp(2j * np.pi / d)
+    psi = plan.resource.to_dense().reshape((d,) * N)
+    projectors = {}  # (site, setting) -> the d projectors of its observable
+    law: dict[int, float] = {}
+    for m in itertools.product(range(d), repeat=N):
+        proj = psi
+        for k in range(N):
+            q = plan.setting(k, i, m[:k])
+            if (k, q) not in projectors:
+                M = plan.site_observable(k, q).to_dense()
+                projectors[k, q] = [sum(omega ** (-o * j) * np.linalg.matrix_power(M, j)
+                                        for j in range(d)) / d for o in range(d)]
+            proj = np.moveaxis(np.tensordot(projectors[k, q][m[k]], proj, axes=([1], [k])), 0, k)
+        p = float(np.vdot(proj, proj).real)
+        if p > 1e-12:
+            o = plan.output_of(m)
+            law[o] = law.get(o, 0.0) + p
+    return law
+
+
+def _assert_matches_dense(got: dict, dense: dict) -> None:
+    assert all(isinstance(p, Fraction) for p in got.values())
+    assert set(got) == set(dense)
+    for o, p in dense.items():
+        assert abs(p - float(got[o])) < 1e-9
+
+
+def _spy_discards(monkeypatch) -> list[int]:
+    """Counts the discards that leave two or more components."""
+    count = [0]
+
+    def spy(psi, k):
+        parts = states._discard_site(psi, k)
+        count[0] += len(parts) > 1
+        return parts
+
+    monkeypatch.setattr(engine, "_discard_site", spy)
+    return count
 
 
 class TestPlanSerialization:
