@@ -70,7 +70,9 @@ from .weyl import (
     symplectic_product,
 )
 from .witnesses import (
+    Analysis,
     Witness,
+    analyze_plan,
     degree_witness,
     degree_witness_for_table,
     delta_distance,

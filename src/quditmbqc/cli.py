@@ -15,21 +15,10 @@ import json
 import sys
 
 from . import compiler as comp
-from .engine import (
-    MbqcPlan,
-    _point_table,
-    extract_output_function,
-    run,
-)
-from .errors import (
-    PlanFormatError,
-    QuditMbqcError,
-    SizeGuardError,
-    UnsupportedWitnessError,
-    VerificationError,
-)
-from .fields import combined_degree, interpolate, is_prime, is_polynomial_over_ring, make_field
-from .witnesses import degree_witness, degree_witness_for_table, ncva_search, temporal_degree_bound
+from .engine import MbqcPlan, run
+from .errors import PlanFormatError, QuditMbqcError, VerificationError
+from .fields import is_prime
+from .witnesses import analyze_plan
 
 EXIT_OK = 0
 EXIT_COMPILE = 2
@@ -75,54 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_dict(report: comp.CompileReport, seed: int) -> dict:
-    plan = report.plan
-    table, poly = extract_output_function(plan)
-    inputs = sorted(table)
-    out = {
-        "construction": report.construction,
-        "d": plan.d,
-        "n": plan.n,
-        "qudits": report.qudit_count,
-        "verified": report.verified,
-        "inputs": [list(i) for i in inputs],
-        "table": [table[i] for i in inputs],
-        "temporal_bound": temporal_degree_bound(plan),
-    }
-    if poly is not None:
-        out["polynomial"] = poly.pretty()
-        out["polynomial_serialized"] = poly.serialize()
-        out["combined_degree"] = combined_degree(poly)
-        dw = degree_witness(poly)
-        out["degree_witness"] = dw.verdict
-    try:
-        w = ncva_search(plan, table)
-        out["assignment_search"] = w.verdict
-        out["searched"] = w.searched
-    except SizeGuardError as exc:
-        out["assignment_search"] = f"skipped ({exc})"
-    # seeded simulation cross-check on every input
-    for i in inputs:
-        if run(plan, i, seed).output != table[i]:
-            raise VerificationError(f"simulation disagrees at input {i}")
-    out["simulated"] = True
-    return out
+def _cross_check(report: comp.CompileReport, seed: int) -> None:
+    """Seeded simulation of every input against the verified target table."""
+    for i in sorted(report.target):
+        if run(report.plan, i, seed).output != report.target[i] % report.plan.d:
+            raise VerificationError(f"simulation disagrees with the target at input {i}")
 
 
-def _print_report(out: dict) -> None:
-    print(f"construction: {out['construction']}")
-    print(f"d: {out['d']}  inputs: {out['n']}  qudits: {out['qudits']}")
-    print(f"verified: {'true' if out['verified'] else 'false'}")
-    print("output table: " + ",".join(str(v) for v in out["table"]))
-    if "polynomial" in out:
-        print(f"polynomial: {out['polynomial']}")
-        print(f"combined degree: {out['combined_degree']}")
-        print(f"degree witness: {out['degree_witness']}")
-    print(f"temporal bound: {out['temporal_bound']}")
-    search = out.get("assignment_search", "skipped")
-    if "searched" in out:
-        search = f"{search} (searched {out['searched']} assignments)"
-    print(f"assignment search: {search}")
+def _print_header(report: comp.CompileReport) -> None:
+    print(f"construction: {report.construction}")
+    print(f"qudits: {report.qudit_count}")
+    print(f"verified: {'true' if report.verified else 'false'}")
 
 
 def cmd_demo(args) -> int:
@@ -133,17 +85,21 @@ def cmd_demo(args) -> int:
             report = comp.compile_quadratic(args.d if args.d is not None else 3)
         else:
             report = comp.compile_exponential(args.d if args.d is not None else 5, args.u)
-        out = _report_dict(report, args.seed)
+        _cross_check(report, args.seed)
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except QuditMbqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPILE
+    analysis = analyze_plan(report.plan)
     if args.as_json:
+        out = {"construction": report.construction, "qudits": report.qudit_count,
+               "verified": report.verified, **analysis.to_json(), "simulated": True}
         print(json.dumps(out, separators=(",", ":")))
     else:
-        _print_report(out)
+        _print_header(report)
+        print(analysis.to_text())
     return EXIT_OK
 
 
@@ -182,9 +138,7 @@ def cmd_compile(args) -> int:
     if args.as_json:
         print(json.dumps(summary, separators=(",", ":")))
     else:
-        print(f"construction: {report.construction}")
-        print(f"qudits: {report.qudit_count}")
-        print(f"verified: {'true' if report.verified else 'false'}")
+        _print_header(report)
         if args.out:
             print(f"plan written to {args.out}")
     return EXIT_OK
@@ -199,58 +153,11 @@ def cmd_analyze(args) -> int:
     except PlanFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    out: dict = {
-        "d": plan.d,
-        "n": plan.n,
-        "parties": plan.N,
-        "temporally_flat": plan.temporally_flat,
-        "temporal_bound": temporal_degree_bound(plan),
-    }
-    table = _point_table(plan) if plan.temporally_flat else None
-    deterministic = table is not None
-    out["deterministic"] = deterministic
-    if deterministic:
-        inputs = sorted(table)
-        out["inputs"] = [list(i) for i in inputs]
-        out["table"] = [table[i] for i in inputs]
-        poly = (interpolate(make_field(plan.d), table) if is_prime(plan.d)
-                else is_polynomial_over_ring(table, plan.d))
-        if poly is not None:
-            out["polynomial"] = poly.pretty()
-            out["polynomial_serialized"] = poly.serialize()
-            out["combined_degree"] = combined_degree(poly)
-        try:
-            dw = degree_witness(poly) if poly is not None else degree_witness_for_table(table, plan.d)
-            out["degree_witness"] = dw.verdict
-        except UnsupportedWitnessError as exc:
-            out["degree_witness"] = f"unsupported ({exc})"
-        try:
-            w = ncva_search(plan, table)
-            out["assignment_search"] = w.verdict
-            out["searched"] = w.searched
-        except SizeGuardError as exc:
-            out["assignment_search"] = f"skipped ({exc})"
+    analysis = analyze_plan(plan)
     if args.as_json:
-        print(json.dumps(out, separators=(",", ":")))
-        return EXIT_OK
-    print(f"d: {out['d']}  inputs: {out['n']}  parties: {out['parties']}")
-    print(f"temporally flat: {'yes' if out['temporally_flat'] else 'no'}")
-    print(f"temporal bound: {out['temporal_bound']}")
-    print(f"deterministic: {'yes' if out['deterministic'] else 'no'}")
-    if deterministic:
-        print("output table: " + ",".join(str(v) for v in out["table"]))
-        if "polynomial" in out:
-            print(f"polynomial: {out['polynomial']}")
-            print(f"combined degree: {out['combined_degree']}")
-        print(f"degree witness: {out['degree_witness']}")
-        search = out.get("assignment_search", "skipped")
-        if "searched" in out:
-            search = f"{search} (searched {out['searched']} assignments)"
-        print(f"assignment search: {search}")
-    elif not plan.temporally_flat:
-        print("output table: skipped (temporally ordered plan; use empirical_success)")
+        print(json.dumps(analysis.to_json(), separators=(",", ":")))
     else:
-        print("output table: skipped (plan is not deterministic; use empirical_success)")
+        print(analysis.to_text())
     return EXIT_OK
 
 
@@ -286,11 +193,7 @@ def cmd_verify_all(args) -> int:
     failures = 0
     for name, job in jobs:
         try:
-            report = job()
-            table, _ = extract_output_function(report.plan)
-            for i in sorted(table):
-                if run(report.plan, i, args.seed).output != table[i]:
-                    raise VerificationError(f"simulation mismatch at {i}")
+            _cross_check(job(), args.seed)
             print(f"PASS {name}")
         except QuditMbqcError as exc:
             failures += 1

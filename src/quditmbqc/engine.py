@@ -134,6 +134,8 @@ class MbqcPlan:
         elif isinstance(self.resource, TableResource):
             if self.resource.N != self.N:
                 raise QuditMbqcError("table resource party count does not match")
+            if not self.temporally_flat:
+                raise QuditMbqcError("table resources support temporally flat plans only")
         else:
             raise QuditMbqcError(f"unsupported resource {type(self.resource).__name__}")
         if len(self.parties) != self.N:
@@ -215,7 +217,8 @@ class MbqcPlan:
             ]
             return cls(d, obj["n"], obj["N"], resource, parties,
                        obj["Q"], obj["T"], obj["z"], obj["s0"], obj.get("q0"))
-        except (KeyError, TypeError, IndexError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, AttributeError,
+                ZeroDivisionError) as exc:
             raise PlanFormatError(f"malformed plan: missing or bad field {exc}") from exc
         except QuditMbqcError as exc:
             raise PlanFormatError(f"malformed plan: {exc}") from exc
@@ -226,7 +229,7 @@ class MbqcPlan:
     @classmethod
     def loads(cls, text: str) -> "MbqcPlan":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_float=_reject_number, parse_constant=_reject_number)
         except json.JSONDecodeError as exc:
             raise PlanFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         if not isinstance(obj, dict):
@@ -246,6 +249,11 @@ class MbqcPlan:
         return isinstance(other, MbqcPlan) and self.to_json() == other.to_json()
 
 
+def _reject_number(text: str):
+    # every number in a plan is an integer; a float would pass the arithmetic
+    raise PlanFormatError(f"malformed plan: {text} is not an integer")
+
+
 def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     """Execute one seeded run, measuring parties in index order.
 
@@ -259,8 +267,6 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     outcomes: list[int] = []
     settings: list[int] = []
     if isinstance(plan.resource, TableResource):
-        if not plan.temporally_flat:
-            raise QuditMbqcError("table resources support temporally flat plans only")
         q = tuple(plan.setting(k, i, ()) for k in range(plan.N))
         m, _ = _draw_branch(plan.resource.distribution(q), rng)
         settings, outcomes = list(q), list(m)
@@ -334,8 +340,6 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     """
     i = tuple(v % plan.d for v in i)
     if isinstance(plan.resource, TableResource):
-        if not plan.temporally_flat:
-            raise QuditMbqcError("table resources support temporally flat plans only")
         q = tuple(plan.setting(k, i, ()) for k in range(plan.N))
         out = {}
         for m, p in plan.resource.distribution(q):

@@ -19,6 +19,8 @@ PRIME_POWER_FIELD = "prime-power-field"
 COMPOSITE_RING = "composite-ring"
 
 CLOSURE_GUARD = 3**4  # largest d**n closure_generate will enumerate
+CLOSURE_PRE_MAP_GUARD = 10**5  # most tuples of affine pre-maps closure_generate tries
+SPAN_GUARD = 3**9  # most polynomials enumerate_subspace or closure_generate will list
 RING_SOLVER_GUARD = 256  # largest d**n for the ring representability test
 
 
@@ -459,8 +461,9 @@ def subspace_monomials(modulus: Modulus, n: int, delta: int) -> list[tuple[int, 
 def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> set[MultiPoly]:
     """All polynomials in Omega_n(delta) (guarded enumeration)."""
     mons = subspace_monomials(modulus, n, delta)
-    if modulus.d ** len(mons) > 3**9:
-        raise SizeGuardError("subspace too large to enumerate")
+    if modulus.d ** len(mons) > SPAN_GUARD:
+        raise SizeGuardError(f"subspace has {modulus.d}^{len(mons)} = {modulus.d ** len(mons)} "
+                             f"polynomials, over the limit {SPAN_GUARD}")
     out = set()
     elems = modulus.elements()
     for coeffs in itertools.product(elems, repeat=len(mons)):
@@ -491,8 +494,10 @@ def closure_generate(g: MultiPoly) -> set[MultiPoly]:
     n = g.n
     if m.d**n > CLOSURE_GUARD:
         raise SizeGuardError(f"closure instance d^n={m.d**n} exceeds guard {CLOSURE_GUARD}")
-    if (m.d ** (n + 1)) ** n > 10**5:
-        raise SizeGuardError(f"closure pre-map count {(m.d ** (n + 1)) ** n} is infeasible")
+    pre_maps = (m.d ** (n + 1)) ** n
+    if pre_maps > CLOSURE_PRE_MAP_GUARD:
+        raise SizeGuardError(f"closure pre-map count {pre_maps} is over the limit "
+                             f"{CLOSURE_PRE_MAP_GUARD}")
     points = all_points(m, n)
     vectors = {tuple(m.one for _ in points)}
     for pre in itertools.product(_affine_maps(m, n), repeat=n):
@@ -505,6 +510,9 @@ def closure_generate(g: MultiPoly) -> set[MultiPoly]:
             vec.append(g.evaluate(sub))
         vectors.add(tuple(vec))
     basis = _span_basis(m, vectors, len(points))
+    if m.d ** len(basis) > SPAN_GUARD:
+        raise SizeGuardError(f"closure span has {m.d}^{len(basis)} = {m.d ** len(basis)} "
+                             f"polynomials, over the limit {SPAN_GUARD}")
     deltas = [delta_poly(m, y) for y in points]
     out = set()
     for combo in itertools.product(m.elements(), repeat=len(basis)):
@@ -560,7 +568,8 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     points = sorted(table)
     n = len(points[0]) if points else 1
     if d**n > RING_SOLVER_GUARD:
-        raise SizeGuardError(f"ring solver guard exceeded: d^n={d**n}")
+        raise SizeGuardError(f"ring solver guard exceeded: d^n={d**n} over the limit "
+                             f"{RING_SOLVER_GUARD}")
     if len(table) != d**n:
         raise ValueError(f"table needs {d**n} entries")
     mons = list(itertools.product(range(d), repeat=n))

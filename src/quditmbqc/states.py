@@ -72,7 +72,25 @@ class MonomialOp:
         return MonomialOp(self.d, self.perm, tuple((p + tau_exp) % period for p in self.phases))
 
     def has_omega_spectrum(self) -> bool:
-        return self.power(self.d) == MonomialOp.identity(self.d)
+        """Whether op**d is the identity, in O(d).
+
+        It is exactly when every cycle of perm has a length L dividing d and
+        d/L times the cycle's phase sum vanishes mod the tau period.
+        """
+        period = tau_period(self.d)
+        seen = [False] * self.d
+        for start in range(self.d):
+            if seen[start]:
+                continue
+            length, phase, z = 0, 0, start
+            while not seen[z]:
+                seen[z] = True
+                length += 1
+                phase += self.phases[z]
+                z = self.perm[z]
+            if z != start or self.d % length or (self.d // length) * phase % period:
+                return False
+        return True
 
     def to_dense(self) -> np.ndarray:
         tau = tau_value(self.d)
@@ -140,6 +158,8 @@ class SparseState:
         seen = [(t % period, tuple(k)) for t, k in self.terms]
         seen.sort(key=lambda item: item[1])
         kets = [k for _, k in seen]
+        if not kets:
+            raise QuditMbqcError("a sparse state needs at least one term")
         if len(set(kets)) != len(kets):
             raise QuditMbqcError("sparse terms must have pairwise distinct kets")
         for k in kets:
@@ -161,7 +181,8 @@ class SparseState:
 
     def to_dense(self) -> np.ndarray:
         if self.d**self.N > DENSE_GUARD:
-            raise SizeGuardError(f"dense state guard exceeded: {self.d}**{self.N}")
+            raise SizeGuardError(f"dense state has {self.d}**{self.N} = {self.d**self.N} "
+                                 f"amplitudes, over the limit {DENSE_GUARD}")
         tau = tau_value(self.d)
         vec = np.zeros(self.d**self.N, dtype=complex)
         for t, ket in self.terms:
@@ -256,7 +277,8 @@ def dense_oracle(M: GlobalObservable, psi: SparseState, tolerance: float = 1e-9)
     1e-6 raise an inconsistency alarm instead of silently rounding.
     """
     if psi.d**psi.N > DENSE_GUARD:
-        raise SizeGuardError(f"dense guard exceeded: {psi.d}**{psi.N}")
+        raise SizeGuardError(f"dense oracle needs {psi.d}**{psi.N} = {psi.d**psi.N} "
+                             f"amplitudes, over the limit {DENSE_GUARD}")
     vec = psi.to_dense()
     out = dense_apply(M, vec)
     lam = np.vdot(vec, out)

@@ -2,8 +2,8 @@
 
 Degree witnesses (an output monomial of combined degree >= d certifies
 strong non-locality for field-sized alphabets), brute-force search for
-local value assignments, the temporal-ordering degree bound, and the
-probabilistic distance/threshold arithmetic.
+local value assignments, the temporal-ordering degree bound, the
+probabilistic distance/threshold arithmetic, and analyze_plan.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import MbqcPlan, extract_output_function, longest_path, temporal_graph
-from .errors import QuditMbqcError, SizeGuardError, UnsupportedWitnessError
+from .engine import MbqcPlan, _point_table, extract_output_function, longest_path, temporal_graph
+from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
 from .fields import (
     MultiPoly,
     _int_monomial,
@@ -90,9 +90,19 @@ def degree_witness_for_table(table: dict, d: int) -> Witness:
     is polynomial over Z_d (the degree argument still applies there);
     non-polynomial composite tables have no degree witness.
     """
+    return _polynomial_witness(_table_polynomial(table, d), d)
+
+
+def _table_polynomial(table: dict, d: int) -> MultiPoly | None:
+    """The reduced polynomial of a complete table: interpolation over the
+    field at prime d, the ring solver otherwise (None when no polynomial
+    over Z_d matches; SizeGuardError past its guard)."""
     if is_prime(d):
-        return degree_witness(interpolate(make_field(d), table))
-    poly = is_polynomial_over_ring(table, d)
+        return interpolate(make_field(d), table)
+    return is_polynomial_over_ring(table, d)
+
+
+def _polynomial_witness(poly: MultiPoly | None, d: int) -> Witness:
     if poly is None:
         raise UnsupportedWitnessError(
             f"table is not polynomial over Z_{d}; degree witness does not apply"
@@ -120,7 +130,8 @@ def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
     """Search over assignments s_k: settings -> outcomes with
     sum_k z_k s_k(q_k(i)) + s0 = o(i) for every input i."""
     if N * d**d > NCVA_GUARD:
-        raise SizeGuardError(f"assignment search guard exceeded: N*d^d = {N * d**d}")
+        raise SizeGuardError(f"assignment search guard exceeded: N*d^d = {N * d**d} "
+                             f"over the limit {NCVA_GUARD}")
     q0 = tuple(q0) if q0 is not None else (0,) * N
     z = tuple(v % d for v in z)
     inputs = list(itertools.product(range(d), repeat=n))
@@ -162,7 +173,8 @@ def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
     def dfs(pos: int) -> bool:
         nodes[0] += 1
         if nodes[0] > NCVA_NODE_BUDGET:
-            raise SizeGuardError("assignment search node budget exhausted")
+            raise SizeGuardError(f"assignment search visited {nodes[0]} nodes, "
+                                 f"over the budget {NCVA_NODE_BUDGET}")
         if pos == len(cells):
             return True
         for v in range(d):
@@ -200,6 +212,86 @@ def temporal_degree_bound(plan: MbqcPlan) -> int:
     return (plan.d - 1) ** longest_path(temporal_graph(plan))
 
 
+class Analysis(dict):
+    """analyze_plan's record: its JSON fields in report order, and their text."""
+
+    def to_json(self) -> dict:
+        return dict(self)
+
+    def to_text(self) -> str:
+        yes = {True: "yes", False: "no", None: f"unknown ({self.get('deterministic_reason')})"}
+        lines = [
+            f"d: {self['d']}  inputs: {self['n']}  parties: {self['parties']}",
+            f"temporally flat: {yes[self['temporally_flat']]}",
+            f"temporal bound: {self['temporal_bound']}",
+            f"deterministic: {yes[self['deterministic']]}",
+        ]
+        if self["deterministic"] is False:
+            lines.append("output table: skipped (plan is not deterministic; use empirical_success)")
+        if not self["deterministic"]:
+            return "\n".join(lines)
+        lines.append("output table: " + ",".join(str(v) for v in self["table"]))
+        if "polynomial" in self:
+            lines.append(f"polynomial: {self['polynomial']}")
+        if "combined_degree" in self:
+            lines.append(f"combined degree: {self['combined_degree']}")
+        lines.append(f"degree witness: {self['degree_witness']}")
+        search = self["assignment_search"]
+        if "searched" in self:
+            search = f"{search} (searched {self['searched']} assignments)"
+        lines.append(f"assignment search: {search}")
+        return "\n".join(lines)
+
+
+def analyze_plan(plan: MbqcPlan) -> Analysis:
+    """Every exact verdict on one plan, flat or temporally ordered.
+
+    Determinism reads each input's exact output law; when an ordered walk
+    is refused (SizeGuardError, SparseFormError) it is unknown (None) and
+    the record gives the reason.  A deterministic plan reports its table,
+    polynomial and combined degree beside the temporal bound; the degree
+    witness and the assignment search apply to flat plans only.  A guard
+    that refuses one step is reported as that step being skipped.
+    """
+    out = Analysis(d=plan.d, n=plan.n, parties=plan.N, temporally_flat=plan.temporally_flat,
+                   temporal_bound=temporal_degree_bound(plan))
+    try:
+        table = _point_table(plan)
+    except (SizeGuardError, SparseFormError) as exc:
+        out["deterministic"] = None
+        out["deterministic_reason"] = str(exc)
+        return out
+    out["deterministic"] = table is not None
+    if table is None:
+        return out
+    inputs = sorted(table)
+    out["inputs"] = [list(i) for i in inputs]
+    out["table"] = [table[i] for i in inputs]
+    poly = skipped = None
+    try:
+        poly = _table_polynomial(table, plan.d)
+    except SizeGuardError as exc:
+        skipped = out["polynomial"] = f"skipped ({exc})"
+    if poly is not None:
+        out["polynomial"] = poly.pretty()
+        out["polynomial_serialized"] = poly.serialize()
+        out["combined_degree"] = combined_degree(poly)
+    if not plan.temporally_flat:
+        out["degree_witness"] = out["assignment_search"] = "skipped (temporally ordered plan)"
+        return out
+    try:
+        out["degree_witness"] = skipped or _polynomial_witness(poly, plan.d).verdict
+    except UnsupportedWitnessError as exc:
+        out["degree_witness"] = f"unsupported ({exc})"
+    try:
+        w = ncva_search(plan, table)
+        out["assignment_search"] = w.verdict
+        out["searched"] = w.searched
+    except SizeGuardError as exc:
+        out["assignment_search"] = f"skipped ({exc})"
+    return out
+
+
 def delta_distance(q: int, d: int) -> int:
     """Distance of q from 0 on the cycle Z_d (odd d): min(q, d-q)."""
     if d % 2 == 0:
@@ -220,7 +312,8 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     field = make_field(d)
     mons = subspace_monomials(field, n, d - 1)
     if d ** len(mons) > NU_GUARD:
-        raise SizeGuardError(f"candidate class too large: {d}^{len(mons)}")
+        raise SizeGuardError(f"candidate class has {d}^{len(mons)} = {d ** len(mons)} "
+                             f"polynomials, over the limit {NU_GUARD}")
     points = sorted(table)
     values = [table[x] % d for x in points]
     # monomial evaluations per point, in the fixed monomial order

@@ -2,11 +2,15 @@ import json
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from quditmbqc.cli import main
 from quditmbqc.compiler import compile_general_prime, compile_nand
+from quditmbqc.engine import MbqcPlan, TableResource
+from quditmbqc.states import SparseState, basis_state
+from quditmbqc.weyl import WeylLabel, named_clifford
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -15,10 +19,29 @@ def _prime3():
     return compile_general_prime([1, 0, 2])
 
 
+def _ident(d):
+    return named_clifford(d, "weyl-displacement", x=(0, 0))
+
+
+def _table_plan():
+    res = TableResource.deterministic(2, {(0, 0): (0, 0)})
+    return SimpleNamespace(plan=MbqcPlan(
+        d=2, n=1, N=2, resource=res, parties=[(WeylLabel(2, (1, 0)), _ident(2))] * 2,
+        Q=[[0]] * 2, T=[[0, 0]] * 2, z=[1, 1], s0=0))
+
+
+def _analyze(tmp_path, plan, *flags):
+    plan_file = tmp_path / "plan.json"
+    plan.save(plan_file)
+    return main(["analyze", "--plan", str(plan_file), *flags])
+
+
 class TestDemo:
     def test_nand(self, capsys):
         assert main(["demo", "nand"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("construction: nand-ghz\nqudits: 3\nverified: true\n"
+                              "d: 2  inputs: 2  parties: 3\n")
         assert "output table: 1,1,1,0" in out
         assert "degree witness: strongly-nonlocal" in out
         assert "assignment search: strongly-nonlocal (searched 64 assignments)" in out
@@ -131,8 +154,9 @@ class TestAnalyze:
             "control", {"C": [[1, 1], [1, 1]], "x": [0, 0], "tau_exp": 0})),
         # at d=2, tau * W_v squares to -1: its spectrum is not omega powers
         (compile_nand, lambda o: o["parties"][0]["fiducial"].__setitem__("tau_exp", 1)),
+        (_table_plan, lambda o: o["T"][1].__setitem__(0, 1)),
     ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C",
-            "fiducial_spectrum"])
+            "fiducial_spectrum", "ordered_table_resource"])
     def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, base, mutate):
         obj = base().plan.to_json()
         mutate(obj)
@@ -153,22 +177,51 @@ class TestAnalyze:
         assert "assignment search: ncva-found" in out
 
     def test_chained_plan_bound(self, tmp_path, capsys):
-        from quditmbqc.engine import MbqcPlan
-        from quditmbqc.states import basis_state
-        from quditmbqc.weyl import WeylLabel, named_clifford
-
+        # Z on |00>, the second setting read from the first outcome
         d = 3
-        fid = WeylLabel(d, (1, 0))
-        ident = named_clifford(d, "weyl-displacement", x=(0, 0))
         plan = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (0, 0)),
-                        parties=[(fid, ident)] * 2, Q=[[0]] * 2,
+                        parties=[(WeylLabel(d, (1, 0)), _ident(d))] * 2, Q=[[0]] * 2,
                         T=[[0, 0], [1, 0]], z=[1, 1], s0=0)
-        plan_file = tmp_path / "chain.json"
-        plan.save(plan_file)
-        assert main(["analyze", "--plan", str(plan_file)]) == 0
+        assert _analyze(tmp_path, plan) == 0
         out = capsys.readouterr().out
         assert "temporal bound: 4" in out
         assert "temporally flat: no" in out
+        assert "deterministic: yes\noutput table: 0,0,0\n" in out
+        assert "degree witness: skipped (temporally ordered plan)" in out
+        assert "assignment search: skipped (temporally ordered plan)" in out
+
+    def test_ring_guard_skips_polynomial(self, tmp_path, capsys):
+        # a flat deterministic plan whose 15^3 table is past the ring solver
+        d = 15
+        plan = MbqcPlan(d=d, n=3, N=1, resource=basis_state(d, (1,)),
+                        parties=[(WeylLabel(d, (1, 0)), named_clifford(d, "Mu", u=2))],
+                        Q=[[1, 1, 0]], T=[[0]], z=[1], s0=0)
+        assert _analyze(tmp_path, plan) == 0
+        out = capsys.readouterr().out
+        assert "deterministic: yes" in out
+        line = next(ln for ln in out.splitlines() if ln.startswith("polynomial: skipped ("))
+        assert "3375" in line and "256" in line
+
+    def test_refused_walk_reads_unknown(self, tmp_path, capsys):
+        # X on 16 qubits in |0..0> opens 2^16 leaves, past the branch guard
+        d, N = 2, 16
+        T = [[0] * N for _ in range(N)]
+        T[1][0] = 1
+        plan = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (0,) * N),
+                        parties=[(WeylLabel(d, (0, 1)), _ident(d))] * N,
+                        Q=[[0]] * N, T=T, z=[1] * N, s0=0)
+        assert _analyze(tmp_path, plan) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("deterministic: "))
+        assert line.startswith("deterministic: unknown (") and "20000" in line
+        # an X measurement of (|0> + |1>)/sqrt(2) at d=5 leaves the sparse form
+        d = 5
+        plan = MbqcPlan(d=d, n=1, N=2, resource=SparseState(d, 2, ((0, (0, 0)), (0, (1, 0)))),
+                        parties=[(WeylLabel(d, (0, 1)), _ident(d))] * 2,
+                        Q=[[0], [0]], T=[[0, 0], [1, 0]], z=[1, 1], s0=0)
+        assert _analyze(tmp_path, plan, "--json") == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["deterministic"] is None and obj["deterministic_reason"]
 
     def test_json_mode(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"

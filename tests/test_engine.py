@@ -295,6 +295,10 @@ class TestTemporal:
             broken[field] = bad
             with pytest.raises(QuditMbqcError):
                 MbqcPlan(**broken)
+        # a table resource has no measurement order to follow
+        table = TableResource.deterministic(2, {(0, 0): (0, 0)})
+        with pytest.raises(QuditMbqcError, match="flat"):
+            MbqcPlan(**dict(good, resource=table, T=[[0, 0], [1, 0]]))
 
     def test_non_triangular_T_rejected(self):
         d = 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quditmbqc.errors import QuditMbqcError, SizeGuardError
+from quditmbqc.phases import tau_period
 from quditmbqc.states import (
     GlobalObservable,
     MonomialOp,
@@ -107,6 +108,30 @@ class TestApplyAndEigenphase:
         with pytest.raises(QuditMbqcError):
             # tau * X has spectrum tau * (+1, -1): not omega powers for d=2
             GlobalObservable(2, [MonomialOp.from_weyl(2, (0, 1), 1)])
+
+    def test_omega_spectrum_matches_power_definition(self):
+        # the cycle test agrees with op**d == 1 on Weyl operators, arbitrary
+        # permutations and maps that are not permutations at all
+        rng = random.Random(21)
+        verdicts = []
+        for d in range(2, 10):
+            period = tau_period(d)
+            for _ in range(200):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    v = (rng.randrange(d), rng.randrange(d))
+                    op = MonomialOp.from_weyl(d, v, rng.randrange(period))
+                else:
+                    perm = list(range(d))
+                    rng.shuffle(perm)
+                    if kind == 2:
+                        perm[rng.randrange(d)] = rng.randrange(d)
+                    phases = [rng.choice([0, rng.randrange(period)]) for _ in range(d)]
+                    op = MonomialOp(d, tuple(perm), tuple(phases))
+                want = op.power(d) == I(d)
+                assert op.has_omega_spectrum() == want, op
+                verdicts.append(want)
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
     def test_term_structure_preserved(self):
         rng = random.Random(12)
