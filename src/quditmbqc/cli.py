@@ -150,6 +150,9 @@ def cmd_analyze(args) -> int:
     except FileNotFoundError:
         print(f"error: no such plan file: {args.plan}", file=sys.stderr)
         return EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read plan file {args.plan}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except PlanFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

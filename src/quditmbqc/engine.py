@@ -57,6 +57,9 @@ class TableResource:
             total = sum(p for _, p in dist)
             if total != 1:
                 raise QuditMbqcError(f"distribution for settings {q} sums to {total}")
+            for m, _ in dist:
+                if len(m) != N or not all(isinstance(v, int) for v in m):
+                    raise QuditMbqcError(f"outcome {m} for settings {q} needs {N} integers")
             self.behavior[tuple(q)] = [(tuple(m), Fraction(p)) for m, p in dist]
 
     @classmethod
@@ -156,6 +159,9 @@ class MbqcPlan:
                 raise QuditMbqcError("T must be strictly lower triangular")
         if len(self.z) != self.N or len(self.q0) != self.N:
             raise QuditMbqcError("z and q0 must have one entry per party")
+        if isinstance(self.resource, TableResource):
+            for i in self.inputs():  # raises at the first settings without an entry
+                self.resource.distribution(tuple(self.setting(k, i, ()) for k in range(self.N)))
 
     def inputs(self) -> list[tuple[int, ...]]:
         return list(itertools.product(range(self.d), repeat=self.n))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Iterable
 
 from .errors import SizeGuardError, UnsupportedModulusError
@@ -560,11 +561,10 @@ def _span_basis(m: Modulus, vectors: Iterable[tuple], length: int) -> list[list]
 def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     """Find a reduced polynomial over Z_d matching the table, if any exists.
 
-    Solves the monomial-evaluation linear system modulo each prime power in
-    d by elimination with unit pivots, then recombines via the CRT.  A None
-    result certifies that no polynomial with partial degrees <= d-1 matches.
+    Solves the monomial-evaluation linear system exactly (solve_mod).  A
+    None result certifies that no polynomial with partial degrees <= d-1
+    matches.
     """
-    ring = IntegerRing(d)
     points = sorted(table)
     n = len(points[0]) if points else 1
     if d**n > RING_SOLVER_GUARD:
@@ -573,21 +573,11 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     if len(table) != d**n:
         raise ValueError(f"table needs {d**n} entries")
     mons = list(itertools.product(range(d), repeat=n))
-    matrix = [[_int_monomial(x, e, d) for e in mons] for x in points]
-    rhs = [table[x] % d for x in points]
-
-    sol_parts: list[tuple[int, list[int]]] = []
-    for p, e in factorize(d).items():
-        q = p**e
-        sol = _solve_mod_prime_power([row[:] for row in matrix], rhs[:], p, q)
-        if sol is None:
-            return None
-        sol_parts.append((q, sol))
-    coeffs = []
-    for j in range(len(mons)):
-        residues = [(q, sol[j]) for q, sol in sol_parts]
-        coeffs.append(_crt(residues) % d)
-    poly = MultiPoly(ring, n, dict(zip(mons, coeffs)))
+    rows = [{j: _int_monomial(x, e, d) for j, e in enumerate(mons)} for x in points]
+    coeffs = solve_mod(rows, [table[x] for x in points], len(mons), d)
+    if coeffs is None:
+        return None
+    poly = MultiPoly(IntegerRing(d), n, dict(zip(mons, coeffs)))
     for x in points:  # paranoia: confirm the reassembled solution
         assert poly.evaluate(x) == table[x] % d
     return poly
@@ -600,53 +590,83 @@ def _int_monomial(x: tuple, exps: tuple, d: int) -> int:
     return out
 
 
-def _solve_mod_prime_power(matrix: list[list[int]], rhs: list[int], p: int, q: int) -> list[int] | None:
-    """Solve matrix * x = rhs mod q (q = p^e) or return None."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    for r in range(rows):
-        matrix[r] = [v % q for v in matrix[r]]
-        rhs[r] = rhs[r] % q
-    piv_rows: list[tuple[int, int, int]] = []  # (row, col, p-valuation)
-    r = 0
-    for c in range(cols):
-        best, best_val = None, None
-        for i in range(r, rows):
-            v = matrix[i][c]
-            if v:
-                val = _valuation(v, p)
-                if best is None or val < best_val:
-                    best, best_val = i, val
-        if best is None:
-            continue
-        matrix[r], matrix[best] = matrix[best], matrix[r]
-        rhs[r], rhs[best] = rhs[best], rhs[r]
-        unit = matrix[r][c] // p**best_val
-        uinv = pow(unit, -1, q)
-        matrix[r] = [(v * uinv) % q for v in matrix[r]]
-        rhs[r] = (rhs[r] * uinv) % q
-        for i in range(rows):
-            if i != r and matrix[i][c]:
-                factor = matrix[i][c] // p**best_val
-                matrix[i] = [(a - factor * b) % q for a, b in zip(matrix[i], matrix[r])]
-                rhs[i] = (rhs[i] - factor * rhs[r]) % q
-        piv_rows.append((r, c, best_val))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if rhs[i] % q != 0:
+def solve_mod(rows: list[dict[int, int]], rhs: list[int], cols: int, d: int) -> list[int] | None:
+    """One x in Z_d^cols with sum_c row[c] * x[c] = rhs[r] (mod d) for every
+    row r, or None when no x exists.
+
+    Rows are sparse {column: coefficient} maps.  The system is solved
+    modulo each prime power of d and the parts are joined by the CRT.
+    """
+    terms = []
+    for p, e in factorize(d).items():
+        q = p**e
+        sol = _solve_prime_power(rows, rhs, cols, p, q)
+        if sol is None:
             return None
-    sol = [0] * cols
-    for row, col, val in reversed(piv_rows):
-        acc = rhs[row]
-        for j in range(cols):
-            if j != col and matrix[row][j]:
-                acc = (acc - matrix[row][j] * sol[j]) % q
-        if acc % p**val != 0:
+        weight = d // q * pow(d // q, -1, q)  # 1 mod q, 0 mod the other parts
+        terms.append([weight * v for v in sol])
+    return [sum(vals) % d for vals in zip(*terms)]
+
+
+def _solve_prime_power(rows, rhs, cols: int, p: int, q: int) -> list[int] | None:
+    """solve_mod for q = p^e.
+
+    Each pivot is an entry of least p-valuation among the rows not yet
+    used, so every other entry of its row is a multiple of it: a row then
+    has a solution exactly when its pivot's power of p divides its right
+    side, and the columns without a pivot can be 0.  Among such entries
+    the pivot's column is the one held by the fewest rows, which keeps
+    sparse rows sparse.
+    """
+    rows = [{c: a % q for c, a in row.items() if a % q} for row in rows]
+    rhs = [b % q for b in rhs]
+    unused = list(range(len(rows)))
+    pivots = []
+    while (best := _least_entry(rows, unused, p)) is not None:
+        (v, _), r, c = best
+        pv = p**v
+        unused.remove(r)
+        pivot = rows[r]
+        unit = pow(pivot[c] // pv, -1, q)
+        if unit != 1:
+            pivot = rows[r] = {cc: a * unit % q for cc, a in pivot.items()}
+            rhs[r] = rhs[r] * unit % q
+        for r2 in unused:
+            row = rows[r2]
+            if c not in row:
+                continue
+            f = row[c] // pv
+            rows[r2] = {cc: a for cc in row.keys() | pivot.keys()
+                        if (a := (row.get(cc, 0) - f * pivot.get(cc, 0)) % q)}
+            rhs[r2] = (rhs[r2] - f * rhs[r]) % q
+        pivots.append((r, c, pv))
+    if any(rhs[r] for r in unused):  # the unused rows are all zero now
+        return None
+    x = [0] * cols
+    solved = []  # the pivot columns set so far; every other x is 0
+    for r, c, pv in reversed(pivots):
+        if rhs[r] % pv:
             return None
-        sol[col] = (acc // p**val) % (q // p**val)
-    return sol
+        acc = rhs[r] - sum(rows[r].get(cc, 0) * x[cc] for cc in solved)
+        x[c] = acc % q // pv
+        solved.append(c)
+    return x
+
+
+def _least_entry(rows, unused, p):
+    """((p-valuation, rows holding its column), row, column) of the least
+    entry of the unused rows, or None when they are all zero."""
+    held = Counter(itertools.chain.from_iterable(rows[r] for r in unused))
+    least = (0, min(held.values(), default=0))  # no entry can be less
+    best = None
+    for r in unused:
+        for c, a in rows[r].items():
+            key = (_valuation(a, p) if a % p == 0 else 0, held[c])
+            if best is None or key < best[0]:
+                best = key, r, c
+                if key == least:
+                    return best
+    return best
 
 
 def _valuation(v: int, p: int) -> int:
@@ -655,13 +675,3 @@ def _valuation(v: int, p: int) -> int:
         v //= p
         out += 1
     return out
-
-
-def _crt(residues: list[tuple[int, int]]) -> int:
-    """Combine (modulus, residue) pairs with coprime moduli."""
-    m, x = 1, 0
-    for q, r in residues:
-        g = pow(m, -1, q)
-        x = x + m * ((r - x) * g % q)
-        m *= q
-    return x % m

@@ -1,7 +1,7 @@
 """Contextuality and non-locality analysis.
 
 Degree witnesses (an output monomial of combined degree >= d certifies
-strong non-locality for field-sized alphabets), brute-force search for
+strong non-locality for field-sized alphabets), an exact linear solve for
 local value assignments, the temporal-ordering degree bound, the
 probabilistic distance/threshold arithmetic, and analyze_plan.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .engine import MbqcPlan, _point_table, extract_output_function, longest_path, temporal_graph
 from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
@@ -22,6 +23,7 @@ from .fields import (
     is_polynomial_over_ring,
     is_prime,
     make_field,
+    solve_mod,
     subspace_monomials,
 )
 
@@ -29,8 +31,6 @@ STRONGLY_NONLOCAL = "strongly-nonlocal"
 NCVA_FOUND = "ncva-found"
 INCONCLUSIVE = "inconclusive"
 
-NCVA_GUARD = 10_000  # bound on N * d**d
-NCVA_NODE_BUDGET = 10**7
 NU_GUARD = 10**5  # bound on the number of candidate polynomials
 
 
@@ -40,15 +40,19 @@ class Witness:
 
     assignment: per-party outcome tables (one length-d tuple per party)
     when the verdict is ncva-found; monomial: the offending exponent tuple
-    for a degree-based proof; searched: size of the exhausted assignment
-    space for a search-based proof.
+    for a degree-based proof; space: (d, cells) for a search-based proof,
+    which decided all searched = d^cells assignments.
     """
 
     verdict: str
     assignment: tuple[tuple[int, ...], ...] | None = None
     monomial: tuple[int, ...] | None = None
-    searched: int | None = None
+    space: tuple[int, int] | None = None
     detail: str = ""
+
+    @property
+    def searched(self) -> int | None:
+        return None if self.space is None else self.space[0] ** self.space[1]
 
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -61,8 +65,8 @@ class Witness:
         if self.assignment is not None:
             for k, table in enumerate(self.assignment):
                 lines.append(f"assignment party {k + 1}: {list(table)}")
-        if self.searched is not None:
-            lines.append(f"searched: {self.searched} assignments")
+        if self.space is not None:
+            lines.append("searched: %d^%d assignments" % self.space)
         if self.detail:
             lines.append(f"note: {self.detail}")
         return "\n".join(lines)
@@ -111,12 +115,7 @@ def _polynomial_witness(poly: MultiPoly | None, d: int) -> Witness:
 
 
 def ncva_search(plan: MbqcPlan, target: dict | None = None) -> Witness:
-    """Exhaustive search for local value assignments reproducing the output.
-
-    Depth-first over per-party outcome tables with early constraint
-    checking; deterministic order (parties ascending, settings ascending,
-    outcomes ascending), so certificates are stable across runs.
-    """
+    """Exact search for local value assignments reproducing the output."""
     if not plan.temporally_flat:
         raise QuditMbqcError("assignment search applies to temporally flat plans")
     if target is None:
@@ -127,80 +126,27 @@ def ncva_search(plan: MbqcPlan, target: dict | None = None) -> Witness:
 
 def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
                     q0=None) -> Witness:
-    """Search over assignments s_k: settings -> outcomes with
-    sum_k z_k s_k(q_k(i)) + s0 = o(i) for every input i."""
-    if N * d**d > NCVA_GUARD:
-        raise SizeGuardError(f"assignment search guard exceeded: N*d^d = {N * d**d} "
-                             f"over the limit {NCVA_GUARD}")
+    """Assignments s_k: settings -> outcomes with
+    sum_k z_k s_k(q_k(i)) + s0 = o(i) for every input i.
+
+    These equations are linear over Z_d in the table entries s_k(q) of the
+    reachable cells (k, q), so one exact solve (fields.solve_mod) decides
+    the whole assignment space: no solution is an all-versus-nothing proof
+    of strong non-locality.  Entries of unreached cells are 0.
+    """
     q0 = tuple(q0) if q0 is not None else (0,) * N
-    z = tuple(v % d for v in z)
     inputs = list(itertools.product(range(d), repeat=n))
-    settings_of = {
-        i: tuple((sum(Q[k][j] * i[j] for j in range(n)) + q0[k]) % d for k in range(N))
-        for i in inputs
-    }
-    # cells that actually enter a constraint, in deterministic order
-    cells: list[tuple[int, int]] = []
-    for k in range(N):
-        if z[k] == 0:
-            continue
-        reachable = sorted({settings_of[i][k] for i in inputs})
-        cells.extend((k, q) for q in reachable)
-    cell_index = {cell: idx for idx, cell in enumerate(cells)}
-    constraints = []  # (cell indices, required sum)
-    for i in inputs:
-        idxs = tuple(
-            cell_index[(k, settings_of[i][k])] for k in range(N) if z[k] != 0
-        )
-        constraints.append((idxs, (table[i] - s0) % d))
-    by_last_cell: dict[int, list[int]] = {}
-    for ci, (idxs, _) in enumerate(constraints):
-        last = max(idxs, default=-1)
-        by_last_cell.setdefault(last, []).append(ci)
-
-    values = [0] * len(cells)
-    nodes = [0]
-    zs = [z[k] for k, _ in cells]
-
-    def consistent_at(cell: int) -> bool:
-        for ci in by_last_cell.get(cell, []):
-            idxs, want = constraints[ci]
-            total = sum(zs[j] * values[j] for j in idxs) % d
-            if total != want:
-                return False
-        return True
-
-    def dfs(pos: int) -> bool:
-        nodes[0] += 1
-        if nodes[0] > NCVA_NODE_BUDGET:
-            raise SizeGuardError(f"assignment search visited {nodes[0]} nodes, "
-                                 f"over the budget {NCVA_NODE_BUDGET}")
-        if pos == len(cells):
-            return True
-        for v in range(d):
-            values[pos] = v
-            if consistent_at(pos) and dfs(pos + 1):
-                return True
-        values[pos] = 0
-        return False
-
-    space = d ** len(cells)
-    # constraints with no cells (all z weights zero) must hold outright
-    for idxs, want in constraints:
-        if not idxs and want != 0:
-            return Witness(STRONGLY_NONLOCAL, searched=space,
-                           detail="constant output cannot match the table")
-    if dfs(0):
-        assignment = []
-        for k in range(N):
-            tablek = [0] * d
-            for q in range(d):
-                if (k, q) in cell_index:
-                    tablek[q] = values[cell_index[(k, q)]]
-            assignment.append(tuple(tablek))
-        return Witness(NCVA_FOUND, assignment=tuple(assignment), searched=space)
-    return Witness(STRONGLY_NONLOCAL, searched=space,
-                   detail="exhausted every local assignment")
+    weighted = [k for k in range(N) if z[k] % d]
+    # column k*d + q holds s_k(q)
+    rows = [{k * d + (sum(map(mul, Q[k], i)) + q0[k]) % d: z[k] for k in weighted}
+            for i in inputs]
+    values = solve_mod(rows, [table[i] - s0 for i in inputs], N * d, d)
+    space = (d, len(set().union(*rows)))
+    if values is None:
+        return Witness(STRONGLY_NONLOCAL, space=space,
+                       detail=f"the assignment equations have no solution over Z_{d}")
+    assignment = tuple(tuple(values[k * d:k * d + d]) for k in range(N))
+    return Witness(NCVA_FOUND, assignment=assignment, space=space)
 
 
 def temporal_degree_bound(plan: MbqcPlan) -> int:
@@ -250,8 +196,8 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
     is refused (SizeGuardError, SparseFormError) it is unknown (None) and
     the record gives the reason.  A deterministic plan reports its table,
     polynomial and combined degree beside the temporal bound; the degree
-    witness and the assignment search apply to flat plans only.  A guard
-    that refuses one step is reported as that step being skipped.
+    witness and the assignment search apply to flat plans only.  Past the
+    ring solver's guard the polynomial and the degree witness read skipped.
     """
     out = Analysis(d=plan.d, n=plan.n, parties=plan.N, temporally_flat=plan.temporally_flat,
                    temporal_bound=temporal_degree_bound(plan))
@@ -283,12 +229,9 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
         out["degree_witness"] = skipped or _polynomial_witness(poly, plan.d).verdict
     except UnsupportedWitnessError as exc:
         out["degree_witness"] = f"unsupported ({exc})"
-    try:
-        w = ncva_search(plan, table)
-        out["assignment_search"] = w.verdict
-        out["searched"] = w.searched
-    except SizeGuardError as exc:
-        out["assignment_search"] = f"skipped ({exc})"
+    w = ncva_search(plan, table)
+    out["assignment_search"] = w.verdict
+    out["searched"] = "%d^%d" % w.space
     return out
 
 

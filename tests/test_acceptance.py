@@ -30,7 +30,6 @@ from quditmbqc.engine import (
     temporal_graph,
     longest_path,
 )
-from quditmbqc.errors import SizeGuardError
 from quditmbqc.fields import (
     MultiPoly,
     closure_generate,
@@ -166,10 +165,7 @@ def test_criterion_09_degree_witness_consistency():
             continue  # the NAND plan is the intended non-classical exception
         if poly is not None:
             assert combined_degree(poly) <= rep.plan.d - 1
-        try:
-            assert ncva_search(rep.plan, table).verdict == NCVA_FOUND
-        except SizeGuardError:
-            pass
+        assert ncva_search(rep.plan, table).verdict == NCVA_FOUND
     mapping = {q: ((q[0] * q[1]) % 2, 0) for q in itertools.product(range(2), repeat=2)}
     plan = MbqcPlan(
         d=2, n=2, N=2, resource=TableResource.deterministic(2, mapping),

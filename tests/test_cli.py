@@ -7,10 +7,11 @@ from types import SimpleNamespace
 import pytest
 
 from quditmbqc.cli import main
-from quditmbqc.compiler import compile_general_prime, compile_nand
+from quditmbqc.compiler import compile_general_prime, compile_nand, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, TableResource
 from quditmbqc.states import SparseState, basis_state
 from quditmbqc.weyl import WeylLabel, named_clifford
+from quditmbqc.witnesses import ncva_search
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -44,7 +45,7 @@ class TestDemo:
                               "d: 2  inputs: 2  parties: 3\n")
         assert "output table: 1,1,1,0" in out
         assert "degree witness: strongly-nonlocal" in out
-        assert "assignment search: strongly-nonlocal (searched 64 assignments)" in out
+        assert "assignment search: strongly-nonlocal (searched 2^6 assignments)" in out
 
     def test_exponential(self, capsys):
         assert main(["demo", "exponential", "--d", "5", "--u", "2"]) == 0
@@ -134,6 +135,16 @@ class TestAnalyze:
     def test_missing_file_exit_4(self, capsys):
         assert main(["analyze", "--plan", "/nonexistent/plan.json"]) == 4
 
+    @pytest.mark.parametrize("case", ["directory", "unreadable", "not_utf8"])
+    def test_unreadable_file_exit_4(self, tmp_path, capsys, case):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_bytes(b'{"d": "\xff"}')
+        # reading a path below a file fails with NotADirectoryError
+        path = {"directory": tmp_path, "unreadable": plan_file / "x", "not_utf8": plan_file}[case]
+        assert main(["analyze", "--plan", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read plan file {path}: ") and err.count("\n") == 1
+
     def test_malformed_file_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -155,8 +166,10 @@ class TestAnalyze:
         # at d=2, tau * W_v squares to -1: its spectrum is not omega powers
         (compile_nand, lambda o: o["parties"][0]["fiducial"].__setitem__("tau_exp", 1)),
         (_table_plan, lambda o: o["T"][1].__setitem__(0, 1)),
+        # input 1 reaches settings (1, 0), which the table has no entry for
+        (_table_plan, lambda o: o["Q"][0].__setitem__(0, 1)),
     ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C",
-            "fiducial_spectrum", "ordered_table_resource"])
+            "fiducial_spectrum", "ordered_table_resource", "table_missing_entry"])
     def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, base, mutate):
         obj = base().plan.to_json()
         mutate(obj)
@@ -175,6 +188,23 @@ class TestAnalyze:
         assert "combined degree: 4" in out
         assert "temporal bound: 4" in out
         assert "assignment search: ncva-found" in out
+
+    @pytest.mark.parametrize("report", [
+        lambda: compile_general_prime([1, 0, 2, 0, 3]),
+        lambda: compile_odd_ring([4, 0, 8, 1, 1, 2, 7, 3, 0]),
+    ], ids=["prime5", "odd_ring9"])
+    def test_compiled_plan_assignment_found(self, tmp_path, capsys, report):
+        rep = report()
+        plan = rep.plan
+        assert _analyze(tmp_path, plan) == 0
+        cells = len({(k, plan.setting(k, i, ())) for i in plan.inputs()
+                     for k in range(plan.N) if plan.z[k]})
+        assert (f"assignment search: ncva-found (searched {plan.d}^{cells} assignments)"
+                in capsys.readouterr().out)
+        w = ncva_search(plan)
+        for i in plan.inputs():
+            got = sum(plan.z[k] * w.assignment[k][plan.setting(k, i, ())] for k in range(plan.N))
+            assert (got + plan.s0) % plan.d == rep.target[i] % plan.d
 
     def test_chained_plan_bound(self, tmp_path, capsys):
         # Z on |00>, the second setting read from the first outcome

@@ -299,6 +299,11 @@ class TestTemporal:
         table = TableResource.deterministic(2, {(0, 0): (0, 0)})
         with pytest.raises(QuditMbqcError, match="flat"):
             MbqcPlan(**dict(good, resource=table, T=[[0, 0], [1, 0]]))
+        # input 1 reaches settings (1, 0), which the table has no entry for
+        with pytest.raises(QuditMbqcError, match=r"settings \(1, 0\)"):
+            MbqcPlan(**dict(good, resource=table, Q=[[1], [0]]))
+        with pytest.raises(QuditMbqcError, match="needs 2 integers"):
+            TableResource.deterministic(2, {(0, 0): ("0", 0)})
 
     def test_non_triangular_T_rejected(self):
         d = 2

@@ -18,6 +18,7 @@ from quditmbqc.fields import (
     interpolate,
     is_polynomial_over_ring,
     make_field,
+    solve_mod,
 )
 
 
@@ -234,6 +235,35 @@ class TestClosure:
         g = MultiPoly.variable(f, 3, 0)
         with pytest.raises(SizeGuardError):
             closure_generate(g)
+
+
+class TestSolveMod:
+    def test_pivot_of_least_valuation(self):
+        # 2x + y = 1 mod 4: pivoting on x's coefficient 2 would miss y = 1
+        assert solve_mod([{0: 2, 1: 1}], [1], 2, 4) == [0, 1]
+        assert solve_mod([{0: 2}], [1], 1, 4) is None
+
+    def test_matches_enumeration(self):
+        rng = random.Random(41)
+        found = 0
+        for _ in range(400):
+            d = rng.choice((4, 6, 8, 9, 12))
+            cols = rng.randint(1, 3 if d <= 9 else 2)
+            rows = [{c: rng.randrange(d) for c in range(cols) if rng.random() < 0.7}
+                    for _ in range(rng.randint(1, 3))]
+            rhs = [rng.randrange(d) for _ in rows]
+
+            def solves(x):
+                return all((sum(a * x[c] for c, a in row.items()) - b) % d == 0
+                           for row, b in zip(rows, rhs))
+
+            x = solve_mod(rows, rhs, cols, d)
+            exists = any(solves(y) for y in itertools.product(range(d), repeat=cols))
+            assert (x is not None) == exists
+            if x is not None:
+                assert solves(x) and all(0 <= v < d for v in x)
+                found += 1
+        assert 100 < found < 300
 
 
 class TestRingRepresentability:

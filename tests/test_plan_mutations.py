@@ -16,9 +16,18 @@ from hypothesis import strategies as st
 
 from quditmbqc.cli import main
 from quditmbqc.compiler import compile_general_prime
+from quditmbqc.engine import MbqcPlan, TableResource
+from quditmbqc.weyl import WeylLabel, named_clifford
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "nand_plan.json"
-BASES = [json.loads(GOLDEN.read_text()), compile_general_prime([1, 0, 2]).plan.to_json()]
+# a flat table-resource plan: two parties whose settings follow the two inputs
+TABLE_PLAN = MbqcPlan(
+    d=2, n=2, N=2,
+    resource=TableResource.deterministic(2, {(a, b): (a * b, 0) for a in range(2) for b in range(2)}),
+    parties=[(WeylLabel(2, (1, 0)), named_clifford(2, "weyl-displacement", x=(0, 0)))] * 2,
+    Q=[[1, 0], [0, 1]], T=[[0, 0]] * 2, z=[1, 1], s0=0)
+BASES = [json.loads(GOLDEN.read_text()), compile_general_prime([1, 0, 2]).plan.to_json(),
+         TABLE_PLAN.to_json()]
 # one value of every JSON type; a type change draws one whose type differs
 OTHER_TYPES = [None, True, 2.0, "2", [], [2], {}]
 
@@ -52,6 +61,8 @@ def _mutations(base: int):
 @example((0, ("set", ("parties", 0, "control", "C", 0), {})))
 @example((1, ("set", ("resource",), [])))
 @example((1, ("set", ("resource", "terms"), {})))
+@example((2, ("set", ("resource", "entries", 3, "q", 1), 12)))
+@example((2, ("set", ("resource", "entries", 0, "dist", 0, "m"), "2")))
 def test_analyze_exits_0_or_4_on_mutated_plans(mutation):
     base, (action, path, value) = mutation
     obj = copy.deepcopy(BASES[base])

@@ -105,10 +105,16 @@ class TestNcvaSearch:
         dw = degree_witness_for_table(table, 2)
         assert dw.verdict == STRONGLY_NONLOCAL
 
-    def test_guard(self):
-        with pytest.raises(SizeGuardError):
-            ncva_search_raw(5, 1, 80, [[1]] * 80, [1] * 80, 0,
-                            {(i,): 0 for i in range(5)})
+    def test_80_party_instance_exact(self):
+        # 5^400 assignments: the linear solve decides it at once
+        table = {(i,): (3 * i + 1) % 5 for i in range(5)}
+        w = ncva_search_raw(5, 1, 80, [[1]] * 80, [1] * 80, 0, table)
+        assert w.verdict == NCVA_FOUND and w.space == (5, 400) and w.searched == 5**400
+        for (i,), want in table.items():
+            assert sum(s[i] for s in w.assignment) % 5 == want
+        # an input-independent party set cannot follow a non-constant table
+        w = ncva_search_raw(5, 1, 80, [[0]] * 80, [1] * 80, 0, table)
+        assert w.verdict == STRONGLY_NONLOCAL and w.space == (5, 80)
 
     def test_raw_interface_matches_plan(self):
         plan = nand_plan()
@@ -120,13 +126,31 @@ class TestNcvaSearch:
         w = ncva_search(nand_plan())
         text = w.to_text()
         assert "verdict: strongly-nonlocal" in text
-        assert "searched: 64 assignments" in text
+        assert "searched: 2^6 assignments" in text
 
     def test_witness_golden_file(self):
         import pathlib
 
         golden = pathlib.Path(__file__).parent / "golden" / "nand_witness.txt"
         assert ncva_search(nand_plan()).to_text() + "\n" == golden.read_text()
+
+    def test_verdicts_match_enumeration(self):
+        # composite d and non-unit z included
+        rng = random.Random(17)
+        for _ in range(150):
+            d, n, Q, z, q0 = _small_instance(rng)
+            N, s0 = len(Q), rng.randrange(d)
+            inputs = list(itertools.product(range(d), repeat=n))
+            if rng.random() < 0.5:  # a table some assignment reproduces
+                s = [[rng.randrange(d) for _ in range(d)] for _ in range(N)]
+                table = {i: _local_output(d, Q, z, s0, q0, s, i) for i in inputs}
+            else:
+                table = {i: rng.randrange(d) for i in inputs}
+            w = ncva_search_raw(d, n, N, Q, z, s0, table, q0=q0)
+            assert (w.verdict == NCVA_FOUND) == _enumerate_assignments(d, Q, z, s0, q0, table)
+            if w.verdict == NCVA_FOUND:
+                assert all(_local_output(d, Q, z, s0, q0, w.assignment, i) == o
+                           for i, o in table.items())
 
     def test_search_soundness_matches_degree_for_qubits(self):
         # two parties fed i1, i2 directly: an assignment exists exactly when
@@ -143,6 +167,47 @@ class TestNcvaSearch:
                 for i, want in table.items():
                     got = (w.assignment[0][i[0]] + w.assignment[1][i[1]]) % 2
                     assert got == want
+
+
+def _settings(d, Q, q0, i):
+    return [(sum(a * b for a, b in zip(row, i)) + q0k) % d for row, q0k in zip(Q, q0)]
+
+
+def _local_output(d, Q, z, s0, q0, s, i):
+    """sum_k z_k s_k(q_k(i)) + s0 for per-party tables s."""
+    return (sum(zk * s[k][q] for k, (zk, q) in enumerate(zip(z, _settings(d, Q, q0, i))))
+            + s0) % d
+
+
+def _cells(d, Q, z, q0, inputs):
+    return sorted({(k, q) for i in inputs for k, q in enumerate(_settings(d, Q, q0, i))
+                   if z[k] % d})
+
+
+def _small_instance(rng):
+    """(d, n, Q, z, q0) with at most 5000 assignments of the reachable cells."""
+    while True:
+        d = rng.choice((2, 3, 4, 6, 8, 9))
+        n = rng.choice((1, 2)) if d <= 3 else 1
+        N = rng.randint(1, 3)
+        Q = [[rng.randrange(d) for _ in range(n)] for _ in range(N)]
+        z = [rng.randrange(d) for _ in range(N)]
+        q0 = [rng.randrange(d) for _ in range(N)]
+        inputs = itertools.product(range(d), repeat=n)
+        if d ** len(_cells(d, Q, z, q0, inputs)) <= 5000:
+            return d, n, Q, z, q0
+
+
+def _enumerate_assignments(d, Q, z, s0, q0, table) -> bool:
+    """Whether any assignment of the reachable cells reproduces the table."""
+    cells = _cells(d, Q, z, q0, table)
+    for values in itertools.product(range(d), repeat=len(cells)):
+        s = [[0] * d for _ in Q]
+        for (k, q), v in zip(cells, values):
+            s[k][q] = v
+        if all(_local_output(d, Q, z, s0, q0, s, i) == o for i, o in table.items()):
+            return True
+    return False
 
 
 class TestTemporalBound:
