@@ -12,8 +12,9 @@ over inputs can be parallelized freely.
 Extraction, the determinism check and success scoring read one exact output
 law per input (output_distribution): the spectral law of W(i) for flat plans,
 a walk of the measurement tree for temporally ordered ones; none of them
-samples.  Seeded runs forget each measured qudit (states._discard_site), so
-their sparse support never exceeds the resource's term count.
+samples.  Runs and the walk measure each party with the fused step
+states.measurement_distribution, which removes the measured qudit, so their
+sparse support never exceeds the resource's term count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .states import (
     GlobalObservable,
     MonomialOp,
     SparseState,
-    _discard_site,
     _draw_branch,
     apply_observable,
     eigenphase_of,
@@ -124,7 +124,10 @@ class MbqcPlan:
         self.parties = tuple((fid, ctrl) for fid, ctrl in parties)
         self.Q = tuple(tuple(v % d for v in row) for row in Q)
         self.T = tuple(tuple(v % d for v in row) for row in T)
-        self.temporally_flat = all(v == 0 for row in self.T for v in row)
+        # (column, entry) of each row's nonzero entries; setting reads these
+        self._t_nonzero = tuple(tuple((j, v) for j, v in enumerate(row) if v) if any(row) else ()
+                                for row in self.T)
+        self.temporally_flat = not any(self._t_nonzero)
         self.z = tuple(v % d for v in z)
         self.s0 = s0 % d
         self.q0 = tuple((v % d for v in q0)) if q0 is not None else (0,) * N
@@ -154,8 +157,8 @@ class MbqcPlan:
             raise QuditMbqcError(f"Q must be {self.N}x{self.n}")
         if len(self.T) != self.N or any(len(r) != self.N for r in self.T):
             raise QuditMbqcError(f"T must be {self.N}x{self.N}")
-        for k, row in enumerate(self.T):
-            if any(row[j] != 0 for j in range(k, self.N)):
+        for k, row in enumerate(self._t_nonzero):
+            if row and row[-1][0] >= k:
                 raise QuditMbqcError("T must be strictly lower triangular")
         if len(self.z) != self.N or len(self.q0) != self.N:
             raise QuditMbqcError("z and q0 must have one entry per party")
@@ -169,7 +172,7 @@ class MbqcPlan:
     def setting(self, k: int, i: tuple[int, ...], outcomes: tuple[int, ...]) -> int:
         acc = self.q0[k]
         acc += sum(self.Q[k][j] * i[j] for j in range(self.n))
-        acc += sum(self.T[k][j] * outcomes[j] for j in range(min(k, len(outcomes))))
+        acc += sum(v * outcomes[j] for j, v in self._t_nonzero[k] if j < len(outcomes))
         return acc % self.d
 
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
@@ -263,8 +266,9 @@ def _reject_number(text: str):
 def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     """Execute one seeded run, measuring parties in index order.
 
-    Each measured qudit is then forgotten (states._discard_site); the rng
-    draws a component only when the post-state does not factor.
+    Each measurement draws one (outcome, eigenvector cycle) branch of
+    states.measurement_distribution and forgets the measured qudit, so the
+    party measured next is always at position 0 of the remaining state.
     """
     i = tuple(v % plan.d for v in i)
     if len(i) != plan.n:
@@ -281,11 +285,8 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         for k in range(plan.N):
             q_k = plan.setting(k, i, tuple(outcomes))
             settings.append(q_k)
-            op = plan.site_observable(k, q_k)
-            m_k, psi = measure_local(psi, k, op, rng)
+            m_k, psi = measure_local(psi, 0, plan.site_observable(k, q_k), rng)
             outcomes.append(m_k)
-            parts = _discard_site(psi, k)
-            psi = parts[0][0] if len(parts) == 1 else _draw_branch(parts, rng)[0]
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(tuple(outcomes)))
 
 
@@ -370,9 +371,8 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
             out[o] = out.get(o, Fraction(0)) + prob
             return
         op = plan.site_observable(k, plan.setting(k, i, tuple(outcomes)))
-        for m_k, p, post in measurement_distribution(psi, k, op):
-            for part, w in _discard_site(post, k):
-                walk(k + 1, part, outcomes + [m_k], prob * p * w)
+        for m_k, p, rest in measurement_distribution(psi, 0, op):
+            walk(k + 1, rest, outcomes + [m_k], prob * p)
 
     walk(0, plan.resource, [], Fraction(1))
     return out
@@ -414,10 +414,9 @@ def is_deterministic(plan: MbqcPlan) -> bool:
 def temporal_graph(plan: MbqcPlan) -> dict[int, list[int]]:
     """Dependency DAG: edge j -> k whenever party k's setting reads m_j."""
     adj: dict[int, list[int]] = {k: [] for k in range(plan.N)}
-    for k in range(plan.N):
-        for j in range(plan.N):
-            if plan.T[k][j] != 0:
-                adj[j].append(k)
+    for k, row in enumerate(plan._t_nonzero):
+        for j, _ in row:
+            adj[j].append(k)
     return adj
 
 

@@ -616,29 +616,47 @@ def _solve_prime_power(rows, rhs, cols: int, p: int, q: int) -> list[int] | None
     has a solution exactly when its pivot's power of p divides its right
     side, and the columns without a pivot can be 0.  Among such entries
     the pivot's column is the one held by the fewest rows, which keeps
-    sparse rows sparse.
+    sparse rows sparse.  The holder counts are kept across pivots and
+    recounted only when an elimination changes a row, other than a copy
+    of the pivot row, by more than the pivot column.
     """
-    rows = [{c: a % q for c, a in row.items() if a % q} for row in rows]
+    rows = [{c: r for c, a in row.items() if (r := a % q)} for row in rows]
     rhs = [b % q for b in rhs]
     unused = list(range(len(rows)))
+    held = _holders(rows, unused)
     pivots = []
-    while (best := _least_entry(rows, unused, p)) is not None:
-        (v, _), r, c = best
+    while (best := _least_entry(rows, unused, held, p)) is not None:
+        v, r, c = best
         pv = p**v
         unused.remove(r)
-        pivot = rows[r]
+        raw = pivot = rows[r]
         unit = pow(pivot[c] // pv, -1, q)
         if unit != 1:
             pivot = rows[r] = {cc: a * unit % q for cc, a in pivot.items()}
             rhs[r] = rhs[r] * unit % q
+        gone = 1  # rows that drop every column of the pivot row: it and its copies
+        recount = False  # whether some other row lost a column besides c, or gained one
         for r2 in unused:
             row = rows[r2]
             if c not in row:
                 continue
             f = row[c] // pv
-            rows[r2] = {cc: a for cc in row.keys() | pivot.keys()
-                        if (a := (row.get(cc, 0) - f * pivot.get(cc, 0)) % q)}
+            if row == raw:
+                rows[r2] = {}
+                gone += 1
+            else:
+                new = rows[r2] = {cc: a for cc in row.keys() | pivot.keys()
+                                  if (a := (row.get(cc, 0) - f * pivot.get(cc, 0)) % q)}
+                recount = recount or len(new) != len(row) - 1 or not pivot.keys() <= row.keys()
             rhs[r2] = (rhs[r2] - f * rhs[r]) % q
+        if recount:
+            held = _holders(rows, unused)
+        else:
+            for cc in pivot:
+                if (left := held[cc] - gone) and cc != c:
+                    held[cc] = left
+                else:
+                    del held[cc]
         pivots.append((r, c, pv))
     if any(rhs[r] for r in unused):  # the unused rows are all zero now
         return None
@@ -653,20 +671,30 @@ def _solve_prime_power(rows, rhs, cols: int, p: int, q: int) -> list[int] | None
     return x
 
 
-def _least_entry(rows, unused, p):
-    """((p-valuation, rows holding its column), row, column) of the least
-    entry of the unused rows, or None when they are all zero."""
-    held = Counter(itertools.chain.from_iterable(rows[r] for r in unused))
-    least = (0, min(held.values(), default=0))  # no entry can be less
-    best = None
+def _holders(rows, unused) -> Counter:
+    """The number of unused rows holding each column."""
+    return Counter(itertools.chain.from_iterable(map(rows.__getitem__, unused)))
+
+
+def _least_entry(rows, unused, held, p):
+    """(p-valuation, row, column) of the least entry of the unused rows, or
+    None when they are all zero.  Entries compare by valuation, then by the
+    number of unused rows holding their column (held), then by position."""
+    least = min(held.values(), default=0)  # no unit can have fewer holders
+    best = None  # (valuation, holders, row, column)
     for r in unused:
         for c, a in rows[r].items():
-            key = (_valuation(a, p) if a % p == 0 else 0, held[c])
-            if best is None or key < best[0]:
-                best = key, r, c
-                if key == least:
-                    return best
-    return best
+            if a % p:
+                h = held[c]
+                if best is None or best[0] or h < best[1]:
+                    best = (0, h, r, c)
+                    if h == least:
+                        return 0, r, c
+            elif best is None or best[0]:  # a multiple of p never beats a unit
+                v, h = _valuation(a, p), held[c]
+                if best is None or (v, h) < best[:2]:
+                    best = (v, h, r, c)
+    return None if best is None else (best[0], best[2], best[3])
 
 
 def _valuation(v: int, p: int) -> int:

@@ -91,15 +91,7 @@ class PhaseSum:
         self.coeffs[tau_exp % self.period] += weight
 
     def _reduced(self) -> list[int]:
-        phi = cyclotomic_poly(self.period)
-        deg = len(phi) - 1
-        rem = list(self.coeffs)
-        for i in range(len(rem) - 1, deg - 1, -1):
-            c = rem[i]
-            if c:
-                for j in range(deg + 1):
-                    rem[i - deg + j] -= c * phi[j]
-        return rem[:deg]
+        return _reduce(self.coeffs, self.period)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._reduced())
@@ -127,8 +119,9 @@ class PhaseSum:
                         out.add_tau_power(i + j, a * b)
         return out
 
-    def equals(self, other: "PhaseSum") -> bool:
-        return self._reduced() == other._reduced()
+    def key(self) -> tuple[int, ...]:
+        """Canonical form: two sums are equal exactly when their keys are."""
+        return tuple(self._reduced())
 
     def as_rational_integer(self) -> int | None:
         """The value as a plain integer, or None if it is not one."""
@@ -137,9 +130,24 @@ class PhaseSum:
             return None
         return rem[0]
 
-    def tau_ratio_to(self, base: "PhaseSum") -> int | None:
-        """r with self == tau^r * base, or None when no such r exists."""
-        for r in range(self.period):
-            if self.equals(base.times_tau_power(r)):
-                return r
-        return None
+
+def _reduce(coeffs: list[int], period: int) -> list[int]:
+    """coeffs of a polynomial in tau, reduced modulo the cyclotomic
+    polynomial of the tau order."""
+    phi = cyclotomic_poly(period)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(deg + 1):
+                rem[i - deg + j] -= c * phi[j]
+    return rem[:deg]
+
+
+@lru_cache(maxsize=None)
+def tau_power_keys(d: int) -> tuple[tuple[int, ...], ...]:
+    """PhaseSum.key of tau^r for r = 0 .. period-1."""
+    period = tau_period(d)
+    return tuple(tuple(_reduce([int(j == r) for j in range(period)], period))
+                 for r in range(period))

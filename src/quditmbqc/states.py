@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError
-from .phases import PhaseSum, omega_exponent, tau_period, tau_value
+from .phases import PhaseSum, omega_exponent, tau_period, tau_power_keys, tau_value
 from .weyl import CliffordSpec
 
 DENSE_GUARD = 10**6  # maximum d**N amplitudes for the dense backend
@@ -167,6 +167,16 @@ class SparseState:
                 raise QuditMbqcError(f"ket {k} out of range for d={self.d}, N={self.N}")
         object.__setattr__(self, "terms", tuple(seen))
 
+    @classmethod
+    def _trusted(cls, d: int, N: int, terms: tuple) -> "SparseState":
+        """A state from terms already reduced, with distinct kets of length
+        N, sorted by ket; skips the validation of __post_init__."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "d", d)
+        object.__setattr__(state, "N", N)
+        object.__setattr__(state, "terms", terms)
+        return state
+
     def to_json(self) -> dict:
         return {
             "d": self.d,
@@ -296,11 +306,19 @@ def dense_oracle(M: GlobalObservable, psi: SparseState, tolerance: float = 1e-9)
 
 def measurement_distribution(psi: SparseState, site: int,
                              op: MonomialOp) -> list[tuple[int, Fraction, SparseState]]:
-    """All (outcome, probability, post-state) branches with prob > 0.
+    """All (outcome, probability, rest) branches with prob > 0 of measuring
+    op on one site and forgetting that site.
 
-    Projector amplitudes are accumulated as exact cyclotomic-integer phase
-    sums, so probabilities are exact rationals and always sum to 1.  Each
-    branch must stay a tau-power superposition up to one common unit (the
+    A monomial op's eigenvectors have a closed form.  Take a cycle C of
+    op.perm with first element z0 and length L, write op^s|z0> =
+    tau^phi_s |z_s>, and let Phi_C be the phase around C: outcome m lives on
+    C exactly when 2mL = Phi_C (mod the tau period), and then
+    <e_(m,C)|z_s> = tau^(2ms - phi_s) / sqrt(L).  Eigenvectors on distinct
+    cycles are orthogonal and the site is never touched again, so there is
+    one branch per (m, C), sorted by m and then by C.  rest is psi projected
+    on e_(m,C) with the site removed (N-1 qudits, the other sites in their
+    order); its weight is |rest|^2 / (K*L) for the K terms of psi.  Each
+    rest must stay a tau-power superposition up to one common unit (the
     physically irrelevant global phase, which is dropped); otherwise
     SparseFormError is raised.
     """
@@ -308,45 +326,92 @@ def measurement_distribution(psi: SparseState, site: int,
     if not op.has_omega_spectrum():
         raise QuditMbqcError("site operator spectrum is not omega powers")
     period = tau_period(d)
-    powers = [MonomialOp.identity(d)]
-    for _ in range(d - 1):
-        powers.append(powers[-1].compose(op))
+    place: list[tuple[int, int, int] | None] = [None] * d  # z -> (C, s, phi_s)
+    cycles = []  # (L, the outcomes living on C)
+    for start in range(d):
+        if place[start] is not None:
+            continue
+        z, s, phi = start, 0, 0
+        while place[z] is None:
+            place[z] = (len(cycles), s, phi)
+            phi += op.phases[z]
+            s += 1
+            z = op.perm[z]
+        cycles.append((s, [m for m in range(d) if (2 * m * s - phi) % period == 0]))
+    groups: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in cycles]
+    for t, ket in psi.terms:
+        c, s, phi = place[ket[site]]
+        groups[c].append((ket[:site] + ket[site + 1:], t - phi, s))
     K = len(psi.terms)
     out = []
-    total = Fraction(0)
-    for m in range(d):
-        amps: dict[tuple[int, ...], PhaseSum] = {}
-        for t, ket in psi.terms:
-            z = ket[site]
-            for j in range(d):
-                new_ket = ket[:site] + (powers[j].perm[z],) + ket[site + 1:]
-                amps.setdefault(new_ket, PhaseSum(d)).add_tau_power(
-                    t + powers[j].phases[z] - 2 * m * j
-                )
-        survivors = [(ket, amps[ket]) for ket in sorted(amps) if not amps[ket].is_zero()]
-        if not survivors:
+    for c, (L, outcomes) in enumerate(cycles):
+        group = sorted(groups[c])
+        if not group:
             continue
-        base = survivors[0][1]
+        distinct = all(a[0] != b[0] for a, b in zip(group, group[1:]))
+        for m in outcomes:
+            if distinct:  # every amplitude is one tau power
+                e0 = group[0][1] + 2 * m * group[0][2]
+                terms = tuple(((e + 2 * m * s - e0) % period, rest) for rest, e, s in group)
+                norm_sq = 1
+            else:
+                terms, norm_sq = _merged_rest(d, group, m)
+                if not terms:
+                    continue
+            out.append((m, Fraction(len(terms) * norm_sq, K * L),
+                        SparseState._trusted(d, psi.N - 1, terms)))
+    out.sort(key=lambda branch: branch[0])  # stable: cycles stay in order
+    total = sum(p for _, p, _ in out)
+    if total != 1:
+        raise SparseFormError(f"branch probabilities sum to {total}, not 1")
+    return out
+
+
+def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
+    """The (tau exponent, rest) terms of branch m over a sorted group in
+    which some rests are shared, and their common |amplitude|^2; no terms
+    when every amplitude cancels."""
+    period = tau_period(d)
+    unit_keys = tau_power_keys(d)
+    amps: list[list] = []  # [rest, tau exponent, or a PhaseSum once shared]
+    for rest, e, s in group:
+        e = (e + 2 * m * s) % period
+        if not amps or amps[-1][0] != rest:
+            amps.append([rest, e])
+            continue
+        if isinstance(amps[-1][1], int):
+            shared = PhaseSum(d)
+            shared.add_tau_power(amps[-1][1])
+            amps[-1][1] = shared
+        amps[-1][1].add_tau_power(e)
+    survivors = []  # (rest, amplitude, key)
+    for rest, a in amps:
+        key = unit_keys[a] if isinstance(a, int) else a.key()
+        if any(key):
+            survivors.append((rest, a, key))
+    if not survivors:
+        return (), 0
+    base = survivors[0][1]
+    if isinstance(base, int):
+        norm_sq = 1
+        ratio_of = {unit_keys[(base + r) % period]: r for r in range(period)}
+    else:
         norm_sq = base.mul(base.conjugate()).as_rational_integer()
         if norm_sq is None or norm_sq <= 0:
             raise SparseFormError(
                 "projection produced an amplitude with non-integral norm; "
                 "state left the sparse form"
             )
-        entries = []
-        for ket, v in survivors:
-            r = v.tau_ratio_to(base)
-            if r is None:
-                raise SparseFormError(
-                    "projection produced non-uniform amplitudes; state left the sparse form"
-                )
-            entries.append((r % period, ket))
-        prob = Fraction(len(entries) * norm_sq, d * d * K)
-        total += prob
-        out.append((m, prob, SparseState(d, psi.N, tuple(entries))))
-    if total != 1:
-        raise SparseFormError(f"branch probabilities sum to {total}, not 1")
-    return out
+        ratio_of = {base.times_tau_power(r).key(): r for r in range(period)}
+    terms = []
+    for rest, _, key in survivors:
+        r = ratio_of.get(key)
+        if r is None:
+            raise SparseFormError(
+                "projection produced non-uniform amplitudes; state left the sparse form"
+            )
+        terms.append((r, rest))
+    return tuple(terms), norm_sq
 
 
 def measure_local(psi: SparseState, site: int, op: MonomialOp,
@@ -354,41 +419,14 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     """Projective measurement of a monomial site operator.
 
     Samples a branch of measurement_distribution with exact integer
-    weights; deterministic under a fixed seed, and zero-probability
-    outcomes are never returned.
+    weights and returns its outcome and the state without the measured
+    qudit; deterministic under a fixed seed, and zero-probability branches
+    are never returned.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    m, _, post = _draw_branch(measurement_distribution(psi, site, op), rng)
-    return m, post
-
-
-def _discard_site(psi: SparseState, k: int) -> list[tuple[SparseState, Fraction]]:
-    """psi with site k read in the computational basis, as (state, weight)
-    pure components with exact weights.
-
-    Only for a site that no later operation touches, so the reading changes
-    nothing later.  A psi that factors as (site k) (x) (rest) gives one
-    component of weight 1 (its first slice); otherwise each value of site k
-    gives its slice, weighted by its share of the terms.
-    """
-    slices: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for term in psi.terms:
-        slices.setdefault(term[1][k], []).append(term)
-    period = tau_period(psi.d)
-
-    def rest(part):
-        # kets are sorted, so slices of one rest list it in the same order
-        t0 = part[0][0]
-        return [((t - t0) % period, ket[:k] + ket[k + 1:]) for t, ket in part]
-
-    first, *others = slices.values()
-    first_rest = rest(first)
-    if all(rest(part) == first_rest for part in others):
-        return [(SparseState(psi.d, psi.N, tuple(first)), Fraction(1))]
-    K = len(psi.terms)
-    return [(SparseState(psi.d, psi.N, tuple(part)), Fraction(len(part), K))
-            for _, part in sorted(slices.items())]
+    m, _, rest = _draw_branch(measurement_distribution(psi, site, op), rng)
+    return m, rest
 
 
 def _draw_branch(branches, rng: random.Random):

@@ -67,6 +67,15 @@ class TestDemo:
         assert obj["simulated"] is True
         assert obj["table"] == [0, 0, 1, 3, 1]
 
+    @pytest.mark.parametrize("d", [13, 17])
+    def test_quadratic_large_d_simulated(self, d, capsys):
+        # every input is run through the sequential simulator, one measured
+        # qudit at a time, and must give the closed form x(x-1)/2
+        assert main(["demo", "quadratic", "--d", str(d), "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["simulated"] is True and obj["verified"] is True
+        assert obj["table"] == [x * (x - 1) // 2 % d for x in range(d)]
+
     def test_json_mode(self, capsys):
         assert main(["demo", "nand", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)

@@ -60,20 +60,16 @@ class TestRun:
             run(nand_plan(), (0,), 0)
 
     def test_quadratic_runs_stay_within_resource_support(self, monkeypatch):
-        # measured qudits are forgotten, so no measurement sees more terms
-        # than the resource has, and seeded runs give the closed-form table
-        sizes = []
-
-        def spy(psi, site, op, rng):
-            sizes.append(len(psi.terms))
-            return states.measure_local(psi, site, op, rng)
-
-        monkeypatch.setattr(engine, "measure_local", spy)
+        # measured qudits are forgotten, so no measurement step sees more
+        # terms than the resource has, and seeded runs give the closed-form
+        # table
+        steps = _spy_steps(monkeypatch)
         for d in (5, 7):
             plan = quadratic_plan(d)
-            sizes.clear()
+            steps.clear()
             for x in range(d):
                 assert run(plan, (x,), x).output == (x * (x - 1) // 2) % d
+            sizes = [size for size, _ in steps]
             assert len(sizes) == d * plan.N
             assert max(sizes) <= len(plan.resource.terms)
 
@@ -422,7 +418,7 @@ class TestEmpiricalSuccess:
     def test_output_distribution_matches_dense_projectors(self, monkeypatch):
         # exact output laws (spectral for flat plans, the tree walk for
         # ordered ones) must match ||P_mN ... P_m1 psi||^2 computed densely
-        discards = _spy_discards(monkeypatch)
+        steps = _spy_steps(monkeypatch)
         rng = random.Random(88)
         order_rng = random.Random(188)
         for d in (2, 3):
@@ -454,14 +450,14 @@ class TestEmpiricalSuccess:
                     for i in variant.inputs():
                         _assert_matches_dense(output_distribution(variant, i),
                                               _dense_law(variant, i))
-        assert discards[0] > 0
+        assert _degenerate(steps) > 0
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_spectral_law_matches_dense_projectors(self, d, monkeypatch):
         # the exact output law of random GHZ plans, flat and ordered, against
         # dense site-by-site projective measurement, deterministic or not;
-        # at composite d a measured site need not factor out of the state
-        discards = _spy_discards(monkeypatch)
+        # at composite d some measurements are degenerate
+        steps = _spy_steps(monkeypatch)
         rng = random.Random(40 + d)
         order_rng = random.Random(140 + d)
         units = [u for u in range(1, d) if math.gcd(u, d) == 1]
@@ -490,7 +486,7 @@ class TestEmpiricalSuccess:
                     _assert_matches_dense(got, _dense_law(variant, i))
         assert nondeterministic > 0
         if d in (4, 6):
-            assert discards[0] > 0
+            assert _degenerate(steps) > 0
 
 
 def _ordered(plan: MbqcPlan, rng: random.Random) -> MbqcPlan:
@@ -534,17 +530,25 @@ def _assert_matches_dense(got: dict, dense: dict) -> None:
         assert abs(p - float(got[o])) < 1e-9
 
 
-def _spy_discards(monkeypatch) -> list[int]:
-    """Counts the discards that leave two or more components."""
-    count = [0]
+def _spy_steps(monkeypatch) -> list[tuple[int, list[int]]]:
+    """Records every measurement step of runs and exact walks as (terms of
+    the measured state, outcome of each branch)."""
+    steps = []
+    step = states.measurement_distribution
 
-    def spy(psi, k):
-        parts = states._discard_site(psi, k)
-        count[0] += len(parts) > 1
-        return parts
+    def spy(psi, site, op):
+        branches = step(psi, site, op)
+        steps.append((len(psi.terms), [m for m, _, _ in branches]))
+        return branches
 
-    monkeypatch.setattr(engine, "_discard_site", spy)
-    return count
+    monkeypatch.setattr(states, "measurement_distribution", spy)  # measure_local
+    monkeypatch.setattr(engine, "measurement_distribution", spy)
+    return steps
+
+
+def _degenerate(steps) -> int:
+    """Steps with two branches of one outcome: a degenerate measurement."""
+    return sum(len(set(outcomes)) < len(outcomes) for _, outcomes in steps)
 
 
 class TestPlanSerialization:

@@ -1,4 +1,10 @@
-from quditmbqc.phases import PhaseSum, cyclotomic_poly, omega_exponent, tau_period
+from quditmbqc.phases import (
+    PhaseSum,
+    cyclotomic_poly,
+    omega_exponent,
+    tau_period,
+    tau_power_keys,
+)
 
 
 class TestCyclotomic:
@@ -31,30 +37,28 @@ class TestPhaseSum:
         ps.add_tau_power(3)  # i + (-i) = 0
         assert ps.is_zero()
 
-    def test_tau_ratio_recognition(self):
-        base = PhaseSum(3)
-        base.add_tau_power(0, weight=2)
+    def test_keys_identify_tau_powers(self):
+        # 2 * tau^2 is tau^2 times 2, and -1 is tau^2 for qubits
         ps = PhaseSum(3)
         ps.add_tau_power(2)
         ps.add_tau_power(2)
-        assert ps.tau_ratio_to(base) == 2
+        base = PhaseSum(3)
+        base.add_tau_power(0, weight=2)
+        assert ps.key() == base.times_tau_power(2).key() != base.key()
         assert base.mul(base.conjugate()).as_rational_integer() == 4
+        minus_one = PhaseSum(2)
+        minus_one.add_tau_power(0, weight=-1)
+        assert minus_one.key() == tau_power_keys(2)[2]
 
-    def test_negative_unit_is_tau_squared_for_qubits(self):
-        base = PhaseSum(2)
-        base.add_tau_power(0)
-        ps = PhaseSum(2)
-        ps.add_tau_power(0, weight=-1)  # -1 = tau^2 for d=2
-        assert ps.tau_ratio_to(base) == 2
-
-    def test_mixed_sum_has_no_tau_ratio(self):
-        base = PhaseSum(4)
-        base.add_tau_power(0)
-        ps = PhaseSum(4)
-        ps.add_tau_power(0)
-        ps.add_tau_power(2)  # 1 + i is no tau-power times 1
-        assert ps.tau_ratio_to(base) is None
-        assert ps.mul(ps.conjugate()).as_rational_integer() == 2  # |1+i|^2
+    def test_tau_power_keys_are_distinct_units(self):
+        for d in (2, 3, 4, 6, 9):
+            keys = tau_power_keys(d)
+            assert len(keys) == tau_period(d) == len(set(keys))
+        one_plus_i = PhaseSum(4)
+        one_plus_i.add_tau_power(0)
+        one_plus_i.add_tau_power(2)  # 1 + i is no tau power
+        assert one_plus_i.key() not in tau_power_keys(4)
+        assert one_plus_i.mul(one_plus_i.conjugate()).as_rational_integer() == 2
 
     def test_period(self):
         assert tau_period(3) == 3

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quditmbqc.errors import QuditMbqcError, SizeGuardError
+from quditmbqc.errors import QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.phases import tau_period
 from quditmbqc.states import (
     GlobalObservable,
@@ -180,15 +181,16 @@ class TestDenseOracle:
 
 class TestMeasurement:
     def test_z_on_basis_deterministic(self):
-        out, post = measure_local(basis_state(5, (1,)), 0, Z(5), 7)
+        # the measured qudit is removed; the rest keeps its order
+        out, post = measure_local(basis_state(5, (1, 3, 4)), 0, Z(5), 7)
         assert out == 1
-        assert post == basis_state(5, (1,))
+        assert post == basis_state(5, (3, 4))
 
     def test_x_on_plus_state(self):
-        psi = make_ghz(2, 1)  # (|0> + |1>)/sqrt2
-        out, post = measure_local(psi, 0, X(2), 3)
+        psi = SparseState(2, 2, ((0, (1, 0)), (0, (1, 1))))  # |1> (|0> + |1>)/sqrt2
+        out, post = measure_local(psi, 1, X(2), 3)
         assert out == 0
-        assert post == psi
+        assert post == basis_state(2, (1,))
 
     def test_probabilities_sum_to_one(self):
         rng = random.Random(14)
@@ -223,8 +225,8 @@ class TestMeasurement:
                 psi = make_ghz(2, 3, anders_browne=True)
                 rng = random.Random(seed)
                 total = 0
-                for site, op in enumerate(sites):
-                    m, psi = measure_local(psi, site, op, rng)
+                for op in sites:  # the next party is always at position 0
+                    m, psi = measure_local(psi, 0, op, rng)
                     total += m
                 assert total % 2 == expect[inp]
 
@@ -234,10 +236,10 @@ class TestMeasurement:
         # still match the dense projector chain exactly
         psi = make_ghz(2, 3)
         stack = [(Fraction(1), psi, ())]
-        for site in range(3):
+        for _ in range(3):
             nxt = []
             for p, state, ms in stack:
-                for m, q, post in measurement_distribution(state, site, Y2):
+                for m, q, post in measurement_distribution(state, 0, Y2):
                     nxt.append((p * q, post, ms + (m,)))
             stack = nxt
         joint = {}
@@ -272,7 +274,9 @@ class TestMeasurement:
                 from quditmbqc.states import dense_apply
 
                 omega = np.exp(2j * np.pi / d)
-                probs = {m: p for m, p, _ in dist}
+                probs = {}  # a degenerate op has several branches per outcome
+                for m, p, _ in dist:
+                    probs[m] = probs.get(m, 0) + p
                 for m in range(d):
                     proj = np.zeros_like(vec)
                     power = vec
@@ -282,3 +286,137 @@ class TestMeasurement:
                     proj /= d
                     p_dense = float(np.vdot(proj, proj).real)
                     assert abs(p_dense - float(probs.get(m, 0))) < 1e-12
+
+
+def _site_projectors(op: MonomialOp) -> list[np.ndarray]:
+    """The d spectral projectors (1/d) sum_j omega^(-mj) op^j, m = 0..d-1."""
+    d, M = op.d, op.to_dense()
+    omega = np.exp(2j * np.pi / d)
+    return [sum(omega ** (-m * j) * np.linalg.matrix_power(M, j) for j in range(d)) / d
+            for m in range(d)]
+
+
+def _on_site(mat: np.ndarray, vec: np.ndarray, site: int, d: int, N: int) -> np.ndarray:
+    tensor = vec.reshape((d,) * N)
+    return np.moveaxis(np.tensordot(mat, tensor, axes=([1], [site])), 0, site).reshape(-1)
+
+
+def _eigenspace_leaves_sparse_form(psi: SparseState, site: int, op: MonomialOp) -> bool:
+    """Whether projecting psi on a whole eigenspace of op at the site (every
+    eigenvector cycle of one outcome at once, the site kept) leaves the
+    uniform tau-power form: an amplitude of non-integral norm, or one that
+    is no tau power times the first."""
+    d, period = psi.d, tau_period(psi.d)
+    vec = psi.to_dense()
+    for P in _site_projectors(op):
+        amps = _on_site(P, vec, site, d, psi.N) * d * np.sqrt(len(psi.terms))
+        nonzero = amps[np.abs(amps) > 1e-9]
+        if not len(nonzero):
+            continue
+        norm = abs(nonzero[0]) ** 2
+        if abs(norm - round(norm)) > 1e-9:
+            return True
+        ratios = nonzero / nonzero[0]
+        turns = np.angle(ratios) * period / (2 * np.pi)
+        if np.any(np.abs(np.abs(ratios) - 1) > 1e-9) or np.any(np.abs(turns - np.round(turns)) > 1e-9):
+            return True
+    return False
+
+
+def _assert_step_matches_dense(psi: SparseState, site: int, op: MonomialOp, branches) -> None:
+    """Per outcome m, the branches' mixture prob * |rest><rest| is the state
+    of the other qudits after projecting psi with P_m at the site."""
+    d, N = psi.d, psi.N
+    assert [m for m, _, _ in branches] == sorted(m for m, _, _ in branches)
+    assert all(p > 0 and isinstance(p, Fraction) for _, p, _ in branches)
+    assert sum(p for _, p, _ in branches) == 1
+    assert all(rest.d == d and rest.N == N - 1 for _, _, rest in branches)
+    vec = psi.to_dense()
+    for m, P in enumerate(_site_projectors(op)):
+        proj = np.moveaxis(_on_site(P, vec, site, d, N).reshape((d,) * N), site, 0).reshape(d, -1)
+        want = proj.T @ proj.conj()  # the site traced out
+        got = np.zeros_like(want)
+        for mm, p, rest in branches:
+            if mm == m:
+                r = rest.to_dense()
+                got += float(p) * np.outer(r, r.conj())
+        assert np.allclose(got, want, atol=1e-9), (m, psi, site, op)
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9])
+    def test_random_states_against_dense_projectors(self, d):
+        # multi-term states with random tau phases under Weyl, degenerate
+        # diagonal and identity ops: the step's outcome laws and rest states
+        # match dense projectors; it refuses only where projecting on a
+        # whole eigenspace leaves the sparse form too, and an eigenspace
+        # refused that way while the step succeeds is a degenerate one
+        rng = random.Random(600 + d)
+        period = tau_period(d)
+        refused = 0
+        for trial in range(120):
+            N = rng.randrange(1, 4 if d < 9 else 3)
+            kets = rng.sample(list(itertools.product(range(d), repeat=N)),
+                              rng.randrange(1, min(d**N, 8) + 1))
+            psi = SparseState(d, N, tuple((rng.randrange(period), k) for k in kets))
+            kind = trial % 3
+            if kind == 0:
+                op = MonomialOp.from_weyl(d, (rng.randrange(d), rng.randrange(d)),
+                                          2 * rng.randrange(d))
+            elif kind == 1:  # repeated eigenvalues on the diagonal
+                values = [rng.randrange(d) for _ in range(rng.randrange(1, d))]
+                op = MonomialOp(d, tuple(range(d)),
+                                tuple(2 * rng.choice(values) % period for _ in range(d)))
+            else:
+                op = I(d)
+            site = rng.randrange(N)
+            whole = _eigenspace_leaves_sparse_form(psi, site, op)
+            try:
+                branches = measurement_distribution(psi, site, op)
+            except SparseFormError:
+                assert whole, (psi, site, op)
+                refused += 1
+                continue
+            _assert_step_matches_dense(psi, site, op, branches)
+            if whole:
+                outcomes = [m for m, _, _ in branches]
+                assert len(set(outcomes)) < len(outcomes), (psi, site, op)
+        assert refused > 0
+
+    def test_degenerate_eigenspace_split_by_cycles(self):
+        # X^3 at d=6 has the cycles (0 3), (1 4), (2 5), each holding the
+        # outcomes 0 and 3; the whole eigenspace projection of this state has
+        # amplitudes of unequal norm, but each cycle's branch stays sparse
+        op = MonomialOp(6, (3, 4, 5, 0, 1, 2), (0,) * 6)
+        psi = SparseState(6, 2, ((7, (0, 4)), (2, (0, 5)), (2, (1, 0)), (0, (1, 3)),
+                                 (4, (4, 4)), (4, (5, 2))))
+        assert _eigenspace_leaves_sparse_form(psi, 1, op)
+        branches = measurement_distribution(psi, 1, op)
+        law = {}
+        for m, p, _ in branches:
+            law[m] = law.get(m, 0) + p
+        assert law == {0: Fraction(7, 12), 3: Fraction(5, 12)}
+        assert [m for m, _, _ in branches] == [0, 0, 0, 3, 3, 3]
+        _assert_step_matches_dense(psi, 1, op, branches)
+
+    def test_refusals_name_their_reason(self):
+        # measuring X on the first qudit at d=4, outcome 0 sums the terms
+        # that share a rest: 1 + tau has the irrational norm 2 + sqrt(2);
+        # 2 + i and 2 - i share the norm 5, but their ratio is no tau power
+        X4 = X(4)
+        irrational = SparseState(4, 2, ((0, (0, 0)), (1, (1, 0))))
+        with pytest.raises(SparseFormError, match="non-integral norm"):
+            measurement_distribution(irrational, 0, X4)
+        unequal = SparseState(4, 2, ((0, (0, 0)), (0, (1, 0)), (2, (2, 0)),
+                                     (0, (0, 1)), (0, (1, 1)), (6, (2, 1))))
+        with pytest.raises(SparseFormError, match="non-uniform amplitudes"):
+            measurement_distribution(unequal, 0, X4)
+        for psi in (irrational, unequal):
+            assert _eigenspace_leaves_sparse_form(psi, 0, X4)
+
+    def test_rest_drops_the_site_and_keeps_order(self):
+        psi = SparseState(3, 3, ((0, (0, 1, 2)), (1, (1, 2, 0)), (2, (2, 0, 1))))
+        branches = measurement_distribution(psi, 1, Z(3))
+        assert [(m, p) for m, p, _ in branches] == [(m, Fraction(1, 3)) for m in range(3)]
+        assert [rest for _, _, rest in branches] == [
+            basis_state(3, (2, 1)), basis_state(3, (0, 2)), basis_state(3, (1, 0))]
