@@ -104,6 +104,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    if args.d < 2:
+        print(f"error: --d must be at least 2, got {args.d}", file=sys.stderr)
+        return EXIT_COMPILE
     try:
         values = [int(v) for v in args.table.split(",")]
     except ValueError:
@@ -128,7 +131,11 @@ def cmd_compile(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPILE
     if args.out:
-        report.plan.save(args.out)
+        try:
+            report.plan.save(args.out)
+        except OSError as exc:
+            print(f"error: cannot write plan file {args.out}: {exc}", file=sys.stderr)
+            return EXIT_COMPILE
     summary = {
         "construction": report.construction,
         "qudits": report.qudit_count,

@@ -11,8 +11,8 @@ over inputs can be parallelized freely.
 
 Extraction, the determinism check and success scoring read one exact output
 law per input (output_distribution): the spectral law of W(i) for flat plans,
-a walk of the measurement tree for temporally ordered ones; none of them
-samples.  Runs and the walk measure each party with the fused step
+a party-by-party walk that merges equal branches for ordered ones; none of
+them samples.  Runs and the walk measure each party with the fused step
 states.measurement_distribution, which removes the measured qudit, so their
 sparse support never exceeds the resource's term count.
 """
@@ -40,7 +40,7 @@ from .states import (
 )
 from .weyl import CliffordSpec, WeylLabel, conjugate_weyl, weyl_power
 
-EXACT_BRANCH_BUDGET = 20000  # measurement-tree branches one exact law may walk
+EXACT_BRANCH_BUDGET = 20000  # branches one exact law may walk
 
 
 class TableResource:
@@ -301,14 +301,12 @@ def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
 
 
 def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
-    """Analytic output table over all d^n inputs, plus its interpolation
+    """Exact output table over all d^n inputs, plus its interpolation
     when d is prime.
 
-    Requires a temporally flat, deterministic plan: the output law of every
-    input must be a point mass.
+    Requires a deterministic plan: the output law of every input must be a
+    point mass.  A refused ordered walk raises SizeGuardError or SparseFormError.
     """
-    if not plan.temporally_flat:
-        raise QuditMbqcError("analytic extraction needs a temporally flat plan")
     table = _point_table(plan)
     if table is None:
         raise QuditMbqcError("plan is not deterministic; use empirical_success instead")
@@ -341,9 +339,10 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     Flat plans are exact on every input: a table resource is read off, a
     quantum one follows P(o) = <psi|(1/d) sum_j omega^(-j(o-s0)) W^j|psi>
     with W = weighted_observable(plan, i), or raises SparseFormError when a
-    probability is irrational.  Temporally ordered plans walk the
-    measurement tree, forgetting each measured qudit, and raise
-    SizeGuardError past EXACT_BRANCH_BUDGET branches.
+    probability is irrational.  Ordered plans are walked party by party,
+    merging branches that agree on the rest state (global phase dropped),
+    the settings pending for later parties and the partial output; the walk
+    raises SizeGuardError past EXACT_BRANCH_BUDGET branches over all layers.
     """
     i = tuple(v % plan.d for v in i)
     if isinstance(plan.resource, TableResource):
@@ -355,27 +354,31 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
         return {o: p for o, p in out.items() if p}
     if plan.temporally_flat:
         return _spectral_law(plan, i)
+    reads: list[list] = [[] for _ in range(plan.N)]  # column l of T: (j, T[j][l]) pairs
+    for j, row in enumerate(plan._t_nonzero):
+        for l, v in row:
+            reads[l].append((j, v))
+    # (rest state, settings of parties k.. so far, partial output) -> probability
+    start = tuple(plan.setting(k, i, ()) for k in range(plan.N))
+    layer = {(plan.resource, start, plan.s0): Fraction(1)}
     branches = 0
-    out: dict[int, Fraction] = {}
-
-    def walk(k, psi, outcomes, prob):
-        nonlocal branches
-        branches += 1
+    for k in range(plan.N):
+        merged: dict[tuple, Fraction] = {}
+        for (psi, pending, part), prob in layer.items():
+            op = plan.site_observable(k, pending[0])
+            for m_k, p, rest in measurement_distribution(psi, 0, op):
+                settings = list(pending[1:])
+                for j, v in reads[k]:
+                    settings[j - k - 1] = (settings[j - k - 1] + v * m_k) % plan.d
+                key = (rest, tuple(settings), (part + plan.z[k] * m_k) % plan.d)
+                merged[key] = merged.get(key, Fraction(0)) + prob * p
+        branches += len(merged)
         if branches > EXACT_BRANCH_BUDGET:
-            raise SizeGuardError(
-                f"measurement tree of input {i} reached {branches} branches, "
-                f"over the limit {EXACT_BRANCH_BUDGET}"
-            )
-        if k == plan.N:
-            o = plan.output_of(tuple(outcomes))
-            out[o] = out.get(o, Fraction(0)) + prob
-            return
-        op = plan.site_observable(k, plan.setting(k, i, tuple(outcomes)))
-        for m_k, p, rest in measurement_distribution(psi, 0, op):
-            walk(k + 1, rest, outcomes + [m_k], prob * p)
-
-    walk(0, plan.resource, [], Fraction(1))
-    return out
+            raise SizeGuardError(f"ordered walk of input {i} reached {branches} branches "
+                                 f"at party {k}, over the limit {EXACT_BRANCH_BUDGET}")
+        layer = merged
+    # every branch ends in the one empty state, so the outputs are distinct
+    return {o: p for (_, _, o), p in layer.items()}
 
 
 def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
@@ -405,8 +408,8 @@ def is_deterministic(plan: MbqcPlan) -> bool:
 
     Every input's exact output law must be a point mass; the check stops at
     the first input whose law is not.  A flat plan's irrational law reads
-    as not deterministic; an ordered plan's walk raises SizeGuardError or
-    SparseFormError rather than guess.
+    as not deterministic; an ordered plan's merged walk raises
+    SizeGuardError or SparseFormError rather than guess.
     """
     return _point_table(plan) is not None
 
@@ -422,24 +425,21 @@ def temporal_graph(plan: MbqcPlan) -> dict[int, list[int]]:
 
 def longest_path(adj: dict[int, list[int]]) -> int:
     """Longest directed path, counted in vertices; 1 for an edgeless graph."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in adj}
-    depth: dict[int, int] = {}
-
-    def visit(v):
-        if color[v] == GRAY:
-            raise QuditMbqcError("temporal graph has a cycle")
-        if color[v] == BLACK:
-            return depth[v]
-        color[v] = GRAY
-        best = 1
+    indegree = {v: 0 for v in adj}
+    for v in adj:
         for w in adj[v]:
-            best = max(best, 1 + visit(w))
-        color[v] = BLACK
-        depth[v] = best
-        return best
-
-    return max((visit(v) for v in adj), default=1)
+            indegree[w] += 1
+    depth = {v: 1 for v in adj}
+    ready = [v for v in adj if not indegree[v]]
+    for v in ready:  # ready grows into a topological order
+        for w in adj[v]:
+            depth[w] = max(depth[w], depth[v] + 1)
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    if len(ready) < len(adj):
+        raise QuditMbqcError("temporal graph has a cycle")
+    return max(depth.values(), default=1)
 
 
 def empirical_success(plan: MbqcPlan, target: dict) -> tuple[Fraction, Fraction]:

@@ -192,9 +192,10 @@ class Analysis(dict):
 def analyze_plan(plan: MbqcPlan) -> Analysis:
     """Every exact verdict on one plan, flat or temporally ordered.
 
-    Determinism reads each input's exact output law; when an ordered walk
-    is refused (SizeGuardError, SparseFormError) it is unknown (None) and
-    the record gives the reason.  A deterministic plan reports its table,
+    Determinism reads each input's exact output law: the spectral law of a
+    flat plan, the merged party-by-party walk of an ordered one.  When the
+    walk is refused (SizeGuardError, SparseFormError) it is unknown (None)
+    and the record gives the reason.  A deterministic plan reports its table,
     polynomial and combined degree beside the temporal bound; the degree
     witness and the assignment search apply to flat plans only.  Past the
     ring solver's guard the polynomial and the degree witness read skipped.

@@ -44,3 +44,34 @@ def exponential_plan(d, u, coeff=1):
         T=[[0]],
         z=[1], s0=0,
     )
+
+
+def x_chain(N, reads):
+    """X measured on N qubits of |0..0>, output the sum of all outcomes;
+    party j reads the outcome of party reads[j]."""
+    T = [[0] * N for _ in range(N)]
+    for j, l in reads.items():
+        T[j][l] = 1
+    return MbqcPlan(d=2, n=1, N=N, resource=basis_state(2, (0,) * N),
+                    parties=[(WeylLabel(2, (0, 1)),
+                              named_clifford(2, "weyl-displacement", x=(0, 0)))] * N,
+                    Q=[[0]] * N, T=T, z=[1] * N, s0=0)
+
+
+def wide_x_chain():
+    """The X chain on 32 qubits where party j+16 reads m_j: after party
+    k < 16 the pending settings alone keep 2^(k+1) branches apart, so the
+    exact walk passes its budget of 20000 at party 13, with 2 + 4 + ... +
+    2^14 = 32766 merged branches."""
+    return x_chain(32, {j + 16: j for j in range(16)})
+
+
+def ghz_chain(d, N):
+    """X on a d-level GHZ state, each setting reading the previous outcome
+    through the S control."""
+    T = [[0] * N for _ in range(N)]
+    for k in range(1, N):
+        T[k][k - 1] = 1
+    return MbqcPlan(d=d, n=1, N=N, resource=make_ghz(d, N),
+                    parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "S"))] * N,
+                    Q=[[1]] * N, T=T, z=[1] * N, s0=0)

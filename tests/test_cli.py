@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from planlib import ghz_chain, wide_x_chain, x_chain
 from quditmbqc.cli import main
 from quditmbqc.compiler import compile_general_prime, compile_nand, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, TableResource
@@ -118,6 +119,19 @@ class TestCompile:
 
     def test_even_d_odd_ring_exit_2(self, capsys):
         assert main(["compile", "--d", "4", "--table", "0,1,0,1", "--odd-ring"]) == 2
+
+    def test_d_below_two_exit_2(self, capsys):
+        assert main(["compile", "--d", "-3", "--table", "0,0,0"]) == 2
+        assert capsys.readouterr().err == "error: --d must be at least 2, got -3\n"
+
+    @pytest.mark.parametrize("case", ["directory", "missing_parent"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, case):
+        path = {"directory": tmp_path, "missing_parent": tmp_path / "missing" / "x.json"}[case]
+        assert main(["compile", "--d", "3", "--table", "1,0,0", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write plan file {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestAnalyze:
@@ -241,15 +255,18 @@ class TestAnalyze:
         line = next(ln for ln in out.splitlines() if ln.startswith("polynomial: skipped ("))
         assert "3375" in line and "256" in line
 
+    @pytest.mark.parametrize("plan", [
+        lambda: x_chain(16, {1: 0}),  # 2^16 leaves, two merged branches per party
+        lambda: ghz_chain(3, 200),
+    ], ids=["x_chain16", "ghz_chain200"])
+    def test_ordered_walk_reads_not_deterministic(self, tmp_path, capsys, plan):
+        assert _analyze(tmp_path, plan()) == 0
+        out = capsys.readouterr().out
+        assert "temporally flat: no\n" in out
+        assert "deterministic: no\n" in out
+
     def test_refused_walk_reads_unknown(self, tmp_path, capsys):
-        # X on 16 qubits in |0..0> opens 2^16 leaves, past the branch guard
-        d, N = 2, 16
-        T = [[0] * N for _ in range(N)]
-        T[1][0] = 1
-        plan = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (0,) * N),
-                        parties=[(WeylLabel(d, (0, 1)), _ident(d))] * N,
-                        Q=[[0]] * N, T=T, z=[1] * N, s0=0)
-        assert _analyze(tmp_path, plan) == 0
+        assert _analyze(tmp_path, wide_x_chain()) == 0
         line = next(ln for ln in capsys.readouterr().out.splitlines()
                     if ln.startswith("deterministic: "))
         assert line.startswith("deterministic: unknown (") and "20000" in line

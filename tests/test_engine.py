@@ -21,7 +21,8 @@ from quditmbqc.engine import (
 )
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.states import SparseState, basis_state, make_ghz
-from planlib import exponential_plan, nand_plan, quadratic_plan
+from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, wide_x_chain,
+                     x_chain)
 from quditmbqc.weyl import WeylLabel, named_clifford
 
 
@@ -147,6 +148,17 @@ class TestExtract:
         assert table == {(): 1}
         assert poly.evaluate(()) == 1
 
+    def test_ordered_plan_extracted(self):
+        # Z on |00>, the second setting read from the first outcome
+        d = 3
+        plan = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (0, 0)),
+                        parties=[(WeylLabel(d, (1, 0)),
+                                  named_clifford(d, "weyl-displacement", x=(0, 0)))] * 2,
+                        Q=[[0]] * 2, T=[[0, 0], [1, 0]], z=[1, 1], s0=0)
+        table, poly = extract_output_function(plan)
+        assert table == {(0,): 0, (1,): 0, (2,): 0}
+        assert poly.is_zero()
+
 
 class TestDeterminism:
     def test_nand_deterministic(self):
@@ -199,17 +211,23 @@ class TestDeterminism:
         with pytest.raises(QuditMbqcError, match="empirical_success"):
             extract_output_function(plan)
 
+    def test_x_chain_law_is_exact(self):
+        # X on 16 qubits in |0..0>: 2^16 leaves, but two merged branches per party
+        plan = x_chain(16, {1: 0})
+        assert output_distribution(plan, (0,)) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+        assert not is_deterministic(plan)
+
+    def test_long_ghz_chain_law_is_exact(self):
+        plan = ghz_chain(3, 200)
+        for i in plan.inputs():
+            law = output_distribution(plan, i)
+            assert sum(law.values()) == 1 and len(law) > 1
+            for seed in range(2):
+                assert run(plan, i, seed).output in law
+
     def test_ordered_walk_raises_rather_than_guess(self):
-        # X on 16 qubits in |0..0> opens 2^16 leaves, past the branch guard
-        d, N = 2, 16
-        T = [[0] * N for _ in range(N)]
-        T[1][0] = 1
-        big = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (0,) * N),
-                       parties=[(WeylLabel(d, (0, 1)),
-                                 named_clifford(d, "weyl-displacement", x=(0, 0)))] * N,
-                       Q=[[0]] * N, T=T, z=[1] * N, s0=0)
         with pytest.raises(SizeGuardError, match=str(EXACT_BRANCH_BUDGET)):
-            is_deterministic(big)
+            is_deterministic(wide_x_chain())
         # an X measurement of (|0> + |1>)/sqrt(2) at d=5 leaves the sparse form
         d = 5
         irrational = MbqcPlan(
@@ -263,6 +281,10 @@ class TestTemporal:
         plan = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (0,) * N),
                         parties=[(fid, ident)] * N, Q=[[0]] * N, T=T, z=[1] * N, s0=0)
         assert longest_path(temporal_graph(plan)) == 3
+
+    def test_long_chain_without_recursion(self):
+        N = 5000
+        assert longest_path({k: [k + 1] if k + 1 < N else [] for k in range(N)}) == N
 
     def test_cycle_detection(self):
         from quditmbqc.engine import longest_path
@@ -416,7 +438,7 @@ class TestEmpiricalSuccess:
         assert empirical_success(plan, target) == (Fraction(1, 5), Fraction(1, 5))
 
     def test_output_distribution_matches_dense_projectors(self, monkeypatch):
-        # exact output laws (spectral for flat plans, the tree walk for
+        # exact output laws (spectral for flat plans, the merged walk for
         # ordered ones) must match ||P_mN ... P_m1 psi||^2 computed densely
         steps = _spy_steps(monkeypatch)
         rng = random.Random(88)

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from planlib import wide_x_chain
 from quditmbqc import witnesses
+from quditmbqc.engine import is_deterministic
 from quditmbqc.errors import SizeGuardError
 from quditmbqc.fields import (
     MultiPoly,
@@ -37,8 +39,9 @@ def _gf9_x8():
         {x: 0 for x in itertools.product(range(15), repeat=3)}, 15), 3375, 256),
     (lambda: witnesses.nu_distance({(x, y): 0 for x in range(5) for y in range(5)}, 5, 2),
      5**15, 10**5),
+    (lambda: is_deterministic(wide_x_chain()), 2**15 - 2, 20000),
 ], ids=["dense_state", "dense_oracle", "enumerate_subspace", "closure_instance",
-        "closure_pre_maps", "closure_span_gf9", "ring_solver", "nu"])
+        "closure_pre_maps", "closure_span_gf9", "ring_solver", "nu", "ordered_walk"])
 def test_guard_names_size_and_limit(call, size, limit):
     with pytest.raises(SizeGuardError) as info:
         call()
