@@ -38,6 +38,7 @@ from .errors import (
 )
 from .fields import (
     MultiPoly,
+    closure_basis,
     closure_generate,
     combined_degree,
     delta_poly,

@@ -25,6 +25,8 @@ EXIT_COMPILE = 2
 EXIT_VERIFY = 3
 EXIT_PARSE = 4
 
+DEMO_FLAGS = {"nand": (), "quadratic": ("d",), "exponential": ("d", "u")}  # flags each demo reads
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,9 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a built-in computation")
-    demo.add_argument("name", choices=["nand", "quadratic", "exponential"])
-    demo.add_argument("--d", type=int, default=None, help="qudit dimension")
-    demo.add_argument("--u", type=int, default=2, help="multiplier unit (exponential demo)")
+    demo.add_argument("name", choices=list(DEMO_FLAGS))
+    demo.add_argument("--d", type=int, default=None,
+                      help="qudit dimension (quadratic: default 3, exponential: default 5)")
+    demo.add_argument("--u", type=int, default=None,
+                      help="multiplier unit (exponential only, default 2)")
     demo.add_argument("--seed", type=int, default=0, help="seed for the simulation cross-check")
     demo.add_argument("--json", action="store_true", dest="as_json")
 
@@ -78,13 +82,18 @@ def _print_header(report: comp.CompileReport) -> None:
 
 
 def cmd_demo(args) -> int:
+    for flag in ("d", "u"):
+        if getattr(args, flag) is not None and flag not in DEMO_FLAGS[args.name]:
+            print(f"error: --{flag} does not apply to demo {args.name}", file=sys.stderr)
+            return EXIT_COMPILE
     try:
         if args.name == "nand":
             report = comp.compile_nand()
         elif args.name == "quadratic":
             report = comp.compile_quadratic(args.d if args.d is not None else 3)
         else:
-            report = comp.compile_exponential(args.d if args.d is not None else 5, args.u)
+            report = comp.compile_exponential(args.d if args.d is not None else 5,
+                                              args.u if args.u is not None else 2)
         _cross_check(report, args.seed)
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)

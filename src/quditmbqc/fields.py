@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterable
 
 from .errors import SizeGuardError, UnsupportedModulusError
 
@@ -19,8 +18,6 @@ PRIME_FIELD = "prime-field"
 PRIME_POWER_FIELD = "prime-power-field"
 COMPOSITE_RING = "composite-ring"
 
-CLOSURE_GUARD = 3**4  # largest d**n closure_generate will enumerate
-CLOSURE_PRE_MAP_GUARD = 10**5  # most tuples of affine pre-maps closure_generate tries
 SPAN_GUARD = 3**9  # most polynomials enumerate_subspace or closure_generate will list
 RING_SOLVER_GUARD = 256  # largest d**n for the ring representability test
 
@@ -472,88 +469,76 @@ def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> set[MultiPoly]:
     return out
 
 
-def _affine_maps(modulus: Modulus, n: int) -> list[tuple]:
-    """All affine functions F^n -> F as (c0, (c1..cn)) coefficient tuples."""
-    elems = modulus.elements()
-    return [
-        (c0, cs)
-        for c0 in elems
-        for cs in itertools.product(elems, repeat=n)
-    ]
+def closure_basis(g: MultiPoly) -> list[tuple]:
+    """An echelon basis of the closure of g: the span of 1 and of every g∘A,
+    where A runs over the affine maps x -> Mx + b of F^n (any n x n matrix M).
 
+    Basis vectors are value vectors: tuples of field elements in the order
+    of all_points(modulus, n); interpolate() turns one into its reduced
+    polynomial.  The number of vectors is the closure's dimension.
 
-def closure_generate(g: MultiPoly) -> set[MultiPoly]:
-    """Span of g under affine pre- and post-processing (small instances).
-
-    Enumerates g composed with every tuple of affine substitutions, then
-    closes the value vectors under linear combination with constants; the
-    result is returned as reduced polynomials.
+    The closure is the smallest subspace that holds 1 and g and is closed
+    under composition with a generating set of the affine monoid: the
+    translation x1 -> x1+1, the scaling x1 -> u*x1 by a primitive element u
+    and, for n >= 2, a swap and a cycle of the variables, the transvection
+    x1 -> x1+x2 and the projection x1 -> 0 (GL_n and one rank n-1
+    idempotent generate every n x n matrix; J. A. Erdos, Glasgow Math. J. 8,
+    1967).  Each vector that joins the basis is composed with every
+    generator and the results are reduced, until the basis stops growing.
     """
     m = g.modulus
     if not m.is_field:
-        raise UnsupportedModulusError("closure enumeration needs a field modulus")
-    n = g.n
-    if m.d**n > CLOSURE_GUARD:
-        raise SizeGuardError(f"closure instance d^n={m.d**n} exceeds guard {CLOSURE_GUARD}")
-    pre_maps = (m.d ** (n + 1)) ** n
-    if pre_maps > CLOSURE_PRE_MAP_GUARD:
-        raise SizeGuardError(f"closure pre-map count {pre_maps} is over the limit "
-                             f"{CLOSURE_PRE_MAP_GUARD}")
-    points = all_points(m, n)
-    vectors = {tuple(m.one for _ in points)}
-    for pre in itertools.product(_affine_maps(m, n), repeat=n):
-        vec = []
-        for x in points:
-            sub = tuple(
-                m.add(c0, _dot(m, cs, x))
-                for (c0, cs) in pre
-            )
-            vec.append(g.evaluate(sub))
-        vectors.add(tuple(vec))
-    basis = _span_basis(m, vectors, len(points))
+        raise UnsupportedModulusError("closure needs a field modulus")
+    elems = m.elements()
+    u = next(a for a in elems[1:] if all(m.pow_(a, (m.d - 1) // q) != m.one
+                                         for q in factorize(m.d - 1)))
+    maps = [lambda x: (m.add(x[0], m.one),) + x[1:], lambda x: (m.mul(u, x[0]),) + x[1:]]
+    if g.n >= 2:
+        maps += [lambda x: (x[1], x[0]) + x[2:], lambda x: x[1:] + x[:1],
+                 lambda x: (m.add(x[0], x[1]),) + x[1:], lambda x: (m.zero,) + x[1:]]
+    points = all_points(m, g.n)
+    where = {x: i for i, x in enumerate(points)}
+    generators = [[where[a(x)] for x in points] for a in maps]
+    basis: list[tuple[int, list]] = []  # (pivot, row): 1 at the pivot, 0 at earlier pivots
+    pending = [[m.one] * len(points), [g.evaluate(x) for x in points]]
+    while pending:
+        row = pending.pop()
+        for p, b in basis:
+            if row[p] != m.zero:
+                c = m.neg(row[p])
+                row = [m.add(v, m.mul(c, w)) for v, w in zip(row, b)]
+        p = next((i for i, v in enumerate(row) if v != m.zero), None)
+        if p is not None:
+            unit = m.inv(row[p])
+            row = [m.mul(unit, v) for v in row]
+            basis.append((p, row))
+            pending += [[row[j] for j in gen] for gen in generators]
+    return [tuple(row) for _, row in basis]
+
+
+def closure_generate(g: MultiPoly) -> set[MultiPoly]:
+    """Every member of the closure of g (see closure_basis) as a reduced
+    polynomial.  The listing has d^dim members and is guarded by SPAN_GUARD.
+    """
+    m = g.modulus
+    basis = closure_basis(g)
     if m.d ** len(basis) > SPAN_GUARD:
         raise SizeGuardError(f"closure span has {m.d}^{len(basis)} = {m.d ** len(basis)} "
                              f"polynomials, over the limit {SPAN_GUARD}")
-    deltas = [delta_poly(m, y) for y in points]
-    out = set()
-    for combo in itertools.product(m.elements(), repeat=len(basis)):
-        vec = [m.zero] * len(points)
-        for c, b in zip(combo, basis):
-            if c != m.zero:
-                vec = [m.add(v, m.mul(c, bv)) for v, bv in zip(vec, b)]
-        poly = MultiPoly.zero(m, n)
-        for val, dp in zip(vec, deltas):
-            if val != m.zero:
-                poly = poly + dp.scale(val)
-        out.add(poly)
-    return out
+    points = all_points(m, g.n)
+    multiples = [[b.scale(c) for c in m.elements()]
+                 for b in (interpolate(m, dict(zip(points, vec))) for vec in basis)]
+    return set(_sums(MultiPoly.zero(m, g.n), multiples))
 
 
-def _dot(m: Modulus, cs: tuple, x: tuple):
-    total = m.zero
-    for c, xi in zip(cs, x):
-        total = m.add(total, m.mul(c, xi))
-    return total
-
-
-def _span_basis(m: Modulus, vectors: Iterable[tuple], length: int) -> list[list]:
-    """Row-reduce value vectors over the field; returns an echelon basis."""
-    basis: list[list] = []
-    pivots: list[int] = []
-    for vec in vectors:
-        row = list(vec)
-        for b, p in zip(basis, pivots):
-            if row[p] != m.zero:
-                c = row[p]
-                row = [m.sub(rv, m.mul(c, bv)) for rv, bv in zip(row, b)]
-        for p in range(length):
-            if row[p] != m.zero:
-                inv = m.inv(row[p])
-                row = [m.mul(inv, rv) for rv in row]
-                basis.append(row)
-                pivots.append(p)
-                break
-    return basis
+def _sums(partial: MultiPoly, multiples: list[list[MultiPoly]]):
+    """Yield partial + q_1 + ... + q_k for every choice of q_i in multiples[i],
+    depth first, so only one partial sum per level is held."""
+    if not multiples:
+        yield partial
+        return
+    for q in multiples[0]:
+        yield from _sums(partial + q, multiples[1:])
 
 
 # -- representability of tables over composite rings ------------------------

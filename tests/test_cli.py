@@ -62,6 +62,17 @@ class TestDemo:
     def test_bad_params_exit_2(self, capsys):
         assert main(["demo", "quadratic", "--d", "4"]) == 2
 
+    @pytest.mark.parametrize("name, flag", [("nand", "--d"), ("nand", "--u"), ("quadratic", "--u")])
+    def test_flag_that_does_not_apply_exit_2(self, name, flag, capsys):
+        assert main(["demo", name, flag, "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} does not apply to demo {name}\n"
+
+    def test_exponential_default_u(self, capsys):
+        assert main(["demo", "exponential", "--d", "5"]) == 0
+        assert "output table: 1,3,4,2,1" in capsys.readouterr().out
+
     def test_quadratic_d5_simulated(self, capsys):
         assert main(["demo", "quadratic", "--d", "5", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)

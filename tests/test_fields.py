@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from quditmbqc.errors import SizeGuardError, UnsupportedModulusError
+from quditmbqc.errors import UnsupportedModulusError
 from quditmbqc.fields import (
     COMPOSITE_RING,
     PRIME_FIELD,
     PRIME_POWER_FIELD,
+    SPAN_GUARD,
     MultiPoly,
     all_points,
+    closure_basis,
     closure_generate,
     combined_degree,
     delta_poly,
@@ -19,11 +21,46 @@ from quditmbqc.fields import (
     is_polynomial_over_ring,
     make_field,
     solve_mod,
+    subspace_monomials,
 )
 
 
 def table_of(poly):
     return {x: poly.evaluate(x) for x in all_points(poly.modulus, poly.n)}
+
+
+def _pre_map_vectors(g):
+    """Reference closure by full enumeration: the value vectors of 1 and of g
+    composed with every tuple of n affine functions F^n -> F."""
+    m, n = g.modulus, g.n
+    elems = m.elements()
+    points = all_points(m, n)
+    affine = [(c0, cs) for c0 in elems for cs in itertools.product(elems, repeat=n)]
+
+    def apply(c0, cs, x):
+        for c, xi in zip(cs, x):
+            c0 = m.add(c0, m.mul(c, xi))
+        return c0
+
+    vectors = {tuple(m.one for _ in points)}
+    for pre in itertools.product(affine, repeat=n):
+        vectors.add(tuple(g.evaluate(tuple(apply(c0, cs, x) for c0, cs in pre)) for x in points))
+    return vectors
+
+
+def _echelon(m, vectors):
+    """Rows spanning the vectors, each 1 at its pivot and 0 at earlier pivots."""
+    rows = []
+    for vec in vectors:
+        vec = list(vec)
+        for p, row in rows:
+            if (c := vec[p]) != m.zero:
+                vec = [m.sub(v, m.mul(c, r)) for v, r in zip(vec, row)]
+        p = next((i for i, v in enumerate(vec) if v != m.zero), None)
+        if p is not None:
+            inv = m.inv(vec[p])
+            rows.append((p, [m.mul(inv, v) for v in vec]))
+    return [row for _, row in rows]
 
 
 class TestMakeField:
@@ -230,11 +267,53 @@ class TestClosure:
             assert combined_degree(g) == delta
             assert closure_generate(g) == enumerate_subspace(f, n, delta)
 
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)])
+    def test_matches_pre_map_enumeration(self, d, n):
+        f = make_field(d)
+        elems = f.elements()
+        rng = random.Random(10 * d + n)
+        mons = list(itertools.product(range(d), repeat=n))
+        gs = [MultiPoly.zero(f, n), MultiPoly.constant(f, n, elems[-1])]
+        gs += [MultiPoly(f, n, {e: rng.choice(elems) for e in rng.sample(mons, min(3, len(mons)))})
+               for _ in range(4)]
+        points = all_points(f, n)
+        for g in gs:
+            ref = _echelon(f, _pre_map_vectors(g))
+            basis = closure_basis(g)
+            assert len(basis) == len(ref) == len(_echelon(f, ref + basis))
+            if d ** len(basis) <= SPAN_GUARD:
+                # d^dim distinct polynomials inside the reference span are all of it
+                got = closure_generate(g)
+                assert len(got) == d ** len(basis) and g in got
+                ref_polys = [interpolate(f, dict(zip(points, row))) for row in ref]
+                coeffs = [[p.coeffs.get(e, f.zero) for e in mons] for p in ref_polys + list(got)]
+                assert len(_echelon(f, coeffs)) == len(ref)
+
     def test_size_guard(self):
-        f = make_field(5)
-        g = MultiPoly.variable(f, 3, 0)
-        with pytest.raises(SizeGuardError):
-            closure_generate(g)
+        # only the listing is guarded (SPAN_GUARD), not d^n or the pre-map count
+        for d, size in ((5, 625), (3, 81)):
+            f = make_field(d)
+            affine = enumerate_subspace(f, 3, 1)
+            assert len(affine) == size and closure_generate(MultiPoly.variable(f, 3, 0)) == affine
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2),
+                                     (7, 2), (2, 3), (3, 3)])
+    def test_monomial_closure_is_degree_class_at_prime_d(self, d, n):
+        # affine pre-maps never raise the combined degree, so the closure of g
+        # lies in Omega_n(deg g); equal dimensions make the two spaces equal
+        f = make_field(d)
+        for e in itertools.product(range(d), repeat=n):
+            if list(e) == sorted(e, reverse=True):
+                g = MultiPoly.monomial(f, n, e)
+                assert len(closure_basis(g)) == len(subspace_monomials(f, n, sum(e))), e
+
+    @pytest.mark.parametrize("d,e,dim,class_dim", [(4, 2, 2, 3), (8, 5, 4, 6), (9, 4, 4, 5)])
+    def test_monomial_closure_below_degree_class_at_prime_power(self, d, e, dim, class_dim):
+        # (c*x + b)^e keeps only the x^k whose base-p digits are at most those
+        # of e (Lucas), so over GF(p^r) the degree does not fix the closure
+        f = make_field(d)
+        assert len(closure_basis(MultiPoly.monomial(f, 1, (e,)))) == dim
+        assert len(subspace_monomials(f, 1, e)) == class_dim
 
 
 class TestSolveMod:
