@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .engine import MbqcPlan, extract_output_function
 from .errors import QuditMbqcError, VerificationError
-from .fields import is_prime
+from . import fields
+from .fields import is_prime, make_field
 from .states import basis_state, make_example2_state, make_ghz
 from .weyl import CliffordSpec, WeylLabel, named_clifford
 
@@ -144,17 +145,7 @@ def primitive_element(p: int) -> int:
     """Smallest generator of the multiplicative group mod prime p."""
     if not is_prime(p):
         raise QuditMbqcError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        order = 1
-        acc = g
-        while acc != 1:
-            acc = (acc * g) % p
-            order += 1
-        if order == p - 1:
-            return g
-    raise AssertionError("no primitive element found")  # unreachable
+    return fields.primitive_element(make_field(p))
 
 
 def exponential_sum(p: int, u: int, x: int) -> int:

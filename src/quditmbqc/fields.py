@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from functools import reduce
 
 from .errors import SizeGuardError, UnsupportedModulusError
 
@@ -19,7 +20,6 @@ PRIME_POWER_FIELD = "prime-power-field"
 COMPOSITE_RING = "composite-ring"
 
 SPAN_GUARD = 3**9  # most polynomials enumerate_subspace or closure_generate will list
-RING_SOLVER_GUARD = 256  # largest d**n for the ring representability test
 
 
 def is_prime(n: int) -> bool:
@@ -249,11 +249,12 @@ def make_field(d: int) -> Modulus:
     return IntegerRing(d)
 
 
-def _reduce_exponent(e: int, d: int) -> int:
-    """Reduce a single-variable exponent using x**d == x over a field."""
-    if e < d:
-        return e
-    return (e - 1) % (d - 1) + 1
+def primitive_element(m: Modulus):
+    """The first element, in elements() order, that generates the
+    multiplicative group of the field: u^((d-1)/q) != 1 for every prime
+    q dividing d-1."""
+    return next(a for a in m.elements()[1:]
+                if all(m.pow_(a, (m.d - 1) // q) != m.one for q in factorize(m.d - 1)))
 
 
 class MultiPoly:
@@ -318,26 +319,6 @@ class MultiPoly:
         m = self.modulus
         return MultiPoly(m, self.n, {e: m.mul(v, c) for e, v in self.coeffs.items()})
 
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        assert self.modulus == other.modulus and self.n == other.n
-        m = self.modulus
-        if not m.is_field:
-            raise UnsupportedModulusError("polynomial multiplication needs a field")
-        d = m.d
-        out: dict = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                exps = tuple(_reduce_exponent(a + b, d) for a, b in zip(e1, e2))
-                val = m.mul(v1, v2)
-                out[exps] = m.add(out.get(exps, m.zero), val)
-        return MultiPoly(m, self.n, out)
-
-    def pow_(self, e: int) -> "MultiPoly":
-        out = MultiPoly.constant(self.modulus, self.n, self.modulus.one)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def evaluate(self, point: tuple):
         m = self.modulus
         point = tuple(m.canon(x) for x in point)
@@ -397,42 +378,52 @@ def all_points(modulus: Modulus, n: int) -> list[tuple]:
     return list(itertools.product(modulus.elements(), repeat=n))
 
 
-def delta_poly(modulus: Modulus, y: tuple) -> MultiPoly:
-    """The reduced polynomial equal to 1 at y and 0 elsewhere.
+def _along_axes(m: Modulus, values: list, n: int, matrix: list[list]) -> list:
+    """Apply a d x d matrix along every axis of a value list: values holds
+    d^n entries in all_points order, and entry (.., k, ..) of the result is
+    sum_j matrix[k][j] * entry (.., j, ..) of values, over the modulus m.
 
-    Built as prod_i (1 - (x_i - y_i)**(d-1)); needs a field modulus.
+    Each pass maps the last axis and moves it to the front, so after n
+    passes the axes are back in order; O(n * d^(n+1)) operations.
     """
-    if not modulus.is_field:
-        raise UnsupportedModulusError("delta polynomial needs a field modulus")
-    n = len(y)
-    d = modulus.d
-    out = MultiPoly.constant(modulus, n, modulus.one)
-    for i, yi in enumerate(y):
-        shift = MultiPoly(modulus, n, {
-            tuple(1 if j == i else 0 for j in range(n)): modulus.one,
-            (0,) * n: modulus.neg(modulus.canon(yi)),
-        })
-        term = MultiPoly.constant(modulus, n, modulus.one) - shift.pow_(d - 1)
-        out = out * term
-    return out
+    d = len(matrix)
+    for _ in range(n):
+        fibres = [values[i:i + d] for i in range(0, len(values), d)]
+        values = [reduce(m.add, map(m.mul, row, fibre), m.zero)
+                  for row in matrix for fibre in fibres]
+    return values
+
+
+def delta_poly(modulus: Modulus, y: tuple) -> MultiPoly:
+    """The reduced polynomial equal to 1 at y and 0 elsewhere: the
+    interpolation of that indicator table; needs a field modulus."""
+    y = tuple(modulus.canon(c) for c in y)
+    return interpolate(modulus, {x: modulus.one if x == y else modulus.zero
+                                 for x in all_points(modulus, len(y))})
 
 
 def interpolate(modulus: Modulus, table: dict) -> MultiPoly:
-    """Reduced polynomial matching a complete function table on F^n."""
+    """Reduced polynomial matching a complete function table on F^n.
+
+    Over a field of q elements, (x - y)^(q-1) = sum_k x^k y^(q-1-k), so the
+    indicator 1 - (x - y)^(q-1) of y gives the one-variable Lagrange map:
+    the coefficient of x^0 is f(0), that of x^k (k >= 1) is
+    -sum_y f(y) y^(q-1-k) with 0^0 = 1.  It is applied along every axis.
+    """
     if not modulus.is_field:
         raise UnsupportedModulusError("interpolation needs a field modulus")
-    points = list(table)
-    if not points:
-        raise ValueError("empty table")
-    n = len(points[0])
-    if len(table) != modulus.d**n:
-        raise ValueError(f"table needs {modulus.d**n} entries, got {len(table)}")
-    out = MultiPoly.zero(modulus, n)
-    for y, val in table.items():
-        val = modulus.canon(val)
-        if val != modulus.zero:
-            out = out + delta_poly(modulus, tuple(modulus.canon(c) for c in y)).scale(val)
-    return out
+    n = len(next(iter(table), ()))
+    q = modulus.d
+    values = {tuple(modulus.canon(c) for c in y): modulus.canon(v) for y, v in table.items()}
+    if len(values) != q**n:
+        raise ValueError(f"table needs {q**n} entries, got {len(table)}")
+    elems = modulus.elements()
+    lagrange = [[modulus.one if y == modulus.zero else modulus.zero for y in elems]]
+    lagrange += [[modulus.neg(modulus.pow_(y, q - 1 - k)) for y in elems] for k in range(1, q)]
+    points = all_points(modulus, n)
+    coeffs = _along_axes(modulus, [values[x] for x in points], n, lagrange)
+    exponents = itertools.product(range(q), repeat=n)
+    return MultiPoly(modulus, n, dict(zip(exponents, coeffs)))
 
 
 def combined_degree(g: MultiPoly) -> int:
@@ -489,9 +480,7 @@ def closure_basis(g: MultiPoly) -> list[tuple]:
     m = g.modulus
     if not m.is_field:
         raise UnsupportedModulusError("closure needs a field modulus")
-    elems = m.elements()
-    u = next(a for a in elems[1:] if all(m.pow_(a, (m.d - 1) // q) != m.one
-                                         for q in factorize(m.d - 1)))
+    u = primitive_element(m)
     maps = [lambda x: (m.add(x[0], m.one),) + x[1:], lambda x: (m.mul(u, x[0]),) + x[1:]]
     if g.n >= 2:
         maps += [lambda x: (x[1], x[0]) + x[2:], lambda x: x[1:] + x[:1],
@@ -541,31 +530,44 @@ def _sums(partial: MultiPoly, multiples: list[list[MultiPoly]]):
         yield from _sums(partial + q, multiples[1:])
 
 
-# -- representability of tables over composite rings ------------------------
+# -- the least-degree polynomial of a table over Z_d -------------------------
 
 def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
-    """Find a reduced polynomial over Z_d matching the table, if any exists.
+    """The polynomial of least combined degree over Z_d matching a complete
+    table on Z_d^n, or None when no polynomial over Z_d matches.
 
-    Solves the monomial-evaluation linear system exactly (solve_mod).  A
-    None result certifies that no polynomial with partial degrees <= d-1
-    matches.
+    The falling factorial x^(K) has forward difference Delta^K x^(J) (0) =
+    K! = k1!...kn! at J = K and 0 elsewhere, so sum_K a_K x^(K) matches f
+    exactly when K! a_K = Delta^K f(0) (mod d): f is a polynomial if and
+    only if gcd(K!, d) divides every Delta^K f(0) (Kempner, Trans. AMS 22,
+    1921; Singmaster, J. Number Theory 6, 1974).  With g = gcd(K!, d), a_K
+    = (Delta^K f(0)/g) (K!/g)^-1 mod d/g is 0 wherever Delta^K f(0) is, so
+    no matching polynomial has a lower combined degree; Stirling numbers of
+    the first kind turn x^(K) into powers.  At prime d this is interpolate.
     """
-    points = sorted(table)
-    n = len(points[0]) if points else 1
-    if d**n > RING_SOLVER_GUARD:
-        raise SizeGuardError(f"ring solver guard exceeded: d^n={d**n} over the limit "
-                             f"{RING_SOLVER_GUARD}")
-    if len(table) != d**n:
-        raise ValueError(f"table needs {d**n} entries")
-    mons = list(itertools.product(range(d), repeat=n))
-    rows = [{j: _int_monomial(x, e, d) for j, e in enumerate(mons)} for x in points]
-    coeffs = solve_mod(rows, [table[x] for x in points], len(mons), d)
-    if coeffs is None:
-        return None
-    poly = MultiPoly(IntegerRing(d), n, dict(zip(mons, coeffs)))
-    for x in points:  # paranoia: confirm the reassembled solution
-        assert poly.evaluate(x) == table[x] % d
-    return poly
+    ring = IntegerRing(d)
+    n = len(next(iter(table), ()))
+    reduced = {tuple(c % d for c in x): v % d for x, v in table.items()}
+    if len(reduced) != d**n:
+        raise ValueError(f"table needs {d**n} entries, got {len(table)}")
+    points = all_points(ring, n)
+    values = [reduced[x] for x in points]
+    differences = [[(-1) ** (k + j) * math.comb(k, j) % d for j in range(d)] for k in range(d)]
+    factorial = [math.factorial(k) % d for k in range(d)]
+    falling = []
+    for exps, delta in zip(points, _along_axes(ring, values, n, differences)):
+        kf = math.prod(factorial[k] for k in exps) % d
+        g = math.gcd(kf, d)
+        if delta % g:
+            return None
+        falling.append(delta // g * pow(kf // g, -1, d // g) % (d // g))
+    stirling = [[1] + [0] * (d - 1)]  # row k: the power coefficients of x^(k)
+    for k in range(d - 1):
+        stirling.append([(a - k * b) % d for a, b in zip([0] + stirling[-1], stirling[-1])])
+    coeffs = _along_axes(ring, falling, n, [list(col) for col in zip(*stirling)])
+    powers = [[pow(x, j, d) for j in range(d)] for x in range(d)]
+    assert _along_axes(ring, coeffs, n, powers) == values  # it reproduces the table
+    return MultiPoly(ring, n, dict(zip(points, coeffs)))
 
 
 def _int_monomial(x: tuple, exps: tuple, d: int) -> int:

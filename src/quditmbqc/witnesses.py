@@ -1,9 +1,9 @@
 """Contextuality and non-locality analysis.
 
 Degree witnesses (an output monomial of combined degree >= d certifies
-strong non-locality for field-sized alphabets), an exact linear solve for
-local value assignments, the temporal-ordering degree bound, the
-probabilistic distance/threshold arithmetic, and analyze_plan.
+strong non-locality when Z_d is a field), an exact linear solve for local
+value assignments, the temporal-ordering degree bound, the probabilistic
+distance/threshold arithmetic, and analyze_plan.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from .fields import (
     MultiPoly,
     _int_monomial,
     combined_degree,
-    interpolate,
     is_polynomial_over_ring,
-    is_prime,
     make_field,
     solve_mod,
     subspace_monomials,
@@ -75,10 +73,15 @@ class Witness:
 def degree_witness(o: MultiPoly) -> Witness:
     """Strong non-locality from the combined degree of the output polynomial.
 
-    A monomial with exponent sum >= d proves strong non-locality; degree
-    <= d-1 is inconclusive (it does not prove a local model exists).
+    Over a field, a monomial with exponent sum >= d proves strong
+    non-locality; degree <= d-1 is inconclusive (it does not prove a local
+    model exists).  Over a composite ring Z_d the verdict is always
+    inconclusive: a local output there need not have degree <= d-1.
     """
     d = o.modulus.d
+    if not o.modulus.is_field:
+        return Witness(INCONCLUSIVE, detail=f"Z_{d} is not a field: a local output "
+                                            f"may have combined degree >= d")
     offenders = sorted(e for e in o.coeffs if sum(e) >= d)
     if offenders:
         return Witness(STRONGLY_NONLOCAL, monomial=offenders[-1],
@@ -88,22 +91,12 @@ def degree_witness(o: MultiPoly) -> Witness:
 
 
 def degree_witness_for_table(table: dict, d: int) -> Witness:
-    """Degree witness for a raw output table.
-
-    Prime d interpolates directly.  Composite d is handled when the table
-    is polynomial over Z_d (the degree argument still applies there);
-    non-polynomial composite tables have no degree witness.
+    """Degree witness for a raw output table over Z_d, read from its
+    least-degree polynomial (is_polynomial_over_ring).  At composite d the
+    verdict is inconclusive (see degree_witness), and a table that is no
+    polynomial over Z_d has no degree witness (UnsupportedWitnessError).
     """
-    return _polynomial_witness(_table_polynomial(table, d), d)
-
-
-def _table_polynomial(table: dict, d: int) -> MultiPoly | None:
-    """The reduced polynomial of a complete table: interpolation over the
-    field at prime d, the ring solver otherwise (None when no polynomial
-    over Z_d matches; SizeGuardError past its guard)."""
-    if is_prime(d):
-        return interpolate(make_field(d), table)
-    return is_polynomial_over_ring(table, d)
+    return _polynomial_witness(is_polynomial_over_ring(table, d), d)
 
 
 def _polynomial_witness(poly: MultiPoly | None, d: int) -> Witness:
@@ -159,7 +152,9 @@ def temporal_degree_bound(plan: MbqcPlan) -> int:
 
 
 class Analysis(dict):
-    """analyze_plan's record: its JSON fields in report order, and their text."""
+    """analyze_plan's record: its JSON fields in report order, and their text.
+    The text writes the temporal bound as (d-1)^|l|, |l| = temporal_path,
+    as it writes the assignment space as d^cells."""
 
     def to_json(self) -> dict:
         return dict(self)
@@ -169,7 +164,7 @@ class Analysis(dict):
         lines = [
             f"d: {self['d']}  inputs: {self['n']}  parties: {self['parties']}",
             f"temporally flat: {yes[self['temporally_flat']]}",
-            f"temporal bound: {self['temporal_bound']}",
+            f"temporal bound: {self['d'] - 1}^{self.temporal_path}",
             f"deterministic: {yes[self['deterministic']]}",
         ]
         if self["deterministic"] is False:
@@ -197,11 +192,15 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
     walk is refused (SizeGuardError, SparseFormError) it is unknown (None)
     and the record gives the reason.  A deterministic plan reports its table,
     polynomial and combined degree beside the temporal bound; the degree
-    witness and the assignment search apply to flat plans only.  Past the
-    ring solver's guard the polynomial and the degree witness read skipped.
+    witness and the assignment search apply to flat plans only.  The
+    polynomial is the least-degree one over Z_d (is_polynomial_over_ring;
+    at prime d, the interpolation); a table that is no polynomial over Z_d
+    reports none and its degree witness reads unsupported.
     """
+    path = longest_path(temporal_graph(plan))
     out = Analysis(d=plan.d, n=plan.n, parties=plan.N, temporally_flat=plan.temporally_flat,
-                   temporal_bound=temporal_degree_bound(plan))
+                   temporal_bound=(plan.d - 1) ** path)
+    out.temporal_path = path
     try:
         table = _point_table(plan)
     except (SizeGuardError, SparseFormError) as exc:
@@ -214,11 +213,7 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
     inputs = sorted(table)
     out["inputs"] = [list(i) for i in inputs]
     out["table"] = [table[i] for i in inputs]
-    poly = skipped = None
-    try:
-        poly = _table_polynomial(table, plan.d)
-    except SizeGuardError as exc:
-        skipped = out["polynomial"] = f"skipped ({exc})"
+    poly = is_polynomial_over_ring(table, plan.d)
     if poly is not None:
         out["polynomial"] = poly.pretty()
         out["polynomial_serialized"] = poly.serialize()
@@ -227,7 +222,7 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
         out["degree_witness"] = out["assignment_search"] = "skipped (temporally ordered plan)"
         return out
     try:
-        out["degree_witness"] = skipped or _polynomial_witness(poly, plan.d).verdict
+        out["degree_witness"] = _polynomial_witness(poly, plan.d).verdict
     except UnsupportedWitnessError as exc:
         out["degree_witness"] = f"unsupported ({exc})"
     w = ncva_search(plan, table)

@@ -10,9 +10,10 @@ from planlib import ghz_chain, wide_x_chain, x_chain
 from quditmbqc.cli import main
 from quditmbqc.compiler import compile_general_prime, compile_nand, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, TableResource
+from quditmbqc.fields import is_polynomial_over_ring
 from quditmbqc.states import SparseState, basis_state
 from quditmbqc.weyl import WeylLabel, named_clifford
-from quditmbqc.witnesses import ncva_search
+from quditmbqc.witnesses import analyze_plan, ncva_search
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -248,23 +249,40 @@ class TestAnalyze:
                         T=[[0, 0], [1, 0]], z=[1, 1], s0=0)
         assert _analyze(tmp_path, plan) == 0
         out = capsys.readouterr().out
-        assert "temporal bound: 4" in out
+        assert "temporal bound: 2^2\n" in out
         assert "temporally flat: no" in out
         assert "deterministic: yes\noutput table: 0,0,0\n" in out
         assert "degree witness: skipped (temporally ordered plan)" in out
         assert "assignment search: skipped (temporally ordered plan)" in out
+        assert analyze_plan(plan).to_json()["temporal_bound"] == 4
+
+    def test_long_chain_bound_is_a_power(self, tmp_path, capsys):
+        # (d-1)^|l| = 2^1200 has 362 decimal digits
+        assert _analyze(tmp_path, ghz_chain(3, 1200)) == 0
+        assert "\ntemporal bound: 2^1200\n" in capsys.readouterr().out
 
     def test_ring_guard_skips_polynomial(self, tmp_path, capsys):
-        # a flat deterministic plan whose 15^3 table is past the ring solver
+        # 15^3 tables are no longer skipped: u^-(i1+i2) changes under
+        # i1 -> i1 + 5, so no polynomial over Z_15 matches it ...
         d = 15
         plan = MbqcPlan(d=d, n=3, N=1, resource=basis_state(d, (1,)),
                         parties=[(WeylLabel(d, (1, 0)), named_clifford(d, "Mu", u=2))],
                         Q=[[1, 1, 0]], T=[[0]], z=[1], s0=0)
         assert _analyze(tmp_path, plan) == 0
         out = capsys.readouterr().out
-        assert "deterministic: yes" in out
-        line = next(ln for ln in out.splitlines() if ln.startswith("polynomial: skipped ("))
-        assert "3375" in line and "256" in line
+        assert "deterministic: yes" in out and "skipped" not in out
+        assert "\ndegree witness: unsupported (table is not polynomial over Z_15" in out
+        # ... while (i1 + i2)^2 + (i2 + i3)^3 reports its polynomial and degree
+        mapping = {(a, b): (a * a % d, b**3 % d) for a in range(d) for b in range(d)}
+        plan = MbqcPlan(d=d, n=3, N=2, resource=TableResource.deterministic(2, mapping),
+                        parties=[(WeylLabel(d, (1, 0)), _ident(d))] * 2,
+                        Q=[[1, 1, 0], [0, 1, 1]], T=[[0, 0]] * 2, z=[1, 1], s0=0)
+        assert _analyze(tmp_path, plan) == 0
+        out = capsys.readouterr().out
+        poly = is_polynomial_over_ring({i: (sum(i[:2]) ** 2 + sum(i[1:]) ** 3) % d
+                                        for i in plan.inputs()}, d)
+        assert f"\npolynomial: {poly.pretty()}\ncombined degree: 3\n" in out
+        assert "degree witness: inconclusive\n" in out  # Z_15 is not a field
 
     @pytest.mark.parametrize("plan", [
         lambda: x_chain(16, {1: 0}),  # 2^16 leaves, two merged branches per party

@@ -1,4 +1,6 @@
 import itertools
+import math
+import operator
 import random
 
 import pytest
@@ -406,6 +408,70 @@ class TestRingRepresentability:
             assert (got is None) == (brute is None)
             if got is not None:
                 assert all(got.evaluate((x,)) == table[(x,)] for x in range(4))
+
+
+def _ring_reference(table, d):
+    """Combined degree of one solution of the dense monomial system over
+    Z_d (every reduced polynomial, solved by solve_mod), or None when the
+    system has none."""
+    points = sorted(table)
+    mons = list(itertools.product(range(d), repeat=len(points[0])))
+    rows = [{j: math.prod(pow(xi, a, d) for xi, a in zip(x, e)) % d for j, e in enumerate(mons)}
+            for x in points]
+    coeffs = solve_mod(rows, [table[x] for x in points], len(mons), d)
+    if coeffs is None:
+        return None
+    return max((sum(e) for e, c in zip(mons, coeffs) if c), default=0)
+
+
+class TestRingLeastDegree:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_prime_d_is_interpolation(self, d):
+        f = make_field(d)
+        rng = random.Random(d)
+        for n in (1, 2):
+            for _ in range(6):
+                table = {x: rng.randrange(d) for x in all_points(f, n)}
+                assert is_polynomial_over_ring(table, d) == interpolate(f, table)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_least_degree_by_brute_force(self, d):
+        # every one-variable table some polynomial matches (64 at d=4, 108 at
+        # d=6) with its least degree, then random tables
+        powers = [[pow(x, e, d) for e in range(d)] for x in range(d)]
+        least = {}
+        for coeffs in itertools.product(range(d), repeat=d):
+            values = tuple(sum(map(operator.mul, coeffs, row)) % d for row in powers)
+            degree = max((e for e, c in enumerate(coeffs) if c), default=0)
+            least[values] = min(degree, least.get(values, degree))
+        rng = random.Random(d)
+        tables = sorted(least) + [tuple(rng.randrange(d) for _ in range(d)) for _ in range(150)]
+        for values in tables:
+            table = {(x,): v for x, v in enumerate(values)}
+            poly = is_polynomial_over_ring(table, d)
+            assert (poly is None) == (values not in least)
+            if poly is not None:
+                assert combined_degree(poly) == least[values]
+                assert all(poly.evaluate(x) == v for x, v in table.items())
+
+    @pytest.mark.parametrize("d, n", [(4, 1), (4, 2), (6, 1), (6, 2), (9, 1), (9, 2),
+                                      (15, 1), (15, 2)])
+    def test_matches_dense_system(self, d, n):
+        rng = random.Random(100 * d + n)
+        points = list(itertools.product(range(d), repeat=n))
+        mons = [e for e in points if sum(e) <= d]
+        tables = [{x: rng.randrange(d) for x in points} for _ in range(2)]
+        for _ in range(4 if d ** n < 100 else 2):  # polynomial tables
+            coeffs = {e: rng.randrange(d) for e in rng.sample(mons, 3)}
+            tables.append({x: sum(c * math.prod(pow(xi, a, d) for xi, a in zip(x, e))
+                                  for e, c in coeffs.items()) % d for x in points})
+        for table in tables:
+            poly = is_polynomial_over_ring(table, d)
+            degree = _ring_reference(table, d)
+            assert (poly is None) == (degree is None)
+            if poly is not None:
+                assert all(poly.evaluate(x) == v for x, v in table.items())
+                assert combined_degree(poly) <= degree
 
 
 class TestSerialization:

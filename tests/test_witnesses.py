@@ -13,6 +13,7 @@ from quditmbqc.witnesses import (
     INCONCLUSIVE,
     NCVA_FOUND,
     STRONGLY_NONLOCAL,
+    analyze_plan,
     degree_witness,
     degree_witness_for_table,
     delta_distance,
@@ -53,6 +54,27 @@ class TestDegreeWitness:
         table = {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
         with pytest.raises(UnsupportedWitnessError):
             degree_witness_for_table(table, 4)
+
+    @pytest.mark.parametrize("Q, s1, s2, degree", [
+        ([[2, 3], [0, 3]], [0, 1, 1, 0], [1, 3, 2, 2], 3),
+        # a local table whose least degree over Z_4 is still 4 = d
+        ([[1, 1], [3, 1]], [2, 1, 1, 1], [3, 2, 0, 0], 4),
+    ], ids=["least_degree_3", "least_degree_4"])
+    def test_composite_local_table_not_certified(self, Q, s1, s2, degree):
+        # party k outputs s_k(q_k): a classical plan, so a local model exists
+        d = 4
+        mapping = {(a, b): (s1[a], s2[b]) for a in range(d) for b in range(d)}
+        plan = MbqcPlan(d=d, n=2, N=2, resource=TableResource.deterministic(2, mapping),
+                        parties=[(WeylLabel(d, (1, 0)), named_clifford(d, "weyl-displacement",
+                                                                       x=(0, 0)))] * 2,
+                        Q=Q, T=[[0, 0]] * 2, z=[1, 1], s0=0)
+        report = analyze_plan(plan)
+        assert report["assignment_search"] == NCVA_FOUND
+        assert report["combined_degree"] == degree
+        assert report["degree_witness"] == INCONCLUSIVE
+        table = dict(zip(map(tuple, report["inputs"]), report["table"]))
+        w = degree_witness_for_table(table, d)
+        assert w.verdict == INCONCLUSIVE and "Z_4" in w.detail
 
 
 class TestNcvaSearch:
