@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
-from .fields import MultiPoly, interpolate, is_prime, make_field
+from .fields import MultiPoly, is_polynomial_over_ring
 from .phases import PhaseSum, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
@@ -301,8 +301,9 @@ def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
 
 
 def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
-    """Exact output table over all d^n inputs, plus its interpolation
-    when d is prime.
+    """Exact output table over all d^n inputs, plus its least-degree
+    polynomial over Z_d (is_polynomial_over_ring; at prime d, the
+    interpolation), or None when no polynomial over Z_d matches the table.
 
     Requires a deterministic plan: the output law of every input must be a
     point mass.  A refused ordered walk raises SizeGuardError or SparseFormError.
@@ -310,10 +311,7 @@ def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
     table = _point_table(plan)
     if table is None:
         raise QuditMbqcError("plan is not deterministic; use empirical_success instead")
-    poly = None
-    if is_prime(plan.d):
-        poly = interpolate(make_field(plan.d), table)
-    return table, poly
+    return table, is_polynomial_over_ring(table, plan.d)
 
 
 def _point_table(plan: MbqcPlan) -> dict[tuple[int, ...], int] | None:

@@ -1,15 +1,20 @@
 """Exact arithmetic over Z_d and GF(p^r), and the reduced polynomial ring.
 
-Element values are canonical plain objects: an int in 0..d-1 for Z_d, a
-length-r tuple of ints over Z_p for GF(p^r).  A Modulus instance carries the
-arithmetic; every operation returns canonical values.  All values are
-immutable and every function here is pure.
+Every element of every modulus is an int in 0..d-1.  Over GF(p^r), element
+i is the polynomial c0 + c1*t + ... + c_(r-1)*t^(r-1) whose coefficients
+are the base-p digits of i, lowest first, with t a root of the stored
+irreducible polynomial; so 0 and 1 are zero and one everywhere, and a
+coefficient prints as its digit tuple, such as (0,1) for t.  A Modulus
+instance carries the arithmetic: native % over Z_d, log/antilog and Zech
+tables of O(q) entries over GF(q).  All values are immutable and every
+function here is pure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from functools import reduce
 
@@ -48,7 +53,11 @@ def factorize(n: int) -> dict[int, int]:
 
 
 class Modulus:
-    """Arithmetic for Z_d or GF(p^r); construct via make_field()."""
+    """Arithmetic on the elements 0..d-1 of Z_d or GF(p^r); construct via
+    make_field().  Subclasses supply add, mul, neg and inv."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, d: int, kind: str):
         self.d = d
@@ -58,34 +67,17 @@ class Modulus:
     def is_field(self) -> bool:
         return self.kind != COMPOSITE_RING
 
-    # -- interface implemented by subclasses ------------------------------
-    def canon(self, v):
-        raise NotImplementedError
+    def elements(self) -> list[int]:
+        return list(range(self.d))
 
-    def add(self, a, b):
-        raise NotImplementedError
+    def from_int(self, i: int) -> int:
+        """The element of an integer index, read mod d."""
+        return i % self.d
 
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def elements(self) -> list:
-        raise NotImplementedError
-
-    def from_int(self, i: int):
-        """Canonical element for an integer index in 0..d-1."""
-        raise NotImplementedError
-
-    # -- shared derived operations ----------------------------------------
-    def sub(self, a, b):
+    def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def pow_(self, a, e: int):
+    def pow_(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow_(self.inv(a), -e)
         out = self.one
@@ -96,6 +88,14 @@ class Modulus:
             base = self.mul(base, base)
             e >>= 1
         return out
+
+    def dot(self, row, vec) -> int:
+        """sum_j row[j] * vec[j]."""
+        return reduce(self.add, map(self.mul, row, vec), 0)
+
+    def text(self, a: int) -> str:
+        """The printed form of an element."""
+        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.d == other.d and self.kind == other.kind
@@ -112,11 +112,6 @@ class IntegerRing(Modulus):
 
     def __init__(self, d: int):
         super().__init__(d, PRIME_FIELD if is_prime(d) else COMPOSITE_RING)
-        self.zero = 0
-        self.one = 1
-
-    def canon(self, v):
-        return int(v) % self.d
 
     def add(self, a, b):
         return (a + b) % self.d
@@ -132,18 +127,18 @@ class IntegerRing(Modulus):
             raise ZeroDivisionError(f"{a} is not a unit mod {self.d}")
         return pow(a, -1, self.d)
 
-    def elements(self):
-        return list(range(self.d))
-
-    def from_int(self, i):
-        return i % self.d
+    def dot(self, row, vec):
+        return sum(map(operator.mul, row, vec)) % self.d
 
 
 class PrimePowerField(Modulus):
-    """GF(p^r) with elements as length-r coefficient tuples over Z_p.
+    """GF(p^r) on tables of O(q) entries.
 
-    Tuples are ascending: (c0, c1, ...) represents c0 + c1*t + ... where t
-    is a root of the stored irreducible polynomial.
+    With g the first generator of the multiplicative group in element
+    order, exp[k] = g^k (k < 2(q-1)), log[g^k] = k and zech[k] = log(1 +
+    g^k), None where 1 + g^k = 0: then a*b = g^(log a + log b) and g^i + g^j
+    = g^(i + zech[j-i]), Zech's logarithm (Lidl & Niederreiter, Finite
+    Fields, 1997, section 9.2).
     """
 
     def __init__(self, p: int, r: int, modpoly: tuple[int, ...]):
@@ -151,81 +146,71 @@ class PrimePowerField(Modulus):
         self.p = p
         self.r = r
         self.modpoly = modpoly  # length r+1, monic, ascending coefficients
-        self.zero = (0,) * r
-        self.one = (1,) + (0,) * (r - 1)
-
-    def canon(self, v):
-        if isinstance(v, int):
-            return self.from_int(v)
-        t = tuple(int(c) % self.p for c in v)
-        if len(t) != self.r:
-            raise ValueError(f"GF({self.p}^{self.r}) element needs {self.r} coefficients")
-        return t
+        self._exp, self._log, self._zech = _power_tables(p, r, modpoly)
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative index wraps mod q-1
+        return 0 if z is None else self._exp[la + z]
 
     def mul(self, a, b):
-        prod = [0] * (2 * self.r - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        for i in range(len(prod) - 1, self.r - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.r):
-                    prod[i - self.r + j] = (prod[i - self.r + j] - c * self.modpoly[j]) % self.p
-        return tuple(prod[: self.r])
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
+    def neg(self, a):
+        return self.mul(a, self.p - 1)  # element p-1 is the constant -1
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow_(a, self.d - 2)
+        return self._exp[-self._log[a]]
 
-    def elements(self):
-        return [tuple(reversed(t)) for t in itertools.product(range(self.p), repeat=self.r)]
-
-    def from_int(self, i):
-        i %= self.d
-        coeffs = []
-        for _ in range(self.r):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return tuple(coeffs)
+    def text(self, a):
+        return "(" + ",".join(str(a // self.p**j % self.p) for j in range(self.r)) + ")"
 
 
-def _poly_divmod_zp(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Division with remainder in Z_p[x]; coefficients ascending, den monic-ish."""
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    dlead = pow(den[-1], -1, p)
-    quot = [0] * max(len(num) - len(den) + 1, 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = (num[i + len(den) - 1] * dlead) % p
-        quot[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] = (num[i + j] - c * dj) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _power_tables(p: int, r: int, modpoly: tuple[int, ...]) -> tuple[list, list, list]:
+    """exp, log and zech of PrimePowerField for GF(p^r) = Z_p[t]/modpoly.
+
+    Multiplying by a fixed g is Z_p-linear on digit vectors, with column j
+    the digits of g*t^j; each candidate g, in element order, is multiplied
+    into 1 until 1 recurs, and the first one that takes q-1 steps is a
+    generator whose powers are exp.
+    """
+    q = p**r
+    weights = [p**j for j in range(r)]
+    unit = [1] + [0] * (r - 1)
+    for g in range(2, q):
+        column = [g // w % p for w in weights]
+        columns = [column]
+        for _ in range(r - 1):  # times t: shift up, then reduce t^r by modpoly
+            top = column[-1]
+            column = [(c - top * m) % p for c, m in zip([0] + column[:-1], modpoly)]
+            columns.append(column)
+        rows = list(zip(*columns))
+        powers, x = [], unit
+        while not powers or x != unit:
+            powers.append(sum(map(operator.mul, x, weights)))
+            x = [sum(map(operator.mul, row, x)) % p for row in rows]
+        if len(powers) == q - 1:
+            break
+    log = [None] + sorted(range(q - 1), key=powers.__getitem__)  # log[g^k] = k
+    zech = [log[a + 1 if (a + 1) % p else a + 1 - p] for a in powers]  # 1 + a: digit 0 up one
+    return powers + powers, log, zech
 
 
 def _is_irreducible_zp(poly: list[int], p: int) -> bool:
-    """poly monic of degree r over Z_p, ascending coefficients."""
+    """Whether no monic factor of degree 1..r/2 divides poly, a monic
+    polynomial of degree r over Z_p with ascending coefficients."""
     r = len(poly) - 1
     for deg in range(1, r // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
-            den = list(tail) + [1]
-            _, rem = _poly_divmod_zp(list(poly), den, p)
-            if rem == [0]:
+            rem = list(poly)
+            for i in range(r, deg - 1, -1):  # cancel x^i by rem[i] * x^(i-deg) * factor
+                for j, c in enumerate(tail):
+                    rem[i - deg + j] = (rem[i - deg + j] - rem[i] * c) % p
+            if not any(rem[:deg]):
                 return False
     return True
 
@@ -260,25 +245,38 @@ def primitive_element(m: Modulus):
 class MultiPoly:
     """Reduced multivariate polynomial with partial degrees <= d-1.
 
-    Coefficients map exponent tuples to nonzero canonical element values.
+    Coefficients map exponent tuples to nonzero elements of the modulus.
     Two reduced polynomials over a field are equal iff they represent the
     same function.  Instances are immutable.
     """
 
-    __slots__ = ("modulus", "n", "coeffs", "_key")
+    __slots__ = ("modulus", "n", "coeffs")
 
     def __init__(self, modulus: Modulus, n: int, coeffs: dict):
-        self.modulus = modulus
-        self.n = n
+        """Validated: int coefficients, read mod d, on reduced exponent tuples."""
+        d = modulus.d
         clean = {}
         for exps, val in coeffs.items():
-            val = modulus.canon(val)
-            if val != modulus.zero:
-                if len(exps) != n or any(a < 0 or a > modulus.d - 1 for a in exps):
-                    raise ValueError(f"exponent tuple {exps} not reduced for d={modulus.d}")
-                clean[tuple(exps)] = val
+            if not isinstance(val, int):
+                raise ValueError(f"coefficient {val!r} is not an integer")
+            if val % d:
+                if len(exps) != n or any(a < 0 or a > d - 1 for a in exps):
+                    raise ValueError(f"exponent tuple {exps} not reduced for d={d}")
+                clean[tuple(exps)] = val % d
+        self.modulus = modulus
+        self.n = n
         self.coeffs = clean
-        self._key = (modulus.d, modulus.kind, n, tuple(sorted(clean.items())))
+
+    @classmethod
+    def _trusted(cls, modulus: Modulus, n: int, terms) -> "MultiPoly":
+        """A polynomial from (exponent tuple, element) pairs, the tuples
+        reduced, distinct and of length n; zero elements are dropped, and
+        the validation of __init__ is skipped."""
+        poly = object.__new__(cls)
+        poly.modulus = modulus
+        poly.n = n
+        poly.coeffs = {e: c for e, c in terms if c}
+        return poly
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -305,24 +303,24 @@ class MultiPoly:
         m = self.modulus
         out = dict(self.coeffs)
         for exps, val in other.coeffs.items():
-            out[exps] = m.add(out.get(exps, m.zero), val)
-        return MultiPoly(m, self.n, out)
+            out[exps] = m.add(out.get(exps, 0), val)
+        return MultiPoly._trusted(m, self.n, out.items())
 
     def __neg__(self) -> "MultiPoly":
         m = self.modulus
-        return MultiPoly(m, self.n, {e: m.neg(v) for e, v in self.coeffs.items()})
+        return MultiPoly._trusted(m, self.n, ((e, m.neg(v)) for e, v in self.coeffs.items()))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def scale(self, c) -> "MultiPoly":
+    def scale(self, c: int) -> "MultiPoly":
         m = self.modulus
-        return MultiPoly(m, self.n, {e: m.mul(v, c) for e, v in self.coeffs.items()})
+        return MultiPoly._trusted(m, self.n, ((e, m.mul(v, c)) for e, v in self.coeffs.items()))
 
-    def evaluate(self, point: tuple):
+    def evaluate(self, point: tuple) -> int:
         m = self.modulus
-        point = tuple(m.canon(x) for x in point)
-        total = m.zero
+        point = [m.from_int(x) for x in point]
+        total = 0
         for exps, val in self.coeffs.items():
             term = val
             for x, a in zip(point, exps):
@@ -335,18 +333,18 @@ class MultiPoly:
         return not self.coeffs
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self._key == other._key
+        return (isinstance(other, MultiPoly) and self.modulus == other.modulus
+                and self.n == other.n and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(frozenset(self.coeffs.items()))
 
     # -- presentation ------------------------------------------------------
     def serialize(self) -> str:
         """Stable text form: d=<d>;n=<n>;{(a1,..,an):coeff,...} in lex order."""
         parts = []
         for exps in sorted(self.coeffs):
-            val = self.coeffs[exps]
-            coeff = str(val) if isinstance(val, int) else "(" + ",".join(map(str, val)) + ")"
+            coeff = self.modulus.text(self.coeffs[exps])
             parts.append("(" + ",".join(map(str, exps)) + "):" + coeff)
         return f"d={self.modulus.d};n={self.n};{{{','.join(parts)}}}"
 
@@ -356,14 +354,13 @@ class MultiPoly:
             return "0"
         terms = []
         for exps in sorted(self.coeffs):
-            val = self.coeffs[exps]
             factors = []
             for j, a in enumerate(exps):
                 if a == 1:
                     factors.append(f"{names}{j + 1}")
                 elif a > 1:
                     factors.append(f"{names}{j + 1}^{a}")
-            coeff = str(val) if isinstance(val, int) else "(" + ",".join(map(str, val)) + ")"
+            coeff = self.modulus.text(self.coeffs[exps])
             if not factors:
                 terms.append(coeff)
             elif coeff == "1":
@@ -389,17 +386,15 @@ def _along_axes(m: Modulus, values: list, n: int, matrix: list[list]) -> list:
     d = len(matrix)
     for _ in range(n):
         fibres = [values[i:i + d] for i in range(0, len(values), d)]
-        values = [reduce(m.add, map(m.mul, row, fibre), m.zero)
-                  for row in matrix for fibre in fibres]
+        values = [m.dot(row, fibre) for row in matrix for fibre in fibres]
     return values
 
 
 def delta_poly(modulus: Modulus, y: tuple) -> MultiPoly:
     """The reduced polynomial equal to 1 at y and 0 elsewhere: the
     interpolation of that indicator table; needs a field modulus."""
-    y = tuple(modulus.canon(c) for c in y)
-    return interpolate(modulus, {x: modulus.one if x == y else modulus.zero
-                                 for x in all_points(modulus, len(y))})
+    y = tuple(c % modulus.d for c in y)
+    return interpolate(modulus, {x: int(x == y) for x in all_points(modulus, len(y))})
 
 
 def interpolate(modulus: Modulus, table: dict) -> MultiPoly:
@@ -412,18 +407,28 @@ def interpolate(modulus: Modulus, table: dict) -> MultiPoly:
     """
     if not modulus.is_field:
         raise UnsupportedModulusError("interpolation needs a field modulus")
-    n = len(next(iter(table), ()))
     q = modulus.d
-    values = {tuple(modulus.canon(c) for c in y): modulus.canon(v) for y, v in table.items()}
-    if len(values) != q**n:
-        raise ValueError(f"table needs {q**n} entries, got {len(table)}")
+    n, values = _table_values(table, q)
     elems = modulus.elements()
-    lagrange = [[modulus.one if y == modulus.zero else modulus.zero for y in elems]]
+    lagrange = [[int(y == 0) for y in elems]]
     lagrange += [[modulus.neg(modulus.pow_(y, q - 1 - k)) for y in elems] for k in range(1, q)]
-    points = all_points(modulus, n)
-    coeffs = _along_axes(modulus, [values[x] for x in points], n, lagrange)
+    coeffs = _along_axes(modulus, values, n, lagrange)
     exponents = itertools.product(range(q), repeat=n)
-    return MultiPoly(modulus, n, dict(zip(exponents, coeffs)))
+    return MultiPoly._trusted(modulus, n, zip(exponents, coeffs))
+
+
+def _table_values(table: dict, d: int) -> tuple[int, list[int]]:
+    """n and the values of a complete table on the n-tuples of 0..d-1, in
+    all_points order; points and integer values are read mod d."""
+    n = len(next(iter(table), ()))
+    reduced = {}
+    for x, v in table.items():
+        if not isinstance(v, int):
+            raise ValueError(f"table value {v!r} is not an integer")
+        reduced[tuple(c % d for c in x)] = v % d
+    if len(reduced) != d**n:
+        raise ValueError(f"table needs {d**n} entries, got {len(table)}")
+    return n, [reduced[x] for x in itertools.product(range(d), repeat=n)]
 
 
 def combined_degree(g: MultiPoly) -> int:
@@ -453,11 +458,8 @@ def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> set[MultiPoly]:
     if modulus.d ** len(mons) > SPAN_GUARD:
         raise SizeGuardError(f"subspace has {modulus.d}^{len(mons)} = {modulus.d ** len(mons)} "
                              f"polynomials, over the limit {SPAN_GUARD}")
-    out = set()
-    elems = modulus.elements()
-    for coeffs in itertools.product(elems, repeat=len(mons)):
-        out.add(MultiPoly(modulus, n, dict(zip(mons, coeffs))))
-    return out
+    return {MultiPoly._trusted(modulus, n, zip(mons, coeffs))
+            for coeffs in itertools.product(modulus.elements(), repeat=len(mons))}
 
 
 def closure_basis(g: MultiPoly) -> list[tuple]:
@@ -484,7 +486,7 @@ def closure_basis(g: MultiPoly) -> list[tuple]:
     maps = [lambda x: (m.add(x[0], m.one),) + x[1:], lambda x: (m.mul(u, x[0]),) + x[1:]]
     if g.n >= 2:
         maps += [lambda x: (x[1], x[0]) + x[2:], lambda x: x[1:] + x[:1],
-                 lambda x: (m.add(x[0], x[1]),) + x[1:], lambda x: (m.zero,) + x[1:]]
+                 lambda x: (m.add(x[0], x[1]),) + x[1:], lambda x: (0,) + x[1:]]
     points = all_points(m, g.n)
     where = {x: i for i, x in enumerate(points)}
     generators = [[where[a(x)] for x in points] for a in maps]
@@ -493,10 +495,10 @@ def closure_basis(g: MultiPoly) -> list[tuple]:
     while pending:
         row = pending.pop()
         for p, b in basis:
-            if row[p] != m.zero:
+            if row[p]:
                 c = m.neg(row[p])
                 row = [m.add(v, m.mul(c, w)) for v, w in zip(row, b)]
-        p = next((i for i, v in enumerate(row) if v != m.zero), None)
+        p = next((i for i, v in enumerate(row) if v), None)
         if p is not None:
             unit = m.inv(row[p])
             row = [m.mul(unit, v) for v in row]
@@ -546,12 +548,8 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     the first kind turn x^(K) into powers.  At prime d this is interpolate.
     """
     ring = IntegerRing(d)
-    n = len(next(iter(table), ()))
-    reduced = {tuple(c % d for c in x): v % d for x, v in table.items()}
-    if len(reduced) != d**n:
-        raise ValueError(f"table needs {d**n} entries, got {len(table)}")
+    n, values = _table_values(table, d)
     points = all_points(ring, n)
-    values = [reduced[x] for x in points]
     differences = [[(-1) ** (k + j) * math.comb(k, j) % d for j in range(d)] for k in range(d)]
     factorial = [math.factorial(k) % d for k in range(d)]
     falling = []
@@ -567,7 +565,7 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     coeffs = _along_axes(ring, falling, n, [list(col) for col in zip(*stirling)])
     powers = [[pow(x, j, d) for j in range(d)] for x in range(d)]
     assert _along_axes(ring, coeffs, n, powers) == values  # it reproduces the table
-    return MultiPoly(ring, n, dict(zip(points, coeffs)))
+    return MultiPoly._trusted(ring, n, zip(points, coeffs))
 
 
 def _int_monomial(x: tuple, exps: tuple, d: int) -> int:

@@ -16,11 +16,11 @@ from operator import mul
 from .engine import MbqcPlan, _point_table, extract_output_function, longest_path, temporal_graph
 from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
 from .fields import (
+    IntegerRing,
     MultiPoly,
     _int_monomial,
     combined_degree,
     is_polynomial_over_ring,
-    make_field,
     solve_mod,
     subspace_monomials,
 )
@@ -248,8 +248,8 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     """
     if d % 2 == 0:
         raise QuditMbqcError("distance minimization is defined for odd d")
-    field = make_field(d)
-    mons = subspace_monomials(field, n, d - 1)
+    ring = IntegerRing(d)
+    mons = subspace_monomials(ring, n, d - 1)
     if d ** len(mons) > NU_GUARD:
         raise SizeGuardError(f"candidate class has {d}^{len(mons)} = {d ** len(mons)} "
                              f"polynomials, over the limit {NU_GUARD}")
@@ -272,7 +272,7 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
             best_coeffs = coeffs
             if best == 0:
                 break
-    poly = MultiPoly(field, n, dict(zip(mons, best_coeffs)))
+    poly = MultiPoly(ring, n, dict(zip(mons, best_coeffs)))
     return best, poly
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quditmbqc import engine, states
+from quditmbqc.compiler import compile_odd_ring
 from quditmbqc.engine import (
     EXACT_BRANCH_BUDGET,
     MbqcPlan,
@@ -24,6 +25,7 @@ from quditmbqc.states import SparseState, basis_state, make_ghz
 from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, wide_x_chain,
                      x_chain)
 from quditmbqc.weyl import WeylLabel, named_clifford
+from quditmbqc.witnesses import analyze_plan
 
 
 class TestRun:
@@ -158,6 +160,28 @@ class TestExtract:
         table, poly = extract_output_function(plan)
         assert table == {(0,): 0, (1,): 0, (2,): 0}
         assert poly.is_zero()
+
+    @pytest.mark.parametrize("d", [9, 15])
+    def test_composite_d_polynomial_matches_analysis(self, d):
+        rng = random.Random(d)
+        targets = [[x * x % d for x in range(d)], [(2 * x + 5) % d for x in range(d)],
+                   [rng.randrange(d) for _ in range(d)], [1] + [0] * (d - 1)]
+        for target in targets:
+            plan = compile_odd_ring(target).plan
+            table, poly = extract_output_function(plan)
+            assert table == {(x,): v for x, v in enumerate(target)}
+            serialized = analyze_plan(plan).to_json().get("polynomial_serialized")
+            assert (poly and poly.serialize()) == serialized
+            if poly is not None:
+                assert all(poly.evaluate(x) == v for x, v in table.items())
+
+    def test_composite_d_polynomial_or_none(self):
+        # x^2 is a polynomial over Z_9; the delta at 0 is none, since its
+        # 8th forward difference at 0 is 1 and 8! is 0 mod 9
+        square = compile_odd_ring([x * x % 9 for x in range(9)]).plan
+        assert extract_output_function(square)[1].serialize() == "d=9;n=1;{(2):1}"
+        delta = compile_odd_ring([1] + [0] * 8).plan
+        assert extract_output_function(delta)[1] is None
 
 
 class TestDeterminism:

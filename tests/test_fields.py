@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from quditmbqc.fields import (
     PRIME_FIELD,
     PRIME_POWER_FIELD,
     SPAN_GUARD,
+    IntegerRing,
     MultiPoly,
     all_points,
     closure_basis,
@@ -48,6 +50,27 @@ def _pre_map_vectors(g):
     for pre in itertools.product(affine, repeat=n):
         vectors.add(tuple(g.evaluate(tuple(apply(c0, cs, x) for c0, cs in pre)) for x in points))
     return vectors
+
+
+def _schoolbook_mul(f, a, b):
+    """Product of elements a and b of GF(p^r): their base-p digit polynomials
+    multiplied in Z_p[t], then reduced mod f.modpoly from the top down."""
+    p, r = f.p, f.r
+    da = [a // p**j % p for j in range(r)]
+    db = [b // p**j % p for j in range(r)]
+    prod = [0] * (2 * r - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for k in range(2 * r - 2, r - 1, -1):
+        c = prod[k]
+        for j in range(r + 1):
+            prod[k - r + j] -= c * f.modpoly[j]
+    return sum((c % p) * p**j for j, c in enumerate(prod[:r]))
+
+
+def _digit_add(f, a, b):
+    return sum(((a // f.p**j + b // f.p**j) % f.p) * f.p**j for j in range(f.r))
 
 
 def _echelon(m, vectors):
@@ -97,6 +120,28 @@ class TestMakeField:
             assert f.add(a, f.neg(a)) == f.zero
             if a != f.zero:
                 assert f.mul(a, f.inv(a)) == f.one
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+    def test_prime_power_tables_match_schoolbook(self, q):
+        # every sum, product, negation and inverse of the log/Zech tables
+        # against digit-polynomial arithmetic mod the irreducible polynomial
+        f = make_field(q)
+        elems = range(q)
+        for a in elems:
+            assert _digit_add(f, a, f.neg(a)) == 0
+            if a:
+                assert _schoolbook_mul(f, a, f.inv(a)) == 1
+            for b in elems:
+                assert f.add(a, b) == _digit_add(f, a, b)
+                assert f.mul(a, b) == _schoolbook_mul(f, a, b)
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
+
+    @pytest.mark.parametrize("d", [2, 6, 8, 9, 25])
+    def test_elements_follow_from_int(self, d):
+        f = make_field(d)
+        assert f.elements() == [f.from_int(i) for i in range(d)] == list(range(d))
+        assert (f.zero, f.one) == (0, 1)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
     def test_fermat_reduction(self, d):
@@ -163,6 +208,14 @@ class TestInterpolate:
         f = make_field(3)
         with pytest.raises(ValueError):
             interpolate(f, {(0,): 1})
+
+    @pytest.mark.parametrize("d, value", [(5, 1.5), (4, (0, 1)), (9, "1")])
+    def test_non_integer_value_rejected(self, d, value):
+        table = {(x,): value if x == 1 else 0 for x in range(d)}
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            interpolate(make_field(d), table)
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            is_polynomial_over_ring(table, d)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
     def test_round_trip_random(self, d):
@@ -490,3 +543,43 @@ class TestSerialization:
         f = make_field(4)
         p = MultiPoly(f, 1, {(1,): f.from_int(2)})
         assert p.serialize() == "d=4;n=1;{(1):(0,1)}"
+
+    @pytest.mark.parametrize("q, text", [
+        (8, "d=8;n=1;{(0):(1,1,0),(1):(1,1,0),(2):(0,1,1),(3):(1,1,1),(4):(1,1,0),"
+            "(5):(1,1,0),(6):(0,1,1),(7):(0,1,0)}"),
+        (9, "d=9;n=1;{(0):(1,2),(1):(2,1),(2):(1,1),(3):(2,2),(4):(1,1),(5):(1,2),"
+            "(6):(1,0),(7):(0,1),(8):(2,0)}"),
+    ])
+    def test_seeded_gf_interpolation_text(self, q, text):
+        # pinned from the coefficient-tuple encoding; the integer one prints the same
+        rng = random.Random(q)
+        table = {(x,): rng.randrange(q) for x in range(q)}
+        assert interpolate(make_field(q), table).serialize() == text
+
+
+class TestMultiPolyConstruction:
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_trusted_equals_validated(self, d):
+        f = make_field(d)
+        rng = random.Random(d)
+        for n in (1, 2):
+            points = list(itertools.product(range(d), repeat=n))
+            for _ in range(5):
+                terms = [(e, rng.randrange(d)) for e in rng.sample(points, min(4, len(points)))]
+                trusted = MultiPoly._trusted(f, n, terms)
+                validated = MultiPoly(f, n, dict(terms))
+                assert trusted == validated and hash(trusted) == hash(validated)
+                assert trusted.coeffs == {e: c for e, c in terms if c}
+
+    def test_reads_coefficients_mod_d(self):
+        f = make_field(9)
+        assert MultiPoly(f, 1, {(1,): 11, (2,): 9}).coeffs == {(1,): 2}
+
+    @pytest.mark.parametrize("value", [(0, 1), 1.5, "1"])
+    def test_non_integer_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            MultiPoly(make_field(4), 1, {(1,): value})
+
+    def test_moduli_tell_polynomials_apart(self):
+        assert MultiPoly(make_field(9), 1, {(1,): 1}) != MultiPoly(IntegerRing(9), 1, {(1,): 1})
+        assert MultiPoly(make_field(3), 1, {(1,): 1}) != MultiPoly(make_field(3), 2, {(1, 0): 1})
