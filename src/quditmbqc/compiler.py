@@ -74,7 +74,6 @@ def compile_nand() -> CompileReport:
         resource=make_ghz(2, 3, anders_browne=True),
         parties=[(fid, control)] * 3,
         Q=[[1, 0], [0, 1], [1, 1]],
-        T=[[0] * 3] * 3,
         z=[1, 1, 1], s0=0,
     )
     target = {(i1, i2): 1 - (i1 * i2) % 2 for i1 in range(2) for i2 in range(2)}
@@ -103,7 +102,6 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
         resource=make_example2_state(d),
         parties=[(fid, first)] + [(fid, s_gate)] * (N - 1),
         Q=[list(f)] * N,
-        T=[[0] * N] * N,
         z=[1] * N, s0=0,
     )
     target = {}
@@ -128,7 +126,6 @@ def compile_exponential(d: int, u: int, f: list[int] | None = None) -> CompileRe
         resource=basis_state(d, (1,)),
         parties=[(WeylLabel(d, (1, 0)), named_clifford(d, "Mu", u=u))],
         Q=[list(f)],
-        T=[[0]],
         z=[1], s0=0,
     )
     uinv = pow(u % d, -1, d)
@@ -221,7 +218,6 @@ def compile_general_prime(m, p: int | None = None) -> CompileReport:
         resource=basis_state(p, (1,) * N),
         parties=parties,
         Q=Q,
-        T=[[0] * N] * N,
         z=z,
         s0=(inv2 * sum(target[(j,)] for j in range(p))) % p,
         q0=q0,
@@ -240,7 +236,6 @@ def _compile_affine_qubit(target: dict) -> CompileReport:
         resource=basis_state(2, (1,)),
         parties=[(WeylLabel(2, (1, 0)), named_clifford(2, "weyl-displacement", x=(0, 1)))],
         Q=[[c]],
-        T=[[0]],
         z=[1], s0=(m0 + 1) % 2,
     )
     report = CompileReport(plan, 1, "prime-general", target)
@@ -277,7 +272,6 @@ def compile_odd_ring(m, d: int | None = None) -> CompileReport:
         resource=basis_state(d, (1,) * N),
         parties=parties,
         Q=Q,
-        T=[[0] * N] * N,
         z=z, s0=0,
         q0=q0,
     )

@@ -19,8 +19,10 @@ sparse support never exceeds the resource's term count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,22 +118,41 @@ class RunTrace:
 class MbqcPlan:
     """Immutable description of one computation instance."""
 
-    def __init__(self, d, n, N, resource, parties, Q, T, z, s0, q0=None):
+    def __init__(self, d, n, N, resource, parties, Q, T=None, *, z, s0, q0=None):
         self.d = d
         self.n = n
         self.N = N
         self.resource = resource
         self.parties = tuple((fid, ctrl) for fid, ctrl in parties)
+        # each party's kind: the first party with the same (fiducial, control)
+        first: dict = {}
+        self._kind = tuple(first.setdefault(party, k) for k, party in enumerate(self.parties))
+        self._weyl: dict = {}  # (kind, setting) -> M_k(q) as (tau exponent, label)
+        self._ops: dict = {}  # (M_k(q), power) -> MonomialOp, one object per operator
         self.Q = tuple(tuple(v % d for v in row) for row in Q)
-        self.T = tuple(tuple(v % d for v in row) for row in T)
-        # (column, entry) of each row's nonzero entries; setting reads these
-        self._t_nonzero = tuple(tuple((j, v) for j, v in enumerate(row) if v) if any(row) else ()
-                                for row in self.T)
+        # (column, entry) of each row's nonzero entries: the only stored form of T
+        self._t_nonzero = _sparse_rows(T, N, d)
         self.temporally_flat = not any(self._t_nonzero)
         self.z = tuple(v % d for v in z)
         self.s0 = s0 % d
         self.q0 = tuple((v % d for v in q0)) if q0 is not None else (0,) * N
         self._validate()
+
+    @functools.cached_property
+    def T(self) -> tuple[tuple[int, ...], ...]:
+        """T as a dense read-only N x N view, built on first use; every
+        zero row is one shared tuple."""
+        zero = (0,) * self.N
+        dense = []
+        for row in self._t_nonzero:
+            if row:
+                full = list(zero)
+                for j, v in row:
+                    full[j] = v
+                dense.append(tuple(full))
+            else:
+                dense.append(zero)
+        return tuple(dense)
 
     def _validate(self):
         if isinstance(self.resource, SparseState):
@@ -146,22 +167,22 @@ class MbqcPlan:
             raise QuditMbqcError(f"unsupported resource {type(self.resource).__name__}")
         if len(self.parties) != self.N:
             raise QuditMbqcError(f"expected {self.N} parties, got {len(self.parties)}")
-        for k, (fid, ctrl) in enumerate(self.parties):
+        for k in sorted(set(self._kind)):
+            fid, ctrl = self.parties[k]
             if fid.d != self.d or ctrl.d != self.d:
                 raise QuditMbqcError("party dimension does not match the plan")
             # conjugation by the control keeps the spectrum, so one check
-            # per party covers every setting
+            # per distinct party covers every party and setting
             if weyl_power(fid.tau_exp, fid.v, self.d, self.d) != (0, (0, 0)):
                 raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
-        if len(self.Q) != self.N or any(len(r) != self.n for r in self.Q):
-            raise QuditMbqcError(f"Q must be {self.N}x{self.n}")
-        if len(self.T) != self.N or any(len(r) != self.N for r in self.T):
-            raise QuditMbqcError(f"T must be {self.N}x{self.N}")
-        for k, row in enumerate(self._t_nonzero):
-            if row and row[-1][0] >= k:
-                raise QuditMbqcError("T must be strictly lower triangular")
-        if len(self.z) != self.N or len(self.q0) != self.N:
-            raise QuditMbqcError("z and q0 must have one entry per party")
+        if len(self.Q) != self.N:
+            raise QuditMbqcError(f"Q must have {self.N} rows, got {len(self.Q)}")
+        for k, row in enumerate(self.Q):
+            if len(row) != self.n:
+                raise QuditMbqcError(f"Q row {k} has {len(row)} entries, expected {self.n}")
+        for name, vec in (("z", self.z), ("q0", self.q0)):
+            if len(vec) != self.N:
+                raise QuditMbqcError(f"{name} has {len(vec)} entries, expected one per party ({self.N})")
         if isinstance(self.resource, TableResource):
             for i in self.inputs():  # raises at the first settings without an entry
                 self.resource.distribution(tuple(self.setting(k, i, ()) for k in range(self.N)))
@@ -170,21 +191,37 @@ class MbqcPlan:
         return list(itertools.product(range(self.d), repeat=self.n))
 
     def setting(self, k: int, i: tuple[int, ...], outcomes: tuple[int, ...]) -> int:
-        acc = self.q0[k]
-        acc += sum(self.Q[k][j] * i[j] for j in range(self.n))
-        acc += sum(v * outcomes[j] for j, v in self._t_nonzero[k] if j < len(outcomes))
+        if len(i) != self.n:
+            raise QuditMbqcError(f"input needs {self.n} symbols, got {len(i)}")
+        acc = self.q0[k] + sum(map(operator.mul, self.Q[k], i))
+        if outcomes:
+            acc += sum(v * outcomes[j] for j, v in self._t_nonzero[k] if j < len(outcomes))
         return acc % self.d
 
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form."""
-        tau, label = self._site_weyl(k, q_k)
-        return MonomialOp.from_weyl(self.d, label, tau)
+        return self._site_op(k, q_k, 1)
+
+    def _site_op(self, k: int, q_k: int, e: int) -> MonomialOp:
+        """M_k(q_k)**e, built once per distinct operator and power."""
+        key = (self._site_weyl(k, q_k), e)
+        op = self._ops.get(key)
+        if op is None:
+            tau, label = weyl_power(*key[0], e, self.d)
+            op = self._ops[key] = MonomialOp.from_weyl(self.d, label, tau)
+        return op
 
     def _site_weyl(self, k: int, q_k: int) -> tuple[int, tuple[int, int]]:
-        """M_k(q_k) as (tau exponent, Weyl label)."""
-        fid, ctrl = self.parties[k]
-        phase, label = conjugate_weyl(ctrl, fid.v, q_k)
-        return (fid.tau_exp + tau_exponent_of_omega(phase, self.d)) % tau_period(self.d), label
+        """M_k(q_k) as (tau exponent, Weyl label), conjugated once per party
+        kind and setting."""
+        key = (self._kind[k], q_k)
+        site = self._weyl.get(key)
+        if site is None:
+            fid, ctrl = self.parties[k]
+            phase, label = conjugate_weyl(ctrl, fid.v, q_k)
+            tau = (fid.tau_exp + tau_exponent_of_omega(phase, self.d)) % tau_period(self.d)
+            site = self._weyl[key] = (tau, label)
+        return site
 
     def output_of(self, outcomes: tuple[int, ...]) -> int:
         return (sum(zk * mk for zk, mk in zip(self.z, outcomes)) + self.s0) % self.d
@@ -201,7 +238,7 @@ class MbqcPlan:
                 for fid, ctrl in self.parties
             ],
             "Q": [list(r) for r in self.Q],
-            "T": [list(r) for r in self.T],
+            "T": [{str(j): v for j, v in row} for row in self._t_nonzero],
             "z": list(self.z),
             "s0": self.s0,
         }
@@ -224,8 +261,10 @@ class MbqcPlan:
                 (WeylLabel.from_json(d, p["fiducial"]), CliffordSpec.from_json(d, p["control"]))
                 for p in obj["parties"]
             ]
-            return cls(d, obj["n"], obj["N"], resource, parties,
-                       obj["Q"], obj["T"], obj["z"], obj["s0"], obj.get("q0"))
+            if obj["T"] is None:  # None builds a flat plan; a file spells T out
+                raise QuditMbqcError(f"T must have {obj['N']} rows, got null")
+            return cls(d, obj["n"], obj["N"], resource, parties, obj["Q"], obj["T"],
+                       z=obj["z"], s0=obj["s0"], q0=obj.get("q0"))
         except (KeyError, TypeError, IndexError, ValueError, AttributeError,
                 ZeroDivisionError) as exc:
             raise PlanFormatError(f"malformed plan: missing or bad field {exc}") from exc
@@ -256,6 +295,67 @@ class MbqcPlan:
 
     def __eq__(self, other):
         return isinstance(other, MbqcPlan) and self.to_json() == other.to_json()
+
+
+def _sparse_rows(T, N: int, d: int) -> tuple:
+    """The nonzero (column, entry) pairs of each row of T, reduced mod d and
+    sorted by column.
+
+    T is None (a temporally flat plan) or N rows.  A row is a dense list of
+    N integers or a {column: entry} mapping; a mapping's columns are ints or
+    decimal strings without sign or leading zeros (the plan-file form).
+    """
+    if T is None:
+        return ((),) * N
+    if not isinstance(T, (list, tuple)):
+        raise QuditMbqcError(f"T must be a list of {N} rows, got {type(T).__name__}")
+    if len(T) != N:
+        raise QuditMbqcError(f"T must have {N} rows, got {len(T)}")
+    rows = []
+    for k, row in enumerate(T):
+        if isinstance(row, dict):
+            items = {_column(k, key): v for key, v in row.items()}
+            if len(items) < len(row):  # an int key and a string key for one party
+                raise QuditMbqcError(f"T row {k} names a party twice")
+            items = sorted(items.items())
+        elif isinstance(row, (list, tuple)):
+            if len(row) != N:
+                raise QuditMbqcError(f"T row {k} has {len(row)} entries, expected {N}")
+            if row.count(0) == N:
+                rows.append(())
+                continue
+            items = enumerate(row)
+        else:
+            raise QuditMbqcError(f"T row {k} is a {type(row).__name__}, "
+                                 "expected a list or a {column: entry} object")
+        entries = []
+        for j, v in items:
+            if not isinstance(v, int):
+                raise QuditMbqcError(f"T row {k} has {v!r} for party {j}, expected an integer")
+            v %= d
+            if v:
+                if j >= k:
+                    raise QuditMbqcError(f"T row {k} reads party {j}, which is not earlier "
+                                         "(T must be strictly lower triangular)")
+                entries.append((j, v))
+        rows.append(tuple(entries))
+    return tuple(rows)
+
+
+def _column(k: int, key) -> int:
+    """The party a key of row k of T names: an int, or a decimal string
+    without sign or leading zeros; it must be earlier than k."""
+    if isinstance(key, str) and key.isascii() and key.isdigit() and (key == "0" or key[0] != "0"):
+        j = int(key)
+    elif isinstance(key, int) and not isinstance(key, bool):
+        j = key
+    else:
+        raise QuditMbqcError(f"T row {k} has key {key!r}, expected a party number "
+                             "in plain decimal")
+    if not 0 <= j < k:
+        raise QuditMbqcError(f"T row {k} reads party {j}, which is not earlier "
+                             "(T must be strictly lower triangular)")
+    return j
 
 
 def _reject_number(text: str):
@@ -292,12 +392,8 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
-    sites = []
-    for k in range(plan.N):
-        tau, label = plan._site_weyl(k, plan.setting(k, i, ()))
-        tau, label = weyl_power(tau, label, plan.z[k], plan.d)
-        sites.append(MonomialOp.from_weyl(plan.d, label, tau))
-    return GlobalObservable(plan.d, sites)
+    return GlobalObservable(plan.d, [plan._site_op(k, plan.setting(k, i, ()), plan.z[k])
+                                     for k in range(plan.N)])
 
 
 def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:

@@ -93,6 +93,10 @@ class Modulus:
         """sum_j row[j] * vec[j]."""
         return reduce(self.add, map(self.mul, row, vec), 0)
 
+    def add_scaled(self, row, c: int, other) -> list:
+        """The row row + c*other, entry by entry."""
+        return [self.add(v, self.mul(c, w)) for v, w in zip(row, other)]
+
     def text(self, a: int) -> str:
         """The printed form of an element."""
         return str(a)
@@ -129,6 +133,10 @@ class IntegerRing(Modulus):
 
     def dot(self, row, vec):
         return sum(map(operator.mul, row, vec)) % self.d
+
+    def add_scaled(self, row, c, other):
+        d = self.d
+        return [(v + c * w) % d for v, w in zip(row, other)]
 
 
 class PrimePowerField(Modulus):
@@ -497,7 +505,7 @@ def closure_basis(g: MultiPoly) -> list[tuple]:
         for p, b in basis:
             if row[p]:
                 c = m.neg(row[p])
-                row = [m.add(v, m.mul(c, w)) for v, w in zip(row, b)]
+                row = m.add_scaled(row, c, b)
         p = next((i for i, v in enumerate(row) if v), None)
         if p is not None:
             unit = m.inv(row[p])

@@ -129,11 +129,15 @@ class GlobalObservable:
     def __init__(self, d: int, sites: list[MonomialOp]):
         self.d = d
         self.sites = tuple(sites)
+        checked = set()  # ids of the site objects checked; a plan passes one per operator
         for k, op in enumerate(self.sites):
+            if id(op) in checked:
+                continue
             if op.d != d:
                 raise QuditMbqcError(f"site {k} has dimension {op.d}, expected {d}")
             if not op.has_omega_spectrum():
                 raise QuditMbqcError(f"site {k} operator spectrum is not omega powers")
+            checked.add(id(op))
 
     @property
     def N(self) -> int:

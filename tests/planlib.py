@@ -14,7 +14,6 @@ def nand_plan():
         resource=make_ghz(2, 3, anders_browne=True),
         parties=[(fid, control)] * 3,
         Q=[[1, 0], [0, 1], [1, 1]],
-        T=[[0] * 3] * 3,
         z=[1, 1, 1], s0=0,
     )
 
@@ -29,7 +28,6 @@ def quadratic_plan(d):
         resource=make_example2_state(d),
         parties=parties,
         Q=[[1]] * (2 * d),
-        T=[[0] * (2 * d)] * (2 * d),
         z=[1] * (2 * d), s0=0,
     )
 
@@ -41,7 +39,6 @@ def exponential_plan(d, u, coeff=1):
         resource=basis_state(d, (1,)),
         parties=[(fid, named_clifford(d, "Mu", u=u))],
         Q=[[coeff]],
-        T=[[0]],
         z=[1], s0=0,
     )
 

@@ -16,11 +16,11 @@ from quditmbqc.compiler import (
     sigma_table,
     verify,
 )
-from quditmbqc.engine import extract_output_function
+from quditmbqc.engine import MbqcPlan, extract_output_function
 from quditmbqc.errors import QuditMbqcError, VerificationError
 from quditmbqc.fields import combined_degree
 from quditmbqc.states import GlobalObservable, eigenphase_of
-from quditmbqc.witnesses import NCVA_FOUND, ncva_search
+from quditmbqc.witnesses import NCVA_FOUND, analyze_plan, ncva_search
 
 
 class TestNand:
@@ -188,6 +188,16 @@ class TestGeneralPrime:
         rng = random.Random(47)
         rep = compile_general_prime([rng.randrange(11) for _ in range(11)])
         assert rep.verified and rep.qudit_count == 11 * 100
+
+    def test_p17_plan_file_round_trip(self):
+        # 17 * 16^2 = 4352 parties: a flat T costs 3 bytes a row in the file
+        rng = random.Random(17)
+        table = [rng.randrange(17) for _ in range(17)]
+        text = compile_general_prime(table).plan.dumps()
+        assert len(text.encode()) < 10**6
+        analysis = analyze_plan(MbqcPlan.loads(text))
+        assert analysis["table"] == table
+        assert analysis["assignment_search"] == NCVA_FOUND
 
 
 class TestOddRing:

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +63,9 @@ class TestRun:
     def test_bad_input_length(self):
         with pytest.raises(QuditMbqcError):
             run(nand_plan(), (0,), 0)
+        for i in [(0,), (0, 1, 1)]:
+            with pytest.raises(QuditMbqcError, match=f"input needs 2 symbols, got {len(i)}"):
+                output_distribution(nand_plan(), i)
 
     def test_quadratic_runs_stay_within_resource_support(self, monkeypatch):
         # measured qudits are forgotten, so no measurement step sees more
@@ -324,18 +329,20 @@ class TestTemporal:
                     parties=[(fid, ident)] * 2, Q=[[0]] * 2,
                     T=[[0, 0]] * 2, z=[1, 1], s0=0)
         MbqcPlan(**good)
-        for field, bad in [
-            ("resource", basis_state(d, (0,))),          # wrong site count
-            ("parties", [(fid, ident)]),                 # wrong party count
-            ("Q", [[0]]),                                # wrong row count
-            ("Q", [[0, 1]] * 2),                         # wrong column count
-            ("z", [1]),                                  # wrong length
-            ("parties", [(WeylLabel(3, (1, 0)), ident)] * 2),  # dimension clash
-            ("parties", [(WeylLabel(d, (1, 0), 1), ident)] * 2),  # tau*Z squares to -1
+        for field, bad, message in [
+            ("resource", basis_state(d, (0,)), "resource state shape does not match"),
+            ("parties", [(fid, ident)], "expected 2 parties, got 1"),
+            ("Q", [[0]], "Q must have 2 rows, got 1"),
+            ("Q", [[0, 1]] * 2, "Q row 0 has 2 entries, expected 1"),
+            ("z", [1], "z has 1 entries, expected one per party (2)"),
+            ("q0", [0, 0, 0], "q0 has 3 entries, expected one per party (2)"),
+            ("parties", [(WeylLabel(3, (1, 0)), ident)] * 2, "party dimension does not match"),
+            # tau*Z squares to -1
+            ("parties", [(WeylLabel(d, (1, 0), 1), ident)] * 2, "party 0 fiducial spectrum"),
         ]:
             broken = dict(good)
             broken[field] = bad
-            with pytest.raises(QuditMbqcError):
+            with pytest.raises(QuditMbqcError, match=re.escape(message)):
                 MbqcPlan(**broken)
         # a table resource has no measurement order to follow
         table = TableResource.deterministic(2, {(0, 0): (0, 0)})
@@ -645,3 +652,95 @@ class TestPlanSerialization:
         plan = MbqcPlan.load(path)
         assert plan == nand_plan()
         assert plan.dumps().encode() == path.read_bytes()
+
+    def test_legacy_dense_T_file_loads_and_resaves_as_golden(self):
+        import pathlib
+
+        golden = pathlib.Path(__file__).parent / "golden"
+        plan = MbqcPlan.load(golden / "nand_plan_dense_T.json")
+        assert plan == nand_plan()
+        assert plan.dumps().encode() == (golden / "nand_plan.json").read_bytes()
+
+
+class TestSparseT:
+    """T is stored as each row's nonzero entries; plan.T is a dense view."""
+
+    @staticmethod
+    def _plan(T, N=3, d=3):
+        return MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (0,) * N),
+                        parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "S"))] * N,
+                        Q=[[1]] * N, T=T, z=[1] * N, s0=0)
+
+    def test_row_forms_normalise_alike(self):
+        dense = [[0, 0, 0], [5, 0, 0], [0, 3, 0]]  # 5 and 3 reduce mod 3
+        forms = [dense, [{}, {0: 2}, {"1": 0}], [{}, {"0": 2}, [0, 0, 0]], [[0] * 3, {0: 5}, {}]]
+        plans = [self._plan(T) for T in forms]
+        assert all(p == plans[0] for p in plans)
+        assert plans[0]._t_nonzero == ((), ((0, 2),), ())
+        assert plans[0].T == ((0, 0, 0), (2, 0, 0), (0, 0, 0))
+
+    def test_none_is_flat(self):
+        plan = self._plan(None)
+        assert plan.temporally_flat and plan == self._plan([[0] * 3] * 3)
+        assert plan.T == ((0, 0, 0),) * 3
+        assert plan.T[0] is plan.T[2]  # zero rows share one tuple
+
+    def test_dense_view_of_ordered_plan_equals_input(self):
+        dense = [[0] * 5 for _ in range(5)]
+        for k in range(1, 5):
+            dense[k][k - 1] = 1
+        dense[4][0] = 2
+        plan = self._plan(dense, N=5)
+        assert plan.T == tuple(map(tuple, dense))
+        assert plan.T is plan.T  # built once
+        assert ghz_chain(3, 4).T == tuple(tuple(int(j == k - 1) for j in range(4))
+                                         for k in range(4))
+
+    def test_file_writes_one_object_per_row(self):
+        plan = self._plan([[0, 0, 0], [2, 0, 0], [1, 2, 0]])
+        assert '"T":[{},{"0":2},{"0":1,"1":2}]' in plan.dumps()
+        assert MbqcPlan.loads(plan.dumps()) == plan
+
+    @pytest.mark.parametrize("T, message", [
+        ([[0] * 3] * 2, "T must have 3 rows, got 2"),
+        ("abc", "T must be a list of 3 rows, got str"),
+        ([[0] * 3, [0] * 2, [0] * 3], "T row 1 has 2 entries, expected 3"),
+        ([[0] * 3, None, [0] * 3], "T row 1 is a NoneType, expected a list"),
+        ([[0] * 3, "abc", [0] * 3], "T row 1 is a str, expected a list"),
+        ([[0] * 3, [None, 0, 0], [0] * 3], "T row 1 has None for party 0, expected an integer"),
+        ([[0] * 3, ["1", 0, 0], [0] * 3], "T row 1 has '1' for party 0, expected an integer"),
+        ([[0] * 3, [0, 1, 0], [0] * 3], "T row 1 reads party 1, which is not earlier"),
+        ([{}, {}, {"01": 1}], "T row 2 has key '01', expected a party number in plain decimal"),
+        ([{}, {}, {5: 1}], "T row 2 reads party 5, which is not earlier"),
+        ([{}, {}, {-1: 1}], "T row 2 reads party -1, which is not earlier"),
+        ([{}, {}, {0: 1, "0": 1}], "T row 2 names a party twice"),
+        ([{}, {}, {"0": None}], "T row 2 has None for party 0, expected an integer"),
+    ])
+    def test_shape_and_format_errors_name_what_was_found(self, T, message):
+        with pytest.raises(QuditMbqcError) as exc:
+            self._plan(T)
+        assert str(exc.value).startswith(message)
+
+    def test_null_T_in_a_file_is_refused(self):
+        obj = json.loads(nand_plan().dumps())
+        obj["T"] = None
+        with pytest.raises(PlanFormatError, match="T must have 3 rows, got null"):
+            MbqcPlan.loads(json.dumps(obj))
+
+    def test_site_operators_built_once_per_party_kind_and_setting(self, monkeypatch, tmp_path,
+                                                                     capsys):
+        from quditmbqc.cli import main
+        from quditmbqc.compiler import compile_general_prime
+
+        path = tmp_path / "p7.json"
+        compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.save(path)
+        calls = []
+        real = engine.conjugate_weyl
+        monkeypatch.setattr(engine, "conjugate_weyl",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(["analyze", "--plan", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["table"] == [3, 1, 4, 1, 5, 2, 6]
+        # 7 * 6^2 = 252 parties, but 6 distinct controls with 7 settings each
+        assert 0 < len(calls) <= 6 * 7
+        plan = MbqcPlan.load(path)
+        assert plan.site_observable(5, 3) is plan.site_observable(5 + 6, 3)  # both read u^-6

@@ -63,7 +63,38 @@ def _mutations(base: int):
 @example((1, ("set", ("resource", "terms"), {})))
 @example((2, ("set", ("resource", "entries", 3, "q", 1), 12)))
 @example((2, ("set", ("resource", "entries", 0, "dist", 0, "m"), "2")))
+# malformed T row objects of the compiled plan (12 parties), which exit 4
+@example((1, ("set", ("T", 2, "01"), 1)))
+@example((1, ("set", ("T", 2, "-1"), 1)))
+@example((1, ("set", ("T", 2, " 1"), 1)))
+@example((1, ("set", ("T", 2, "1_0"), 1)))
+@example((1, ("set", ("T", 2, "2"), 1)))
+@example((1, ("set", ("T", 2, "12"), 1)))
+@example((1, ("set", ("T", 2, "0"), "1")))
+@example((1, ("set", ("T", 2, "0"), None)))
 def test_analyze_exits_0_or_4_on_mutated_plans(mutation):
+    code, _ = _analyze_mutated(mutation)
+    assert code in (0, 4)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("01", 1, "T row 2 has key '01', expected a party number in plain decimal"),
+    ("-1", 1, "T row 2 has key '-1'"),
+    (" 1", 1, "T row 2 has key ' 1'"),
+    ("1_0", 1, "T row 2 has key '1_0'"),
+    ("2", 1, "T row 2 reads party 2, which is not earlier"),
+    ("12", 0, "T row 2 reads party 12, which is not earlier"),
+    ("0", "1", "T row 2 has '1' for party 0, expected an integer"),
+    ("0", None, "T row 2 has None for party 0, expected an integer"),
+])
+def test_malformed_T_row_objects_exit_4(key, value, message):
+    code, err = _analyze_mutated((1, ("set", ("T", 2, key), value)))
+    assert code == 4
+    assert err.startswith(f"error: malformed plan: {message}")
+
+
+def _analyze_mutated(mutation) -> tuple[int, str]:
+    """The exit code and standard error of analyze on one mutated base plan."""
     base, (action, path, value) = mutation
     obj = copy.deepcopy(BASES[base])
     parent = obj
@@ -73,12 +104,12 @@ def test_analyze_exits_0_or_4_on_mutated_plans(mutation):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         plan_file = pathlib.Path(tmp) / "plan.json"
         plan_file.write_text(json.dumps(obj))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["analyze", "--plan", str(plan_file), "--json"])
-    assert code in (0, 4)
     if code == 0:
         json.loads(out.getvalue())
+    return code, err.getvalue()
