@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 compile/parameter error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,6 +29,7 @@ EXIT_PARSE = 4
 DEMO_FLAGS = {"nand": (), "quadratic": ("d",), "exponential": ("d", "u")}  # flags each demo reads
 
 
+@functools.cache  # one parser per process; each parse_args fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditmbqc",

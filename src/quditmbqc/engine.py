@@ -190,7 +190,9 @@ class MbqcPlan:
     def inputs(self) -> list[tuple[int, ...]]:
         return list(itertools.product(range(self.d), repeat=self.n))
 
-    def setting(self, k: int, i: tuple[int, ...], outcomes: tuple[int, ...]) -> int:
+    def setting(self, k: int, i: tuple[int, ...], outcomes) -> int:
+        """q_k for input i, reading the outcomes of the parties measured so
+        far (any sequence; run passes its growing list)."""
         if len(i) != self.n:
             raise QuditMbqcError(f"input needs {self.n} symbols, got {len(i)}")
         acc = self.q0[k] + sum(map(operator.mul, self.Q[k], i))
@@ -257,10 +259,14 @@ class MbqcPlan:
                 resource = TableResource.from_json(res)
             else:
                 resource = SparseState.from_json(res)
-            parties = [
-                (WeylLabel.from_json(d, p["fiducial"]), CliffordSpec.from_json(d, p["control"]))
-                for p in obj["parties"]
-            ]
+            decoded: dict = {}  # repr of a party's JSON -> the party, decoded once
+            parties = []
+            for p in obj["parties"]:
+                key = repr(p)
+                if key not in decoded:
+                    decoded[key] = (WeylLabel.from_json(d, p["fiducial"]),
+                                    CliffordSpec.from_json(d, p["control"]))
+                parties.append(decoded[key])
             if obj["T"] is None:  # None builds a flat plan; a file spells T out
                 raise QuditMbqcError(f"T must have {obj['N']} rows, got null")
             return cls(d, obj["n"], obj["N"], resource, parties, obj["Q"], obj["T"],
@@ -383,7 +389,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     else:
         psi = plan.resource
         for k in range(plan.N):
-            q_k = plan.setting(k, i, tuple(outcomes))
+            q_k = plan.setting(k, i, outcomes)
             settings.append(q_k)
             m_k, psi = measure_local(psi, 0, plan.site_observable(k, q_k), rng)
             outcomes.append(m_k)

@@ -12,6 +12,7 @@ parallelize across inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ class MonomialOp:
 
     op|z> = tau^phases[z] |perm[z]>.  Closed under products and powers, so
     every Weyl operator and every control unitary used here stays exact.
+    Its spectral data, the cycle decomposition with the outcomes on each
+    cycle (spectrum) and the omega verdict (has_omega_spectrum), is
+    computed on first use and cached on the object.
     """
 
     d: int
@@ -72,11 +76,14 @@ class MonomialOp:
         return MonomialOp(self.d, self.perm, tuple((p + tau_exp) % period for p in self.phases))
 
     def has_omega_spectrum(self) -> bool:
-        """Whether op**d is the identity, in O(d).
+        """Whether op**d is the identity, decided once per operator object."""
+        return self._omega_spectrum
 
-        It is exactly when every cycle of perm has a length L dividing d and
-        d/L times the cycle's phase sum vanishes mod the tau period.
-        """
+    @functools.cached_property
+    def _omega_spectrum(self) -> bool:
+        """op**d is the identity exactly when every cycle of perm has a
+        length L dividing d and d/L times the cycle's phase sum vanishes mod
+        the tau period; O(d), without building the spectrum."""
         period = tau_period(self.d)
         seen = [False] * self.d
         for start in range(self.d):
@@ -91,6 +98,30 @@ class MonomialOp:
             if z != start or self.d % length or (self.d // length) * phase % period:
                 return False
         return True
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[tuple, tuple]:
+        """The cycle decomposition, computed once per operator object.
+
+        (place, cycles): place[z] = (C, s, phi_s) when z is step s of cycle C
+        from its first element z0, op^s|z0> = tau^phi_s |z>; cycles[C] =
+        (L, the outcomes m with 2mL = Phi_C), Phi_C the phase around C: the
+        eigenvalues omega^m on C, all of them when has_omega_spectrum().
+        """
+        d, period = self.d, tau_period(self.d)
+        place: list[tuple[int, int, int] | None] = [None] * d
+        cycles = []
+        for start in range(d):
+            if place[start] is not None:
+                continue
+            z, s, phi = start, 0, 0
+            while place[z] is None:
+                place[z] = (len(cycles), s, phi)
+                phi += self.phases[z]
+                s += 1
+                z = self.perm[z]
+            cycles.append((s, tuple(m for m in range(d) if (2 * m * s - phi) % period == 0)))
+        return tuple(place), tuple(cycles)
 
     def to_dense(self) -> np.ndarray:
         tau = tau_value(self.d)
@@ -129,15 +160,11 @@ class GlobalObservable:
     def __init__(self, d: int, sites: list[MonomialOp]):
         self.d = d
         self.sites = tuple(sites)
-        checked = set()  # ids of the site objects checked; a plan passes one per operator
         for k, op in enumerate(self.sites):
-            if id(op) in checked:
-                continue
             if op.d != d:
                 raise QuditMbqcError(f"site {k} has dimension {op.d}, expected {d}")
-            if not op.has_omega_spectrum():
+            if not op.has_omega_spectrum():  # cached on each operator object
                 raise QuditMbqcError(f"site {k} operator spectrum is not omega powers")
-            checked.add(id(op))
 
     @property
     def N(self) -> int:
@@ -324,34 +351,24 @@ def measurement_distribution(psi: SparseState, site: int,
     order); its weight is |rest|^2 / (K*L) for the K terms of psi.  Each
     rest must stay a tau-power superposition up to one common unit (the
     physically irrelevant global phase, which is dropped); otherwise
-    SparseFormError is raised.
+    SparseFormError is raised.  The cycles and the omega verdict are cached
+    on the operator object (op.spectrum, op.has_omega_spectrum), so a call
+    only groups the K terms by cycle and visits the cycles they meet.
     """
     d = psi.d
     if not op.has_omega_spectrum():
         raise QuditMbqcError("site operator spectrum is not omega powers")
+    place, cycles = op.spectrum
     period = tau_period(d)
-    place: list[tuple[int, int, int] | None] = [None] * d  # z -> (C, s, phi_s)
-    cycles = []  # (L, the outcomes living on C)
-    for start in range(d):
-        if place[start] is not None:
-            continue
-        z, s, phi = start, 0, 0
-        while place[z] is None:
-            place[z] = (len(cycles), s, phi)
-            phi += op.phases[z]
-            s += 1
-            z = op.perm[z]
-        cycles.append((s, [m for m in range(d) if (2 * m * s - phi) % period == 0]))
-    groups: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in cycles]
+    groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}  # C -> its terms
     for t, ket in psi.terms:
         c, s, phi = place[ket[site]]
-        groups[c].append((ket[:site] + ket[site + 1:], t - phi, s))
+        groups.setdefault(c, []).append((ket[:site] + ket[site + 1:], t - phi, s))
     K = len(psi.terms)
     out = []
-    for c, (L, outcomes) in enumerate(cycles):
+    for c in sorted(groups):
+        L, outcomes = cycles[c]
         group = sorted(groups[c])
-        if not group:
-            continue
         distinct = all(a[0] != b[0] for a, b in zip(group, group[1:]))
         for m in outcomes:
             if distinct:  # every amplitude is one tau power

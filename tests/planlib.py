@@ -1,6 +1,9 @@
 """Hand-built plans shared across test modules."""
 
+import math
+
 from quditmbqc.engine import MbqcPlan
+from quditmbqc.phases import tau_period
 from quditmbqc.states import basis_state, make_example2_state, make_ghz
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
 
@@ -72,3 +75,36 @@ def ghz_chain(d, N):
     return MbqcPlan(d=d, n=1, N=N, resource=make_ghz(d, N),
                     parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "S"))] * N,
                     Q=[[1]] * N, T=T, z=[1] * N, s0=0)
+
+
+def random_ghz_plan(rng, d, N, n, ordered, tau_phased):
+    """GHZ resource with random Weyl fiducials and monomial-class controls.
+
+    tau_phased draws each branch's tau exponent freely; otherwise the phase
+    profile is quadratic, which keeps the resource a stabilizer state.
+    Ordered plans read one random earlier outcome in every row after the
+    first.
+    """
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    parties = []
+    for _ in range(N):
+        v = (0, 0)
+        while v == (0, 0):
+            v = (rng.randrange(d), rng.randrange(d))
+        s = rng.choice(units)
+        C = ((pow(s, -1, d), rng.randrange(d)), (0, s))
+        parties.append((WeylLabel(d, v), CliffordSpec(d, C, (rng.randrange(d), rng.randrange(d)))))
+    if tau_phased:
+        phases = [rng.randrange(tau_period(d)) for _ in range(d)]
+    else:
+        a, b = rng.randrange(d), rng.randrange(d)
+        phases = [2 * ((a * z * z + b * z) % d) for z in range(d)]
+    T = None
+    if ordered:
+        T = [{rng.randrange(k): rng.randrange(1, d)} if k else {} for k in range(N)]
+    return MbqcPlan(
+        d=d, n=n, N=N, resource=make_ghz(d, N, phases=phases), parties=parties,
+        Q=[[rng.randrange(d) for _ in range(n)] for _ in range(N)], T=T,
+        z=[rng.randrange(1, d) for _ in range(N)], s0=rng.randrange(d),
+        q0=[rng.randrange(d) for _ in range(N)],
+    )

@@ -352,3 +352,24 @@ class TestVerifyAll:
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
         assert "FAIL" not in out
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_parse_independently(self, capsys):
+        # the parser is built once per process; every call still starts
+        # from the defaults, so no flag of an earlier call leaks into a later one
+        from quditmbqc.cli import build_parser
+
+        assert build_parser() is build_parser()
+        assert main(["demo", "exponential", "--d", "7", "--u", "3", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["table"]) == 7
+        assert main(["table", "--appendix-b", "--p", "3"]) == 0
+        assert capsys.readouterr().out.startswith("p = 3, u = 2\n")
+        assert main(["demo", "exponential", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["table"] == [1, 3, 4, 2, 1]
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "nand", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(["demo", "nand", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["table"] == [1, 1, 1, 0]

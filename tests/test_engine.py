@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from quditmbqc import engine, states
-from quditmbqc.compiler import compile_odd_ring
+from quditmbqc.compiler import compile_general_prime, compile_odd_ring
 from quditmbqc.engine import (
     EXACT_BRANCH_BUDGET,
     MbqcPlan,
@@ -23,7 +24,7 @@ from quditmbqc.engine import (
     temporal_graph,
 )
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
-from quditmbqc.states import SparseState, basis_state, make_ghz
+from quditmbqc.states import MonomialOp, SparseState, basis_state, make_ghz
 from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, wide_x_chain,
                      x_chain)
 from quditmbqc.weyl import WeylLabel, named_clifford
@@ -80,6 +81,28 @@ class TestRun:
             sizes = [size for size, _ in steps]
             assert len(sizes) == d * plan.N
             assert max(sizes) <= len(plan.resource.terms)
+
+    def test_runs_decompose_each_site_operator_once(self, monkeypatch):
+        # measurement_distribution reads the cycles from MonomialOp.spectrum,
+        # cached on each operator object: seven runs of a compiled p=7 plan
+        # (252 parties, 6 party kinds x 7 settings) decompose at most 42
+        # operators, each once, where a per-call decomposition made 7 x 252
+        plan = MbqcPlan.loads(compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.dumps())
+        made = []
+        cached = MonomialOp.__dict__["spectrum"]
+
+        def counting(op):
+            made.append(op)
+            return cached.func(op)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(MonomialOp, "spectrum")
+        monkeypatch.setattr(MonomialOp, "spectrum", spy)
+        steps = _spy_steps(monkeypatch)
+        for x in range(7):
+            run(plan, (x,), x)
+        assert len(steps) == 7 * plan.N == 7 * 252
+        assert 0 < len(made) == len({id(op) for op in made}) <= 6 * 7
 
 
 class TestExtract:
