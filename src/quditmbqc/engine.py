@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
+from .errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError, plain_int, plain_ints
 from .fields import MultiPoly, is_polynomial_over_ring
 from .phases import PhaseSum, tau_exponent_of_omega, tau_period
 from .states import (
@@ -60,7 +60,7 @@ class TableResource:
             if total != 1:
                 raise QuditMbqcError(f"distribution for settings {q} sums to {total}")
             for m, _ in dist:
-                if len(m) != N or not all(isinstance(v, int) for v in m):
+                if len(m) != N or not all(type(v) is int for v in m):
                     raise QuditMbqcError(f"outcome {m} for settings {q} needs {N} integers")
             self.behavior[tuple(q)] = [(tuple(m), Fraction(p)) for m, p in dist]
 
@@ -93,10 +93,11 @@ class TableResource:
     def from_json(cls, obj: dict) -> "TableResource":
         behavior = {}
         for entry in obj["entries"]:
-            behavior[tuple(entry["q"])] = [
-                (tuple(rec["m"]), Fraction(rec["num"], rec["den"])) for rec in entry["dist"]
+            behavior[plain_ints(entry["q"], "table q")] = [
+                (tuple(rec["m"]), Fraction(*plain_ints([rec["num"], rec["den"]], "table num, den")))
+                for rec in entry["dist"]
             ]
-        return cls(obj["N"], behavior)
+        return cls(plain_int(obj["N"], "table N"), behavior)
 
     def __eq__(self, other):
         return isinstance(other, TableResource) and self.behavior == other.behavior
@@ -175,6 +176,9 @@ class MbqcPlan:
             # per distinct party covers every party and setting
             if weyl_power(fid.tau_exp, fid.v, self.d, self.d) != (0, (0, 0)):
                 raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
+            if self.d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
+                raise QuditMbqcError(f"party {k} control needs an upper-triangular "
+                                     "symplectic part at even d")
         if len(self.Q) != self.N:
             raise QuditMbqcError(f"Q must have {self.N} rows, got {len(self.Q)}")
         for k, row in enumerate(self.Q):
@@ -269,8 +273,12 @@ class MbqcPlan:
                 parties.append(decoded[key])
             if obj["T"] is None:  # None builds a flat plan; a file spells T out
                 raise QuditMbqcError(f"T must have {obj['N']} rows, got null")
-            return cls(d, obj["n"], obj["N"], resource, parties, obj["Q"], obj["T"],
-                       z=obj["z"], s0=obj["s0"], q0=obj.get("q0"))
+            if any(type(v) is not int for row in obj["Q"] for v in row):
+                raise QuditMbqcError("Q has an entry that is not an integer")
+            q0 = obj.get("q0")
+            return cls(d, plain_int(obj["n"], "n"), plain_int(obj["N"], "N"), resource, parties,
+                       obj["Q"], obj["T"], z=plain_ints(obj["z"], "z"), s0=plain_int(obj["s0"], "s0"),
+                       q0=None if q0 is None else plain_ints(q0, "q0"))
         except (KeyError, TypeError, IndexError, ValueError, AttributeError,
                 ZeroDivisionError) as exc:
             raise PlanFormatError(f"malformed plan: missing or bad field {exc}") from exc
@@ -336,7 +344,7 @@ def _sparse_rows(T, N: int, d: int) -> tuple:
                                  "expected a list or a {column: entry} object")
         entries = []
         for j, v in items:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise QuditMbqcError(f"T row {k} has {v!r} for party {j}, expected an integer")
             v %= d
             if v:

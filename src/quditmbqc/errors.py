@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the decoders' int checks."""
 
 
 class QuditMbqcError(Exception):
@@ -35,3 +35,21 @@ class VerificationError(QuditMbqcError):
 
 class UnsupportedWitnessError(QuditMbqcError):
     """No witness procedure applies to the instance."""
+
+
+def plain_int(value, name: str) -> int:
+    """value, if an int; a bool (JSON true), a float or a string is refused."""
+    if type(value) is not int:
+        raise QuditMbqcError(f"{name} is {value!r}, expected an integer")
+    return value
+
+
+def plain_ints(values, name: str, length: int | None = None) -> tuple[int, ...]:
+    """values, a list of ints (of the given length, if any), as a tuple."""
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        raise QuditMbqcError(f"{name} is {values!r}, expected a list of "
+                             f"{length or 'some'} integers")
+    for v in values:
+        if type(v) is not int:
+            raise QuditMbqcError(f"{name} has {v!r}, expected an integer")
+    return tuple(values)

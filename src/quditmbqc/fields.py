@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from functools import reduce
 
 from .errors import SizeGuardError, UnsupportedModulusError
@@ -593,7 +592,7 @@ def solve_mod(rows: list[dict[int, int]], rhs: list[int], cols: int, d: int) -> 
     terms = []
     for p, e in factorize(d).items():
         q = p**e
-        sol = _solve_prime_power(rows, rhs, cols, p, q)
+        sol = _solve_prime_power(rows, rhs, cols, q)
         if sol is None:
             return None
         weight = d // q * pow(d // q, -1, q)  # 1 mod q, 0 mod the other parts
@@ -601,55 +600,47 @@ def solve_mod(rows: list[dict[int, int]], rhs: list[int], cols: int, d: int) -> 
     return [sum(vals) % d for vals in zip(*terms)]
 
 
-def _solve_prime_power(rows, rhs, cols: int, p: int, q: int) -> list[int] | None:
-    """solve_mod for q = p^e.
+def _solve_prime_power(rows, rhs, cols: int, q: int) -> list[int] | None:
+    """solve_mod for q = p^e, by Gaussian elimination.
 
-    Each pivot is an entry of least p-valuation among the rows not yet
-    used, so every other entry of its row is a multiple of it: a row then
-    has a solution exactly when its pivot's power of p divides its right
-    side, and the columns without a pivot can be 0.  Among such entries
-    the pivot's column is the one held by the fewest rows, which keeps
-    sparse rows sparse.  The holder counts are kept across pivots and
-    recounted only when an elimination changes a row, other than a copy
-    of the pivot row, by more than the pivot column.
+    Each pivot is the first entry of least p-valuation (gcd p^v with q) met
+    scanning the unused rows in order, so every other entry of its row and
+    column is a multiple of it: a row is then solvable exactly when p^v
+    divides its right side, and unknowns without a pivot are 0.  No
+    sparsity tie-break: assignment systems hold each column once.
     """
     rows = [{c: r for c, a in row.items() if (r := a % q)} for row in rows]
     rhs = [b % q for b in rhs]
     unused = list(range(len(rows)))
-    held = _holders(rows, unused)
     pivots = []
-    while (best := _least_entry(rows, unused, held, p)) is not None:
-        v, r, c = best
-        pv = p**v
+    while True:
+        best = None  # (p^v, row, column)
+        for r, c, a in ((r, c, a) for r in unused for c, a in rows[r].items()):
+            pv = math.gcd(a, q)
+            if best is None or pv < best[0]:
+                best = pv, r, c
+                if pv == 1:
+                    break
+        if best is None:
+            break
+        pv, r, c = best
         unused.remove(r)
-        raw = pivot = rows[r]
+        pivot = rows[r]
         unit = pow(pivot[c] // pv, -1, q)
         if unit != 1:
-            pivot = rows[r] = {cc: a * unit % q for cc, a in pivot.items()}
+            for cc, a in pivot.items():
+                pivot[cc] = a * unit % q
             rhs[r] = rhs[r] * unit % q
-        gone = 1  # rows that drop every column of the pivot row: it and its copies
-        recount = False  # whether some other row lost a column besides c, or gained one
         for r2 in unused:
             row = rows[r2]
-            if c not in row:
-                continue
-            f = row[c] // pv
-            if row == raw:
-                rows[r2] = {}
-                gone += 1
-            else:
-                new = rows[r2] = {cc: a for cc in row.keys() | pivot.keys()
-                                  if (a := (row.get(cc, 0) - f * pivot.get(cc, 0)) % q)}
-                recount = recount or len(new) != len(row) - 1 or not pivot.keys() <= row.keys()
-            rhs[r2] = (rhs[r2] - f * rhs[r]) % q
-        if recount:
-            held = _holders(rows, unused)
-        else:
-            for cc in pivot:
-                if (left := held[cc] - gone) and cc != c:
-                    held[cc] = left
-                else:
-                    del held[cc]
+            if c in row:
+                f = row[c] // pv
+                for cc, a in pivot.items():
+                    if new := (row.get(cc, 0) - f * a) % q:
+                        row[cc] = new
+                    else:
+                        row.pop(cc, None)
+                rhs[r2] = (rhs[r2] - f * rhs[r]) % q
         pivots.append((r, c, pv))
     if any(rhs[r] for r in unused):  # the unused rows are all zero now
         return None
@@ -662,37 +653,3 @@ def _solve_prime_power(rows, rhs, cols: int, p: int, q: int) -> list[int] | None
         x[c] = acc % q // pv
         solved.append(c)
     return x
-
-
-def _holders(rows, unused) -> Counter:
-    """The number of unused rows holding each column."""
-    return Counter(itertools.chain.from_iterable(map(rows.__getitem__, unused)))
-
-
-def _least_entry(rows, unused, held, p):
-    """(p-valuation, row, column) of the least entry of the unused rows, or
-    None when they are all zero.  Entries compare by valuation, then by the
-    number of unused rows holding their column (held), then by position."""
-    least = min(held.values(), default=0)  # no unit can have fewer holders
-    best = None  # (valuation, holders, row, column)
-    for r in unused:
-        for c, a in rows[r].items():
-            if a % p:
-                h = held[c]
-                if best is None or best[0] or h < best[1]:
-                    best = (0, h, r, c)
-                    if h == least:
-                        return 0, r, c
-            elif best is None or best[0]:  # a multiple of p never beats a unit
-                v, h = _valuation(a, p), held[c]
-                if best is None or (v, h) < best[:2]:
-                    best = (v, h, r, c)
-    return None if best is None else (best[0], best[2], best[3])
-
-
-def _valuation(v: int, p: int) -> int:
-    out = 0
-    while v % p == 0:
-        v //= p
-        out += 1
-    return out

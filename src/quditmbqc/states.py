@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError
+from .errors import (InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError,
+                     plain_int, plain_ints)
 from .phases import PhaseSum, omega_exponent, tau_period, tau_power_keys, tau_value
 from .weyl import CliffordSpec
 
@@ -217,8 +218,9 @@ class SparseState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparseState":
-        return cls(obj["d"], obj["N"],
-                   tuple((t["tau_exp"], tuple(t["ket"])) for t in obj["terms"]))
+        return cls(plain_int(obj["d"], "resource d"), plain_int(obj["N"], "resource N"),
+                   tuple((plain_int(t["tau_exp"], "resource tau_exp"),
+                          plain_ints(t["ket"], "resource ket")) for t in obj["terms"]))
 
     def to_dense(self) -> np.ndarray:
         if self.d**self.N > DENSE_GUARD:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import QuditMbqcError
+from .errors import QuditMbqcError, plain_int, plain_ints
 from .phases import omega_exponent, tau_period
 
 
@@ -75,7 +75,8 @@ class WeylLabel:
 
     @classmethod
     def from_json(cls, d: int, obj: dict) -> "WeylLabel":
-        return cls(d, tuple(obj["v"]), obj.get("tau_exp", 0))
+        return cls(d, plain_ints(obj["v"], "fiducial v", 2),
+                   plain_int(obj.get("tau_exp", 0), "fiducial tau_exp"))
 
 
 def commutation_phase(v: WeylLabel, w: WeylLabel) -> int:
@@ -141,10 +142,11 @@ class CliffordSpec:
             if obj["named"] == "S":
                 return named_clifford(d, "S")
             if obj["named"] == "Mu":
-                return named_clifford(d, "Mu", u=obj["u"])
+                return named_clifford(d, "Mu", u=plain_int(obj["u"], "control u"))
             raise QuditMbqcError(f"unknown named control {obj['named']!r}")
-        return cls(d, tuple(tuple(r) for r in obj["C"]), tuple(obj.get("x", (0, 0))),
-                   obj.get("tau_exp", 0))
+        return cls(d, tuple(plain_ints(r, "control C row", 2) for r in obj["C"]),
+                   plain_ints(obj.get("x", (0, 0)), "control x", 2),
+                   plain_int(obj.get("tau_exp", 0), "control tau_exp"))
 
 
 def named_clifford(d: int, name: str, u: int | None = None,

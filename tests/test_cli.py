@@ -203,8 +203,12 @@ class TestAnalyze:
         (_table_plan, lambda o: o["T"][1].__setitem__(0, 1)),
         # input 1 reaches settings (1, 0), which the table has no entry for
         (_table_plan, lambda o: o["Q"][0].__setitem__(0, 1)),
+        # symplectic, but at even d only an upper-triangular control conjugates exactly
+        (compile_nand, lambda o: o["parties"][0].__setitem__(
+            "control", {"C": [[1, 0], [1, 1]], "x": [0, 0], "tau_exp": 0})),
     ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C",
-            "fiducial_spectrum", "ordered_table_resource", "table_missing_entry"])
+            "fiducial_spectrum", "ordered_table_resource", "table_missing_entry",
+            "even_d_lower_triangular_control"])
     def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, base, mutate):
         obj = base().plan.to_json()
         mutate(obj)

@@ -27,7 +27,7 @@ from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, Sp
 from quditmbqc.states import MonomialOp, SparseState, basis_state, make_ghz
 from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, wide_x_chain,
                      x_chain)
-from quditmbqc.weyl import WeylLabel, named_clifford
+from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
 from quditmbqc.witnesses import analyze_plan
 
 
@@ -362,6 +362,8 @@ class TestTemporal:
             ("parties", [(WeylLabel(3, (1, 0)), ident)] * 2, "party dimension does not match"),
             # tau*Z squares to -1
             ("parties", [(WeylLabel(d, (1, 0), 1), ident)] * 2, "party 0 fiducial spectrum"),
+            ("parties", [(fid, CliffordSpec(d, ((1, 0), (1, 1))))] * 2,
+             "party 0 control needs an upper-triangular symplectic part at even d"),
         ]:
             broken = dict(good)
             broken[field] = bad

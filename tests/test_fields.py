@@ -399,6 +399,35 @@ class TestSolveMod:
                 found += 1
         assert 100 < found < 300
 
+    def test_matches_enumeration_tall_shared_columns(self):
+        # more rows than columns, every column held by several rows: the
+        # shapes where the order of the pivots decides the elimination
+        rng = random.Random(43)
+        found = 0
+        for _ in range(300):
+            d = rng.choice((2, 3, 5, 7, 4, 8, 9, 25, 27))
+            cols = rng.randint(1, 3 if d <= 9 else 2)
+            rows = [{c: rng.randrange(1, d) for c in range(cols) if rng.random() < 0.8}
+                    for _ in range(rng.randint(cols + 1, cols + 4))]
+            x0 = [rng.randrange(d) for _ in range(cols)]
+            rhs = [sum(a * x0[c] for c, a in row.items()) % d for row in rows]
+            if rng.random() < 0.5:
+                rhs[rng.randrange(len(rhs))] += rng.randrange(1, d)
+
+            def solves(x):
+                return all((sum(a * x[c] for c, a in row.items()) - b) % d == 0
+                           for row, b in zip(rows, rhs))
+
+            before = ([dict(row) for row in rows], list(rhs))
+            x = solve_mod(rows, rhs, cols, d)
+            assert (rows, rhs) == before  # elimination works on copies
+            exists = any(solves(y) for y in itertools.product(range(d), repeat=cols))
+            assert (x is not None) == exists
+            if x is not None:
+                assert solves(x) and all(0 <= v < d for v in x)
+                found += 1
+        assert 150 < found < 300
+
 
 class TestRingRepresentability:
     def test_identity_mod6(self):

@@ -93,6 +93,37 @@ def test_malformed_T_row_objects_exit_4(key, value, message):
     assert err.startswith(f"error: malformed plan: {message}")
 
 
+# a JSON true is a Python int, and a vector was once read by its first two
+# entries: each of these loaded and analyzed with exit 0
+@pytest.mark.parametrize("base, path, value, message", [
+    (1, ("parties", 0, "fiducial", "tau_exp"), True, "fiducial tau_exp is True, expected an integer"),
+    (1, ("parties", 0, "fiducial", "v"), [1, 0, 0],
+     "fiducial v is [1, 0, 0], expected a list of 2 integers"),
+    (1, ("parties", 0, "control"), {"C": [[1, 0], [0, 1]], "x": [0, 0, 0], "tau_exp": 0},
+     "control x is [0, 0, 0], expected a list of 2 integers"),
+    (1, ("parties", 0, "control"), {"C": [[1, 0], [0, True]], "x": [0, 0], "tau_exp": 0},
+     "control C row has True, expected an integer"),
+    (1, ("parties", 0, "control", "u"), True, "control u is True, expected an integer"),
+    (1, ("resource", "terms", 0, "ket", 0), True, "resource ket has True, expected an integer"),
+    (1, ("resource", "terms", 0, "tau_exp"), True, "resource tau_exp is True, expected an integer"),
+    (1, ("T", 2, "0"), True, "T row 2 has True for party 0, expected an integer"),
+    (1, ("Q", 3, 0), True, "Q has an entry that is not an integer"),
+    (1, ("z", 0), True, "z has True, expected an integer"),
+    (1, ("q0", 4), False, "q0 has False, expected an integer"),
+    (1, ("s0",), True, "s0 is True, expected an integer"),
+    (1, ("n",), True, "n is True, expected an integer"),
+    (2, ("resource", "entries", 0, "q", 0), False, "table q has False, expected an integer"),
+    (2, ("resource", "entries", 0, "dist", 0, "m", 0), False, "outcome (False, 0)"),
+    (2, ("resource", "entries", 0, "dist", 0, "den"), True, "table num, den has True, expected an integer"),
+], ids=["fiducial_tau_exp", "fiducial_v_long", "control_x_long", "control_C", "control_u",
+        "ket", "resource_tau_exp", "T_entry", "Q", "z", "q0", "s0", "n", "table_q", "table_m",
+        "table_den"])
+def test_booleans_and_long_vectors_exit_4(base, path, value, message):
+    code, err = _analyze_mutated((base, ("set", path, value)))
+    assert code == 4
+    assert err.startswith(f"error: malformed plan: {message}")
+
+
 def _analyze_mutated(mutation) -> tuple[int, str]:
     """The exit code and standard error of analyze on one mutated base plan."""
     base, (action, path, value) = mutation
