@@ -4,8 +4,10 @@ Covers the three worked computations (three-qubit NAND, the quadratic
 f(f-1)/2 output on the 2d-qudit resource, and the exponential u^-f output)
 plus two general single-variable compilations: any m: Z_p -> Z_p on
 p(p-1)^2 qudits (prime p), and any m: Z_d -> Z_d on 2d qudits (odd d,
-composite allowed).  Every compiled plan is temporally flat and is verified
-against its target table before being reported.
+composite allowed).  Both are sums of deltas at each point j, laid out by
+one builder from a gadget of (setting multiplier, control) pairs.  Every
+compiled plan is temporally flat and is verified against its target table
+before being reported.
 """
 
 from __future__ import annotations
@@ -178,6 +180,28 @@ def _normalize_target(m, d: int) -> dict:
     return table
 
 
+def _delta_sum(target: dict, d: int, gadget, s0: int, construction: str) -> CompileReport:
+    """One party per point j and gadget pair (k, control): fiducial Z on |1>,
+    setting k(x-j), weight m(j)/2.  The gadget's outcomes must sum to 2 + c
+    at x = j and to c elsewhere; s0 = -c * sum_j m(j)/2 cancels c."""
+    fid = WeylLabel(d, (1, 0))
+    inv2 = pow(2, -1, d)
+    parties, Q, q0, z = [], [], [], []
+    for j in range(d):
+        zj = (target[(j,)] * inv2) % d
+        for k, control in gadget:
+            parties.append((fid, control))
+            Q.append([k])
+            q0.append((-k * j) % d)
+            z.append(zj)
+    N = len(parties)
+    plan = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (1,) * N),
+                    parties=parties, Q=Q, z=z, s0=s0, q0=q0)
+    report = CompileReport(plan, N, construction, target)
+    verify(report)
+    return report
+
+
 def compile_general_prime(m, p: int | None = None) -> CompileReport:
     """Compile any m: Z_p -> Z_p as a flat plan on p(p-1)^2 qudits.
 
@@ -197,34 +221,10 @@ def compile_general_prime(m, p: int | None = None) -> CompileReport:
     if p == 2:
         return _compile_affine_qubit(target)
     u = primitive_element(p)
-    parties = []
-    Q = []
-    q0 = []
-    z = []
-    fid = WeylLabel(p, (1, 0))
-    controls = {l: named_clifford(p, "Mu", u=pow(u, -l, p)) for l in range(1, p)}
-    inv2 = pow(2, -1, p)
-    for j in range(p):
-        zj = (target[(j,)] * inv2) % p
-        for k in range(1, p):
-            for l in range(1, p):
-                parties.append((fid, controls[l]))
-                Q.append([k])
-                q0.append((-k * j) % p)
-                z.append(zj)
-    N = p * (p - 1) ** 2
-    plan = MbqcPlan(
-        d=p, n=1, N=N,
-        resource=basis_state(p, (1,) * N),
-        parties=parties,
-        Q=Q,
-        z=z,
-        s0=(inv2 * sum(target[(j,)] for j in range(p))) % p,
-        q0=q0,
-    )
-    report = CompileReport(plan, N, "prime-general", target)
-    verify(report)
-    return report
+    controls = [named_clifford(p, "Mu", u=pow(u, -l, p)) for l in range(1, p)]
+    s0 = (pow(2, -1, p) * sum(target.values())) % p
+    return _delta_sum(target, p, [(k, c) for k in range(1, p) for c in controls],
+                      s0, "prime-general")
 
 
 def _compile_affine_qubit(target: dict) -> CompileReport:
@@ -255,26 +255,5 @@ def compile_odd_ring(m, d: int | None = None) -> CompileReport:
     if d < 3 or d % 2 == 0:
         raise QuditMbqcError("odd-ring compilation needs odd d >= 3 (2 must be a unit)")
     target = _normalize_target(m, d)
-    fid = WeylLabel(d, (1, 0))
     control = named_clifford(d, "Mu", u=d - 1)
-    inv2 = pow(2, -1, d)
-    parties, Q, q0, z = [], [], [], []
-    for j in range(d):
-        zj = (target[(j,)] * inv2) % d
-        for k in (1, -1):
-            parties.append((fid, control))
-            Q.append([k % d])
-            q0.append((-k * j) % d)
-            z.append(zj)
-    N = 2 * d
-    plan = MbqcPlan(
-        d=d, n=1, N=N,
-        resource=basis_state(d, (1,) * N),
-        parties=parties,
-        Q=Q,
-        z=z, s0=0,
-        q0=q0,
-    )
-    report = CompileReport(plan, N, "odd-ring", target)
-    verify(report)
-    return report
+    return _delta_sum(target, d, [(1, control), (d - 1, control)], 0, "odd-ring")

@@ -59,9 +59,11 @@ class TableResource:
             total = sum(p for _, p in dist)
             if total != 1:
                 raise QuditMbqcError(f"distribution for settings {q} sums to {total}")
-            for m, _ in dist:
+            for m, p in dist:  # with the sum at 1, p >= 0 also caps p at 1
                 if len(m) != N or not all(type(v) is int for v in m):
                     raise QuditMbqcError(f"outcome {m} for settings {q} needs {N} integers")
+                if p < 0:
+                    raise QuditMbqcError(f"probability {p} of outcome {m} for settings {q} is negative")
             self.behavior[tuple(q)] = [(tuple(m), Fraction(p)) for m, p in dist]
 
     @classmethod
@@ -164,6 +166,10 @@ class MbqcPlan:
                 raise QuditMbqcError("table resource party count does not match")
             if not self.temporally_flat:
                 raise QuditMbqcError("table resources support temporally flat plans only")
+            for q, dist in self.resource.behavior.items():  # the table does not know d
+                for m, _ in dist:
+                    if not all(0 <= v < self.d for v in m):
+                        raise QuditMbqcError(f"outcome {m} for settings {q} lies outside 0..{self.d - 1}")
         else:
             raise QuditMbqcError(f"unsupported resource {type(self.resource).__name__}")
         if len(self.parties) != self.N:

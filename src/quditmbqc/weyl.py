@@ -4,11 +4,11 @@ Single-site Weyl operators W_(a,b) = tau^(-ab) Z^a X^b are tracked as label
 pairs (a, b) in Z_d^2 with a tau-exponent prefactor.  Vector convention is
 (Z-part, X-part) with symplectic form [[0,1],[-1,0]], fixed project-wide.
 
-Conjugation by Clifford control unitaries is computed exactly, including the
-label-wraparound phase corrections that appear for even d, so the returned
-phase always matches an explicit matrix conjugation.  For odd d these
-corrections vanish and the accumulated-phase formula
-sum_k [x, C^k v] is used directly.
+Conjugation by a Clifford control V = U W_x follows one rule at every d:
+U W_v U^-1 = W_(Cv) exactly on labels carried mod tau_period(d) (d at odd d,
+2d at even d), so V^f W_v V^-f = omega^(sum_k [x, C^k v]) W_(C^f v) with no
+per-step correction; one final reduce_label folds the wraparound into the
+phase (Appleby, J. Math. Phys. 46, 052107 (2005)).
 """
 
 from __future__ import annotations
@@ -125,9 +125,7 @@ class CliffordSpec:
         (p, q), (c, s) = self.C
         if c != 0:
             return None
-        if math.gcd(s, self.d) != 1:
-            return None
-        return s, (s * q) % self.d
+        return s, (s * q) % self.d  # det C = p*s = 1 mod d, so s is a unit
 
     def to_json(self) -> dict:
         if self.name == "S":
@@ -173,36 +171,27 @@ def named_clifford(d: int, name: str, u: int | None = None,
 def conjugate_weyl(spec: CliffordSpec, v: tuple[int, int], f: int) -> tuple[int, tuple[int, int]]:
     """Exact conjugation V^f W_v V^-f = omega^phase W_label.
 
-    The phase is state-independent and always an omega power.  Requires a
-    monomial-class (upper-triangular) symplectic part for even d; for odd d
-    any symplectic matrix is accepted via the accumulated-product formula.
+    The phase is state-independent and always an omega power.  At odd d any
+    symplectic C acts on labels mod d.  At even d C must be upper triangular,
+    C = C_(M_s) C_(S^m), and its lift [[s^-1, s^-1 m], [0, s]] with s^-1 taken
+    mod 2d acts exactly on labels mod 2d.
     """
     if f < 0:
         raise ValueError("f must be non-negative")
-    d = spec.d
-    factors = spec.monomial_factors()
-    if factors is not None:
+    d, period = spec.d, tau_period(spec.d)
+    (p, q), (c, s) = spec.C
+    if period != d:  # even d
+        factors = spec.monomial_factors()
+        if factors is None:
+            raise QuditMbqcError("even-d conjugation needs an upper-triangular "
+                                 "(monomial) symplectic part")
         s, m = factors
-        sinv = pow(s, -1, d)
-        period = tau_period(d)
-        phase = 0
-        a, b = v[0] % d, v[1] % d
-        for _ in range(f):
-            phase = (phase + symplectic_product(spec.x, (a, b), d)) % d
-            a2, b2, corr = reduce_label(a + m * b, b, d)
-            phase = (phase + omega_exponent(corr, d)) % d
-            A, B = (sinv * a2) % d, (s * b2) % d
-            corr2 = (a2 * b2 - A * B) % period
-            phase = (phase + omega_exponent(corr2, d)) % d
-            a, b = A, B
-        return phase, (a, b)
-    if d % 2 == 1:
-        phase = 0
-        w = (v[0] % d, v[1] % d)
-        for _ in range(f):
-            phase = (phase + symplectic_product(spec.x, w, d)) % d
-            w = spec.apply_C(w)
-        return phase, w
-    raise QuditMbqcError(
-        "even-d conjugation needs an upper-triangular (monomial) symplectic part"
-    )
+        p = pow(s, -1, period)
+        q = p * m
+    (x0, x1), a, b = spec.x, v[0] % d, v[1] % d
+    phase = 0
+    for _ in range(f):
+        phase += x0 * b - x1 * a
+        a, b = (p * a + q * b) % period, (c * a + s * b) % period
+    a, b, corr = reduce_label(a, b, d)
+    return (phase + omega_exponent(corr, d)) % d, (a, b)

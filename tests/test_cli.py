@@ -7,9 +7,11 @@ from types import SimpleNamespace
 import pytest
 
 from planlib import ghz_chain, wide_x_chain, x_chain
+from quditmbqc import compiler as comp
 from quditmbqc.cli import main
 from quditmbqc.compiler import compile_general_prime, compile_nand, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, TableResource
+from quditmbqc.errors import VerificationError
 from quditmbqc.fields import is_polynomial_over_ring
 from quditmbqc.states import SparseState, basis_state
 from quditmbqc.weyl import WeylLabel, named_clifford
@@ -31,6 +33,20 @@ def _table_plan():
     return SimpleNamespace(plan=MbqcPlan(
         d=2, n=1, N=2, resource=res, parties=[(WeylLabel(2, (1, 0)), _ident(2))] * 2,
         Q=[[0]] * 2, T=[[0, 0]] * 2, z=[1, 1], s0=0))
+
+
+MISMATCH = "output mismatch at input (0,): plan gives 1, target 0"
+
+
+def _failing_verify(construction):
+    """comp.verify, refusing every report of one construction."""
+    real = comp.verify
+
+    def fake(report):
+        if report.construction == construction:
+            raise VerificationError(MISMATCH)
+        return real(report)
+    return fake
 
 
 def _analyze(tmp_path, plan, *flags):
@@ -96,6 +112,13 @@ class TestDemo:
         assert obj["degree_witness"] == "strongly-nonlocal"
         assert obj["verified"] is True
 
+    def test_verification_failure_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(comp, "verify", _failing_verify("nand-ghz"))
+        assert main(["demo", "nand"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {MISMATCH}\n"
+
     def test_deterministic_output(self, capsys):
         main(["demo", "nand", "--seed", "7"])
         first = capsys.readouterr().out
@@ -122,6 +145,39 @@ class TestCompile:
                 "--odd-ring", "--out", str(out_file)]
         assert main(argv) == 0
         assert "qudits: 18" in capsys.readouterr().out
+
+    def test_json_summary(self, tmp_path, capsys):
+        out_file = tmp_path / "plan.json"
+        assert main(["compile", "--d", "3", "--table", "1,0,0", "--out", str(out_file),
+                     "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"construction": "prime-general", "qudits": 12,
+                                        "verified": True, "out": str(out_file)}
+        assert main(["compile", "--d", "9", "--table", "0,1,2,3,4,5,6,7,8", "--odd-ring",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"construction": "odd-ring", "qudits": 18,
+                                                       "verified": True, "out": None}
+
+    def test_non_integer_table_exit_2(self, capsys):
+        assert main(["compile", "--d", "3", "--table", "1,x,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --table must be comma-separated integers\n"
+
+    @pytest.mark.parametrize("argv, construction", [
+        (["--d", "3", "--table", "1,0,0"], "prime-general"),
+        (["--d", "9", "--table", "0,1,2,3,4,5,6,7,8", "--odd-ring"], "odd-ring"),
+    ], ids=["prime3", "odd_ring9"])
+    def test_verification_failure_exit_3_writes_no_file(self, tmp_path, capsys, monkeypatch,
+                                                        argv, construction):
+        monkeypatch.setattr(comp, "verify", _failing_verify(construction))
+        out_file = tmp_path / "plan.json"
+        assert main(["compile", *argv, "--out", str(out_file)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verification failed: {MISMATCH}\n"
+        assert not out_file.exists()
 
     def test_wrong_length_exit_2(self, capsys):
         assert main(["compile", "--d", "3", "--table", "1,0"]) == 2
@@ -206,9 +262,14 @@ class TestAnalyze:
         # symplectic, but at even d only an upper-triangular control conjugates exactly
         (compile_nand, lambda o: o["parties"][0].__setitem__(
             "control", {"C": [[1, 0], [1, 1]], "x": [0, 0], "tau_exp": 0})),
+        # weights 3/2 and -1/2 sum to 1
+        (_table_plan, lambda o: o["resource"]["entries"][0].__setitem__("dist", [
+            {"m": [0, 0], "num": 3, "den": 2}, {"m": [1, 1], "num": -1, "den": 2}])),
+        (_table_plan, lambda o: o["resource"]["entries"][0]["dist"][0].__setitem__("m", [7, 0])),
     ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C",
             "fiducial_spectrum", "ordered_table_resource", "table_missing_entry",
-            "even_d_lower_triangular_control"])
+            "even_d_lower_triangular_control", "table_negative_probability",
+            "table_outcome_out_of_range"])
     def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, base, mutate):
         obj = base().plan.to_json()
         mutate(obj)
@@ -356,6 +417,14 @@ class TestVerifyAll:
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
         assert "FAIL" not in out
+
+    def test_failure_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(comp, "verify", _failing_verify("odd-ring"))
+        assert main(["verify-all"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [line for line in lines if line.startswith("PASS ")]
+        assert len(lines) == 8
+        assert lines[-1] == f"FAIL odd-ring d=9 identity: {MISMATCH}"
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from quditmbqc.errors import QuditMbqcError, VerificationError
 from quditmbqc.fields import combined_degree
 from quditmbqc.states import GlobalObservable, eigenphase_of
 from quditmbqc.witnesses import NCVA_FOUND, analyze_plan, ncva_search
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestNand:
@@ -200,7 +203,21 @@ class TestGeneralPrime:
         assert analysis["assignment_search"] == NCVA_FOUND
 
 
+    def test_golden_plan_file_byte_exact(self):
+        # 5 * 4^2 = 80 parties; the party order and plan bytes are pinned
+        path = GOLDEN / "general_prime_p5.json"
+        plan = compile_general_prime([3, 1, 4, 1, 0]).plan
+        assert plan.dumps().encode() == path.read_bytes()
+        assert MbqcPlan.load(path) == plan
+
+
 class TestOddRing:
+    def test_golden_plan_file_byte_exact(self):
+        path = GOLDEN / "odd_ring_d9.json"
+        plan = compile_odd_ring([2, 7, 1, 8, 2, 8, 1, 8, 2]).plan
+        assert plan.dumps().encode() == path.read_bytes()
+        assert MbqcPlan.load(path) == plan
+
     def test_d9_identity(self):
         rep = compile_odd_ring(list(range(9)))
         assert rep.verified and rep.qudit_count == 18

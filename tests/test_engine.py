@@ -378,6 +378,16 @@ class TestTemporal:
             MbqcPlan(**dict(good, resource=table, Q=[[1], [0]]))
         with pytest.raises(QuditMbqcError, match="needs 2 integers"):
             TableResource.deterministic(2, {(0, 0): ("0", 0)})
+        # weights 3/2 and -1/2 sum to 1, but -1/2 is no probability
+        with pytest.raises(QuditMbqcError, match=re.escape(
+                "probability -1/2 of outcome (1, 1) for settings (0, 0) is negative")):
+            TableResource(2, {(0, 0): [((0, 0), Fraction(3, 2)), ((1, 1), Fraction(-1, 2))]})
+        # the table does not know d, so the plan checks the outcome range
+        for outcome in ((0, 7), (-3, 0)):
+            wide = TableResource.deterministic(2, {(0, 0): outcome})
+            with pytest.raises(QuditMbqcError, match=re.escape(
+                    f"outcome {outcome} for settings (0, 0) lies outside 0..1")):
+                MbqcPlan(**dict(good, resource=wide))
 
     def test_non_triangular_T_rejected(self):
         d = 2

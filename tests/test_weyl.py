@@ -251,20 +251,42 @@ class TestConjugation:
 class TestDenseOracleEquivalence:
     """Ground truth: V^f W_v V^-f == omega^phase W_label as matrices."""
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 9])
     def test_random_triples(self, d):
+        # f up to 2d-1, so even-d labels cross the 2d period of tau
         rng = random.Random(100 + d)
         omega = np.exp(2j * np.pi / d)
         for _ in range(60):
             spec = random_monomial_spec(d, rng)
             v = (rng.randrange(d), rng.randrange(d))
-            f = rng.randrange(d)
+            f = rng.randrange(2 * d)
             phase, label = conjugate_weyl(spec, v, f)
             V = clifford_unitary(spec).to_dense()
             W = MonomialOp.from_weyl(d, v).to_dense()
             lhs = np.linalg.matrix_power(V, f) @ W @ np.linalg.matrix_power(V.conj().T, f)
             rhs = omega**phase * MonomialOp.from_weyl(d, label).to_dense()
             assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_non_triangular_controls_odd_d(self, d):
+        # F|z> = sum_y omega^(yz)|y>/sqrt(d) maps Z -> X^-1 and X -> Z, so its
+        # symplectic part [[0, 1], [-1, 0]] is not upper triangular
+        omega = np.exp(2j * np.pi / d)
+        F = np.array([[omega ** (y * z) for z in range(d)] for y in range(d)]) / np.sqrt(d)
+        S = clifford_unitary(named_clifford(d, "S")).to_dense()
+        gates = [(F, ((0, 1), (-1, 0))), (F.conj().T, ((0, -1), (1, 0))),
+                 (F @ S, ((0, 1), (-1, -1))), (S @ F, ((-1, 1), (-1, 0)))]
+        for U, C in gates:
+            for x in ((0, 0), (1, 2)):
+                spec = CliffordSpec(d, C, x)
+                V = U @ MonomialOp.from_weyl(d, x).to_dense()
+                for f in (1, 2):
+                    Vf = np.linalg.matrix_power(V, f)
+                    for v in ((a, b) for a in range(d) for b in range(d)):
+                        phase, label = conjugate_weyl(spec, v, f)
+                        lhs = Vf @ MonomialOp.from_weyl(d, v).to_dense() @ Vf.conj().T
+                        rhs = omega**phase * MonomialOp.from_weyl(d, label).to_dense()
+                        assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_named_gate_matrices(self):
         # S = sum tau^{z^2} |z><z|, M_u = sum |uz><z|
