@@ -123,17 +123,14 @@ def cmd_compile(args) -> int:
     except ValueError:
         print("error: --table must be comma-separated integers", file=sys.stderr)
         return EXIT_COMPILE
-    if len(values) != args.d:
-        print(f"error: table must list {args.d} values", file=sys.stderr)
-        return EXIT_COMPILE
     try:
         if args.odd_ring:
             report = comp.compile_odd_ring(values, args.d)
         elif is_prime(args.d):
             report = comp.compile_general_prime(values, args.d)
         else:
-            print(f"error: d={args.d} is not prime; use --odd-ring for odd d",
-                  file=sys.stderr)
+            hint = "use --odd-ring for odd d" if args.d % 2 else "no construction compiles an even d"
+            print(f"error: d={args.d} is not prime; {hint}", file=sys.stderr)
             return EXIT_COMPILE
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .engine import MbqcPlan, extract_output_function
 from .errors import QuditMbqcError, VerificationError
 from . import fields
 from .fields import is_prime, make_field
-from .states import basis_state, make_example2_state, make_ghz
+from .states import SparseState, basis_state, make_example2_state
 from .weyl import CliffordSpec, WeylLabel, named_clifford
 
 
@@ -62,7 +62,8 @@ def verify(report: CompileReport) -> bool:
 
 
 def compile_nand() -> CompileReport:
-    """The three-qubit NAND computation on the signed GHZ state.
+    """The three-qubit NAND computation on the signed GHZ state
+    (|001> - |110>)/sqrt(2).
 
     Controls are the qubit Clifford with symplectic part [[1,1],[0,1]] and
     displacement (0,1) (the (X+Y)/sqrt(2) rotation up to phase); settings
@@ -73,7 +74,7 @@ def compile_nand() -> CompileReport:
     control = CliffordSpec(d, ((1, 1), (0, 1)), (0, 1))
     plan = MbqcPlan(
         d=d, n=2, N=3,
-        resource=make_ghz(2, 3, anders_browne=True),
+        resource=SparseState(2, 3, ((0, (0, 0, 1)), (2, (1, 1, 0)))),
         parties=[(fid, control)] * 3,
         Q=[[1, 0], [0, 1], [1, 1]],
         z=[1, 1, 1], s0=0,
@@ -171,13 +172,21 @@ def delta_from_sigma(p: int, u: int | None = None) -> list[int]:
 
 
 def _normalize_target(m, d: int) -> dict:
+    """A list of exactly d integers, or a dict on exactly the points 0..d-1
+    (ints or 1-tuples) with integer values, as {(x,): m(x) mod d}."""
     if isinstance(m, dict):
-        table = {(k if isinstance(k, tuple) else (k,)): v % d for k, v in m.items()}
+        table = {(k if isinstance(k, tuple) else (k,)): v for k, v in m.items()}
+        if len(table) != len(m) or set(table) != {(x,) for x in range(d)}:
+            raise QuditMbqcError(f"target must cover all {d} inputs of one variable")
     else:
-        table = {(x,): m[x] % d for x in range(d)}
-    if sorted(table) != [(x,) for x in range(d)]:
-        raise QuditMbqcError(f"target must cover all {d} inputs of one variable")
-    return table
+        m = list(m)
+        if len(m) != d:
+            raise QuditMbqcError(f"target must list {d} values, got {len(m)}")
+        table = {(x,): v for x, v in enumerate(m)}
+    for x, v in table.items():
+        if not isinstance(v, int):
+            raise QuditMbqcError(f"target value {v!r} at input {x[0]} is not an integer")
+    return {x: v % d for x, v in table.items()}
 
 
 def _delta_sum(target: dict, d: int, gadget, s0: int, construction: str) -> CompileReport:

@@ -426,13 +426,19 @@ def interpolate(modulus: Modulus, table: dict) -> MultiPoly:
 
 def _table_values(table: dict, d: int) -> tuple[int, list[int]]:
     """n and the values of a complete table on the n-tuples of 0..d-1, in
-    all_points order; points and integer values are read mod d."""
+    all_points order; points and integer values are read mod d, and the
+    points must be distinct mod d and all of one arity."""
     n = len(next(iter(table), ()))
     reduced = {}
     for x, v in table.items():
         if not isinstance(v, int):
             raise ValueError(f"table value {v!r} is not an integer")
-        reduced[tuple(c % d for c in x)] = v % d
+        if len(x) != n:
+            raise ValueError(f"table point {x} has {len(x)} coordinates, expected {n}")
+        point = tuple(c % d for c in x)
+        if point in reduced:
+            raise ValueError(f"table point {x} repeats the point {point} mod {d}")
+        reduced[point] = v % d
     if len(reduced) != d**n:
         raise ValueError(f"table needs {d**n} entries, got {len(table)}")
     return n, [reduced[x] for x in itertools.product(range(d), repeat=n)]
@@ -573,13 +579,6 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     powers = [[pow(x, j, d) for j in range(d)] for x in range(d)]
     assert _along_axes(ring, coeffs, n, powers) == values  # it reproduces the table
     return MultiPoly._trusted(ring, n, zip(points, coeffs))
-
-
-def _int_monomial(x: tuple, exps: tuple, d: int) -> int:
-    out = 1
-    for xi, a in zip(x, exps):
-        out = (out * pow(xi, a, d)) % d
-    return out
 
 
 def solve_mod(rows: list[dict[int, int]], rhs: list[int], cols: int, d: int) -> list[int] | None:

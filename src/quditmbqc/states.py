@@ -240,18 +240,11 @@ def basis_state(d: int, ket: tuple[int, ...]) -> SparseState:
     return SparseState(d, len(ket), ((0, tuple(ket)),))
 
 
-def make_ghz(d: int, N: int, phases: list[int] | None = None,
-             anders_browne: bool = False) -> SparseState:
+def make_ghz(d: int, N: int, phases: list[int] | None = None) -> SparseState:
     """Generalized GHZ state sum_z |z>^N / sqrt(d).
 
-    With anders_browne=True (d=2, N=3 only) returns the signed state
-    (|001> - |110>)/sqrt(2) used by the three-qubit NAND computation.
     Optional phases gives per-z tau exponents.
     """
-    if anders_browne:
-        if (d, N) != (2, 3):
-            raise QuditMbqcError("the signed GHZ variant is the d=2, N=3 state")
-        return SparseState(2, 3, ((0, (0, 0, 1)), (2, (1, 1, 0))))
     if phases is None:
         phases = [0] * d
     return SparseState(d, N, tuple((phases[z], (z,) * N) for z in range(d)))

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
+
 from .engine import MbqcPlan, _point_table, extract_output_function, longest_path, temporal_graph
 from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
 from .fields import (
     IntegerRing,
     MultiPoly,
-    _int_monomial,
+    _table_values,
+    all_points,
     combined_degree,
     is_polynomial_over_ring,
     solve_mod,
@@ -242,7 +245,10 @@ def delta_distance(q: int, d: int) -> int:
 def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     """Exact minimal cycle-distance from a table to the degree-(d-1) class.
 
-    Enumerates every polynomial with combined degree <= d-1 and returns
+    Scores every polynomial of combined degree <= d-1 at once: the d^M
+    candidate coefficient vectors (M monomials, itertools.product order)
+    times the M x d^n monomial values, read mod d, give each candidate's
+    table; each entry is at most M * (d-1)^2, so int64 is exact.  Returns
     (minimal summed distance, lexicographically first minimizer).  Guarded;
     never heuristic.
     """
@@ -253,27 +259,17 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     if d ** len(mons) > NU_GUARD:
         raise SizeGuardError(f"candidate class has {d}^{len(mons)} = {d ** len(mons)} "
                              f"polynomials, over the limit {NU_GUARD}")
-    points = sorted(table)
-    values = [table[x] % d for x in points]
-    # monomial evaluations per point, in the fixed monomial order
-    rows = [[_int_monomial(x, e, d) for e in mons] for x in points]
-    best = None
-    best_coeffs = None
-    for coeffs in itertools.product(range(d), repeat=len(mons)):
-        dist = 0
-        for row, want in zip(rows, values):
-            val = sum(c * rv for c, rv in zip(coeffs, row)) % d
-            diff = (want - val) % d
-            dist += min(diff, d - diff)
-            if best is not None and dist >= best:
-                break
-        if best is None or dist < best:
-            best = dist
-            best_coeffs = coeffs
-            if best == 0:
-                break
-    poly = MultiPoly(ring, n, dict(zip(mons, best_coeffs)))
-    return best, poly
+    arity, values = _table_values(table, d)
+    if arity != n:
+        raise ValueError(f"table points have {arity} coordinates, expected n = {n}")
+    # a monomial of degree <= d-1 is at most (d-1)^(d-1) before reduction
+    points = np.array(all_points(ring, n))
+    monomials = np.prod(points[None, :, :] ** np.array(mons)[:, None, :], axis=2) % d
+    candidates = np.indices((d,) * len(mons)).reshape(len(mons), -1).T
+    diff = (candidates @ monomials - values) % d
+    dist = np.minimum(diff, d - diff, out=diff).sum(axis=1)
+    best = int(dist.argmin())
+    return int(dist[best]), MultiPoly._trusted(ring, n, zip(mons, candidates[best].tolist()))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 
 from quditmbqc.engine import MbqcPlan
 from quditmbqc.phases import tau_period
-from quditmbqc.states import basis_state, make_example2_state, make_ghz
+from quditmbqc.states import SparseState, basis_state, make_example2_state, make_ghz
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
 
 
@@ -14,7 +14,7 @@ def nand_plan():
     fid = WeylLabel(d, (0, 1))
     return MbqcPlan(
         d=2, n=2, N=3,
-        resource=make_ghz(2, 3, anders_browne=True),
+        resource=SparseState(2, 3, ((0, (0, 0, 1)), (2, (1, 1, 0)))),  # (|001> - |110>)/sqrt(2)
         parties=[(fid, control)] * 3,
         Q=[[1, 0], [0, 1], [1, 1]],
         z=[1, 1, 1], s0=0,

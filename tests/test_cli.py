@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from planlib import ghz_chain, wide_x_chain, x_chain
-from quditmbqc import compiler as comp
+from quditmbqc import cli, compiler as comp
 from quditmbqc.cli import main
 from quditmbqc.compiler import compile_general_prime, compile_nand, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, TableResource
@@ -119,6 +119,13 @@ class TestDemo:
         assert captured.out == ""
         assert captured.err == f"error: {MISMATCH}\n"
 
+    def test_simulation_disagreement_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda plan, i, seed: SimpleNamespace(output=-1))
+        assert main(["demo", "nand"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: simulation disagrees with the target at input (0, 0)\n"
+
     def test_deterministic_output(self, capsys):
         main(["demo", "nand", "--seed", "7"])
         first = capsys.readouterr().out
@@ -182,6 +189,20 @@ class TestCompile:
     def test_wrong_length_exit_2(self, capsys):
         assert main(["compile", "--d", "3", "--table", "1,0"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "3", "--table", "1,2,0,1"], "target must list 3 values, got 4"),
+        (["--d", "3", "--table", "1,2"], "target must list 3 values, got 2"),
+        (["--d", "9", "--table", ",".join("0" * 10), "--odd-ring"],
+         "target must list 9 values, got 10"),
+        (["--d", "4", "--table", "0,1,2,3"], "d=4 is not prime; no construction compiles an even d"),
+        (["--d", "9", "--table", ",".join("0" * 9)], "d=9 is not prime; use --odd-ring for odd d"),
+    ], ids=["long", "short", "long_odd_ring", "even_composite", "odd_composite"])
+    def test_refusal_message_exit_2(self, capsys, argv, message):
+        assert main(["compile", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_composite_without_flag_exit_2(self, capsys):
         assert main(["compile", "--d", "9", "--table", ",".join("0" * 9)]) == 2
 
@@ -241,6 +262,12 @@ class TestAnalyze:
         bad.write_text("{broken")
         assert main(["analyze", "--plan", str(bad)]) == 4
         assert "line" in capsys.readouterr().err
+
+    def test_json_array_exit_4(self, tmp_path, capsys):
+        bad = tmp_path / "array.json"
+        bad.write_text("[1, 2]")
+        assert main(["analyze", "--plan", str(bad)]) == 4
+        assert capsys.readouterr().err == "error: plan file must contain a JSON object\n"
 
     def test_missing_field_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "bad2.json"

@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -246,6 +247,26 @@ class TestOddRing:
 
     def test_constant(self):
         assert compile_odd_ring([2] * 5).verified
+
+
+class TestTargets:
+    @pytest.mark.parametrize("build, m, d, message", [
+        (compile_general_prime, [1, 2, 0, 1], 3, "target must list 3 values, got 4"),
+        (compile_general_prime, [1, 2], 3, "target must list 3 values, got 2"),
+        (compile_odd_ring, list(range(10)), 9, "target must list 9 values, got 10"),
+        (compile_general_prime, [1.0, 2, 0], 3, "target value 1.0 at input 0 is not an integer"),
+        (compile_odd_ring, {0: 1, 1: 2, (2,): "0"}, 3, "target value '0' at input 2 is not an integer"),
+        (compile_general_prime, {0: 1, 1: 2, 3: 0}, 3, "target must cover all 3 inputs"),
+        (compile_general_prime, {0: 1, (0,): 1, 1: 2, 2: 0}, 3, "target must cover all 3 inputs"),
+    ], ids=["long", "short", "long_odd_ring", "float", "str_in_dict", "key_out_of_range",
+            "key_twice"])
+    def test_bad_target_rejected(self, build, m, d, message):
+        with pytest.raises(QuditMbqcError, match=re.escape(message)):
+            build(m, d)
+
+    def test_dict_target_read_mod_d(self):
+        rep = compile_general_prime({(0,): 4, 1: 2, 2: -1}, 3)
+        assert rep.verified and rep.target == {(0,): 1, (1,): 2, (2,): 2}
 
 
 class TestVerify:

@@ -373,6 +373,9 @@ class TestTemporal:
         table = TableResource.deterministic(2, {(0, 0): (0, 0)})
         with pytest.raises(QuditMbqcError, match="flat"):
             MbqcPlan(**dict(good, resource=table, T=[[0, 0], [1, 0]]))
+        three = TableResource.deterministic(3, {(0, 0, 0): (0, 0, 0)})
+        with pytest.raises(QuditMbqcError, match="table resource party count does not match"):
+            MbqcPlan(**dict(good, resource=three))
         # input 1 reaches settings (1, 0), which the table has no entry for
         with pytest.raises(QuditMbqcError, match=r"settings \(1, 0\)"):
             MbqcPlan(**dict(good, resource=table, Q=[[1], [0]]))

@@ -209,6 +209,17 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(f, {(0,): 1})
 
+    @pytest.mark.parametrize("d, table, message", [
+        # (3,) is (0,) mod 3: two values for f(0)
+        (3, {(0,): 1, (1,): 2, (2,): 0, (3,): 2}, "table point (3,) repeats the point (0,) mod 3"),
+        (2, {(0,): 1, (0, 1): 0}, "table point (0, 1) has 2 coordinates, expected 1"),
+    ], ids=["repeated_point", "mixed_arity"])
+    def test_ambiguous_table_rejected(self, d, table, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            interpolate(make_field(d), table)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            is_polynomial_over_ring(table, d)
+
     @pytest.mark.parametrize("d, value", [(5, 1.5), (4, (0, 1)), (9, "1")])
     def test_non_integer_value_rejected(self, d, value):
         table = {(x,): value if x == 1 else 0 for x in range(d)}

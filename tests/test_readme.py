@@ -1,4 +1,4 @@
-"""The README's library example runs, and prints what its comments say."""
+"""The README's runnable examples run, and print what their comments say."""
 
 import contextlib
 import io
@@ -8,16 +8,24 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_example() -> str:
-    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+def _example_after(marker: str) -> str:
+    """The first python block after the first occurrence of marker."""
+    section = README.read_text(encoding="utf-8").split(marker, 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def test_library_example_prints_its_comments():
-    code = _library_example()
+def _check_prints(code: str) -> None:
     expected = [line.rsplit("  # ", 1)[1] for line in code.splitlines()
                 if line.startswith("print(")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert expected and out.getvalue().splitlines() == expected
+
+
+def test_library_example_prints_its_comments():
+    _check_prints(_example_after("\n## Library use\n"))
+
+
+def test_closure_example_prints_its_comments():
+    _check_prints(_example_after("`closure_basis(g)` is the affine closure"))

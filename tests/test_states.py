@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quditmbqc.compiler import compile_nand
 from quditmbqc.errors import QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.phases import tau_period
 from quditmbqc.states import (
@@ -29,7 +30,7 @@ I = MonomialOp.identity
 
 class TestStates:
     def test_anders_browne_state(self):
-        psi = make_ghz(2, 3, anders_browne=True)
+        psi = compile_nand().plan.resource
         assert psi.terms == ((0, (0, 0, 1)), (2, (1, 1, 0)))
 
     def test_uniform_superposition(self):
@@ -79,7 +80,7 @@ class TestApplyAndEigenphase:
         assert eigenphase_of(M, psi) == 1
 
     def test_nand_eigenvalues(self):
-        psi = make_ghz(2, 3, anders_browne=True)
+        psi = compile_nand().plan.resource
         cases = {
             (0, 0): ([X(2), X(2), X(2)], 1),
             (1, 0): ([Y2, X(2), Y2], 1),
@@ -202,7 +203,7 @@ class TestMeasurement:
                 assert sum(p for _, p, _ in dist) == 1
 
     def test_x_measurement_on_ghz_marginals(self):
-        psi = make_ghz(2, 3, anders_browne=True)
+        psi = compile_nand().plan.resource
         dist = measurement_distribution(psi, 0, X(2))
         assert [(m, p) for m, p, _ in dist] == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
 
@@ -220,9 +221,10 @@ class TestMeasurement:
             (1, 1): [Y2, Y2, X(2)],
         }
         expect = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 0}
+        signed_ghz = compile_nand().plan.resource
         for inp, sites in cases.items():
             for seed in range(25):
-                psi = make_ghz(2, 3, anders_browne=True)
+                psi = signed_ghz
                 rng = random.Random(seed)
                 total = 0
                 for op in sites:  # the next party is always at position 0

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,29 @@ from quditmbqc.witnesses import (
     temporal_degree_bound,
     threshold_check,
 )
-from planlib import exponential_plan, nand_plan, quadratic_plan
+from planlib import exponential_plan, ghz_chain, nand_plan, quadratic_plan
+
+
+def _nu_referee(table, d, n):
+    """The candidate-by-candidate search nu_distance replaced: every
+    coefficient vector in itertools.product order, each scored point by
+    point, keeping the first strict minimum."""
+    mons = [e for e in itertools.product(range(d), repeat=n) if sum(e) <= d - 1]
+    points = sorted(table)
+    rows = [[math.prod(pow(c, a, d) for c, a in zip(x, e)) % d for e in mons] for x in points]
+    best = best_coeffs = None
+    for coeffs in itertools.product(range(d), repeat=len(mons)):
+        dist = 0
+        for row, x in zip(rows, points):
+            diff = (table[x] - sum(c * r for c, r in zip(coeffs, row))) % d
+            dist += min(diff, d - diff)
+            if best is not None and dist >= best:
+                break
+        if best is None or dist < best:
+            best, best_coeffs = dist, coeffs
+            if best == 0:
+                break
+    return best, {e: c for e, c in zip(mons, best_coeffs) if c}
 
 
 class TestDegreeWitness:
@@ -149,6 +173,21 @@ class TestNcvaSearch:
         text = w.to_text()
         assert "verdict: strongly-nonlocal" in text
         assert "searched: 2^6 assignments" in text
+
+    def test_certificate_lines(self):
+        w = ncva_search_raw(3, 1, 2, [[1], [2]], [1, 1], 1, {(x,): x * x % 3 for x in range(3)})
+        assert w.to_text() == ("verdict: ncva-found\n"
+                               "assignment party 1: [2, 0, 0]\n"
+                               "assignment party 2: [0, 0, 0]\n"
+                               "searched: 3^6 assignments")
+        w = degree_witness(MultiPoly.monomial(make_field(3), 2, (2, 1)))
+        assert w.to_text() == ("verdict: strongly-nonlocal\n"
+                               "certificate: monomial x1^2*x2 with combined degree 3\n"
+                               "note: combined degree 3 >= d = 3")
+
+    def test_ordered_plan_refused(self):
+        with pytest.raises(QuditMbqcError, match="temporally flat"):
+            ncva_search(ghz_chain(3, 3))
 
     def test_witness_golden_file(self):
         import pathlib
@@ -308,6 +347,30 @@ class TestDeltaNu:
         with pytest.raises(SizeGuardError):
             nu_distance({(x, y): 0 for x in range(5) for y in range(5)}, 5, 2)
 
+    def test_even_d_rejected_nu(self):
+        with pytest.raises(QuditMbqcError, match="odd d"):
+            nu_distance({(x,): 0 for x in range(4)}, 4, 1)
+
+    @pytest.mark.parametrize("table, n, message", [
+        # 4 of the 9 points of Z_3^2
+        ({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 2}, 2, "table needs 9 entries, got 4"),
+        ({(x,): 1 for x in range(3)}, 2, "table points have 1 coordinates, expected n = 2"),
+        ({(0,): 1, (1,): 2, (2,): 0, (3,): 2}, 1, "repeats the point (0,) mod 3"),
+        ({(0,): 1, (1,): 2, (2, 0): 0}, 1, "table point (2, 0) has 2 coordinates, expected 1"),
+    ], ids=["incomplete", "wrong_n", "repeated_point", "mixed_arity"])
+    def test_table_contract(self, table, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nu_distance(table, 3, n)
+
+    @pytest.mark.parametrize("d, n, count", [(3, 1, 40), (3, 2, 40), (5, 1, 40), (3, 3, 1)])
+    def test_minimizer_matches_referee(self, d, n, count):
+        rng = random.Random(100 * d + n)
+        for _ in range(count):
+            table = {x: rng.randrange(d) for x in itertools.product(range(d), repeat=n)}
+            nu, poly = nu_distance(table, d, n)
+            assert (nu, poly.coeffs) == _nu_referee(table, d, n)
+            assert all(type(c) is int for c in poly.coeffs.values()) and type(nu) is int
+
 
 class TestThreshold:
     def test_deterministic_flags(self):
@@ -328,6 +391,14 @@ class TestThreshold:
         rep = threshold_check(1, 1, 0, 3, 1)
         assert rep.ncf_bound is None
         assert "undefined" in rep.to_text()
+
+    def test_negative_nu_rejected(self):
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            threshold_check(1, 1, -1, 3, 1)
+
+    def test_text_bound_line(self):
+        rep = threshold_check(Fraction(9, 10), Fraction(9, 10), 2, 3, 2)
+        assert rep.to_text().splitlines()[-1] == "non-contextual fraction bound: <= 1/20"
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
