@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError, plain_int, plain_ints
-from .fields import MultiPoly, is_polynomial_over_ring
+from .fields import MultiPoly, _table_values, is_polynomial_over_ring
 from .phases import PhaseSum, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
@@ -245,9 +245,9 @@ class MbqcPlan:
             "n": self.n,
             "N": self.N,
             "resource": self.resource.to_json(),
-            "parties": [
-                {"fiducial": fid.to_json(), "control": ctrl.to_json()}
-                for fid, ctrl in self.parties
+            "parties": [  # a repeated party is the index of its first occurrence
+                kind if kind < k else {"fiducial": fid.to_json(), "control": ctrl.to_json()}
+                for k, (kind, (fid, ctrl)) in enumerate(zip(self._kind, self.parties))
             ],
             "Q": [list(r) for r in self.Q],
             "T": [{str(j): v for j, v in row} for row in self._t_nonzero],
@@ -269,14 +269,18 @@ class MbqcPlan:
                 resource = TableResource.from_json(res)
             else:
                 resource = SparseState.from_json(res)
-            decoded: dict = {}  # repr of a party's JSON -> the party, decoded once
             parties = []
-            for p in obj["parties"]:
-                key = repr(p)
-                if key not in decoded:
-                    decoded[key] = (WeylLabel.from_json(d, p["fiducial"]),
-                                    CliffordSpec.from_json(d, p["control"]))
-                parties.append(decoded[key])
+            for k, p in enumerate(obj["parties"]):
+                if isinstance(p, dict):
+                    parties.append((WeylLabel.from_json(d, p["fiducial"]),
+                                    CliffordSpec.from_json(d, p["control"])))
+                elif type(p) is not int:
+                    raise QuditMbqcError(f"party {k} is {p!r}, expected a party object "
+                                         "or the index of an earlier party")
+                elif not 0 <= p < k:
+                    raise QuditMbqcError(f"party {k} repeats party {p}, which is not earlier")
+                else:
+                    parties.append(parties[p])
             if obj["T"] is None:  # None builds a flat plan; a file spells T out
                 raise QuditMbqcError(f"T must have {obj['N']} rows, got null")
             if any(type(v) is not int for row in obj["Q"] for v in row):
@@ -560,8 +564,10 @@ def empirical_success(plan: MbqcPlan, target: dict) -> tuple[Fraction, Fraction]
     """(worst-case, average) probability of matching the target table.
 
     Every input is scored from its exact output law (output_distribution),
-    so the result is exact or an error, never an estimate.
+    so the result is exact or an error, never an estimate.  The target is
+    read by fields._table_values; its arity must be n.
     """
-    per_input = [output_distribution(plan, i).get(target[i] % plan.d, Fraction(0))
-                 for i in plan.inputs()]
+    _, values = _table_values(target, plan.d, plan.n)
+    per_input = [output_distribution(plan, i).get(o, Fraction(0))
+                 for i, o in zip(plan.inputs(), values)]
     return min(per_input), sum(per_input, Fraction(0)) / len(per_input)

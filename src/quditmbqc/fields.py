@@ -424,24 +424,32 @@ def interpolate(modulus: Modulus, table: dict) -> MultiPoly:
     return MultiPoly._trusted(modulus, n, zip(exponents, coeffs))
 
 
-def _table_values(table: dict, d: int) -> tuple[int, list[int]]:
+def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[int]]:
     """n and the values of a complete table on the n-tuples of 0..d-1, in
-    all_points order; points and integer values are read mod d, and the
-    points must be distinct mod d and all of one arity."""
-    n = len(next(iter(table), ()))
+    all_points order; points and integer values are read mod d, a plain int
+    point is the 1-tuple of it, and the points must be distinct mod d and
+    all of one arity, which must be n when n is given."""
+    if d < 2:
+        raise ValueError(f"modulus must be at least 2, got {d}")
+    points = [(x,) if type(x) is int else x for x in table]
+    arity = len(points[0]) if points and isinstance(points[0], tuple) else 0
     reduced = {}
-    for x, v in table.items():
+    for x, v in zip(points, table.values()):
+        if not isinstance(x, tuple):
+            raise ValueError(f"table point {x!r} is neither a tuple nor an integer")
         if not isinstance(v, int):
             raise ValueError(f"table value {v!r} is not an integer")
-        if len(x) != n:
-            raise ValueError(f"table point {x} has {len(x)} coordinates, expected {n}")
-        point = tuple(c % d for c in x)
+        if len(x) != arity:
+            raise ValueError(f"table point {x} has {len(x)} coordinates, expected {arity}")
+        point = tuple([c % d for c in x])
         if point in reduced:
             raise ValueError(f"table point {x} repeats the point {point} mod {d}")
         reduced[point] = v % d
-    if len(reduced) != d**n:
-        raise ValueError(f"table needs {d**n} entries, got {len(table)}")
-    return n, [reduced[x] for x in itertools.product(range(d), repeat=n)]
+    if len(reduced) != d**arity:
+        raise ValueError(f"table needs {d**arity} entries, got {len(table)}")
+    if n is not None and arity != n:
+        raise ValueError(f"table points have {arity} coordinates, expected n = {n}")
+    return arity, list(map(reduced.__getitem__, itertools.product(range(d), repeat=arity)))
 
 
 def combined_degree(g: MultiPoly) -> int:
@@ -560,8 +568,8 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     no matching polynomial has a lower combined degree; Stirling numbers of
     the first kind turn x^(K) into powers.  At prime d this is interpolate.
     """
-    ring = IntegerRing(d)
     n, values = _table_values(table, d)
+    ring = IntegerRing(d)
     points = all_points(ring, n)
     differences = [[(-1) ** (k + j) * math.comb(k, j) % d for j in range(d)] for k in range(d)]
     factorial = [math.factorial(k) % d for k in range(d)]

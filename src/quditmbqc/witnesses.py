@@ -128,15 +128,16 @@ def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
     These equations are linear over Z_d in the table entries s_k(q) of the
     reachable cells (k, q), so one exact solve (fields.solve_mod) decides
     the whole assignment space: no solution is an all-versus-nothing proof
-    of strong non-locality.  Entries of unreached cells are 0.
+    of strong non-locality.  Entries of unreached cells are 0.  The table
+    is read by fields._table_values; its arity must be n.
     """
     q0 = tuple(q0) if q0 is not None else (0,) * N
-    inputs = list(itertools.product(range(d), repeat=n))
+    _, target = _table_values(table, d, n)
     weighted = [k for k in range(N) if z[k] % d]
     # column k*d + q holds s_k(q)
     rows = [{k * d + (sum(map(mul, Q[k], i)) + q0[k]) % d: z[k] for k in weighted}
-            for i in inputs]
-    values = solve_mod(rows, [table[i] - s0 for i in inputs], N * d, d)
+            for i in itertools.product(range(d), repeat=n)]
+    values = solve_mod(rows, [o - s0 for o in target], N * d, d)
     space = (d, len(set().union(*rows)))
     if values is None:
         return Witness(STRONGLY_NONLOCAL, space=space,
@@ -259,9 +260,7 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     if d ** len(mons) > NU_GUARD:
         raise SizeGuardError(f"candidate class has {d}^{len(mons)} = {d ** len(mons)} "
                              f"polynomials, over the limit {NU_GUARD}")
-    arity, values = _table_values(table, d)
-    if arity != n:
-        raise ValueError(f"table points have {arity} coordinates, expected n = {n}")
+    _, values = _table_values(table, d, n)
     # a monomial of degree <= d-1 is at most (d-1)^(d-1) before reduction
     points = np.array(all_points(ring, n))
     monomials = np.prod(points[None, :, :] ** np.array(mons)[:, None, :], axis=2) % d
@@ -307,8 +306,12 @@ def threshold_check(p_worst, p_avg, nu: int, d: int, n: int) -> ThresholdReport:
     1 - 2*nu / ((d-1) * d^n).  When nu > 0, the average failure rate bounds
     the non-contextual fraction by (1 - p_avg) / nu.
     """
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    if type(d) is not int or d < 2:
+        raise ValueError(f"d must be >= 2 and an integer, got {d!r}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
+    if type(nu) is not int or nu < 0:
+        raise ValueError(f"nu must be >= 0 and an integer, got {nu!r}")
     p_worst = Fraction(p_worst)
     p_avg = Fraction(p_avg)
     for p in (p_worst, p_avg):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 import random
 import re
@@ -210,6 +211,37 @@ class TestGeneralPrime:
         plan = compile_general_prime([3, 1, 4, 1, 0]).plan
         assert plan.dumps().encode() == path.read_bytes()
         assert MbqcPlan.load(path) == plan
+        _assert_legacy_resaves_as(GOLDEN / "general_prime_p5_full_parties.json", plan, path)
+
+    def test_p13_file_lists_each_distinct_party_once(self):
+        # 13 * 12^2 = 1,872 parties over 12 multiplier controls
+        rng = random.Random(13)
+        plan = compile_general_prime([rng.randrange(13) for _ in range(13)]).plan
+        text = plan.dumps()
+        assert len(text.encode()) <= 35_000
+        _assert_parties_written_once(json.loads(text)["parties"], plan, 12)
+
+
+def _assert_legacy_resaves_as(legacy: pathlib.Path, plan: MbqcPlan, golden: pathlib.Path):
+    """A file that writes every party in full, as plan files did before a
+    repeated party became the index of its first occurrence, loads equal to
+    the compiled plan and re-saves as the golden bytes."""
+    again = MbqcPlan.load(legacy)
+    assert all(isinstance(p, dict) for p in json.loads(legacy.read_text())["parties"])
+    assert again == plan
+    assert again.dumps().encode() == golden.read_bytes()
+
+
+def _assert_parties_written_once(entries: list, plan: MbqcPlan, kinds: int):
+    """Each distinct party is one object; every later copy is the index of
+    its first occurrence."""
+    assert sum(isinstance(p, dict) for p in entries) == kinds
+    for k, p in enumerate(entries):
+        if isinstance(p, dict):
+            assert plan.parties.index(plan.parties[k]) == k
+        else:
+            assert type(p) is int and p < k and plan.parties[p] == plan.parties[k]
+            assert isinstance(entries[p], dict)
 
 
 class TestOddRing:
@@ -218,6 +250,8 @@ class TestOddRing:
         plan = compile_odd_ring([2, 7, 1, 8, 2, 8, 1, 8, 2]).plan
         assert plan.dumps().encode() == path.read_bytes()
         assert MbqcPlan.load(path) == plan
+        _assert_legacy_resaves_as(GOLDEN / "odd_ring_d9_full_parties.json", plan, path)
+        _assert_parties_written_once(json.loads(path.read_text())["parties"], plan, 1)
 
     def test_d9_identity(self):
         rep = compile_odd_ring(list(range(9)))

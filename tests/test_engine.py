@@ -506,6 +506,24 @@ class TestEmpiricalSuccess:
         target = {(x,): x for x in range(5)}
         assert empirical_success(plan, target) == (Fraction(1, 5), Fraction(1, 5))
 
+    @pytest.mark.parametrize("target, message", [
+        ({(0,): 1}, "table needs 3 entries, got 1"),
+        ({(0,): 1.5, (1,): 2, (2,): 0}, "table value 1.5 is not an integer"),
+        ({(x, 0): 0 for x in range(3)}, "table needs 9 entries, got 3"),
+        ({(x, y): 0 for x in range(3) for y in range(3)},
+         "table points have 2 coordinates, expected n = 1"),
+    ], ids=["missing_point", "float_value", "short_two_input", "two_input"])
+    def test_bad_target_value_error(self, target, message):
+        # a missing point used to end in a bare KeyError
+        plan = compile_general_prime([1, 2, 0]).plan
+        with pytest.raises(ValueError, match=re.escape(message)):
+            empirical_success(plan, target)
+
+    def test_int_keyed_target(self):
+        plan = compile_general_prime([1, 2, 0]).plan
+        assert empirical_success(plan, {0: 1, 1: 2, 2: 0}) == (1, 1)
+        assert empirical_success(plan, {0: 1, 1: 2, 2: 1}) == (0, Fraction(2, 3))
+
     def test_output_distribution_matches_dense_projectors(self, monkeypatch):
         # exact output laws (spectral for flat plans, the merged walk for
         # ordered ones) must match ||P_mN ... P_m1 psi||^2 computed densely
@@ -698,6 +716,35 @@ class TestPlanSerialization:
         plan = MbqcPlan.load(golden / "nand_plan_dense_T.json")
         assert plan == nand_plan()
         assert plan.dumps().encode() == (golden / "nand_plan.json").read_bytes()
+
+    def test_chained_reference_loads_to_the_same_party(self):
+        # party 2 names party 1, which itself names party 0
+        obj = nand_plan().to_json()
+        obj["parties"][2] = 1
+        plan = MbqcPlan.from_json(obj)
+        assert plan == nand_plan()
+        assert all(a is b for a, b in zip(plan.parties[2], plan.parties[0]))
+        assert plan.to_json()["parties"][2] == 0
+
+    def test_matrix_spelling_of_a_named_control_resaves_as_the_first(self):
+        # controls compare by matrix: a later party that spells the first
+        # party's Mu as its matrix is written as a reference to that party
+        d = 5
+        named = named_clifford(d, "Mu", u=2)
+        matrix = CliffordSpec(d, named.C)
+        fid = WeylLabel(d, (1, 0))
+        plan = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (1, 1)),
+                        parties=[(fid, named), (fid, matrix)], Q=[[1], [1]], z=[1, 1], s0=0)
+        assert plan.to_json()["parties"][1] == 0
+        again = MbqcPlan.loads(plan.dumps())
+        assert again == plan
+        assert again.parties[1][1].name == "Mu" and again.parties[1][1].u == 2
+        # the other order writes the matrix, and the named party re-saves as it
+        swapped = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (1, 1)),
+                           parties=[(fid, matrix), (fid, named)], Q=[[1], [1]], z=[1, 1], s0=0)
+        assert swapped.to_json()["parties"] == [{"fiducial": fid.to_json(),
+                                                 "control": matrix.to_json()}, 0]
+        assert MbqcPlan.loads(swapped.dumps()).parties[1][1].name is None
 
 
 class TestSparseT:

@@ -27,6 +27,7 @@ from quditmbqc.fields import (
     solve_mod,
     subspace_monomials,
 )
+from quditmbqc.witnesses import degree_witness_for_table, nu_distance
 
 
 def table_of(poly):
@@ -219,6 +220,31 @@ class TestInterpolate:
             interpolate(make_field(d), table)
         with pytest.raises(ValueError, match=re.escape(message)):
             is_polynomial_over_ring(table, d)
+
+    def test_int_keyed_table_reads_as_one_variable(self):
+        # the compilers take one-variable targets keyed by plain ints
+        ints, tuples = {0: 1, 1: 2, 2: 0}, {(0,): 1, (1,): 2, (2,): 0}
+        assert interpolate(make_field(3), ints) == interpolate(make_field(3), tuples)
+        assert is_polynomial_over_ring({x: x * x % 9 for x in range(9)}, 9) == \
+            is_polynomial_over_ring({(x,): x * x % 9 for x in range(9)}, 9)
+        assert degree_witness_for_table(ints, 3) == degree_witness_for_table(tuples, 3)
+        assert nu_distance(ints, 3, 1) == nu_distance(tuples, 3, 1)
+        with pytest.raises(ValueError, match=re.escape("table point (0,) repeats the point (0,)")):
+            interpolate(make_field(3), {0: 1, (0,): 1, 1: 2, 2: 0})
+        with pytest.raises(ValueError, match="table point False is neither a tuple nor an integer"):
+            interpolate(make_field(2), {False: 0, True: 1})
+
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_modulus_below_two_rejected(self, d):
+        # d = 0 ended in ZeroDivisionError, d = 1 gave a polynomial over Z_1
+        message = f"modulus must be at least 2, got {d}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            is_polynomial_over_ring({(0,): 0}, d)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            degree_witness_for_table({(0,): 0}, d)
+        if d % 2:  # nu_distance refuses even d first
+            with pytest.raises(ValueError, match=re.escape(message)):
+                nu_distance({(0,): 0}, d, 1)
 
     @pytest.mark.parametrize("d, value", [(5, 1.5), (4, (0, 1)), (9, "1")])
     def test_non_integer_value_rejected(self, d, value):

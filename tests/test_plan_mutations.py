@@ -72,6 +72,14 @@ def _mutations(base: int):
 @example((1, ("set", ("T", 2, "12"), 1)))
 @example((1, ("set", ("T", 2, "0"), "1")))
 @example((1, ("set", ("T", 2, "0"), None)))
+# malformed party references of the compiled plan (parties 2.. name 0 or 1)
+@example((1, ("set", ("parties", 5), 7)))
+@example((1, ("set", ("parties", 5), 5)))
+@example((1, ("set", ("parties", 5), -1)))
+@example((1, ("set", ("parties", 0), 0)))
+@example((1, ("set", ("parties", 5), True)))
+@example((1, ("set", ("parties", 5), 2.0)))
+@example((1, ("set", ("parties", 5), "0")))
 def test_analyze_exits_0_or_4_on_mutated_plans(mutation):
     code, _ = _analyze_mutated(mutation)
     assert code in (0, 4)
@@ -91,6 +99,23 @@ def test_malformed_T_row_objects_exit_4(key, value, message):
     code, err = _analyze_mutated((1, ("set", ("T", 2, key), value)))
     assert code == 4
     assert err.startswith(f"error: malformed plan: {message}")
+
+
+@pytest.mark.parametrize("k, value, message", [
+    (5, 7, "party 5 repeats party 7, which is not earlier"),
+    (5, 5, "party 5 repeats party 5, which is not earlier"),
+    (5, -1, "party 5 repeats party -1, which is not earlier"),
+    (0, 0, "party 0 repeats party 0, which is not earlier"),
+    (2, True, "party 2 is True, expected a party object or the index of an earlier party"),
+    (2, "0", "party 2 is '0', expected a party object or the index of an earlier party"),
+    (2, None, "party 2 is None, expected a party object or the index of an earlier party"),
+    (2, [0], "party 2 is [0], expected a party object or the index of an earlier party"),
+    (2, 0.0, "0.0 is not an integer"),
+], ids=["later", "itself", "negative", "first", "true", "string", "null", "list", "float"])
+def test_malformed_party_references_exit_4(k, value, message):
+    code, err = _analyze_mutated((1, ("set", ("parties", k), value)))
+    assert code == 4
+    assert err == f"error: malformed plan: {message}\n"
 
 
 # a JSON true is a Python int, and a vector was once read by its first two

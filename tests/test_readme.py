@@ -2,16 +2,17 @@
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _example_after(marker: str) -> str:
-    """The first python block after the first occurrence of marker."""
+def _example_after(marker: str, language: str = "python") -> str:
+    """The first block in language after the first occurrence of marker."""
     section = README.read_text(encoding="utf-8").split(marker, 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def _check_prints(code: str) -> None:
@@ -29,3 +30,9 @@ def test_library_example_prints_its_comments():
 
 def test_closure_example_prints_its_comments():
     _check_prints(_example_after("`closure_basis(g)` is the affine closure"))
+
+
+def test_plan_file_example_is_the_golden_nand_plan():
+    golden = README.parent / "tests" / "golden" / "nand_plan.json"
+    example = _example_after("\n## Plan files\n", "json")
+    assert json.loads(example) == json.loads(golden.read_text(encoding="utf-8"))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quditmbqc.compiler import compile_general_prime
 from quditmbqc.engine import MbqcPlan, TableResource, extract_output_function
 from quditmbqc.errors import QuditMbqcError, SizeGuardError, UnsupportedWitnessError
 from quditmbqc.fields import MultiPoly, combined_degree, interpolate, make_field
@@ -161,6 +162,27 @@ class TestNcvaSearch:
         # an input-independent party set cannot follow a non-constant table
         w = ncva_search_raw(5, 1, 80, [[0]] * 80, [1] * 80, 0, table)
         assert w.verdict == STRONGLY_NONLOCAL and w.space == (5, 80)
+
+    def test_non_integer_target_value_error(self):
+        # 1.5 used to come back as 0.0 inside an ncva-found certificate
+        plan = compile_general_prime([1, 2, 0]).plan
+        with pytest.raises(ValueError, match="table value 1.5 is not an integer"):
+            ncva_search(plan, {(0,): 1.5, (1,): 2, (2,): 0})
+
+    def test_missing_target_point_value_error(self):
+        # this used to end in a bare KeyError
+        plan = compile_general_prime([1, 2, 0]).plan
+        with pytest.raises(ValueError, match="table needs 3 entries, got 1"):
+            ncva_search(plan, {(0,): 1})
+        with pytest.raises(ValueError, match=re.escape("table points have 2 coordinates, "
+                                                       "expected n = 1")):
+            ncva_search(plan, {(x, y): 0 for x in range(3) for y in range(3)})
+
+    def test_int_keyed_target(self):
+        # read as the one-variable table it names (it used to end in KeyError)
+        w = ncva_search_raw(3, 1, 1, [[1]], [1], 0, {0: 1, 1: 2, 2: 0})
+        assert w == ncva_search_raw(3, 1, 1, [[1]], [1], 0, {(0,): 1, (1,): 2, (2,): 0})
+        assert w.verdict == NCVA_FOUND and w.assignment == ((1, 2, 0),)
 
     def test_raw_interface_matches_plan(self):
         plan = nand_plan()
@@ -395,6 +417,22 @@ class TestThreshold:
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError, match="nu must be >= 0"):
             threshold_check(1, 1, -1, 3, 1)
+
+    @pytest.mark.parametrize("nu, d, n, message", [
+        (1, 1, 1, "d must be >= 2 and an integer, got 1"),
+        (1, 3, -1, "n must be >= 0 and an integer, got -1"),
+        (0.5, 3, 1, "nu must be >= 0 and an integer, got 0.5"),
+        (True, 3, 1, "nu must be >= 0 and an integer, got True"),
+    ], ids=["d_one", "n_negative", "nu_half", "nu_bool"])
+    def test_parameters_rejected(self, nu, d, n, message):
+        # d = 1 ended in ZeroDivisionError, n = -1 and nu = 0.5 in a TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            threshold_check(1, 1, nu, d, n)
+
+    def test_zero_inputs_threshold(self):
+        # a zero-input plan has one input: the threshold is 1 - 2 nu / (d-1)
+        rep = threshold_check(Fraction(1, 2), Fraction(1, 2), 1, 5, 0)
+        assert rep.threshold == Fraction(1, 2) and not rep.exceeded
 
     def test_text_bound_line(self):
         rep = threshold_check(Fraction(9, 10), Fraction(9, 10), 2, 3, 2)
