@@ -92,10 +92,6 @@ class Modulus:
         """sum_j row[j] * vec[j]."""
         return reduce(self.add, map(self.mul, row, vec), 0)
 
-    def add_scaled(self, row, c: int, other) -> list:
-        """The row row + c*other, entry by entry."""
-        return [self.add(v, self.mul(c, w)) for v, w in zip(row, other)]
-
     def text(self, a: int) -> str:
         """The printed form of an element."""
         return str(a)
@@ -132,10 +128,6 @@ class IntegerRing(Modulus):
 
     def dot(self, row, vec):
         return sum(map(operator.mul, row, vec)) % self.d
-
-    def add_scaled(self, row, c, other):
-        d = self.d
-        return [(v + c * w) % d for v, w in zip(row, other)]
 
 
 class PrimePowerField(Modulus):
@@ -266,9 +258,9 @@ class MultiPoly:
         for exps, val in coeffs.items():
             if not isinstance(val, int):
                 raise ValueError(f"coefficient {val!r} is not an integer")
+            if len(exps) != n or any(a < 0 or a > d - 1 for a in exps):
+                raise ValueError(f"exponent tuple {exps} not reduced for d={d}")
             if val % d:
-                if len(exps) != n or any(a < 0 or a > d - 1 for a in exps):
-                    raise ValueError(f"exponent tuple {exps} not reduced for d={d}")
                 clean[tuple(exps)] = val % d
         self.modulus = modulus
         self.n = n
@@ -325,6 +317,8 @@ class MultiPoly:
         return MultiPoly._trusted(m, self.n, ((e, m.mul(v, c)) for e, v in self.coeffs.items()))
 
     def evaluate(self, point: tuple) -> int:
+        if len(point) != self.n:
+            raise ValueError(f"point {point} has {len(point)} coordinates, expected n = {self.n}")
         m = self.modulus
         point = [m.from_int(x) for x in point]
         total = 0
@@ -475,82 +469,104 @@ def subspace_monomials(modulus: Modulus, n: int, delta: int) -> list[tuple[int, 
 
 def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> set[MultiPoly]:
     """All polynomials in Omega_n(delta) (guarded enumeration)."""
-    mons = subspace_monomials(modulus, n, delta)
-    if modulus.d ** len(mons) > SPAN_GUARD:
-        raise SizeGuardError(f"subspace has {modulus.d}^{len(mons)} = {modulus.d ** len(mons)} "
-                             f"polynomials, over the limit {SPAN_GUARD}")
-    return {MultiPoly._trusted(modulus, n, zip(mons, coeffs))
-            for coeffs in itertools.product(modulus.elements(), repeat=len(mons))}
+    return _monomial_span(modulus, n, subspace_monomials(modulus, n, delta), "subspace")
+
+
+def _monomial_span(modulus: Modulus, n: int, monomials: list, what: str) -> set[MultiPoly]:
+    """Every polynomial whose terms lie on the given distinct, reduced
+    exponent tuples; refused when the d^k of them are over SPAN_GUARD."""
+    d, k = modulus.d, len(monomials)
+    if d**k > SPAN_GUARD:
+        raise SizeGuardError(f"{what} has {d}^{k} = {d**k} polynomials, "
+                             f"over the limit {SPAN_GUARD}")
+    return {MultiPoly._trusted(modulus, n, zip(monomials, coeffs))
+            for coeffs in itertools.product(modulus.elements(), repeat=k)}
 
 
 def closure_basis(g: MultiPoly) -> list[tuple]:
-    """An echelon basis of the closure of g: the span of 1 and of every g∘A,
+    """A monomial basis of the closure of g: the span of 1 and of every g∘A,
     where A runs over the affine maps x -> Mx + b of F^n (any n x n matrix M).
 
     Basis vectors are value vectors: tuples of field elements in the order
-    of all_points(modulus, n); interpolate() turns one into its reduced
-    polynomial.  The number of vectors is the closure's dimension.
-
-    The closure is the smallest subspace that holds 1 and g and is closed
-    under composition with a generating set of the affine monoid: the
-    translation x1 -> x1+1, the scaling x1 -> u*x1 by a primitive element u
-    and, for n >= 2, a swap and a cycle of the variables, the transvection
-    x1 -> x1+x2 and the projection x1 -> 0 (GL_n and one rank n-1
-    idempotent generate every n x n matrix; J. A. Erdos, Glasgow Math. J. 8,
-    1967).  Each vector that joins the basis is composed with every
-    generator and the results are reduced, until the basis stops growing.
+    of all_points(modulus, n), one per monomial of the closure in exponent
+    order (see _closure_monomials for why monomials span it and how they
+    are found); interpolate() turns one into its monomial.  The number of
+    vectors is the closure's dimension.
     """
     m = g.modulus
+    rows = [[m.one] * m.d]  # rows[a][x] = x^a, with 0^0 = 1
+    for _ in range(m.d - 1):
+        rows.append(list(map(m.mul, rows[-1], m.elements())))
+    basis = []
+    for exps in _closure_monomials(g):
+        values = [m.one]
+        for a in exps:
+            values = [m.mul(v, c) for v in values for c in rows[a]]
+        basis.append(tuple(values))
+    return basis
+
+
+def _closure_monomials(g: MultiPoly) -> list[tuple[int, ...]]:
+    """The exponent tuples of the monomials spanning the closure of g over
+    GF(q), q = p^r, in exponent order.
+
+    The closure is spanned by monomials.  It is closed under every scaling
+    x_i -> c*x_i, under which x^e is multiplied by prod c_i^(e_i); q-1 is a
+    unit mod p, so these scalings split the closure into parts spanned by
+    monomials, and within one part only x_i^0 and x_i^(q-1) share a
+    character.  The constant 1 tells those apart at n = 1 and the
+    projections x_i -> 0 at n >= 2, which keep exactly the monomials free
+    of x_i.  (The same fact makes generalized Reed-Muller codes
+    affine-invariant: Delsarte, Goethals & MacWilliams, Inform. Control
+    16, 1970.)
+
+    So the closure is the span of the smallest exponent set S that holds 0
+    and the support of g and holds every monomial of x^e∘A for e in S and
+    A in a generating set of the affine monoid: the translation x1 -> x1+1,
+    the scaling x1 -> u*x1 by a primitive element u and, for n >= 2, a swap
+    and a cycle of the variables, the transvection x1 -> x1+x2 and the
+    projection x1 -> 0 (GL_n and one rank n-1 idempotent generate every n x
+    n matrix; J. A. Erdos, Glasgow Math. J. 8, 1967).  The scaling and the
+    projection add no monomial.  (x1+1)^a has the x1^k with C(a, k) != 0
+    mod p, which by Lucas's theorem are the k whose base-p digits are all
+    at most those of a; the transvection sends x1^a*x2^b to the
+    x1^(a-k)*x2^(b+k) for the same k, folded by x^q = x.  Distinct k give
+    distinct monomials, so no terms cancel and no field arithmetic is done.
+    """
+    m, n = g.modulus, g.n
     if not m.is_field:
         raise UnsupportedModulusError("closure needs a field modulus")
-    u = primitive_element(m)
-    maps = [lambda x: (m.add(x[0], m.one),) + x[1:], lambda x: (m.mul(u, x[0]),) + x[1:]]
-    if g.n >= 2:
-        maps += [lambda x: (x[1], x[0]) + x[2:], lambda x: x[1:] + x[:1],
-                 lambda x: (m.add(x[0], x[1]),) + x[1:], lambda x: (0,) + x[1:]]
-    points = all_points(m, g.n)
-    where = {x: i for i, x in enumerate(points)}
-    generators = [[where[a(x)] for x in points] for a in maps]
-    basis: list[tuple[int, list]] = []  # (pivot, row): 1 at the pivot, 0 at earlier pivots
-    pending = [[m.one] * len(points), [g.evaluate(x) for x in points]]
+    q = m.d
+    ((p, r),) = factorize(q).items()
+    digits = [[a // p**j % p for j in range(r)] for a in range(q)]
+    within = [[k for k in range(a + 1) if all(map(operator.le, digits[k], digits[a]))]
+              for a in range(q)]
+
+    def images(e):
+        if n:
+            yield from ((k,) + e[1:] for k in within[e[0]])
+        if n >= 2:
+            a, b = e[:2]
+            yield from ((a - k, b + k - (q - 1) if b + k >= q else b + k) + e[2:]
+                        for k in within[a])
+            yield (b, a) + e[2:]
+            yield e[1:] + e[:1]
+
+    found = {(0,) * n} | set(g.coeffs)
+    pending = list(found)
     while pending:
-        row = pending.pop()
-        for p, b in basis:
-            if row[p]:
-                c = m.neg(row[p])
-                row = m.add_scaled(row, c, b)
-        p = next((i for i, v in enumerate(row) if v), None)
-        if p is not None:
-            unit = m.inv(row[p])
-            row = [m.mul(unit, v) for v in row]
-            basis.append((p, row))
-            pending += [[row[j] for j in gen] for gen in generators]
-    return [tuple(row) for _, row in basis]
+        for e in images(pending.pop()):
+            if e not in found:
+                found.add(e)
+                pending.append(e)
+    return sorted(found)
 
 
 def closure_generate(g: MultiPoly) -> set[MultiPoly]:
     """Every member of the closure of g (see closure_basis) as a reduced
     polynomial.  The listing has d^dim members and is guarded by SPAN_GUARD.
     """
-    m = g.modulus
-    basis = closure_basis(g)
-    if m.d ** len(basis) > SPAN_GUARD:
-        raise SizeGuardError(f"closure span has {m.d}^{len(basis)} = {m.d ** len(basis)} "
-                             f"polynomials, over the limit {SPAN_GUARD}")
-    points = all_points(m, g.n)
-    multiples = [[b.scale(c) for c in m.elements()]
-                 for b in (interpolate(m, dict(zip(points, vec))) for vec in basis)]
-    return set(_sums(MultiPoly.zero(m, g.n), multiples))
-
-
-def _sums(partial: MultiPoly, multiples: list[list[MultiPoly]]):
-    """Yield partial + q_1 + ... + q_k for every choice of q_i in multiples[i],
-    depth first, so only one partial sum per level is held."""
-    if not multiples:
-        yield partial
-        return
-    for q in multiples[0]:
-        yield from _sums(partial + q, multiples[1:])
+    return _monomial_span(g.modulus, g.n, _closure_monomials(g), "closure span")
 
 
 # -- the least-degree polynomial of a table over Z_d -------------------------

@@ -305,12 +305,12 @@ def dense_apply(M: GlobalObservable, vec: np.ndarray) -> np.ndarray:
     return tensor.reshape(-1)
 
 
-def dense_oracle(M: GlobalObservable, psi: SparseState, tolerance: float = 1e-9) -> int | None:
+def dense_oracle(M: GlobalObservable, psi: SparseState) -> int | None:
     """Brute-force eigenphase via dense complex arithmetic.
 
-    Residual <= tolerance counts as an eigenstate and the phase is snapped
-    to the nearest d-th root of unity; residuals between the tolerance and
-    1e-6 raise an inconsistency alarm instead of silently rounding.
+    Residual <= 1e-9 counts as an eigenstate and the phase is snapped to
+    the nearest d-th root of unity; residuals between 1e-9 and 1e-6 raise
+    an inconsistency alarm instead of silently rounding.
     """
     if psi.d**psi.N > DENSE_GUARD:
         raise SizeGuardError(f"dense oracle needs {psi.d}**{psi.N} = {psi.d**psi.N} "
@@ -321,7 +321,7 @@ def dense_oracle(M: GlobalObservable, psi: SparseState, tolerance: float = 1e-9)
     residual = np.max(np.abs(out - lam * vec))
     if residual > 1e-6:
         return None
-    if residual > tolerance:
+    if residual > 1e-9:
         raise InconsistencyError(f"ambiguous eigenstate residual {residual:.3e}")
     k = int(round(psi.d * np.angle(lam) / (2 * np.pi))) % psi.d
     snap = abs(lam - np.exp(2j * np.pi * k / psi.d))

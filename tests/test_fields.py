@@ -14,6 +14,7 @@ from quditmbqc.fields import (
     SPAN_GUARD,
     IntegerRing,
     MultiPoly,
+    _closure_monomials,
     all_points,
     closure_basis,
     closure_generate,
@@ -24,6 +25,7 @@ from quditmbqc.fields import (
     interpolate,
     is_polynomial_over_ring,
     make_field,
+    primitive_element,
     solve_mod,
     subspace_monomials,
 )
@@ -87,6 +89,37 @@ def _echelon(m, vectors):
             inv = m.inv(vec[p])
             rows.append((p, [m.mul(inv, v) for v in vec]))
     return [row for _, row in rows]
+
+
+def _echelon_closure(g):
+    """Referee closure by echelon saturation of value vectors: 1 and g,
+    composed with the translation x1 -> x1+1, a primitive scaling and, for
+    n >= 2, a swap, a cycle, the transvection x1 -> x1+x2 and the
+    projection x1 -> 0, each new row reduced until none joins."""
+    m = g.modulus
+    u = primitive_element(m)
+    maps = [lambda x: (m.add(x[0], m.one),) + x[1:], lambda x: (m.mul(u, x[0]),) + x[1:]]
+    if g.n >= 2:
+        maps += [lambda x: (x[1], x[0]) + x[2:], lambda x: x[1:] + x[:1],
+                 lambda x: (m.add(x[0], x[1]),) + x[1:], lambda x: (0,) + x[1:]]
+    points = all_points(m, g.n)
+    where = {x: i for i, x in enumerate(points)}
+    generators = [[where[a(x)] for x in points] for a in maps]
+    basis = []  # (pivot, row): 1 at the pivot, 0 at earlier pivots
+    pending = [[m.one] * len(points), [g.evaluate(x) for x in points]]
+    while pending:
+        row = pending.pop()
+        for p, b in basis:
+            if row[p]:
+                c = m.neg(row[p])
+                row = [m.add(v, m.mul(c, w)) for v, w in zip(row, b)]
+        p = next((i for i, v in enumerate(row) if v), None)
+        if p is not None:
+            unit = m.inv(row[p])
+            row = [m.mul(unit, v) for v in row]
+            basis.append((p, row))
+            pending += [[row[j] for j in gen] for gen in generators]
+    return [tuple(row) for _, row in basis]
 
 
 class TestMakeField:
@@ -407,6 +440,42 @@ class TestClosure:
         assert len(closure_basis(MultiPoly.monomial(f, 1, (e,)))) == dim
         assert len(subspace_monomials(f, 1, e)) == class_dim
 
+    @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3)
+                                     if d**n <= 130])
+    def test_monomials_match_echelon_referee(self, d, n):
+        f = make_field(d)
+        rng = random.Random(100 * d + n)
+        mons = list(itertools.product(range(d), repeat=n))
+        gs = [MultiPoly.zero(f, n), MultiPoly.constant(f, n, d - 1)]
+        gs += [MultiPoly(f, n, {e: rng.randrange(1, d)
+                                for e in rng.sample(mons, rng.randint(1, min(3, len(mons))))})
+               for _ in range(3)]
+        points = all_points(f, n)
+        for g in gs:
+            ref = _echelon_closure(g)
+            ref_mons = set().union(*(interpolate(f, dict(zip(points, row))).coeffs for row in ref))
+            assert _closure_monomials(g) == sorted(ref_mons), g.pretty()
+            assert len(ref_mons) == len(ref)
+
+    @pytest.mark.parametrize("d,n,terms", [
+        (3, 2, {(2, 1): 1}), (4, 1, {(2,): 1}), (4, 2, {(1, 2): 3, (0, 1): 1}), (5, 1, {(3,): 2}),
+        (9, 1, {(4,): 1}), (2, 3, {(1, 1, 0): 1}),
+    ])
+    def test_basis_is_monomial_value_vectors(self, d, n, terms):
+        f = make_field(d)
+        g = MultiPoly(f, n, terms)
+        points = all_points(f, n)
+        mons = _closure_monomials(g)
+        assert mons == sorted(set(mons))
+        assert closure_basis(g) == [tuple(MultiPoly.monomial(f, n, e).evaluate(x) for x in points)
+                                    for e in mons]
+
+    def test_zero_variable_closure_is_the_constants(self):
+        f = make_field(3)
+        g = MultiPoly(f, 0, {(): 1})
+        assert closure_basis(g) == [(1,)]
+        assert closure_generate(g) == {MultiPoly.constant(f, 0, c) for c in range(3)}
+
 
 class TestSolveMod:
     def test_pivot_of_least_valuation(self):
@@ -649,3 +718,18 @@ class TestMultiPolyConstruction:
     def test_moduli_tell_polynomials_apart(self):
         assert MultiPoly(make_field(9), 1, {(1,): 1}) != MultiPoly(IntegerRing(9), 1, {(1,): 1})
         assert MultiPoly(make_field(3), 1, {(1,): 1}) != MultiPoly(make_field(3), 2, {(1, 0): 1})
+
+    @pytest.mark.parametrize("terms", [{(1, 2): 0}, {(5,): 3}])
+    def test_unreduced_exponents_rejected_with_zero_coefficient(self, terms):
+        with pytest.raises(ValueError, match="not reduced"):
+            MultiPoly(make_field(3), 1, terms)
+
+    def test_monomial_with_zero_coefficient_checks_exponents(self):
+        with pytest.raises(ValueError, match="not reduced"):
+            MultiPoly.monomial(make_field(3), 1, (1, 2), 0)
+
+    @pytest.mark.parametrize("point", [(), (2, 5)])
+    def test_evaluate_rejects_wrong_arity(self, point):
+        x = MultiPoly.variable(make_field(3), 1, 0)
+        with pytest.raises(ValueError, match=f"has {len(point)} coordinates, expected n = 1"):
+            x.evaluate(point)
