@@ -12,7 +12,10 @@ over inputs can be parallelized freely.
 Extraction, the determinism check and success scoring read one exact output
 law per input (output_distribution): the spectral law of W(i) for flat plans,
 a party-by-party walk that merges equal branches for ordered ones; none of
-them samples.  Runs and the walk measure each party with the fused step
+them samples.  A flat law is one pass over the parties per input: the
+settings of all parties come from Q's columns at once, and each party's
+operator is one dictionary read keyed by (party kind, setting, power).  Runs
+and the walk measure each party with the fused step
 states.measurement_distribution, which removes the measured qudit, so their
 sparse support never exceeds the resource's term count.
 """
@@ -42,7 +45,7 @@ from .states import (
 )
 from .weyl import CliffordSpec, WeylLabel, conjugate_weyl, weyl_power
 
-EXACT_BRANCH_BUDGET = 20000  # branches one exact law may walk
+EXACT_BRANCH_BUDGET = 20000  # branches one layer of an exact walk may hold
 
 
 class TableResource:
@@ -132,6 +135,7 @@ class MbqcPlan:
         self._kind = tuple(first.setdefault(party, k) for k, party in enumerate(self.parties))
         self._weyl: dict = {}  # (kind, setting) -> M_k(q) as (tau exponent, label)
         self._ops: dict = {}  # (M_k(q), power) -> MonomialOp, one object per operator
+        self._site_ops: dict = {}  # (kind, setting, power) -> the object held in _ops
         self.Q = tuple(tuple(v % d for v in row) for row in Q)
         # (column, entry) of each row's nonzero entries: the only stored form of T
         self._t_nonzero = _sparse_rows(T, N, d)
@@ -195,7 +199,7 @@ class MbqcPlan:
                 raise QuditMbqcError(f"{name} has {len(vec)} entries, expected one per party ({self.N})")
         if isinstance(self.resource, TableResource):
             for i in self.inputs():  # raises at the first settings without an entry
-                self.resource.distribution(tuple(self.setting(k, i, ()) for k in range(self.N)))
+                self.resource.distribution(self._settings(i))
 
     def inputs(self) -> list[tuple[int, ...]]:
         return list(itertools.product(range(self.d), repeat=self.n))
@@ -210,17 +214,41 @@ class MbqcPlan:
             acc += sum(v * outcomes[j] for j, v in self._t_nonzero[k] if j < len(outcomes))
         return acc % self.d
 
+    @functools.cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The n columns of Q."""
+        return tuple(zip(*self.Q))
+
+    def _settings(self, i: tuple[int, ...]) -> tuple[int, ...]:
+        """The settings of every party for input i (n symbols mod d) before
+        any outcome is read: q0 + Q*i mod d."""
+        return _settings_of(self._columns, self.q0, i, self.d)
+
+    def _ops_at(self, settings, powers) -> list[MonomialOp]:
+        """M_k(settings[k])**powers[k] for every party k, one dictionary read
+        each once the plan has met the (kind, setting, power)."""
+        keys = list(zip(self._kind, settings, powers))
+        try:
+            return list(map(self._site_ops.__getitem__, keys))
+        except KeyError:
+            get = self._site_ops.get
+            return [get(key) or self._site_op(k, key[1], key[2]) for k, key in enumerate(keys)]
+
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form."""
         return self._site_op(k, q_k, 1)
 
     def _site_op(self, k: int, q_k: int, e: int) -> MonomialOp:
         """M_k(q_k)**e, built once per distinct operator and power."""
-        key = (self._site_weyl(k, q_k), e)
-        op = self._ops.get(key)
+        front = (self._kind[k], q_k, e)
+        op = self._site_ops.get(front)
         if op is None:
-            tau, label = weyl_power(*key[0], e, self.d)
-            op = self._ops[key] = MonomialOp.from_weyl(self.d, label, tau)
+            key = (self._site_weyl(k, q_k), e)
+            op = self._ops.get(key)
+            if op is None:
+                tau, label = weyl_power(*key[0], e, self.d)
+                op = self._ops[key] = MonomialOp.from_weyl(self.d, label, tau)
+            self._site_ops[front] = op
         return op
 
     def _site_weyl(self, k: int, q_k: int) -> tuple[int, tuple[int, int]]:
@@ -321,6 +349,15 @@ class MbqcPlan:
         return isinstance(other, MbqcPlan) and self.to_json() == other.to_json()
 
 
+def _settings_of(columns, q0, i, d: int) -> tuple[int, ...]:
+    """q0 + Q*i mod d from the columns of Q: one pass per nonzero symbol."""
+    acc = q0
+    for column, v in zip(columns, i):
+        if v:
+            acc = [a + c * v for a, c in zip(acc, column)]
+    return tuple([a % d for a in acc])
+
+
 def _sparse_rows(T, N: int, d: int) -> tuple:
     """The nonzero (column, entry) pairs of each row of T, reduced mod d and
     sorted by column.
@@ -387,6 +424,14 @@ def _reject_number(text: str):
     raise PlanFormatError(f"malformed plan: {text} is not an integer")
 
 
+def _read_input(plan: MbqcPlan, i) -> tuple[int, ...]:
+    """Input i as n integer symbols reduced mod d."""
+    i = plain_ints(i, "input")
+    if len(i) != plan.n:
+        raise QuditMbqcError(f"input needs {plan.n} symbols, got {len(i)}")
+    return tuple([v % plan.d for v in i])
+
+
 def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     """Execute one seeded run, measuring parties in index order.
 
@@ -394,30 +439,29 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     states.measurement_distribution and forgets the measured qudit, so the
     party measured next is always at position 0 of the remaining state.
     """
-    i = tuple(v % plan.d for v in i)
-    if len(i) != plan.n:
-        raise QuditMbqcError(f"input needs {plan.n} symbols, got {len(i)}")
+    i = _read_input(plan, i)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    outcomes: list[int] = []
-    settings: list[int] = []
+    settings = plan._settings(i)
     if isinstance(plan.resource, TableResource):
-        q = tuple(plan.setting(k, i, ()) for k in range(plan.N))
-        m, _ = _draw_branch(plan.resource.distribution(q), rng)
-        settings, outcomes = list(q), list(m)
-    else:
-        psi = plan.resource
-        for k in range(plan.N):
-            q_k = plan.setting(k, i, outcomes)
-            settings.append(q_k)
-            m_k, psi = measure_local(psi, 0, plan.site_observable(k, q_k), rng)
-            outcomes.append(m_k)
-    return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(tuple(outcomes)))
+        m, _ = _draw_branch(plan.resource.distribution(settings), rng)
+        return RunTrace(i, settings, m, plan.output_of(m))
+    settings = list(settings)
+    outcomes: list[int] = []
+    psi = plan.resource
+    for k, reads in enumerate(plan._t_nonzero):
+        if reads:
+            settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in reads)) % plan.d
+        m_k, psi = measure_local(psi, 0, plan._site_op(k, settings[k], 1), rng)
+        outcomes.append(m_k)
+    return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
-    return GlobalObservable(plan.d, [plan._site_op(k, plan.setting(k, i, ()), plan.z[k])
-                                     for k in range(plan.N)])
+    settings = plan._settings(_read_input(plan, i))
+    # the plan checked that every fiducial has an omega spectrum, which
+    # conjugation by the controls and powers keep
+    return GlobalObservable._trusted(plan.d, plan._ops_at(settings, plan.z))
 
 
 def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
@@ -460,13 +504,13 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     probability is irrational.  Ordered plans are walked party by party,
     merging branches that agree on the rest state (global phase dropped),
     the settings pending for later parties and the partial output; the walk
-    raises SizeGuardError past EXACT_BRANCH_BUDGET branches over all layers.
+    raises SizeGuardError when its widest layer, the branches after one
+    party, exceeds EXACT_BRANCH_BUDGET.
     """
-    i = tuple(v % plan.d for v in i)
+    i = _read_input(plan, i)
     if isinstance(plan.resource, TableResource):
-        q = tuple(plan.setting(k, i, ()) for k in range(plan.N))
         out = {}
-        for m, p in plan.resource.distribution(q):
+        for m, p in plan.resource.distribution(plan._settings(i)):
             o = plan.output_of(m)
             out[o] = out.get(o, Fraction(0)) + p
         return {o: p for o, p in out.items() if p}
@@ -477,23 +521,21 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
         for l, v in row:
             reads[l].append((j, v))
     # (rest state, settings of parties k.. so far, partial output) -> probability
-    start = tuple(plan.setting(k, i, ()) for k in range(plan.N))
-    layer = {(plan.resource, start, plan.s0): Fraction(1)}
-    branches = 0
+    layer = {(plan.resource, plan._settings(i), plan.s0): Fraction(1)}
     for k in range(plan.N):
         merged: dict[tuple, Fraction] = {}
         for (psi, pending, part), prob in layer.items():
-            op = plan.site_observable(k, pending[0])
+            op = plan._site_op(k, pending[0], 1)
             for m_k, p, rest in measurement_distribution(psi, 0, op):
                 settings = list(pending[1:])
                 for j, v in reads[k]:
                     settings[j - k - 1] = (settings[j - k - 1] + v * m_k) % plan.d
                 key = (rest, tuple(settings), (part + plan.z[k] * m_k) % plan.d)
                 merged[key] = merged.get(key, Fraction(0)) + prob * p
-        branches += len(merged)
-        if branches > EXACT_BRANCH_BUDGET:
-            raise SizeGuardError(f"ordered walk of input {i} reached {branches} branches "
-                                 f"at party {k}, over the limit {EXACT_BRANCH_BUDGET}")
+        if len(merged) > EXACT_BRANCH_BUDGET:
+            raise SizeGuardError(f"ordered walk of input {i} reached {len(merged)} branches "
+                                 f"at party {k}, over the widest-layer limit "
+                                 f"{EXACT_BRANCH_BUDGET}")
         layer = merged
     # every branch ends in the one empty state, so the outputs are distinct
     return {o: p for (_, _, o), p in layer.items()}

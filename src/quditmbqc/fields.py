@@ -312,10 +312,6 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def scale(self, c: int) -> "MultiPoly":
-        m = self.modulus
-        return MultiPoly._trusted(m, self.n, ((e, m.mul(v, c)) for e, v in self.coeffs.items()))
-
     def evaluate(self, point: tuple) -> int:
         if len(point) != self.n:
             raise ValueError(f"point {point} has {len(point)} coordinates, expected n = {self.n}")

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,6 +168,15 @@ class GlobalObservable:
             if not op.has_omega_spectrum():  # cached on each operator object
                 raise QuditMbqcError(f"site {k} operator spectrum is not omega powers")
 
+    @classmethod
+    def _trusted(cls, d: int, sites: list[MonomialOp]) -> "GlobalObservable":
+        """An observable from d-dimensional sites already known to have an
+        omega spectrum; skips the checks of __init__."""
+        obs = object.__new__(cls)
+        obs.d = d
+        obs.sites = tuple(sites)
+        return obs
+
     @property
     def N(self) -> int:
         return len(self.sites)
@@ -266,17 +276,13 @@ def apply_observable(M: GlobalObservable, psi: SparseState) -> SparseState:
     if M.N != psi.N or M.d != psi.d:
         raise QuditMbqcError("observable and state shapes differ")
     period = tau_period(psi.d)
-    new_terms = []
-    for t, ket in psi.terms:
-        phase = t
-        new_ket = []
-        for z, op in zip(ket, M.sites):
-            phase += op.phases[z]
-            new_ket.append(op.perm[z])
-        new_terms.append((phase % period, tuple(new_ket)))
-    out = SparseState(psi.d, psi.N, tuple(new_terms))
-    assert len(out.terms) == len(psi.terms)
-    return out
+    new_terms = [((t + sum([op.phases[z] for z, op in zip(ket, M.sites)])) % period,
+                  tuple([op.perm[z] for z, op in zip(ket, M.sites)]))
+                 for t, ket in psi.terms]
+    # every site of an observable is a permutation of 0..d-1 (has_omega_spectrum
+    # is False for any other perm), so the kets stay distinct and in range
+    new_terms.sort(key=itemgetter(1))
+    return SparseState._trusted(psi.d, psi.N, tuple(new_terms))
 
 
 def eigenphase_of(M: GlobalObservable, psi: SparseState) -> int | None:

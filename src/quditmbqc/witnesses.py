@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
-from .engine import MbqcPlan, _point_table, extract_output_function, longest_path, temporal_graph
+from .engine import (MbqcPlan, _point_table, _settings_of, extract_output_function, longest_path,
+                     temporal_graph)
 from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
 from .fields import (
     IntegerRing,
@@ -134,9 +134,12 @@ def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
     q0 = tuple(q0) if q0 is not None else (0,) * N
     _, target = _table_values(table, d, n)
     weighted = [k for k in range(N) if z[k] % d]
+    columns = tuple(zip(*Q))
     # column k*d + q holds s_k(q)
-    rows = [{k * d + (sum(map(mul, Q[k], i)) + q0[k]) % d: z[k] for k in weighted}
-            for i in itertools.product(range(d), repeat=n)]
+    rows = []
+    for i in itertools.product(range(d), repeat=n):
+        q = _settings_of(columns, q0, i, d)
+        rows.append({k * d + q[k]: z[k] for k in weighted})
     values = solve_mod(rows, [o - s0 for o in target], N * d, d)
     space = (d, len(set().union(*rows)))
     if values is None:

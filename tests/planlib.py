@@ -61,8 +61,8 @@ def x_chain(N, reads):
 def wide_x_chain():
     """The X chain on 32 qubits where party j+16 reads m_j: after party
     k < 16 the pending settings alone keep 2^(k+1) branches apart, so the
-    exact walk passes its budget of 20000 at party 13, with 2 + 4 + ... +
-    2^14 = 32766 merged branches."""
+    exact walk passes its budget of 20000 branches in one layer at party 14,
+    with 2^15 = 32768 merged branches."""
     return x_chain(32, {j + 16: j for j in range(16)})
 
 

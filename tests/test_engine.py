@@ -22,6 +22,7 @@ from quditmbqc.engine import (
     output_distribution,
     run,
     temporal_graph,
+    weighted_observable,
 )
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.states import MonomialOp, SparseState, basis_state, make_ghz
@@ -67,6 +68,20 @@ class TestRun:
         for i in [(0,), (0, 1, 1)]:
             with pytest.raises(QuditMbqcError, match=f"input needs 2 symbols, got {len(i)}"):
                 output_distribution(nand_plan(), i)
+
+    @pytest.mark.parametrize("i", [(1.5,), ("1",), (None,), (1.0,), (True,)],
+                             ids=["float", "string", "none", "integral-float", "bool"])
+    def test_input_symbols_must_be_integers(self, i):
+        plan = compile_general_prime([2, 0, 1], 3).plan
+        for call in (run, output_distribution, weighted_observable):
+            with pytest.raises(QuditMbqcError, match=r"^input has .*, expected an integer$"):
+                call(plan, i)
+
+    def test_big_and_negative_input_symbols_reduce_mod_d(self):
+        plan = compile_general_prime([2, 0, 1], 3).plan
+        assert run(plan, (-1,), 0).input == (2,)
+        assert output_distribution(plan, (-1,)) == {1: 1}
+        assert output_distribution(plan, (3**80 + 1,)) == {0: 1}
 
     def test_quadratic_runs_stay_within_resource_support(self, monkeypatch):
         # measured qudits are forgotten, so no measurement step sees more
@@ -291,6 +306,16 @@ class TestDeterminism:
             is_deterministic(irrational)
         with pytest.raises(SparseFormError):
             empirical_success(irrational, {(x,): 0 for x in range(d)})
+
+    def test_walk_budget_bounds_the_widest_layer(self, monkeypatch):
+        # the 60-party d=3 GHZ chain holds at most nine branches per layer,
+        # though its layers add up past 50 by party 6
+        plan = ghz_chain(3, 60)
+        want = output_distribution(plan, (0,))
+        monkeypatch.setattr(engine, "EXACT_BRANCH_BUDGET", 50)
+        assert output_distribution(plan, (0,)) == want
+        with pytest.raises(SizeGuardError, match="widest-layer limit 50"):
+            output_distribution(x_chain(12, {j + 6: j for j in range(6)}), (0,))
 
     def test_ordered_plan_exact_distribution(self):
         d = 3

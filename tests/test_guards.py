@@ -33,7 +33,7 @@ def _gf9_x8():
     (lambda: closure_generate(_gf9_x8()), 9**9, 3**9),
     (lambda: witnesses.nu_distance({(x, y): 0 for x in range(5) for y in range(5)}, 5, 2),
      5**15, 10**5),
-    (lambda: is_deterministic(wide_x_chain()), 2**15 - 2, 20000),
+    (lambda: is_deterministic(wide_x_chain()), 2**15, 20000),
 ], ids=["dense_state", "dense_oracle", "enumerate_subspace", "closure_span_gf9",
         "nu", "ordered_walk"])
 def test_guard_names_size_and_limit(call, size, limit):
