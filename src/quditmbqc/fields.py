@@ -606,10 +606,13 @@ def solve_mod(rows: list[dict[int, int]], rhs: list[int], cols: int, d: int) -> 
     row r, or None when no x exists.
 
     Rows are sparse {column: coefficient} maps.  The system is solved
-    modulo each prime power of d and the parts are joined by the CRT.
+    modulo each prime power of d; a prime-power d is its one part, and two
+    or more parts are joined by the CRT.
     """
+    if len(parts := factorize(d)) == 1:
+        return _solve_prime_power(rows, rhs, cols, d)
     terms = []
-    for p, e in factorize(d).items():
+    for p, e in parts.items():
         q = p**e
         sol = _solve_prime_power(rows, rhs, cols, q)
         if sol is None:

@@ -35,9 +35,9 @@ class MonomialOp:
 
     op|z> = tau^phases[z] |perm[z]>.  Closed under products and powers, so
     every Weyl operator and every control unitary used here stays exact.
-    Its spectral data, the cycle decomposition with the outcomes on each
-    cycle (spectrum) and the omega verdict (has_omega_spectrum), is
-    computed on first use and cached on the object.
+    The constructor checks nothing.  The cached property spectrum walks the
+    cycles once per object, refusing a map that is not a permutation, and
+    the omega verdict (has_omega_spectrum) is read off that record.
     """
 
     d: int
@@ -78,39 +78,28 @@ class MonomialOp:
         return MonomialOp(self.d, self.perm, tuple((p + tau_exp) % period for p in self.phases))
 
     def has_omega_spectrum(self) -> bool:
-        """Whether op**d is the identity, decided once per operator object."""
-        return self._omega_spectrum
-
-    @functools.cached_property
-    def _omega_spectrum(self) -> bool:
-        """op**d is the identity exactly when every cycle of perm has a
-        length L dividing d and d/L times the cycle's phase sum vanishes mod
-        the tau period; O(d), without building the spectrum."""
-        period = tau_period(self.d)
-        seen = [False] * self.d
-        for start in range(self.d):
-            if seen[start]:
-                continue
-            length, phase, z = 0, 0, start
-            while not seen[z]:
-                seen[z] = True
-                length += 1
-                phase += self.phases[z]
-                z = self.perm[z]
-            if z != start or self.d % length or (self.d // length) * phase % period:
-                return False
-        return True
+        """Whether op**d is the identity, read off spectrum: exactly when
+        every cycle of length L carries L outcomes, since the L eigenvalues
+        on a cycle are distinct.  False for a map that spectrum refuses."""
+        try:
+            return all(len(outcomes) == L for L, outcomes in self.spectrum[1])
+        except QuditMbqcError:
+            return False
 
     @functools.cached_property
     def spectrum(self) -> tuple[tuple, tuple]:
-        """The cycle decomposition, computed once per operator object.
+        """The cycle decomposition, walked once per operator object.
 
         (place, cycles): place[z] = (C, s, phi_s) when z is step s of cycle C
         from its first element z0, op^s|z0> = tau^phi_s |z>; cycles[C] =
         (L, the outcomes m with 2mL = Phi_C), Phi_C the phase around C: the
-        eigenvalues omega^m on C, all of them when has_omega_spectrum().
+        eigenvalues omega^m on C, all L of them when has_omega_spectrum().
+        Raises QuditMbqcError unless perm is a permutation of 0..d-1 with d phases.
         """
         d, period = self.d, tau_period(self.d)
+        if len(self.phases) != d or sorted(self.perm) != list(range(d)):
+            raise QuditMbqcError(f"a d={d} operator needs a permutation of 0..{d - 1} and {d} "
+                                 f"phases, got {self.perm} and {len(self.phases)} phases")
         place: list[tuple[int, int, int] | None] = [None] * d
         cycles = []
         for start in range(d):
@@ -253,10 +242,11 @@ def basis_state(d: int, ket: tuple[int, ...]) -> SparseState:
 def make_ghz(d: int, N: int, phases: list[int] | None = None) -> SparseState:
     """Generalized GHZ state sum_z |z>^N / sqrt(d).
 
-    Optional phases gives per-z tau exponents.
+    Optional phases gives per-z tau exponents, d of them.
     """
-    if phases is None:
-        phases = [0] * d
+    phases = [0] * d if phases is None else phases
+    if len(phases) != d:
+        raise QuditMbqcError(f"a d={d} GHZ state needs {d} phases, got {len(phases)}")
     return SparseState(d, N, tuple((phases[z], (z,) * N) for z in range(d)))
 
 
@@ -352,14 +342,21 @@ def measurement_distribution(psi: SparseState, site: int,
     order); its weight is |rest|^2 / (K*L) for the K terms of psi.  Each
     rest must stay a tau-power superposition up to one common unit (the
     physically irrelevant global phase, which is dropped); otherwise
-    SparseFormError is raised.  The cycles and the omega verdict are cached
-    on the operator object (op.spectrum, op.has_omega_spectrum), so a call
+    SparseFormError is raised, as it is when a cycle's branch weights break
+    Parseval (they must sum to L times the number of terms on C, which
+    makes the probabilities sum to 1).  A site outside 0..N-1, or an op of
+    another d or without an omega spectrum, raises QuditMbqcError.  All of
+    op's data is read from op.spectrum, cached on the operator, so a call
     only groups the K terms by cycle and visits the cycles they meet.
     """
     d = psi.d
+    if op.d != d:
+        raise QuditMbqcError(f"site operator has dimension {op.d}, the state {d}")
+    if not 0 <= site < psi.N:
+        raise QuditMbqcError(f"site {site} is out of range for a state of {psi.N} qudits")
+    place, cycles = op.spectrum  # refuses a map that is not a permutation
     if not op.has_omega_spectrum():
         raise QuditMbqcError("site operator spectrum is not omega powers")
-    place, cycles = op.spectrum
     period = tau_period(d)
     groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}  # C -> its terms
     for t, ket in psi.terms:
@@ -371,6 +368,7 @@ def measurement_distribution(psi: SparseState, site: int,
         L, outcomes = cycles[c]
         group = sorted(groups[c])
         distinct = all(a[0] != b[0] for a, b in zip(group, group[1:]))
+        weight = 0
         for m in outcomes:
             if distinct:  # every amplitude is one tau power
                 e0 = group[0][1] + 2 * m * group[0][2]
@@ -380,12 +378,12 @@ def measurement_distribution(psi: SparseState, site: int,
                 terms, norm_sq = _merged_rest(d, group, m)
                 if not terms:
                     continue
+            weight += len(terms) * norm_sq
             out.append((m, Fraction(len(terms) * norm_sq, K * L),
                         SparseState._trusted(d, psi.N - 1, terms)))
+        if weight != len(group) * L:
+            raise SparseFormError(f"branch weights on cycle {c} sum to {weight}, not {len(group) * L}")
     out.sort(key=lambda branch: branch[0])  # stable: cycles stay in order
-    total = sum(p for _, p, _ in out)
-    if total != 1:
-        raise SparseFormError(f"branch probabilities sum to {total}, not 1")
     return out
 
 

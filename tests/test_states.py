@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quditmbqc import states
 from quditmbqc.compiler import compile_nand
 from quditmbqc.errors import QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.phases import tau_period
@@ -422,3 +424,71 @@ class TestFusedStep:
         assert [(m, p) for m, p, _ in branches] == [(m, Fraction(1, 3)) for m in range(3)]
         assert [rest for _, _, rest in branches] == [
             basis_state(3, (2, 1)), basis_state(3, (0, 2)), basis_state(3, (1, 0))]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda: measurement_distribution(make_ghz(3, 2), 5, Z(3)),
+        lambda: measurement_distribution(make_ghz(3, 2), -1, Z(3)),
+        lambda: measurement_distribution(make_ghz(3, 2), 0, Z(2)),
+        lambda: measurement_distribution(make_ghz(2, 2), 0, I(3)),
+        lambda: measurement_distribution(make_ghz(3, 1), 0, MonomialOp(3, (0, 1, 2), (0, 0))),
+        lambda: measure_local(make_ghz(3, 2), 5, Z(3), 0),
+        lambda: make_ghz(3, 2, [0, 1]),
+        lambda: make_ghz(3, 2, [0, 1, 2, 3]),
+        lambda: GlobalObservable(3, [MonomialOp(3, (0, 1, 5), (0, 0, 0))]),
+        lambda: GlobalObservable(3, [MonomialOp(3, (0, 1), (0, 0, 0))]),
+    ], ids=["site-past-end", "negative-site", "operator-d-below", "operator-d-above",
+            "short-phases", "measure-local-site", "ghz-few-phases", "ghz-many-phases",
+            "entry-out-of-range", "short-perm"])
+    def test_bad_shapes_raise_the_library_error(self, call):
+        with pytest.raises(QuditMbqcError):
+            call()
+
+    def test_non_permutations_are_refused_by_the_walk(self):
+        for perm in ((0, 1, 5), (0, 1), (0, 0, 1), (0, 1, 2, 3), (-1, 0, 1)):
+            op = MonomialOp(3, perm, (0, 0, 0))
+            with pytest.raises(QuditMbqcError, match="needs a permutation of 0..2"):
+                op.spectrum
+            assert not op.has_omega_spectrum()
+            with pytest.raises(QuditMbqcError, match="needs a permutation of 0..2"):
+                measurement_distribution(make_ghz(3, 1), 0, op)
+
+    def test_branch_weights_are_checked_by_parseval_per_cycle(self, monkeypatch):
+        # |0,0> + |1,0> measured by X at d=3: both terms share the rest |0>
+        # on one cycle of length L = 3, and the branch weights |1 + w^m|^2 =
+        # 4, 1, 1 sum to 6 = L times the 2 terms on the cycle
+        psi = SparseState(3, 2, ((0, (0, 0)), (0, (1, 0))))
+        assert [p for _, p, _ in measurement_distribution(psi, 0, X(3))] == [
+            Fraction(2, 3), Fraction(1, 6), Fraction(1, 6)]
+        real = states._merged_rest
+
+        def inflated(*args):
+            terms, norm_sq = real(*args)
+            return terms, norm_sq + 1
+
+        monkeypatch.setattr(states, "_merged_rest", inflated)
+        with pytest.raises(SparseFormError, match="cycle 0 sum to 9, not 6"):
+            measurement_distribution(psi, 0, X(3))
+
+    def test_checked_then_measured_operator_is_walked_once(self, monkeypatch):
+        # the omega verdict of GlobalObservable and the measurement both read
+        # the one cached cycle walk of the operator
+        walked = []
+        cached = MonomialOp.__dict__["spectrum"]
+
+        def counting(op):
+            walked.append(op)
+            return cached.func(op)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(MonomialOp, "spectrum")
+        monkeypatch.setattr(MonomialOp, "spectrum", spy)
+        op = MonomialOp.from_weyl(5, (2, 3), 0)
+        assert GlobalObservable(5, [op]).sites == (op,)
+        assert walked == [op]  # the verdict is read off the walk
+        branches = measurement_distribution(make_ghz(5, 2), 1, op)
+        assert sum(p for _, p, _ in branches) == 1
+        measurement_distribution(make_ghz(5, 2), 0, op)
+        assert walked == [op]
+        assert [k for k in vars(op) if k not in ("d", "perm", "phases")] == ["spectrum"]
