@@ -125,6 +125,10 @@ class MbqcPlan:
     """Immutable description of one computation instance."""
 
     def __init__(self, d, n, N, resource, parties, Q, T=None, *, z, s0, q0=None):
+        if any(type(v) is not int for row in Q for v in row):
+            raise QuditMbqcError("Q has an entry that is not an integer")
+        n, N, z, s0 = plain_int(n, "n"), plain_int(N, "N"), plain_ints(z, "z"), plain_int(s0, "s0")
+        q0 = (0,) * N if q0 is None else plain_ints(q0, "q0")
         self.d = d
         self.n = n
         self.N = N
@@ -142,7 +146,7 @@ class MbqcPlan:
         self.temporally_flat = not any(self._t_nonzero)
         self.z = tuple(v % d for v in z)
         self.s0 = s0 % d
-        self.q0 = tuple((v % d for v in q0)) if q0 is not None else (0,) * N
+        self.q0 = tuple(v % d for v in q0)
         self._validate()
 
     @functools.cached_property
@@ -311,12 +315,8 @@ class MbqcPlan:
                     parties.append(parties[p])
             if obj["T"] is None:  # None builds a flat plan; a file spells T out
                 raise QuditMbqcError(f"T must have {obj['N']} rows, got null")
-            if any(type(v) is not int for row in obj["Q"] for v in row):
-                raise QuditMbqcError("Q has an entry that is not an integer")
-            q0 = obj.get("q0")
-            return cls(d, plain_int(obj["n"], "n"), plain_int(obj["N"], "N"), resource, parties,
-                       obj["Q"], obj["T"], z=plain_ints(obj["z"], "z"), s0=plain_int(obj["s0"], "s0"),
-                       q0=None if q0 is None else plain_ints(q0, "q0"))
+            return cls(d, obj["n"], obj["N"], resource, parties, obj["Q"], obj["T"],
+                       z=obj["z"], s0=obj["s0"], q0=obj.get("q0"))
         except (KeyError, TypeError, IndexError, ValueError, AttributeError,
                 ZeroDivisionError) as exc:
             raise PlanFormatError(f"malformed plan: missing or bad field {exc}") from exc

@@ -103,13 +103,6 @@ class PhaseSum:
                 out.add_tau_power(-j, c)
         return out
 
-    def times_tau_power(self, r: int) -> "PhaseSum":
-        out = PhaseSum(self.d)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out.add_tau_power(j + r, c)
-        return out
-
     def mul(self, other: "PhaseSum") -> "PhaseSum":
         out = PhaseSum(self.d)
         for i, a in enumerate(self.coeffs):

@@ -35,9 +35,10 @@ class MonomialOp:
 
     op|z> = tau^phases[z] |perm[z]>.  Closed under products and powers, so
     every Weyl operator and every control unitary used here stays exact.
-    The constructor checks nothing.  The cached property spectrum walks the
-    cycles once per object, refusing a map that is not a permutation, and
-    the omega verdict (has_omega_spectrum) is read off that record.
+    The constructor checks nothing; compose, power and to_dense refuse a
+    map of the wrong shape, and spectrum one that is not a permutation.
+    The cached property spectrum walks the cycles once per object, and the
+    omega verdict (has_omega_spectrum) is read off that record.
     """
 
     d: int
@@ -60,6 +61,10 @@ class MonomialOp:
 
     def compose(self, other: "MonomialOp") -> "MonomialOp":
         """self applied after other (matrix product self @ other)."""
+        self._check_shape()
+        other._check_shape()
+        if other.d != self.d:
+            raise QuditMbqcError(f"cannot compose a d={self.d} and a d={other.d} operator")
         period = tau_period(self.d)
         perm = tuple(self.perm[other.perm[z]] for z in range(self.d))
         phases = tuple(
@@ -68,6 +73,7 @@ class MonomialOp:
         return MonomialOp(self.d, perm, phases)
 
     def power(self, e: int) -> "MonomialOp":
+        self._check_shape()
         out = MonomialOp.identity(self.d)
         for _ in range(e):
             out = out.compose(self)
@@ -114,7 +120,15 @@ class MonomialOp:
             cycles.append((s, tuple(m for m in range(d) if (2 * m * s - phi) % period == 0)))
         return tuple(place), tuple(cycles)
 
+    def _check_shape(self) -> None:
+        """Raises QuditMbqcError unless perm has d entries in 0..d-1 and there are d phases."""
+        d = self.d
+        if len(self.perm) != d or len(self.phases) != d or not all(0 <= z < d for z in self.perm):
+            raise QuditMbqcError(f"a d={d} operator needs {d} images in 0..{d - 1} and {d} "
+                                 f"phases, got {self.perm} and {len(self.phases)} phases")
+
     def to_dense(self) -> np.ndarray:
+        self._check_shape()
         tau = tau_value(self.d)
         out = np.zeros((self.d, self.d), dtype=complex)
         for z in range(self.d):
@@ -186,7 +200,8 @@ class SparseState:
 
     def __post_init__(self):
         period = tau_period(self.d)
-        seen = [(t % period, tuple(k)) for t, k in self.terms]
+        seen = [(plain_int(t, f"term {j} tau exponent") % period, plain_ints(k, f"term {j} ket"))
+                for j, (t, k) in enumerate(self.terms)]
         seen.sort(key=lambda item: item[1])
         kets = [k for _, k in seen]
         if not kets:
@@ -390,42 +405,27 @@ def measurement_distribution(psi: SparseState, site: int,
 def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
     """The (tau exponent, rest) terms of branch m over a sorted group in
     which some rests are shared, and their common |amplitude|^2; no terms
-    when every amplitude cancels."""
-    period = tau_period(d)
-    unit_keys = tau_power_keys(d)
-    amps: list[list] = []  # [rest, tau exponent, or a PhaseSum once shared]
+    when every amplitude cancels.  Each surviving amplitude a is read
+    against the first one, b, by one product: a*conj(b) = tau^r |b|^2."""
+    amps: list[tuple] = []  # (rest, its amplitude as a PhaseSum)
     for rest, e, s in group:
-        e = (e + 2 * m * s) % period
         if not amps or amps[-1][0] != rest:
-            amps.append([rest, e])
-            continue
-        if isinstance(amps[-1][1], int):
-            shared = PhaseSum(d)
-            shared.add_tau_power(amps[-1][1])
-            amps[-1][1] = shared
-        amps[-1][1].add_tau_power(e)
-    survivors = []  # (rest, amplitude, key)
-    for rest, a in amps:
-        key = unit_keys[a] if isinstance(a, int) else a.key()
-        if any(key):
-            survivors.append((rest, a, key))
+            amps.append((rest, PhaseSum(d)))
+        amps[-1][1].add_tau_power(e + 2 * m * s)
+    survivors = [(rest, a) for rest, a in amps if not a.is_zero()]
     if not survivors:
         return (), 0
-    base = survivors[0][1]
-    if isinstance(base, int):
-        norm_sq = 1
-        ratio_of = {unit_keys[(base + r) % period]: r for r in range(period)}
-    else:
-        norm_sq = base.mul(base.conjugate()).as_rational_integer()
-        if norm_sq is None or norm_sq <= 0:
-            raise SparseFormError(
-                "projection produced an amplitude with non-integral norm; "
-                "state left the sparse form"
-            )
-        ratio_of = {base.times_tau_power(r).key(): r for r in range(period)}
+    conj = survivors[0][1].conjugate()
+    norm_sq = survivors[0][1].mul(conj).as_rational_integer()
+    if norm_sq is None or norm_sq <= 0:
+        raise SparseFormError(
+            "projection produced an amplitude with non-integral norm; "
+            "state left the sparse form"
+        )
+    ratio_of = {tuple(norm_sq * c for c in key): r for r, key in enumerate(tau_power_keys(d))}
     terms = []
-    for rest, _, key in survivors:
-        r = ratio_of.get(key)
+    for rest, a in survivors:
+        r = ratio_of.get(a.mul(conj).key())
         if r is None:
             raise SparseFormError(
                 "projection produced non-uniform amplitudes; state left the sparse form"

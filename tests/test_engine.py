@@ -417,6 +417,26 @@ class TestTemporal:
                     f"outcome {outcome} for settings (0, 0) lies outside 0..1")):
                 MbqcPlan(**dict(good, resource=wide))
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("z", [1.5, 1], "z has 1.5, expected an integer"),
+        ("z", [True, 1], "z has True, expected an integer"),
+        ("Q", [[1.0], [1]], "Q has an entry that is not an integer"),
+        ("q0", [0, 0.5], "q0 has 0.5, expected an integer"),
+        ("s0", 1.5, "s0 is 1.5, expected an integer"),
+        ("n", 1.0, "n is 1.0, expected an integer"),
+        ("N", True, "N is True, expected an integer"),
+    ], ids=["z-float", "z-bool", "Q-float", "q0-float", "s0-float", "n-float", "N-bool"])
+    def test_non_integer_fields_are_refused_as_in_plan_files(self, field, bad, message):
+        # each once built a plan that ran to a fractional output or a bare
+        # TypeError, or that dumps wrote and loads refused
+        d = 3
+        good = dict(d=d, n=1, N=2, resource=make_ghz(d, 2),
+                    parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "S"))] * 2,
+                    Q=[[1], [1]], T=[[0, 0], [1, 0]], z=[1, 1], s0=0, q0=[0, 0])
+        assert run(MbqcPlan(**good), (1,), seed=0).output in range(d)
+        with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
+            MbqcPlan(**dict(good, **{field: bad}))
+
     def test_non_triangular_T_rejected(self):
         d = 2
         fid = WeylLabel(d, (1, 0))

@@ -1,6 +1,9 @@
 """Property: measurement_distribution with the cycles cached on the operator
 gives the branches and errors of a per-call cycle construction, and the
-cached cycle data equals that construction's."""
+cached cycle data equals that construction's.  The merged rests of that
+reference come from a frozen copy of the earlier _merged_rest, with an int
+or PhaseSum amplitude per rest and two ratio tables, which also referees
+the one-product ratio test of the current _merged_rest directly."""
 
 import math
 from fractions import Fraction
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditmbqc.errors import QuditMbqcError, SparseFormError
-from quditmbqc.phases import tau_period
+from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
 from quditmbqc.states import MonomialOp, SparseState, _merged_rest, measurement_distribution
 
 
@@ -51,6 +54,60 @@ def _reference_omega(op: MonomialOp) -> bool:
     return True
 
 
+def _frozen_merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
+    """The (tau exponent, rest) terms of branch m and their |amplitude|^2,
+    as the earlier _merged_rest found them: a rest held an int exponent
+    until shared, and the ratios came from the unit keys for an int base or
+    from the period rotated copies of a shared base."""
+    period = tau_period(d)
+    unit_keys = tau_power_keys(d)
+    amps: list[list] = []  # [rest, tau exponent, or a PhaseSum once shared]
+    for rest, e, s in group:
+        e = (e + 2 * m * s) % period
+        if not amps or amps[-1][0] != rest:
+            amps.append([rest, e])
+            continue
+        if isinstance(amps[-1][1], int):
+            shared = PhaseSum(d)
+            shared.add_tau_power(amps[-1][1])
+            amps[-1][1] = shared
+        amps[-1][1].add_tau_power(e)
+    survivors = []  # (rest, amplitude, key)
+    for rest, a in amps:
+        key = unit_keys[a] if isinstance(a, int) else a.key()
+        if any(key):
+            survivors.append((rest, a, key))
+    if not survivors:
+        return (), 0
+    base = survivors[0][1]
+    if isinstance(base, int):
+        norm_sq = 1
+        ratio_of = {unit_keys[(base + r) % period]: r for r in range(period)}
+    else:
+        norm_sq = base.mul(base.conjugate()).as_rational_integer()
+        if norm_sq is None or norm_sq <= 0:
+            raise SparseFormError(
+                "projection produced an amplitude with non-integral norm; "
+                "state left the sparse form"
+            )
+        ratio_of = {}
+        for r in range(period):  # base * tau^r
+            rotated = PhaseSum(d)
+            for j, c in enumerate(base.coeffs):
+                if c:
+                    rotated.add_tau_power(j + r, c)
+            ratio_of[rotated.key()] = r
+    terms = []
+    for rest, _, key in survivors:
+        r = ratio_of.get(key)
+        if r is None:
+            raise SparseFormError(
+                "projection produced non-uniform amplitudes; state left the sparse form"
+            )
+        terms.append((r, rest))
+    return tuple(terms), norm_sq
+
+
 def _reference_distribution(psi: SparseState, site: int, op: MonomialOp):
     """measurement_distribution as it was with the cycles built per call."""
     d = psi.d
@@ -75,7 +132,7 @@ def _reference_distribution(psi: SparseState, site: int, op: MonomialOp):
                 terms = tuple(((e + 2 * m * s - e0) % period, rest) for rest, e, s in group)
                 norm_sq = 1
             else:
-                terms, norm_sq = _merged_rest(d, group, m)
+                terms, norm_sq = _frozen_merged_rest(d, group, m)
                 if not terms:
                     continue
             out.append((m, Fraction(len(terms) * norm_sq, K * L),
@@ -141,3 +198,42 @@ def test_cached_spectrum_matches_per_call_construction(case):
     place, cycles = _reference_cycles(op)
     assert fresh.spectrum == (tuple(place), tuple((L, tuple(ms)) for L, ms in cycles))
     assert fresh.has_omega_spectrum() == _reference_omega(op)
+
+
+@st.composite
+def shared_groups(draw):
+    """(d, a sorted group of (rest, tau exponent, step) entries in which the
+    first rest is shared, outcome m) at d in 2..9: the input _merged_rest
+    gets when rests coincide on one cycle."""
+    d = draw(st.integers(2, 9))
+    period = tau_period(d)
+    rests = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    rests.append(rests[0])
+    group = sorted(((r,), draw(st.integers(-period, period)), draw(st.integers(0, d - 1)))
+                   for r in rests)
+    return d, group, draw(st.integers(0, d - 1))
+
+
+_MERGED_OUTCOMES = {
+    "projection produced an amplitude with non-integral norm; state left the sparse form":
+        "non-integral norm",
+    "projection produced non-uniform amplitudes; state left the sparse form":
+        "non-uniform amplitudes",
+}
+
+
+def test_merged_rest_matches_the_frozen_copy():
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=600, database=None)
+    @given(shared_groups())
+    def check(case):
+        want = _outcome(_frozen_merged_rest, *case)
+        assert _outcome(_merged_rest, *case) == want
+        if want[0] is SparseFormError:
+            seen.add(_MERGED_OUTCOMES[want[1]])
+        else:
+            seen.add("terms" if want[0] else "all amplitudes cancel")
+
+    check()
+    assert seen == {"terms", "all amplitudes cancel", "non-integral norm", "non-uniform amplitudes"}

@@ -38,14 +38,19 @@ class TestPhaseSum:
         assert ps.is_zero()
 
     def test_tau_ratio_recognition(self):
-        # 2 * tau^2 is tau^2 times 2: the keys agree after the tau shift only
+        # 2 * tau^2 is tau^2 times 2: the product a * conj(b) reads tau^2 |b|^2,
+        # and no other tau power
         base = PhaseSum(3)
         base.add_tau_power(0, weight=2)
         ps = PhaseSum(3)
         ps.add_tau_power(2)
         ps.add_tau_power(2)
-        assert ps.key() == base.times_tau_power(2).key() != base.key()
-        assert base.mul(base.conjugate()).as_rational_integer() == 4
+        norm_sq = base.mul(base.conjugate()).as_rational_integer()
+        assert norm_sq == 4
+        scaled_units = [tuple(norm_sq * c for c in key) for key in tau_power_keys(3)]
+        ratio = ps.mul(base.conjugate()).key()
+        assert [r for r, key in enumerate(scaled_units) if key == ratio] == [2]
+        assert ps.key() != base.key()
 
     def test_negative_unit_is_tau_squared_for_qubits(self):
         ps = PhaseSum(2)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -444,6 +445,38 @@ class TestRefusals:
     def test_bad_shapes_raise_the_library_error(self, call):
         with pytest.raises(QuditMbqcError):
             call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_ghz(3, 2, [0.5, 0, 0]), "term 0 tau exponent is 0.5, expected an integer"),
+        (lambda: SparseState(3, 1, ((0, (0,)), (1.5, (1,)))),
+         "term 1 tau exponent is 1.5, expected an integer"),
+        (lambda: SparseState(3, 1, ((0, (0.5,)),)), "term 0 ket has 0.5, expected an integer"),
+        (lambda: SparseState(3, 1, (("a", (0,)),)), "term 0 tau exponent is 'a', expected an integer"),
+        (lambda: SparseState(2, 1, ((True, (0,)),)), "term 0 tau exponent is True, expected an integer"),
+        (lambda: SparseState(2, 2, ((0, "01"),)), "term 0 ket is '01', expected a list of some integers"),
+    ], ids=["ghz-half-phase", "tau-exponent-float", "ket-digit-float", "tau-exponent-string",
+            "tau-exponent-bool", "ket-string"])
+    def test_non_integer_terms_name_the_term(self, call, message):
+        with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: I(3).compose(MonomialOp(3, (0, 1), (0, 0))),
+        lambda: MonomialOp(3, (0, 1, 5), (0, 0, 0)).compose(I(3)),
+        lambda: MonomialOp(3, (-1, 0, 1), (0, 0, 0)).power(2),
+        lambda: MonomialOp(3, (0, 1, 2), (0, 0)).power(0),
+        lambda: MonomialOp(3, (0, 1), (0, 0, 0)).to_dense(),
+    ], ids=["compose-short-other", "compose-entry-out-of-range", "power-negative-entry",
+            "power-zero-short-phases", "to-dense-short-perm"])
+    def test_malformed_maps_are_refused_by_compose_power_and_to_dense(self, call):
+        # a map with a repeated image stays well defined here (only spectrum
+        # needs a permutation); a wrong length or an entry outside 0..2 does not
+        with pytest.raises(QuditMbqcError, match="needs 3 images in 0..2 and 3 phases"):
+            call()
+
+    def test_compose_refuses_another_dimension(self):
+        with pytest.raises(QuditMbqcError, match="cannot compose a d=3 and a d=5 operator"):
+            I(3).compose(X(5))
 
     def test_non_permutations_are_refused_by_the_walk(self):
         for perm in ((0, 1, 5), (0, 1), (0, 0, 1), (0, 1, 2, 3), (-1, 0, 1)):
