@@ -15,9 +15,11 @@ a party-by-party walk that merges equal branches for ordered ones; none of
 them samples.  A flat law is one pass over the parties per input: the
 settings of all parties come from Q's columns at once, and each party's
 operator is one dictionary read keyed by (party kind, setting, power).  Runs
-and the walk measure each party with the fused step
-states.measurement_distribution, which removes the measured qudit, so their
-sparse support never exceeds the resource's term count.
+and the walk measure party k with states._measurement_branches on the
+resource's suffix trie (MbqcPlan._trie, built at the first use): a rest is
+(tau exponent, suffix class) terms, so a step costs O(K) for its K <= the
+resource's term count, whatever N is, and the plan's proof that every site
+operator has an omega spectrum stands in for a check per step.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .states import (
     MonomialOp,
     SparseState,
     _draw_branch,
+    _measurement_branches,
+    _suffix_trie,
     apply_observable,
     eigenphase_of,
-    measure_local,
-    measurement_distribution,
 )
 from .weyl import CliffordSpec, WeylLabel, conjugate_weyl, weyl_power
 
@@ -127,7 +129,8 @@ class MbqcPlan:
     def __init__(self, d, n, N, resource, parties, Q, T=None, *, z, s0, q0=None):
         if any(type(v) is not int for row in Q for v in row):
             raise QuditMbqcError("Q has an entry that is not an integer")
-        n, N, z, s0 = plain_int(n, "n"), plain_int(N, "N"), plain_ints(z, "z"), plain_int(s0, "s0")
+        d, n, N = plain_int(d, "d"), plain_int(n, "n"), plain_int(N, "N")
+        z, s0 = plain_ints(z, "z"), plain_int(s0, "s0")
         q0 = (0,) * N if q0 is None else plain_ints(q0, "q0")
         self.d = d
         self.n = n
@@ -222,6 +225,12 @@ class MbqcPlan:
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         """The n columns of Q."""
         return tuple(zip(*self.Q))
+
+    @functools.cached_property
+    def _trie(self) -> tuple[tuple, tuple]:
+        """The quantum resource's suffix trie (states._suffix_trie), built
+        at the first run or ordered walk."""
+        return _suffix_trie(self.resource)
 
     def _settings(self, i: tuple[int, ...]) -> tuple[int, ...]:
         """The settings of every party for input i (n symbols mod d) before
@@ -436,22 +445,27 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     """Execute one seeded run, measuring parties in index order.
 
     Each measurement draws one (outcome, eigenvector cycle) branch of
-    states.measurement_distribution and forgets the measured qudit, so the
-    party measured next is always at position 0 of the remaining state.
+    states._measurement_branches and forgets the measured qudit, so the
+    party measured next is always at position 0 of the remaining state,
+    read off the plan's suffix trie.
     """
     i = _read_input(plan, i)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     settings = plan._settings(i)
     if isinstance(plan.resource, TableResource):
-        m, _ = _draw_branch(plan.resource.distribution(settings), rng)
+        m, _, _ = _draw_branch([(m, p.numerator, p.denominator)
+                                for m, p in plan.resource.distribution(settings)], rng)
         return RunTrace(i, settings, m, plan.output_of(m))
     settings = list(settings)
     outcomes: list[int] = []
-    psi = plan.resource
+    terms, levels = plan._trie
     for k, reads in enumerate(plan._t_nonzero):
         if reads:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in reads)) % plan.d
-        m_k, psi = measure_local(psi, 0, plan._site_op(k, settings[k], 1), rng)
+        level = levels[k]
+        entries = [(level[c][1], t, level[c][0]) for t, c in terms]
+        m_k, _, _, terms = _draw_branch(
+            _measurement_branches(plan.d, plan._site_op(k, settings[k], 1), entries), rng)
         outcomes.append(m_k)
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
@@ -503,7 +517,8 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     with W = weighted_observable(plan, i), or raises SparseFormError when a
     probability is irrational.  Ordered plans are walked party by party,
     merging branches that agree on the rest state (global phase dropped),
-    the settings pending for later parties and the partial output; the walk
+    the outcome corrections to later parties' settings and the partial
+    output; the walk
     raises SizeGuardError when its widest layer, the branches after one
     party, exceeds EXACT_BRANCH_BUDGET.
     """
@@ -516,22 +531,34 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
         return {o: p for o, p in out.items() if p}
     if plan.temporally_flat:
         return _spectral_law(plan, i)
+    d, z = plan.d, plan.z
     reads: list[list] = [[] for _ in range(plan.N)]  # column l of T: (j, T[j][l]) pairs
     for j, row in enumerate(plan._t_nonzero):
         for l, v in row:
             reads[l].append((j, v))
-    # (rest state, settings of parties k.. so far, partial output) -> probability
-    layer = {(plan.resource, plan._settings(i), plan.s0): Fraction(1)}
+    settings = plan._settings(i)
+    start, levels = plan._trie
+    # (rest terms, the nonzero outcome corrections to later settings as
+    # sorted (party, delta) pairs, partial output) -> probability
+    layer = {(start, (), plan.s0): Fraction(1)}
     for k in range(plan.N):
+        level = levels[k]
         merged: dict[tuple, Fraction] = {}
-        for (psi, pending, part), prob in layer.items():
-            op = plan._site_op(k, pending[0], 1)
-            for m_k, p, rest in measurement_distribution(psi, 0, op):
-                settings = list(pending[1:])
-                for j, v in reads[k]:
-                    settings[j - k - 1] = (settings[j - k - 1] + v * m_k) % plan.d
-                key = (rest, tuple(settings), (part + plan.z[k] * m_k) % plan.d)
-                merged[key] = merged.get(key, Fraction(0)) + prob * p
+        for (terms, later, part), prob in layer.items():
+            q = settings[k]
+            if later and later[0][0] == k:
+                q, later = (q + later[0][1]) % d, later[1:]
+            entries = [(level[c][1], t, level[c][0]) for t, c in terms]
+            for m_k, weight, den, rest in _measurement_branches(d, plan._site_op(k, q, 1), entries):
+                corrections = later
+                if m_k and reads[k]:
+                    delta = dict(later)
+                    for j, v in reads[k]:
+                        delta[j] = (delta.get(j, 0) + v * m_k) % d
+                    corrections = tuple(sorted((j, x) for j, x in delta.items() if x))
+                key = (rest, corrections, (part + z[k] * m_k) % d)
+                p = Fraction(prob.numerator * weight, prob.denominator * den)
+                merged[key] = merged.get(key, 0) + p
         if len(merged) > EXACT_BRANCH_BUDGET:
             raise SizeGuardError(f"ordered walk of input {i} reached {len(merged)} branches "
                                  f"at party {k}, over the widest-layer limit "

@@ -100,12 +100,14 @@ class MonomialOp:
         from its first element z0, op^s|z0> = tau^phi_s |z>; cycles[C] =
         (L, the outcomes m with 2mL = Phi_C), Phi_C the phase around C: the
         eigenvalues omega^m on C, all L of them when has_omega_spectrum().
-        Raises QuditMbqcError unless perm is a permutation of 0..d-1 with d phases.
+        Raises QuditMbqcError unless perm is a permutation of 0..d-1 with d
+        phases, all of them ints.
         """
         d, period = self.d, tau_period(self.d)
-        if len(self.phases) != d or sorted(self.perm) != list(range(d)):
+        if (not self._int_entries() or len(self.phases) != d
+                or sorted(self.perm) != list(range(d))):
             raise QuditMbqcError(f"a d={d} operator needs a permutation of 0..{d - 1} and {d} "
-                                 f"phases, got {self.perm} and {len(self.phases)} phases")
+                                 f"phases, all integers, got {self.perm} and {self.phases}")
         place: list[tuple[int, int, int] | None] = [None] * d
         cycles = []
         for start in range(d):
@@ -121,11 +123,17 @@ class MonomialOp:
         return tuple(place), tuple(cycles)
 
     def _check_shape(self) -> None:
-        """Raises QuditMbqcError unless perm has d entries in 0..d-1 and there are d phases."""
+        """Raises QuditMbqcError unless perm has d int entries in 0..d-1 and
+        there are d int phases."""
         d = self.d
-        if len(self.perm) != d or len(self.phases) != d or not all(0 <= z < d for z in self.perm):
+        if (not self._int_entries() or len(self.perm) != d or len(self.phases) != d
+                or not all(0 <= z < d for z in self.perm)):
             raise QuditMbqcError(f"a d={d} operator needs {d} images in 0..{d - 1} and {d} "
-                                 f"phases, got {self.perm} and {len(self.phases)} phases")
+                                 f"phases, all integers, got {self.perm} and {self.phases}")
+
+    def _int_entries(self) -> bool:
+        """Whether every image and phase is an int (not a float or a bool)."""
+        return all(type(v) is int for v in (*self.perm, *self.phases))
 
     def to_dense(self) -> np.ndarray:
         self._check_shape()
@@ -199,7 +207,8 @@ class SparseState:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        period = tau_period(self.d)
+        period = tau_period(plain_int(self.d, "d"))
+        plain_int(self.N, "N")
         seen = [(plain_int(t, f"term {j} tau exponent") % period, plain_ints(k, f"term {j} ket"))
                 for j, (t, k) in enumerate(self.terms)]
         seen.sort(key=lambda item: item[1])
@@ -259,6 +268,7 @@ def make_ghz(d: int, N: int, phases: list[int] | None = None) -> SparseState:
 
     Optional phases gives per-z tau exponents, d of them.
     """
+    d, N = plain_int(d, "d"), plain_int(N, "N")
     phases = [0] * d if phases is None else phases
     if len(phases) != d:
         raise QuditMbqcError(f"a d={d} GHZ state needs {d} phases, got {len(phases)}")
@@ -360,24 +370,43 @@ def measurement_distribution(psi: SparseState, site: int,
     SparseFormError is raised, as it is when a cycle's branch weights break
     Parseval (they must sum to L times the number of terms on C, which
     makes the probabilities sum to 1).  A site outside 0..N-1, or an op of
-    another d or without an omega spectrum, raises QuditMbqcError.  All of
-    op's data is read from op.spectrum, cached on the operator, so a call
-    only groups the K terms by cycle and visits the cycles they meet.
+    another d or without an omega spectrum, raises QuditMbqcError.  The
+    branches come from _measurement_branches, keyed by the sliced kets.
     """
     d = psi.d
     if op.d != d:
         raise QuditMbqcError(f"site operator has dimension {op.d}, the state {d}")
     if not 0 <= site < psi.N:
         raise QuditMbqcError(f"site {site} is out of range for a state of {psi.N} qudits")
-    place, cycles = op.spectrum  # refuses a map that is not a permutation
+    op.spectrum  # refuses a map that is not a permutation
     if not op.has_omega_spectrum():
         raise QuditMbqcError("site operator spectrum is not omega powers")
+    entries = [(ket[:site] + ket[site + 1:], t, ket[site]) for t, ket in psi.terms]
+    return [(m, Fraction(weight, den), SparseState._trusted(d, psi.N - 1, terms))
+            for m, weight, den, terms in _measurement_branches(d, op, entries)]
+
+
+def _measurement_branches(d: int, op: MonomialOp, entries) -> list[tuple[int, int, int, tuple]]:
+    """The (m, weight, denominator, rest terms) branches of measuring op on
+    K terms given as (rest key, tau exponent, digit) entries: the shared
+    step of measurement_distribution, runs and ordered walks.
+
+    Rest keys must sort like the rests they stand for (sliced kets, or the
+    suffix classes of _suffix_trie); each branch's rest terms are (tau
+    exponent, rest key) pairs sorted by key, its probability is weight /
+    denominator, and zero-weight branches are left out.  op must have an
+    omega spectrum, which the caller has checked (or its plan has proved).
+    All of op's data is read from op.spectrum, cached on the operator, so
+    a call only groups the K entries by cycle and visits the cycles they
+    meet.
+    """
+    place, cycles = op.spectrum
     period = tau_period(d)
-    groups: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}  # C -> its terms
-    for t, ket in psi.terms:
-        c, s, phi = place[ket[site]]
-        groups.setdefault(c, []).append((ket[:site] + ket[site + 1:], t - phi, s))
-    K = len(psi.terms)
+    groups: dict[int, list[tuple]] = {}  # C -> its (rest, exponent, step) entries
+    for rest, t, z in entries:
+        c, s, phi = place[z]
+        groups.setdefault(c, []).append((rest, t - phi, s))
+    K = len(entries)
     out = []
     for c in sorted(groups):
         L, outcomes = cycles[c]
@@ -387,19 +416,42 @@ def measurement_distribution(psi: SparseState, site: int,
         for m in outcomes:
             if distinct:  # every amplitude is one tau power
                 e0 = group[0][1] + 2 * m * group[0][2]
-                terms = tuple(((e + 2 * m * s - e0) % period, rest) for rest, e, s in group)
+                terms = tuple([((e + 2 * m * s - e0) % period, rest) for rest, e, s in group])
                 norm_sq = 1
             else:
                 terms, norm_sq = _merged_rest(d, group, m)
                 if not terms:
                     continue
             weight += len(terms) * norm_sq
-            out.append((m, Fraction(len(terms) * norm_sq, K * L),
-                        SparseState._trusted(d, psi.N - 1, terms)))
+            out.append((m, len(terms) * norm_sq, K * L, terms))
         if weight != len(group) * L:
             raise SparseFormError(f"branch weights on cycle {c} sum to {weight}, not {len(group) * L}")
-    out.sort(key=lambda branch: branch[0])  # stable: cycles stay in order
+    out.sort(key=itemgetter(0))  # stable: cycles stay in order
     return out
+
+
+def _suffix_trie(psi: SparseState) -> tuple[tuple, tuple]:
+    """psi's kets as a trie of their suffixes, for measuring position 0
+    again and again without slicing: (start, levels).
+
+    The distinct suffixes ket[k:] get class ids 0, 1, ... in suffix order;
+    levels[k][c] = (ket[k], class of ket[k+1:]) for class c at position k
+    (the empty suffix at position N is class 0), and start is psi's terms
+    as (tau exponent, class at position 0).  Built right to left, since a
+    suffix sorts as its (digit, child class) pair; equal levels are one
+    object, so a resource whose positions repeat costs O(K) memory.
+    """
+    kets = [ket for _, ket in psi.terms]
+    ids = [0] * len(kets)
+    levels: list = [()] * psi.N
+    seen: dict = {}
+    for k in reversed(range(psi.N)):
+        pairs = list(zip([ket[k] for ket in kets], ids))
+        level = tuple(sorted(set(pairs)))
+        rank = {pair: c for c, pair in enumerate(level)}
+        ids = [rank[pair] for pair in pairs]
+        levels[k] = seen.setdefault(level, level)
+    return tuple(zip([t for t, _ in psi.terms], ids)), tuple(levels)
 
 
 def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
@@ -445,17 +497,20 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    m, _, rest = _draw_branch(measurement_distribution(psi, site, op), rng)
+    m, _, _, rest = _draw_branch([(m, p.numerator, p.denominator, rest) for m, p, rest
+                                  in measurement_distribution(psi, site, op)], rng)
     return m, rest
 
 
 def _draw_branch(branches, rng: random.Random):
-    """A branch drawn with its exact weight branch[1]; never a zero-weight one."""
-    den = math.lcm(*(branch[1].denominator for branch in branches))
+    """A branch drawn with its exact probability branch[1] / branch[2]
+    (integers); never a zero-weight one.  One randrange call over the least
+    common denominator of the reduced probabilities."""
+    den = math.lcm(*(b[2] // math.gcd(b[1], b[2]) for b in branches))
     draw = rng.randrange(den)
     acc = 0
     for branch in branches:
-        acc += branch[1].numerator * (den // branch[1].denominator)
+        acc += branch[1] * den // branch[2]
         if draw < acc:
             return branch
     raise AssertionError("sampling fell through")  # unreachable

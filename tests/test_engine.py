@@ -98,7 +98,7 @@ class TestRun:
             assert max(sizes) <= len(plan.resource.terms)
 
     def test_runs_decompose_each_site_operator_once(self, monkeypatch):
-        # measurement_distribution reads the cycles from MonomialOp.spectrum,
+        # _measurement_branches reads the cycles from MonomialOp.spectrum,
         # cached on each operator object: seven runs of a compiled p=7 plan
         # (252 parties, 6 party kinds x 7 settings) decompose at most 42
         # operators, each once, where a per-call decomposition made 7 x 252
@@ -425,7 +425,10 @@ class TestTemporal:
         ("s0", 1.5, "s0 is 1.5, expected an integer"),
         ("n", 1.0, "n is 1.0, expected an integer"),
         ("N", True, "N is True, expected an integer"),
-    ], ids=["z-float", "z-bool", "Q-float", "q0-float", "s0-float", "n-float", "N-bool"])
+        ("d", 3.0, "d is 3.0, expected an integer"),
+        ("d", True, "d is True, expected an integer"),
+    ], ids=["z-float", "z-bool", "Q-float", "q0-float", "s0-float", "n-float", "N-bool",
+            "d-float", "d-bool"])
     def test_non_integer_fields_are_refused_as_in_plan_files(self, field, bad, message):
         # each once built a plan that ran to a fractional output or a bare
         # TypeError, or that dumps wrote and loads refused
@@ -688,15 +691,15 @@ def _spy_steps(monkeypatch) -> list[tuple[int, list[int]]]:
     """Records every measurement step of runs and exact walks as (terms of
     the measured state, outcome of each branch)."""
     steps = []
-    step = states.measurement_distribution
+    step = states._measurement_branches
 
-    def spy(psi, site, op):
-        branches = step(psi, site, op)
-        steps.append((len(psi.terms), [m for m, _, _ in branches]))
+    def spy(d, op, entries):
+        branches = step(d, op, entries)
+        steps.append((len(entries), [m for m, _, _, _ in branches]))
         return branches
 
-    monkeypatch.setattr(states, "measurement_distribution", spy)  # measure_local
-    monkeypatch.setattr(engine, "measurement_distribution", spy)
+    monkeypatch.setattr(states, "_measurement_branches", spy)  # measurement_distribution
+    monkeypatch.setattr(engine, "_measurement_branches", spy)
     return steps
 
 

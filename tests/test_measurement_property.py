@@ -3,7 +3,10 @@ gives the branches and errors of a per-call cycle construction, and the
 cached cycle data equals that construction's.  The merged rests of that
 reference come from a frozen copy of the earlier _merged_rest, with an int
 or PhaseSum amplitude per rest and two ratio tables, which also referees
-the one-product ratio test of the current _merged_rest directly."""
+the one-product ratio test of the current _merged_rest directly.  Runs
+and ordered walks measure position 0 again and again through the suffix
+trie of the resource, which must give measurement_distribution's branches
+at every step."""
 
 import math
 from fractions import Fraction
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
-from quditmbqc.states import MonomialOp, SparseState, _merged_rest, measurement_distribution
+from quditmbqc.states import (MonomialOp, SparseState, _measurement_branches, _merged_rest,
+                              _suffix_trie, measurement_distribution)
 
 
 def _reference_cycles(op: MonomialOp):
@@ -145,11 +149,12 @@ def _reference_distribution(psi: SparseState, site: int, op: MonomialOp):
 
 
 @st.composite
-def monomial_ops(draw, d: int) -> MonomialOp:
+def monomial_ops(draw, d: int, omega_only: bool = False) -> MonomialOp:
     """Free phases (mostly no omega spectrum), or cycles whose lengths
-    divide d with each cycle's phase sum set so that op**d is the identity."""
+    divide d with each cycle's phase sum set so that op**d is the identity
+    (always, when omega_only)."""
     period = tau_period(d)
-    if draw(st.booleans()):
+    if not omega_only and draw(st.booleans()):
         perm = draw(st.permutations(range(d)))
         return MonomialOp(d, tuple(perm), tuple(draw(st.lists(
             st.integers(0, period - 1), min_size=d, max_size=d))))
@@ -171,13 +176,19 @@ def monomial_ops(draw, d: int) -> MonomialOp:
 
 
 @st.composite
-def cases(draw):
+def sparse_states(draw, max_n: int = 3) -> SparseState:
     d = draw(st.integers(2, 9))
-    N = draw(st.integers(1, 3))
+    N = draw(st.integers(1, max_n))
     kets = draw(st.sets(st.tuples(*[st.integers(0, d - 1)] * N), min_size=1, max_size=8))
     period = tau_period(d)
     terms = tuple((draw(st.integers(0, period - 1)), ket) for ket in sorted(kets))
-    return SparseState(d, N, terms), draw(st.integers(0, N - 1)), draw(monomial_ops(d))
+    return SparseState(d, N, terms)
+
+
+@st.composite
+def cases(draw):
+    psi = draw(sparse_states())
+    return psi, draw(st.integers(0, psi.N - 1)), draw(monomial_ops(psi.d))
 
 
 def _outcome(fn, *args):
@@ -237,3 +248,53 @@ def test_merged_rest_matches_the_frozen_copy():
 
     check()
     assert seen == {"terms", "all amplitudes cancel", "non-integral norm", "non-uniform amplitudes"}
+
+
+@st.composite
+def trie_walks(draw):
+    """(a state of up to 4 qudits, an omega-spectrum operator per qudit,
+    the branch to follow after each step, as an index taken mod the
+    number of branches)."""
+    psi = draw(sparse_states(max_n=4))
+    ops = [draw(monomial_ops(psi.d, omega_only=True)) for _ in range(psi.N)]
+    return psi, ops, draw(st.lists(st.integers(0, 7), min_size=psi.N, max_size=psi.N))
+
+
+def _suffix(levels, k: int, c: int) -> tuple[int, ...]:
+    """The suffix ket[k:] of class c at position k, read back through the trie."""
+    ket = []
+    for level in levels[k:]:
+        z, c = level[c]
+        ket.append(z)
+    return tuple(ket)
+
+
+def test_trie_steps_match_measurement_distribution():
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(trie_walks())
+    def check(case):
+        psi, ops, picks = case
+        start, levels = _suffix_trie(psi)
+        assert [(t, _suffix(levels, 0, c)) for t, c in start] == list(psi.terms)
+        terms = start
+        for k, (op, pick) in enumerate(zip(ops, picks)):
+            entries = [(levels[k][c][1], t, levels[k][c][0]) for t, c in terms]
+            if len({rest for rest, _, _ in entries}) < len(entries):
+                seen.add("merged rests")
+            want = _outcome(measurement_distribution, psi, 0, op)
+            got = _outcome(_measurement_branches, psi.d, op, entries)
+            if isinstance(want[0], type):  # both refuse, with the same error
+                assert got == want
+                seen.add(want[0].__name__)
+                return
+            assert [(m, Fraction(w, den)) for m, w, den, _ in got] == [(m, p) for m, p, _ in want]
+            for (_, _, _, rest), (_, _, state) in zip(got, want):
+                assert [(r, _suffix(levels, k + 1, c)) for r, c in rest] == list(state.terms)
+            _, _, _, terms = got[pick % len(got)]
+            psi = want[pick % len(want)][2]
+        seen.add("walked to the end")
+
+    check()
+    assert seen == {"merged rests", "SparseFormError", "walked to the end"}

@@ -439,9 +439,15 @@ class TestRefusals:
         lambda: make_ghz(3, 2, [0, 1, 2, 3]),
         lambda: GlobalObservable(3, [MonomialOp(3, (0, 1, 5), (0, 0, 0))]),
         lambda: GlobalObservable(3, [MonomialOp(3, (0, 1), (0, 0, 0))]),
+        lambda: GlobalObservable(3, [MonomialOp(3, (0, 1.0, 2), (0, 0, 0))]),
+        lambda: GlobalObservable(3, [MonomialOp(3, (0, 1, 2), (0, 0.5, 0))]),
+        lambda: measurement_distribution(make_ghz(3, 1), 0, MonomialOp(3, (0, 1.0, 2), (0, 0, 0))),
+        lambda: MonomialOp(3, (0, 1.0, 2), (0, 0, 0)).compose(I(3)),
+        lambda: I(3).compose(MonomialOp(3, (0, 1, 2), (0, True, 0))),
     ], ids=["site-past-end", "negative-site", "operator-d-below", "operator-d-above",
             "short-phases", "measure-local-site", "ghz-few-phases", "ghz-many-phases",
-            "entry-out-of-range", "short-perm"])
+            "entry-out-of-range", "short-perm", "float-entry", "float-phase",
+            "measure-float-entry", "compose-float-entry", "compose-bool-phase"])
     def test_bad_shapes_raise_the_library_error(self, call):
         with pytest.raises(QuditMbqcError):
             call()
@@ -454,8 +460,15 @@ class TestRefusals:
         (lambda: SparseState(3, 1, (("a", (0,)),)), "term 0 tau exponent is 'a', expected an integer"),
         (lambda: SparseState(2, 1, ((True, (0,)),)), "term 0 tau exponent is True, expected an integer"),
         (lambda: SparseState(2, 2, ((0, "01"),)), "term 0 ket is '01', expected a list of some integers"),
+        # d and N are checked the same way; each of these once built a state
+        # or ended in a bare TypeError
+        (lambda: SparseState(3.0, 1, ((0, (0,)),)), "d is 3.0, expected an integer"),
+        (lambda: SparseState(3, True, ((0, (0,)),)), "N is True, expected an integer"),
+        (lambda: make_ghz(3.0, 2), "d is 3.0, expected an integer"),
+        (lambda: make_ghz(3, 2.0), "N is 2.0, expected an integer"),
     ], ids=["ghz-half-phase", "tau-exponent-float", "ket-digit-float", "tau-exponent-string",
-            "tau-exponent-bool", "ket-string"])
+            "tau-exponent-bool", "ket-string", "state-d-float", "state-N-bool", "ghz-d-float",
+            "ghz-N-float"])
     def test_non_integer_terms_name_the_term(self, call, message):
         with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
             call()
