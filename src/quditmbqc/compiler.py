@@ -12,11 +12,10 @@ before being reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .engine import MbqcPlan, extract_output_function
-from .errors import QuditMbqcError, VerificationError
+from .errors import QuditMbqcError, VerificationError, plain_int
 from . import fields
 from .fields import is_prime, make_field
 from .states import SparseState, basis_state, make_example2_state
@@ -61,6 +60,13 @@ def verify(report: CompileReport) -> bool:
     return True
 
 
+def _verified(plan: MbqcPlan, construction: str, target: dict) -> CompileReport:
+    """The verified report of a plan on its plan.N qudits."""
+    report = CompileReport(plan, plan.N, construction, target)
+    verify(report)
+    return report
+
+
 def compile_nand() -> CompileReport:
     """The three-qubit NAND computation on the signed GHZ state
     (|001> - |110>)/sqrt(2).
@@ -80,9 +86,7 @@ def compile_nand() -> CompileReport:
         z=[1, 1, 1], s0=0,
     )
     target = {(i1, i2): 1 - (i1 * i2) % 2 for i1 in range(2) for i2 in range(2)}
-    report = CompileReport(plan, 3, "nand-ghz", target)
-    verify(report)
-    return report
+    return _verified(plan, "nand-ghz", target)
 
 
 def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
@@ -92,7 +96,7 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
     carries the displacement (0,-1) so each power of the phase gate
     contributes its step index to the output phase.
     """
-    if d < 3 or d % 2 == 0 or not is_prime(d):
+    if plain_int(d, "d") < 3 or d % 2 == 0 or not is_prime(d):
         raise QuditMbqcError("quadratic compilation needs an odd prime d")
     f = list(f) if f is not None else [1]
     n = len(f)
@@ -111,17 +115,13 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
     for i in plan.inputs():
         fi = sum(c * v for c, v in zip(f, i)) % d
         target[i] = (fi * (fi - 1) // 2) % d
-    report = CompileReport(plan, N, "quadratic", target)
-    verify(report)
-    return report
+    return _verified(plan, "quadratic", target)
 
 
 def compile_exponential(d: int, u: int, f: list[int] | None = None) -> CompileReport:
     """Single-qudit exponential output u^-f(i) via the multiplier gate."""
-    if not is_prime(d):
+    if not is_prime(plain_int(d, "d")):
         raise QuditMbqcError("exponential compilation needs prime d")
-    if math.gcd(u % d, d) != 1:
-        raise QuditMbqcError(f"u={u} is not a unit mod {d}")
     f = list(f) if f is not None else [1]
     n = len(f)
     plan = MbqcPlan(
@@ -136,9 +136,7 @@ def compile_exponential(d: int, u: int, f: list[int] | None = None) -> CompileRe
     for i in plan.inputs():
         fi = sum(c * v for c, v in zip(f, i)) % d
         target[i] = pow(uinv, fi, d)
-    report = CompileReport(plan, 1, "exponential", target)
-    verify(report)
-    return report
+    return _verified(plan, "exponential", target)
 
 
 def primitive_element(p: int) -> int:
@@ -172,21 +170,17 @@ def delta_from_sigma(p: int, u: int | None = None) -> list[int]:
 
 
 def _normalize_target(m, d: int) -> dict:
-    """A list of exactly d integers, or a dict on exactly the points 0..d-1
-    (ints or 1-tuples) with integer values, as {(x,): m(x) mod d}."""
-    if isinstance(m, dict):
-        table = {(k if isinstance(k, tuple) else (k,)): v for k, v in m.items()}
-        if len(table) != len(m) or set(table) != {(x,) for x in range(d)}:
-            raise QuditMbqcError(f"target must cover all {d} inputs of one variable")
-    else:
+    """A list of exactly d values, or a dict read as a one-variable table
+    by fields._table_values, as {(x,): m(x) mod d}."""
+    if not isinstance(m, dict):
         m = list(m)
         if len(m) != d:
             raise QuditMbqcError(f"target must list {d} values, got {len(m)}")
-        table = {(x,): v for x, v in enumerate(m)}
-    for x, v in table.items():
-        if not isinstance(v, int):
-            raise QuditMbqcError(f"target value {v!r} at input {x[0]} is not an integer")
-    return {x: v % d for x, v in table.items()}
+        m = dict(enumerate(m))
+    try:
+        return {(x,): v for x, v in enumerate(fields._table_values(m, d, 1)[1])}
+    except ValueError as exc:
+        raise QuditMbqcError(f"target: {exc}") from None
 
 
 def _delta_sum(target: dict, d: int, gadget, s0: int, construction: str) -> CompileReport:
@@ -206,9 +200,7 @@ def _delta_sum(target: dict, d: int, gadget, s0: int, construction: str) -> Comp
     N = len(parties)
     plan = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (1,) * N),
                     parties=parties, Q=Q, z=z, s0=s0, q0=q0)
-    report = CompileReport(plan, N, construction, target)
-    verify(report)
-    return report
+    return _verified(plan, construction, target)
 
 
 def compile_general_prime(m, p: int | None = None) -> CompileReport:
@@ -222,8 +214,7 @@ def compile_general_prime(m, p: int | None = None) -> CompileReport:
 
     For p = 2 every target is affine and a single-qubit plan suffices.
     """
-    if p is None:
-        p = len(m)
+    p = plain_int(len(m) if p is None else p, "p")
     if not is_prime(p):
         raise QuditMbqcError(f"general compilation needs prime p, got {p}")
     target = _normalize_target(m, p)
@@ -247,9 +238,7 @@ def _compile_affine_qubit(target: dict) -> CompileReport:
         Q=[[c]],
         z=[1], s0=(m0 + 1) % 2,
     )
-    report = CompileReport(plan, 1, "prime-general", target)
-    verify(report)
-    return report
+    return _verified(plan, "prime-general", target)
 
 
 def compile_odd_ring(m, d: int | None = None) -> CompileReport:
@@ -259,8 +248,7 @@ def compile_odd_ring(m, d: int | None = None) -> CompileReport:
     (d-1)^(k(x-j) mod d) for k = +-1 pairs exponents of opposite parity
     whenever x != j, so each (j, +-) pair contributes the delta at j.
     """
-    if d is None:
-        d = len(m)
+    d = plain_int(len(m) if d is None else d, "d")
     if d < 3 or d % 2 == 0:
         raise QuditMbqcError("odd-ring compilation needs odd d >= 3 (2 must be a unit)")
     target = _normalize_target(m, d)

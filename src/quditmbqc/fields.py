@@ -351,20 +351,16 @@ class MultiPoly:
             return "0"
         terms = []
         for exps in sorted(self.coeffs):
-            factors = []
-            for j, a in enumerate(exps):
-                if a == 1:
-                    factors.append(f"{names}{j + 1}")
-                elif a > 1:
-                    factors.append(f"{names}{j + 1}^{a}")
+            mono = _monomial_text(exps, names)
             coeff = self.modulus.text(self.coeffs[exps])
-            if not factors:
-                terms.append(coeff)
-            elif coeff == "1":
-                terms.append("*".join(factors))
-            else:
-                terms.append(coeff + "*" + "*".join(factors))
+            terms.append(f"{coeff}*{mono}" if mono and coeff != "1" else mono or coeff)
         return " + ".join(terms)
+
+
+def _monomial_text(exps: tuple[int, ...], names: str = "x") -> str:
+    """x1*x2^3 for the exponents (1, 3); the empty string for all zero."""
+    return "*".join(f"{names}{j + 1}" + (f"^{a}" if a > 1 else "")
+                    for j, a in enumerate(exps) if a)
 
 
 def all_points(modulus: Modulus, n: int) -> list[tuple]:

@@ -333,9 +333,6 @@ def dense_oracle(M: GlobalObservable, psi: SparseState) -> int | None:
     the nearest d-th root of unity; residuals between 1e-9 and 1e-6 raise
     an inconsistency alarm instead of silently rounding.
     """
-    if psi.d**psi.N > DENSE_GUARD:
-        raise SizeGuardError(f"dense oracle needs {psi.d}**{psi.N} = {psi.d**psi.N} "
-                             f"amplitudes, over the limit {DENSE_GUARD}")
     vec = psi.to_dense()
     out = dense_apply(M, vec)
     lam = np.vdot(vec, out)

@@ -67,16 +67,18 @@ class WeylLabel:
     tau_exp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "v", (self.v[0] % self.d, self.v[1] % self.d))
-        object.__setattr__(self, "tau_exp", self.tau_exp % tau_period(self.d))
+        d = plain_int(self.d, "d")
+        a, b = plain_ints(self.v, "fiducial v", 2)
+        tau_exp = plain_int(self.tau_exp, "fiducial tau_exp")
+        object.__setattr__(self, "v", (a % d, b % d))
+        object.__setattr__(self, "tau_exp", tau_exp % tau_period(d))
 
     def to_json(self) -> dict:
         return {"v": list(self.v), "tau_exp": self.tau_exp}
 
     @classmethod
     def from_json(cls, d: int, obj: dict) -> "WeylLabel":
-        return cls(d, plain_ints(obj["v"], "fiducial v", 2),
-                   plain_int(obj.get("tau_exp", 0), "fiducial tau_exp"))
+        return cls(d, obj["v"], obj.get("tau_exp", 0))
 
 
 def commutation_phase(v: WeylLabel, w: WeylLabel) -> int:
@@ -103,13 +105,15 @@ class CliffordSpec:
     u: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        d = self.d
-        C = tuple(tuple(c % d for c in row) for row in self.C)
+        d = plain_int(self.d, "d")
+        C = tuple(tuple(c % d for c in plain_ints(row, "control C row", 2)) for row in self.C)
+        x = plain_ints(self.x, "control x", 2)
+        tau_exp = plain_int(self.tau_exp, "control tau_exp")
         if not check_symplectic(C, d):
             raise QuditMbqcError(f"matrix {C} is not symplectic mod {d}")
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "x", (self.x[0] % d, self.x[1] % d))
-        object.__setattr__(self, "tau_exp", self.tau_exp % tau_period(d))
+        object.__setattr__(self, "x", (x[0] % d, x[1] % d))
+        object.__setattr__(self, "tau_exp", tau_exp % tau_period(d))
 
     def apply_C(self, v: tuple[int, int]) -> tuple[int, int]:
         (a, b), (c, e) = self.C
@@ -140,11 +144,9 @@ class CliffordSpec:
             if obj["named"] == "S":
                 return named_clifford(d, "S")
             if obj["named"] == "Mu":
-                return named_clifford(d, "Mu", u=plain_int(obj["u"], "control u"))
+                return named_clifford(d, "Mu", u=obj["u"])
             raise QuditMbqcError(f"unknown named control {obj['named']!r}")
-        return cls(d, tuple(plain_ints(r, "control C row", 2) for r in obj["C"]),
-                   plain_ints(obj.get("x", (0, 0)), "control x", 2),
-                   plain_int(obj.get("tau_exp", 0), "control tau_exp"))
+        return cls(d, obj["C"], obj.get("x", (0, 0)), obj.get("tau_exp", 0))
 
 
 def named_clifford(d: int, name: str, u: int | None = None,
@@ -154,10 +156,11 @@ def named_clifford(d: int, name: str, u: int | None = None,
     S acts on labels as [[1,1],[0,1]] (X goes to ZX up to phase); M_u as
     diag(u^-1, u); a displacement has identity symplectic part.
     """
+    d = plain_int(d, "d")
     if name == "S":
         return CliffordSpec(d, ((1, 1), (0, 1)), name="S")
     if name == "Mu":
-        if u is None or math.gcd(u % d, d) != 1:
+        if math.gcd(plain_int(u, "control u") % d, d) != 1:
             raise QuditMbqcError(f"u={u} is not a unit mod {d}")
         uinv = pow(u % d, -1, d)
         return CliffordSpec(d, ((uinv, 0), (0, u % d)), name="Mu", u=u % d)

@@ -20,6 +20,7 @@ from .errors import QuditMbqcError, SizeGuardError, SparseFormError, Unsupported
 from .fields import (
     IntegerRing,
     MultiPoly,
+    _monomial_text,
     _table_values,
     all_points,
     combined_degree,
@@ -58,11 +59,8 @@ class Witness:
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
         if self.monomial is not None:
-            mono = "*".join(
-                f"x{j + 1}" + (f"^{a}" if a > 1 else "")
-                for j, a in enumerate(self.monomial) if a
-            )
-            lines.append(f"certificate: monomial {mono} with combined degree {sum(self.monomial)}")
+            lines.append(f"certificate: monomial {_monomial_text(self.monomial)} "
+                         f"with combined degree {sum(self.monomial)}")
         if self.assignment is not None:
             for k, table in enumerate(self.assignment):
                 lines.append(f"assignment party {k + 1}: {list(table)}")

@@ -23,6 +23,7 @@ from quditmbqc.engine import MbqcPlan, extract_output_function
 from quditmbqc.errors import QuditMbqcError, VerificationError
 from quditmbqc.fields import combined_degree
 from quditmbqc.states import GlobalObservable, eigenphase_of
+from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
 from quditmbqc.witnesses import NCVA_FOUND, analyze_plan, ncva_search
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -288,12 +289,16 @@ class TestTargets:
         (compile_general_prime, [1, 2, 0, 1], 3, "target must list 3 values, got 4"),
         (compile_general_prime, [1, 2], 3, "target must list 3 values, got 2"),
         (compile_odd_ring, list(range(10)), 9, "target must list 9 values, got 10"),
-        (compile_general_prime, [1.0, 2, 0], 3, "target value 1.0 at input 0 is not an integer"),
-        (compile_odd_ring, {0: 1, 1: 2, (2,): "0"}, 3, "target value '0' at input 2 is not an integer"),
-        (compile_general_prime, {0: 1, 1: 2, 3: 0}, 3, "target must cover all 3 inputs"),
-        (compile_general_prime, {0: 1, (0,): 1, 1: 2, 2: 0}, 3, "target must cover all 3 inputs"),
+        (compile_general_prime, [1.0, 2, 0], 3, "target: table value 1.0 is not an integer"),
+        (compile_odd_ring, {0: 1, 1: 2, (2,): "0"}, 3, "target: table value '0' is not an integer"),
+        (compile_general_prime, {0: 1, 1: 2, 3: 0}, 3,
+         "target: table point (3,) repeats the point (0,) mod 3"),
+        (compile_general_prime, {0: 1, (0,): 1, 1: 2, 2: 0}, 3,
+         "target: table point (0,) repeats the point (0,) mod 3"),
+        (compile_general_prime, {0: 1, True: 2, 2: 0}, 3,
+         "target: table point True is neither a tuple nor an integer"),
     ], ids=["long", "short", "long_odd_ring", "float", "str_in_dict", "key_out_of_range",
-            "key_twice"])
+            "key_twice", "bool_key"])
     def test_bad_target_rejected(self, build, m, d, message):
         with pytest.raises(QuditMbqcError, match=re.escape(message)):
             build(m, d)
@@ -301,6 +306,37 @@ class TestTargets:
     def test_dict_target_read_mod_d(self):
         rep = compile_general_prime({(0,): 4, 1: 2, 2: -1}, 3)
         assert rep.verified and rep.target == {(0,): 1, (1,): 2, (2,): 2}
+
+    @pytest.mark.parametrize("build, m, listed", [
+        (compile_general_prime, {0: 1, 1: 2, 5: 0}, [1, 2, 0]),
+        (compile_general_prime, {(-1,): 3, 7: 4, (6,): 2}, [2, 4, 3]),
+        (compile_odd_ring, {(x + 9,): x * x for x in range(9)}, [x * x for x in range(9)]),
+    ], ids=["prime_int_keys", "prime_mixed_keys", "odd_ring_tuple_keys"])
+    def test_dict_keys_read_mod_d_give_the_list_plan(self, build, m, listed):
+        d = len(listed)
+        assert build(m, d).plan.dumps() == build(listed, d).plan.dumps()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WeylLabel(3, (1.0, 0)), "fiducial v has 1.0, expected an integer"),
+    (lambda: WeylLabel(3, (1, 0), 0.5), "fiducial tau_exp is 0.5, expected an integer"),
+    (lambda: WeylLabel(3.0, (1, 0)), "d is 3.0, expected an integer"),
+    (lambda: CliffordSpec(3, ((1, 1), (0, 1)), (0.5, 0)), "control x has 0.5, expected an integer"),
+    (lambda: CliffordSpec(3, ((1.0, 1), (0, 1))), "control C row has 1.0, expected an integer"),
+    (lambda: named_clifford(5, "Mu", u=2.0), "control u is 2.0, expected an integer"),
+    (lambda: named_clifford(5.0, "Mu", u=2), "d is 5.0, expected an integer"),
+    (lambda: compile_quadratic(5.0), "d is 5.0, expected an integer"),
+    (lambda: compile_exponential(5, 2.0), "control u is 2.0, expected an integer"),
+    (lambda: compile_exponential(5.0, 2), "d is 5.0, expected an integer"),
+    (lambda: compile_general_prime([1, 0, 0], 3.0), "p is 3.0, expected an integer"),
+    (lambda: compile_odd_ring([1, 0, 0], 3.0), "d is 3.0, expected an integer"),
+], ids=["fiducial_v", "fiducial_tau_exp", "fiducial_d", "control_x", "control_C", "named_u",
+        "named_d", "quadratic_d", "exponential_u", "exponential_d", "general_prime_p",
+        "odd_ring_d"])
+def test_non_integer_arguments_are_refused(build, message):
+    # each of these once built, or ended in a bare TypeError further on
+    with pytest.raises(QuditMbqcError, match=re.escape(message)):
+        build()
 
 
 class TestVerify:
