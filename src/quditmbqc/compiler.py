@@ -4,10 +4,11 @@ Covers the three worked computations (three-qubit NAND, the quadratic
 f(f-1)/2 output on the 2d-qudit resource, and the exponential u^-f output)
 plus two general single-variable compilations: any m: Z_p -> Z_p on
 p(p-1)^2 qudits (prime p), and any m: Z_d -> Z_d on 2d qudits (odd d,
-composite allowed).  Both are sums of deltas at each point j, laid out by
-one builder from a gadget of (setting multiplier, control) pairs.  Every
-compiled plan is temporally flat and is verified against its target table
-before being reported.
+composite allowed).  Both are sums of deltas at each point j, built from a
+gadget of (setting multiplier, control) pairs.  Every construction is a list
+of (control, Q row, q0, z) rows laid out by one builder, so every compiled
+plan is temporally flat; each is verified against its target table before
+being reported.
 """
 
 from __future__ import annotations
@@ -60,6 +61,22 @@ def verify(report: CompileReport) -> bool:
     return True
 
 
+def _layout(d: int, n: int, resource: SparseState, v: tuple[int, int], rows,
+            s0: int) -> MbqcPlan:
+    """The flat plan on resource with fiducial W_v at every party, one party
+    per (control, Q row, q0, z) row, and output constant s0."""
+    fid = WeylLabel(d, v)
+    controls, Q, q0, z = zip(*rows)
+    return MbqcPlan(d=d, n=n, N=len(Q), resource=resource,
+                    parties=[(fid, c) for c in controls], Q=Q, z=z, s0=s0, q0=q0)
+
+
+def _of_linear(plan: MbqcPlan, f: list[int], g) -> dict:
+    """The target {i: g(f.i mod d) mod d} on the plan's inputs."""
+    d = plan.d
+    return {i: g(sum(c * v for c, v in zip(f, i)) % d) % d for i in plan.inputs()}
+
+
 def _verified(plan: MbqcPlan, construction: str, target: dict) -> CompileReport:
     """The verified report of a plan on its plan.N qudits."""
     report = CompileReport(plan, plan.N, construction, target)
@@ -75,16 +92,10 @@ def compile_nand() -> CompileReport:
     displacement (0,1) (the (X+Y)/sqrt(2) rotation up to phase); settings
     are i1, i2, i1+i2.
     """
-    d = 2
-    fid = WeylLabel(d, (0, 1))
-    control = CliffordSpec(d, ((1, 1), (0, 1)), (0, 1))
-    plan = MbqcPlan(
-        d=d, n=2, N=3,
-        resource=SparseState(2, 3, ((0, (0, 0, 1)), (2, (1, 1, 0)))),
-        parties=[(fid, control)] * 3,
-        Q=[[1, 0], [0, 1], [1, 1]],
-        z=[1, 1, 1], s0=0,
-    )
+    control = CliffordSpec(2, ((1, 1), (0, 1)), (0, 1))
+    resource = SparseState(2, 3, ((0, (0, 0, 1)), (2, (1, 1, 0))))
+    rows = [(control, q, 0, 1) for q in ((1, 0), (0, 1), (1, 1))]
+    plan = _layout(2, 2, resource, (0, 1), rows, 0)
     target = {(i1, i2): 1 - (i1 * i2) % 2 for i1 in range(2) for i2 in range(2)}
     return _verified(plan, "nand-ghz", target)
 
@@ -99,23 +110,10 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
     if plain_int(d, "d") < 3 or d % 2 == 0 or not is_prime(d):
         raise QuditMbqcError("quadratic compilation needs an odd prime d")
     f = list(f) if f is not None else [1]
-    n = len(f)
-    N = 2 * d
-    fid = WeylLabel(d, (0, 1))
     first = CliffordSpec(d, ((1, 1), (0, 1)), (0, d - 1))
-    s_gate = named_clifford(d, "S")
-    plan = MbqcPlan(
-        d=d, n=n, N=N,
-        resource=make_example2_state(d),
-        parties=[(fid, first)] + [(fid, s_gate)] * (N - 1),
-        Q=[list(f)] * N,
-        z=[1] * N, s0=0,
-    )
-    target = {}
-    for i in plan.inputs():
-        fi = sum(c * v for c, v in zip(f, i)) % d
-        target[i] = (fi * (fi - 1) // 2) % d
-    return _verified(plan, "quadratic", target)
+    rows = [(first, f, 0, 1)] + [(named_clifford(d, "S"), f, 0, 1)] * (2 * d - 1)
+    plan = _layout(d, len(f), make_example2_state(d), (0, 1), rows, 0)
+    return _verified(plan, "quadratic", _of_linear(plan, f, lambda x: x * (x - 1) // 2))
 
 
 def compile_exponential(d: int, u: int, f: list[int] | None = None) -> CompileReport:
@@ -123,20 +121,9 @@ def compile_exponential(d: int, u: int, f: list[int] | None = None) -> CompileRe
     if not is_prime(plain_int(d, "d")):
         raise QuditMbqcError("exponential compilation needs prime d")
     f = list(f) if f is not None else [1]
-    n = len(f)
-    plan = MbqcPlan(
-        d=d, n=n, N=1,
-        resource=basis_state(d, (1,)),
-        parties=[(WeylLabel(d, (1, 0)), named_clifford(d, "Mu", u=u))],
-        Q=[list(f)],
-        z=[1], s0=0,
-    )
-    uinv = pow(u % d, -1, d)
-    target = {}
-    for i in plan.inputs():
-        fi = sum(c * v for c, v in zip(f, i)) % d
-        target[i] = pow(uinv, fi, d)
-    return _verified(plan, "exponential", target)
+    rows = [(named_clifford(d, "Mu", u=u), f, 0, 1)]
+    plan = _layout(d, len(f), basis_state(d, (1,)), (1, 0), rows, 0)
+    return _verified(plan, "exponential", _of_linear(plan, f, lambda x: pow(u, -x, d)))
 
 
 def primitive_element(p: int) -> int:
@@ -187,19 +174,10 @@ def _delta_sum(target: dict, d: int, gadget, s0: int, construction: str) -> Comp
     """One party per point j and gadget pair (k, control): fiducial Z on |1>,
     setting k(x-j), weight m(j)/2.  The gadget's outcomes must sum to 2 + c
     at x = j and to c elsewhere; s0 = -c * sum_j m(j)/2 cancels c."""
-    fid = WeylLabel(d, (1, 0))
     inv2 = pow(2, -1, d)
-    parties, Q, q0, z = [], [], [], []
-    for j in range(d):
-        zj = (target[(j,)] * inv2) % d
-        for k, control in gadget:
-            parties.append((fid, control))
-            Q.append([k])
-            q0.append((-k * j) % d)
-            z.append(zj)
-    N = len(parties)
-    plan = MbqcPlan(d=d, n=1, N=N, resource=basis_state(d, (1,) * N),
-                    parties=parties, Q=Q, z=z, s0=s0, q0=q0)
+    rows = [(control, (k,), -k * j, target[(j,)] * inv2)
+            for j in range(d) for k, control in gadget]
+    plan = _layout(d, 1, basis_state(d, (1,) * len(rows)), (1, 0), rows, s0)
     return _verified(plan, construction, target)
 
 
@@ -230,14 +208,8 @@ def compile_general_prime(m, p: int | None = None) -> CompileReport:
 def _compile_affine_qubit(target: dict) -> CompileReport:
     """Every boolean one-variable table is affine: one displaced-control qubit."""
     m0, m1 = target[(0,)], target[(1,)]
-    c = (m0 + m1) % 2
-    plan = MbqcPlan(
-        d=2, n=1, N=1,
-        resource=basis_state(2, (1,)),
-        parties=[(WeylLabel(2, (1, 0)), named_clifford(2, "weyl-displacement", x=(0, 1)))],
-        Q=[[c]],
-        z=[1], s0=(m0 + 1) % 2,
-    )
+    rows = [(named_clifford(2, "weyl-displacement", x=(0, 1)), (m0 + m1,), 0, 1)]
+    plan = _layout(2, 1, basis_state(2, (1,)), (1, 0), rows, m0 + 1)
     return _verified(plan, "prime-general", target)
 
 

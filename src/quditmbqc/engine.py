@@ -32,7 +32,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError, plain_int, plain_ints
+from .errors import (PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError,
+                     plain_dimension, plain_int, plain_ints)
 from .fields import MultiPoly, _table_values, is_polynomial_over_ring
 from .phases import PhaseSum, tau_exponent_of_omega, tau_period
 from .states import (
@@ -106,12 +107,6 @@ class TableResource:
             ]
         return cls(plain_int(obj["N"], "table N"), behavior)
 
-    def __eq__(self, other):
-        return isinstance(other, TableResource) and self.behavior == other.behavior
-
-    def __hash__(self):
-        return hash(tuple(sorted((q, tuple(d)) for q, d in self.behavior.items())))
-
 
 @dataclass(frozen=True)
 class RunTrace:
@@ -129,7 +124,7 @@ class MbqcPlan:
     def __init__(self, d, n, N, resource, parties, Q, T=None, *, z, s0, q0=None):
         if any(type(v) is not int for row in Q for v in row):
             raise QuditMbqcError("Q has an entry that is not an integer")
-        d, n, N = plain_int(d, "d"), plain_int(n, "n"), plain_int(N, "N")
+        d, n, N = plain_dimension(d), plain_int(n, "n"), plain_int(N, "N")
         z, s0 = plain_ints(z, "z"), plain_int(s0, "s0")
         q0 = (0,) * N if q0 is None else plain_ints(q0, "q0")
         self.d = d

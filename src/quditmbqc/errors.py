@@ -44,6 +44,13 @@ def plain_int(value, name: str) -> int:
     return value
 
 
+def plain_dimension(d) -> int:
+    """d, if an int of at least 2: a qudit dimension."""
+    if plain_int(d, "d") < 2:
+        raise QuditMbqcError(f"d is {d!r}, expected an integer >= 2")
+    return d
+
+
 def plain_ints(values, name: str, length: int | None = None) -> tuple[int, ...]:
     """values, a list of ints (of the given length, if any), as a tuple."""
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):

@@ -297,21 +297,6 @@ class MultiPoly:
         return cls(modulus, n, {tuple(exps): modulus.one if coeff is None else coeff})
 
     # -- algebra -----------------------------------------------------------
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        assert self.modulus == other.modulus and self.n == other.n
-        m = self.modulus
-        out = dict(self.coeffs)
-        for exps, val in other.coeffs.items():
-            out[exps] = m.add(out.get(exps, 0), val)
-        return MultiPoly._trusted(m, self.n, out.items())
-
-    def __neg__(self) -> "MultiPoly":
-        m = self.modulus
-        return MultiPoly._trusted(m, self.n, ((e, m.neg(v)) for e, v in self.coeffs.items()))
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
     def evaluate(self, point: tuple) -> int:
         if len(point) != self.n:
             raise ValueError(f"point {point} has {len(point)} coordinates, expected n = {self.n}")
@@ -414,16 +399,19 @@ def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[
     """n and the values of a complete table on the n-tuples of 0..d-1, in
     all_points order; points and integer values are read mod d, a plain int
     point is the 1-tuple of it, and the points must be distinct mod d and
-    all of one arity, which must be n when n is given."""
+    all of one arity, which must be n when n is given (an empty table has
+    arity n, or 0 without n)."""
     if d < 2:
         raise ValueError(f"modulus must be at least 2, got {d}")
     points = [(x,) if type(x) is int else x for x in table]
-    arity = len(points[0]) if points and isinstance(points[0], tuple) else 0
+    arity = len(points[0]) if points and isinstance(points[0], tuple) else (n or 0)
     reduced = {}
     for x, v in zip(points, table.values()):
         if not isinstance(x, tuple):
             raise ValueError(f"table point {x!r} is neither a tuple nor an integer")
-        if not isinstance(v, int):
+        if any(type(c) is not int for c in x):
+            raise ValueError(f"table point {x!r} has a coordinate that is not an integer")
+        if type(v) is not int:
             raise ValueError(f"table value {v!r} is not an integer")
         if len(x) != arity:
             raise ValueError(f"table point {x} has {len(x)} coordinates, expected {arity}")

@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError,
-                     plain_int, plain_ints)
+                     plain_dimension, plain_int, plain_ints)
 from .phases import PhaseSum, omega_exponent, tau_period, tau_power_keys, tau_value
 from .weyl import CliffordSpec
 
@@ -207,7 +207,7 @@ class SparseState:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        period = tau_period(plain_int(self.d, "d"))
+        period = tau_period(plain_dimension(self.d))
         plain_int(self.N, "N")
         seen = [(plain_int(t, f"term {j} tau exponent") % period, plain_ints(k, f"term {j} ket"))
                 for j, (t, k) in enumerate(self.terms)]
@@ -268,7 +268,7 @@ def make_ghz(d: int, N: int, phases: list[int] | None = None) -> SparseState:
 
     Optional phases gives per-z tau exponents, d of them.
     """
-    d, N = plain_int(d, "d"), plain_int(N, "N")
+    d, N = plain_dimension(d), plain_int(N, "N")
     phases = [0] * d if phases is None else phases
     if len(phases) != d:
         raise QuditMbqcError(f"a d={d} GHZ state needs {d} phases, got {len(phases)}")

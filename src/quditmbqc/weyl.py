@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import QuditMbqcError, plain_int, plain_ints
+from .errors import QuditMbqcError, plain_dimension, plain_int, plain_ints
 from .phases import omega_exponent, tau_period
 
 
@@ -67,7 +67,7 @@ class WeylLabel:
     tau_exp: int = 0
 
     def __post_init__(self):
-        d = plain_int(self.d, "d")
+        d = plain_dimension(self.d)
         a, b = plain_ints(self.v, "fiducial v", 2)
         tau_exp = plain_int(self.tau_exp, "fiducial tau_exp")
         object.__setattr__(self, "v", (a % d, b % d))
@@ -105,7 +105,9 @@ class CliffordSpec:
     u: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        d = plain_int(self.d, "d")
+        d = plain_dimension(self.d)
+        if not isinstance(self.C, (list, tuple)) or len(self.C) != 2:
+            raise QuditMbqcError(f"control C is {self.C!r}, expected 2 rows of 2 integers")
         C = tuple(tuple(c % d for c in plain_ints(row, "control C row", 2)) for row in self.C)
         x = plain_ints(self.x, "control x", 2)
         tau_exp = plain_int(self.tau_exp, "control tau_exp")
@@ -156,7 +158,7 @@ def named_clifford(d: int, name: str, u: int | None = None,
     S acts on labels as [[1,1],[0,1]] (X goes to ZX up to phase); M_u as
     diag(u^-1, u); a displacement has identity symplectic part.
     """
-    d = plain_int(d, "d")
+    d = plain_dimension(d)
     if name == "S":
         return CliffordSpec(d, ((1, 1), (0, 1)), name="S")
     if name == "Mu":

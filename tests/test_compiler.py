@@ -297,8 +297,18 @@ class TestTargets:
          "target: table point (0,) repeats the point (0,) mod 3"),
         (compile_general_prime, {0: 1, True: 2, 2: 0}, 3,
          "target: table point True is neither a tuple nor an integer"),
+        # an empty table read as arity 0 ("needs 1 entries"), a non-int
+        # coordinate ended in a bare KeyError or TypeError, and a bool value
+        # was read as 1
+        (compile_general_prime, {}, 3, "target: table needs 3 entries, got 0"),
+        (compile_general_prime, {(0.5,): 1, (1,): 0, (2,): 2}, 3,
+         "target: table point (0.5,) has a coordinate that is not an integer"),
+        (compile_odd_ring, {("a",): 1, (1,): 0, (2,): 2}, 3,
+         "target: table point ('a',) has a coordinate that is not an integer"),
+        (compile_general_prime, {(0,): True, (1,): 0, (2,): 2}, 3,
+         "target: table value True is not an integer"),
     ], ids=["long", "short", "long_odd_ring", "float", "str_in_dict", "key_out_of_range",
-            "key_twice", "bool_key"])
+            "key_twice", "bool_key", "empty", "float_point", "str_point", "bool_value"])
     def test_bad_target_rejected(self, build, m, d, message):
         with pytest.raises(QuditMbqcError, match=re.escape(message)):
             build(m, d)
@@ -330,13 +340,49 @@ class TestTargets:
     (lambda: compile_exponential(5.0, 2), "d is 5.0, expected an integer"),
     (lambda: compile_general_prime([1, 0, 0], 3.0), "p is 3.0, expected an integer"),
     (lambda: compile_odd_ring([1, 0, 0], 3.0), "d is 3.0, expected an integer"),
+    # a dimension below 2 once built an object or ended in a ZeroDivisionError,
+    # and a C that is not two rows in a bare ValueError or TypeError
+    (lambda: WeylLabel(-3, (0, 1)), "d is -3, expected an integer >= 2"),
+    (lambda: CliffordSpec(1, ((1, 0), (0, 1))), "d is 1, expected an integer >= 2"),
+    (lambda: named_clifford(0, "S"), "d is 0, expected an integer >= 2"),
+    (lambda: CliffordSpec(3, ((1, 1), (0, 1), (0, 0))),
+     "control C is ((1, 1), (0, 1), (0, 0)), expected 2 rows of 2 integers"),
+    (lambda: CliffordSpec(3, 5), "control C is 5, expected 2 rows of 2 integers"),
 ], ids=["fiducial_v", "fiducial_tau_exp", "fiducial_d", "control_x", "control_C", "named_u",
         "named_d", "quadratic_d", "exponential_u", "exponential_d", "general_prime_p",
-        "odd_ring_d"])
+        "odd_ring_d", "fiducial_d_negative", "control_d_one", "named_d_zero", "control_C_three_rows",
+        "control_C_int"])
 def test_non_integer_arguments_are_refused(build, message):
     # each of these once built, or ended in a bare TypeError further on
     with pytest.raises(QuditMbqcError, match=re.escape(message)):
         build()
+
+
+# Every construction's CompileReport.to_json(), one JSON line per case.
+COMPILE_CASES = {
+    "nand": compile_nand,
+    "quadratic_d3": lambda: compile_quadratic(3),
+    "quadratic_d5_f12": lambda: compile_quadratic(5, [1, 2]),
+    "exponential_5_2": lambda: compile_exponential(5, 2),
+    "exponential_5_2_f21": lambda: compile_exponential(5, 2, [2, 1]),
+    "exponential_11_2": lambda: compile_exponential(11, 2),
+    "prime_general_p2_00": lambda: compile_general_prime([0, 0]),
+    "prime_general_p2_01": lambda: compile_general_prime([0, 1]),
+    "prime_general_p2_10": lambda: compile_general_prime([1, 0]),
+    "prime_general_p2_11": lambda: compile_general_prime([1, 1]),
+    "prime_general_p7": lambda: compile_general_prime([3, 1, 4, 1, 5, 2, 6]),
+    "odd_ring_d15": lambda: compile_odd_ring([(x * x + 1) % 15 for x in range(15)]),
+}
+
+
+def compile_reports_text() -> str:
+    return "".join(json.dumps({name: build().to_json()}, separators=(",", ":")) + "\n"
+                   for name, build in COMPILE_CASES.items())
+
+
+def test_compile_reports_byte_exact():
+    # pins each construction's party order, rows, target and report fields
+    assert compile_reports_text().encode() == (GOLDEN / "compile_reports.jsonl").read_bytes()
 
 
 class TestVerify:

@@ -427,8 +427,9 @@ class TestTemporal:
         ("N", True, "N is True, expected an integer"),
         ("d", 3.0, "d is 3.0, expected an integer"),
         ("d", True, "d is True, expected an integer"),
+        ("d", 1, "d is 1, expected an integer >= 2"),
     ], ids=["z-float", "z-bool", "Q-float", "q0-float", "s0-float", "n-float", "N-bool",
-            "d-float", "d-bool"])
+            "d-float", "d-bool", "d-one"])
     def test_non_integer_fields_are_refused_as_in_plan_files(self, field, bad, message):
         # each once built a plan that ran to a fractional output or a bare
         # TypeError, or that dumps wrote and loads refused
@@ -560,7 +561,8 @@ class TestEmpiricalSuccess:
         ({(x, 0): 0 for x in range(3)}, "table needs 9 entries, got 3"),
         ({(x, y): 0 for x in range(3) for y in range(3)},
          "table points have 2 coordinates, expected n = 1"),
-    ], ids=["missing_point", "float_value", "short_two_input", "two_input"])
+        ({}, "table needs 3 entries, got 0"),
+    ], ids=["missing_point", "float_value", "short_two_input", "two_input", "empty"])
     def test_bad_target_value_error(self, target, message):
         # a missing point used to end in a bare KeyError
         plan = compile_general_prime([1, 2, 0]).plan

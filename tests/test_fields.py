@@ -247,7 +247,9 @@ class TestInterpolate:
         # (3,) is (0,) mod 3: two values for f(0)
         (3, {(0,): 1, (1,): 2, (2,): 0, (3,): 2}, "table point (3,) repeats the point (0,) mod 3"),
         (2, {(0,): 1, (0, 1): 0}, "table point (0, 1) has 2 coordinates, expected 1"),
-    ], ids=["repeated_point", "mixed_arity"])
+        # a non-int coordinate ended in a bare KeyError
+        (3, {(0.5,): 1, (1,): 0, (2,): 2}, "table point (0.5,) has a coordinate that is not an integer"),
+    ], ids=["repeated_point", "mixed_arity", "float_point"])
     def test_ambiguous_table_rejected(self, d, table, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             interpolate(make_field(d), table)

@@ -128,6 +128,8 @@ def test_malformed_party_references_exit_4(k, value, message):
      "control x is [0, 0, 0], expected a list of 2 integers"),
     (1, ("parties", 0, "control"), {"C": [[1, 0], [0, True]], "x": [0, 0], "tau_exp": 0},
      "control C row has True, expected an integer"),
+    (1, ("parties", 0, "control"), {"C": [[1, 0], [0, 1], [0, 0]], "x": [0, 0], "tau_exp": 0},
+     "control C is [[1, 0], [0, 1], [0, 0]], expected 2 rows of 2 integers"),
     (1, ("parties", 0, "control", "u"), True, "control u is True, expected an integer"),
     (1, ("resource", "terms", 0, "ket", 0), True, "resource ket has True, expected an integer"),
     (1, ("resource", "terms", 0, "tau_exp"), True, "resource tau_exp is True, expected an integer"),
@@ -140,9 +142,9 @@ def test_malformed_party_references_exit_4(k, value, message):
     (2, ("resource", "entries", 0, "q", 0), False, "table q has False, expected an integer"),
     (2, ("resource", "entries", 0, "dist", 0, "m", 0), False, "outcome (False, 0)"),
     (2, ("resource", "entries", 0, "dist", 0, "den"), True, "table num, den has True, expected an integer"),
-], ids=["fiducial_tau_exp", "fiducial_v_long", "control_x_long", "control_C", "control_u",
-        "ket", "resource_tau_exp", "T_entry", "Q", "z", "q0", "s0", "n", "table_q", "table_m",
-        "table_den"])
+], ids=["fiducial_tau_exp", "fiducial_v_long", "control_x_long", "control_C", "control_C_rows",
+        "control_u", "ket", "resource_tau_exp", "T_entry", "Q", "z", "q0", "s0", "n", "table_q",
+        "table_m", "table_den"])
 def test_booleans_and_long_vectors_exit_4(base, path, value, message):
     code, err = _analyze_mutated((base, ("set", path, value)))
     assert code == 4

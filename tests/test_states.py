@@ -466,9 +466,12 @@ class TestRefusals:
         (lambda: SparseState(3, True, ((0, (0,)),)), "N is True, expected an integer"),
         (lambda: make_ghz(3.0, 2), "d is 3.0, expected an integer"),
         (lambda: make_ghz(3, 2.0), "N is 2.0, expected an integer"),
+        # d = 0 ended in a ZeroDivisionError, and d = 1 built a state
+        (lambda: SparseState(0, 1, ((0, (0,)),)), "d is 0, expected an integer >= 2"),
+        (lambda: make_ghz(1, 2), "d is 1, expected an integer >= 2"),
     ], ids=["ghz-half-phase", "tau-exponent-float", "ket-digit-float", "tau-exponent-string",
             "tau-exponent-bool", "ket-string", "state-d-float", "state-N-bool", "ghz-d-float",
-            "ghz-N-float"])
+            "ghz-N-float", "state-d-zero", "ghz-d-one"])
     def test_non_integer_terms_name_the_term(self, call, message):
         with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
             call()
