@@ -86,23 +86,15 @@ def _print_header(report: comp.CompileReport) -> None:
 def cmd_demo(args) -> int:
     for flag in ("d", "u"):
         if getattr(args, flag) is not None and flag not in DEMO_FLAGS[args.name]:
-            print(f"error: --{flag} does not apply to demo {args.name}", file=sys.stderr)
-            return EXIT_COMPILE
-    try:
-        if args.name == "nand":
-            report = comp.compile_nand()
-        elif args.name == "quadratic":
-            report = comp.compile_quadratic(args.d if args.d is not None else 3)
-        else:
-            report = comp.compile_exponential(args.d if args.d is not None else 5,
-                                              args.u if args.u is not None else 2)
-        _cross_check(report, args.seed)
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except QuditMbqcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPILE
+            raise QuditMbqcError(f"--{flag} does not apply to demo {args.name}")
+    if args.name == "nand":
+        report = comp.compile_nand()
+    elif args.name == "quadratic":
+        report = comp.compile_quadratic(args.d if args.d is not None else 3)
+    else:
+        report = comp.compile_exponential(args.d if args.d is not None else 5,
+                                          args.u if args.u is not None else 2)
+    _cross_check(report, args.seed)
     analysis = analyze_plan(report.plan)
     if args.as_json:
         out = {"construction": report.construction, "qudits": report.qudit_count,
@@ -116,34 +108,24 @@ def cmd_demo(args) -> int:
 
 def cmd_compile(args) -> int:
     if args.d < 2:
-        print(f"error: --d must be at least 2, got {args.d}", file=sys.stderr)
-        return EXIT_COMPILE
+        raise QuditMbqcError(f"--d must be at least 2, got {args.d}")
     try:
         values = [int(v) for v in args.table.split(",")]
     except ValueError:
-        print("error: --table must be comma-separated integers", file=sys.stderr)
-        return EXIT_COMPILE
+        raise QuditMbqcError("--table must be comma-separated integers") from None
+    if not args.odd_ring and not is_prime(args.d):
+        hint = "use --odd-ring for odd d" if args.d % 2 else "no construction compiles an even d"
+        raise QuditMbqcError(f"d={args.d} is not prime; {hint}")
+    compile_table = comp.compile_odd_ring if args.odd_ring else comp.compile_general_prime
     try:
-        if args.odd_ring:
-            report = comp.compile_odd_ring(values, args.d)
-        elif is_prime(args.d):
-            report = comp.compile_general_prime(values, args.d)
-        else:
-            hint = "use --odd-ring for odd d" if args.d % 2 else "no construction compiles an even d"
-            print(f"error: d={args.d} is not prime; {hint}", file=sys.stderr)
-            return EXIT_COMPILE
+        report = compile_table(values, args.d)
     except VerificationError as exc:
-        print(f"error: verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except QuditMbqcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPILE
+        raise VerificationError(f"verification failed: {exc}") from exc
     if args.out:
         try:
             report.plan.save(args.out)
         except OSError as exc:
-            print(f"error: cannot write plan file {args.out}: {exc}", file=sys.stderr)
-            return EXIT_COMPILE
+            raise QuditMbqcError(f"cannot write plan file {args.out}: {exc}") from exc
     summary = {
         "construction": report.construction,
         "qudits": report.qudit_count,
@@ -163,14 +145,9 @@ def cmd_analyze(args) -> int:
     try:
         plan = MbqcPlan.load(args.plan)
     except FileNotFoundError:
-        print(f"error: no such plan file: {args.plan}", file=sys.stderr)
-        return EXIT_PARSE
+        raise PlanFormatError(f"no such plan file: {args.plan}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read plan file {args.plan}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PlanFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise PlanFormatError(f"cannot read plan file {args.plan}: {exc}") from exc
     analysis = analyze_plan(plan)
     if args.as_json:
         print(json.dumps(analysis.to_json(), separators=(",", ":")))
@@ -182,8 +159,7 @@ def cmd_analyze(args) -> int:
 def cmd_table(args) -> int:
     p = args.p
     if p > 13 or not is_prime(p) or p == 2:
-        print("error: --p must be an odd prime <= 13", file=sys.stderr)
-        return EXIT_COMPILE
+        raise QuditMbqcError("--p must be an odd prime <= 13")
     u = comp.primitive_element(p)
     labels = [f"u^{k}x" for k in range(1, p)] + [f"sigma_{p}"]
     width = max(len("x"), *(len(lab) for lab in labels))
@@ -220,6 +196,8 @@ def cmd_verify_all(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a package error prints "error: <message>" to
+    stderr and exits 3 (verification), 4 (plan file) or 2 (anything else)."""
     args = build_parser().parse_args(argv)
     handlers = {
         "demo": cmd_demo,
@@ -228,7 +206,13 @@ def main(argv=None) -> int:
         "table": cmd_table,
         "verify-all": cmd_verify_all,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except QuditMbqcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, VerificationError):
+            return EXIT_VERIFY
+        return EXIT_PARSE if isinstance(exc, PlanFormatError) else EXIT_COMPILE
 
 
 if __name__ == "__main__":

@@ -59,9 +59,13 @@ class TableResource:
     """
 
     def __init__(self, N: int, behavior: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]]):
-        self.N = N
+        self.N = N = plain_int(N, "table N")
         self.behavior = {}
         for q, dist in behavior.items():
+            for m, p in dist:  # a float would make the sum below inexact
+                if type(p) not in (int, Fraction):
+                    raise QuditMbqcError(f"probability {p!r} of outcome {m} for settings {q} "
+                                         "is not an integer or a Fraction")
             total = sum(p for _, p in dist)
             if total != 1:
                 raise QuditMbqcError(f"distribution for settings {q} sums to {total}")
@@ -105,7 +109,7 @@ class TableResource:
                 (tuple(rec["m"]), Fraction(*plain_ints([rec["num"], rec["den"]], "table num, den")))
                 for rec in entry["dist"]
             ]
-        return cls(plain_int(obj["N"], "table N"), behavior)
+        return cls(obj["N"], behavior)
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,14 @@ class RunTrace:
     settings: tuple[int, ...]
     outcomes: tuple[int, ...]
     output: int
+
+
+def _party(k: int, party) -> tuple[WeylLabel, CliffordSpec]:
+    """Party k as a (fiducial, control) tuple; anything else is refused."""
+    if (isinstance(party, (tuple, list)) and len(party) == 2
+            and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
+        return tuple(party)
+    raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
 
 
 class MbqcPlan:
@@ -131,7 +143,7 @@ class MbqcPlan:
         self.n = n
         self.N = N
         self.resource = resource
-        self.parties = tuple((fid, ctrl) for fid, ctrl in parties)
+        self.parties = tuple(_party(k, party) for k, party in enumerate(parties))
         # each party's kind: the first party with the same (fiducial, control)
         first: dict = {}
         self._kind = tuple(first.setdefault(party, k) for k, party in enumerate(self.parties))

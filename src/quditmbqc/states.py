@@ -277,7 +277,7 @@ def make_ghz(d: int, N: int, phases: list[int] | None = None) -> SparseState:
 
 def make_example2_state(d: int) -> SparseState:
     """The 2d-qudit state sum_z |z>^2 |z+1>^2 ... |z+d-1>^2 / sqrt(d)."""
-    if d < 3 or d % 2 == 0:
+    if plain_dimension(d) < 3 or d % 2 == 0:
         raise QuditMbqcError("this resource state needs odd d >= 3")
     terms = []
     for z in range(d):
@@ -286,10 +286,14 @@ def make_example2_state(d: int) -> SparseState:
     return SparseState(d, 2 * d, tuple(terms))
 
 
-def apply_observable(M: GlobalObservable, psi: SparseState) -> SparseState:
-    """Exact application; monomial sites keep term count and distinctness."""
+def _check_shapes(M: GlobalObservable, psi: SparseState) -> None:
     if M.N != psi.N or M.d != psi.d:
         raise QuditMbqcError("observable and state shapes differ")
+
+
+def apply_observable(M: GlobalObservable, psi: SparseState) -> SparseState:
+    """Exact application; monomial sites keep term count and distinctness."""
+    _check_shapes(M, psi)
     period = tau_period(psi.d)
     new_terms = [((t + sum([op.phases[z] for z, op in zip(ket, M.sites)])) % period,
                   tuple([op.perm[z] for z, op in zip(ket, M.sites)]))
@@ -333,6 +337,7 @@ def dense_oracle(M: GlobalObservable, psi: SparseState) -> int | None:
     the nearest d-th root of unity; residuals between 1e-9 and 1e-6 raise
     an inconsistency alarm instead of silently rounding.
     """
+    _check_shapes(M, psi)
     vec = psi.to_dense()
     out = dense_apply(M, vec)
     lam = np.vdot(vec, out)
@@ -373,7 +378,7 @@ def measurement_distribution(psi: SparseState, site: int,
     d = psi.d
     if op.d != d:
         raise QuditMbqcError(f"site operator has dimension {op.d}, the state {d}")
-    if not 0 <= site < psi.N:
+    if not 0 <= plain_int(site, "site") < psi.N:
         raise QuditMbqcError(f"site {site} is out of range for a state of {psi.N} qudits")
     op.spectrum  # refuses a map that is not a permutation
     if not op.has_omega_spectrum():

@@ -11,7 +11,7 @@ from quditmbqc import cli, compiler as comp
 from quditmbqc.cli import main
 from quditmbqc.compiler import compile_general_prime, compile_nand, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, TableResource
-from quditmbqc.errors import VerificationError
+from quditmbqc.errors import PlanFormatError, QuditMbqcError, VerificationError
 from quditmbqc.fields import is_polynomial_over_ring
 from quditmbqc.states import SparseState, basis_state
 from quditmbqc.weyl import WeylLabel, named_clifford
@@ -452,6 +452,25 @@ class TestVerifyAll:
         assert lines[:-1] == [line for line in lines if line.startswith("PASS ")]
         assert len(lines) == 8
         assert lines[-1] == f"FAIL odd-ring d=9 identity: {MISMATCH}"
+
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (QuditMbqcError, 2), (VerificationError, 3), (PlanFormatError, 4),
+    ], ids=["library", "verification", "plan-format"])
+    @pytest.mark.parametrize("command", ["analyze", "demo"])
+    def test_main_maps_the_error_type(self, tmp_path, capsys, monkeypatch, error, code, command):
+        # analyze_plan runs after every other step of both commands, so
+        # its refusal reaches main as the handler raised it
+        def refuse(plan):
+            raise error("boom")
+        monkeypatch.setattr(cli, "analyze_plan", refuse)
+        plan_file = tmp_path / "plan.json"
+        compile_nand().plan.save(plan_file)
+        argv = {"analyze": ["analyze", "--plan", str(plan_file)], "demo": ["demo", "nand"]}[command]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", "error: boom\n")
 
 
 class TestParserReuse:

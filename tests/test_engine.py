@@ -389,6 +389,10 @@ class TestTemporal:
             ("parties", [(WeylLabel(d, (1, 0), 1), ident)] * 2, "party 0 fiducial spectrum"),
             ("parties", [(fid, CliffordSpec(d, ((1, 0), (1, 1))))] * 2,
              "party 0 control needs an upper-triangular symplectic part at even d"),
+            # a bare fiducial ended in a TypeError, an int pair in an AttributeError
+            ("parties", [(fid, ident), fid],
+             f"party 1 is {fid!r}, expected a (WeylLabel, CliffordSpec) pair"),
+            ("parties", [(1, 2)] * 2, "party 0 is (1, 2), expected a (WeylLabel, CliffordSpec) pair"),
         ]:
             broken = dict(good)
             broken[field] = bad
@@ -495,6 +499,21 @@ class TestTableResources:
     def test_table_distribution_normalized(self):
         with pytest.raises(QuditMbqcError):
             TableResource(1, {(0,): [((0,), Fraction(1, 3))]})
+
+    @pytest.mark.parametrize("N, dist, message", [
+        (1, [((0,), 0.1), ((1,), 0.9)],
+         "probability 0.1 of outcome (0,) for settings (0,) is not an integer or a Fraction"),
+        (1, [((0,), True)],
+         "probability True of outcome (0,) for settings (0,) is not an integer or a Fraction"),
+        (1, [((0,), "1")],
+         "probability '1' of outcome (0,) for settings (0,) is not an integer or a Fraction"),
+        (1.0, [((0,), 1)], "table N is 1.0, expected an integer"),
+    ], ids=["float", "bool", "string", "float-N"])
+    def test_table_probabilities_are_exact(self, N, dist, message):
+        # the float table passed the sum check as floats, then its stored
+        # Fractions summed to 36028797018963969/36028797018963968
+        with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
+            TableResource(N, {(0,): dist})
 
 
 class TestEmpiricalSuccess:

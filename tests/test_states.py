@@ -444,10 +444,13 @@ class TestRefusals:
         lambda: measurement_distribution(make_ghz(3, 1), 0, MonomialOp(3, (0, 1.0, 2), (0, 0, 0))),
         lambda: MonomialOp(3, (0, 1.0, 2), (0, 0, 0)).compose(I(3)),
         lambda: I(3).compose(MonomialOp(3, (0, 1, 2), (0, True, 0))),
+        lambda: measurement_distribution(make_ghz(3, 2), True, Z(3)),
+        lambda: dense_oracle(GlobalObservable(3, [Z(3)]), make_ghz(3, 2)),
     ], ids=["site-past-end", "negative-site", "operator-d-below", "operator-d-above",
             "short-phases", "measure-local-site", "ghz-few-phases", "ghz-many-phases",
             "entry-out-of-range", "short-perm", "float-entry", "float-phase",
-            "measure-float-entry", "compose-float-entry", "compose-bool-phase"])
+            "measure-float-entry", "compose-float-entry", "compose-bool-phase", "bool-site",
+            "dense-oracle-shapes"])
     def test_bad_shapes_raise_the_library_error(self, call):
         with pytest.raises(QuditMbqcError):
             call()
@@ -469,9 +472,13 @@ class TestRefusals:
         # d = 0 ended in a ZeroDivisionError, and d = 1 built a state
         (lambda: SparseState(0, 1, ((0, (0,)),)), "d is 0, expected an integer >= 2"),
         (lambda: make_ghz(1, 2), "d is 1, expected an integer >= 2"),
+        # each of these ended in a bare TypeError
+        (lambda: make_example2_state(3.0), "d is 3.0, expected an integer"),
+        (lambda: measurement_distribution(make_ghz(3, 2), 1.0, Z(3)),
+         "site is 1.0, expected an integer"),
     ], ids=["ghz-half-phase", "tau-exponent-float", "ket-digit-float", "tau-exponent-string",
             "tau-exponent-bool", "ket-string", "state-d-float", "state-N-bool", "ghz-d-float",
-            "ghz-N-float", "state-d-zero", "ghz-d-one"])
+            "ghz-N-float", "state-d-zero", "ghz-d-one", "example2-d-float", "site-float"])
     def test_non_integer_terms_name_the_term(self, call, message):
         with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
             call()
