@@ -62,6 +62,7 @@ class TableResource:
         self.N = N = plain_int(N, "table N")
         self.behavior = {}
         for q, dist in behavior.items():
+            q = plain_ints(q, "table q", N)
             for m, p in dist:  # a float would make the sum below inexact
                 if type(p) not in (int, Fraction):
                     raise QuditMbqcError(f"probability {p!r} of outcome {m} for settings {q} "
@@ -74,7 +75,7 @@ class TableResource:
                     raise QuditMbqcError(f"outcome {m} for settings {q} needs {N} integers")
                 if p < 0:
                     raise QuditMbqcError(f"probability {p} of outcome {m} for settings {q} is negative")
-            self.behavior[tuple(q)] = [(tuple(m), Fraction(p)) for m, p in dist]
+            self.behavior[q] = [(tuple(m), Fraction(p)) for m, p in dist]
 
     @classmethod
     def deterministic(cls, N: int, mapping: dict[tuple[int, ...], tuple[int, ...]]) -> "TableResource":
@@ -221,8 +222,7 @@ class MbqcPlan:
     def setting(self, k: int, i: tuple[int, ...], outcomes) -> int:
         """q_k for input i, reading the outcomes of the parties measured so
         far (any sequence; run passes its growing list)."""
-        if len(i) != self.n:
-            raise QuditMbqcError(f"input needs {self.n} symbols, got {len(i)}")
+        i = _read_input(self, i)
         acc = self.q0[k] + sum(map(operator.mul, self.Q[k], i))
         if outcomes:
             acc += sum(v * outcomes[j] for j, v in self._t_nonzero[k] if j < len(outcomes))
@@ -586,11 +586,12 @@ def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     laws = [PhaseSum(d) for _ in range(d)]
     phi = psi
     for j in range(d):
+        if j:
+            phi = apply_observable(W, phi)
         for t, ket in phi.terms:
             if ket in tau_of:
                 for o, law in enumerate(laws):
                     law.add_tau_power(t - tau_of[ket] - 2 * j * (o - plan.s0))
-        phi = apply_observable(W, phi)
     weights = [law.as_rational_integer() for law in laws]
     if None in weights:
         raise SparseFormError(f"output law at input {i} has an irrational probability")

@@ -256,10 +256,11 @@ class MultiPoly:
         d = modulus.d
         clean = {}
         for exps, val in coeffs.items():
-            if not isinstance(val, int):
+            if type(val) is not int:
                 raise ValueError(f"coefficient {val!r} is not an integer")
-            if len(exps) != n or any(a < 0 or a > d - 1 for a in exps):
-                raise ValueError(f"exponent tuple {exps} not reduced for d={d}")
+            if (not isinstance(exps, tuple) or len(exps) != n
+                    or any(type(a) is not int or not 0 <= a < d for a in exps)):
+                raise ValueError(f"exponent tuple {exps!r} not reduced for d={d}")
             if val % d:
                 clean[tuple(exps)] = val % d
         self.modulus = modulus

@@ -35,15 +35,23 @@ class MonomialOp:
 
     op|z> = tau^phases[z] |perm[z]>.  Closed under products and powers, so
     every Weyl operator and every control unitary used here stays exact.
-    The constructor checks nothing; compose, power and to_dense refuse a
-    map of the wrong shape, and spectrum one that is not a permutation.
-    The cached property spectrum walks the cycles once per object, and the
-    omega verdict (has_omega_spectrum) is read off that record.
+    The constructor refuses anything but a permutation of 0..d-1 with d
+    phases, all ints.  The cached property spectrum walks the cycles once
+    per object, and the omega verdict (has_omega_spectrum) is read off that
+    record.
     """
 
     d: int
     perm: tuple[int, ...]
     phases: tuple[int, ...]
+
+    def __post_init__(self):
+        d = plain_dimension(self.d)
+        if (not isinstance(self.perm, (tuple, list)) or not isinstance(self.phases, (tuple, list))
+                or {*map(type, self.perm), *map(type, self.phases)} != {int}
+                or len(self.phases) != d or sorted(self.perm) != list(range(d))):
+            raise QuditMbqcError(f"a d={d} operator needs a permutation of 0..{d - 1} and {d} "
+                                 f"phases, all integers, got {self.perm} and {self.phases}")
 
     @classmethod
     def identity(cls, d: int) -> "MonomialOp":
@@ -61,8 +69,6 @@ class MonomialOp:
 
     def compose(self, other: "MonomialOp") -> "MonomialOp":
         """self applied after other (matrix product self @ other)."""
-        self._check_shape()
-        other._check_shape()
         if other.d != self.d:
             raise QuditMbqcError(f"cannot compose a d={self.d} and a d={other.d} operator")
         period = tau_period(self.d)
@@ -73,7 +79,6 @@ class MonomialOp:
         return MonomialOp(self.d, perm, phases)
 
     def power(self, e: int) -> "MonomialOp":
-        self._check_shape()
         out = MonomialOp.identity(self.d)
         for _ in range(e):
             out = out.compose(self)
@@ -86,11 +91,8 @@ class MonomialOp:
     def has_omega_spectrum(self) -> bool:
         """Whether op**d is the identity, read off spectrum: exactly when
         every cycle of length L carries L outcomes, since the L eigenvalues
-        on a cycle are distinct.  False for a map that spectrum refuses."""
-        try:
-            return all(len(outcomes) == L for L, outcomes in self.spectrum[1])
-        except QuditMbqcError:
-            return False
+        on a cycle are distinct."""
+        return all(len(outcomes) == L for L, outcomes in self.spectrum[1])
 
     @functools.cached_property
     def spectrum(self) -> tuple[tuple, tuple]:
@@ -100,14 +102,8 @@ class MonomialOp:
         from its first element z0, op^s|z0> = tau^phi_s |z>; cycles[C] =
         (L, the outcomes m with 2mL = Phi_C), Phi_C the phase around C: the
         eigenvalues omega^m on C, all L of them when has_omega_spectrum().
-        Raises QuditMbqcError unless perm is a permutation of 0..d-1 with d
-        phases, all of them ints.
         """
         d, period = self.d, tau_period(self.d)
-        if (not self._int_entries() or len(self.phases) != d
-                or sorted(self.perm) != list(range(d))):
-            raise QuditMbqcError(f"a d={d} operator needs a permutation of 0..{d - 1} and {d} "
-                                 f"phases, all integers, got {self.perm} and {self.phases}")
         place: list[tuple[int, int, int] | None] = [None] * d
         cycles = []
         for start in range(d):
@@ -122,21 +118,7 @@ class MonomialOp:
             cycles.append((s, tuple(m for m in range(d) if (2 * m * s - phi) % period == 0)))
         return tuple(place), tuple(cycles)
 
-    def _check_shape(self) -> None:
-        """Raises QuditMbqcError unless perm has d int entries in 0..d-1 and
-        there are d int phases."""
-        d = self.d
-        if (not self._int_entries() or len(self.perm) != d or len(self.phases) != d
-                or not all(0 <= z < d for z in self.perm)):
-            raise QuditMbqcError(f"a d={d} operator needs {d} images in 0..{d - 1} and {d} "
-                                 f"phases, all integers, got {self.perm} and {self.phases}")
-
-    def _int_entries(self) -> bool:
-        """Whether every image and phase is an int (not a float or a bool)."""
-        return all(type(v) is int for v in (*self.perm, *self.phases))
-
     def to_dense(self) -> np.ndarray:
-        self._check_shape()
         tau = tau_value(self.d)
         out = np.zeros((self.d, self.d), dtype=complex)
         for z in range(self.d):
@@ -298,8 +280,8 @@ def apply_observable(M: GlobalObservable, psi: SparseState) -> SparseState:
     new_terms = [((t + sum([op.phases[z] for z, op in zip(ket, M.sites)])) % period,
                   tuple([op.perm[z] for z, op in zip(ket, M.sites)]))
                  for t, ket in psi.terms]
-    # every site of an observable is a permutation of 0..d-1 (has_omega_spectrum
-    # is False for any other perm), so the kets stay distinct and in range
+    # every site of an observable is a permutation of 0..d-1 (MonomialOp
+    # refuses any other perm), so the kets stay distinct and in range
     new_terms.sort(key=itemgetter(1))
     return SparseState._trusted(psi.d, psi.N, tuple(new_terms))
 
@@ -380,7 +362,6 @@ def measurement_distribution(psi: SparseState, site: int,
         raise QuditMbqcError(f"site operator has dimension {op.d}, the state {d}")
     if not 0 <= plain_int(site, "site") < psi.N:
         raise QuditMbqcError(f"site {site} is out of range for a state of {psi.N} qudits")
-    op.spectrum  # refuses a map that is not a permutation
     if not op.has_omega_spectrum():
         raise QuditMbqcError("site operator spectrum is not omega powers")
     entries = [(ket[:site] + ket[site + 1:], t, ket[site]) for t, ket in psi.terms]

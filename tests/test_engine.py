@@ -73,7 +73,8 @@ class TestRun:
                              ids=["float", "string", "none", "integral-float", "bool"])
     def test_input_symbols_must_be_integers(self, i):
         plan = compile_general_prime([2, 0, 1], 3).plan
-        for call in (run, output_distribution, weighted_observable):
+        setting = lambda plan, i: plan.setting(0, i, ())
+        for call in (run, output_distribution, weighted_observable, setting):
             with pytest.raises(QuditMbqcError, match=r"^input has .*, expected an integer$"):
                 call(plan, i)
 
@@ -514,6 +515,19 @@ class TestTableResources:
         # Fractions summed to 36028797018963969/36028797018963968
         with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
             TableResource(N, {(0,): dist})
+
+
+    @pytest.mark.parametrize("q, message", [
+        ((0.5, 7), "table q is (0.5, 7), expected a list of 1 integers"),
+        ((0.5,), "table q has 0.5, expected an integer"),
+        ((True,), "table q has True, expected an integer"),
+        (1, "table q is 1, expected a list of 1 integers"),
+    ], ids=["float-and-long", "float", "bool", "not-a-tuple"])
+    def test_table_settings_keys_are_n_integers(self, q, message):
+        # a key that is not N ints would be saved in a plan file that fails to load
+        behavior = {(0,): [((0,), 1)], q: [((1,), 1)]}
+        with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
+            TableResource(1, behavior)
 
 
 class TestEmpiricalSuccess:

@@ -717,6 +717,17 @@ class TestMultiPolyConstruction:
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             MultiPoly(make_field(4), 1, {(1,): value})
 
+    @pytest.mark.parametrize("terms, message", [
+        ({(1.0,): 1}, "exponent tuple (1.0,) not reduced for d=3"),
+        ({(True,): 1}, "exponent tuple (True,) not reduced for d=3"),
+        ({1: 1}, "exponent tuple 1 not reduced for d=3"),
+        ({(1,): True}, "coefficient True is not an integer"),
+    ], ids=["float-exponent", "bool-exponent", "int-key", "bool-coefficient"])
+    def test_float_and_bool_entries_rejected(self, terms, message):
+        # a float or bool entry would print as {(1.0):1} or {(True):1}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MultiPoly(make_field(3), 1, terms)
+
     def test_moduli_tell_polynomials_apart(self):
         assert MultiPoly(make_field(9), 1, {(1,): 1}) != MultiPoly(IntegerRing(9), 1, {(1,): 1})
         assert MultiPoly(make_field(3), 1, {(1,): 1}) != MultiPoly(make_field(3), 2, {(1, 0): 1})

@@ -18,7 +18,7 @@ from operator import mul
 import pytest
 
 from planlib import random_ghz_plan
-from quditmbqc import witnesses
+from quditmbqc import engine, states, witnesses
 from quditmbqc.compiler import (compile_general_prime, compile_nand, compile_odd_ring,
                                 compile_quadratic)
 from quditmbqc.engine import (MbqcPlan, TableResource, _point_table, output_distribution, run,
@@ -170,6 +170,29 @@ def test_assignment_rows_match_referee(name, plan, monkeypatch):
                                          for k in range(plan.N))
 
 
+def test_flat_law_stops_at_the_last_moment(monkeypatch):
+    # one application decides a point mass; a spread law needs W^j psi for
+    # j < d, so d applications in all, and W^d psi is never computed
+    calls = []
+    real = states.apply_observable
+    spy = lambda M, psi: calls.append(M) or real(M, psi)
+    monkeypatch.setattr(states, "apply_observable", spy)
+    monkeypatch.setattr(engine, "apply_observable", spy)
+    spread = 0
+    for name, plan in PLANS:
+        if isinstance(plan.resource, TableResource):
+            continue
+        for i in plan.inputs():
+            calls.clear()
+            try:
+                law = output_distribution(plan, i)
+            except SparseFormError:
+                continue
+            assert len(calls) == (1 if len(law) == 1 else plan.d), (name, i)
+            spread += len(law) > 1
+    assert spread > 10
+
+
 def test_point_table_reads_no_per_party_setting(monkeypatch):
     plan = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan
     plan = MbqcPlan.loads(plan.dumps())
@@ -181,5 +204,6 @@ def test_point_table_reads_no_per_party_setting(monkeypatch):
 
 
 def test_public_observable_refuses_a_non_permutation_site():
-    with pytest.raises(QuditMbqcError, match="site 0 operator spectrum is not omega powers"):
+    # the site operator itself is refused when built
+    with pytest.raises(QuditMbqcError, match="needs a permutation of 0..2 and 3 phases"):
         GlobalObservable(3, [MonomialOp(3, (0, 0, 1), (0, 0, 0))])

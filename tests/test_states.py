@@ -29,6 +29,7 @@ X = lambda d: MonomialOp.from_weyl(d, (0, 1))
 Z = lambda d: MonomialOp.from_weyl(d, (1, 0))
 Y2 = MonomialOp.from_weyl(2, (1, 1))
 I = MonomialOp.identity
+SHAPE_3 = "a d=3 operator needs a permutation of 0..2 and 3 phases, all integers, "
 
 
 class TestStates:
@@ -115,10 +116,11 @@ class TestApplyAndEigenphase:
             GlobalObservable(2, [MonomialOp.from_weyl(2, (0, 1), 1)])
 
     def test_omega_spectrum_matches_power_definition(self):
-        # the cycle test agrees with op**d == 1 on Weyl operators, arbitrary
-        # permutations and maps that are not permutations at all
+        # the cycle test agrees with op**d == 1 on Weyl operators and
+        # arbitrary permutations; a map that is not a permutation at all is
+        # refused when built
         rng = random.Random(21)
-        verdicts = []
+        verdicts, refused = [], 0
         for d in range(2, 10):
             period = tau_period(d)
             for _ in range(200):
@@ -132,11 +134,16 @@ class TestApplyAndEigenphase:
                     if kind == 2:
                         perm[rng.randrange(d)] = rng.randrange(d)
                     phases = [rng.choice([0, rng.randrange(period)]) for _ in range(d)]
+                    if sorted(perm) != list(range(d)):  # kind 2 repeated an image
+                        with pytest.raises(QuditMbqcError, match="needs a permutation"):
+                            MonomialOp(d, tuple(perm), tuple(phases))
+                        refused += 1
+                        continue
                     op = MonomialOp(d, tuple(perm), tuple(phases))
                 want = op.power(d) == I(d)
                 assert op.has_omega_spectrum() == want, op
                 verdicts.append(want)
-        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100 and refused > 100
 
     def test_term_structure_preserved(self):
         rng = random.Random(12)
@@ -492,23 +499,37 @@ class TestRefusals:
     ], ids=["compose-short-other", "compose-entry-out-of-range", "power-negative-entry",
             "power-zero-short-phases", "to-dense-short-perm"])
     def test_malformed_maps_are_refused_by_compose_power_and_to_dense(self, call):
-        # a map with a repeated image stays well defined here (only spectrum
-        # needs a permutation); a wrong length or an entry outside 0..2 does not
-        with pytest.raises(QuditMbqcError, match="needs 3 images in 0..2 and 3 phases"):
+        # the malformed map is refused when built, before the method runs
+        with pytest.raises(QuditMbqcError, match="needs a permutation of 0..2 and 3 phases"):
             call()
+
+    @pytest.mark.parametrize("d, perm, phases, message", [
+        (3.0, (0, 1, 2), (0, 0, 0), "d is 3.0, expected an integer"),
+        (True, (0, 1), (0, 0), "d is True, expected an integer"),
+        (1, (0,), (0,), "d is 1, expected an integer >= 2"),
+        (0, (), (), "d is 0, expected an integer >= 2"),
+        (3, (0, 0, 1), (0, 0, 0), SHAPE_3 + "got (0, 0, 1) and (0, 0, 0)"),
+        (3, (0, 1, 2), (0, 0), SHAPE_3 + "got (0, 1, 2) and (0, 0)"),
+        (3, (0, 1.0, 2), (0, 0, 0), SHAPE_3 + "got (0, 1.0, 2) and (0, 0, 0)"),
+        (3, (0, 1, 2), (0, True, 0), SHAPE_3 + "got (0, 1, 2) and (0, True, 0)"),
+        (3, 5, (0, 0, 0), SHAPE_3 + "got 5 and (0, 0, 0)"),
+    ], ids=["d-float", "d-bool", "d-one", "d-zero", "repeated-image", "short-phases",
+            "float-image", "bool-phase", "perm-not-a-sequence"])
+    def test_malformed_maps_are_refused_when_built(self, d, perm, phases, message):
+        # a map refused later would end in a bare TypeError or
+        # ZeroDivisionError at the first method that reads it
+        with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
+            MonomialOp(d, perm, phases)
 
     def test_compose_refuses_another_dimension(self):
         with pytest.raises(QuditMbqcError, match="cannot compose a d=3 and a d=5 operator"):
             I(3).compose(X(5))
 
     def test_non_permutations_are_refused_by_the_walk(self):
+        # none of these maps can be built, so no walk ever meets one
         for perm in ((0, 1, 5), (0, 1), (0, 0, 1), (0, 1, 2, 3), (-1, 0, 1)):
-            op = MonomialOp(3, perm, (0, 0, 0))
             with pytest.raises(QuditMbqcError, match="needs a permutation of 0..2"):
-                op.spectrum
-            assert not op.has_omega_spectrum()
-            with pytest.raises(QuditMbqcError, match="needs a permutation of 0..2"):
-                measurement_distribution(make_ghz(3, 1), 0, op)
+                MonomialOp(3, perm, (0, 0, 0))
 
     def test_branch_weights_are_checked_by_parseval_per_cycle(self, monkeypatch):
         # |0,0> + |1,0> measured by X at d=3: both terms share the rest |0>

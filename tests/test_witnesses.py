@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quditmbqc.compiler import compile_general_prime
-from quditmbqc.engine import MbqcPlan, TableResource, extract_output_function
+from quditmbqc.engine import MbqcPlan, TableResource, extract_output_function, is_deterministic
 from quditmbqc.errors import QuditMbqcError, SizeGuardError, UnsupportedWitnessError
 from quditmbqc.fields import MultiPoly, combined_degree, interpolate, make_field
 from quditmbqc.states import basis_state
@@ -26,7 +26,7 @@ from quditmbqc.witnesses import (
     temporal_degree_bound,
     threshold_check,
 )
-from planlib import exponential_plan, ghz_chain, nand_plan, quadratic_plan
+from planlib import exponential_plan, ghz_chain, nand_plan, quadratic_plan, random_ghz_plan
 
 
 def _nu_referee(table, d, n):
@@ -112,6 +112,23 @@ class TestNcvaSearch:
         w = ncva_search(exponential_plan(5, 2))
         assert w.verdict == NCVA_FOUND
         assert w.assignment == ((1, 3, 4, 2, 1),)  # s1(q) = 2^-q mod 5
+
+    @pytest.mark.parametrize("d", [3, 5, 9, 15])
+    def test_odd_d_deterministic_flat_plans_are_never_strongly_nonlocal(self, d):
+        # at odd d every site observable is a Weyl operator; the eigenvalues
+        # of a deterministic plan form a character, which extends to a phase
+        # point, a non-contextual assignment (Gross, J. Math. Phys. 47,
+        # 122107 (2006); Howard et al., Nature 510, 351 (2014))
+        rng = random.Random(d)
+        found = 0
+        for _ in range(2500):
+            plan = random_ghz_plan(rng, d, 2, 1, False, False)
+            if is_deterministic(plan):
+                assert ncva_search(plan).verdict == NCVA_FOUND
+                found += 1
+                if found == 3:
+                    break
+        assert found >= 1
 
     def test_constant_output_plan(self):
         d = 3
