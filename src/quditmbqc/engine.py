@@ -28,7 +28,6 @@ import functools
 import itertools
 import json
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,10 +40,11 @@ from .states import (
     MonomialOp,
     SparseState,
     _draw_branch,
+    _eigenphase,
     _measurement_branches,
+    _read_seed,
     _suffix_trie,
     apply_observable,
-    eigenphase_of,
 )
 from .weyl import CliffordSpec, WeylLabel, conjugate_weyl, weyl_power
 
@@ -63,18 +63,21 @@ class TableResource:
         self.behavior = {}
         for q, dist in behavior.items():
             q = plain_ints(q, "table q", N)
+            if not isinstance(dist, (list, tuple)) or not all(
+                    isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in dist):
+                raise QuditMbqcError(f"distribution for settings {q} is {dist!r}, "
+                                     "expected (outcome, probability) pairs")
             for m, p in dist:  # a float would make the sum below inexact
+                if not isinstance(m, (list, tuple)) or len(m) != N or not all(type(v) is int for v in m):
+                    raise QuditMbqcError(f"outcome {m} for settings {q} needs {N} integers")
                 if type(p) not in (int, Fraction):
                     raise QuditMbqcError(f"probability {p!r} of outcome {m} for settings {q} "
                                          "is not an integer or a Fraction")
-            total = sum(p for _, p in dist)
-            if total != 1:
-                raise QuditMbqcError(f"distribution for settings {q} sums to {total}")
-            for m, p in dist:  # with the sum at 1, p >= 0 also caps p at 1
-                if len(m) != N or not all(type(v) is int for v in m):
-                    raise QuditMbqcError(f"outcome {m} for settings {q} needs {N} integers")
                 if p < 0:
                     raise QuditMbqcError(f"probability {p} of outcome {m} for settings {q} is negative")
+            total = sum(p for _, p in dist)
+            if total != 1:  # with every p >= 0, this also caps each p at 1
+                raise QuditMbqcError(f"distribution for settings {q} sums to {total}")
             self.behavior[q] = [(tuple(m), Fraction(p)) for m, p in dist]
 
     @classmethod
@@ -247,12 +250,9 @@ class MbqcPlan:
     def _ops_at(self, settings, powers) -> list[MonomialOp]:
         """M_k(settings[k])**powers[k] for every party k, one dictionary read
         each once the plan has met the (kind, setting, power)."""
-        keys = list(zip(self._kind, settings, powers))
-        try:
-            return list(map(self._site_ops.__getitem__, keys))
-        except KeyError:
-            get = self._site_ops.get
-            return [get(key) or self._site_op(k, key[1], key[2]) for k, key in enumerate(keys)]
+        get = self._site_ops.get
+        return [get(key) or self._site_op(k, key[1], key[2])
+                for k, key in enumerate(zip(self._kind, settings, powers))]
 
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form."""
@@ -457,7 +457,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     read off the plan's suffix trie.
     """
     i = _read_input(plan, i)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _read_seed(seed)
     settings = plan._settings(i)
     if isinstance(plan.resource, TableResource):
         m, _, _ = _draw_branch([(m, p.numerator, p.denominator)
@@ -579,7 +579,8 @@ def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with psi."""
     d, psi = plan.d, plan.resource
     W = weighted_observable(plan, i)
-    o = eigenphase_of(W, psi)  # the j = 1 moment decides a point mass
+    first = apply_observable(W, psi)
+    o = _eigenphase(psi, first)  # the j = 1 moment decides a point mass
     if o is not None:
         return {(o + plan.s0) % d: Fraction(1)}
     tau_of = {ket: t for t, ket in psi.terms}
@@ -587,7 +588,7 @@ def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     phi = psi
     for j in range(d):
         if j:
-            phi = apply_observable(W, phi)
+            phi = first if j == 1 else apply_observable(W, phi)
         for t, ket in phi.terms:
             if ket in tau_of:
                 for o, law in enumerate(laws):
@@ -623,6 +624,8 @@ def longest_path(adj: dict[int, list[int]]) -> int:
     indegree = {v: 0 for v in adj}
     for v in adj:
         for w in adj[v]:
+            if w not in indegree:
+                raise QuditMbqcError(f"temporal graph has an edge {v} -> {w}, but {w} is not a vertex")
             indegree[w] += 1
     depth = {v: 1 for v in adj}
     ready = [v for v in adj if not indegree[v]]

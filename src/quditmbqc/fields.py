@@ -221,8 +221,8 @@ def make_field(d: int) -> Modulus:
     lexicographically smallest monic irreducible polynomial; any other d
     gives the ring Z_d.
     """
-    if d < 2:
-        raise ValueError("modulus must be >= 2")
+    if type(d) is not int or d < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {d!r}")
     (p, r), *others = factorize(d).items()
     if not others and r >= 2:
         for tail in itertools.product(range(p), repeat=r):

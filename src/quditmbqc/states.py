@@ -79,6 +79,8 @@ class MonomialOp:
         return MonomialOp(self.d, perm, phases)
 
     def power(self, e: int) -> "MonomialOp":
+        if plain_int(e, "exponent") < 0:
+            raise ValueError("exponent must be non-negative")
         out = MonomialOp.identity(self.d)
         for _ in range(e):
             out = out.compose(self)
@@ -153,9 +155,11 @@ class GlobalObservable:
     """
 
     def __init__(self, d: int, sites: list[MonomialOp]):
-        self.d = d
+        self.d = d = plain_dimension(d)
         self.sites = tuple(sites)
         for k, op in enumerate(self.sites):
+            if not isinstance(op, MonomialOp):
+                raise QuditMbqcError(f"site {k} is {op!r}, expected a MonomialOp")
             if op.d != d:
                 raise QuditMbqcError(f"site {k} has dimension {op.d}, expected {d}")
             if not op.has_omega_spectrum():  # cached on each operator object
@@ -292,8 +296,13 @@ def eigenphase_of(M: GlobalObservable, psi: SparseState) -> int | None:
     Raises PhaseDomainError when the eigenvalue is a tau-power that is not
     an omega-power (possible for even d only).
     """
+    return _eigenphase(psi, apply_observable(M, psi))
+
+
+def _eigenphase(psi: SparseState, phi: SparseState) -> int | None:
+    """o with phi = omega^o psi, or None; phi is M psi, which the flat law
+    also reads as its j = 1 moment."""
     period = tau_period(psi.d)
-    phi = apply_observable(M, psi)
     diffs = set()
     for (t1, k1), (t2, k2) in zip(psi.terms, phi.terms):
         if k1 != k2:
@@ -470,19 +479,23 @@ def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
 
 
 def measure_local(psi: SparseState, site: int, op: MonomialOp,
-                  rng: random.Random | int) -> tuple[int, SparseState]:
+                  rng: random.Random | int | None) -> tuple[int, SparseState]:
     """Projective measurement of a monomial site operator.
 
     Samples a branch of measurement_distribution with exact integer
     weights and returns its outcome and the state without the measured
     qudit; deterministic under a fixed seed, and zero-probability branches
-    are never returned.
+    are never returned.  rng takes engine.run's seed forms: None, an int,
+    or a Random, which is used as it is.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     m, _, _, rest = _draw_branch([(m, p.numerator, p.denominator, rest) for m, p, rest
-                                  in measurement_distribution(psi, site, op)], rng)
+                                  in measurement_distribution(psi, site, op)], _read_seed(rng))
     return m, rest
+
+
+def _read_seed(seed) -> random.Random:
+    """A Random as it is; None or an int seeds a new one."""
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
 def _draw_branch(branches, rng: random.Random):

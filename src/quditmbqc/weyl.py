@@ -14,7 +14,7 @@ phase (Appleby, J. Math. Phys. 46, 052107 (2005)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import QuditMbqcError, plain_dimension, plain_int, plain_ints
 from .phases import omega_exponent, tau_period
@@ -94,15 +94,15 @@ class CliffordSpec:
 
     C is the 2x2 symplectic action of the symplectic part U, x the
     displacement, tau_exp a global phase exponent (irrelevant under
-    conjugation, kept for serialization fidelity).
+    conjugation, kept for serialization fidelity).  A control is written
+    from its value: {"named": "S"} or {"named": "Mu", "u": C[1][1]} when x
+    and tau_exp are 0 and C is S's matrix or diagonal, else the matrix form.
     """
 
     d: int
     C: tuple[tuple[int, int], tuple[int, int]]
     x: tuple[int, int] = (0, 0)
     tau_exp: int = 0
-    name: str | None = field(default=None, compare=False)
-    u: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         d = plain_dimension(self.d)
@@ -134,10 +134,11 @@ class CliffordSpec:
         return s, (s * q) % self.d  # det C = p*s = 1 mod d, so s is a unit
 
     def to_json(self) -> dict:
-        if self.name == "S":
-            return {"named": "S"}
-        if self.name == "Mu":
-            return {"named": "Mu", "u": self.u}
+        if self.x == (0, 0) and not self.tau_exp:
+            if self.C == ((1, 1), (0, 1)):
+                return {"named": "S"}
+            if self.C[0][1] == self.C[1][0] == 0:
+                return {"named": "Mu", "u": self.C[1][1]}
         return {"C": [list(r) for r in self.C], "x": list(self.x), "tau_exp": self.tau_exp}
 
     @classmethod
@@ -160,12 +161,12 @@ def named_clifford(d: int, name: str, u: int | None = None,
     """
     d = plain_dimension(d)
     if name == "S":
-        return CliffordSpec(d, ((1, 1), (0, 1)), name="S")
+        return CliffordSpec(d, ((1, 1), (0, 1)))
     if name == "Mu":
         if math.gcd(plain_int(u, "control u") % d, d) != 1:
             raise QuditMbqcError(f"u={u} is not a unit mod {d}")
         uinv = pow(u % d, -1, d)
-        return CliffordSpec(d, ((uinv, 0), (0, u % d)), name="Mu", u=u % d)
+        return CliffordSpec(d, ((uinv, 0), (0, u % d)))
     if name == "weyl-displacement":
         if x is None:
             raise QuditMbqcError("displacement needs x")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -811,23 +812,31 @@ class TestPlanSerialization:
 
     def test_matrix_spelling_of_a_named_control_resaves_as_the_first(self):
         # controls compare by matrix: a later party that spells the first
-        # party's Mu as its matrix is written as a reference to that party
+        # party's Mu as its matrix is written as a reference to that party,
+        # and a control is written from its matrix, so both orders save alike
         d = 5
         named = named_clifford(d, "Mu", u=2)
         matrix = CliffordSpec(d, named.C)
         fid = WeylLabel(d, (1, 0))
-        plan = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (1, 1)),
-                        parties=[(fid, named), (fid, matrix)], Q=[[1], [1]], z=[1, 1], s0=0)
-        assert plan.to_json()["parties"][1] == 0
+        saved = [{"fiducial": fid.to_json(), "control": {"named": "Mu", "u": 2}}, 0]
+        for parties in ([(fid, named), (fid, matrix)], [(fid, matrix), (fid, named)]):
+            plan = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (1, 1)),
+                            parties=parties, Q=[[1], [1]], z=[1, 1], s0=0)
+            assert plan.to_json()["parties"] == saved
+            assert MbqcPlan.loads(plan.dumps()) == plan
+
+    def test_a_displaced_named_control_keeps_its_law_through_a_file(self):
+        # a named Mu given an x is written as its matrix, so the file keeps
+        # the x, and a reloaded plan that compares equal has the same law
+        d = 5
+        control = dataclasses.replace(named_clifford(d, "Mu", u=2), x=(0, 1))
+        plan = MbqcPlan(d=d, n=1, N=1, resource=basis_state(d, (1,)),
+                        parties=[(WeylLabel(d, (1, 0)), control)], Q=[[1]], z=[1], s0=0)
+        laws = [output_distribution(plan, i) for i in plan.inputs()]
+        assert laws == [{o: 1} for o in (1, 2, 0, 4, 1)]
         again = MbqcPlan.loads(plan.dumps())
+        assert [output_distribution(again, i) for i in again.inputs()] == laws
         assert again == plan
-        assert again.parties[1][1].name == "Mu" and again.parties[1][1].u == 2
-        # the other order writes the matrix, and the named party re-saves as it
-        swapped = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (1, 1)),
-                           parties=[(fid, matrix), (fid, named)], Q=[[1], [1]], z=[1, 1], s0=0)
-        assert swapped.to_json()["parties"] == [{"fiducial": fid.to_json(),
-                                                 "control": matrix.to_json()}, 0]
-        assert MbqcPlan.loads(swapped.dumps()).parties[1][1].name is None
 
 
 class TestSparseT:

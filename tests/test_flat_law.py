@@ -172,7 +172,8 @@ def test_assignment_rows_match_referee(name, plan, monkeypatch):
 
 def test_flat_law_stops_at_the_last_moment(monkeypatch):
     # one application decides a point mass; a spread law needs W^j psi for
-    # j < d, so d applications in all, and W^d psi is never computed
+    # j < d and reads that first product as its j = 1 moment, so d-1
+    # applications in all, and W^d psi is never computed
     calls = []
     real = states.apply_observable
     spy = lambda M, psi: calls.append(M) or real(M, psi)
@@ -188,7 +189,7 @@ def test_flat_law_stops_at_the_last_moment(monkeypatch):
                 law = output_distribution(plan, i)
             except SparseFormError:
                 continue
-            assert len(calls) == (1 if len(law) == 1 else plan.d), (name, i)
+            assert len(calls) == (1 if len(law) == 1 else plan.d - 1), (name, i)
             spread += len(law) > 1
     assert spread > 10
 

@@ -6,9 +6,9 @@ import pytest
 from planlib import nand_plan
 from quditmbqc import compiler
 from quditmbqc.compiler import compile_exponential
-from quditmbqc.engine import MbqcPlan
+from quditmbqc.engine import MbqcPlan, TableResource, longest_path
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
-from quditmbqc.fields import IntegerRing, MultiPoly, closure_basis
+from quditmbqc.fields import IntegerRing, MultiPoly, closure_basis, make_field
 from quditmbqc.states import GlobalObservable, MonomialOp, clifford_unitary
 from quditmbqc.weyl import CliffordSpec, conjugate_weyl, named_clifford, weyl_power
 
@@ -43,9 +43,27 @@ def _outcome(call):
      (UnsupportedModulusError, "closure needs a field modulus")),
     (lambda: IntegerRing(6).inv(2), (ZeroDivisionError, "2 is not a unit mod 6")),
     (lambda: IntegerRing(7).pow_(3, -1), 5),  # 3 * 5 = 15 = 1 mod 7
+    # malformed input to public entry points, refused in the package's words
+    (lambda: MonomialOp.from_weyl(3, (0, 1)).power(-1),
+     (ValueError, "exponent must be non-negative")),
+    (lambda: MonomialOp.from_weyl(3, (0, 1)).power(1.5),
+     (QuditMbqcError, "exponent is 1.5, expected an integer")),
+    (lambda: GlobalObservable(3, [1]), (QuditMbqcError, "site 0 is 1, expected a MonomialOp")),
+    (lambda: GlobalObservable(3.0, [MonomialOp.from_weyl(3, (1, 0))]),
+     (QuditMbqcError, "d is 3.0, expected an integer")),
+    (lambda: TableResource(1, {(0,): 5}),
+     (QuditMbqcError, "distribution for settings (0,) is 5, expected (outcome, probability) pairs")),
+    (lambda: TableResource(1, {(0,): [(0, 1)]}),
+     (QuditMbqcError, "outcome 0 for settings (0,) needs 1 integers")),
+    (lambda: longest_path({0: [1]}),
+     (QuditMbqcError, "temporal graph has an edge 0 -> 1, but 1 is not a vertex")),
+    (lambda: make_field(2.0), (ValueError, "modulus must be an integer >= 2, got 2.0")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "displacement-without-x", "unknown-clifford-name", "weyl-power-negative",
         "conjugate-negative", "observable-site-dimension", "clifford-not-monomial",
-        "closure-over-Z6", "inverse-of-non-unit", "negative-power"])
+        "closure-over-Z6", "inverse-of-non-unit", "negative-power", "monomial-power-negative",
+        "monomial-power-float", "observable-site-not-monomial", "observable-float-d",
+        "table-distribution-not-pairs", "table-outcome-not-a-vector", "longest-path-unknown-vertex",
+        "field-float-modulus"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want

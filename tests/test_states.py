@@ -222,6 +222,13 @@ class TestMeasurement:
         runs = [measure_local(psi, 0, X(3), 42)[0] for _ in range(5)]
         assert len(set(runs)) == 1
 
+    def test_seed_forms_are_the_ones_run_reads(self):
+        # None, an int and a Random, as engine.run takes them
+        psi = make_ghz(3, 2)
+        branches = [(m, rest) for m, _, rest in measurement_distribution(psi, 0, X(3))]
+        assert measure_local(psi, 0, X(3), None) in branches
+        assert measure_local(psi, 0, X(3), 42) == measure_local(psi, 0, X(3), random.Random(42))
+
     def test_nand_outcome_sums(self):
         # local X/Y measurements on the signed GHZ state: outcome sums give NAND
         cases = {

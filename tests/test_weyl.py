@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -163,6 +165,39 @@ class TestNamedCliffords:
         ]:
             again = CliffordSpec.from_json(spec.d, spec.to_json())
             assert again.C == spec.C and again.x == spec.x
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+    def test_every_control_round_trips(self, d):
+        # every symplectic C (S, the diagonals and the identity among them),
+        # each with x = 0 and tau_exp = 0 and with a drawn x and tau_exp
+        rng = random.Random(d)
+        spelled = set()
+        for entries in itertools.product(range(d), repeat=4):
+            C = (entries[:2], entries[2:])
+            if not check_symplectic(C, d):
+                continue
+            for x, t in [((0, 0), 0), ((0, 0), rng.randrange(1, tau_period(d))),
+                         ((rng.randrange(d), rng.randrange(1, d)), rng.randrange(tau_period(d)))]:
+                spec = CliffordSpec(d, C, x, t)
+                assert CliffordSpec.from_json(d, spec.to_json()) == spec
+                spelled.add(spec.to_json().get("named"))
+        assert spelled == {None, "S", "Mu"}
+
+    @pytest.mark.parametrize("spec, saved", [
+        (dataclasses.replace(named_clifford(5, "Mu", u=2), x=(0, 1)),
+         {"C": [[3, 0], [0, 2]], "x": [0, 1], "tau_exp": 0}),
+        (dataclasses.replace(named_clifford(5, "S"), tau_exp=3),
+         {"C": [[1, 1], [0, 1]], "x": [0, 0], "tau_exp": 3}),
+        (dataclasses.replace(named_clifford(5, "Mu", u=2), C=((1, 1), (0, 1))), {"named": "S"}),
+    ], ids=["Mu-displaced", "S-phased", "Mu-given-S-matrix"])
+    def test_a_changed_named_control_is_written_as_what_it_is(self, spec, saved):
+        # the spelling is read off C, x and tau_exp, never off how the
+        # control was built
+        assert spec.to_json() == saved
+        assert CliffordSpec.from_json(5, saved) == spec
+
+    def test_a_control_has_no_fields_besides_its_value(self):
+        assert [f.name for f in dataclasses.fields(CliffordSpec)] == ["d", "C", "x", "tau_exp"]
 
 
 class TestConjugation:

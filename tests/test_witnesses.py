@@ -113,7 +113,7 @@ class TestNcvaSearch:
         assert w.verdict == NCVA_FOUND
         assert w.assignment == ((1, 3, 4, 2, 1),)  # s1(q) = 2^-q mod 5
 
-    @pytest.mark.parametrize("d", [3, 5, 9, 15])
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 15])
     def test_odd_d_deterministic_flat_plans_are_never_strongly_nonlocal(self, d):
         # at odd d every site observable is a Weyl operator; the eigenvalues
         # of a deterministic plan form a character, which extends to a phase
