@@ -9,17 +9,20 @@ Settings follow q = T*m + Q*i + q0 mod d and the output is o = z*m + s0.
 Plans are immutable after load; runs are pure given a seed, so enumeration
 over inputs can be parallelized freely.
 
-Extraction, the determinism check and success scoring read one exact output
-law per input (output_distribution): the spectral law of W(i) for flat plans,
-a party-by-party walk that merges equal branches for ordered ones; none of
-them samples.  A flat law is one pass over the parties per input: the
-settings of all parties come from Q's columns at once, and each party's
-operator is one dictionary read keyed by (party kind, setting, power).  Runs
-and the walk measure party k with states._measurement_branches on the
-resource's suffix trie (MbqcPlan._trie, built at the first use): a rest is
-(tau exponent, suffix class) terms, so a step costs O(K) for its K <= the
-resource's term count, whatever N is, and the plan's proof that every site
-operator has an omega spectrum stands in for a check per step.
+Extraction, the determinism check and success scoring read exact output
+laws (output_distribution, or its point masses in _point_table): the
+spectral law of W(i) for flat plans, a party-by-party walk that merges
+equal branches for ordered ones; none of them samples.  A flat law builds
+no operator: W(i) = (x)_k M_k(q_k(i))**z_k is one N-qudit Weyl operator,
+and its label comes from the parties' Weyl labels, which the plan
+conjugates once per (party kind, setting) and keeps in a numpy table
+(_flat_labels); the point table of a flat plan reads many inputs per call
+of that kernel.  Runs and the walk measure party k with
+states._measurement_branches on the resource's suffix trie (MbqcPlan._trie,
+built at the first use): a rest is (tau exponent, suffix class) terms, so a
+step costs O(K) for its K <= the resource's term count, whatever N is, and
+the plan's proof that every site operator has an omega spectrum stands in
+for a check per step.
 """
 
 from __future__ import annotations
@@ -30,25 +33,32 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import (PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_int, plain_ints)
 from .fields import MultiPoly, _table_values, is_polynomial_over_ring
-from .phases import PhaseSum, tau_exponent_of_omega, tau_period
+from .phases import PhaseSum, omega_exponent, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
     MonomialOp,
     SparseState,
     _draw_branch,
-    _eigenphase,
     _measurement_branches,
     _read_seed,
     _suffix_trie,
-    apply_observable,
 )
 from .weyl import CliffordSpec, WeylLabel, conjugate_weyl, weyl_power
 
 EXACT_BRANCH_BUDGET = 20000  # branches one layer of an exact walk may hold
+# (input, party) pairs per _flat_labels call of a point table, so that its
+# int64 arrays (the largest, the gathered labels, 3 x 32 KiB) stay under
+# 128 KiB where N allows: glibc serves smaller blocks from its heap, and
+# freeing a larger one raises its mmap threshold for the rest of the
+# process (an analyze_plan at p = 37 then peaked 20 % higher)
+_FLAT_CHUNK = 2**12
 
 
 class TableResource:
@@ -247,13 +257,6 @@ class MbqcPlan:
         any outcome is read: q0 + Q*i mod d."""
         return _settings_of(self._columns, self.q0, i, self.d)
 
-    def _ops_at(self, settings, powers) -> list[MonomialOp]:
-        """M_k(settings[k])**powers[k] for every party k, one dictionary read
-        each once the plan has met the (kind, setting, power)."""
-        get = self._site_ops.get
-        return [get(key) or self._site_op(k, key[1], key[2])
-                for k, key in enumerate(zip(self._kind, settings, powers))]
-
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form."""
         return self._site_op(k, q_k, 1)
@@ -282,6 +285,27 @@ class MbqcPlan:
             tau = (fid.tau_exp + tau_exponent_of_omega(phase, self.d)) % tau_period(self.d)
             site = self._weyl[key] = (tau, label)
         return site
+
+    @functools.cached_property
+    def _flat(self) -> SimpleNamespace:
+        """Q's columns, q0, z, the party kinds and the resource in numpy
+        form for _flat_labels, with the label table: column c*d + q holds
+        (t, a, b) of M_k(q) = tau^t W_(a,b) for the parties k of kind
+        number c, once an input has met that (kind, setting)."""
+        d, P, N, n = self.d, tau_period(self.d), self.N, self.n
+        if P * P * (N + n + 1) >= 2**63:  # bounds every value of _flat_labels
+            raise SizeGuardError(f"flat laws at d={d} with {N} parties and {n} inputs need int64 "
+                                 f"values up to {P * P * (N + n + 1)}, over the limit {2**63}")
+        rows = np.array([self._kind, self.z, self.q0, *self._columns], np.int64).reshape(n + 3, N)
+        kind, z, q0, QT = rows[0], rows[1], rows[2], rows[3:]
+        is_first = kind == np.arange(N)  # a party's kind is the first party like it
+        first = np.flatnonzero(is_first)
+        taus, kets = zip(*self.resource.terms)
+        return SimpleNamespace(
+            QT=QT, q0=q0, z=z, column=(np.cumsum(is_first) - 1)[kind] * d, first=first,
+            labels=np.zeros((3, len(first) * d), np.int64), filled=np.zeros(len(first) * d, bool),
+            taus=taus, kets=np.array(kets, np.int64).reshape(len(kets), N),
+            row_of={ket: r for r, ket in enumerate(kets)})
 
     def output_of(self, outcomes: tuple[int, ...]) -> int:
         return (sum(zk * mk for zk, mk in zip(self.z, outcomes)) + self.s0) % self.d
@@ -480,9 +504,8 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
     settings = plan._settings(_read_input(plan, i))
-    # the plan checked that every fiducial has an omega spectrum, which
-    # conjugation by the controls and powers keep
-    return GlobalObservable._trusted(plan.d, plan._ops_at(settings, plan.z))
+    return GlobalObservable(plan.d, [plan._site_op(k, q, e)
+                                     for k, (q, e) in enumerate(zip(settings, plan.z))])
 
 
 def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
@@ -500,20 +523,76 @@ def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
 
 
 def _point_table(plan: MbqcPlan) -> dict[tuple[int, ...], int] | None:
-    """The output per input; None at the first law that is not a point mass."""
-    table = {}
-    for i in plan.inputs():
-        try:
-            law = output_distribution(plan, i)
-        except SparseFormError:
-            # a flat law is irrational only after failing the eigenstate check
-            if not plan.temporally_flat:
-                raise
-            return None
+    """The output per input, or None when some law is not a point mass.
+
+    A flat quantum plan decides its inputs by _flat_labels, _FLAT_CHUNK
+    (input, party) pairs a call, and never computes a spread law; other
+    plans read the laws in input order.  Both stop at the first input
+    whose law is not a point mass.
+    """
+    inputs, table = plan.inputs(), {}
+    if plan.temporally_flat and isinstance(plan.resource, SparseState):
+        step = max(1, _FLAT_CHUNK // max(plan.N, 1))
+        for s in range(0, len(inputs), step):
+            outs = _eigenphases(plan, *_flat_labels(plan, inputs[s:s + step]))
+            if None in outs:
+                return None
+            table.update(zip(inputs[s:s + step], outs))
+        return table
+    for i in inputs:
+        law = output_distribution(plan, i)
         if len(law) != 1:
             return None
         (table[i],) = law
     return table
+
+
+def _flat_labels(plan: MbqcPlan, inputs) -> tuple:
+    """W(i) = (x)_k M_k(q_k(i))**z_k of a flat quantum plan for each input,
+    as arrays with one row per input: (A1, A2, AX, beta) with
+
+        W(i)^j |x> = tau^(j*A1 + j*j*A2 + 2j*alpha.x) |x + j*beta>
+
+    (weyl_power and MonomialOp.from_weyl), where M_k(q_k(i)) = tau^t_k
+    W_(a_k, b_k) by plan._site_weyl, A1 = sum z_k t_k and A2 = sum z_k^2
+    a_k b_k mod the tau period, alpha = z*a and beta = z*b mod d, and
+    AX[:, r] = alpha.x_r mod d for each resource ket x_r.  A (kind,
+    setting) pair is conjugated the first time an input meets it.
+    """
+    d, P, f = plan.d, tau_period(plan.d), plan._flat
+    # int64 throughout, every value below P*P*(N + n + 1) (plan._flat checks
+    # it): settings before reduction are below d + n*d**2, and the sums over
+    # the parties below N*d*P (of z*t), N*P*P (of z*a times z*b, each
+    # reduced) and N*d*d (alpha @ kets)
+    keys = (np.array(inputs, np.int64).reshape(len(inputs), plan.n) @ f.QT + f.q0) % d + f.column
+    if not f.filled.take(keys).all():  # (kind, setting) pairs met for the first time
+        new = np.flatnonzero(np.bincount(keys.ravel(), minlength=len(f.filled)).astype(bool) & ~f.filled)
+        sites = map(plan._site_weyl, f.first[new // d].tolist(), (new % d).tolist())
+        f.labels[:, new] = np.array([v for t, (a, b) in sites for v in (t, a, b)],
+                                    np.int64).reshape(-1, 3).T
+        f.filled[new] = True
+    t, a, b = f.labels.take(keys, axis=1) * f.z
+    A1, A2 = t.sum(1) % P, (a % P * (b % P)).sum(1) % P
+    return A1, A2, a % d @ f.kets.T % d, b % d
+
+
+def _eigenphases(plan: MbqcPlan, A1, A2, AX, beta) -> list[int | None]:
+    """o + s0 mod d for each row of _flat_labels whose W has psi as an
+    eigenvector, W psi = omega^o psi; None for the others.
+
+    W maps tau^t_r |x_r> to tau^(t_r + A1 + A2 + 2 alpha.x_r) |x_r + beta>,
+    so psi is one exactly when the shift by beta keeps psi's ket set and
+    every term gains the same phase, tau^(2o).
+    """
+    d, P, f = plan.d, tau_period(plan.d), plan._flat
+    out = []
+    for gain, moved, shift in zip(((A1 + A2)[:, None] + 2 * AX).tolist(), beta.any(1).tolist(), beta):
+        if moved:  # term r lands on term image[r], whose phase it must make up
+            image = [f.row_of.get(ket) for ket in map(tuple, ((f.kets + shift) % d).tolist())]
+            gain = None if None in image else [g + t - f.taus[r] for g, t, r in zip(gain, f.taus, image)]
+        out.append(None if gain is None or len({g % P for g in gain}) > 1
+                   else (omega_exponent(gain[0], d) + plan.s0) % d)
+    return out
 
 
 def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
@@ -521,8 +600,9 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
 
     Flat plans are exact on every input: a table resource is read off, a
     quantum one follows P(o) = <psi|(1/d) sum_j omega^(-j(o-s0)) W^j|psi>
-    with W = weighted_observable(plan, i), or raises SparseFormError when a
-    probability is irrational.  Ordered plans are walked party by party,
+    with W = weighted_observable(plan, i), read off W's labels
+    (_flat_labels), or raises SparseFormError when a probability is
+    irrational.  Ordered plans are walked party by party,
     merging branches that agree on the rest state (global phase dropped),
     the outcome corrections to later parties' settings and the partial
     output; the walk
@@ -576,36 +656,34 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
 
 
 def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
-    """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with psi."""
-    d, psi = plan.d, plan.resource
-    W = weighted_observable(plan, i)
-    first = apply_observable(W, psi)
-    o = _eigenphase(psi, first)  # the j = 1 moment decides a point mass
+    """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with
+    psi, read off the labels of W (_flat_labels)."""
+    labels = _flat_labels(plan, [i])
+    (o,) = _eigenphases(plan, *labels)  # the j = 1 moment decides a point mass
     if o is not None:
-        return {(o + plan.s0) % d: Fraction(1)}
-    tau_of = {ket: t for t, ket in psi.terms}
+        return {o: Fraction(1)}
+    d, s0, f = plan.d, plan.s0, plan._flat
+    A1, A2, AX, beta = int(labels[0][0]), int(labels[1][0]), labels[2][0].tolist(), labels[3][0]
     laws = [PhaseSum(d) for _ in range(d)]
-    phi = psi
     for j in range(d):
-        if j:
-            phi = first if j == 1 else apply_observable(W, phi)
-        for t, ket in phi.terms:
-            if ket in tau_of:
+        for r, ket in enumerate(map(tuple, ((f.kets + j * beta) % d).tolist())):  # W^j moves x_r to ket
+            if ket in f.row_of:
+                e = f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * AX[r]
                 for o, law in enumerate(laws):
-                    law.add_tau_power(t - tau_of[ket] - 2 * j * (o - plan.s0))
+                    law.add_tau_power(e - 2 * j * (o - s0))
     weights = [law.as_rational_integer() for law in laws]
     if None in weights:
         raise SparseFormError(f"output law at input {i} has an irrational probability")
-    return {o: Fraction(w, d * len(psi.terms)) for o, w in enumerate(weights) if w}
+    return {o: Fraction(w, d * len(f.taus)) for o, w in enumerate(weights) if w}
 
 
 def is_deterministic(plan: MbqcPlan) -> bool:
     """Whether the output is input-determined, independent of outcomes.
 
-    Every input's exact output law must be a point mass; the check stops at
-    the first input whose law is not.  A flat plan's irrational law reads
-    as not deterministic; an ordered plan's merged walk raises
-    SizeGuardError or SparseFormError rather than guess.
+    Every input's exact output law must be a point mass (_point_table).  A
+    flat plan's irrational law reads as not deterministic; an ordered
+    plan's merged walk raises SizeGuardError or SparseFormError rather
+    than guess.
     """
     return _point_table(plan) is not None
 
@@ -622,8 +700,10 @@ def temporal_graph(plan: MbqcPlan) -> dict[int, list[int]]:
 def longest_path(adj: dict[int, list[int]]) -> int:
     """Longest directed path, counted in vertices; 1 for an edgeless graph."""
     indegree = {v: 0 for v in adj}
-    for v in adj:
-        for w in adj[v]:
+    for v, out in adj.items():
+        if not isinstance(out, (list, tuple)):
+            raise QuditMbqcError(f"temporal graph vertex {v} has {out!r}, expected a list of vertices")
+        for w in out:
             if w not in indegree:
                 raise QuditMbqcError(f"temporal graph has an edge {v} -> {w}, but {w} is not a vertex")
             indegree[w] += 1

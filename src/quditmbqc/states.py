@@ -165,15 +165,6 @@ class GlobalObservable:
             if not op.has_omega_spectrum():  # cached on each operator object
                 raise QuditMbqcError(f"site {k} operator spectrum is not omega powers")
 
-    @classmethod
-    def _trusted(cls, d: int, sites: list[MonomialOp]) -> "GlobalObservable":
-        """An observable from d-dimensional sites already known to have an
-        omega spectrum; skips the checks of __init__."""
-        obs = object.__new__(cls)
-        obs.d = d
-        obs.sites = tuple(sites)
-        return obs
-
     @property
     def N(self) -> int:
         return len(self.sites)
@@ -296,12 +287,7 @@ def eigenphase_of(M: GlobalObservable, psi: SparseState) -> int | None:
     Raises PhaseDomainError when the eigenvalue is a tau-power that is not
     an omega-power (possible for even d only).
     """
-    return _eigenphase(psi, apply_observable(M, psi))
-
-
-def _eigenphase(psi: SparseState, phi: SparseState) -> int | None:
-    """o with phi = omega^o psi, or None; phi is M psi, which the flat law
-    also reads as its j = 1 moment."""
+    phi = apply_observable(M, psi)
     period = tau_period(psi.d)
     diffs = set()
     for (t1, k1), (t2, k2) in zip(psi.terms, phi.terms):
@@ -485,8 +471,8 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     Samples a branch of measurement_distribution with exact integer
     weights and returns its outcome and the state without the measured
     qudit; deterministic under a fixed seed, and zero-probability branches
-    are never returned.  rng takes engine.run's seed forms: None, an int,
-    or a Random, which is used as it is.
+    are never returned.  rng takes engine.run's seed forms: None, an int
+    (not a bool), or a Random, which is used as it is.
     """
     m, _, _, rest = _draw_branch([(m, p.numerator, p.denominator, rest) for m, p, rest
                                   in measurement_distribution(psi, site, op)], _read_seed(rng))
@@ -494,8 +480,13 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
 
 
 def _read_seed(seed) -> random.Random:
-    """A Random as it is; None or an int seeds a new one."""
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
+    """A Random as it is; None or an int (not a bool) seeds a new one, and
+    anything else is refused."""
+    if isinstance(seed, random.Random):
+        return seed
+    if seed is not None and type(seed) is not int:
+        raise QuditMbqcError(f"seed is {seed!r}, expected None, an integer or a random.Random")
+    return random.Random(seed)
 
 
 def _draw_branch(branches, rng: random.Random):

@@ -4,14 +4,15 @@ The referee is the straightforward construction: one MbqcPlan.setting call
 and one freshly conjugated operator per party, the checked
 GlobalObservable constructor, an observable application that rebuilds a
 validated SparseState, and the assignment rows summed row by row of Q.
-The engine's flat law reads the settings of all parties from Q's columns,
-one cached operator per (party kind, setting, power), and skips the checks
-that its own construction makes true; both must give the same laws,
-errors, assignment rows and verdicts.
+The engine's flat law reads W(i) as one N-qudit Weyl label per input,
+computed for all inputs at once from a per-plan table of (party kind,
+setting) labels, and builds no operator; both must give the same laws,
+errors, point tables, assignment rows and verdicts.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -26,8 +27,8 @@ from quditmbqc.engine import (MbqcPlan, TableResource, _point_table, output_dist
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.fields import solve_mod
 from quditmbqc.phases import PhaseSum, tau_exponent_of_omega, tau_period
-from quditmbqc.states import GlobalObservable, MonomialOp, SparseState, apply_observable
-from quditmbqc.weyl import conjugate_weyl, weyl_power
+from quditmbqc.states import GlobalObservable, MonomialOp, SparseState, apply_observable, make_ghz
+from quditmbqc.weyl import WeylLabel, conjugate_weyl, named_clifford, weyl_power
 from quditmbqc.witnesses import NCVA_FOUND, STRONGLY_NONLOCAL, ncva_search_raw
 
 
@@ -170,28 +171,108 @@ def test_assignment_rows_match_referee(name, plan, monkeypatch):
                                          for k in range(plan.N))
 
 
-def test_flat_law_stops_at_the_last_moment(monkeypatch):
-    # one application decides a point mass; a spread law needs W^j psi for
-    # j < d and reads that first product as its j = 1 moment, so d-1
-    # applications in all, and W^d psi is never computed
-    calls = []
-    real = states.apply_observable
-    spy = lambda M, psi: calls.append(M) or real(M, psi)
-    monkeypatch.setattr(states, "apply_observable", spy)
-    monkeypatch.setattr(engine, "apply_observable", spy)
-    spread = 0
+def _referee_points(plan):
+    """Per input, o when the referee law is the point mass at o, else None."""
+    out = []
+    for i in plan.inputs():
+        try:
+            law = _referee_law(plan, i)
+        except SparseFormError:
+            law = {}
+        out.append(next(iter(law)) if len(law) == 1 else None)
+    return out
+
+
+def _check_points(plan):
+    """The point table is the referee's point masses, or None when one law
+    is spread or irrational; the kernel's verdicts match input by input."""
+    points = _referee_points(plan)
+    assert _point_table(plan) == (None if None in points else dict(zip(plan.inputs(), points)))
+    if not isinstance(plan.resource, TableResource):
+        assert engine._eigenphases(plan, *engine._flat_labels(plan, plan.inputs())) == points
+    return points
+
+
+def _shift_plan(rng, d, N, n, phases):
+    """X on every qudit of a GHZ state, each control a random displacement:
+    W(i) shifts every ket by (1, .., 1), so psi is an eigenvector exactly
+    when its phases step evenly from one ket to the next."""
+    parties = [(WeylLabel(d, (0, 1)), named_clifford(d, "weyl-displacement",
+                                                     x=(rng.randrange(d), rng.randrange(d))))
+               for _ in range(N)]
+    return MbqcPlan(d=d, n=n, N=N, resource=make_ghz(d, N, phases=phases), parties=parties,
+                    Q=[[rng.randrange(d) for _ in range(n)] for _ in range(N)],
+                    z=[1] * N, s0=rng.randrange(d), q0=[rng.randrange(d) for _ in range(N)])
+
+
+def _random_flat_plans():
+    rng = random.Random(29)
+    for d in range(2, 10):
+        P = tau_period(d)
+        for n in (0, 1, 2):
+            for tau_phased in (False, True):
+                yield random_ghz_plan(rng, d, rng.randrange(2, 5), n, False, tau_phased)
+            step = 2 * rng.randrange(d)  # even, so the step around the cycle closes
+            yield _shift_plan(rng, d, rng.randrange(2, 5), n, [step * z % P for z in range(d)])
+            yield _shift_plan(rng, d, rng.randrange(2, 5), n, [rng.randrange(P) for _ in range(d)])
+
+
+@pytest.mark.parametrize("name, plan", PLANS, ids=[name for name, _ in PLANS])
+def test_point_table_matches_referee(name, plan):
+    _check_points(plan)
+
+
+def test_point_tables_of_random_flat_plans_match_referee():
+    # seeded random flat GHZ plans at d = 2..9 and n = 0, 1, 2, with and
+    # without tau phases, and X plans whose kets shift
+    verdicts, points = set(), set()
+    for plan in _random_flat_plans():
+        got = _check_points(plan)
+        verdicts.add(None in got)
+        points.update((plan.d, plan.n) for o in got if o is not None)
+    assert verdicts == {True, False}
+    assert {(d, n) for d in range(2, 10) for n in (0, 1, 2)} <= points
+
+
+def test_point_table_in_chunks(monkeypatch):
+    # one input per kernel call, each call meeting new (kind, setting)
+    # pairs, gives the same tables as one call over all inputs
+    want = [_point_table(plan) for _, plan in PLANS]
+    monkeypatch.setattr(engine, "_FLAT_CHUNK", 1)
+    assert [_point_table(MbqcPlan.loads(plan.dumps())) for _, plan in PLANS] == want
+    assert sum(table is None for table in want) > 10
+
+
+def test_flat_law_builds_no_operator(monkeypatch):
+    # the flat law reads labels: no MonomialOp is built, no observable
+    # applied and no site operator looked up; the first point table conjugates
+    # each (party kind, setting) pair its inputs meet once, and no other
+    # pair, and a second point table conjugates none
+    built, conjugated = [], []
+    monkeypatch.setattr(MonomialOp, "__post_init__", lambda op: built.append(op))
+    monkeypatch.setattr(states, "apply_observable", lambda *args: built.append(args))
+    monkeypatch.setattr(MbqcPlan, "_site_op", lambda *args: built.append(args))
+    real = engine.conjugate_weyl
+    monkeypatch.setattr(engine, "conjugate_weyl",
+                        lambda *args: conjugated.append(args) or real(*args))
     for name, plan in PLANS:
         if isinstance(plan.resource, TableResource):
             continue
+        plan = MbqcPlan.loads(plan.dumps())
+        met = {(plan._kind[k], plan.setting(k, i, ())) for i in plan.inputs() for k in range(plan.N)}
+        conjugated.clear()
+        _point_table(plan)
+        want = Counter((plan.parties[kind][1], plan.parties[kind][0].v, q) for kind, q in met)
+        assert Counter(conjugated) == want, name
+        conjugated.clear()
+        _point_table(plan)
         for i in plan.inputs():
-            calls.clear()
             try:
-                law = output_distribution(plan, i)
+                output_distribution(plan, i)
             except SparseFormError:
-                continue
-            assert len(calls) == (1 if len(law) == 1 else plan.d - 1), (name, i)
-            spread += len(law) > 1
-    assert spread > 10
+                pass
+        assert conjugated == [], name
+    assert built == []
 
 
 def test_point_table_reads_no_per_party_setting(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from planlib import wide_x_chain
 from quditmbqc import witnesses
-from quditmbqc.engine import is_deterministic
+from quditmbqc.engine import MbqcPlan, is_deterministic
 from quditmbqc.errors import SizeGuardError
 from quditmbqc.fields import (
     MultiPoly,
@@ -14,9 +14,16 @@ from quditmbqc.fields import (
     enumerate_subspace,
     make_field,
 )
-from quditmbqc.states import GlobalObservable, MonomialOp, SparseState, dense_oracle
+from quditmbqc.states import GlobalObservable, MonomialOp, SparseState, basis_state, dense_oracle
+from quditmbqc.weyl import WeylLabel, named_clifford
 
 BIG = SparseState(2, 21, ((0, (0,) * 21),))
+
+
+def _huge_d_plan():
+    d = 2**32
+    return MbqcPlan(d=d, n=0, N=1, resource=basis_state(d, (1,)),
+                    parties=[(WeylLabel(d, (1, 0)), named_clifford(d, "S"))], Q=[[]], z=[1], s0=0)
 
 
 def _gf9_x8():
@@ -34,8 +41,10 @@ def _gf9_x8():
     (lambda: witnesses.nu_distance({(x, y): 0 for x in range(5) for y in range(5)}, 5, 2),
      5**15, 10**5),
     (lambda: is_deterministic(wide_x_chain()), 2**15, 20000),
+    # tau period 2**33: its square passes the int64 range of the flat law
+    (lambda: is_deterministic(_huge_d_plan()), 2**67, 2**63),
 ], ids=["dense_state", "dense_oracle", "enumerate_subspace", "closure_span_gf9",
-        "nu", "ordered_walk"])
+        "nu", "ordered_walk", "flat_law_int64"])
 def test_guard_names_size_and_limit(call, size, limit):
     with pytest.raises(SizeGuardError) as info:
         call()

@@ -6,7 +6,7 @@ import pytest
 from planlib import nand_plan
 from quditmbqc import compiler
 from quditmbqc.compiler import compile_exponential
-from quditmbqc.engine import MbqcPlan, TableResource, longest_path
+from quditmbqc.engine import MbqcPlan, TableResource, longest_path, run
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
 from quditmbqc.fields import IntegerRing, MultiPoly, closure_basis, make_field
 from quditmbqc.states import GlobalObservable, MonomialOp, clifford_unitary
@@ -58,12 +58,29 @@ def _outcome(call):
     (lambda: longest_path({0: [1]}),
      (QuditMbqcError, "temporal graph has an edge 0 -> 1, but 1 is not a vertex")),
     (lambda: make_field(2.0), (ValueError, "modulus must be an integer >= 2, got 2.0")),
+    # a seed is None, an int that is not a bool, or a random.Random
+    (lambda: run(nand_plan(), (0, 0), seed=[1]),
+     (QuditMbqcError, "seed is [1], expected None, an integer or a random.Random")),
+    (lambda: run(nand_plan(), (0, 0), seed=1.5),
+     (QuditMbqcError, "seed is 1.5, expected None, an integer or a random.Random")),
+    (lambda: run(nand_plan(), (0, 0), seed="abc"),
+     (QuditMbqcError, "seed is 'abc', expected None, an integer or a random.Random")),
+    (lambda: run(nand_plan(), (0, 0), seed=True),
+     (QuditMbqcError, "seed is True, expected None, an integer or a random.Random")),
+    # an adjacency value is a list of vertices
+    (lambda: longest_path({0: 5}),
+     (QuditMbqcError, "temporal graph vertex 0 has 5, expected a list of vertices")),
+    (lambda: longest_path({0: None}),
+     (QuditMbqcError, "temporal graph vertex 0 has None, expected a list of vertices")),
+    (lambda: longest_path({0: "ab"}),
+     (QuditMbqcError, "temporal graph vertex 0 has 'ab', expected a list of vertices")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "displacement-without-x", "unknown-clifford-name", "weyl-power-negative",
         "conjugate-negative", "observable-site-dimension", "clifford-not-monomial",
         "closure-over-Z6", "inverse-of-non-unit", "negative-power", "monomial-power-negative",
         "monomial-power-float", "observable-site-not-monomial", "observable-float-d",
         "table-distribution-not-pairs", "table-outcome-not-a-vector", "longest-path-unknown-vertex",
-        "field-float-modulus"])
+        "field-float-modulus", "seed-list", "seed-float", "seed-str", "seed-bool",
+        "longest-path-int-edges", "longest-path-none-edges", "longest-path-str-edges"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want
