@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import MbqcPlan, extract_output_function
+from .engine import MbqcPlan, _point_table
 from .errors import QuditMbqcError, VerificationError, plain_int
 from . import fields
 from .fields import is_prime, make_field
@@ -47,13 +47,16 @@ def verify(report: CompileReport) -> bool:
     """Recompute the output table and compare against the target.
 
     Marks the report verified on success; raises VerificationError naming
-    the first differing input otherwise.
+    the first differing input, or saying that the plan is not
+    deterministic, otherwise.
     """
-    table, _ = extract_output_function(report.plan)
+    table = _point_table(report.plan)
+    report.verified = False
+    if table is None:
+        raise VerificationError("plan is not deterministic: an output law is not a point mass")
     for i in sorted(report.target):
         want = report.target[i] % report.plan.d
         if table[i] != want:
-            report.verified = False
             raise VerificationError(
                 f"output mismatch at input {i}: plan gives {table[i]}, target {want}"
             )

@@ -12,12 +12,14 @@ over inputs can be parallelized freely.
 Extraction, the determinism check and success scoring read exact output
 laws (output_distribution, or its point masses in _point_table): the
 spectral law of W(i) for flat plans, a party-by-party walk that merges
-equal branches for ordered ones; none of them samples.  A flat law builds
-no operator: W(i) = (x)_k M_k(q_k(i))**z_k is one N-qudit Weyl operator,
-and its label comes from the parties' Weyl labels, which the plan
-conjugates once per (party kind, setting) and keeps in a numpy table
-(_flat_labels); the point table of a flat plan reads many inputs per call
-of that kernel.  Runs and the walk measure party k with
+equal branches for ordered ones; none of them samples.  Every site
+observable M_k(q) = V_k^q W_k V_k^-q of a plan comes from one table
+(MbqcPlan._sites) of Weyl labels, filled at first use by one orbit walk of
+each distinct (fiducial, control) pair under its control.  A flat law
+builds no operator: W(i) = (x)_k M_k(q_k(i))**z_k is one N-qudit Weyl
+operator whose label _flat_labels gathers from that table, for many inputs
+per call in a point table; runs and the ordered walk build each site's
+MonomialOp from it once per (party kind, setting).  They measure party k with
 states._measurement_branches on the resource's suffix trie (MbqcPlan._trie,
 built at the first use): a rest is (tau exponent, suffix class) terms, so a
 step costs O(K) for its K <= the resource's term count, whatever N is, and
@@ -38,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError,
-                     plain_dimension, plain_int, plain_ints)
+                     plain_dimension, plain_index, plain_int, plain_ints)
 from .fields import MultiPoly, _table_values, is_polynomial_over_ring
 from .phases import PhaseSum, omega_exponent, tau_exponent_of_omega, tau_period
 from .states import (
@@ -50,7 +52,7 @@ from .states import (
     _read_seed,
     _suffix_trie,
 )
-from .weyl import CliffordSpec, WeylLabel, conjugate_weyl, weyl_power
+from .weyl import CliffordSpec, WeylLabel, _orbit, weyl_power
 
 EXACT_BRANCH_BUDGET = 20000  # branches one layer of an exact walk may hold
 # (input, party) pairs per _flat_labels call of a point table, so that its
@@ -158,12 +160,12 @@ class MbqcPlan:
         self.N = N
         self.resource = resource
         self.parties = tuple(_party(k, party) for k, party in enumerate(parties))
-        # each party's kind: the first party with the same (fiducial, control)
-        first: dict = {}
-        self._kind = tuple(first.setdefault(party, k) for k, party in enumerate(self.parties))
-        self._weyl: dict = {}  # (kind, setting) -> M_k(q) as (tau exponent, label)
-        self._ops: dict = {}  # (M_k(q), power) -> MonomialOp, one object per operator
-        self._site_ops: dict = {}  # (kind, setting, power) -> the object held in _ops
+        # each party's kind, numbered in order of first occurrence
+        kinds: dict = {}  # (fiducial, control) -> (kind, its first party)
+        self._kind = tuple(kinds.setdefault(party, (len(kinds), k))[0]
+                           for k, party in enumerate(self.parties))
+        self._first = tuple(k for _, k in kinds.values())
+        self._ops: dict = {}  # (kind, setting) -> M_k(q) as a MonomialOp
         self.Q = tuple(tuple(v % d for v in row) for row in Q)
         # (column, entry) of each row's nonzero entries: the only stored form of T
         self._t_nonzero = _sparse_rows(T, N, d)
@@ -206,7 +208,7 @@ class MbqcPlan:
             raise QuditMbqcError(f"unsupported resource {type(self.resource).__name__}")
         if len(self.parties) != self.N:
             raise QuditMbqcError(f"expected {self.N} parties, got {len(self.parties)}")
-        for k in sorted(set(self._kind)):
+        for k in self._first:
             fid, ctrl = self.parties[k]
             if fid.d != self.d or ctrl.d != self.d:
                 raise QuditMbqcError("party dimension does not match the plan")
@@ -235,7 +237,7 @@ class MbqcPlan:
     def setting(self, k: int, i: tuple[int, ...], outcomes) -> int:
         """q_k for input i, reading the outcomes of the parties measured so
         far (any sequence; run passes its growing list)."""
-        i = _read_input(self, i)
+        k, i = plain_index(k, "party", self.N), _read_input(self, i)
         acc = self.q0[k] + sum(map(operator.mul, self.Q[k], i))
         if outcomes:
             acc += sum(v * outcomes[j] for j, v in self._t_nonzero[k] if j < len(outcomes))
@@ -245,6 +247,16 @@ class MbqcPlan:
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         """The n columns of Q."""
         return tuple(zip(*self.Q))
+
+    @functools.cached_property
+    def _reads(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """T by columns: entry l holds the (j, T[j][l]) pairs of the parties
+        j whose setting reads m_l, in party order."""
+        reads: list[list] = [[] for _ in range(self.N)]
+        for j, row in enumerate(self._t_nonzero):
+            for l, v in row:
+                reads[l].append((j, v))
+        return tuple(map(tuple, reads))
 
     @functools.cached_property
     def _trie(self) -> tuple[tuple, tuple]:
@@ -258,56 +270,50 @@ class MbqcPlan:
         return _settings_of(self._columns, self.q0, i, self.d)
 
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
-        """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form."""
-        return self._site_op(k, q_k, 1)
+        """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form, for a
+        party k in 0..N-1 and a setting q_k in 0..d-1 (a control's d-th power
+        need not act as the identity, so q_k is not read mod d)."""
+        return self._site_op(plain_index(k, "party", self.N), plain_index(q_k, "setting", self.d))
 
-    def _site_op(self, k: int, q_k: int, e: int) -> MonomialOp:
-        """M_k(q_k)**e, built once per distinct operator and power."""
-        front = (self._kind[k], q_k, e)
-        op = self._site_ops.get(front)
+    def _site_op(self, k: int, q_k: int) -> MonomialOp:
+        """M_k(q_k), built from _sites once per party kind and setting."""
+        key = (self._kind[k], q_k)
+        op = self._ops.get(key)
         if op is None:
-            key = (self._site_weyl(k, q_k), e)
-            op = self._ops.get(key)
-            if op is None:
-                tau, label = weyl_power(*key[0], e, self.d)
-                op = self._ops[key] = MonomialOp.from_weyl(self.d, label, tau)
-            self._site_ops[front] = op
+            t, a, b = self._sites[:, key[0] * self.d + q_k].tolist()
+            op = self._ops[key] = MonomialOp.from_weyl(self.d, (a, b), t)
         return op
 
-    def _site_weyl(self, k: int, q_k: int) -> tuple[int, tuple[int, int]]:
-        """M_k(q_k) as (tau exponent, Weyl label), conjugated once per party
-        kind and setting."""
-        key = (self._kind[k], q_k)
-        site = self._weyl.get(key)
-        if site is None:
-            fid, ctrl = self.parties[k]
-            phase, label = conjugate_weyl(ctrl, fid.v, q_k)
-            tau = (fid.tau_exp + tau_exponent_of_omega(phase, self.d)) % tau_period(self.d)
-            site = self._weyl[key] = (tau, label)
-        return site
+    @functools.cached_property
+    def _sites(self) -> np.ndarray:
+        """Every M_k(q) = tau^t W_(a,b) as (t, a, b) in column c*d + q, c
+        the kind of party k: one orbit walk of each kind's fiducial under its
+        control."""
+        d, P = self.d, tau_period(self.d)
+        sites = (v for fid, ctrl in map(self.parties.__getitem__, self._first)
+                 for phase, (a, b) in _orbit(ctrl, fid.v, d)
+                 for v in ((fid.tau_exp + tau_exponent_of_omega(phase, d)) % P, a, b))
+        return np.fromiter(sites, np.int64, 3 * len(self._first) * d).reshape(-1, 3).T
 
     @functools.cached_property
     def _flat(self) -> SimpleNamespace:
-        """Q's columns, q0, z, the party kinds and the resource in numpy
-        form for _flat_labels, with the label table: column c*d + q holds
-        (t, a, b) of M_k(q) = tau^t W_(a,b) for the parties k of kind
-        number c, once an input has met that (kind, setting)."""
+        """Q's columns, q0, z, each party's column of _sites and the resource
+        in numpy form for _flat_labels."""
         d, P, N, n = self.d, tau_period(self.d), self.N, self.n
         if P * P * (N + n + 1) >= 2**63:  # bounds every value of _flat_labels
             raise SizeGuardError(f"flat laws at d={d} with {N} parties and {n} inputs need int64 "
                                  f"values up to {P * P * (N + n + 1)}, over the limit {2**63}")
         rows = np.array([self._kind, self.z, self.q0, *self._columns], np.int64).reshape(n + 3, N)
         kind, z, q0, QT = rows[0], rows[1], rows[2], rows[3:]
-        is_first = kind == np.arange(N)  # a party's kind is the first party like it
-        first = np.flatnonzero(is_first)
         taus, kets = zip(*self.resource.terms)
         return SimpleNamespace(
-            QT=QT, q0=q0, z=z, column=(np.cumsum(is_first) - 1)[kind] * d, first=first,
-            labels=np.zeros((3, len(first) * d), np.int64), filled=np.zeros(len(first) * d, bool),
+            QT=QT, q0=q0, z=z, column=kind * d,
             taus=taus, kets=np.array(kets, np.int64).reshape(len(kets), N),
             row_of={ket: r for r, ket in enumerate(kets)})
 
     def output_of(self, outcomes: tuple[int, ...]) -> int:
+        if len(outcomes) != self.N:
+            raise QuditMbqcError(f"{len(outcomes)} outcomes for {self.N} parties")
         return (sum(zk * mk for zk, mk in zip(self.z, outcomes)) + self.s0) % self.d
 
     # -- serialization ------------------------------------------------------
@@ -318,7 +324,8 @@ class MbqcPlan:
             "N": self.N,
             "resource": self.resource.to_json(),
             "parties": [  # a repeated party is the index of its first occurrence
-                kind if kind < k else {"fiducial": fid.to_json(), "control": ctrl.to_json()}
+                self._first[kind] if self._first[kind] < k
+                else {"fiducial": fid.to_json(), "control": ctrl.to_json()}
                 for k, (kind, (fid, ctrl)) in enumerate(zip(self._kind, self.parties))
             ],
             "Q": [list(r) for r in self.Q],
@@ -496,7 +503,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         level = levels[k]
         entries = [(level[c][1], t, level[c][0]) for t, c in terms]
         m_k, _, _, terms = _draw_branch(
-            _measurement_branches(plan.d, plan._site_op(k, settings[k], 1), entries), rng)
+            _measurement_branches(plan.d, plan._site_op(k, settings[k]), entries), rng)
         outcomes.append(m_k)
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
@@ -504,7 +511,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
     settings = plan._settings(_read_input(plan, i))
-    return GlobalObservable(plan.d, [plan._site_op(k, q, e)
+    return GlobalObservable(plan.d, [plan._site_op(k, q).power(e)
                                      for k, (q, e) in enumerate(zip(settings, plan.z))])
 
 
@@ -554,10 +561,9 @@ def _flat_labels(plan: MbqcPlan, inputs) -> tuple:
         W(i)^j |x> = tau^(j*A1 + j*j*A2 + 2j*alpha.x) |x + j*beta>
 
     (weyl_power and MonomialOp.from_weyl), where M_k(q_k(i)) = tau^t_k
-    W_(a_k, b_k) by plan._site_weyl, A1 = sum z_k t_k and A2 = sum z_k^2
-    a_k b_k mod the tau period, alpha = z*a and beta = z*b mod d, and
-    AX[:, r] = alpha.x_r mod d for each resource ket x_r.  A (kind,
-    setting) pair is conjugated the first time an input meets it.
+    W_(a_k, b_k) is read from plan._sites, A1 = sum z_k t_k and A2 = sum
+    z_k^2 a_k b_k mod the tau period, alpha = z*a and beta = z*b mod d, and
+    AX[:, r] = alpha.x_r mod d for each resource ket x_r.
     """
     d, P, f = plan.d, tau_period(plan.d), plan._flat
     # int64 throughout, every value below P*P*(N + n + 1) (plan._flat checks
@@ -565,13 +571,7 @@ def _flat_labels(plan: MbqcPlan, inputs) -> tuple:
     # the parties below N*d*P (of z*t), N*P*P (of z*a times z*b, each
     # reduced) and N*d*d (alpha @ kets)
     keys = (np.array(inputs, np.int64).reshape(len(inputs), plan.n) @ f.QT + f.q0) % d + f.column
-    if not f.filled.take(keys).all():  # (kind, setting) pairs met for the first time
-        new = np.flatnonzero(np.bincount(keys.ravel(), minlength=len(f.filled)).astype(bool) & ~f.filled)
-        sites = map(plan._site_weyl, f.first[new // d].tolist(), (new % d).tolist())
-        f.labels[:, new] = np.array([v for t, (a, b) in sites for v in (t, a, b)],
-                                    np.int64).reshape(-1, 3).T
-        f.filled[new] = True
-    t, a, b = f.labels.take(keys, axis=1) * f.z
+    t, a, b = plan._sites.take(keys, axis=1) * f.z
     A1, A2 = t.sum(1) % P, (a % P * (b % P)).sum(1) % P
     return A1, A2, a % d @ f.kets.T % d, b % d
 
@@ -618,11 +618,7 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
         return {o: p for o, p in out.items() if p}
     if plan.temporally_flat:
         return _spectral_law(plan, i)
-    d, z = plan.d, plan.z
-    reads: list[list] = [[] for _ in range(plan.N)]  # column l of T: (j, T[j][l]) pairs
-    for j, row in enumerate(plan._t_nonzero):
-        for l, v in row:
-            reads[l].append((j, v))
+    d, z, reads = plan.d, plan.z, plan._reads
     settings = plan._settings(i)
     start, levels = plan._trie
     # (rest terms, the nonzero outcome corrections to later settings as
@@ -636,7 +632,7 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
             entries = [(level[c][1], t, level[c][0]) for t, c in terms]
-            for m_k, weight, den, rest in _measurement_branches(d, plan._site_op(k, q, 1), entries):
+            for m_k, weight, den, rest in _measurement_branches(d, plan._site_op(k, q), entries):
                 corrections = later
                 if m_k and reads[k]:
                     delta = dict(later)
@@ -690,11 +686,7 @@ def is_deterministic(plan: MbqcPlan) -> bool:
 
 def temporal_graph(plan: MbqcPlan) -> dict[int, list[int]]:
     """Dependency DAG: edge j -> k whenever party k's setting reads m_j."""
-    adj: dict[int, list[int]] = {k: [] for k in range(plan.N)}
-    for k, row in enumerate(plan._t_nonzero):
-        for j, _ in row:
-            adj[j].append(k)
-    return adj
+    return {j: [k for k, _ in column] for j, column in enumerate(plan._reads)}
 
 
 def longest_path(adj: dict[int, list[int]]) -> int:

@@ -51,6 +51,13 @@ def plain_dimension(d) -> int:
     return d
 
 
+def plain_index(value, name: str, bound: int) -> int:
+    """value, if an int in 0..bound-1: a party or a setting."""
+    if not 0 <= plain_int(value, name) < bound:
+        raise QuditMbqcError(f"{name} {value} is outside 0..{bound - 1}")
+    return value
+
+
 def plain_ints(values, name: str, length: int | None = None) -> tuple[int, ...]:
     """values, a list of ints (of the given length, if any), as a tuple."""
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):

@@ -7,13 +7,15 @@ pairs (a, b) in Z_d^2 with a tau-exponent prefactor.  Vector convention is
 Conjugation by a Clifford control V = U W_x follows one rule at every d:
 U W_v U^-1 = W_(Cv) exactly on labels carried mod tau_period(d) (d at odd d,
 2d at even d), so V^f W_v V^-f = omega^(sum_k [x, C^k v]) W_(C^f v) with no
-per-step correction; one final reduce_label folds the wraparound into the
-phase (Appleby, J. Math. Phys. 46, 052107 (2005)).
+per-step correction of the carried label; reduce_label folds the wraparound
+into the phase of each label read off the orbit, so one walk of f steps
+gives every power up to f (Appleby, J. Math. Phys. 46, 052107 (2005)).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import QuditMbqcError, plain_dimension, plain_int, plain_ints
@@ -182,8 +184,13 @@ def conjugate_weyl(spec: CliffordSpec, v: tuple[int, int], f: int) -> tuple[int,
     C = C_(M_s) C_(S^m), and its lift [[s^-1, s^-1 m], [0, s]] with s^-1 taken
     mod 2d acts exactly on labels mod 2d.
     """
-    if f < 0:
+    if plain_int(f, "f") < 0:
         raise ValueError("f must be non-negative")
+    return deque(_orbit(spec, v, f + 1), maxlen=1)[0]
+
+
+def _orbit(spec: CliffordSpec, v: tuple[int, int], count: int):
+    """conjugate_weyl(spec, v, f) for f = 0..count-1, one step apart."""
     d, period = spec.d, tau_period(spec.d)
     (p, q), (c, s) = spec.C
     if period != d:  # even d
@@ -196,8 +203,8 @@ def conjugate_weyl(spec: CliffordSpec, v: tuple[int, int], f: int) -> tuple[int,
         q = p * m
     (x0, x1), a, b = spec.x, v[0] % d, v[1] % d
     phase = 0
-    for _ in range(f):
+    for _ in range(count):
+        ar, br, corr = reduce_label(a, b, d)
+        yield (phase + omega_exponent(corr, d)) % d, (ar, br)
         phase += x0 * b - x1 * a
         a, b = (p * a + q * b) % period, (c * a + s * b) % period
-    a, b, corr = reduce_label(a, b, d)
-    return (phase + omega_exponent(corr, d)) % d, (a, b)

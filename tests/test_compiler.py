@@ -398,6 +398,18 @@ class TestVerify:
             verify(bad)
         assert not bad.verified
 
+    def test_spread_law_is_a_verification_error(self):
+        # X measured on the basis state |1> gives a uniform outcome, so no
+        # output table exists to compare
+        rep = compile_exponential(5, 2)
+        (_, control), = rep.plan.parties
+        spread = MbqcPlan(d=5, n=1, N=1, resource=rep.plan.resource,
+                          parties=[(WeylLabel(5, (0, 1)), control)], Q=rep.plan.Q, z=[1], s0=0)
+        bad = CompileReport(spread, 1, "exponential", rep.target)
+        with pytest.raises(VerificationError, match="plan is not deterministic"):
+            verify(bad)
+        assert not bad.verified
+
     def test_empty_input_plan(self):
         rep = compile_exponential(5, 2)
         from quditmbqc.engine import MbqcPlan

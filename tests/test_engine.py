@@ -911,13 +911,17 @@ class TestSparseT:
 
         path = tmp_path / "p7.json"
         compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.save(path)
-        calls = []
-        real = engine.conjugate_weyl
-        monkeypatch.setattr(engine, "conjugate_weyl",
-                            lambda *args: calls.append(args) or real(*args))
+        walks, built = [], []
+        real, post = engine._orbit, MonomialOp.__post_init__
+        monkeypatch.setattr(engine, "_orbit", lambda *args: walks.append(args) or real(*args))
+        monkeypatch.setattr(MonomialOp, "__post_init__", lambda op: built.append(op) or post(op))
         assert main(["analyze", "--plan", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["table"] == [3, 1, 4, 1, 5, 2, 6]
-        # 7 * 6^2 = 252 parties, but 6 distinct controls with 7 settings each
-        assert 0 < len(calls) <= 6 * 7
+        # 7 * 6^2 = 252 parties, but 6 distinct controls: one orbit walk
+        # each, and the flat law builds no operator
+        assert len(walks) == 6 and built == []
         plan = MbqcPlan.load(path)
+        walks.clear()
+        ops = {id(plan.site_observable(k, q)) for k in range(plan.N) for q in range(7)}
+        assert len(walks) == 6 and len(ops) == len(built) == 6 * 7
         assert plan.site_observable(5, 3) is plan.site_observable(5 + 6, 3)  # both read u^-6

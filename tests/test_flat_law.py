@@ -245,34 +245,43 @@ def test_point_table_in_chunks(monkeypatch):
 
 def test_flat_law_builds_no_operator(monkeypatch):
     # the flat law reads labels: no MonomialOp is built, no observable
-    # applied and no site operator looked up; the first point table conjugates
-    # each (party kind, setting) pair its inputs meet once, and no other
-    # pair, and a second point table conjugates none
-    built, conjugated = [], []
+    # applied and no site operator looked up; the first point table walks
+    # the orbit of each distinct (fiducial, control) pair once, and a second
+    # point table and the laws after it walk none
+    built, walked = [], []
     monkeypatch.setattr(MonomialOp, "__post_init__", lambda op: built.append(op))
     monkeypatch.setattr(states, "apply_observable", lambda *args: built.append(args))
     monkeypatch.setattr(MbqcPlan, "_site_op", lambda *args: built.append(args))
-    real = engine.conjugate_weyl
-    monkeypatch.setattr(engine, "conjugate_weyl",
-                        lambda *args: conjugated.append(args) or real(*args))
+    real = engine._orbit
+    monkeypatch.setattr(engine, "_orbit", lambda *args: walked.append(args) or real(*args))
     for name, plan in PLANS:
         if isinstance(plan.resource, TableResource):
             continue
         plan = MbqcPlan.loads(plan.dumps())
-        met = {(plan._kind[k], plan.setting(k, i, ())) for i in plan.inputs() for k in range(plan.N)}
-        conjugated.clear()
+        walked.clear()
         _point_table(plan)
-        want = Counter((plan.parties[kind][1], plan.parties[kind][0].v, q) for kind, q in met)
-        assert Counter(conjugated) == want, name
-        conjugated.clear()
+        assert Counter(walked) == Counter((ctrl, fid.v, plan.d) for fid, ctrl in set(plan.parties)), name
+        walked.clear()
         _point_table(plan)
         for i in plan.inputs():
             try:
                 output_distribution(plan, i)
             except SparseFormError:
                 pass
-        assert conjugated == [], name
+        assert walked == [], name
     assert built == []
+
+
+@pytest.mark.parametrize("name, plan", PLANS, ids=[name for name, _ in PLANS])
+def test_site_table_matches_conjugation(name, plan):
+    # column kind*d + q of the site table is M_k(q) as (t, a, b), whatever
+    # the orbit walk that filled it
+    P = tau_period(plan.d)
+    for k, (fid, ctrl) in enumerate(plan.parties):
+        for q in range(plan.d):
+            phase, (a, b) = conjugate_weyl(ctrl, fid.v, q)
+            want = [(fid.tau_exp + tau_exponent_of_omega(phase, plan.d)) % P, a, b]
+            assert plan._sites[:, plan._kind[k] * plan.d + q].tolist() == want, (k, q)
 
 
 def test_point_table_reads_no_per_party_setting(monkeypatch):

@@ -74,6 +74,23 @@ def _outcome(call):
      (QuditMbqcError, "temporal graph vertex 0 has None, expected a list of vertices")),
     (lambda: longest_path({0: "ab"}),
      (QuditMbqcError, "temporal graph vertex 0 has 'ab', expected a list of vertices")),
+    # a party is an int in 0..N-1 and a setting an int in 0..d-1: V^d need
+    # not be the identity, so a setting is not read mod d
+    (lambda: nand_plan().site_observable(3, 0), (QuditMbqcError, "party 3 is outside 0..2")),
+    (lambda: nand_plan().site_observable(-1, 0), (QuditMbqcError, "party -1 is outside 0..2")),
+    (lambda: nand_plan().site_observable(True, 0),
+     (QuditMbqcError, "party is True, expected an integer")),
+    (lambda: nand_plan().site_observable(0, 2), (QuditMbqcError, "setting 2 is outside 0..1")),
+    (lambda: nand_plan().site_observable(0, -1), (QuditMbqcError, "setting -1 is outside 0..1")),
+    (lambda: nand_plan().site_observable(0, 1.5),
+     (QuditMbqcError, "setting is 1.5, expected an integer")),
+    (lambda: nand_plan().setting(3, (0, 0), ()), (QuditMbqcError, "party 3 is outside 0..2")),
+    (lambda: nand_plan().output_of((1, 0)),
+     (QuditMbqcError, "2 outcomes for 3 parties")),
+    (lambda: conjugate_weyl(named_clifford(3, "S"), (1, 0), True),
+     (QuditMbqcError, "f is True, expected an integer")),
+    (lambda: conjugate_weyl(named_clifford(3, "S"), (1, 0), "2"),
+     (QuditMbqcError, "f is '2', expected an integer")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "displacement-without-x", "unknown-clifford-name", "weyl-power-negative",
         "conjugate-negative", "observable-site-dimension", "clifford-not-monomial",
@@ -81,6 +98,9 @@ def _outcome(call):
         "monomial-power-float", "observable-site-not-monomial", "observable-float-d",
         "table-distribution-not-pairs", "table-outcome-not-a-vector", "longest-path-unknown-vertex",
         "field-float-modulus", "seed-list", "seed-float", "seed-str", "seed-bool",
-        "longest-path-int-edges", "longest-path-none-edges", "longest-path-str-edges"])
+        "longest-path-int-edges", "longest-path-none-edges", "longest-path-str-edges",
+        "site-party-N", "site-party-negative", "site-party-bool", "site-setting-d",
+        "site-setting-negative", "site-setting-float", "setting-party-N", "output-of-short",
+        "conjugate-bool", "conjugate-str"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want

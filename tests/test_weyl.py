@@ -18,6 +18,7 @@ from quditmbqc.weyl import (
     symplectic_product,
     weyl_power,
     weyl_product,
+    _orbit,
 )
 
 
@@ -30,6 +31,18 @@ def random_monomial_spec(d, rng):
     C = ((sinv, (sinv * m) % d), (0, s))
     x = (rng.randrange(d), rng.randrange(d))
     return CliffordSpec(d, C, x, rng.randrange(tau_period(d)))
+
+
+def random_symplectic_spec(d, rng):
+    """Random Clifford: any symplectic part at odd d, an upper-triangular
+    one at even d (as conjugation needs there)."""
+    if d % 2 == 0:
+        return random_monomial_spec(d, rng)
+    while True:
+        C = ((rng.randrange(d), rng.randrange(d)), (rng.randrange(d), rng.randrange(d)))
+        if check_symplectic(C, d):
+            x = (rng.randrange(d), rng.randrange(d))
+            return CliffordSpec(d, C, x, rng.randrange(tau_period(d)))
 
 
 class TestPhases:
@@ -275,6 +288,24 @@ class TestConjugation:
                     phase = (phase + symplectic_product(spec.x, w, d)) % d
                     w = spec.apply_C(w)
                 assert got == (phase, w)
+
+    @pytest.mark.parametrize("d", [*range(2, 10), 12, 15])
+    def test_orbit_walk_reads_every_power(self, d):
+        # one walk of count steps gives conjugate_weyl at every f < count,
+        # and each entry is one more conjugation of the one before it: at
+        # odd d, omega^[x, w] W_(Cw) for the label w before it
+        rng = random.Random(200 + d)
+        for _ in range(20):
+            spec = random_symplectic_spec(d, rng)
+            v = (rng.randrange(d), rng.randrange(d))
+            orbit = list(_orbit(spec, v, rng.randrange(1, 3 * d)))
+            assert orbit == [conjugate_weyl(spec, v, f) for f in range(len(orbit))]
+            for (p0, w0), (p1, w1) in zip(orbit, orbit[1:]):
+                step, w = conjugate_weyl(spec, w0, 1)
+                assert ((p0 + step) % d, w) == (p1, w1)
+                if d % 2:
+                    assert (p0 + symplectic_product(spec.x, w0, d)) % d == p1
+                    assert spec.apply_C(w0) == w1
 
     def test_even_d_non_triangular_rejected(self):
         fourier_like = ((0, 1), (1, 0))  # det = -1 mod 2 = 1, not triangular
