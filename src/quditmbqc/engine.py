@@ -24,7 +24,8 @@ states._measurement_branches on the resource's suffix trie (MbqcPlan._trie,
 built at the first use): a rest is (tau exponent, suffix class) terms, so a
 step costs O(K) for its K <= the resource's term count, whatever N is, and
 the plan's proof that every site operator has an omega spectrum stands in
-for a check per step.
+for a check per step.  A run step on one ket skips the kernel and draws
+straight off the cycle of the site operator that holds the ket's digit.
 """
 
 from __future__ import annotations
@@ -485,7 +486,9 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     Each measurement draws one (outcome, eigenvector cycle) branch of
     states._measurement_branches and forgets the measured qudit, so the
     party measured next is always at position 0 of the remaining state,
-    read off the plan's suffix trie.
+    read off the plan's suffix trie.  Once one ket is left (from the start,
+    on a product resource), a step draws the outcome straight off the
+    cycle of the site operator that holds the ket's digit.
     """
     i = _read_input(plan, i)
     rng = _read_seed(seed)
@@ -501,9 +504,20 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         if reads:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in reads)) % plan.d
         level = levels[k]
-        entries = [(level[c][1], t, level[c][0]) for t, c in terms]
-        m_k, _, _, terms = _draw_branch(
-            _measurement_branches(plan.d, plan._site_op(k, settings[k]), entries), rng)
+        if len(terms) == 1:
+            # one ket: its digit lies on one cycle of length L, whose L
+            # outcomes each have probability 1/L (the plan proved L of them
+            # per cycle, so no Parseval check can fire), and the rest is the
+            # child class alone.  Same randrange(L) as _draw_branch.
+            digit, child = level[terms[0][1]]
+            place, cycles = plan._site_op(k, settings[k]).spectrum
+            L, on_cycle = cycles[place[digit][0]]
+            m_k = on_cycle[rng.randrange(L)]
+            terms = ((0, child),)
+        else:
+            entries = [(level[c][1], t, level[c][0]) for t, c in terms]
+            m_k, _, _, terms = _draw_branch(
+                _measurement_branches(plan.d, plan._site_op(k, settings[k]), entries), rng)
         outcomes.append(m_k)
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 

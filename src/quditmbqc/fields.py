@@ -568,7 +568,9 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     n, values = _table_values(table, d)
     ring = IntegerRing(d)
     points = all_points(ring, n)
-    differences = [[(-1) ** (k + j) * math.comb(k, j) % d for j in range(d)] for k in range(d)]
+    differences = [[1] + [0] * (d - 1)]  # row k: (-1)^(k+j) C(k, j) mod d, by Pascal's rule
+    for _ in range(d - 1):
+        differences.append([(a - b) % d for a, b in zip([0] + differences[-1], differences[-1])])
     factorial = [math.factorial(k) % d for k in range(d)]
     falling = []
     for exps, delta in zip(points, _along_axes(ring, values, n, differences)):

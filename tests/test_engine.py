@@ -100,26 +100,58 @@ class TestRun:
             assert max(sizes) <= len(plan.resource.terms)
 
     def test_runs_decompose_each_site_operator_once(self, monkeypatch):
-        # _measurement_branches reads the cycles from MonomialOp.spectrum,
-        # cached on each operator object: seven runs of a compiled p=7 plan
-        # (252 parties, 6 party kinds x 7 settings) decompose at most 42
-        # operators, each once, where a per-call decomposition made 7 x 252
+        # a run reads each party's site operator once, and its cycles come
+        # from MonomialOp.spectrum, cached on each operator object: seven
+        # runs of a compiled p=7 plan (252 parties, 6 party kinds x 7
+        # settings) read 7 x 252 operators but decompose at most 42, each
+        # once, where a per-call decomposition made 7 x 252
         plan = MbqcPlan.loads(compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.dumps())
-        made = []
+        made, reads = [], []
         cached = MonomialOp.__dict__["spectrum"]
+        site_op = MbqcPlan._site_op
 
         def counting(op):
             made.append(op)
             return cached.func(op)
 
+        def reading(plan, k, q_k):
+            reads.append(k)
+            return site_op(plan, k, q_k)
+
         spy = functools.cached_property(counting)
         spy.__set_name__(MonomialOp, "spectrum")
         monkeypatch.setattr(MonomialOp, "spectrum", spy)
-        steps = _spy_steps(monkeypatch)
+        monkeypatch.setattr(MbqcPlan, "_site_op", reading)
         for x in range(7):
             run(plan, (x,), x)
-        assert len(steps) == 7 * plan.N == 7 * 252
+        assert reads == list(range(plan.N)) * 7 and plan.N == 252
         assert 0 < len(made) == len({id(op) for op in made}) <= 6 * 7
+
+    def test_one_ket_steps_bypass_the_kernel(self, monkeypatch):
+        # a compiled plan sits on one ket, so its runs never call the
+        # K-term kernel or its sampler; a GHZ run calls both until a Z
+        # measurement leaves one ket
+        drawn = []
+        draw = engine._draw_branch
+
+        def counting(branches, rng):
+            drawn.append(len(branches))
+            return draw(branches, rng)
+
+        monkeypatch.setattr(engine, "_draw_branch", counting)
+        steps = _spy_steps(monkeypatch)
+        plan = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan
+        for x in range(7):
+            assert run(plan, (x,), x).output == [3, 1, 4, 1, 5, 2, 6][x]
+        assert steps == [] and drawn == []
+        x_label, z_label = WeylLabel(3, (0, 1)), WeylLabel(3, (1, 0))
+        identity = named_clifford(3, "weyl-displacement", x=(0, 0))
+        ghz = MbqcPlan(d=3, n=1, N=5, resource=make_ghz(3, 5),
+                       parties=[(v, identity) for v in (x_label, x_label, z_label, x_label, x_label)],
+                       Q=[[0]] * 5, z=[1] * 5, s0=0)
+        for seed in range(5):
+            run(ghz, (0,), seed)
+        assert [size for size, _ in steps] == [3, 3, 3] * 5 and len(drawn) == 3 * 5
 
 
 class TestExtract:

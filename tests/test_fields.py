@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from quditmbqc import fields
 from quditmbqc.errors import UnsupportedModulusError
 from quditmbqc.fields import (
     COMPOSITE_RING,
@@ -598,6 +599,23 @@ class TestRingRepresentability:
             assert (got is None) == (brute is None)
             if got is not None:
                 assert all(got.evaluate((x,)) == table[(x,)] for x in range(4))
+
+    def test_difference_matrix_is_the_binomial_one(self, monkeypatch):
+        # the forward-difference matrix comes from the signed Pascal rule
+        # mod d; it must equal (-1)^(k+j) C(k, j) mod d, the math.comb form
+        matrices = []
+        along = fields._along_axes
+
+        def recording(m, values, n, matrix):
+            matrices.append(matrix)
+            return along(m, values, n, matrix)
+
+        monkeypatch.setattr(fields, "_along_axes", recording)
+        for d in range(2, 102):
+            matrices.clear()
+            assert is_polynomial_over_ring({(x,): x for x in range(d)}, d).coeffs == {(1,): 1}
+            assert matrices[0] == [[(-1) ** (k + j) * math.comb(k, j) % d for j in range(d)]
+                                   for k in range(d)]
 
 
 def _ring_reference(table, d):

@@ -6,9 +6,11 @@ or PhaseSum amplitude per rest and two ratio tables, which also referees
 the one-product ratio test of the current _merged_rest directly.  Runs
 and ordered walks measure position 0 again and again through the suffix
 trie of the resource, which must give measurement_distribution's branches
-at every step."""
+at every step; a run's one-ket step, which draws straight off the site
+operator's cycle, must draw what the kernel and _draw_branch draw."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
-from quditmbqc.states import (MonomialOp, SparseState, _measurement_branches, _merged_rest,
-                              _suffix_trie, measurement_distribution)
+from quditmbqc.states import (MonomialOp, SparseState, _draw_branch, _measurement_branches,
+                              _merged_rest, _suffix_trie, measurement_distribution)
+from quditmbqc.weyl import WeylLabel, named_clifford
 
 
 def _reference_cycles(op: MonomialOp):
@@ -298,3 +302,39 @@ def test_trie_steps_match_measurement_distribution():
 
     check()
     assert seen == {"merged rests", "SparseFormError", "walked to the end"}
+
+
+@st.composite
+def one_ket_runs(draw):
+    """(d, an omega-spectrum operator for each of two parties, and for
+    every first digit z a second digit, a tau exponent and a seed)."""
+    d = draw(st.sampled_from([*range(2, 10), 12, 15]))
+    ops = [draw(monomial_ops(d, omega_only=True)) for _ in range(2)]
+    digits = st.tuples(st.integers(0, d - 1), st.integers(0, tau_period(d) - 1),
+                       st.integers(0, 2**32))
+    return d, ops, draw(st.lists(digits, min_size=d, max_size=d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(one_ket_runs())
+def test_one_ket_steps_draw_what_the_kernel_draws(case):
+    # a two-party run on the single ket tau^t |z, z2>, its site operators
+    # replaced by the drawn ones, against two kernel steps on the same trie
+    d, ops, draws = case
+    fiducial = (WeylLabel(d, (1, 0)), named_clifford(d, "weyl-displacement", x=(0, 0)))
+    for z, (z2, t, seed) in enumerate(draws):
+        psi = SparseState(d, 2, ((t, (z, z2)),))
+        plan = MbqcPlan(d=d, n=1, N=2, resource=psi, parties=[fiducial] * 2,
+                        Q=[[0], [0]], z=[1, 1], s0=0)
+        plan._site_op = lambda k, q: ops[k]
+        terms, levels = _suffix_trie(psi)
+        rng, outcomes = random.Random(seed), []
+        for k, op in enumerate(ops):
+            ((t_k, c),) = terms
+            digit, child = levels[k][c]
+            m, _, _, terms = _draw_branch(_measurement_branches(d, op, [(child, t_k, digit)]), rng)
+            assert terms == ((0, child),)  # the rest the one-ket step keeps
+            outcomes.append(m)
+        mine = random.Random(seed)
+        assert run(plan, (0,), mine).outcomes == tuple(outcomes)
+        assert mine.getstate() == rng.getstate()
