@@ -167,6 +167,7 @@ class MbqcPlan:
                            for k, party in enumerate(self.parties))
         self._first = tuple(k for _, k in kinds.values())
         self._ops: dict = {}  # (kind, setting) -> M_k(q) as a MonomialOp
+        self._powers: dict = {}  # (kind, setting, z_k) -> M_k(q)**z_k, for weighted_observable
         self.Q = tuple(tuple(v % d for v in row) for row in Q)
         # (column, entry) of each row's nonzero entries: the only stored form of T
         self._t_nonzero = _sparse_rows(T, N, d)
@@ -283,6 +284,17 @@ class MbqcPlan:
         if op is None:
             t, a, b = self._sites[:, key[0] * self.d + q_k].tolist()
             op = self._ops[key] = MonomialOp.from_weyl(self.d, (a, b), t)
+        return op
+
+    def _site_power(self, k: int, q_k: int, e: int) -> MonomialOp:
+        """M_k(q_k)**e, built from the power of its _sites label once per
+        party kind, setting and power, so each keeps its cached spectrum."""
+        key = (self._kind[k], q_k, e)
+        op = self._powers.get(key)
+        if op is None:
+            t, a, b = self._sites[:, key[0] * self.d + q_k].tolist()
+            t, v = weyl_power(t, (a, b), e, self.d)
+            op = self._powers[key] = MonomialOp.from_weyl(self.d, v, t)
         return op
 
     @functools.cached_property
@@ -525,7 +537,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
     settings = plan._settings(_read_input(plan, i))
-    return GlobalObservable(plan.d, [plan._site_op(k, q).power(e)
+    return GlobalObservable(plan.d, [plan._site_power(k, q, e)
                                      for k, (q, e) in enumerate(zip(settings, plan.z))])
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Set
 from functools import reduce
 
 from .errors import SizeGuardError, UnsupportedModulusError
@@ -448,20 +449,76 @@ def subspace_monomials(modulus: Modulus, n: int, delta: int) -> list[tuple[int, 
     return [e for e in itertools.product(range(d), repeat=n) if sum(e) <= delta]
 
 
-def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> set[MultiPoly]:
-    """All polynomials in Omega_n(delta) (guarded enumeration)."""
+def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> MonomialSpan:
+    """All polynomials in Omega_n(delta), as a MonomialSpan (guarded)."""
     return _monomial_span(modulus, n, subspace_monomials(modulus, n, delta), "subspace")
 
 
-def _monomial_span(modulus: Modulus, n: int, monomials: list, what: str) -> set[MultiPoly]:
-    """Every polynomial whose terms lie on the given distinct, reduced
-    exponent tuples; refused when the d^k of them are over SPAN_GUARD."""
+class MonomialSpan(Set):
+    """The read-only set of every polynomial whose terms lie on k distinct,
+    reduced exponent tuples: d^k members, which its length and membership
+    read off the tuples alone.
+
+    Distinct coefficient vectors on distinct monomials are distinct
+    polynomials, so iteration lists each member once, without hashing it,
+    as a fresh polynomial with its own coeffs dict; the order is that of
+    itertools.product over the coefficient vectors, the last monomial's
+    fastest.  Two spans are equal when their modulus, n and monomial sets
+    are; against any other set, equality is Set's member comparison.
+    """
+
+    __slots__ = ("modulus", "n", "monomials", "_support")
+
+    def __init__(self, modulus: Modulus, n: int, monomials):
+        self.modulus = modulus
+        self.n = n
+        self.monomials = tuple(monomials)
+        self._support = frozenset(self.monomials)
+
+    def __len__(self):
+        return self.modulus.d ** len(self.monomials)
+
+    def __contains__(self, p):
+        return (isinstance(p, MultiPoly) and p.modulus == self.modulus and p.n == self.n
+                and p.coeffs.keys() <= self._support)
+
+    def __iter__(self):
+        m, n, elems = self.modulus, self.n, self.modulus.elements()
+        # the coefficient choices on every monomial but the last; each dict
+        # sits in one place of heads, so a zero coefficient keeps it as it is
+        heads = [{}]
+        for e in self.monomials[:-1]:
+            heads = [{**h, e: c} if c else h for h in heads for c in elems]
+        last = self.monomials[-1:]
+        new = object.__new__
+        for h in heads:
+            for c in elems if last else (0,):
+                poly = new(MultiPoly)
+                poly.modulus, poly.n, poly.coeffs = m, n, {**h, last[0]: c} if c else h
+                yield poly
+
+    def __eq__(self, other):
+        if isinstance(other, MonomialSpan):
+            return (self.modulus == other.modulus and self.n == other.n
+                    and self._support == other._support)
+        return Set.__eq__(self, other)
+
+    @classmethod
+    def _from_iterable(cls, members):  # what Set's &, |, - and ^ return
+        return set(members)
+
+    def __repr__(self):
+        return f"MonomialSpan({self.modulus!r}, n={self.n}, {len(self.monomials)} monomials)"
+
+
+def _monomial_span(modulus: Modulus, n: int, monomials: list, what: str) -> MonomialSpan:
+    """The span of the given distinct, reduced exponent tuples; refused
+    when its d^k polynomials are over SPAN_GUARD."""
     d, k = modulus.d, len(monomials)
     if d**k > SPAN_GUARD:
         raise SizeGuardError(f"{what} has {d}^{k} = {d**k} polynomials, "
                              f"over the limit {SPAN_GUARD}")
-    return {MultiPoly._trusted(modulus, n, zip(monomials, coeffs))
-            for coeffs in itertools.product(modulus.elements(), repeat=k)}
+    return MonomialSpan(modulus, n, monomials)
 
 
 def closure_basis(g: MultiPoly) -> list[tuple]:
@@ -543,9 +600,9 @@ def _closure_monomials(g: MultiPoly) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def closure_generate(g: MultiPoly) -> set[MultiPoly]:
-    """Every member of the closure of g (see closure_basis) as a reduced
-    polynomial.  The listing has d^dim members and is guarded by SPAN_GUARD.
+def closure_generate(g: MultiPoly) -> MonomialSpan:
+    """The closure of g (see closure_basis) as a MonomialSpan of reduced
+    polynomials: d^dim members, guarded by SPAN_GUARD.
     """
     return _monomial_span(g.modulus, g.n, _closure_monomials(g), "closure span")
 

@@ -117,7 +117,7 @@ class MonomialOp:
                 phi += self.phases[z]
                 s += 1
                 z = self.perm[z]
-            cycles.append((s, tuple(m for m in range(d) if (2 * m * s - phi) % period == 0)))
+            cycles.append((s, _outcomes(2 * s, phi, period, d)))
         return tuple(place), tuple(cycles)
 
     def to_dense(self) -> np.ndarray:
@@ -126,6 +126,17 @@ class MonomialOp:
         for z in range(self.d):
             out[self.perm[z], z] = tau ** self.phases[z]
         return out
+
+
+def _outcomes(a: int, phi: int, period: int, d: int) -> tuple[int, ...]:
+    """The m in 0..d-1 with a*m = phi (mod period), ascending: none unless
+    g = gcd(a, period) divides phi, else every m0 + j*period/g below d,
+    m0 the solution of (a/g)*m = phi/g modulo period/g."""
+    g = math.gcd(a, period)
+    if phi % g:
+        return ()
+    step = period // g
+    return tuple(range(phi // g * pow(a // g, -1, step) % step, d, step))
 
 
 def clifford_unitary(spec: CliffordSpec) -> MonomialOp:

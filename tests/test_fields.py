@@ -480,6 +480,63 @@ class TestClosure:
         assert closure_generate(g) == {MultiPoly.constant(f, 0, c) for c in range(3)}
 
 
+class TestMonomialSpan:
+    @staticmethod
+    def _listing(f, n, mons):
+        # the enumeration the span replaced: one polynomial per coefficient
+        # vector, in itertools.product order
+        return [MultiPoly._trusted(f, n, zip(mons, coeffs))
+                for coeffs in itertools.product(f.elements(), repeat=len(mons))]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+    def test_span_matches_the_listing(self, d):
+        f = make_field(d)
+        rng = random.Random(d)
+        for n in (0, 1, 2, 3):
+            mons = list(itertools.product(range(d), repeat=n))
+            for _ in range(4):
+                k = rng.randint(0, min(len(mons), int(math.log(SPAN_GUARD, d))))
+                chosen = rng.sample(mons, k)
+                span = fields._monomial_span(f, n, chosen, "span")
+                members, want = list(span), self._listing(f, n, chosen)
+                assert members == want
+                assert len(members) == len(span) == len(set(span)) == d**k
+                again = list(span)
+                assert again == members
+                assert len({id(p.coeffs) for p in members + again}) == 2 * len(members)
+                plain = set(want)
+                assert span == plain and plain == span
+                if plain:
+                    fewer = plain - {want[-1]}
+                    assert span != fewer and fewer != span and span - {want[-1]} == fewer
+                for _ in range(20):
+                    support = rng.sample(mons, rng.randint(0, min(3, len(mons))))
+                    p = MultiPoly(f, n, {e: rng.randrange(d) for e in support})
+                    assert (p in span) == (p in plain)
+                    other = MultiPoly(make_field(11), n, p.coeffs)
+                    assert other not in span
+                    wider = MultiPoly(f, n + 1, {e + (0,): c for e, c in p.coeffs.items()})
+                    assert wider not in span
+                assert "x" not in span
+
+    def test_spans_compare_by_their_monomials(self):
+        f = make_field(5)
+        mons = [(0, 0), (1, 0), (0, 1)]
+        span = fields._monomial_span(f, 2, mons, "span")
+        assert span == fields._monomial_span(f, 2, mons[::-1], "span")
+        assert span == enumerate_subspace(f, 2, 1) == closure_generate(MultiPoly.variable(f, 2, 1))
+        assert span != fields._monomial_span(f, 2, mons[:2], "span")
+        assert span != fields._monomial_span(make_field(7), 2, mons, "span")
+        assert span != fields._monomial_span(f, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], "span")
+
+    def test_a_listing_hashes_no_member(self, monkeypatch):
+        g = MultiPoly(make_field(3), 2, {(2, 1): 1})
+        monkeypatch.setattr(MultiPoly, "__hash__", lambda p: pytest.fail("a member was hashed"))
+        span = closure_generate(g)
+        # x1^2*x2 spans Omega_2(3): the 8 monomials of degree <= 3
+        assert len(span) == 3**8 and g in span and sum(1 for _ in span) == len(span)
+
+
 class TestSolveMod:
     def test_pivot_of_least_valuation(self):
         # 2x + y = 1 mod 4: pivoting on x's coefficient 2 would miss y = 1

@@ -14,7 +14,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from operator import is_, mul
 
 import pytest
 
@@ -292,6 +292,25 @@ def test_point_table_reads_no_per_party_setting(monkeypatch):
     monkeypatch.setattr(MbqcPlan, "setting", lambda *args: calls.append(args) or real(*args))
     assert _point_table(plan) == {(x,): v for x, v in enumerate([3, 1, 4, 1, 5, 2, 6])}
     assert calls == []
+
+
+POWER_PLANS = PLANS + [("prime7.loaded", MbqcPlan.loads(
+    compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.dumps()))]
+
+
+@pytest.mark.parametrize("name, plan", POWER_PLANS, ids=[name for name, _ in POWER_PLANS])
+def test_weighted_observable_reuses_one_power_per_kind_setting_and_weight(name, plan):
+    # the sites equal a fresh per-site power of M_k(q_k), and parties of
+    # one kind, setting and weight share one operator object
+    for i in plan.inputs():
+        settings = plan._settings(i)
+        sites = weighted_observable(plan, i).sites
+        assert sites == tuple(plan._site_op(k, q).power(e)
+                              for k, (q, e) in enumerate(zip(settings, plan.z)))
+        shared = {}
+        for k, (op, q, e) in enumerate(zip(sites, settings, plan.z)):
+            assert shared.setdefault((plan._kind[k], q, e), op) is op
+        assert all(map(is_, weighted_observable(plan, i).sites, sites))
 
 
 def test_public_observable_refuses_a_non_permutation_site():

@@ -145,6 +145,29 @@ class TestApplyAndEigenphase:
                 verdicts.append(want)
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100 and refused > 100
 
+    def test_cycle_outcomes_match_the_scan(self):
+        # each cycle's outcomes, solved from 2*L*m = Phi (mod period), are
+        # the m in 0..d-1 a scan over all of them keeps, at odd and even d
+        rng = random.Random(33)
+        counts = set()
+        for d in range(2, 102):
+            period = tau_period(d)
+            for _ in range(6):
+                perm = list(range(d))
+                if rng.random() < 0.8:
+                    rng.shuffle(perm)
+                phases = [rng.choice([0, rng.randrange(period)]) for _ in range(d)]
+                op = MonomialOp(d, tuple(perm), tuple(phases))
+                place, cycles = op.spectrum
+                totals = [0] * len(cycles)
+                for z, (c, _, _) in enumerate(place):
+                    totals[c] += phases[z]
+                for (L, outcomes), phi in zip(cycles, totals):
+                    counts.add(min(len(outcomes), 2))
+                    assert outcomes == tuple(m for m in range(d)
+                                             if (2 * m * L - phi) % period == 0), (d, L, phi)
+        assert counts == {0, 1, 2}  # cycles with no, one and several outcomes
+
     def test_term_structure_preserved(self):
         rng = random.Random(12)
         for d in (2, 3, 5):
