@@ -435,6 +435,9 @@ def _sparse_rows(T, N: int, d: int) -> tuple:
     rows = []
     for k, row in enumerate(T):
         if isinstance(row, dict):
+            if not row:  # the plan-file form of every flat party
+                rows.append(())
+                continue
             items = {_column(k, key): v for key, v in row.items()}
             if len(items) < len(row):  # an int key and a string key for one party
                 raise QuditMbqcError(f"T row {k} names a party twice")

@@ -8,13 +8,13 @@ distance/threshold arithmetic, and analyze_plan.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .engine import (MbqcPlan, _point_table, _settings_of, extract_output_function, longest_path,
+from .engine import (MbqcPlan, _point_table, extract_output_function, longest_path,
                      temporal_graph)
 from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
 from .fields import (
@@ -123,28 +123,70 @@ def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
     """Assignments s_k: settings -> outcomes with
     sum_k z_k s_k(q_k(i)) + s0 = o(i) for every input i.
 
-    These equations are linear over Z_d in the table entries s_k(q) of the
-    reachable cells (k, q), so one exact solve (fields.solve_mod) decides
-    the whole assignment space: no solution is an all-versus-nothing proof
-    of strong non-locality.  Entries of unreached cells are 0.  The table
-    is read by fields._table_values; its arity must be n.
+    These equations are linear over Z_d.  The weighted parties (z_k != 0)
+    are grouped by their Q row mod d, the direction a.  Within a group each
+    s_k is free and i -> a.i + q0_k only shifts the setting, so the group's
+    sum is any function of a.i with values in g_a Z_d, g_a = gcd(d, z_k
+    over the group): g_a x_a(a.i) for a free x_a.  One exact solve
+    (fields.solve_mod) for the unknowns x_a(v), one per (direction, value),
+    decides the whole assignment space; no solution is an all-versus-nothing
+    proof of strong non-locality.  The space is still counted over the
+    reachable cells (k, q).  The certificate is s_k(q) = c_k x_a(q - q0_k)
+    with sum_k c_k z_k = g_a (mod d) over the group; entries of unreached
+    cells are 0.  The table is read by fields._table_values; its arity
+    must be n.
     """
     q0 = tuple(q0) if q0 is not None else (0,) * N
+    if len(Q) != N or len(z) != N or len(q0) != N or set(map(len, Q)) - {n}:
+        raise QuditMbqcError(f"Q, z and q0 need N = {N} rows, and each row of Q "
+                             f"n = {n} entries")
     _, target = _table_values(table, d, n)
-    weighted = [k for k in range(N) if z[k] % d]
-    columns = tuple(zip(*Q))
-    # column k*d + q holds s_k(q)
-    rows = []
-    for i in itertools.product(range(d), repeat=n):
-        q = _settings_of(columns, q0, i, d)
-        rows.append({k * d + q[k]: z[k] for k in weighted})
-    values = solve_mod(rows, [o - s0 for o in target], N * d, d)
-    space = (d, len(set().union(*rows)))
+    given = {}  # Q row as given -> its weighted parties
+    for k, row, zk in zip(range(N), map(tuple, Q), z):
+        if zk % d:
+            given.setdefault(row, []).append(k)
+    groups = {}  # direction (the Q row mod d) -> its weighted parties
+    for row, ks in given.items():
+        a = tuple([v % d for v in row])
+        groups[a] = groups[a] + ks if a in groups else ks
+    # column c*d + v holds x_a(v) for the c-th direction a
+    rows = [{} for _ in range(d**n)]
+    g, cells = [], 0
+    for base, (a, ks) in zip(range(0, len(groups) * d, d), groups.items()):
+        g.append(gc := math.gcd(d, *map(z.__getitem__, ks)))
+        cells += len(ks) * d // math.gcd(d, *a)  # a.i + q0_k takes d / gcd(d, a) values
+        dots = [0]  # a.i over the inputs i, in itertools.product order
+        for ak in a:
+            dots = [v + ak * x for v in dots for x in range(d)]
+        for row, v in zip(rows, dots):
+            row[base + v % d] = gc
+    values = solve_mod(rows, [o - s0 for o in target], len(g) * d, d)
+    space = (d, cells)
     if values is None:
         return Witness(STRONGLY_NONLOCAL, space=space,
                        detail=f"the assignment equations have no solution over Z_{d}")
-    assignment = tuple(tuple(values[k * d:k * d + d]) for k in range(N))
-    return Witness(NCVA_FOUND, assignment=assignment, space=space)
+    assignment = [(0,) * d] * N
+    tables = {}  # (direction, c_k, q0_k) -> s_k
+    for c, (ks, gc) in enumerate(zip(groups.values(), g)):
+        x = values[c * d:c * d + d]
+        for k, ck in _bezout(d, z, ks, gc).items():
+            shift = q0[k] % d
+            if (c, ck, shift) not in tables:
+                rotated = x[-shift:] + x[:-shift]  # x(q - q0_k) at q
+                tables[c, ck, shift] = tuple([ck * v % d for v in rotated])
+            assignment[k] = tables[c, ck, shift]
+    return Witness(NCVA_FOUND, assignment=tuple(assignment), space=space)
+
+
+def _bezout(d: int, z, ks: list[int], g: int) -> dict[int, int]:
+    """{k: c_k != 0} over the parties ks with sum_k c_k z_k = g (mod d),
+    g = gcd(d, z_k over ks): one inverse when some gcd(z_k, d) is g (always
+    at prime d), else a one-row solve_mod."""
+    for k in ks:
+        if math.gcd(z[k], d) == g:
+            return {k: pow(z[k] % d // g, -1, d // g)}
+    c = solve_mod([{j: z[k] for j, k in enumerate(ks)}], [g], len(ks), d)
+    return {k: ck for k, ck in zip(ks, c) if ck}
 
 
 def temporal_degree_bound(plan: MbqcPlan) -> int:
@@ -153,7 +195,13 @@ def temporal_degree_bound(plan: MbqcPlan) -> int:
     Output degree beyond this bound certifies strong contextuality even
     for temporally ordered plans; flat plans give the base bound d-1.
     """
-    return (plan.d - 1) ** longest_path(temporal_graph(plan))
+    return (plan.d - 1) ** _temporal_path(plan)
+
+
+def _temporal_path(plan: MbqcPlan) -> int:
+    """The longest temporal path in vertices: 1 for a flat plan, without
+    building its N-vertex graph."""
+    return 1 if plan.temporally_flat else longest_path(temporal_graph(plan))
 
 
 class Analysis(dict):
@@ -202,7 +250,7 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
     at prime d, the interpolation); a table that is no polynomial over Z_d
     reports none and its degree witness reads unsupported.
     """
-    path = longest_path(temporal_graph(plan))
+    path = _temporal_path(plan)
     out = Analysis(d=plan.d, n=plan.n, parties=plan.N, temporally_flat=plan.temporally_flat,
                    temporal_bound=(plan.d - 1) ** path)
     out.temporal_path = path

@@ -910,6 +910,14 @@ class TestSparseT:
         assert '"T":[{},{"0":2},{"0":1,"1":2}]' in plan.dumps()
         assert MbqcPlan.loads(plan.dumps()) == plan
 
+    def test_empty_rows_read_no_key(self, monkeypatch):
+        # every flat party's row in a file is {}: it reads as empty without
+        # a key check, while a non-empty row still checks each key
+        monkeypatch.setattr(engine, "_column", lambda k, key: pytest.fail("key read"))
+        assert engine._sparse_rows([{}, {}, {}], 3, 5) == ((), (), ())
+        with pytest.raises(pytest.fail.Exception, match="key read"):
+            engine._sparse_rows([{}, {}, {"0": 1}], 3, 5)
+
     @pytest.mark.parametrize("T, message", [
         ([[0] * 3] * 2, "T must have 3 rows, got 2"),
         ("abc", "T must be a list of 3 rows, got str"),

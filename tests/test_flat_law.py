@@ -3,11 +3,12 @@
 The referee is the straightforward construction: one MbqcPlan.setting call
 and one freshly conjugated operator per party, the checked
 GlobalObservable constructor, an observable application that rebuilds a
-validated SparseState, and the assignment rows summed row by row of Q.
-The engine's flat law reads W(i) as one N-qudit Weyl label per input,
-computed for all inputs at once from a per-plan table of (party kind,
-setting) labels, and builds no operator; both must give the same laws,
-errors, point tables, assignment rows and verdicts.
+validated SparseState, and the assignment rows summed row by row of Q,
+one unknown per cell (k, q).  The engine's flat law reads W(i) as one
+N-qudit Weyl label per input, computed for all inputs at once from a
+per-plan table of (party kind, setting) labels, and builds no operator;
+its assignment search solves one unknown per (Q row, value).  Both must
+give the same laws, errors, point tables, assignment verdicts and spaces.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from operator import is_, mul
 import pytest
 
 from planlib import random_ghz_plan
-from quditmbqc import engine, states, witnesses
+from quditmbqc import engine, states
 from quditmbqc.compiler import (compile_general_prime, compile_nand, compile_odd_ring,
                                 compile_quadratic)
 from quditmbqc.engine import (MbqcPlan, TableResource, _point_table, output_distribution, run,
@@ -147,28 +148,62 @@ def test_flat_laws_match_referee(name, plan):
         assert apply_observable(W, plan.resource) == _referee_apply(ref, plan.resource)
 
 
+def _check_search(d, n, N, Q, z, s0, q0, table):
+    """ncva_search_raw against one solve of the referee rows, one unknown
+    per cell (k, q): the same verdict, the space d^cells over those cells,
+    and a certificate that reproduces the table with unreached cells 0."""
+    rows = _referee_rows(d, n, N, Q, z, q0)
+    cells = set().union(*rows)
+    inputs = list(itertools.product(range(d), repeat=n))
+    values = solve_mod(rows, [table[i] - s0 for i in inputs], N * d, d)
+    w = ncva_search_raw(d, n, N, Q, z, s0, table, q0=q0)
+    assert w.space == (d, len(cells))
+    assert w.verdict == (STRONGLY_NONLOCAL if values is None else NCVA_FOUND)
+    if values is None:
+        return False
+    s = w.assignment
+    assert len(s) == N and all(len(t) == d for t in s)
+    assert all(s[k][q] == 0 for k in range(N) for q in range(d) if k * d + q not in cells)
+    for i in inputs:
+        settings = [(sum(map(mul, Q[k], i)) + q0[k]) % d for k in range(N)]
+        assert (sum(z[k] * s[k][q] for k, q in enumerate(settings)) + s0 - table[i]) % d == 0, i
+    return True
+
+
 @pytest.mark.parametrize("name, plan", PLANS, ids=[name for name, _ in PLANS])
-def test_assignment_rows_match_referee(name, plan, monkeypatch):
+def test_assignment_rows_match_referee(name, plan):
     rng = random.Random(name)
     tables = [{i: rng.randrange(plan.d) for i in plan.inputs()}]
     point = _point_table(plan) if not isinstance(plan.resource, TableResource) else None
     if point is not None:
         tables.append(point)
-    seen = []
-    real = witnesses.solve_mod
-    monkeypatch.setattr(witnesses, "solve_mod",
-                        lambda rows, *args: seen.append(rows) or real(rows, *args))
     for table in tables:
-        w = ncva_search_raw(plan.d, plan.n, plan.N, plan.Q, plan.z, plan.s0, table, q0=plan.q0)
-        rows = _referee_rows(plan.d, plan.n, plan.N, plan.Q, plan.z, plan.q0)
-        assert seen.pop() == rows
-        values = solve_mod(rows, [table[i] - plan.s0 for i in plan.inputs()],
-                           plan.N * plan.d, plan.d)
-        assert w.space == (plan.d, len(set().union(*rows)))
-        assert w.verdict == (STRONGLY_NONLOCAL if values is None else NCVA_FOUND)
-        if values is not None:
-            assert w.assignment == tuple(tuple(values[k * plan.d:(k + 1) * plan.d])
-                                         for k in range(plan.N))
+        _check_search(plan.d, plan.n, plan.N, plan.Q, plan.z, plan.s0, plan.q0, table)
+
+
+@pytest.mark.parametrize("d, n, Q, z", [
+    (6, 1, [[1], [1]], (2, 3)),  # g = 1 only as a combination: 2*2 + 3*1 = 1 (mod 6)
+    (9, 1, [[1], [1]], (3, 6)),  # g = 3
+    (12, 1, [[1], [1], [1]], (4, 6, 9)),
+    (15, 1, [[2], [2], [5]], (3, 5, 10)),
+    (8, 2, [[0, 0], [0, 0], [2, 4]], (2, 6, 4)),  # a zero Q row
+    (6, 1, [[1], [7], [-5]], (8, -3, 0)),  # one direction mod 6, weights as given
+])
+def test_grouped_directions_at_composite_d_match_referee(d, n, Q, z):
+    # parties sharing a Q row solve as one unknown per (row, value); half
+    # the tables come from a local assignment and must be found
+    rng = random.Random(d * 100 + len(Q))
+    inputs = list(itertools.product(range(d), repeat=n))
+    for trial in range(40):
+        q0 = [rng.randrange(d) for _ in Q]
+        s0 = rng.randrange(d)
+        if trial % 2:
+            s = [[rng.randrange(d) for _ in range(d)] for _ in Q]
+            table = {i: (sum(zk * sk[(sum(map(mul, row, i)) + q0k) % d]
+                             for row, zk, sk, q0k in zip(Q, z, s, q0)) + s0) % d for i in inputs}
+        else:
+            table = {i: rng.randrange(d) for i in inputs}
+        assert _check_search(d, n, len(Q), Q, z, s0, q0, table) or not trial % 2
 
 
 def _referee_points(plan):

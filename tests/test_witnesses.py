@@ -195,6 +195,17 @@ class TestNcvaSearch:
                                                        "expected n = 1")):
             ncva_search(plan, {(x, y): 0 for x in range(3) for y in range(3)})
 
+    @pytest.mark.parametrize("Q, z, q0", [
+        ([[1, 0]], [1, 1], [0, 0]),  # a party without a Q row
+        ([[1, 0], [1]], [1, 1], [0, 0]),  # a Q row without the second input
+        ([[1, 0], [0, 1]], [1], [0, 0]),
+        ([[1, 0], [0, 1]], [1, 1], [0]),
+    ])
+    def test_misshaped_rows_refused(self, Q, z, q0):
+        table = {(x, y): 0 for x in range(3) for y in range(3)}
+        with pytest.raises(QuditMbqcError, match="need N = 2 rows, and each row of Q n = 2"):
+            ncva_search_raw(3, 2, 2, Q, z, 0, table, q0=q0)
+
     def test_int_keyed_target(self):
         # read as the one-variable table it names (it used to end in KeyError)
         w = ncva_search_raw(3, 1, 1, [[1]], [1], 0, {0: 1, 1: 2, 2: 0})
@@ -334,6 +345,19 @@ class TestTemporalBound:
         plan = MbqcPlan(d=d, n=1, N=2, resource=basis_state(d, (0, 0)),
                         parties=[(fid, ident)] * 2, Q=[[0]] * 2, T=T, z=[1] * 2, s0=0)
         assert temporal_degree_bound(plan) == 4
+
+    def test_flat_plan_builds_no_graph(self, monkeypatch):
+        # a flat plan's longest path is one vertex; only an ordered plan
+        # needs its temporal graph
+        from quditmbqc import witnesses
+
+        real, built = witnesses.temporal_graph, []
+        monkeypatch.setattr(witnesses, "temporal_graph", lambda p: built.append(p) or real(p))
+        flat = quadratic_plan(3)
+        assert temporal_degree_bound(flat) == 2
+        assert analyze_plan(flat).temporal_path == 1 and not built
+        chain = ghz_chain(3, 3)
+        assert analyze_plan(chain).temporal_path == 3 and built == [chain]
 
 
 class TestDeltaNu:
