@@ -14,12 +14,14 @@ laws (output_distribution, or its point masses in _point_table): the
 spectral law of W(i) for flat plans, a party-by-party walk that merges
 equal branches for ordered ones; none of them samples.  Every site
 observable M_k(q) = V_k^q W_k V_k^-q of a plan comes from one table
-(MbqcPlan._sites) of Weyl labels, filled at first use by one orbit walk of
-each distinct (fiducial, control) pair under its control.  A flat law
-builds no operator: W(i) = (x)_k M_k(q_k(i))**z_k is one N-qudit Weyl
-operator whose label _flat_labels gathers from that table, for many inputs
-per call in a point table; runs and the ordered walk build each site's
-MonomialOp from it once per (party kind, setting).  They measure party k with
+(MbqcPlan._sites) of Weyl labels (t, a, b), M_k(q) = tau^t W_(a,b), filled
+at first use by one orbit walk of each distinct (fiducial, control) pair
+under its control.  A flat law builds no operator: W(i) = (x)_k
+M_k(q_k(i))**z_k is one N-qudit Weyl operator whose label _flat_labels
+gathers from that table, for many inputs per call in a point table.  Runs,
+the ordered walk, site_observable and weighted_observable share one
+MonomialOp per distinct label (MbqcPlan._ops), whatever party, setting or
+power it comes from.  Runs and the ordered walk measure party k with
 states._measurement_branches on the resource's suffix trie (MbqcPlan._trie,
 built at the first use): a rest is (tau exponent, suffix class) terms, so a
 step costs O(K) for its K <= the resource's term count, whatever N is, and
@@ -139,6 +141,19 @@ class RunTrace:
     output: int
 
 
+class _WeylOps(dict):
+    """Weyl label (t, a, b) -> tau^t W_(a,b) as a MonomialOp, built at the
+    label's first lookup, so each operator keeps its cached spectrum."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __missing__(self, label: tuple[int, int, int]) -> MonomialOp:
+        t, a, b = label
+        op = self[label] = MonomialOp.from_weyl(self.d, (a, b), t)
+        return op
+
+
 def _party(k: int, party) -> tuple[WeylLabel, CliffordSpec]:
     """Party k as a (fiducial, control) tuple; anything else is refused."""
     if (isinstance(party, (tuple, list)) and len(party) == 2
@@ -151,8 +166,11 @@ class MbqcPlan:
     """Immutable description of one computation instance."""
 
     def __init__(self, d, n, N, resource, parties, Q, T=None, *, z, s0, q0=None):
-        if any(type(v) is not int for row in Q for v in row):
-            raise QuditMbqcError("Q has an entry that is not an integer")
+        try:  # a Q or a row that is not iterable stops the scan with a TypeError
+            if any(type(v) is not int for row in Q for v in row):
+                raise QuditMbqcError("Q has an entry that is not an integer")
+        except TypeError:
+            raise QuditMbqcError("Q must be a list of rows of integers") from None
         d, n, N = plain_dimension(d), plain_int(n, "n"), plain_int(N, "N")
         z, s0 = plain_ints(z, "z"), plain_int(s0, "s0")
         q0 = (0,) * N if q0 is None else plain_ints(q0, "q0")
@@ -160,14 +178,16 @@ class MbqcPlan:
         self.n = n
         self.N = N
         self.resource = resource
+        if not isinstance(parties, (list, tuple)):
+            raise QuditMbqcError(f"parties must be a list of (WeylLabel, CliffordSpec) pairs, "
+                                 f"got {type(parties).__name__}")
         self.parties = tuple(_party(k, party) for k, party in enumerate(parties))
         # each party's kind, numbered in order of first occurrence
         kinds: dict = {}  # (fiducial, control) -> (kind, its first party)
         self._kind = tuple(kinds.setdefault(party, (len(kinds), k))[0]
                            for k, party in enumerate(self.parties))
         self._first = tuple(k for _, k in kinds.values())
-        self._ops: dict = {}  # (kind, setting) -> M_k(q) as a MonomialOp
-        self._powers: dict = {}  # (kind, setting, z_k) -> M_k(q)**z_k, for weighted_observable
+        self._ops = _WeylOps(d)  # every site operator and power the plan has used
         self.Q = tuple(tuple(v % d for v in row) for row in Q)
         # (column, entry) of each row's nonzero entries: the only stored form of T
         self._t_nonzero = _sparse_rows(T, N, d)
@@ -278,40 +298,26 @@ class MbqcPlan:
         return self._site_op(plain_index(k, "party", self.N), plain_index(q_k, "setting", self.d))
 
     def _site_op(self, k: int, q_k: int) -> MonomialOp:
-        """M_k(q_k), built from _sites once per party kind and setting."""
-        key = (self._kind[k], q_k)
-        op = self._ops.get(key)
-        if op is None:
-            t, a, b = self._sites[:, key[0] * self.d + q_k].tolist()
-            op = self._ops[key] = MonomialOp.from_weyl(self.d, (a, b), t)
-        return op
-
-    def _site_power(self, k: int, q_k: int, e: int) -> MonomialOp:
-        """M_k(q_k)**e, built from the power of its _sites label once per
-        party kind, setting and power, so each keeps its cached spectrum."""
-        key = (self._kind[k], q_k, e)
-        op = self._powers.get(key)
-        if op is None:
-            t, a, b = self._sites[:, key[0] * self.d + q_k].tolist()
-            t, v = weyl_power(t, (a, b), e, self.d)
-            op = self._powers[key] = MonomialOp.from_weyl(self.d, v, t)
-        return op
+        """M_k(q_k), looked up by its label in _sites."""
+        return self._ops[self._sites[self._kind[k] * self.d + q_k]]
 
     @functools.cached_property
-    def _sites(self) -> np.ndarray:
-        """Every M_k(q) = tau^t W_(a,b) as (t, a, b) in column c*d + q, c
-        the kind of party k: one orbit walk of each kind's fiducial under its
-        control."""
-        d, P = self.d, tau_period(self.d)
-        sites = (v for fid, ctrl in map(self.parties.__getitem__, self._first)
-                 for phase, (a, b) in _orbit(ctrl, fid.v, d)
-                 for v in ((fid.tau_exp + tau_exponent_of_omega(phase, d)) % P, a, b))
-        return np.fromiter(sites, np.int64, 3 * len(self._first) * d).reshape(-1, 3).T
+    def _sites(self) -> tuple[tuple[int, int, int], ...]:
+        """Every M_k(q) = tau^t W_(a,b) as (t, a, b) at entry c*d + q, c the
+        kind of party k: one orbit walk of each kind's fiducial under its
+        control.  Equal labels are one tuple object, so a lookup in _ops
+        matches its key by identity."""
+        d, P, one = self.d, tau_period(self.d), {}
+        return tuple(one.setdefault(label, label) for label in (
+            ((fid.tau_exp + tau_exponent_of_omega(phase, d)) % P, a, b)
+            for fid, ctrl in map(self.parties.__getitem__, self._first)
+            for phase, (a, b) in _orbit(ctrl, fid.v, d)))
 
     @functools.cached_property
     def _flat(self) -> SimpleNamespace:
-        """Q's columns, q0, z, each party's column of _sites and the resource
-        in numpy form for _flat_labels."""
+        """Q's columns, q0, z, _sites as a (3, kinds*d) array, the first
+        column of each party's kind in it and the resource in numpy form
+        for _flat_labels."""
         d, P, N, n = self.d, tau_period(self.d), self.N, self.n
         if P * P * (N + n + 1) >= 2**63:  # bounds every value of _flat_labels
             raise SizeGuardError(f"flat laws at d={d} with {N} parties and {n} inputs need int64 "
@@ -321,6 +327,7 @@ class MbqcPlan:
         taus, kets = zip(*self.resource.terms)
         return SimpleNamespace(
             QT=QT, q0=q0, z=z, column=kind * d,
+            sites=np.array(self._sites, np.int64).reshape(-1, 3).T,
             taus=taus, kets=np.array(kets, np.int64).reshape(len(kets), N),
             row_of={ket: r for r, ket in enumerate(kets)})
 
@@ -539,9 +546,15 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
-    settings = plan._settings(_read_input(plan, i))
-    return GlobalObservable(plan.d, [plan._site_power(k, q, e)
-                                     for k, (q, e) in enumerate(zip(settings, plan.z))])
+    d, P, sites, kind = plan.d, tau_period(plan.d), plan._sites, plan._kind
+    ops = []
+    for k, (q, e) in enumerate(zip(plan._settings(_read_input(plan, i)), plan.z)):
+        t, a, b = sites[kind[k] * d + q]
+        # (tau^t W_(a,b))^e = tau^(e*t) W_(e*a, e*b), and reducing e*a, e*b
+        # mod d costs tau^(e*a*e*b - (e*a % d)*(e*b % d)), as in weyl_power
+        a, b = e * a, e * b
+        ops.append(plan._ops[(e * t + a * b - a % d * (b % d)) % P, a % d, b % d])
+    return GlobalObservable(d, ops)
 
 
 def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
@@ -600,7 +613,7 @@ def _flat_labels(plan: MbqcPlan, inputs) -> tuple:
     # the parties below N*d*P (of z*t), N*P*P (of z*a times z*b, each
     # reduced) and N*d*d (alpha @ kets)
     keys = (np.array(inputs, np.int64).reshape(len(inputs), plan.n) @ f.QT + f.q0) % d + f.column
-    t, a, b = plan._sites.take(keys, axis=1) * f.z
+    t, a, b = f.sites.take(keys, axis=1) * f.z
     A1, A2 = t.sum(1) % P, (a % P * (b % P)).sum(1) % P
     return A1, A2, a % d @ f.kets.T % d, b % d
 

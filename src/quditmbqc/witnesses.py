@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import (MbqcPlan, _point_table, extract_output_function, longest_path,
-                     temporal_graph)
+from .engine import MbqcPlan, _point_table, longest_path, temporal_graph
 from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
 from .fields import (
     IntegerRing,
@@ -25,6 +24,7 @@ from .fields import (
     all_points,
     combined_degree,
     is_polynomial_over_ring,
+    is_prime,
     solve_mod,
     subspace_monomials,
 )
@@ -109,11 +109,14 @@ def _polynomial_witness(poly: MultiPoly | None, d: int) -> Witness:
 
 
 def ncva_search(plan: MbqcPlan, target: dict | None = None) -> Witness:
-    """Exact search for local value assignments reproducing the output."""
+    """Exact search for local value assignments reproducing the target, by
+    default the plan's own output table (_point_table)."""
     if not plan.temporally_flat:
         raise QuditMbqcError("assignment search applies to temporally flat plans")
     if target is None:
-        target, _ = extract_output_function(plan)
+        target = _point_table(plan)
+        if target is None:
+            raise QuditMbqcError("plan is not deterministic; use empirical_success instead")
     return ncva_search_raw(plan.d, plan.n, plan.N, plan.Q, plan.z, plan.s0,
                            target, q0=plan.q0)
 
@@ -352,11 +355,20 @@ def threshold_check(p_worst, p_avg, nu: int, d: int, n: int) -> ThresholdReport:
     """Evaluate the worst-case threshold and the failure-rate bound.
 
     Strong non-locality is flagged when p_worst strictly exceeds
-    1 - 2*nu / ((d-1) * d^n).  When nu > 0, the average failure rate bounds
-    the non-contextual fraction by (1 - p_avg) / nu.
+    1 - nu / (floor(d/2) * d^n), d prime.  A deterministic local model
+    computes a function of the degree-(d-1) class, at Lee distance nu or
+    more from the target and at most floor(d/2) per input, so it errs on
+    at least nu / floor(d/2) of the d^n inputs; a mixture of such models
+    then fails some input with probability at least nu / (floor(d/2) *
+    d^n).  At odd d the threshold is 1 - 2*nu / ((d-1) * d^n).  A composite
+    d is refused: there a local model need not stay in the degree-(d-1)
+    class.  When nu > 0, the average failure rate bounds the non-contextual
+    fraction by (1 - p_avg) / nu.
     """
     if type(d) is not int or d < 2:
         raise ValueError(f"d must be >= 2 and an integer, got {d!r}")
+    if not is_prime(d):
+        raise ValueError(f"d = {d} is not prime: the threshold holds at prime d only")
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
     if type(nu) is not int or nu < 0:
@@ -366,7 +378,7 @@ def threshold_check(p_worst, p_avg, nu: int, d: int, n: int) -> ThresholdReport:
     for p in (p_worst, p_avg):
         if not 0 <= p <= 1:
             raise ValueError(f"probability {p} outside [0, 1]")
-    threshold = 1 - Fraction(2 * nu, (d - 1) * d**n)
+    threshold = 1 - Fraction(nu, d // 2 * d**n)
     exceeded = p_worst > threshold
     ncf_bound = (1 - p_avg) / nu if nu > 0 else None
     return ThresholdReport(p_worst, p_avg, nu, d, n, threshold, exceeded, ncf_bound)

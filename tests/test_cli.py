@@ -305,6 +305,14 @@ class TestAnalyze:
         assert main(["analyze", "--plan", str(bad)]) == 4
         assert capsys.readouterr().err.startswith("error: malformed plan: ")
 
+    def test_unknown_named_control_exit_4(self, tmp_path, capsys):
+        obj = _prime3().plan.to_json()
+        obj["parties"][0]["control"] = {"named": "T"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["analyze", "--plan", str(bad)]) == 4
+        assert capsys.readouterr().err == "error: malformed plan: unknown named control 'T'\n"
+
     def test_exponential_plan(self, tmp_path, capsys):
         from planlib import exponential_plan
 

@@ -944,8 +944,7 @@ class TestSparseT:
         with pytest.raises(PlanFormatError, match="T must have 3 rows, got null"):
             MbqcPlan.loads(json.dumps(obj))
 
-    def test_site_operators_built_once_per_party_kind_and_setting(self, monkeypatch, tmp_path,
-                                                                     capsys):
+    def test_site_operators_built_once_per_label(self, monkeypatch, tmp_path, capsys):
         from quditmbqc.cli import main
         from quditmbqc.compiler import compile_general_prime
 
@@ -963,5 +962,6 @@ class TestSparseT:
         plan = MbqcPlan.load(path)
         walks.clear()
         ops = {id(plan.site_observable(k, q)) for k in range(plan.N) for q in range(7)}
-        assert len(walks) == 6 and len(ops) == len(built) == 6 * 7
+        # 6 kinds x 7 settings read 6 labels, Z^a for a = 1..6: one operator each
+        assert len(walks) == 6 and len(ops) == len(built) == len(plan._ops) == 6
         assert plan.site_observable(5, 3) is plan.site_observable(5 + 6, 3)  # both read u^-6

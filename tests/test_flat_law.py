@@ -28,7 +28,8 @@ from quditmbqc.engine import (MbqcPlan, TableResource, _point_table, output_dist
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.fields import solve_mod
 from quditmbqc.phases import PhaseSum, tau_exponent_of_omega, tau_period
-from quditmbqc.states import GlobalObservable, MonomialOp, SparseState, apply_observable, make_ghz
+from quditmbqc.states import (GlobalObservable, MonomialOp, SparseState, apply_observable, basis_state,
+                             make_ghz)
 from quditmbqc.weyl import WeylLabel, conjugate_weyl, named_clifford, weyl_power
 from quditmbqc.witnesses import NCVA_FOUND, STRONGLY_NONLOCAL, ncva_search_raw
 
@@ -309,14 +310,14 @@ def test_flat_law_builds_no_operator(monkeypatch):
 
 @pytest.mark.parametrize("name, plan", PLANS, ids=[name for name, _ in PLANS])
 def test_site_table_matches_conjugation(name, plan):
-    # column kind*d + q of the site table is M_k(q) as (t, a, b), whatever
+    # entry kind*d + q of the site table is M_k(q) as (t, a, b), whatever
     # the orbit walk that filled it
     P = tau_period(plan.d)
     for k, (fid, ctrl) in enumerate(plan.parties):
         for q in range(plan.d):
             phase, (a, b) = conjugate_weyl(ctrl, fid.v, q)
-            want = [(fid.tau_exp + tau_exponent_of_omega(phase, plan.d)) % P, a, b]
-            assert plan._sites[:, plan._kind[k] * plan.d + q].tolist() == want, (k, q)
+            want = ((fid.tau_exp + tau_exponent_of_omega(phase, plan.d)) % P, a, b)
+            assert plan._sites[plan._kind[k] * plan.d + q] == want, (k, q)
 
 
 def test_point_table_reads_no_per_party_setting(monkeypatch):
@@ -346,6 +347,25 @@ def test_weighted_observable_reuses_one_power_per_kind_setting_and_weight(name, 
         for k, (op, q, e) in enumerate(zip(sites, settings, plan.z)):
             assert shared.setdefault((plan._kind[k], q, e), op) is op
         assert all(map(is_, weighted_observable(plan, i).sites, sites))
+
+
+def test_parties_of_different_kinds_share_one_operator_per_label():
+    # the plan keeps one operator per Weyl label, whatever party kind,
+    # setting or power it comes from: W_(1,0) is M_0(0) and every M_1(q),
+    # W_(2,0) is M_0(0)**2 and every M_2(q)
+    fid, still = WeylLabel(3, (1, 0)), named_clifford(3, "weyl-displacement", x=(0, 0))
+    plan = MbqcPlan(d=3, n=1, N=3, resource=basis_state(3, (0, 0, 0)),
+                    parties=[(fid, named_clifford(3, "S")), (fid, still),
+                             (WeylLabel(3, (2, 0)), still)],
+                    Q=[[0], [1], [1]], z=[2, 1, 1], s0=0)
+    assert plan._kind == (0, 1, 2)
+    one, two = plan.site_observable(0, 0), plan.site_observable(2, 0)
+    assert one == MonomialOp.from_weyl(3, (1, 0)) and two == one.power(2)
+    assert all(plan.site_observable(1, q) is one and plan.site_observable(2, q) is two
+               for q in range(3))
+    for x in range(3):
+        assert list(map(id, weighted_observable(plan, (x,)).sites)) == [id(two), id(one), id(two)]
+    assert len(plan._ops) == 2
 
 
 def test_public_observable_refuses_a_non_permutation_site():

@@ -13,10 +13,12 @@ from quditmbqc.states import GlobalObservable, MonomialOp, clifford_unitary
 from quditmbqc.weyl import CliffordSpec, conjugate_weyl, named_clifford, weyl_power
 
 
-def _plan_on(resource):
+def _nand_with(**fields):
+    """The NAND plan built again with some constructor arguments replaced."""
     plan = nand_plan()
-    return MbqcPlan(d=plan.d, n=plan.n, N=plan.N, resource=resource, parties=plan.parties,
-                    Q=plan.Q, z=plan.z, s0=plan.s0)
+    args = dict(d=plan.d, n=plan.n, N=plan.N, resource=plan.resource, parties=plan.parties,
+                Q=plan.Q, z=plan.z, s0=plan.s0)
+    return MbqcPlan(**{**args, **fields})
 
 
 def _outcome(call):
@@ -29,7 +31,12 @@ def _outcome(call):
 @pytest.mark.parametrize("call, want", [
     (lambda: compile_exponential(4, 3), (QuditMbqcError, "exponential compilation needs prime d")),
     (lambda: compiler.primitive_element(4), (QuditMbqcError, "4 is not prime")),
-    (lambda: _plan_on("a resource"), (QuditMbqcError, "unsupported resource str")),
+    (lambda: _nand_with(resource="a resource"), (QuditMbqcError, "unsupported resource str")),
+    # a Q or a parties list that cannot be scanned, refused before any use
+    (lambda: _nand_with(Q=None), (QuditMbqcError, "Q must be a list of rows of integers")),
+    (lambda: _nand_with(Q=[1, 1]), (QuditMbqcError, "Q must be a list of rows of integers")),
+    (lambda: _nand_with(parties=None),
+     (QuditMbqcError, "parties must be a list of (WeylLabel, CliffordSpec) pairs, got NoneType")),
     (lambda: named_clifford(3, "weyl-displacement"), (QuditMbqcError, "displacement needs x")),
     (lambda: named_clifford(3, "T"), (QuditMbqcError, "unknown Clifford name 'T'")),
     (lambda: weyl_power(0, (1, 0), -1, 3), (ValueError, "exponent must be non-negative")),
@@ -92,6 +99,7 @@ def _outcome(call):
     (lambda: conjugate_weyl(named_clifford(3, "S"), (1, 0), "2"),
      (QuditMbqcError, "f is '2', expected an integer")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
+        "plan-Q-none", "plan-Q-int-rows", "plan-parties-none",
         "displacement-without-x", "unknown-clifford-name", "weyl-power-negative",
         "conjugate-negative", "observable-site-dimension", "clifford-not-monomial",
         "closure-over-Z6", "inverse-of-non-unit", "negative-power", "monomial-power-negative",

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quditmbqc import engine, witnesses
 from quditmbqc.compiler import compile_general_prime
 from quditmbqc.engine import MbqcPlan, TableResource, extract_output_function, is_deterministic
 from quditmbqc.errors import QuditMbqcError, SizeGuardError, UnsupportedWitnessError
@@ -238,6 +239,27 @@ class TestNcvaSearch:
     def test_ordered_plan_refused(self):
         with pytest.raises(QuditMbqcError, match="temporally flat"):
             ncva_search(ghz_chain(3, 3))
+
+    def test_non_deterministic_plan_refused(self):
+        # X measured on |0> gives a uniform outcome: no output table to search
+        plan = MbqcPlan(d=3, n=1, N=1, resource=basis_state(3, (0,)),
+                        parties=[(WeylLabel(3, (0, 1)),
+                                  named_clifford(3, "weyl-displacement", x=(0, 0)))],
+                        Q=[[1]], z=[1], s0=0)
+        with pytest.raises(QuditMbqcError, match="plan is not deterministic; "
+                                                 "use empirical_success instead"):
+            ncva_search(plan)
+
+    def test_default_target_reads_the_point_table(self, monkeypatch):
+        # the plan's own table is searched as it is; no least-degree
+        # polynomial is computed for it
+        plan = compile_general_prime([1, 2, 0]).plan
+        calls = []
+        monkeypatch.setattr(engine, "is_polynomial_over_ring", lambda *args: calls.append(args))
+        monkeypatch.setattr(witnesses, "is_polynomial_over_ring", lambda *args: calls.append(args))
+        w = ncva_search(plan)
+        assert calls == [] and w.verdict == NCVA_FOUND
+        assert w == ncva_search(plan, {(0,): 1, (1,): 2, (2,): 0})
 
     def test_witness_golden_file(self):
         import pathlib
@@ -482,3 +504,30 @@ class TestThreshold:
     def test_probability_range(self):
         with pytest.raises(ValueError):
             threshold_check(2, 1, 1, 2, 1)
+
+    def test_qubit_mixture_of_affine_functions_not_exceeded(self):
+        # the four affine functions at Hamming distance 1 from NAND each err
+        # on one input, a different one each: their uniform mixture is a
+        # local model that succeeds with probability 3/4 on every input
+        nand = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        near = [f for f in itertools.product(range(2), repeat=3)
+                if sum((f[0] + f[1] * x + f[2] * y) % 2 != v for (x, y), v in nand.items()) == 1]
+        success = [Fraction(sum((a + b * x + c * y) % 2 == v for a, b, c in near), len(near))
+                   for (x, y), v in nand.items()]
+        assert len(near) == 4 and set(success) == {Fraction(3, 4)}
+        rep = threshold_check(Fraction(3, 4), Fraction(3, 4), 1, 2, 2)
+        assert rep.threshold == Fraction(3, 4) and not rep.exceeded
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_odd_prime_threshold_is_two_nu_over_d_minus_one(self, d, n):
+        for nu in range(4):
+            rep = threshold_check(1, 1, nu, d, n)
+            assert rep.threshold == 1 - Fraction(2 * nu, (d - 1) * d**n)
+
+    @pytest.mark.parametrize("d", [4, 9])
+    def test_composite_d_refused(self, d):
+        # at n = 1 one party with Q = (1) computes any table, so no
+        # threshold holds there
+        with pytest.raises(ValueError, match=f"d = {d} is not prime"):
+            threshold_check(1, 1, 1, d, 1)
