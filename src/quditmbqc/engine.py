@@ -154,48 +154,77 @@ class _WeylOps(dict):
         return op
 
 
-def _party(k: int, party) -> tuple[WeylLabel, CliffordSpec]:
-    """Party k as a (fiducial, control) tuple; anything else is refused."""
-    if (isinstance(party, (tuple, list)) and len(party) == 2
-            and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
-        return tuple(party)
-    raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
-
-
 class MbqcPlan:
     """Immutable description of one computation instance."""
 
     def __init__(self, d, n, N, resource, parties, Q, T=None, *, z, s0, q0=None):
-        try:  # a Q or a row that is not iterable stops the scan with a TypeError
-            if any(type(v) is not int for row in Q for v in row):
-                raise QuditMbqcError("Q has an entry that is not an integer")
-        except TypeError:
-            raise QuditMbqcError("Q must be a list of rows of integers") from None
-        d, n, N = plain_dimension(d), plain_int(n, "n"), plain_int(N, "N")
-        z, s0 = plain_ints(z, "z"), plain_int(s0, "s0")
-        q0 = (0,) * N if q0 is None else plain_ints(q0, "q0")
-        self.d = d
-        self.n = n
-        self.N = N
+        self.d = d = plain_dimension(d)
+        self.n = n = plain_int(n, "n")
+        self.N = N = plain_int(N, "N")
+        self.s0 = plain_int(s0, "s0") % d
+        if isinstance(resource, SparseState):
+            if resource.d != d or resource.N != N:
+                raise QuditMbqcError("resource state shape does not match the plan")
+        elif isinstance(resource, TableResource):
+            if resource.N != N:
+                raise QuditMbqcError("table resource party count does not match")
+        else:
+            raise QuditMbqcError(f"unsupported resource {type(resource).__name__}")
         self.resource = resource
         if not isinstance(parties, (list, tuple)):
             raise QuditMbqcError(f"parties must be a list of (WeylLabel, CliffordSpec) pairs, "
                                  f"got {type(parties).__name__}")
-        self.parties = tuple(_party(k, party) for k, party in enumerate(parties))
-        # each party's kind, numbered in order of first occurrence
-        kinds: dict = {}  # (fiducial, control) -> (kind, its first party)
-        self._kind = tuple(kinds.setdefault(party, (len(kinds), k))[0]
-                           for k, party in enumerate(self.parties))
-        self._first = tuple(k for _, k in kinds.values())
+        if len(parties) != N:
+            raise QuditMbqcError(f"expected {N} parties, got {len(parties)}")
+        # each party's kind, numbered in order of first occurrence; conjugation
+        # by the control keeps the spectrum, so one check per kind covers
+        # every party and setting
+        kinds: dict = {}  # (fiducial, control) -> kind
+        kind, first = [], []
+        for k, party in enumerate(parties):
+            try:
+                c = kinds.get(party)
+            except TypeError:  # a pair given as a list, or no pair
+                c = None
+            if c is None:
+                if not (isinstance(party, (tuple, list)) and len(party) == 2
+                        and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
+                    raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
+                fid, ctrl = party = tuple(party)
+                c = kinds.get(party)
+                if c is None:  # a new kind
+                    if fid.d != d or ctrl.d != d:
+                        raise QuditMbqcError("party dimension does not match the plan")
+                    if weyl_power(fid.tau_exp, fid.v, d, d) != (0, (0, 0)):
+                        raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
+                    if d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
+                        raise QuditMbqcError(f"party {k} control needs an upper-triangular "
+                                             "symplectic part at even d")
+                    c = kinds[party] = len(first)
+                    first.append(k)
+            kind.append(c)
+        self.parties = tuple(map(tuple, parties))
+        self._kind, self._first = tuple(kind), tuple(first)
         self._ops = _WeylOps(d)  # every site operator and power the plan has used
-        self.Q = tuple(tuple(v % d for v in row) for row in Q)
+        if not isinstance(Q, (list, tuple)):
+            raise QuditMbqcError("Q must be a list of rows of integers")
+        if len(Q) != N:
+            raise QuditMbqcError(f"Q must have {N} rows, got {len(Q)}")
+        self.Q = _int_rows(Q, n, d, "Q row {}".format, n)
+        self.z, self.q0 = _int_rows((z, (0,) * N if q0 is None else q0), N, d,
+                                    ("z", "q0").__getitem__, f"one per party ({N})")
         # (column, entry) of each row's nonzero entries: the only stored form of T
         self._t_nonzero = _sparse_rows(T, N, d)
         self.temporally_flat = not any(self._t_nonzero)
-        self.z = tuple(v % d for v in z)
-        self.s0 = s0 % d
-        self.q0 = tuple(v % d for v in q0)
-        self._validate()
+        if isinstance(resource, TableResource):
+            if not self.temporally_flat:
+                raise QuditMbqcError("table resources support temporally flat plans only")
+            for q, dist in resource.behavior.items():  # the table does not know d
+                for m, _ in dist:
+                    if not all(0 <= v < d for v in m):
+                        raise QuditMbqcError(f"outcome {m} for settings {q} lies outside 0..{d - 1}")
+            for i in self.inputs():  # raises at the first settings without an entry
+                resource.distribution(self._settings(i))
 
     @functools.cached_property
     def T(self) -> tuple[tuple[int, ...], ...]:
@@ -212,46 +241,6 @@ class MbqcPlan:
             else:
                 dense.append(zero)
         return tuple(dense)
-
-    def _validate(self):
-        if isinstance(self.resource, SparseState):
-            if self.resource.d != self.d or self.resource.N != self.N:
-                raise QuditMbqcError("resource state shape does not match the plan")
-        elif isinstance(self.resource, TableResource):
-            if self.resource.N != self.N:
-                raise QuditMbqcError("table resource party count does not match")
-            if not self.temporally_flat:
-                raise QuditMbqcError("table resources support temporally flat plans only")
-            for q, dist in self.resource.behavior.items():  # the table does not know d
-                for m, _ in dist:
-                    if not all(0 <= v < self.d for v in m):
-                        raise QuditMbqcError(f"outcome {m} for settings {q} lies outside 0..{self.d - 1}")
-        else:
-            raise QuditMbqcError(f"unsupported resource {type(self.resource).__name__}")
-        if len(self.parties) != self.N:
-            raise QuditMbqcError(f"expected {self.N} parties, got {len(self.parties)}")
-        for k in self._first:
-            fid, ctrl = self.parties[k]
-            if fid.d != self.d or ctrl.d != self.d:
-                raise QuditMbqcError("party dimension does not match the plan")
-            # conjugation by the control keeps the spectrum, so one check
-            # per distinct party covers every party and setting
-            if weyl_power(fid.tau_exp, fid.v, self.d, self.d) != (0, (0, 0)):
-                raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
-            if self.d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
-                raise QuditMbqcError(f"party {k} control needs an upper-triangular "
-                                     "symplectic part at even d")
-        if len(self.Q) != self.N:
-            raise QuditMbqcError(f"Q must have {self.N} rows, got {len(self.Q)}")
-        for k, row in enumerate(self.Q):
-            if len(row) != self.n:
-                raise QuditMbqcError(f"Q row {k} has {len(row)} entries, expected {self.n}")
-        for name, vec in (("z", self.z), ("q0", self.q0)):
-            if len(vec) != self.N:
-                raise QuditMbqcError(f"{name} has {len(vec)} entries, expected one per party ({self.N})")
-        if isinstance(self.resource, TableResource):
-            for i in self.inputs():  # raises at the first settings without an entry
-                self.resource.distribution(self._settings(i))
 
     def inputs(self) -> list[tuple[int, ...]]:
         return list(itertools.product(range(self.d), repeat=self.n))
@@ -288,8 +277,12 @@ class MbqcPlan:
 
     def _settings(self, i: tuple[int, ...]) -> tuple[int, ...]:
         """The settings of every party for input i (n symbols mod d) before
-        any outcome is read: q0 + Q*i mod d."""
-        return _settings_of(self._columns, self.q0, i, self.d)
+        any outcome is read: q0 + Q*i mod d, one pass per nonzero symbol."""
+        acc, d = self.q0, self.d
+        for column, v in zip(self._columns, i):
+            if v:
+                acc = [a + c * v for a, c in zip(acc, column)]
+        return tuple([a % d for a in acc])
 
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form, for a
@@ -359,10 +352,8 @@ class MbqcPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MbqcPlan":
-        d = obj.get("d")
-        if type(d) is not int or d < 2:
-            raise PlanFormatError(f"malformed plan: d must be an integer >= 2, got {d!r}")
         try:
+            d = plain_dimension(obj["d"])
             res = obj["resource"]
             if res.get("kind") == "table":
                 resource = TableResource.from_json(res)
@@ -416,13 +407,18 @@ class MbqcPlan:
         return isinstance(other, MbqcPlan) and self.to_json() == other.to_json()
 
 
-def _settings_of(columns, q0, i, d: int) -> tuple[int, ...]:
-    """q0 + Q*i mod d from the columns of Q: one pass per nonzero symbol."""
-    acc = q0
-    for column, v in zip(columns, i):
-        if v:
-            acc = [a + c * v for a, c in zip(acc, column)]
-    return tuple([a % d for a in acc])
+def _int_rows(rows, length: int, d: int, name, expected) -> tuple[tuple[int, ...], ...]:
+    """rows, each a list or tuple of `length` integers, as tuples reduced
+    mod d.  The rows are checked in bulk; only a failed check looks for the
+    first bad row, to refuse it as name(k), its length against expected."""
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {length}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        for k, row in enumerate(rows):  # a list subclass passes here, not in bulk
+            plain_ints(row, name(k))
+            if len(row) != length:
+                raise QuditMbqcError(f"{name(k)} has {len(row)} entries, expected {expected}")
+    flat = [v % d for v in itertools.chain.from_iterable(rows)]
+    return tuple(zip(*[iter(flat)] * length)) if length else ((),) * len(rows)  # cut into rows
 
 
 def _sparse_rows(T, N: int, d: int) -> tuple:
@@ -546,14 +542,12 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
-    d, P, sites, kind = plan.d, tau_period(plan.d), plan._sites, plan._kind
+    d, sites, kind = plan.d, plan._sites, plan._kind
     ops = []
     for k, (q, e) in enumerate(zip(plan._settings(_read_input(plan, i)), plan.z)):
         t, a, b = sites[kind[k] * d + q]
-        # (tau^t W_(a,b))^e = tau^(e*t) W_(e*a, e*b), and reducing e*a, e*b
-        # mod d costs tau^(e*a*e*b - (e*a % d)*(e*b % d)), as in weyl_power
-        a, b = e * a, e * b
-        ops.append(plan._ops[(e * t + a * b - a % d * (b % d)) % P, a % d, b % d])
+        t, (a, b) = weyl_power(t, (a, b), e, d)
+        ops.append(plan._ops[t, a, b])
     return GlobalObservable(d, ops)
 
 

@@ -28,14 +28,7 @@ SPAN_GUARD = 3**9  # most polynomials enumerate_subspace or closure_generate wil
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -168,13 +168,15 @@ class GlobalObservable:
     def __init__(self, d: int, sites: list[MonomialOp]):
         self.d = d = plain_dimension(d)
         self.sites = tuple(sites)
+        proven = set()  # ids of the operators whose spectrum passed
         for k, op in enumerate(self.sites):
             if not isinstance(op, MonomialOp):
                 raise QuditMbqcError(f"site {k} is {op!r}, expected a MonomialOp")
             if op.d != d:
                 raise QuditMbqcError(f"site {k} has dimension {op.d}, expected {d}")
-            if not op.has_omega_spectrum():  # cached on each operator object
+            if id(op) not in proven and not op.has_omega_spectrum():  # sites share operators
                 raise QuditMbqcError(f"site {k} operator spectrum is not omega powers")
+            proven.add(id(op))
 
     @property
     def N(self) -> int:

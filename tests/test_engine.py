@@ -458,7 +458,7 @@ class TestTemporal:
     @pytest.mark.parametrize("field, bad, message", [
         ("z", [1.5, 1], "z has 1.5, expected an integer"),
         ("z", [True, 1], "z has True, expected an integer"),
-        ("Q", [[1.0], [1]], "Q has an entry that is not an integer"),
+        ("Q", [[1.0], [1]], "Q row 0 has 1.0, expected an integer"),
         ("q0", [0, 0.5], "q0 has 0.5, expected an integer"),
         ("s0", 1.5, "s0 is 1.5, expected an integer"),
         ("n", 1.0, "n is 1.0, expected an integer"),

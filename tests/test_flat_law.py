@@ -368,6 +368,23 @@ def test_parties_of_different_kinds_share_one_operator_per_label():
     assert len(plan._ops) == 2
 
 
+def test_observable_checks_each_distinct_operator_once(monkeypatch):
+    # 252 sites at p = 7 hold a few distinct operators: one omega verdict
+    # each, where one per site once ran
+    plan = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan
+    verdicts = []
+    real = MonomialOp.has_omega_spectrum
+    monkeypatch.setattr(MonomialOp, "has_omega_spectrum", lambda op: verdicts.append(op) or real(op))
+    for i in plan.inputs():
+        verdicts.clear()
+        weighted_observable(plan, i)
+        assert 0 < len(verdicts) <= len(plan._ops) < plan.N
+    # a bad operator repeated is refused at the first site that holds it
+    good, bad = MonomialOp.from_weyl(2, (1, 0)), MonomialOp.from_weyl(2, (0, 1), 1)
+    with pytest.raises(QuditMbqcError, match=r"^site 1 operator spectrum is not omega powers$"):
+        GlobalObservable(2, [good, bad, good, bad])
+
+
 def test_public_observable_refuses_a_non_permutation_site():
     # the site operator itself is refused when built
     with pytest.raises(QuditMbqcError, match="needs a permutation of 0..2 and 3 phases"):

@@ -134,16 +134,17 @@ def test_malformed_party_references_exit_4(k, value, message):
     (1, ("resource", "terms", 0, "ket", 0), True, "resource ket has True, expected an integer"),
     (1, ("resource", "terms", 0, "tau_exp"), True, "resource tau_exp is True, expected an integer"),
     (1, ("T", 2, "0"), True, "T row 2 has True for party 0, expected an integer"),
-    (1, ("Q", 3, 0), True, "Q has an entry that is not an integer"),
+    (1, ("Q", 3, 0), True, "Q row 3 has True, expected an integer"),
     (1, ("z", 0), True, "z has True, expected an integer"),
     (1, ("q0", 4), False, "q0 has False, expected an integer"),
     (1, ("s0",), True, "s0 is True, expected an integer"),
     (1, ("n",), True, "n is True, expected an integer"),
+    (1, ("d",), True, "d is True, expected an integer"),
     (2, ("resource", "entries", 0, "q", 0), False, "table q has False, expected an integer"),
     (2, ("resource", "entries", 0, "dist", 0, "m", 0), False, "outcome (False, 0)"),
     (2, ("resource", "entries", 0, "dist", 0, "den"), True, "table num, den has True, expected an integer"),
 ], ids=["fiducial_tau_exp", "fiducial_v_long", "control_x_long", "control_C", "control_C_rows",
-        "control_u", "ket", "resource_tau_exp", "T_entry", "Q", "z", "q0", "s0", "n", "table_q",
+        "control_u", "ket", "resource_tau_exp", "T_entry", "Q", "z", "q0", "s0", "n", "d", "table_q",
         "table_m", "table_den"])
 def test_booleans_and_long_vectors_exit_4(base, path, value, message):
     code, err = _analyze_mutated((base, ("set", path, value)))

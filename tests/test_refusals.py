@@ -34,7 +34,12 @@ def _outcome(call):
     (lambda: _nand_with(resource="a resource"), (QuditMbqcError, "unsupported resource str")),
     # a Q or a parties list that cannot be scanned, refused before any use
     (lambda: _nand_with(Q=None), (QuditMbqcError, "Q must be a list of rows of integers")),
-    (lambda: _nand_with(Q=[1, 1]), (QuditMbqcError, "Q must be a list of rows of integers")),
+    (lambda: _nand_with(Q=[1, 1, 1]), (QuditMbqcError, "Q row 0 is 1, expected a list of some integers")),
+    # a row given as a mapping or a set has no order to read it by
+    (lambda: _nand_with(Q=[{0: 1, 1: 0}, {1: 1, 0: 0}, {1: 1, 0: 1}]),
+     (QuditMbqcError, "Q row 0 is {0: 1, 1: 0}, expected a list of some integers")),
+    (lambda: _nand_with(Q=[[0, 1], {1, 0}, [1, 1]]),
+     (QuditMbqcError, "Q row 1 is {0, 1}, expected a list of some integers")),
     (lambda: _nand_with(parties=None),
      (QuditMbqcError, "parties must be a list of (WeylLabel, CliffordSpec) pairs, got NoneType")),
     (lambda: named_clifford(3, "weyl-displacement"), (QuditMbqcError, "displacement needs x")),
@@ -99,7 +104,8 @@ def _outcome(call):
     (lambda: conjugate_weyl(named_clifford(3, "S"), (1, 0), "2"),
      (QuditMbqcError, "f is '2', expected an integer")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
-        "plan-Q-none", "plan-Q-int-rows", "plan-parties-none",
+        "plan-Q-none", "plan-Q-int-rows", "plan-Q-mapping-rows", "plan-Q-set-row",
+        "plan-parties-none",
         "displacement-without-x", "unknown-clifford-name", "weyl-power-negative",
         "conjugate-negative", "observable-site-dimension", "clifford-not-monomial",
         "closure-over-Z6", "inverse-of-non-unit", "negative-power", "monomial-power-negative",
