@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p.add_argument("--d", type=int, required=True)
     compile_p.add_argument("--table", required=True, help="comma-separated values m(0),..,m(d-1)")
     compile_p.add_argument("--odd-ring", action="store_true", dest="odd_ring",
-                           help="use the 2d-qudit compilation (odd d, composite allowed)")
+                           help="use the 2d-qudit compilation at prime d too (odd composite d: always)")
     compile_p.add_argument("--out", default=None, help="write the verified plan file here")
     compile_p.add_argument("--json", action="store_true", dest="as_json")
 
@@ -113,10 +113,11 @@ def cmd_compile(args) -> int:
         values = [int(v) for v in args.table.split(",")]
     except ValueError:
         raise QuditMbqcError("--table must be comma-separated integers") from None
-    if not args.odd_ring and not is_prime(args.d):
-        hint = "use --odd-ring for odd d" if args.d % 2 else "no construction compiles an even d"
-        raise QuditMbqcError(f"d={args.d} is not prime; {hint}")
-    compile_table = comp.compile_odd_ring if args.odd_ring else comp.compile_general_prime
+    if not args.odd_ring and args.d % 2 == 0 and args.d > 2:
+        raise QuditMbqcError(f"d={args.d} is not prime; no construction compiles an even d")
+    # an odd composite d has one construction, the 2d-qudit one
+    odd_ring = args.odd_ring or not is_prime(args.d)
+    compile_table = comp.compile_odd_ring if odd_ring else comp.compile_general_prime
     try:
         report = compile_table(values, args.d)
     except VerificationError as exc:

@@ -1,7 +1,8 @@
 """Constructive generation of plans from target functions.
 
 Covers the three worked computations (three-qubit NAND, the quadratic
-f(f-1)/2 output on the 2d-qudit resource, and the exponential u^-f output)
+f(f-1)/2 output on the 2d-qudit resource at odd d, and the exponential
+u^-f output at any d)
 plus two general single-variable compilations: any m: Z_p -> Z_p on
 p(p-1)^2 qudits (prime p), and any m: Z_d -> Z_d on 2d qudits (odd d,
 composite allowed).  Both are sums of deltas at each point j, built from a
@@ -110,8 +111,8 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
     carries the displacement (0,-1) so each power of the phase gate
     contributes its step index to the output phase.
     """
-    if plain_int(d, "d") < 3 or d % 2 == 0 or not is_prime(d):
-        raise QuditMbqcError("quadratic compilation needs an odd prime d")
+    if plain_int(d, "d") < 3 or d % 2 == 0:
+        raise QuditMbqcError("quadratic compilation needs odd d >= 3")
     f = list(f) if f is not None else [1]
     first = CliffordSpec(d, ((1, 1), (0, 1)), (0, d - 1))
     rows = [(first, f, 0, 1)] + [(named_clifford(d, "S"), f, 0, 1)] * (2 * d - 1)
@@ -120,9 +121,8 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
 
 
 def compile_exponential(d: int, u: int, f: list[int] | None = None) -> CompileReport:
-    """Single-qudit exponential output u^-f(i) via the multiplier gate."""
-    if not is_prime(plain_int(d, "d")):
-        raise QuditMbqcError("exponential compilation needs prime d")
+    """Single-qudit exponential output u^-f(i) via the multiplier gate, for
+    any d >= 2 and unit u mod d."""
     f = list(f) if f is not None else [1]
     rows = [(named_clifford(d, "Mu", u=u), f, 0, 1)]
     plan = _layout(d, len(f), basis_state(d, (1,)), (1, 0), rows, 0)

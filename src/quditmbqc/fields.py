@@ -24,7 +24,7 @@ PRIME_FIELD = "prime-field"
 PRIME_POWER_FIELD = "prime-power-field"
 COMPOSITE_RING = "composite-ring"
 
-SPAN_GUARD = 3**9  # most polynomials enumerate_subspace or closure_generate will list
+SPAN_GUARD = 3**9  # most polynomials a MonomialSpan will list
 
 
 def is_prime(n: int) -> bool:
@@ -325,21 +325,21 @@ class MultiPoly:
             parts.append("(" + ",".join(map(str, exps)) + "):" + coeff)
         return f"d={self.modulus.d};n={self.n};{{{','.join(parts)}}}"
 
-    def pretty(self, names: str = "x") -> str:
+    def pretty(self) -> str:
         """Human-readable form, monomials ascending in lex exponent order."""
         if not self.coeffs:
             return "0"
         terms = []
         for exps in sorted(self.coeffs):
-            mono = _monomial_text(exps, names)
+            mono = _monomial_text(exps)
             coeff = self.modulus.text(self.coeffs[exps])
             terms.append(f"{coeff}*{mono}" if mono and coeff != "1" else mono or coeff)
         return " + ".join(terms)
 
 
-def _monomial_text(exps: tuple[int, ...], names: str = "x") -> str:
+def _monomial_text(exps: tuple[int, ...]) -> str:
     """x1*x2^3 for the exponents (1, 3); the empty string for all zero."""
-    return "*".join(f"{names}{j + 1}" + (f"^{a}" if a > 1 else "")
+    return "*".join(f"x{j + 1}" + (f"^{a}" if a > 1 else "")
                     for j, a in enumerate(exps) if a)
 
 
@@ -443,8 +443,8 @@ def subspace_monomials(modulus: Modulus, n: int, delta: int) -> list[tuple[int, 
 
 
 def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> MonomialSpan:
-    """All polynomials in Omega_n(delta), as a MonomialSpan (guarded)."""
-    return _monomial_span(modulus, n, subspace_monomials(modulus, n, delta), "subspace")
+    """All polynomials in Omega_n(delta), as a MonomialSpan."""
+    return MonomialSpan(modulus, n, subspace_monomials(modulus, n, delta))
 
 
 class MonomialSpan(Set):
@@ -456,8 +456,9 @@ class MonomialSpan(Set):
     polynomials, so iteration lists each member once, without hashing it,
     as a fresh polynomial with its own coeffs dict; the order is that of
     itertools.product over the coefficient vectors, the last monomial's
-    fastest.  Two spans are equal when their modulus, n and monomial sets
-    are; against any other set, equality is Set's member comparison.
+    fastest.  Listing more than SPAN_GUARD members is refused.  Two spans
+    are equal when their modulus, n and monomial sets are; against any
+    other set, equality is Set's member comparison.
     """
 
     __slots__ = ("modulus", "n", "monomials", "_support")
@@ -476,6 +477,14 @@ class MonomialSpan(Set):
                 and p.coeffs.keys() <= self._support)
 
     def __iter__(self):
+        # refused when iter() is called, not in a generator body: list() and
+        # tuple() read len() as a size hint before their first next()
+        d, k = self.modulus.d, len(self.monomials)
+        if d**k > SPAN_GUARD:
+            raise SizeGuardError(f"listing {d}^{k} = {d**k} polynomials, over the limit {SPAN_GUARD}")
+        return self._members()
+
+    def _members(self):
         m, n, elems = self.modulus, self.n, self.modulus.elements()
         # the coefficient choices on every monomial but the last; each dict
         # sits in one place of heads, so a zero coefficient keeps it as it is
@@ -502,16 +511,6 @@ class MonomialSpan(Set):
 
     def __repr__(self):
         return f"MonomialSpan({self.modulus!r}, n={self.n}, {len(self.monomials)} monomials)"
-
-
-def _monomial_span(modulus: Modulus, n: int, monomials: list, what: str) -> MonomialSpan:
-    """The span of the given distinct, reduced exponent tuples; refused
-    when its d^k polynomials are over SPAN_GUARD."""
-    d, k = modulus.d, len(monomials)
-    if d**k > SPAN_GUARD:
-        raise SizeGuardError(f"{what} has {d}^{k} = {d**k} polynomials, "
-                             f"over the limit {SPAN_GUARD}")
-    return MonomialSpan(modulus, n, monomials)
 
 
 def closure_basis(g: MultiPoly) -> list[tuple]:
@@ -595,9 +594,8 @@ def _closure_monomials(g: MultiPoly) -> list[tuple[int, ...]]:
 
 def closure_generate(g: MultiPoly) -> MonomialSpan:
     """The closure of g (see closure_basis) as a MonomialSpan of reduced
-    polynomials: d^dim members, guarded by SPAN_GUARD.
-    """
-    return _monomial_span(g.modulus, g.n, _closure_monomials(g), "closure span")
+    polynomials: d^dim members."""
+    return MonomialSpan(g.modulus, g.n, _closure_monomials(g))
 
 
 # -- the least-degree polynomial of a table over Z_d -------------------------
@@ -643,16 +641,13 @@ def solve_mod(rows: list[dict[int, int]], rhs: list[int], cols: int, d: int) -> 
     row r, or None when no x exists.
 
     Rows are sparse {column: coefficient} maps.  The system is solved
-    modulo each prime power of d; a prime-power d is its one part, and two
-    or more parts are joined by the CRT.
+    modulo each prime power of d, and the parts are joined by the CRT (a
+    prime-power d is its one part, of weight 1).
     """
-    if len(parts := factorize(d)) == 1:
-        return _solve_prime_power(rows, rhs, cols, d)
     terms = []
-    for p, e in parts.items():
+    for p, e in factorize(d).items():
         q = p**e
-        sol = _solve_prime_power(rows, rhs, cols, q)
-        if sol is None:
+        if (sol := _solve_prime_power(rows, rhs, cols, q)) is None:
             return None
         weight = d // q * pow(d // q, -1, q)  # 1 mod q, 0 mod the other parts
         terms.append([weight * v for v in sol])

@@ -288,25 +288,23 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
 
 
 def delta_distance(q: int, d: int) -> int:
-    """Distance of q from 0 on the cycle Z_d (odd d): min(q, d-q)."""
-    if d % 2 == 0:
-        raise QuditMbqcError("the cycle distance is defined for odd d")
-    q %= d
-    return min(q, d - q)
+    """Distance of q from 0 on the cycle Z_d: min(q mod d, -q mod d)."""
+    return min(q % d, -q % d)
 
 
 def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     """Exact minimal cycle-distance from a table to the degree-(d-1) class.
 
-    Scores every polynomial of combined degree <= d-1 at once: the d^M
-    candidate coefficient vectors (M monomials, itertools.product order)
-    times the M x d^n monomial values, read mod d, give each candidate's
-    table; each entry is at most M * (d-1)^2, so int64 is exact.  Returns
-    (minimal summed distance, lexicographically first minimizer).  Guarded;
-    never heuristic.
+    Scores every polynomial of combined degree <= d-1 at once, one point
+    of Z_d^n at a time: the d^M candidate coefficient vectors (M monomials,
+    itertools.product order) times the M monomial values at the point,
+    read mod d, give every candidate's value there.  Each entry is at most
+    M * (d-1)^2, so int64 is exact, and no array holds more than d^M
+    entries whatever d^n is.  Returns (minimal summed distance,
+    lexicographically first minimizer).  Guarded; never heuristic.  At
+    d = 2 the class is the affine functions and the distance is the
+    Hamming distance.
     """
-    if d % 2 == 0:
-        raise QuditMbqcError("distance minimization is defined for odd d")
     ring = IntegerRing(d)
     mons = subspace_monomials(ring, n, d - 1)
     if d ** len(mons) > NU_GUARD:
@@ -317,8 +315,8 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     points = np.array(all_points(ring, n))
     monomials = np.prod(points[None, :, :] ** np.array(mons)[:, None, :], axis=2) % d
     candidates = np.indices((d,) * len(mons)).reshape(len(mons), -1).T
-    diff = (candidates @ monomials - values) % d
-    dist = np.minimum(diff, d - diff, out=diff).sum(axis=1)
+    dist = sum(np.minimum(diff := (candidates @ row - v) % d, d - diff)
+               for row, v in zip(monomials.T, values))
     best = int(dist.argmin())
     return int(dist[best]), MultiPoly._trusted(ring, n, zip(mons, candidates[best].tolist()))
 

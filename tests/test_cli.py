@@ -79,6 +79,16 @@ class TestDemo:
     def test_bad_params_exit_2(self, capsys):
         assert main(["demo", "quadratic", "--d", "4"]) == 2
 
+    @pytest.mark.parametrize("argv, table", [
+        (["quadratic", "--d", "9"], [x * (x - 1) // 2 % 9 for x in range(9)]),
+        (["exponential", "--d", "4", "--u", "3"], [1, 3, 1, 3]),
+    ], ids=["quadratic_d9", "exponential_d4"])
+    def test_composite_d_simulated(self, capsys, argv, table):
+        assert main(["demo", *argv, "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["verified"] is obj["deterministic"] is obj["simulated"] is True
+        assert obj["table"] == table
+
     @pytest.mark.parametrize("name, flag", [("nand", "--d"), ("nand", "--u"), ("quadratic", "--u")])
     def test_flag_that_does_not_apply_exit_2(self, name, flag, capsys):
         assert main(["demo", name, flag, "3"]) == 2
@@ -195,7 +205,8 @@ class TestCompile:
         (["--d", "9", "--table", ",".join("0" * 10), "--odd-ring"],
          "target must list 9 values, got 10"),
         (["--d", "4", "--table", "0,1,2,3"], "d=4 is not prime; no construction compiles an even d"),
-        (["--d", "9", "--table", ",".join("0" * 9)], "d=9 is not prime; use --odd-ring for odd d"),
+        # an odd composite d goes to the odd-ring construction without the flag
+        (["--d", "9", "--table", ",".join("0" * 10)], "target must list 9 values, got 10"),
     ], ids=["long", "short", "long_odd_ring", "even_composite", "odd_composite"])
     def test_refusal_message_exit_2(self, capsys, argv, message):
         assert main(["compile", *argv]) == 2
@@ -204,7 +215,29 @@ class TestCompile:
         assert captured.err == f"error: {message}\n"
 
     def test_composite_without_flag_exit_2(self, capsys):
-        assert main(["compile", "--d", "9", "--table", ",".join("0" * 9)]) == 2
+        # an even composite d has no construction, with or without the flag
+        for d in (4, 6):
+            assert main(["compile", "--d", str(d), "--table", ",".join("0" * d)]) == 2
+            assert capsys.readouterr().err == (f"error: d={d} is not prime; "
+                                               "no construction compiles an even d\n")
+
+    @pytest.mark.parametrize("d", [9, 15])
+    def test_odd_composite_compiles_odd_ring_without_flag(self, tmp_path, capsys, d):
+        table = ",".join(str(x * x % d) for x in range(d))
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main(["compile", "--d", str(d), "--table", table, "--out", str(plain),
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"construction": "odd-ring", "qudits": 2 * d,
+                                                       "verified": True, "out": str(plain)}
+        assert main(["compile", "--d", str(d), "--table", table, "--odd-ring",
+                     "--out", str(flagged)]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
+
+    def test_flag_keeps_its_meaning_at_prime_d(self, capsys):
+        assert main(["compile", "--d", "5", "--table", "1,0,0,0,0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["construction"] == "prime-general"
+        assert main(["compile", "--d", "5", "--table", "1,0,0,0,0", "--odd-ring", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["construction"] == "odd-ring"
 
     def test_even_d_odd_ring_exit_2(self, capsys):
         assert main(["compile", "--d", "4", "--table", "0,1,0,1", "--odd-ring"]) == 2

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 import re
@@ -87,10 +88,17 @@ class TestQuadratic:
             assert eigenphase_of(M, plan.resource) == 0
 
     def test_even_or_composite_rejected(self):
-        with pytest.raises(QuditMbqcError):
-            compile_quadratic(4)
-        with pytest.raises(QuditMbqcError):
-            compile_quadratic(9)
+        # the resource needs odd d >= 3: an even d, composite or not, is
+        # refused; an odd composite d compiles (test_every_odd_d_verifies)
+        for d in (2, 4, 6, 1):
+            with pytest.raises(QuditMbqcError, match="quadratic compilation needs odd d >= 3"):
+                compile_quadratic(d)
+
+    def test_every_odd_d_verifies(self):
+        for d in range(3, 46, 2):
+            rep = compile_quadratic(d)
+            assert rep.verified and rep.qudit_count == 2 * d
+            assert rep.target == {(x,): x * (x - 1) // 2 % d for x in range(d)}
 
     def test_two_input_linear_map(self):
         rep = compile_quadratic(3, f=[1, 2])
@@ -121,6 +129,19 @@ class TestExponential:
     def test_non_unit_rejected(self):
         with pytest.raises(QuditMbqcError):
             compile_exponential(5, 5)
+        with pytest.raises(QuditMbqcError, match="u=6 is not a unit mod 9"):
+            compile_exponential(9, 6)
+
+    def test_every_unit_at_every_d_verifies(self):
+        pairs = 0
+        for d in range(2, 17):
+            for u in range(1, d):
+                if math.gcd(u, d) == 1:
+                    rep = compile_exponential(d, u)
+                    assert rep.verified and rep.qudit_count == 1
+                    assert rep.target == {(x,): pow(u, -x, d) for x in range(d)}
+                    pairs += 1
+        assert pairs == 79
 
 
 class TestPrimitiveElement:

@@ -455,6 +455,26 @@ class TestTemporal:
                     f"outcome {outcome} for settings (0, 0) lies outside 0..1")):
                 MbqcPlan(**dict(good, resource=wide))
 
+    def test_parties_given_as_lists_build_the_plan_of_tuples(self):
+        # a [fid, ctrl] list cannot be hashed, so it is checked and read as a tuple
+        d = 3
+        fid = WeylLabel(d, (0, 1))
+        s_gate, ident = named_clifford(d, "S"), named_clifford(d, "weyl-displacement", x=(0, 0))
+        pairs = [(fid, s_gate), (fid, ident), (fid, s_gate)]
+        fields = dict(d=d, n=1, N=3, resource=basis_state(d, (0, 0, 0)), Q=[[1]] * 3,
+                      z=[1] * 3, s0=0)
+        want = MbqcPlan(**fields, parties=pairs)
+        assert (want._kind, want._first) == ((0, 1, 0), (0, 1))
+        for parties in ([list(p) for p in pairs], [list(pairs[0]), pairs[1], list(pairs[2])]):
+            plan = MbqcPlan(**fields, parties=parties)
+            assert plan.parties == want.parties and type(plan.parties[0]) is tuple
+            assert (plan._kind, plan._first) == (want._kind, want._first)
+            assert plan.dumps() == want.dumps()
+        for bad in ((fid, [1]), {}):
+            with pytest.raises(QuditMbqcError, match=re.escape(
+                    f"party 1 is {bad!r}, expected a (WeylLabel, CliffordSpec) pair")):
+                MbqcPlan(**fields, parties=[pairs[0], bad, pairs[2]])
+
     @pytest.mark.parametrize("field, bad, message", [
         ("z", [1.5, 1], "z has 1.5, expected an integer"),
         ("z", [True, 1], "z has True, expected an integer"),

@@ -14,6 +14,7 @@ from quditmbqc.fields import (
     PRIME_POWER_FIELD,
     SPAN_GUARD,
     IntegerRing,
+    MonomialSpan,
     MultiPoly,
     _closure_monomials,
     all_points,
@@ -497,7 +498,7 @@ class TestMonomialSpan:
             for _ in range(4):
                 k = rng.randint(0, min(len(mons), int(math.log(SPAN_GUARD, d))))
                 chosen = rng.sample(mons, k)
-                span = fields._monomial_span(f, n, chosen, "span")
+                span = MonomialSpan(f, n, chosen)
                 members, want = list(span), self._listing(f, n, chosen)
                 assert members == want
                 assert len(members) == len(span) == len(set(span)) == d**k
@@ -522,12 +523,12 @@ class TestMonomialSpan:
     def test_spans_compare_by_their_monomials(self):
         f = make_field(5)
         mons = [(0, 0), (1, 0), (0, 1)]
-        span = fields._monomial_span(f, 2, mons, "span")
-        assert span == fields._monomial_span(f, 2, mons[::-1], "span")
+        span = MonomialSpan(f, 2, mons)
+        assert span == MonomialSpan(f, 2, mons[::-1])
         assert span == enumerate_subspace(f, 2, 1) == closure_generate(MultiPoly.variable(f, 2, 1))
-        assert span != fields._monomial_span(f, 2, mons[:2], "span")
-        assert span != fields._monomial_span(make_field(7), 2, mons, "span")
-        assert span != fields._monomial_span(f, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], "span")
+        assert span != MonomialSpan(f, 2, mons[:2])
+        assert span != MonomialSpan(make_field(7), 2, mons)
+        assert span != MonomialSpan(f, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
     def test_a_listing_hashes_no_member(self, monkeypatch):
         g = MultiPoly(make_field(3), 2, {(2, 1): 1})

@@ -9,6 +9,8 @@ from quditmbqc import witnesses
 from quditmbqc.engine import MbqcPlan, is_deterministic
 from quditmbqc.errors import SizeGuardError
 from quditmbqc.fields import (
+    SPAN_GUARD,
+    MonomialSpan,
     MultiPoly,
     closure_generate,
     enumerate_subspace,
@@ -35,9 +37,9 @@ def _gf9_x8():
     (lambda: BIG.to_dense(), 2**21, 10**6),
     (lambda: dense_oracle(GlobalObservable(2, [MonomialOp.identity(2)] * 21), BIG),
      2**21, 10**6),
-    (lambda: enumerate_subspace(make_field(5), 2, 4), 5**15, 3**9),
+    (lambda: list(enumerate_subspace(make_field(5), 2, 4)), 5**15, 3**9),
     # every affine image of x^8 over GF(9) together span all 9^9 functions
-    (lambda: closure_generate(_gf9_x8()), 9**9, 3**9),
+    (lambda: list(closure_generate(_gf9_x8())), 9**9, 3**9),
     (lambda: witnesses.nu_distance({(x, y): 0 for x in range(5) for y in range(5)}, 5, 2),
      5**15, 10**5),
     (lambda: is_deterministic(wide_x_chain()), 2**15, 20000),
@@ -50,3 +52,18 @@ def test_guard_names_size_and_limit(call, size, limit):
         call()
     numbers = set(map(int, re.findall(r"\d+", str(info.value))))
     assert {size, limit} <= numbers, str(info.value)
+
+
+@pytest.mark.parametrize("span, size", [
+    (lambda: enumerate_subspace(make_field(5), 2, 4), 5**15),
+    (lambda: closure_generate(_gf9_x8()), 9**9),
+], ids=["enumerate_subspace", "closure_span_gf9"])
+@pytest.mark.parametrize("listing", [list, tuple, set, sorted])
+def test_span_is_built_and_only_its_listing_is_guarded(monkeypatch, span, size, listing):
+    monkeypatch.setattr(MonomialSpan, "_members", lambda self: pytest.fail("a member was listed"))
+    members = span()
+    assert len(members) == size and MultiPoly.zero(members.modulus, members.n) in members
+    with pytest.raises(SizeGuardError) as info:
+        listing(members)
+    numbers = set(map(int, re.findall(r"\d+", str(info.value))))
+    assert {size, SPAN_GUARD} <= numbers, str(info.value)

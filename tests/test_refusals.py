@@ -29,7 +29,8 @@ def _outcome(call):
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: compile_exponential(4, 3), (QuditMbqcError, "exponential compilation needs prime d")),
+    # any d compiles; a non-unit u has no multiplier gate
+    (lambda: compile_exponential(4, 2), (QuditMbqcError, "u=2 is not a unit mod 4")),
     (lambda: compiler.primitive_element(4), (QuditMbqcError, "4 is not prime")),
     (lambda: _nand_with(resource="a resource"), (QuditMbqcError, "unsupported resource str")),
     # a Q or a parties list that cannot be scanned, refused before any use

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -393,9 +394,9 @@ class TestDeltaNu:
             for q in range(d):
                 assert delta_distance(q, d) == delta_distance(d - q, d)
 
-    def test_even_d_rejected(self):
-        with pytest.raises(QuditMbqcError):
-            delta_distance(1, 4)
+    def test_even_d_is_the_cycle_distance(self):
+        assert [delta_distance(q, 2) for q in range(-1, 3)] == [1, 0, 1, 0]
+        assert [delta_distance(q, 4) for q in range(4)] == [0, 1, 2, 1]
 
     def test_zero_for_low_degree(self):
         # d=3, n=1: every 1-variable function has degree <= 2
@@ -432,9 +433,43 @@ class TestDeltaNu:
         with pytest.raises(SizeGuardError):
             nu_distance({(x, y): 0 for x in range(5) for y in range(5)}, 5, 2)
 
-    def test_even_d_rejected_nu(self):
-        with pytest.raises(QuditMbqcError, match="odd d"):
-            nu_distance({(x,): 0 for x in range(4)}, 4, 1)
+    def test_qubit_nu_is_the_hamming_distance_to_the_affine_functions(self):
+        # at d = 2 the degree-1 class is the 8 affine functions a + b*x1 + c*x2
+        points = list(itertools.product(range(2), repeat=2))
+        affine = [[(a + b * x1 + c * x2) % 2 for x1, x2 in points]
+                  for a, b, c in itertools.product(range(2), repeat=3)]
+        for values in itertools.product(range(2), repeat=4):
+            nu, poly = nu_distance(dict(zip(points, values)), 2, 2)
+            assert nu == min(sum(map(int.__ne__, values, g)) for g in affine)
+            assert sum(poly.evaluate(x) != v for x, v in zip(points, values)) == nu
+            assert combined_degree(poly) <= 1
+
+    def test_qubit_nu_scores_one_point_at_a_time(self):
+        # RM_2(1, 11) has minimum distance 2^10, so 5 flips of an affine
+        # table are at distance 5 from it and from nothing else in the class.
+        # 2^12 candidates by 2^11 points would be 64 MiB as one matrix
+        n, rng = 11, random.Random(11)
+        coeffs = [rng.randrange(2) for _ in range(n + 1)]
+        table = {x: (coeffs[0] + sum(c * v for c, v in zip(coeffs[1:], x))) % 2
+                 for x in itertools.product(range(2), repeat=n)}
+        affine = dict(table)
+        for x in rng.sample(sorted(table), 5):
+            table[x] ^= 1
+        tracemalloc.start()
+        try:
+            nu, poly = nu_distance(table, 2, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nu == 5 and all(poly.evaluate(x) == v for x, v in affine.items())
+        assert peak < 8 * 2**20, peak
+
+    def test_nand_nu_and_threshold(self):
+        nand = {(x1, x2): 1 - x1 * x2 for x1 in range(2) for x2 in range(2)}
+        nu, _ = nu_distance(nand, 2, 2)
+        assert nu == 1
+        rep = threshold_check(1, 1, nu, 2, 2)
+        assert rep.exceeded and rep.threshold == Fraction(3, 4)
 
     @pytest.mark.parametrize("table, n, message", [
         # 4 of the 9 points of Z_3^2
@@ -447,7 +482,8 @@ class TestDeltaNu:
         with pytest.raises(ValueError, match=re.escape(message)):
             nu_distance(table, 3, n)
 
-    @pytest.mark.parametrize("d, n, count", [(3, 1, 40), (3, 2, 40), (5, 1, 40), (3, 3, 1)])
+    @pytest.mark.parametrize("d, n, count", [(3, 1, 40), (3, 2, 40), (5, 1, 40), (3, 3, 1),
+                                             (2, 3, 40), (4, 1, 40)])
     def test_minimizer_matches_referee(self, d, n, count):
         rng = random.Random(100 * d + n)
         for _ in range(count):
