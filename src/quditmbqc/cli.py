@@ -159,8 +159,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_table(args) -> int:
     p = args.p
-    if p > 13 or not is_prime(p) or p == 2:
-        raise QuditMbqcError("--p must be an odd prime <= 13")
+    if p == 2 or not is_prime(p):  # at p = 2 the sigma table cannot recover delta
+        raise QuditMbqcError(f"--p must be an odd prime, got {p}")
     u = comp.primitive_element(p)
     labels = [f"u^{k}x" for k in range(1, p)] + [f"sigma_{p}"]
     width = max(len("x"), *(len(lab) for lab in labels))

@@ -71,8 +71,11 @@ def _layout(d: int, n: int, resource: SparseState, v: tuple[int, int], rows,
     per (control, Q row, q0, z) row, and output constant s0."""
     fid = WeylLabel(d, v)
     controls, Q, q0, z = zip(*rows)
+    # one party tuple per distinct control object, which MbqcPlan numbers
+    # by identity without hashing it again
+    party = {key: (fid, c) for key, c in zip(map(id, controls), controls)}
     return MbqcPlan(d=d, n=n, N=len(Q), resource=resource,
-                    parties=[(fid, c) for c in controls], Q=Q, z=z, s0=s0, q0=q0)
+                    parties=[party[id(c)] for c in controls], Q=Q, z=z, s0=s0, q0=q0)
 
 
 def _of_linear(plan: MbqcPlan, f: list[int], g) -> dict:

@@ -27,7 +27,9 @@ built at the first use): a rest is (tau exponent, suffix class) terms, so a
 step costs O(K) for its K <= the resource's term count, whatever N is, and
 the plan's proof that every site operator has an omega spectrum stands in
 for a check per step.  A run step on one ket skips the kernel and draws
-straight off the cycle of the site operator that holds the ket's digit.
+straight off the cycle of the site operator that holds the ket's digit,
+read from one row of (cycle length, outcomes) per digit for each distinct
+site operator (MbqcPlan._digit_rows).
 """
 
 from __future__ import annotations
@@ -154,6 +156,25 @@ class _WeylOps(dict):
         return op
 
 
+class _DigitRows(dict):
+    """Column c*d + q of MbqcPlan._sites -> a row whose entry z is the
+    (L, outcomes) of the cycle holding digit z under that site operator,
+    read off its spectrum at the column's first lookup; columns with one
+    label share one row."""
+
+    def __init__(self, sites, ops: _WeylOps):
+        self.sites, self.ops, self.shared = sites, ops, {}
+
+    def __missing__(self, column: int) -> tuple:
+        label = self.sites[column]
+        row = self.shared.get(label)
+        if row is None:
+            place, cycles = self.ops[label].spectrum
+            row = self.shared[label] = tuple([cycles[c] for c, _, _ in place])
+        self[column] = row
+        return row
+
+
 class MbqcPlan:
     """Immutable description of one computation instance."""
 
@@ -180,28 +201,34 @@ class MbqcPlan:
         # by the control keeps the spectrum, so one check per kind covers
         # every party and setting
         kinds: dict = {}  # (fiducial, control) -> kind
+        # id of each party object that began a kind -> that kind: the
+        # compiler and from_json repeat those objects, which then are not
+        # hashed again
+        began: dict = {}
         kind, first = [], []
         for k, party in enumerate(parties):
-            try:
-                c = kinds.get(party)
-            except TypeError:  # a pair given as a list, or no pair
-                c = None
+            c = began.get(id(party))
             if c is None:
-                if not (isinstance(party, (tuple, list)) and len(party) == 2
-                        and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
-                    raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
-                fid, ctrl = party = tuple(party)
-                c = kinds.get(party)
-                if c is None:  # a new kind
-                    if fid.d != d or ctrl.d != d:
-                        raise QuditMbqcError("party dimension does not match the plan")
-                    if weyl_power(fid.tau_exp, fid.v, d, d) != (0, (0, 0)):
-                        raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
-                    if d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
-                        raise QuditMbqcError(f"party {k} control needs an upper-triangular "
-                                             "symplectic part at even d")
-                    c = kinds[party] = len(first)
-                    first.append(k)
+                try:
+                    c = kinds.get(party)
+                except TypeError:  # a pair given as a list, or no pair
+                    c = None
+                if c is None:
+                    if not (isinstance(party, (tuple, list)) and len(party) == 2
+                            and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
+                        raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
+                    fid, ctrl = pair = tuple(party)
+                    c = kinds.get(pair)
+                    if c is None:  # a new kind
+                        if fid.d != d or ctrl.d != d:
+                            raise QuditMbqcError("party dimension does not match the plan")
+                        if weyl_power(fid.tau_exp, fid.v, d, d) != (0, (0, 0)):
+                            raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
+                        if d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
+                            raise QuditMbqcError(f"party {k} control needs an upper-triangular "
+                                                 "symplectic part at even d")
+                        c = kinds[pair] = began[id(party)] = len(first)
+                        first.append(k)
             kind.append(c)
         self.parties = tuple(map(tuple, parties))
         self._kind, self._first = tuple(kind), tuple(first)
@@ -292,7 +319,7 @@ class MbqcPlan:
 
     def _site_op(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k), looked up by its label in _sites."""
-        return self._ops[self._sites[self._kind[k] * self.d + q_k]]
+        return self._ops[self._sites[self._site_columns[k] + q_k]]
 
     @functools.cached_property
     def _sites(self) -> tuple[tuple[int, int, int], ...]:
@@ -307,6 +334,17 @@ class MbqcPlan:
             for phase, (a, b) in _orbit(ctrl, fid.v, d)))
 
     @functools.cached_property
+    def _site_columns(self) -> tuple[int, ...]:
+        """Each party's first column in _sites: its kind times d."""
+        d = self.d
+        return tuple([c * d for c in self._kind])
+
+    @functools.cached_property
+    def _digit_rows(self) -> _DigitRows:
+        """The per-column digit rows one-ket run steps draw from."""
+        return _DigitRows(self._sites, self._ops)
+
+    @functools.cached_property
     def _flat(self) -> SimpleNamespace:
         """Q's columns, q0, z, _sites as a (3, kinds*d) array, the first
         column of each party's kind in it and the resource in numpy form
@@ -315,11 +353,12 @@ class MbqcPlan:
         if P * P * (N + n + 1) >= 2**63:  # bounds every value of _flat_labels
             raise SizeGuardError(f"flat laws at d={d} with {N} parties and {n} inputs need int64 "
                                  f"values up to {P * P * (N + n + 1)}, over the limit {2**63}")
-        rows = np.array([self._kind, self.z, self.q0, *self._columns], np.int64).reshape(n + 3, N)
-        kind, z, q0, QT = rows[0], rows[1], rows[2], rows[3:]
+        rows = np.array([self._site_columns, self.z, self.q0, *self._columns],
+                        np.int64).reshape(n + 3, N)
+        column, z, q0, QT = rows[0], rows[1], rows[2], rows[3:]
         taus, kets = zip(*self.resource.terms)
         return SimpleNamespace(
-            QT=QT, q0=q0, z=z, column=kind * d,
+            QT=QT, q0=q0, z=z, column=column,
             sites=np.array(self._sites, np.int64).reshape(-1, 3).T,
             taus=taus, kets=np.array(kets, np.int64).reshape(len(kets), N),
             row_of={ket: r for r, ket in enumerate(kets)})
@@ -506,7 +545,10 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     party measured next is always at position 0 of the remaining state,
     read off the plan's suffix trie.  Once one ket is left (from the start,
     on a product resource), a step draws the outcome straight off the
-    cycle of the site operator that holds the ket's digit.
+    cycle of the site operator that holds the ket's digit, read from the
+    plan's per-operator digit rows (MbqcPlan._digit_rows): row c*d + q holds
+    each digit's (cycle length, outcomes) under M_k(q) for the parties k of
+    kind c, filled at its first use and shared by columns with one label.
     """
     i = _read_input(plan, i)
     rng = _read_seed(seed)
@@ -518,36 +560,46 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     settings = list(settings)
     outcomes: list[int] = []
     terms, levels = plan._trie
-    for k, reads in enumerate(plan._t_nonzero):
-        if reads:
-            settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in reads)) % plan.d
+    d, t_rows = plan.d, plan._t_nonzero
+    k = 0
+    while len(terms) > 1:  # the head: two or more kets, through the kernel
+        if t_rows[k]:
+            settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in t_rows[k])) % d
         level = levels[k]
-        if len(terms) == 1:
-            # one ket: its digit lies on one cycle of length L, whose L
-            # outcomes each have probability 1/L (the plan proved L of them
-            # per cycle, so no Parseval check can fire), and the rest is the
-            # child class alone.  Same randrange(L) as _draw_branch.
-            digit, child = level[terms[0][1]]
-            place, cycles = plan._site_op(k, settings[k]).spectrum
-            L, on_cycle = cycles[place[digit][0]]
-            m_k = on_cycle[rng.randrange(L)]
-            terms = ((0, child),)
-        else:
-            entries = [(level[c][1], t, level[c][0]) for t, c in terms]
-            m_k, _, _, terms = _draw_branch(
-                _measurement_branches(plan.d, plan._site_op(k, settings[k]), entries), rng)
+        entries = [(level[c][1], t, level[c][0]) for t, c in terms]
+        m_k, _, _, terms = _draw_branch(
+            _measurement_branches(d, plan._site_op(k, settings[k]), entries), rng)
         outcomes.append(m_k)
+        k += 1
+    # the tail: one ket, whose digit lies on one cycle of length L, whose L
+    # outcomes each have probability 1/L (the plan proved L of them per
+    # cycle, so no Parseval check can fire), and the rest is the child
+    # class alone.  Same randrange(L) as _draw_branch.
+    ((_, c),) = terms
+    rows, columns, draw = plan._digit_rows, plan._site_columns, rng.randrange
+    for k in range(k, plan.N):
+        reads = t_rows[k]
+        if reads:
+            settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in reads)) % d
+        digit, c = levels[k][c]
+        L, on_cycle = rows[columns[k] + settings[k]][digit]
+        outcomes.append(on_cycle[draw(L)])
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
-    d, sites, kind = plan.d, plan._sites, plan._kind
+    d, sites = plan.d, plan._sites
+    power = {}  # (site label, z_k) -> the operator of its power, once per call
     ops = []
-    for k, (q, e) in enumerate(zip(plan._settings(_read_input(plan, i)), plan.z)):
-        t, a, b = sites[kind[k] * d + q]
-        t, (a, b) = weyl_power(t, (a, b), e, d)
-        ops.append(plan._ops[t, a, b])
+    for c, q, e in zip(plan._site_columns, plan._settings(_read_input(plan, i)), plan.z):
+        label = sites[c + q]
+        op = power.get((label, e))
+        if op is None:
+            t, a, b = label
+            t, (a, b) = weyl_power(t, (a, b), e, d)
+            op = power[label, e] = plan._ops[t, a, b]
+        ops.append(op)
     return GlobalObservable(d, ops)
 
 

@@ -631,7 +631,10 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     for k in range(d - 1):
         stirling.append([(a - k * b) % d for a, b in zip([0] + stirling[-1], stirling[-1])])
     coeffs = _along_axes(ring, falling, n, [list(col) for col in zip(*stirling)])
-    powers = [[pow(x, j, d) for j in range(d)] for x in range(d)]
+    powers = [[1] * d for _ in range(d)]  # powers[x][j] = x^j mod d, by running products
+    for x, row in enumerate(powers):
+        for j in range(1, d):
+            row[j] = row[j - 1] * x % d
     assert _along_axes(ring, coeffs, n, powers) == values  # it reproduces the table
     return MultiPoly._trusted(ring, n, zip(points, coeffs))
 

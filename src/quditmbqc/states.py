@@ -167,16 +167,18 @@ class GlobalObservable:
 
     def __init__(self, d: int, sites: list[MonomialOp]):
         self.d = d = plain_dimension(d)
-        self.sites = tuple(sites)
-        proven = set()  # ids of the operators whose spectrum passed
-        for k, op in enumerate(self.sites):
+        self.sites = sites = tuple(sites)
+        # sites share operators: each distinct object is checked once, at
+        # its first site, in site order, so a refusal names the first bad site
+        first = dict(zip(map(id, reversed(sites)), range(len(sites) - 1, -1, -1)))
+        for k in sorted(first.values()):
+            op = sites[k]
             if not isinstance(op, MonomialOp):
                 raise QuditMbqcError(f"site {k} is {op!r}, expected a MonomialOp")
             if op.d != d:
                 raise QuditMbqcError(f"site {k} has dimension {op.d}, expected {d}")
-            if id(op) not in proven and not op.has_omega_spectrum():  # sites share operators
+            if not op.has_omega_spectrum():
                 raise QuditMbqcError(f"site {k} operator spectrum is not omega powers")
-            proven.add(id(op))
 
     @property
     def N(self) -> int:

@@ -475,8 +475,15 @@ class TestTable:
             assert set(last_exponent_row.split(":")[1].split()) == {"1"}
 
     def test_bad_p(self, capsys):
-        assert main(["table", "--appendix-b", "--p", "4"]) == 2
-        assert main(["table", "--appendix-b", "--p", "17"]) == 2
+        for p in (2, 4):
+            assert main(["table", "--appendix-b", "--p", str(p)]) == 2
+            assert capsys.readouterr().err == f"error: --p must be an odd prime, got {p}\n"
+
+    def test_p17_past_the_old_cap(self, capsys):
+        assert main(["table", "--appendix-b", "--p", "17"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[0] == "p = 17, u = 3" and rows[-1].startswith("sigma_17 : ")
+        assert rows[-1].split(":")[1].split() == ["1"] + ["0"] * 15 + ["1"]
 
 
 class TestVerifyAll:

@@ -100,32 +100,41 @@ class TestRun:
             assert max(sizes) <= len(plan.resource.terms)
 
     def test_runs_decompose_each_site_operator_once(self, monkeypatch):
-        # a run reads each party's site operator once, and its cycles come
-        # from MonomialOp.spectrum, cached on each operator object: seven
-        # runs of a compiled p=7 plan (252 parties, 6 party kinds x 7
-        # settings) read 7 x 252 operators but decompose at most 42, each
-        # once, where a per-call decomposition made 7 x 252
+        # a one-ket run reads one digit row per party, filled at a column's
+        # first use from MonomialOp.spectrum, cached on each operator
+        # object: seven runs of a compiled p=7 plan (252 parties, 6 party
+        # kinds x 7 settings) read 7 x 252 rows but fill at most 42 and
+        # decompose at most 42 operators, each once, where a per-call
+        # decomposition made 7 x 252; columns with one label share a row
         plan = MbqcPlan.loads(compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.dumps())
-        made, reads = [], []
+        made, reads, filled = [], [], []
         cached = MonomialOp.__dict__["spectrum"]
-        site_op = MbqcPlan._site_op
+        get, fill = engine._DigitRows.__getitem__, engine._DigitRows.__missing__
 
         def counting(op):
             made.append(op)
             return cached.func(op)
 
-        def reading(plan, k, q_k):
-            reads.append(k)
-            return site_op(plan, k, q_k)
+        def reading(rows, column):
+            reads.append(column)
+            return get(rows, column)
+
+        def filling(rows, column):
+            filled.append(column)
+            return fill(rows, column)
 
         spy = functools.cached_property(counting)
         spy.__set_name__(MonomialOp, "spectrum")
         monkeypatch.setattr(MonomialOp, "spectrum", spy)
-        monkeypatch.setattr(MbqcPlan, "_site_op", reading)
+        monkeypatch.setattr(engine._DigitRows, "__getitem__", reading)
+        monkeypatch.setattr(engine._DigitRows, "__missing__", filling)
         for x in range(7):
             run(plan, (x,), x)
-        assert reads == list(range(plan.N)) * 7 and plan.N == 252
-        assert 0 < len(made) == len({id(op) for op in made}) <= 6 * 7
+        assert len(reads) == 7 * plan.N and plan.N == 252
+        assert 0 < len(filled) == len(set(filled)) <= 6 * 7
+        assert 0 < len(made) == len({id(op) for op in made}) <= len(filled)
+        rows = plan._digit_rows.values()
+        assert len({id(row) for row in rows}) == len({plan._sites[c] for c in filled})
 
     def test_one_ket_steps_bypass_the_kernel(self, monkeypatch):
         # a compiled plan sits on one ket, so its runs never call the
@@ -474,6 +483,28 @@ class TestTemporal:
             with pytest.raises(QuditMbqcError, match=re.escape(
                     f"party 1 is {bad!r}, expected a (WeylLabel, CliffordSpec) pair")):
                 MbqcPlan(**fields, parties=[pairs[0], bad, pairs[2]])
+
+    def test_repeated_party_objects_are_hashed_once(self, monkeypatch):
+        # a repeated party object that began a kind is numbered without
+        # hashing its fiducial and control again; a compiled plan repeats
+        # one object per control
+        hashes = []
+        spec_hash = CliffordSpec.__hash__
+        monkeypatch.setattr(CliffordSpec, "__hash__", lambda c: hashes.append(c) or spec_hash(c))
+        d = 3
+        fid = WeylLabel(d, (0, 1))
+        pair, other = (fid, named_clifford(d, "S")), [fid, named_clifford(d, "Mu", u=2)]
+        counts = []
+        for copies in (1, 40):
+            hashes.clear()
+            plan = MbqcPlan(d=d, n=1, N=2 * copies, resource=basis_state(d, (0,) * 2 * copies),
+                            parties=[pair, other] * copies, Q=[[1]] * 2 * copies,
+                            z=[1] * 2 * copies, s0=0)
+            assert plan._kind == (0, 1) * copies
+            counts.append(len(hashes))
+        assert counts[0] == counts[1] > 0
+        plan = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan
+        assert len({id(party) for party in plan.parties}) == len(plan._first) == 6
 
     @pytest.mark.parametrize("field, bad, message", [
         ("z", [1.5, 1], "z has 1.5, expected an integer"),

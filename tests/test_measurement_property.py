@@ -19,12 +19,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditmbqc.compiler import compile_general_prime, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
 from quditmbqc.states import (MonomialOp, SparseState, _draw_branch, _measurement_branches,
-                              _merged_rest, _suffix_trie, measurement_distribution)
+                              _merged_rest, _suffix_trie, measure_local,
+                              measurement_distribution)
 from quditmbqc.weyl import WeylLabel, named_clifford
+from planlib import random_ghz_plan
 
 
 def _reference_cycles(op: MonomialOp):
@@ -321,12 +324,14 @@ def test_one_ket_steps_draw_what_the_kernel_draws(case):
     # a two-party run on the single ket tau^t |z, z2>, its site operators
     # replaced by the drawn ones, against two kernel steps on the same trie
     d, ops, draws = case
-    fiducial = (WeylLabel(d, (1, 0)), named_clifford(d, "weyl-displacement", x=(0, 0)))
+    identity = named_clifford(d, "weyl-displacement", x=(0, 0))
+    parties = [(WeylLabel(d, v), identity) for v in ((1, 0), (0, 1))]  # two kinds
     for z, (z2, t, seed) in enumerate(draws):
         psi = SparseState(d, 2, ((t, (z, z2)),))
-        plan = MbqcPlan(d=d, n=1, N=2, resource=psi, parties=[fiducial] * 2,
+        plan = MbqcPlan(d=d, n=1, N=2, resource=psi, parties=parties,
                         Q=[[0], [0]], z=[1, 1], s0=0)
-        plan._site_op = lambda k, q: ops[k]
+        for k, op in enumerate(ops):  # party k's site operator at setting 0
+            plan._ops[plan._sites[plan._kind[k] * d]] = op
         terms, levels = _suffix_trie(psi)
         rng, outcomes = random.Random(seed), []
         for k, op in enumerate(ops):
@@ -338,3 +343,60 @@ def test_one_ket_steps_draw_what_the_kernel_draws(case):
         mine = random.Random(seed)
         assert run(plan, (0,), mine).outcomes == tuple(outcomes)
         assert mine.getstate() == rng.getstate()
+
+
+_COMPILED = {}
+
+
+def _compiled_plan(build, m, d):
+    """A compiled plan, built once per table."""
+    key = (build.__name__, tuple(m))
+    if key not in _COMPILED:
+        _COMPILED[key] = build(m, d).plan
+    return _COMPILED[key]
+
+
+@st.composite
+def seeded_runs(draw):
+    """(plan, input, seed): a flat or ordered random GHZ plan at d = 2 or 3,
+    or a compiled plan on one ket."""
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([2, 3]))
+        plan = random_ghz_plan(random.Random(draw(st.integers(0, 2**32))), d,
+                               draw(st.integers(1, 5)), draw(st.integers(1, 2)),
+                               ordered=draw(st.booleans()), tau_phased=draw(st.booleans()))
+    else:
+        build, d = draw(st.sampled_from([(compile_general_prime, 3), (compile_general_prime, 5),
+                                         (compile_odd_ring, 9)]))
+        plan = _compiled_plan(build, draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d)), d)
+    i = tuple(draw(st.lists(st.integers(0, plan.d - 1), min_size=plan.n, max_size=plan.n)))
+    return plan, i, draw(st.integers(0, 2**32))
+
+
+def test_runs_step_like_local_measurements():
+    # run against a stepper built from the public API alone: party k's
+    # setting from plan.setting, its operator from plan.site_observable,
+    # one measure_local at site 0 of the remaining state, all drawing from
+    # one Random
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(seeded_runs())
+    def check(case):
+        plan, i, seed = case
+        rng, psi, outcomes, head = random.Random(seed), plan.resource, [], None
+        for k in range(plan.N):
+            if head is None and len(psi.terms) == 1:
+                head = k
+            if head is not None and plan._t_nonzero[k]:
+                seen.add("T read in a one-ket tail after a head")
+            m, psi = measure_local(psi, 0, plan.site_observable(k, plan.setting(k, i, outcomes)), rng)
+            outcomes.append(m)
+        mine = random.Random(seed)
+        assert run(plan, i, mine).outcomes == tuple(outcomes)
+        assert mine.getstate() == rng.getstate()
+        seen.add("one ket from the start" if head == 0 else "multi-term head")
+
+    check()
+    assert seen == {"T read in a one-ket tail after a head", "one ket from the start",
+                    "multi-term head"}

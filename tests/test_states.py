@@ -599,3 +599,24 @@ class TestRefusals:
         measurement_distribution(make_ghz(5, 2), 0, op)
         assert walked == [op]
         assert [k for k in vars(op) if k not in ("d", "perm", "phases")] == ["spectrum"]
+
+    def test_observable_checks_each_operator_once_naming_the_first_bad_site(self, monkeypatch):
+        # sites share operators: each distinct object is checked once, and a
+        # refusal names the first site that fails, whatever order the
+        # distinct objects were met in
+        checked = []
+        verdict = MonomialOp.has_omega_spectrum
+        monkeypatch.setattr(MonomialOp, "has_omega_spectrum", lambda op: checked.append(op) or verdict(op))
+        good, bad = MonomialOp.from_weyl(2, (1, 1)), MonomialOp(2, (0, 1), (1, 0))
+        assert GlobalObservable(2, [good] * 50).sites == (good,) * 50
+        assert checked == [good]
+        with pytest.raises(QuditMbqcError, match="^site 50 operator spectrum is not omega powers$"):
+            GlobalObservable(2, [good] * 50 + [bad] * 3)
+        assert checked == [good, good, bad]
+        for sites, message in [
+            ([good, bad, good, 7, bad], "site 1 operator spectrum is not omega powers"),
+            ([good, 7, bad, 7], "site 1 is 7, expected a MonomialOp"),
+            ([good, good, MonomialOp.identity(3), bad], "site 2 has dimension 3, expected 2"),
+        ]:
+            with pytest.raises(QuditMbqcError, match=f"^{re.escape(message)}$"):
+                GlobalObservable(2, sites)
