@@ -52,6 +52,7 @@ from .states import (
     GlobalObservable,
     MonomialOp,
     SparseState,
+    _below,
     _draw_branch,
     _measurement_branches,
     _read_seed,
@@ -366,7 +367,7 @@ class MbqcPlan:
     def output_of(self, outcomes: tuple[int, ...]) -> int:
         if len(outcomes) != self.N:
             raise QuditMbqcError(f"{len(outcomes)} outcomes for {self.N} parties")
-        return (sum(zk * mk for zk, mk in zip(self.z, outcomes)) + self.s0) % self.d
+        return (sum(map(operator.mul, self.z, outcomes)) + self.s0) % self.d
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
@@ -549,6 +550,9 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     plan's per-operator digit rows (MbqcPlan._digit_rows): row c*d + q holds
     each digit's (cycle length, outcomes) under M_k(q) for the parties k of
     kind c, filled at its first use and shared by columns with one label.
+    Every draw, in the head and the tail, reads the Random's getrandbits
+    by states._below, which takes the bits and gives the value that
+    rng.randrange would.
     """
     i = _read_input(plan, i)
     rng = _read_seed(seed)
@@ -574,16 +578,17 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     # the tail: one ket, whose digit lies on one cycle of length L, whose L
     # outcomes each have probability 1/L (the plan proved L of them per
     # cycle, so no Parseval check can fire), and the rest is the child
-    # class alone.  Same randrange(L) as _draw_branch.
+    # class alone.  The same _below(getrandbits, L) draw as _draw_branch
+    # makes on those L branches, taken even at L = 1: it consumes bits.
     ((_, c),) = terms
-    rows, columns, draw = plan._digit_rows, plan._site_columns, rng.randrange
+    rows, columns, bits = plan._digit_rows, plan._site_columns, rng.getrandbits
     for k in range(k, plan.N):
         reads = t_rows[k]
         if reads:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in reads)) % d
         digit, c = levels[k][c]
         L, on_cycle = rows[columns[k] + settings[k]][digit]
-        outcomes.append(on_cycle[draw(L)])
+        outcomes.append(on_cycle[_below(bits, L)])
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
 

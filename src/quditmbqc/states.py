@@ -487,7 +487,8 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     weights and returns its outcome and the state without the measured
     qudit; deterministic under a fixed seed, and zero-probability branches
     are never returned.  rng takes engine.run's seed forms: None, an int
-    (not a bool), or a Random, which is used as it is.
+    (not a bool), or a Random, which is used as it is; the draw reads its
+    getrandbits, taking the bits randrange would (see _below).
     """
     m, _, _, rest = _draw_branch([(m, p.numerator, p.denominator, rest) for m, p, rest
                                   in measurement_distribution(psi, site, op)], _read_seed(rng))
@@ -496,7 +497,9 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
 
 def _read_seed(seed) -> random.Random:
     """A Random as it is; None or an int (not a bool) seeds a new one, and
-    anything else is refused."""
+    anything else is refused.  Draws read only its getrandbits (see
+    _below); a subclass that overrides random() alone makes its own
+    randrange read random(), so there the two can differ."""
     if isinstance(seed, random.Random):
         return seed
     if seed is not None and type(seed) is not int:
@@ -504,12 +507,24 @@ def _read_seed(seed) -> random.Random:
     return random.Random(seed)
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform integer in [0, n), n >= 1: getrandbits(n.bit_length())
+    until it falls below n.  These are the bits random.Random.randrange(n)
+    consumes, in CPython 3.10 to 3.13, so the value and the Random's state
+    after it are the same; n = 1 still consumes its bits."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw_branch(branches, rng: random.Random):
     """A branch drawn with its exact probability branch[1] / branch[2]
-    (integers); never a zero-weight one.  One randrange call over the least
+    (integers); never a zero-weight one.  One _below draw over the least
     common denominator of the reduced probabilities."""
     den = math.lcm(*(b[2] // math.gcd(b[1], b[2]) for b in branches))
-    draw = rng.randrange(den)
+    draw = _below(rng.getrandbits, den)
     acc = 0
     for branch in branches:
         acc += branch[1] * den // branch[2]

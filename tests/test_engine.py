@@ -26,7 +26,7 @@ from quditmbqc.engine import (
     weighted_observable,
 )
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
-from quditmbqc.states import MonomialOp, SparseState, basis_state, make_ghz
+from quditmbqc.states import MonomialOp, SparseState, basis_state, make_ghz, measure_local
 from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, wide_x_chain,
                      x_chain)
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
@@ -161,6 +161,30 @@ class TestRun:
         for seed in range(5):
             run(ghz, (0,), seed)
         assert [size for size, _ in steps] == [3, 3, 3] * 5 and len(drawn) == 3 * 5
+
+    def test_draws_read_getrandbits_not_randrange(self):
+        # a Random whose randrange raises draws what a plain Random draws,
+        # in a GHZ run's kernel head and one-ket tail, a compiled run and
+        # measure_local, and is left in the same state
+        class NoRandrange(random.Random):
+            def randrange(self, *args, **kwargs):
+                raise AssertionError("randrange called")
+
+        x_label, z_label = WeylLabel(3, (0, 1)), WeylLabel(3, (1, 0))
+        identity = named_clifford(3, "weyl-displacement", x=(0, 0))
+        ghz = MbqcPlan(d=3, n=1, N=5, resource=make_ghz(3, 5),
+                       parties=[(v, identity) for v in (x_label, x_label, z_label, x_label, x_label)],
+                       Q=[[0]] * 5, z=[1] * 5, s0=0)
+        compiled = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan
+        x_op = MonomialOp.from_weyl(3, (0, 1))
+        for seed in range(20):
+            mine, plain = NoRandrange(seed), random.Random(seed)
+            for plan in (ghz, compiled):
+                for x in range(plan.d):
+                    assert run(plan, (x,), mine).outcomes == run(plan, (x,), plain).outcomes
+            assert measure_local(make_ghz(3, 3), 1, x_op, mine) == \
+                measure_local(make_ghz(3, 3), 1, x_op, plain)
+            assert mine.getstate() == plain.getstate()
 
 
 class TestExtract:

@@ -7,7 +7,8 @@ the one-product ratio test of the current _merged_rest directly.  Runs
 and ordered walks measure position 0 again and again through the suffix
 trie of the resource, which must give measurement_distribution's branches
 at every step; a run's one-ket step, which draws straight off the site
-operator's cycle, must draw what the kernel and _draw_branch draw."""
+operator's cycle, must draw what the kernel and _draw_branch draw.  Both
+draw by _below, which must take the bits Random.randrange takes."""
 
 import math
 import random
@@ -23,9 +24,9 @@ from quditmbqc.compiler import compile_general_prime, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
-from quditmbqc.states import (MonomialOp, SparseState, _draw_branch, _measurement_branches,
-                              _merged_rest, _suffix_trie, measure_local,
-                              measurement_distribution)
+from quditmbqc.states import (MonomialOp, SparseState, _below, _draw_branch,
+                              _measurement_branches, _merged_rest, _suffix_trie,
+                              measure_local, measurement_distribution)
 from quditmbqc.weyl import WeylLabel, named_clifford
 from planlib import random_ghz_plan
 
@@ -400,3 +401,16 @@ def test_runs_step_like_local_measurements():
     check()
     assert seen == {"T read in a one-ket tail after a head", "one ket from the start",
                     "multi-term head"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.one_of(st.just(1), st.integers(2, 70), st.integers(2**64, 2**80)),
+                min_size=1, max_size=30))
+def test_below_takes_the_bits_randrange_takes(seed, bounds):
+    # n = 1 (which still consumes bits), small n around powers of two, and
+    # n above 2^64, whose getrandbits spans more than two 32-bit words
+    mine, twin = random.Random(seed), random.Random(seed)
+    for n in bounds:
+        assert _below(mine.getrandbits, n) == twin.randrange(n)
+    assert mine.getstate() == twin.getstate()
