@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,7 @@ from .states import (
     MonomialOp,
     SparseState,
     _below,
+    _below_ones,
     _draw_branch,
     _measurement_branches,
     _read_seed,
@@ -305,12 +307,16 @@ class MbqcPlan:
 
     def _settings(self, i: tuple[int, ...]) -> tuple[int, ...]:
         """The settings of every party for input i (n symbols mod d) before
-        any outcome is read: q0 + Q*i mod d, one pass per nonzero symbol."""
+        any outcome is read: q0 + Q*i mod d, one pass per nonzero symbol,
+        the last of which reduces mod d; q0 itself when i is all zero."""
         acc, d = self.q0, self.d
-        for column, v in zip(self._columns, i):
-            if v:
-                acc = [a + c * v for a, c in zip(acc, column)]
-        return tuple([a % d for a in acc])
+        nonzero = [(column, v) for column, v in zip(self._columns, i) if v]
+        if not nonzero:
+            return acc
+        for column, v in nonzero[:-1]:
+            acc = [a + c * v for a, c in zip(acc, column)]
+        column, v = nonzero[-1]
+        return tuple([(a + c * v) % d for a, c in zip(acc, column)])
 
     def site_observable(self, k: int, q_k: int) -> MonomialOp:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form, for a
@@ -552,7 +558,8 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     kind c, filled at its first use and shared by columns with one label.
     Every draw, in the head and the tail, reads the Random's getrandbits
     by states._below, which takes the bits and gives the value that
-    rng.randrange would.
+    rng.randrange would; the tail's draws at L = 1 take theirs in bulk by
+    states._below_ones.
     """
     i = _read_input(plan, i)
     rng = _read_seed(seed)
@@ -579,16 +586,25 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     # outcomes each have probability 1/L (the plan proved L of them per
     # cycle, so no Parseval check can fire), and the rest is the child
     # class alone.  The same _below(getrandbits, L) draw as _draw_branch
-    # makes on those L branches, taken even at L = 1: it consumes bits.
+    # makes on those L branches, taken even at L = 1, where it chooses
+    # nothing but consumes bits: those draws are owed and taken in bulk by
+    # _below_ones before the next draw at L >= 2 and at the end.
     ((_, c),) = terms
-    rows, columns, bits = plan._digit_rows, plan._site_columns, rng.getrandbits
-    for k in range(k, plan.N):
-        reads = t_rows[k]
+    rows, bits, owed = plan._digit_rows, rng.getrandbits, 0
+    for k, level, reads, column, q in zip(range(k, plan.N), levels[k:], t_rows[k:],
+                                          plan._site_columns[k:], settings[k:]):
         if reads:
-            settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in reads)) % d
-        digit, c = levels[k][c]
-        L, on_cycle = rows[columns[k] + settings[k]][digit]
-        outcomes.append(on_cycle[_below(bits, L)])
+            q = settings[k] = (q + sum(v * outcomes[j] for j, v in reads)) % d
+        digit, c = level[c]
+        L, on_cycle = rows[column + q][digit]
+        if L == 1:
+            owed += 1
+            outcomes.append(on_cycle[0])
+        else:
+            _below_ones(bits, owed)
+            owed = 0
+            outcomes.append(on_cycle[_below(bits, L)])
+    _below_ones(bits, owed)
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
 
@@ -700,7 +716,12 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     the outcome corrections to later parties' settings and the partial
     output; the walk
     raises SizeGuardError when its widest layer, the branches after one
-    party, exceeds EXACT_BRANCH_BUDGET.
+    party, exceeds EXACT_BRANCH_BUDGET.  The walk's weights are integers
+    over one denominator per layer: a branch of weight w / den from a
+    branch of numerator num adds num * w * (scale // den), scale the lcm
+    of the layer's branch denominators, which multiplies the denominator;
+    the gcd of the numerators and the denominator is divided out after
+    each layer, and Fractions are built for the returned law alone.
     """
     i = _read_input(plan, i)
     if isinstance(plan.resource, TableResource):
@@ -715,33 +736,37 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     settings = plan._settings(i)
     start, levels = plan._trie
     # (rest terms, the nonzero outcome corrections to later settings as
-    # sorted (party, delta) pairs, partial output) -> probability
-    layer = {(start, (), plan.s0): Fraction(1)}
+    # sorted (party, delta) pairs, partial output) -> probability times den
+    layer, den = {(start, (), plan.s0): 1}, 1
     for k in range(plan.N):
         level = levels[k]
-        merged: dict[tuple, Fraction] = {}
-        for (terms, later, part), prob in layer.items():
+        branches = []  # (key, numerator, denominator) of each branch
+        for (terms, later, part), num in layer.items():
             q = settings[k]
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
             entries = [(level[c][1], t, level[c][0]) for t, c in terms]
-            for m_k, weight, den, rest in _measurement_branches(d, plan._site_op(k, q), entries):
+            for m_k, weight, b_den, rest in _measurement_branches(d, plan._site_op(k, q), entries):
                 corrections = later
                 if m_k and reads[k]:
                     delta = dict(later)
                     for j, v in reads[k]:
                         delta[j] = (delta.get(j, 0) + v * m_k) % d
                     corrections = tuple(sorted((j, x) for j, x in delta.items() if x))
-                key = (rest, corrections, (part + z[k] * m_k) % d)
-                p = Fraction(prob.numerator * weight, prob.denominator * den)
-                merged[key] = merged.get(key, 0) + p
+                branches.append(((rest, corrections, (part + z[k] * m_k) % d), num * weight, b_den))
+        scale = math.lcm(*{b_den for _, _, b_den in branches})
+        merged: dict[tuple, int] = {}
+        for key, num, b_den in branches:
+            merged[key] = merged.get(key, 0) + num * (scale // b_den)
         if len(merged) > EXACT_BRANCH_BUDGET:
             raise SizeGuardError(f"ordered walk of input {i} reached {len(merged)} branches "
                                  f"at party {k}, over the widest-layer limit "
                                  f"{EXACT_BRANCH_BUDGET}")
-        layer = merged
+        den *= scale
+        g = math.gcd(den, *merged.values())
+        layer, den = {key: num // g for key, num in merged.items()}, den // g
     # every branch ends in the one empty state, so the outputs are distinct
-    return {o: p for (_, _, o), p in layer.items()}
+    return {o: Fraction(num, den) for (_, _, o), num in layer.items()}
 
 
 def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_int, plain_ints)
-from .phases import PhaseSum, omega_exponent, tau_period, tau_power_keys, tau_value
+from .phases import _reduce, cyclotomic_poly, omega_exponent, tau_period, tau_value
 from .weyl import CliffordSpec
 
 DENSE_GUARD = 10**6  # maximum d**N amplitudes for the dense backend
@@ -450,27 +450,48 @@ def _suffix_trie(psi: SparseState) -> tuple[tuple, tuple]:
 def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
     """The (tau exponent, rest) terms of branch m over a sorted group in
     which some rests are shared, and their common |amplitude|^2; no terms
-    when every amplitude cancels.  Each surviving amplitude a is read
-    against the first one, b, by one product: a*conj(b) = tau^r |b|^2."""
-    amps: list[tuple] = []  # (rest, its amplitude as a PhaseSum)
+    when every amplitude cancels.
+
+    Each rest's amplitude is an integer coefficient list over tau^0 ..
+    tau^(P-1), P the tau period, zero when its reduction (phases._reduce)
+    is.  |b|^2 of the first survivor b is b's autocorrelation, reduced
+    once; every other survivor a is looked up among the P reduced
+    rotations tau^r*b, since a = tau^r*b exactly when a*conj(b) =
+    tau^r*|b|^2.  A lone survivor needs no rotation."""
+    period = tau_period(d)
+    amps: list[tuple] = []  # (rest, its amplitude's coefficients)
     for rest, e, s in group:
         if not amps or amps[-1][0] != rest:
-            amps.append((rest, PhaseSum(d)))
-        amps[-1][1].add_tau_power(e + 2 * m * s)
-    survivors = [(rest, a) for rest, a in amps if not a.is_zero()]
+            amps.append((rest, [0] * period))
+        amps[-1][1][(e + 2 * m * s) % period] += 1
+    survivors = [(rest, a, key) for rest, a in amps if any(key := _reduce(a, period))]
     if not survivors:
         return (), 0
-    conj = survivors[0][1].conjugate()
-    norm_sq = survivors[0][1].mul(conj).as_rational_integer()
-    if norm_sq is None or norm_sq <= 0:
+    _, b, key = survivors[0]
+    nonzero = [(j, c) for j, c in enumerate(b) if c]
+    corr = [0] * period
+    for i, c in nonzero:
+        for j, e in nonzero:
+            corr[i - j] += c * e  # a negative index wraps mod the period
+    norm_sq, *rest_of_norm = _reduce(corr, period)
+    if any(rest_of_norm) or norm_sq <= 0:
         raise SparseFormError(
             "projection produced an amplitude with non-integral norm; "
             "state left the sparse form"
         )
-    ratio_of = {tuple(norm_sq * c for c in key): r for r, key in enumerate(tau_power_keys(d))}
+    if len(survivors) == 1:
+        return ((0, survivors[0][0]),), norm_sq
+    phi = cyclotomic_poly(period)
+    rotation_of = {}
+    for r in range(period):  # key is tau^r * b reduced; times tau, reduced
+        rotation_of[tuple(key)] = r
+        top = key[-1]
+        key = [0, *key[:-1]]
+        if top:
+            key = [c - top * p for c, p in zip(key, phi)]
     terms = []
-    for rest, a in survivors:
-        r = ratio_of.get(a.mul(conj).key())
+    for rest, _, key in survivors:
+        r = rotation_of.get(tuple(key))
         if r is None:
             raise SparseFormError(
                 "projection produced non-uniform amplitudes; state left the sparse form"
@@ -517,6 +538,16 @@ def _below(getrandbits, n: int) -> int:
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def _below_ones(getrandbits, r: int) -> None:
+    """r draws _below(getrandbits, 1) at once, taking the same bits.  Each
+    of them reads one 32-bit word per getrandbits(1) until the word's top
+    bit is 0; getrandbits(32*r) reads r words, the first in the low bits
+    (CPython 3.10 to 3.13), so the draws still owed are the words whose bit
+    32j + 31 was set."""
+    while r:
+        r = (getrandbits(32 * r) & int.from_bytes(b"\0\0\0\x80" * r, "little")).bit_count()
 
 
 def _draw_branch(branches, rng: random.Random):

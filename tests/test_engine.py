@@ -27,8 +27,8 @@ from quditmbqc.engine import (
 )
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.states import MonomialOp, SparseState, basis_state, make_ghz, measure_local
-from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, wide_x_chain,
-                     x_chain)
+from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, random_ghz_plan,
+                     wide_x_chain, x_chain)
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
 from quditmbqc.witnesses import analyze_plan
 
@@ -383,6 +383,37 @@ class TestDeterminism:
         assert output_distribution(plan, (0,)) == want
         with pytest.raises(SizeGuardError, match="widest-layer limit 50"):
             output_distribution(x_chain(12, {j + 6: j for j in range(6)}), (0,))
+
+    def test_walk_matches_the_frozen_fraction_walk(self):
+        # 40 seeded ordered random GHZ plans at d = 2..6, half tau-phased,
+        # every input, a 2000-party chain and a plan of uneven rests: the
+        # integer-weight walk gives the law of the earlier Fraction-per-branch
+        # walk, in its order, or its refusal
+        seen = set()
+        for d in range(2, 7):
+            for seed in range(8):
+                plan = random_ghz_plan(random.Random(100 * d + seed), d, 3 + seed % 2, 1,
+                                       ordered=True, tau_phased=seed % 2 == 1)
+                for i in plan.inputs():
+                    want = _outcome(_frozen_ordered_walk, plan, i)
+                    assert _outcome(output_distribution, plan, i) == want
+                    seen.add("refused" if want[0] is SparseFormError
+                             else "point mass" if len(want[0]) == 1 else "spread")
+        assert seen == {"refused", "point mass", "spread"}
+        chain = ghz_chain(3, 2000)
+        assert _outcome(output_distribution, chain, (1,)) == _outcome(_frozen_ordered_walk, chain, (1,))
+        # Z on both qudits of five kets: party 1 meets rests of two and of
+        # three kets, so its branch denominators, 2 and 3, divide neither
+        # one another; the law is that of z0 + z1 mod 3 over the kets
+        d = 3
+        uneven = MbqcPlan(
+            d=d, n=1, N=2,
+            resource=SparseState(d, 2, tuple((0, ket) for ket in
+                                             ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)))),
+            parties=[(WeylLabel(d, (1, 0)), named_clifford(d, "weyl-displacement", x=(0, 0)))] * 2,
+            Q=[[0], [0]], T=[[0, 0], [1, 0]], z=[1, 1], s0=0)
+        want = {0: Fraction(2, 5), 1: Fraction(2, 5), 2: Fraction(1, 5)}
+        assert output_distribution(uneven, (0,)) == _frozen_ordered_walk(uneven, (0,)) == want
 
     def test_ordered_plan_exact_distribution(self):
         d = 3
@@ -828,6 +859,43 @@ def _assert_matches_dense(got: dict, dense: dict) -> None:
     assert set(got) == set(dense)
     for o, p in dense.items():
         assert abs(p - float(got[o])) < 1e-9
+
+
+def _frozen_ordered_walk(plan: MbqcPlan, i) -> dict[int, Fraction]:
+    """output_distribution's ordered walk as it was with a Fraction per
+    branch and per merge (its widest-layer refusal left out)."""
+    d, z, reads = plan.d, plan.z, plan._reads
+    settings = plan._settings(i)
+    start, levels = plan._trie
+    layer = {(start, (), plan.s0): Fraction(1)}
+    for k in range(plan.N):
+        level = levels[k]
+        merged: dict[tuple, Fraction] = {}
+        for (terms, later, part), prob in layer.items():
+            q = settings[k]
+            if later and later[0][0] == k:
+                q, later = (q + later[0][1]) % d, later[1:]
+            entries = [(level[c][1], t, level[c][0]) for t, c in terms]
+            for m_k, weight, den, rest in states._measurement_branches(d, plan._site_op(k, q), entries):
+                corrections = later
+                if m_k and reads[k]:
+                    delta = dict(later)
+                    for j, v in reads[k]:
+                        delta[j] = (delta.get(j, 0) + v * m_k) % d
+                    corrections = tuple(sorted((j, x) for j, x in delta.items() if x))
+                key = (rest, corrections, (part + z[k] * m_k) % d)
+                p = Fraction(prob.numerator * weight, prob.denominator * den)
+                merged[key] = merged.get(key, 0) + p
+        layer = merged
+    return {o: p for (_, _, o), p in layer.items()}
+
+
+def _outcome(walk, plan: MbqcPlan, i):
+    """(the law's items in order, None), or (SparseFormError, its message)."""
+    try:
+        return list(walk(plan, i).items()), None
+    except SparseFormError as exc:
+        return SparseFormError, str(exc)
 
 
 def _spy_steps(monkeypatch) -> list[tuple[int, list[int]]]:

@@ -3,12 +3,15 @@ gives the branches and errors of a per-call cycle construction, and the
 cached cycle data equals that construction's.  The merged rests of that
 reference come from a frozen copy of the earlier _merged_rest, with an int
 or PhaseSum amplitude per rest and two ratio tables, which also referees
-the one-product ratio test of the current _merged_rest directly.  Runs
-and ordered walks measure position 0 again and again through the suffix
+the current _merged_rest directly: its autocorrelation norm and its
+lookup of each amplitude among the rotations of the first.  Runs and
+ordered walks measure position 0 again and again through the suffix
 trie of the resource, which must give measurement_distribution's branches
 at every step; a run's one-ket step, which draws straight off the site
 operator's cycle, must draw what the kernel and _draw_branch draw.  Both
-draw by _below, which must take the bits Random.randrange takes."""
+draw by _below, which must take the bits Random.randrange takes, and the
+one-ket steps pay their one-outcome draws in bulk by _below_ones, which
+must take the bits of as many _below(getrandbits, 1) calls."""
 
 import math
 import random
@@ -24,7 +27,7 @@ from quditmbqc.compiler import compile_general_prime, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
-from quditmbqc.states import (MonomialOp, SparseState, _below, _draw_branch,
+from quditmbqc.states import (MonomialOp, SparseState, _below, _below_ones, _draw_branch,
                               _measurement_branches, _merged_rest, _suffix_trie,
                               measure_local, measurement_distribution)
 from quditmbqc.weyl import WeylLabel, named_clifford
@@ -413,4 +416,16 @@ def test_below_takes_the_bits_randrange_takes(seed, bounds):
     mine, twin = random.Random(seed), random.Random(seed)
     for n in bounds:
         assert _below(mine.getrandbits, n) == twin.randrange(n)
+    assert mine.getstate() == twin.getstate()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.integers(0, 2**32), st.one_of(st.integers(0, 70), st.integers(71, 5000)))
+def test_below_ones_takes_the_bits_of_as_many_one_outcome_draws(seed, r):
+    # each _below(getrandbits, 1) reads 32-bit words until one has its top
+    # bit clear; _below_ones reads r at a time, the first in the low bits
+    mine, twin = random.Random(seed), random.Random(seed)
+    _below_ones(mine.getrandbits, r)
+    for _ in range(r):
+        assert _below(twin.getrandbits, 1) == 0
     assert mine.getstate() == twin.getstate()
