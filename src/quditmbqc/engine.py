@@ -22,11 +22,15 @@ gathers from that table, for many inputs per call in a point table.  Runs,
 the ordered walk, site_observable and weighted_observable share one
 MonomialOp per distinct label (MbqcPlan._ops), whatever party, setting or
 power it comes from.  Runs and the ordered walk measure party k with
-states._measurement_branches on the resource's suffix trie (MbqcPlan._trie,
-built at the first use): a rest is (tau exponent, suffix class) terms, so a
-step costs O(K) for its K <= the resource's term count, whatever N is, and
-the plan's proof that every site operator has an omega spectrum stands in
-for a check per step.  A run step on one ket skips the kernel and draws
+states._measurement_branches on level k of the resource's suffix trie
+(MbqcPlan._trie, built at the first use), passed as it is: a rest is (tau
+exponent, suffix class) terms, so a step costs O(K) for its K <= the
+resource's term count, whatever N is, and the plan's proof that every site
+operator has an omega spectrum stands in for a check per step.  The kernel
+weighs every branch before it builds a rest; the walk builds every rest,
+and a run step draws over the weights and builds the one rest it keeps,
+so it costs O(K) however many outcomes the step has.  A run step on one
+ket skips the kernel and draws
 straight off the cycle of the site operator that holds the ket's digit,
 read from one row of (cycle length, outcomes) per digit for each distinct
 site operator (MbqcPlan._digit_rows).
@@ -48,7 +52,7 @@ import numpy as np
 from .errors import (PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_index, plain_int, plain_ints)
 from .fields import MultiPoly, _table_values, is_polynomial_over_ring
-from .phases import PhaseSum, omega_exponent, tau_exponent_of_omega, tau_period
+from .phases import _reduce, omega_exponent, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
     MonomialOp,
@@ -550,7 +554,12 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     Each measurement draws one (outcome, eigenvector cycle) branch of
     states._measurement_branches and forgets the measured qudit, so the
     party measured next is always at position 0 of the remaining state,
-    read off the plan's suffix trie.  Once one ket is left (from the start,
+    read off the plan's suffix trie.  The draw reads the branches' weights
+    alone, in the kernel's order, and only then is the drawn branch's rest
+    built: one rest per step, not one per branch, for the same bits and
+    the same rest as a draw over fully built branches.  The site operator
+    is read straight from the plan's tables, _ops[_sites[column + q]].
+    Once one ket is left (from the start,
     on a product resource), a step draws the outcome straight off the
     cycle of the site operator that holds the ket's digit, read from the
     plan's per-operator digit rows (MbqcPlan._digit_rows): row c*d + q holds
@@ -572,14 +581,14 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     outcomes: list[int] = []
     terms, levels = plan._trie
     d, t_rows = plan.d, plan._t_nonzero
+    columns, sites, ops = plan._site_columns, plan._sites, plan._ops
     k = 0
     while len(terms) > 1:  # the head: two or more kets, through the kernel
         if t_rows[k]:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in t_rows[k])) % d
-        level = levels[k]
-        entries = [(level[c][1], t, level[c][0]) for t, c in terms]
-        m_k, _, _, terms = _draw_branch(
-            _measurement_branches(d, plan._site_op(k, settings[k]), entries), rng)
+        m_k, _, _, rest = _draw_branch(
+            _measurement_branches(d, ops[sites[columns[k] + settings[k]]], terms, levels[k]), rng)
+        terms = rest()
         outcomes.append(m_k)
         k += 1
     # the tail: one ket, whose digit lies on one cycle of length L, whose L
@@ -745,15 +754,14 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
             q = settings[k]
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
-            entries = [(level[c][1], t, level[c][0]) for t, c in terms]
-            for m_k, weight, b_den, rest in _measurement_branches(d, plan._site_op(k, q), entries):
+            for m_k, weight, b_den, rest in _measurement_branches(d, plan._site_op(k, q), terms, level):
                 corrections = later
                 if m_k and reads[k]:
                     delta = dict(later)
                     for j, v in reads[k]:
                         delta[j] = (delta.get(j, 0) + v * m_k) % d
                     corrections = tuple(sorted((j, x) for j, x in delta.items() if x))
-                branches.append(((rest, corrections, (part + z[k] * m_k) % d), num * weight, b_den))
+                branches.append(((rest(), corrections, (part + z[k] * m_k) % d), num * weight, b_den))
         scale = math.lcm(*{b_den for _, _, b_den in branches})
         merged: dict[tuple, int] = {}
         for key, num, b_den in branches:
@@ -771,23 +779,29 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
 
 def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with
-    psi, read off the labels of W (_flat_labels)."""
+    psi, read off the labels of W (_flat_labels): one integer coefficient
+    list per outcome o, reduced by phases._reduce, rational exactly when
+    only its tau^0 coefficient survives."""
     labels = _flat_labels(plan, [i])
     (o,) = _eigenphases(plan, *labels)  # the j = 1 moment decides a point mass
     if o is not None:
         return {o: Fraction(1)}
-    d, s0, f = plan.d, plan.s0, plan._flat
+    d, P, s0, f = plan.d, tau_period(plan.d), plan.s0, plan._flat
     A1, A2, AX, beta = int(labels[0][0]), int(labels[1][0]), labels[2][0].tolist(), labels[3][0]
-    laws = [PhaseSum(d) for _ in range(d)]
+    laws = [[0] * P for _ in range(d)]  # coefficients of tau^0 .. tau^(P-1)
     for j in range(d):
         for r, ket in enumerate(map(tuple, ((f.kets + j * beta) % d).tolist())):  # W^j moves x_r to ket
             if ket in f.row_of:
-                e = f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * AX[r]
-                for o, law in enumerate(laws):
-                    law.add_tau_power(e - 2 * j * (o - s0))
-    weights = [law.as_rational_integer() for law in laws]
-    if None in weights:
-        raise SparseFormError(f"output law at input {i} has an irrational probability")
+                e = f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * (AX[r] + s0)
+                for law in laws:  # outcome o adds tau^(e - 2*j*o)
+                    law[e % P] += 1
+                    e -= 2 * j
+    weights = []
+    for law in laws:
+        w, *rest = _reduce(law, P)
+        if any(rest):
+            raise SparseFormError(f"output law at input {i} has an irrational probability")
+        weights.append(w)
     return {o: Fraction(w, d * len(f.taus)) for o, w in enumerate(weights) if w}
 
 

@@ -701,12 +701,10 @@ def _solve_prime_power(rows, rhs, cols: int, q: int) -> list[int] | None:
         pivots.append((r, c, pv))
     if any(rhs[r] for r in unused):  # the unused rows are all zero now
         return None
-    x = [0] * cols
-    solved = []  # the pivot columns set so far; every other x is 0
+    x = [0] * cols  # a column not solved yet (c itself among them) reads 0
     for r, c, pv in reversed(pivots):
         if rhs[r] % pv:
             return None
-        acc = rhs[r] - sum(rows[r].get(cc, 0) * x[cc] for cc in solved)
+        acc = rhs[r] - sum(a * x[cc] for cc, a in rows[r].items())
         x[c] = acc % q // pv
-        solved.append(c)
     return x

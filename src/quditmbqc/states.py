@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -365,7 +366,8 @@ def measurement_distribution(psi: SparseState, site: int,
     Parseval (they must sum to L times the number of terms on C, which
     makes the probabilities sum to 1).  A site outside 0..N-1, or an op of
     another d or without an omega spectrum, raises QuditMbqcError.  The
-    branches come from _measurement_branches, keyed by the sliced kets.
+    branches come from _measurement_branches, on a level that holds each
+    term's digit and sliced ket, and every rest is built.
     """
     d = psi.d
     if op.d != d:
@@ -374,53 +376,67 @@ def measurement_distribution(psi: SparseState, site: int,
         raise QuditMbqcError(f"site {site} is out of range for a state of {psi.N} qudits")
     if not op.has_omega_spectrum():
         raise QuditMbqcError("site operator spectrum is not omega powers")
-    entries = [(ket[:site] + ket[site + 1:], t, ket[site]) for t, ket in psi.terms]
-    return [(m, Fraction(weight, den), SparseState._trusted(d, psi.N - 1, terms))
-            for m, weight, den, terms in _measurement_branches(d, op, entries)]
+    level = [(ket[site], ket[:site] + ket[site + 1:]) for _, ket in psi.terms]
+    terms = [(t, j) for j, (t, _) in enumerate(psi.terms)]
+    return [(m, Fraction(weight, den), SparseState._trusted(d, psi.N - 1, rest()))
+            for m, weight, den, rest in _measurement_branches(d, op, terms, level)]
 
 
-def _measurement_branches(d: int, op: MonomialOp, entries) -> list[tuple[int, int, int, tuple]]:
-    """The (m, weight, denominator, rest terms) branches of measuring op on
-    K terms given as (rest key, tau exponent, digit) entries: the shared
-    step of measurement_distribution, runs and ordered walks.
+def _measurement_branches(d: int, op: MonomialOp, terms,
+                          level) -> list[tuple[int, int, int, Callable[[], tuple]]]:
+    """The (m, weight, denominator, rest) branches of measuring op on K
+    terms given as (tau exponent, class) pairs, level[class] being the
+    term's (digit, rest key): the shared step of measurement_distribution
+    (one class per term, keyed by its sliced ket), runs and ordered walks
+    (a level of _suffix_trie, as it is).
 
-    Rest keys must sort like the rests they stand for (sliced kets, or the
-    suffix classes of _suffix_trie); each branch's rest terms are (tau
-    exponent, rest key) pairs sorted by key, its probability is weight /
-    denominator, and zero-weight branches are left out.  op must have an
-    omega spectrum, which the caller has checked (or its plan has proved).
-    All of op's data is read from op.spectrum, cached on the operator, so
-    a call only groups the K entries by cycle and visits the cycles they
-    meet.
+    Rest keys must sort like the rests they stand for.  A branch's
+    probability is weight / denominator, zero-weight branches are left
+    out, and rest() returns its rest terms: (tau exponent, rest key) pairs
+    sorted by key.  Every weight and every check comes first; a rest is
+    built only when rest() is called, except on a cycle where rests are
+    shared, whose weights need them (_merged_rest).  So a run draws over
+    the weights and builds the one rest it keeps.  op must have an omega
+    spectrum, which the caller has checked (or its plan has proved).  All
+    of op's data is read from op.spectrum, cached on the operator, so a
+    call only groups the K terms by cycle and visits the cycles they meet.
     """
     place, cycles = op.spectrum
     period = tau_period(d)
     groups: dict[int, list[tuple]] = {}  # C -> its (rest, exponent, step) entries
-    for rest, t, z in entries:
+    for t, key in terms:
+        z, rest = level[key]
         c, s, phi = place[z]
         groups.setdefault(c, []).append((rest, t - phi, s))
-    K = len(entries)
+    K = len(terms)
     out = []
     for c in sorted(groups):
         L, outcomes = cycles[c]
         group = sorted(groups[c])
-        distinct = all(a[0] != b[0] for a, b in zip(group, group[1:]))
+        distinct = len({rest for rest, _, _ in group}) == len(group)
         weight = 0
         for m in outcomes:
             if distinct:  # every amplitude is one tau power
-                e0 = group[0][1] + 2 * m * group[0][2]
-                terms = tuple([((e + 2 * m * s - e0) % period, rest) for rest, e, s in group])
-                norm_sq = 1
+                w, rest = len(group), functools.partial(_phased_rest, period, group, m)
             else:
-                terms, norm_sq = _merged_rest(d, group, m)
-                if not terms:
+                merged, norm_sq = _merged_rest(d, group, m)
+                if not merged:
                     continue
-            weight += len(terms) * norm_sq
-            out.append((m, len(terms) * norm_sq, K * L, terms))
+                w, rest = len(merged) * norm_sq, functools.partial(tuple, merged)  # built already
+            weight += w
+            out.append((m, w, K * L, rest))
         if weight != len(group) * L:
             raise SparseFormError(f"branch weights on cycle {c} sum to {weight}, not {len(group) * L}")
     out.sort(key=itemgetter(0))  # stable: cycles stay in order
     return out
+
+
+def _phased_rest(period: int, group, m: int) -> tuple:
+    """The rest terms of branch m over a sorted group whose rests are
+    distinct: each amplitude is one tau power, taken relative to the
+    first's."""
+    e0 = group[0][1] + 2 * m * group[0][2]
+    return tuple([((e + 2 * m * s - e0) % period, rest) for rest, e, s in group])
 
 
 def _suffix_trie(psi: SparseState) -> tuple[tuple, tuple]:
@@ -545,9 +561,11 @@ def _below_ones(getrandbits, r: int) -> None:
     of them reads one 32-bit word per getrandbits(1) until the word's top
     bit is 0; getrandbits(32*r) reads r words, the first in the low bits
     (CPython 3.10 to 3.13), so the draws still owed are the words whose bit
-    32j + 31 was set."""
+    32j + 31 was set.  The mask is built once, for the first r: a later,
+    smaller read has no bits above its own 32*r."""
+    mask = int.from_bytes(b"\0\0\0\x80" * r, "little")
     while r:
-        r = (getrandbits(32 * r) & int.from_bytes(b"\0\0\0\x80" * r, "little")).bit_count()
+        r = (getrandbits(32 * r) & mask).bit_count()
 
 
 def _draw_branch(branches, rng: random.Random):

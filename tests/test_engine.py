@@ -26,7 +26,8 @@ from quditmbqc.engine import (
     weighted_observable,
 )
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
-from quditmbqc.states import MonomialOp, SparseState, basis_state, make_ghz, measure_local
+from quditmbqc.states import (MonomialOp, SparseState, basis_state, make_ghz, measure_local,
+                              measurement_distribution)
 from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, random_ghz_plan,
                      wide_x_chain, x_chain)
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
@@ -98,6 +99,34 @@ class TestRun:
             sizes = [size for size, _ in steps]
             assert len(sizes) == d * plan.N
             assert max(sizes) <= len(plan.resource.terms)
+
+    def test_head_steps_build_the_one_rest_they_keep(self, monkeypatch):
+        # a d = 5 quadratic run measures its 5 kets through the kernel at
+        # every party, 5 branches a step whose rests are distinct until the
+        # last party, where every rest is the empty one and the weights
+        # need them (_merged_rest): each distinct-rest step builds the rest
+        # of the branch it draws and no other
+        built = []
+        phased = states._phased_rest
+
+        def counting(period, group, m):
+            built.append(m)
+            return phased(period, group, m)
+
+        monkeypatch.setattr(states, "_phased_rest", counting)
+        steps = _spy_steps(monkeypatch)
+        plan = quadratic_plan(5)
+        for x in range(5):
+            steps.clear()
+            built.clear()
+            trace = run(plan, (x,), x)
+            assert [size for size, _ in steps] == [5] * plan.N
+            assert [len(outcomes) for _, outcomes in steps[:-1]] == [5] * (plan.N - 1)
+            assert built == list(trace.outcomes[:-1])
+        # the public step builds every rest
+        built.clear()
+        assert len(measurement_distribution(plan.resource, 0, plan.site_observable(0, 0))) == 5
+        assert sorted(built) == [0, 1, 2, 3, 4]
 
     def test_runs_decompose_each_site_operator_once(self, monkeypatch):
         # a one-ket run reads one digit row per party, filled at a column's
@@ -875,15 +904,15 @@ def _frozen_ordered_walk(plan: MbqcPlan, i) -> dict[int, Fraction]:
             q = settings[k]
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
-            entries = [(level[c][1], t, level[c][0]) for t, c in terms]
-            for m_k, weight, den, rest in states._measurement_branches(d, plan._site_op(k, q), entries):
+            branches = states._measurement_branches(d, plan._site_op(k, q), terms, level)
+            for m_k, weight, den, rest in branches:
                 corrections = later
                 if m_k and reads[k]:
                     delta = dict(later)
                     for j, v in reads[k]:
                         delta[j] = (delta.get(j, 0) + v * m_k) % d
                     corrections = tuple(sorted((j, x) for j, x in delta.items() if x))
-                key = (rest, corrections, (part + z[k] * m_k) % d)
+                key = (rest(), corrections, (part + z[k] * m_k) % d)
                 p = Fraction(prob.numerator * weight, prob.denominator * den)
                 merged[key] = merged.get(key, 0) + p
         layer = merged
@@ -904,9 +933,9 @@ def _spy_steps(monkeypatch) -> list[tuple[int, list[int]]]:
     steps = []
     step = states._measurement_branches
 
-    def spy(d, op, entries):
-        branches = step(d, op, entries)
-        steps.append((len(entries), [m for m, _, _, _ in branches]))
+    def spy(d, op, terms, level):
+        branches = step(d, op, terms, level)
+        steps.append((len(terms), [m for m, _, _, _ in branches]))
         return branches
 
     monkeypatch.setattr(states, "_measurement_branches", spy)  # measurement_distribution

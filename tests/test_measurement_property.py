@@ -7,12 +7,16 @@ the current _merged_rest directly: its autocorrelation norm and its
 lookup of each amplitude among the rotations of the first.  Runs and
 ordered walks measure position 0 again and again through the suffix
 trie of the resource, which must give measurement_distribution's branches
-at every step; a run's one-ket step, which draws straight off the site
-operator's cycle, must draw what the kernel and _draw_branch draw.  Both
+at every step; a run's head step, which draws over the kernel's weights
+and builds the one rest it keeps, must give what a draw over branches
+with every rest built gives, refusals and Random state included; a run's
+one-ket step, which draws straight off the site operator's cycle, must
+draw what the kernel and _draw_branch draw.  Both
 draw by _below, which must take the bits Random.randrange takes, and the
 one-ket steps pay their one-outcome draws in bulk by _below_ones, which
 must take the bits of as many _below(getrandbits, 1) calls."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -23,6 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditmbqc import engine
 from quditmbqc.compiler import compile_general_prime, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.errors import QuditMbqcError, SparseFormError
@@ -291,19 +296,18 @@ def test_trie_steps_match_measurement_distribution():
         assert [(t, _suffix(levels, 0, c)) for t, c in start] == list(psi.terms)
         terms = start
         for k, (op, pick) in enumerate(zip(ops, picks)):
-            entries = [(levels[k][c][1], t, levels[k][c][0]) for t, c in terms]
-            if len({rest for rest, _, _ in entries}) < len(entries):
+            if len({levels[k][c][1] for _, c in terms}) < len(terms):
                 seen.add("merged rests")
             want = _outcome(measurement_distribution, psi, 0, op)
-            got = _outcome(_measurement_branches, psi.d, op, entries)
+            got = _outcome(_measurement_branches, psi.d, op, terms, levels[k])
             if isinstance(want[0], type):  # both refuse, with the same error
                 assert got == want
                 seen.add(want[0].__name__)
                 return
             assert [(m, Fraction(w, den)) for m, w, den, _ in got] == [(m, p) for m, p, _ in want]
             for (_, _, _, rest), (_, _, state) in zip(got, want):
-                assert [(r, _suffix(levels, k + 1, c)) for r, c in rest] == list(state.terms)
-            _, _, _, terms = got[pick % len(got)]
+                assert [(r, _suffix(levels, k + 1, c)) for r, c in rest()] == list(state.terms)
+            terms = got[pick % len(got)][3]()
             psi = want[pick % len(want)][2]
         seen.add("walked to the end")
 
@@ -339,9 +343,10 @@ def test_one_ket_steps_draw_what_the_kernel_draws(case):
         terms, levels = _suffix_trie(psi)
         rng, outcomes = random.Random(seed), []
         for k, op in enumerate(ops):
-            ((t_k, c),) = terms
-            digit, child = levels[k][c]
-            m, _, _, terms = _draw_branch(_measurement_branches(d, op, [(child, t_k, digit)]), rng)
+            ((_, c),) = terms
+            _, child = levels[k][c]
+            m, _, _, rest = _draw_branch(_measurement_branches(d, op, terms, levels[k]), rng)
+            terms = rest()
             assert terms == ((0, child),)  # the rest the one-ket step keeps
             outcomes.append(m)
         mine = random.Random(seed)
@@ -404,6 +409,90 @@ def test_runs_step_like_local_measurements():
     check()
     assert seen == {"T read in a one-ket tail after a head", "one ket from the start",
                     "multi-term head"}
+
+
+@st.composite
+def head_runs(draw):
+    """(plan, input, seed, tag): a random_ghz_plan at d = 2..6, flat or
+    ordered, tau-phased or not, on its GHZ resource or on a random sparse
+    resource of as many qudits, whose kets may share a rest at any
+    position; tag names the d = 4 tau-phased GHZ plans."""
+    d, N = draw(st.integers(2, 6)), draw(st.integers(2, 4))
+    tau_phased = draw(st.booleans())
+    plan = random_ghz_plan(random.Random(draw(st.integers(0, 2**32))), d, N, 1,
+                           ordered=draw(st.booleans()), tau_phased=tau_phased)
+    ghz = draw(st.booleans())
+    if not ghz:
+        kets = draw(st.sets(st.tuples(*[st.integers(0, d - 1)] * N), min_size=2, max_size=8))
+        phases = st.integers(0, tau_period(d) - 1) if tau_phased else st.just(0)
+        resource = SparseState(d, N, tuple((draw(phases), ket) for ket in sorted(kets)))
+        plan = MbqcPlan(d=d, n=1, N=N, resource=resource, parties=plan.parties, Q=plan.Q,
+                        T=plan.T, z=plan.z, s0=plan.s0, q0=plan.q0)
+    tag = "tau-phased d = 4 GHZ" if ghz and tau_phased and d == 4 else None
+    return plan, (draw(st.integers(0, d - 1)),), draw(st.integers(0, 2**32)), tag
+
+
+def _built_run(plan: MbqcPlan, i, rng: random.Random, head: list) -> tuple[int, ...]:
+    """A run whose every step builds the rest of each branch before it
+    draws, _draw_branch over the full list; the (outcome, rest terms) of
+    each step on two or more kets go to head."""
+    terms, levels = plan._trie
+    outcomes = []
+    for k in range(plan.N):
+        op = plan.site_observable(k, plan.setting(k, i, outcomes))
+        built = [(m, w, den, rest()) for m, w, den, rest
+                 in _measurement_branches(plan.d, op, terms, levels[k])]
+        m, _, _, rest = _draw_branch(built, rng)
+        if len(terms) > 1:
+            head.append((m, rest))
+        terms = rest
+        outcomes.append(m)
+    return tuple(outcomes)
+
+
+def test_head_steps_draw_then_build_what_a_built_list_draws(monkeypatch):
+    # a run's head step draws over the weights and builds the one rest it
+    # keeps: the same outcome, rest terms, refusal and Random state as a
+    # draw over every branch with its rest built
+    seen, built, calls = set(), [], []
+    kernel = engine._measurement_branches
+
+    def spy(d, op, terms, level):
+        calls.append(op)
+        branches = kernel(d, op, terms, level)
+        seen.add("one cycle" if len(op.spectrum[1]) == 1 else "several cycles")
+        if len({level[c][1] for _, c in terms}) < len(terms):
+            seen.add("shared rests, not refused")
+
+        def recording(m, rest):
+            built.append((m, rest()))
+            return built[-1][1]
+
+        return [(m, w, den, functools.partial(recording, m, rest)) for m, w, den, rest in branches]
+
+    monkeypatch.setattr(engine, "_measurement_branches", spy)
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(head_runs())
+    def check(case):
+        plan, i, seed, tag = case
+        head, want_rng, got_rng = [], random.Random(seed), random.Random(seed)
+        want = _outcome(_built_run, plan, i, want_rng, head)
+        built.clear()
+        calls.clear()
+        got = _outcome(lambda *args: run(*args).outcomes, plan, i, got_rng)
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+        assert built == head
+        if isinstance(want[0], type):  # the refusing step drew nothing
+            assert len(calls) == len(built) + 1
+            seen.add(tag or "refused")
+        else:
+            assert len(calls) == len(built)
+
+    check()
+    assert seen == {"one cycle", "several cycles", "shared rests, not refused", "refused",
+                    "tau-phased d = 4 GHZ"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
