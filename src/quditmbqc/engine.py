@@ -59,6 +59,7 @@ from .states import (
     SparseState,
     _below,
     _below_ones,
+    _check_seed,
     _draw_branch,
     _measurement_branches,
     _read_seed,
@@ -567,21 +568,29 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     kind c, filled at its first use and shared by columns with one label.
     Every draw, in the head and the tail, reads the Random's getrandbits
     by states._below, which takes the bits and gives the value that
-    rng.randrange would; the tail's draws at L = 1 take theirs in bulk by
-    states._below_ones.
+    rng.randrange would.  The tail's draws at L = 1 choose nothing: they are
+    owed, and paid in bulk by states._below_ones before the next draw that
+    chooses (L >= 2).  At the end they are paid only to a caller's Random,
+    since no later draw and no caller reads the bits of a run's own.  A
+    seed of None or an int is checked at once but seeds the run's own
+    Random only at its first draw that chooses: the first head step, the
+    first tail step with L >= 2, or a table resource's draw, so a run on
+    one ket that never meets L >= 2 (every run of a compiled plan) seeds
+    none and draws nothing.
     """
     i = _read_input(plan, i)
-    rng = _read_seed(seed)
+    caller = _check_seed(seed)
     settings = plan._settings(i)
     if isinstance(plan.resource, TableResource):
         m, _, _ = _draw_branch([(m, p.numerator, p.denominator)
-                                for m, p in plan.resource.distribution(settings)], rng)
+                                for m, p in plan.resource.distribution(settings)], _read_seed(seed))
         return RunTrace(i, settings, m, plan.output_of(m))
     settings = list(settings)
     outcomes: list[int] = []
     terms, levels = plan._trie
     d, t_rows = plan.d, plan._t_nonzero
     columns, sites, ops = plan._site_columns, plan._sites, plan._ops
+    rng = _read_seed(seed) if caller or len(terms) > 1 else None
     k = 0
     while len(terms) > 1:  # the head: two or more kets, through the kernel
         if t_rows[k]:
@@ -595,11 +604,13 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     # outcomes each have probability 1/L (the plan proved L of them per
     # cycle, so no Parseval check can fire), and the rest is the child
     # class alone.  The same _below(getrandbits, L) draw as _draw_branch
-    # makes on those L branches, taken even at L = 1, where it chooses
-    # nothing but consumes bits: those draws are owed and taken in bulk by
-    # _below_ones before the next draw at L >= 2 and at the end.
+    # makes on those L branches is owed even at L = 1, where it chooses
+    # nothing but consumes bits: owed draws are paid in bulk by _below_ones
+    # before the next draw at L >= 2, and at the end only to a caller's
+    # Random.  A run's own Random is seeded at its first draw at L >= 2.
     ((_, c),) = terms
-    rows, bits, owed = plan._digit_rows, rng.getrandbits, 0
+    rows, owed = plan._digit_rows, 0
+    bits = None if rng is None else rng.getrandbits
     for k, level, reads, column, q in zip(range(k, plan.N), levels[k:], t_rows[k:],
                                           plan._site_columns[k:], settings[k:]):
         if reads:
@@ -610,10 +621,13 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
             owed += 1
             outcomes.append(on_cycle[0])
         else:
+            if bits is None:
+                bits = _read_seed(seed).getrandbits
             _below_ones(bits, owed)
             owed = 0
             outcomes.append(on_cycle[_below(bits, L)])
-    _below_ones(bits, owed)
+    if caller:
+        _below_ones(bits, owed)
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
 

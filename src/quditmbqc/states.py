@@ -534,14 +534,21 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
 
 def _read_seed(seed) -> random.Random:
     """A Random as it is; None or an int (not a bool) seeds a new one, and
-    anything else is refused.  Draws read only its getrandbits (see
-    _below); a subclass that overrides random() alone makes its own
-    randrange read random(), so there the two can differ."""
+    anything else is refused (_check_seed)."""
+    return seed if _check_seed(seed) else random.Random(seed)
+
+
+def _check_seed(seed) -> bool:
+    """Whether seed is a caller's Random, used as it is; None and an int
+    (not a bool) are seeds of a new one, and anything else is refused.
+    Draws read only a Random's getrandbits (see _below); a subclass that
+    overrides random() alone makes its own randrange read random(), so
+    there the two can differ."""
     if isinstance(seed, random.Random):
-        return seed
+        return True
     if seed is not None and type(seed) is not int:
         raise QuditMbqcError(f"seed is {seed!r}, expected None, an integer or a random.Random")
-    return random.Random(seed)
+    return False
 
 
 def _below(getrandbits, n: int) -> int:

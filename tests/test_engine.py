@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from quditmbqc import engine, states
-from quditmbqc.compiler import compile_general_prime, compile_odd_ring
+from quditmbqc.compiler import compile_exponential, compile_general_prime, compile_odd_ring
 from quditmbqc.engine import (
     EXACT_BRANCH_BUDGET,
     MbqcPlan,
@@ -26,8 +26,8 @@ from quditmbqc.engine import (
     weighted_observable,
 )
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
-from quditmbqc.states import (MonomialOp, SparseState, basis_state, make_ghz, measure_local,
-                              measurement_distribution)
+from quditmbqc.states import (MonomialOp, SparseState, _below, basis_state, make_ghz,
+                              measure_local, measurement_distribution)
 from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, random_ghz_plan,
                      wide_x_chain, x_chain)
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
@@ -214,6 +214,36 @@ class TestRun:
             assert measure_local(make_ghz(3, 3), 1, x_op, mine) == \
                 measure_local(make_ghz(3, 3), 1, x_op, plain)
             assert mine.getstate() == plain.getstate()
+
+    @pytest.mark.parametrize("build", [
+        lambda: compile_general_prime([1, 0], 2).plan,
+        lambda: compile_general_prime([3, 1, 4, 1, 0], 5).plan,
+        lambda: compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan,
+        lambda: compile_odd_ring([2, 7, 1, 8, 2, 8, 1, 8, 3], 9).plan,
+        lambda: compile_exponential(5, 2).plan,
+    ], ids=["prime2", "prime5", "prime7", "odd9", "exponential5"])
+    def test_compiled_runs_seed_no_random_and_draw_nothing(self, build, monkeypatch):
+        # every step of a compiled plan has one outcome, so a run on an int
+        # or None seeds no Random and draws nothing; a caller's Random gives
+        # the same outcomes and still pays the N one-outcome draws
+        plan = build()
+        calls = []
+        for name in ("_below", "_below_ones"):
+            monkeypatch.setattr(engine, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(random.Random, "seed", lambda *args, **kwargs: calls.append("seed"))
+        seeds = (0, 7, 2**40 + 1, None)
+        traces = {(x, seed): run(plan, (x,), seed).outcomes
+                  for x in range(plan.d) for seed in seeds}
+        assert calls == []
+        monkeypatch.undo()
+        for (x, seed), outcomes in traces.items():
+            mine = random.Random(seed)
+            twin = random.Random()
+            twin.setstate(mine.getstate())
+            assert run(plan, (x,), mine).outcomes == outcomes
+            for _ in range(plan.N):
+                assert _below(twin.getrandbits, 1) == 0
+            assert mine.getstate() == twin.getstate()
 
 
 class TestExtract:

@@ -21,6 +21,11 @@ def _nand_with(**fields):
     return MbqcPlan(**{**args, **fields})
 
 
+def _compiled():
+    """A compiled p = 3 plan: its resource is one ket and every step has one outcome."""
+    return compiler.compile_general_prime([2, 0, 1], 3).plan
+
+
 def _outcome(call):
     try:
         return call()
@@ -80,6 +85,16 @@ def _outcome(call):
      (QuditMbqcError, "seed is 'abc', expected None, an integer or a random.Random")),
     (lambda: run(nand_plan(), (0, 0), seed=True),
      (QuditMbqcError, "seed is True, expected None, an integer or a random.Random")),
+    # a compiled plan's run makes no draw and seeds no Random, but still
+    # checks its seed first
+    (lambda: run(_compiled(), (0,), seed=[1]),
+     (QuditMbqcError, "seed is [1], expected None, an integer or a random.Random")),
+    (lambda: run(_compiled(), (0,), seed=1.5),
+     (QuditMbqcError, "seed is 1.5, expected None, an integer or a random.Random")),
+    (lambda: run(_compiled(), (0,), seed="abc"),
+     (QuditMbqcError, "seed is 'abc', expected None, an integer or a random.Random")),
+    (lambda: run(_compiled(), (0,), seed=True),
+     (QuditMbqcError, "seed is True, expected None, an integer or a random.Random")),
     # an adjacency value is a list of vertices
     (lambda: longest_path({0: 5}),
      (QuditMbqcError, "temporal graph vertex 0 has 5, expected a list of vertices")),
@@ -113,6 +128,7 @@ def _outcome(call):
         "monomial-power-float", "observable-site-not-monomial", "observable-float-d",
         "table-distribution-not-pairs", "table-outcome-not-a-vector", "longest-path-unknown-vertex",
         "field-float-modulus", "seed-list", "seed-float", "seed-str", "seed-bool",
+        "compiled-seed-list", "compiled-seed-float", "compiled-seed-str", "compiled-seed-bool",
         "longest-path-int-edges", "longest-path-none-edges", "longest-path-str-edges",
         "site-party-N", "site-party-negative", "site-party-bool", "site-setting-d",
         "site-setting-negative", "site-setting-float", "setting-party-N", "output-of-short",
