@@ -58,7 +58,6 @@ from .states import (
     MonomialOp,
     SparseState,
     _below,
-    _below_ones,
     _check_seed,
     _draw_branch,
     _measurement_branches,
@@ -209,34 +208,29 @@ class MbqcPlan:
         # by the control keeps the spectrum, so one check per kind covers
         # every party and setting
         kinds: dict = {}  # (fiducial, control) -> kind
-        # id of each party object that began a kind -> that kind: the
-        # compiler and from_json repeat those objects, which then are not
-        # hashed again
-        began: dict = {}
+        # id of each party object -> its kind: the compiler and from_json
+        # repeat party objects, which then are not checked or hashed again
+        seen: dict = {}
         kind, first = [], []
         for k, party in enumerate(parties):
-            c = began.get(id(party))
+            c = seen.get(id(party))
             if c is None:
-                try:
-                    c = kinds.get(party)
-                except TypeError:  # a pair given as a list, or no pair
-                    c = None
-                if c is None:
-                    if not (isinstance(party, (tuple, list)) and len(party) == 2
-                            and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
-                        raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
-                    fid, ctrl = pair = tuple(party)
-                    c = kinds.get(pair)
-                    if c is None:  # a new kind
-                        if fid.d != d or ctrl.d != d:
-                            raise QuditMbqcError("party dimension does not match the plan")
-                        if weyl_power(fid.tau_exp, fid.v, d, d) != (0, (0, 0)):
-                            raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
-                        if d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
-                            raise QuditMbqcError(f"party {k} control needs an upper-triangular "
-                                                 "symplectic part at even d")
-                        c = kinds[pair] = began[id(party)] = len(first)
-                        first.append(k)
+                if not (isinstance(party, (tuple, list)) and len(party) == 2
+                        and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
+                    raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
+                fid, ctrl = pair = tuple(party)
+                c = kinds.get(pair)
+                if c is None:  # a new kind
+                    if fid.d != d or ctrl.d != d:
+                        raise QuditMbqcError("party dimension does not match the plan")
+                    if weyl_power(fid.tau_exp, fid.v, d, d) != (0, (0, 0)):
+                        raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
+                    if d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
+                        raise QuditMbqcError(f"party {k} control needs an upper-triangular "
+                                             "symplectic part at even d")
+                    c = kinds[pair] = len(first)
+                    first.append(k)
+                seen[id(party)] = c
             kind.append(c)
         self.parties = tuple(map(tuple, parties))
         self._kind, self._first = tuple(kind), tuple(first)
@@ -568,49 +562,47 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     kind c, filled at its first use and shared by columns with one label.
     Every draw, in the head and the tail, reads the Random's getrandbits
     by states._below, which takes the bits and gives the value that
-    rng.randrange would.  The tail's draws at L = 1 choose nothing: they are
-    owed, and paid in bulk by states._below_ones before the next draw that
-    chooses (L >= 2).  At the end they are paid only to a caller's Random,
-    since no later draw and no caller reads the bits of a run's own.  A
-    seed of None or an int is checked at once but seeds the run's own
-    Random only at its first draw that chooses: the first head step, the
-    first tail step with L >= 2, or a table resource's draw, so a run on
-    one ket that never meets L >= 2 (every run of a compiled plan) seeds
-    none and draws nothing.
+    rng.randrange would.  The tail's draws at L = 1 choose nothing but
+    still consume bits, as _below(getrandbits, 1) reads getrandbits(1)
+    until it returns 0: they are owed, and paid by those reads before the
+    next draw that chooses (L >= 2).  At the end they are paid only to a
+    caller's Random, since no later draw and no caller reads the bits of a
+    run's own.  A seed of None or an int is checked at once but seeds the
+    run's own Random only at its first draw that chooses: the first head
+    step, the first tail step with L >= 2, or a table resource's draw, so
+    a run on one ket that never meets L >= 2 (every run of a compiled
+    plan) seeds none and draws nothing.
     """
     i = _read_input(plan, i)
     caller = _check_seed(seed)
     settings = plan._settings(i)
     if isinstance(plan.resource, TableResource):
         m, _, _ = _draw_branch([(m, p.numerator, p.denominator)
-                                for m, p in plan.resource.distribution(settings)], _read_seed(seed))
+                                for m, p in plan.resource.distribution(settings)],
+                               _read_seed(seed).getrandbits)
         return RunTrace(i, settings, m, plan.output_of(m))
     settings = list(settings)
     outcomes: list[int] = []
     terms, levels = plan._trie
     d, t_rows = plan.d, plan._t_nonzero
     columns, sites, ops = plan._site_columns, plan._sites, plan._ops
-    rng = _read_seed(seed) if caller or len(terms) > 1 else None
+    bits = _read_seed(seed).getrandbits if caller or len(terms) > 1 else None
     k = 0
     while len(terms) > 1:  # the head: two or more kets, through the kernel
         if t_rows[k]:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in t_rows[k])) % d
         m_k, _, _, rest = _draw_branch(
-            _measurement_branches(d, ops[sites[columns[k] + settings[k]]], terms, levels[k]), rng)
+            _measurement_branches(d, ops[sites[columns[k] + settings[k]]], terms, levels[k]), bits)
         terms = rest()
         outcomes.append(m_k)
         k += 1
     # the tail: one ket, whose digit lies on one cycle of length L, whose L
     # outcomes each have probability 1/L (the plan proved L of them per
     # cycle, so no Parseval check can fire), and the rest is the child
-    # class alone.  The same _below(getrandbits, L) draw as _draw_branch
-    # makes on those L branches is owed even at L = 1, where it chooses
-    # nothing but consumes bits: owed draws are paid in bulk by _below_ones
-    # before the next draw at L >= 2, and at the end only to a caller's
-    # Random.  A run's own Random is seeded at its first draw at L >= 2.
+    # class alone.  A step draws as _draw_branch would on those L branches,
+    # _below(bits, L), and one at L = 1 is owed (see the docstring).
     ((_, c),) = terms
     rows, owed = plan._digit_rows, 0
-    bits = None if rng is None else rng.getrandbits
     for k, level, reads, column, q in zip(range(k, plan.N), levels[k:], t_rows[k:],
                                           plan._site_columns[k:], settings[k:]):
         if reads:
@@ -623,11 +615,11 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         else:
             if bits is None:
                 bits = _read_seed(seed).getrandbits
-            _below_ones(bits, owed)
-            owed = 0
+            while owed:
+                owed -= not bits(1)
             outcomes.append(on_cycle[_below(bits, L)])
-    if caller:
-        _below_ones(bits, owed)
+    while caller and owed:
+        owed -= not bits(1)
     return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
 
 

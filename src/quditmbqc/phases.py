@@ -138,6 +138,17 @@ def _reduce(coeffs: list[int], period: int) -> list[int]:
     return rem[:deg]
 
 
+def _correlation(a: list[int], b: list[int], period: int) -> list[int]:
+    """a*conj(b), reduced, for coefficient lists over tau^0 .. tau^(period-1)."""
+    nonzero_b = [(j, e) for j, e in enumerate(b) if e]
+    out = [0] * period
+    for i, c in enumerate(a):
+        if c:
+            for j, e in nonzero_b:
+                out[i - j] += c * e  # a negative index wraps mod the period
+    return _reduce(out, period)
+
+
 @lru_cache(maxsize=None)
 def tau_power_keys(d: int) -> tuple[tuple[int, ...], ...]:
     """PhaseSum.key of tau^r for r = 0 .. period-1."""

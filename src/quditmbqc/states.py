@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_int, plain_ints)
-from .phases import _reduce, cyclotomic_poly, omega_exponent, tau_period, tau_value
+from .phases import _correlation, _reduce, omega_exponent, tau_period, tau_power_keys, tau_value
 from .weyl import CliffordSpec
 
 DENSE_GUARD = 10**6  # maximum d**N amplitudes for the dense backend
@@ -470,26 +470,21 @@ def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
 
     Each rest's amplitude is an integer coefficient list over tau^0 ..
     tau^(P-1), P the tau period, zero when its reduction (phases._reduce)
-    is.  |b|^2 of the first survivor b is b's autocorrelation, reduced
-    once; every other survivor a is looked up among the P reduced
-    rotations tau^r*b, since a = tau^r*b exactly when a*conj(b) =
-    tau^r*|b|^2.  A lone survivor needs no rotation."""
+    is.  With b the first survivor, a = tau^r*b exactly when a*conj(b) =
+    tau^r*|b|^2 (phases._correlation gives both), so each survivor's r is
+    looked up among the reduced tau powers (phases.tau_power_keys) scaled
+    by |b|^2.  A lone survivor needs no lookup."""
     period = tau_period(d)
     amps: list[tuple] = []  # (rest, its amplitude's coefficients)
     for rest, e, s in group:
         if not amps or amps[-1][0] != rest:
             amps.append((rest, [0] * period))
         amps[-1][1][(e + 2 * m * s) % period] += 1
-    survivors = [(rest, a, key) for rest, a in amps if any(key := _reduce(a, period))]
+    survivors = [(rest, a) for rest, a in amps if any(_reduce(a, period))]
     if not survivors:
         return (), 0
-    _, b, key = survivors[0]
-    nonzero = [(j, c) for j, c in enumerate(b) if c]
-    corr = [0] * period
-    for i, c in nonzero:
-        for j, e in nonzero:
-            corr[i - j] += c * e  # a negative index wraps mod the period
-    norm_sq, *rest_of_norm = _reduce(corr, period)
+    b = survivors[0][1]
+    norm_sq, *rest_of_norm = _correlation(b, b, period)
     if any(rest_of_norm) or norm_sq <= 0:
         raise SparseFormError(
             "projection produced an amplitude with non-integral norm; "
@@ -497,17 +492,10 @@ def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
         )
     if len(survivors) == 1:
         return ((0, survivors[0][0]),), norm_sq
-    phi = cyclotomic_poly(period)
-    rotation_of = {}
-    for r in range(period):  # key is tau^r * b reduced; times tau, reduced
-        rotation_of[tuple(key)] = r
-        top = key[-1]
-        key = [0, *key[:-1]]
-        if top:
-            key = [c - top * p for c, p in zip(key, phi)]
+    power_of = {tuple([norm_sq * c for c in key]): r for r, key in enumerate(tau_power_keys(d))}
     terms = []
-    for rest, _, key in survivors:
-        r = rotation_of.get(tuple(key))
+    for rest, a in survivors:
+        r = power_of.get(tuple(_correlation(a, b, period)))
         if r is None:
             raise SparseFormError(
                 "projection produced non-uniform amplitudes; state left the sparse form"
@@ -528,7 +516,8 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     getrandbits, taking the bits randrange would (see _below).
     """
     m, _, _, rest = _draw_branch([(m, p.numerator, p.denominator, rest) for m, p, rest
-                                  in measurement_distribution(psi, site, op)], _read_seed(rng))
+                                  in measurement_distribution(psi, site, op)],
+                                 _read_seed(rng).getrandbits)
     return m, rest
 
 
@@ -563,24 +552,12 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _below_ones(getrandbits, r: int) -> None:
-    """r draws _below(getrandbits, 1) at once, taking the same bits.  Each
-    of them reads one 32-bit word per getrandbits(1) until the word's top
-    bit is 0; getrandbits(32*r) reads r words, the first in the low bits
-    (CPython 3.10 to 3.13), so the draws still owed are the words whose bit
-    32j + 31 was set.  The mask is built once, for the first r: a later,
-    smaller read has no bits above its own 32*r."""
-    mask = int.from_bytes(b"\0\0\0\x80" * r, "little")
-    while r:
-        r = (getrandbits(32 * r) & mask).bit_count()
-
-
-def _draw_branch(branches, rng: random.Random):
+def _draw_branch(branches, getrandbits):
     """A branch drawn with its exact probability branch[1] / branch[2]
     (integers); never a zero-weight one.  One _below draw over the least
     common denominator of the reduced probabilities."""
     den = math.lcm(*(b[2] // math.gcd(b[1], b[2]) for b in branches))
-    draw = _below(rng.getrandbits, den)
+    draw = _below(getrandbits, den)
     acc = 0
     for branch in branches:
         acc += branch[1] * den // branch[2]

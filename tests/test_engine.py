@@ -228,8 +228,7 @@ class TestRun:
         # the same outcomes and still pays the N one-outcome draws
         plan = build()
         calls = []
-        for name in ("_below", "_below_ones"):
-            monkeypatch.setattr(engine, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(engine, "_below", lambda *args: calls.append("_below"))
         monkeypatch.setattr(random.Random, "seed", lambda *args, **kwargs: calls.append("seed"))
         seeds = (0, 7, 2**40 + 1, None)
         traces = {(x, seed): run(plan, (x,), seed).outcomes
@@ -243,6 +242,40 @@ class TestRun:
             assert run(plan, (x,), mine).outcomes == outcomes
             for _ in range(plan.N):
                 assert _below(twin.getrandbits, 1) == 0
+            assert mine.getstate() == twin.getstate()
+
+    def test_one_ket_runs_seed_at_their_first_draw_that_chooses(self, monkeypatch):
+        # Z, Z, X, Z, X, Z on |000000> at d = 3: L = 1, 1, 3, 1, 3, 1.  A run
+        # on an int or None seeds its Random at the first X, after two owed
+        # one-outcome draws, and pays one more before the second X; a
+        # caller's Random also pays the last one
+        x_label, z_label = WeylLabel(3, (0, 1)), WeylLabel(3, (1, 0))
+        identity = named_clifford(3, "weyl-displacement", x=(0, 0))
+        fiducials = (z_label, z_label, x_label, z_label, x_label, z_label)
+        plan = MbqcPlan(d=3, n=1, N=6, resource=basis_state(3, (0,) * 6),
+                        parties=[(v, identity) for v in fiducials],
+                        Q=[[0]] * 6, z=[1] * 6, s0=0)
+        seed_random = random.Random.seed
+        for seed in (0, 1, 7, 2**40 + 1, None):
+            seeded = []
+
+            def seeding(rng, *args, **kwargs):
+                seed_random(rng, *args, **kwargs)
+                seeded.append(rng.getstate())
+
+            monkeypatch.setattr(random.Random, "seed", seeding)
+            outcomes = run(plan, (0,), seed).outcomes
+            monkeypatch.undo()
+            assert len(seeded) == 1
+            if seed is not None:
+                assert seeded[0] == random.Random(seed).getstate()
+            mine, twin = random.Random(), random.Random()
+            mine.setstate(seeded[0])
+            twin.setstate(seeded[0])
+            assert run(plan, (0,), mine).outcomes == outcomes
+            assert [outcomes[k] for k in (0, 1, 3, 5)] == [0, 0, 0, 0]
+            for L in (1, 1, 3, 1, 3, 1):
+                _below(twin.getrandbits, L)
             assert mine.getstate() == twin.getstate()
 
 

@@ -3,18 +3,16 @@ gives the branches and errors of a per-call cycle construction, and the
 cached cycle data equals that construction's.  The merged rests of that
 reference come from a frozen copy of the earlier _merged_rest, with an int
 or PhaseSum amplitude per rest and two ratio tables, which also referees
-the current _merged_rest directly: its autocorrelation norm and its
-lookup of each amplitude among the rotations of the first.  Runs and
+the current _merged_rest directly: its norm and its lookup of each
+amplitude's correlation with the first among the scaled tau powers.  Runs and
 ordered walks measure position 0 again and again through the suffix
 trie of the resource, which must give measurement_distribution's branches
 at every step; a run's head step, which draws over the kernel's weights
 and builds the one rest it keeps, must give what a draw over branches
 with every rest built gives, refusals and Random state included; a run's
 one-ket step, which draws straight off the site operator's cycle, must
-draw what the kernel and _draw_branch draw.  Both
-draw by _below, which must take the bits Random.randrange takes, and the
-one-ket steps pay their one-outcome draws in bulk by _below_ones, which
-must take the bits of as many _below(getrandbits, 1) calls."""
+draw what the kernel and _draw_branch draw.  Both draw by _below, which
+must take the bits Random.randrange takes."""
 
 import functools
 import math
@@ -32,7 +30,7 @@ from quditmbqc.compiler import compile_general_prime, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
-from quditmbqc.states import (MonomialOp, SparseState, _below, _below_ones, _draw_branch,
+from quditmbqc.states import (MonomialOp, SparseState, _below, _draw_branch,
                               _measurement_branches, _merged_rest, _suffix_trie,
                               measure_local, measurement_distribution)
 from quditmbqc.weyl import WeylLabel, named_clifford
@@ -345,7 +343,8 @@ def test_one_ket_steps_draw_what_the_kernel_draws(case):
         for k, op in enumerate(ops):
             ((_, c),) = terms
             _, child = levels[k][c]
-            m, _, _, rest = _draw_branch(_measurement_branches(d, op, terms, levels[k]), rng)
+            m, _, _, rest = _draw_branch(_measurement_branches(d, op, terms, levels[k]),
+                                         rng.getrandbits)
             terms = rest()
             assert terms == ((0, child),)  # the rest the one-ket step keeps
             outcomes.append(m)
@@ -442,7 +441,7 @@ def _built_run(plan: MbqcPlan, i, rng: random.Random, head: list) -> tuple[int, 
         op = plan.site_observable(k, plan.setting(k, i, outcomes))
         built = [(m, w, den, rest()) for m, w, den, rest
                  in _measurement_branches(plan.d, op, terms, levels[k])]
-        m, _, _, rest = _draw_branch(built, rng)
+        m, _, _, rest = _draw_branch(built, rng.getrandbits)
         if len(terms) > 1:
             head.append((m, rest))
         terms = rest
@@ -505,16 +504,4 @@ def test_below_takes_the_bits_randrange_takes(seed, bounds):
     mine, twin = random.Random(seed), random.Random(seed)
     for n in bounds:
         assert _below(mine.getrandbits, n) == twin.randrange(n)
-    assert mine.getstate() == twin.getstate()
-
-
-@settings(derandomize=True, deadline=None, max_examples=200, database=None)
-@given(st.integers(0, 2**32), st.one_of(st.integers(0, 70), st.integers(71, 5000)))
-def test_below_ones_takes_the_bits_of_as_many_one_outcome_draws(seed, r):
-    # each _below(getrandbits, 1) reads 32-bit words until one has its top
-    # bit clear; _below_ones reads r at a time, the first in the low bits
-    mine, twin = random.Random(seed), random.Random(seed)
-    _below_ones(mine.getrandbits, r)
-    for _ in range(r):
-        assert _below(twin.getrandbits, 1) == 0
     assert mine.getstate() == twin.getstate()
