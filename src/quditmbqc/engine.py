@@ -30,10 +30,10 @@ operator has an omega spectrum stands in for a check per step.  The kernel
 weighs every branch before it builds a rest; the walk builds every rest,
 and a run step draws over the weights and builds the one rest it keeps,
 so it costs O(K) however many outcomes the step has.  A run step on one
-ket skips the kernel and draws
-straight off the cycle of the site operator that holds the ket's digit,
-read from one row of (cycle length, outcomes) per digit for each distinct
-site operator (MbqcPlan._digit_rows).
+ket skips the kernel and draws straight off the cycle of the site
+operator that holds the ket's digit, read from that operator's row of
+(cycle length, outcomes) per digit (MonomialOp._digit_cycles), kept in
+one list slot per column of _sites (MbqcPlan._digit_rows).
 """
 
 from __future__ import annotations
@@ -161,25 +161,6 @@ class _WeylOps(dict):
         t, a, b = label
         op = self[label] = MonomialOp.from_weyl(self.d, (a, b), t)
         return op
-
-
-class _DigitRows(dict):
-    """Column c*d + q of MbqcPlan._sites -> a row whose entry z is the
-    (L, outcomes) of the cycle holding digit z under that site operator,
-    read off its spectrum at the column's first lookup; columns with one
-    label share one row."""
-
-    def __init__(self, sites, ops: _WeylOps):
-        self.sites, self.ops, self.shared = sites, ops, {}
-
-    def __missing__(self, column: int) -> tuple:
-        label = self.sites[column]
-        row = self.shared.get(label)
-        if row is None:
-            place, cycles = self.ops[label].spectrum
-            row = self.shared[label] = tuple([cycles[c] for c, _, _ in place])
-        self[column] = row
-        return row
 
 
 class MbqcPlan:
@@ -346,9 +327,16 @@ class MbqcPlan:
         return tuple([c * d for c in self._kind])
 
     @functools.cached_property
-    def _digit_rows(self) -> _DigitRows:
-        """The per-column digit rows one-ket run steps draw from."""
-        return _DigitRows(self._sites, self._ops)
+    def _digit_rows(self) -> list:
+        """One slot per column of _sites for one-ket run steps: None until
+        _digit_row fills it."""
+        return [None] * len(self._sites)
+
+    def _digit_row(self, column: int) -> tuple:
+        """Fill column's slot with its site operator's _digit_cycles, which
+        columns with one label share, as they share the operator."""
+        row = self._digit_rows[column] = self._ops[self._sites[column]]._digit_cycles
+        return row
 
     @functools.cached_property
     def _flat(self) -> SimpleNamespace:
@@ -556,10 +544,11 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     is read straight from the plan's tables, _ops[_sites[column + q]].
     Once one ket is left (from the start,
     on a product resource), a step draws the outcome straight off the
-    cycle of the site operator that holds the ket's digit, read from the
-    plan's per-operator digit rows (MbqcPlan._digit_rows): row c*d + q holds
-    each digit's (cycle length, outcomes) under M_k(q) for the parties k of
-    kind c, filled at its first use and shared by columns with one label.
+    cycle of the site operator that holds the ket's digit: slot c*d + q of
+    MbqcPlan._digit_rows holds each digit's (cycle length, outcomes) under
+    M_k(q) for the parties k of kind c, the operator's _digit_cycles, put
+    there by MbqcPlan._digit_row at the column's first use, so columns with
+    one label share one row.
     Every draw, in the head and the tail, reads the Random's getrandbits
     by states._below, which takes the bits and gives the value that
     rng.randrange would.  The tail's draws at L = 1 choose nothing but
@@ -608,7 +597,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         if reads:
             q = settings[k] = (q + sum(v * outcomes[j] for j, v in reads)) % d
         digit, c = level[c]
-        L, on_cycle = rows[column + q][digit]
+        L, on_cycle = (rows[column + q] or plan._digit_row(column + q))[digit]
         if L == 1:
             owed += 1
             outcomes.append(on_cycle[0])

@@ -121,6 +121,13 @@ class MonomialOp:
             cycles.append((s, _outcomes(2 * s, phi, period, d)))
         return tuple(place), tuple(cycles)
 
+    @functools.cached_property
+    def _digit_cycles(self) -> tuple:
+        """Entry z is the (L, outcomes) of the cycle holding digit z, read
+        once from spectrum."""
+        place, cycles = self.spectrum
+        return tuple([cycles[c] for c, _, _ in place])
+
     def to_dense(self) -> np.ndarray:
         tau = tau_value(self.d)
         out = np.zeros((self.d, self.d), dtype=complex)

@@ -23,6 +23,7 @@ from .fields import (
     _table_values,
     all_points,
     combined_degree,
+    interpolate,
     is_polynomial_over_ring,
     is_prime,
     solve_mod,
@@ -301,16 +302,21 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     read mod d, give every candidate's value there.  Each entry is at most
     M * (d-1)^2, so int64 is exact, and no array holds more than d^M
     entries whatever d^n is.  Returns (minimal summed distance,
-    lexicographically first minimizer).  Guarded; never heuristic.  At
-    d = 2 the class is the affine functions and the distance is the
-    Hamming distance.
+    lexicographically first minimizer).  At prime d a table whose
+    interpolation lies in the class is answered (0, that polynomial)
+    without enumerating: distinct reduced polynomials are distinct
+    functions, so it is the one minimizer.  Guarded (the enumeration
+    only); never heuristic.  At d = 2 the class is the affine functions
+    and the distance is the Hamming distance.
     """
     ring = IntegerRing(d)
+    _, values = _table_values(table, d, n)
+    if ring.is_field and combined_degree(poly := interpolate(ring, table)) < d:
+        return 0, poly
     mons = subspace_monomials(ring, n, d - 1)
     if d ** len(mons) > NU_GUARD:
         raise SizeGuardError(f"candidate class has {d}^{len(mons)} = {d ** len(mons)} "
                              f"polynomials, over the limit {NU_GUARD}")
-    _, values = _table_values(table, d, n)
     # a monomial of degree <= d-1 is at most (d-1)^(d-1) before reduction
     points = np.array(all_points(ring, n))
     monomials = np.prod(points[None, :, :] ** np.array(mons)[:, None, :], axis=2) % d
@@ -361,7 +367,8 @@ def threshold_check(p_worst, p_avg, nu: int, d: int, n: int) -> ThresholdReport:
     d^n).  At odd d the threshold is 1 - 2*nu / ((d-1) * d^n).  A composite
     d is refused: there a local model need not stay in the degree-(d-1)
     class.  When nu > 0, the average failure rate bounds the non-contextual
-    fraction by (1 - p_avg) / nu.
+    fraction by (1 - p_avg) / nu.  The probabilities are ints or Fractions:
+    a float would round the comparison with the threshold.
     """
     if type(d) is not int or d < 2:
         raise ValueError(f"d must be >= 2 and an integer, got {d!r}")
@@ -371,11 +378,10 @@ def threshold_check(p_worst, p_avg, nu: int, d: int, n: int) -> ThresholdReport:
         raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
     if type(nu) is not int or nu < 0:
         raise ValueError(f"nu must be >= 0 and an integer, got {nu!r}")
-    p_worst = Fraction(p_worst)
-    p_avg = Fraction(p_avg)
     for p in (p_worst, p_avg):
-        if not 0 <= p <= 1:
-            raise ValueError(f"probability {p} outside [0, 1]")
+        if type(p) not in (int, Fraction) or not 0 <= p <= 1:
+            raise ValueError(f"probability {p!r} is not an int or a Fraction in [0, 1]")
+    p_worst, p_avg = Fraction(p_worst), Fraction(p_avg)
     threshold = 1 - Fraction(nu, d // 2 * d**n)
     exceeded = p_worst > threshold
     ncf_bound = (1 - p_avg) / nu if nu > 0 else None

@@ -129,40 +129,37 @@ class TestRun:
         assert sorted(built) == [0, 1, 2, 3, 4]
 
     def test_runs_decompose_each_site_operator_once(self, monkeypatch):
-        # a one-ket run reads one digit row per party, filled at a column's
-        # first use from MonomialOp.spectrum, cached on each operator
-        # object: seven runs of a compiled p=7 plan (252 parties, 6 party
-        # kinds x 7 settings) read 7 x 252 rows but fill at most 42 and
-        # decompose at most 42 operators, each once, where a per-call
-        # decomposition made 7 x 252; columns with one label share a row
+        # a one-ket run reads one digit row per party, put in a column's
+        # slot at its first use from the site operator's _digit_cycles,
+        # read from MonomialOp.spectrum, cached on each operator object:
+        # seven runs of a compiled p=7 plan (252 parties, 6 party kinds x 7
+        # settings) fill at most 42 columns, each once, and decompose at
+        # most 6 operators, each once, where a per-call decomposition made
+        # 7 x 252; columns with one label share a row
         plan = MbqcPlan.loads(compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.dumps())
-        made, reads, filled = [], [], []
+        made, filled = [], []
         cached = MonomialOp.__dict__["spectrum"]
-        get, fill = engine._DigitRows.__getitem__, engine._DigitRows.__missing__
+        fill = MbqcPlan._digit_row
 
         def counting(op):
             made.append(op)
             return cached.func(op)
 
-        def reading(rows, column):
-            reads.append(column)
-            return get(rows, column)
-
-        def filling(rows, column):
+        def filling(plan, column):
             filled.append(column)
-            return fill(rows, column)
+            return fill(plan, column)
 
         spy = functools.cached_property(counting)
         spy.__set_name__(MonomialOp, "spectrum")
         monkeypatch.setattr(MonomialOp, "spectrum", spy)
-        monkeypatch.setattr(engine._DigitRows, "__getitem__", reading)
-        monkeypatch.setattr(engine._DigitRows, "__missing__", filling)
+        monkeypatch.setattr(MbqcPlan, "_digit_row", filling)
         for x in range(7):
             run(plan, (x,), x)
-        assert len(reads) == 7 * plan.N and plan.N == 252
+        assert plan.N == 252 and isinstance(plan._digit_rows, list)
         assert 0 < len(filled) == len(set(filled)) <= 6 * 7
-        assert 0 < len(made) == len({id(op) for op in made}) <= len(filled)
-        rows = plan._digit_rows.values()
+        assert 0 < len(made) == len({id(op) for op in made}) <= 6
+        rows = [row for row in plan._digit_rows if row is not None]
+        assert len(rows) == len(filled)
         assert len({id(row) for row in rows}) == len({plan._sites[c] for c in filled})
 
     def test_one_ket_steps_bypass_the_kernel(self, monkeypatch):

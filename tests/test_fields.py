@@ -279,9 +279,8 @@ class TestInterpolate:
             is_polynomial_over_ring({(0,): 0}, d)
         with pytest.raises(ValueError, match=re.escape(message)):
             degree_witness_for_table({(0,): 0}, d)
-        if d % 2:  # nu_distance refuses even d first
-            with pytest.raises(ValueError, match=re.escape(message)):
-                nu_distance({(0,): 0}, d, 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nu_distance({(0,): 0}, d, 1)
 
     @pytest.mark.parametrize("d, value", [(5, 1.5), (4, (0, 1)), (9, "1")])
     def test_non_integer_value_rejected(self, d, value):

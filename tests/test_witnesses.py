@@ -430,8 +430,25 @@ class TestDeltaNu:
             assert (nu == 0) == (combined_degree(interpolate(f, table)) <= 2)
 
     def test_guard(self):
+        # x1^4 x2^4 has combined degree 8, outside the 5^15 candidates
         with pytest.raises(SizeGuardError):
-            nu_distance({(x, y): 0 for x in range(5) for y in range(5)}, 5, 2)
+            nu_distance({(x, y): x**4 * y**4 % 5 for x in range(5) for y in range(5)}, 5, 2)
+
+    @pytest.mark.parametrize("d", [7, 11, 13, 31])
+    def test_one_variable_tables_are_in_the_class(self, d):
+        # every function of one variable has degree <= d-1, so nu is 0 and
+        # the table's own polynomial is the one minimizer, although the d^d
+        # candidates pass NU_GUARD
+        rng = random.Random(d)
+        table = {(x,): rng.randrange(d) for x in range(d)}
+        assert nu_distance(table, d, 1) == (0, interpolate(make_field(d), table))
+
+    def test_low_degree_table_past_the_guard_reads_zero(self):
+        table = {(x, y): (x**4 + 2 * x * y**3 + 3 * y + 1) % 5
+                 for x in range(5) for y in range(5)}
+        nu, poly = nu_distance(table, 5, 2)
+        assert nu == 0 and poly == interpolate(make_field(5), table)
+        assert combined_degree(poly) == 4
 
     def test_qubit_nu_is_the_hamming_distance_to_the_affine_functions(self):
         # at d = 2 the degree-1 class is the 8 affine functions a + b*x1 + c*x2
@@ -540,6 +557,13 @@ class TestThreshold:
     def test_probability_range(self):
         with pytest.raises(ValueError):
             threshold_check(2, 1, 1, 2, 1)
+
+    @pytest.mark.parametrize("p", [0.7500000000000001, 0.75, 1.0, "3/4", True, False])
+    def test_inexact_probability_refused(self, p):
+        # 0.7500000000000001 would exceed the threshold 3/4 by rounding alone
+        for args in ((p, Fraction(3, 4)), (Fraction(3, 4), p)):
+            with pytest.raises(ValueError, match=re.escape(repr(p))):
+                threshold_check(*args, 1, 2, 2)
 
     def test_qubit_mixture_of_affine_functions_not_exceeded(self):
         # the four affine functions at Hamming distance 1 from NAND each err
