@@ -24,7 +24,9 @@ PRIME_FIELD = "prime-field"
 PRIME_POWER_FIELD = "prime-power-field"
 COMPOSITE_RING = "composite-ring"
 
-SPAN_GUARD = 3**9  # most polynomials a MonomialSpan will list
+# most polynomials a MonomialSpan will list: a bound on listing time (d^k
+# members), not memory, since a listing holds d^ceil(k/2) + 1 dicts at once
+SPAN_GUARD = 3**9
 
 
 def is_prime(n: int) -> bool:
@@ -450,15 +452,21 @@ def enumerate_subspace(modulus: Modulus, n: int, delta: int) -> MonomialSpan:
 class MonomialSpan(Set):
     """The read-only set of every polynomial whose terms lie on k distinct,
     reduced exponent tuples: d^k members, which its length and membership
-    read off the tuples alone.
+    read off the tuples alone.  A repeated tuple, or one that is not n
+    ints in 0..d-1, is refused with ValueError.
 
     Distinct coefficient vectors on distinct monomials are distinct
     polynomials, so iteration lists each member once, without hashing it,
     as a fresh polynomial with its own coeffs dict; the order is that of
     itertools.product over the coefficient vectors, the last monomial's
-    fastest.  Listing more than SPAN_GUARD members is refused.  Two spans
-    are equal when their modulus, n and monomial sets are; against any
-    other set, equality is Set's member comparison.
+    fastest.  The listing meets in the middle: it builds the d^ceil(k/2)
+    coefficient dicts of the last ceil(k/2) monomials once, then walks the
+    first floor(k/2) monomials' vectors one head dict at a time, and each
+    member's coeffs is the new dict head | low; so d^ceil(k/2) + 1 dicts
+    are held at once, and SPAN_GUARD bounds the listing's time (d^k
+    members), not its memory.  Listing more than SPAN_GUARD members is
+    refused.  Two spans are equal when their modulus, n and monomial sets
+    are; against any other set, equality is Set's member comparison.
     """
 
     __slots__ = ("modulus", "n", "monomials", "_support")
@@ -467,7 +475,15 @@ class MonomialSpan(Set):
         self.modulus = modulus
         self.n = n
         self.monomials = tuple(monomials)
-        self._support = frozenset(self.monomials)
+        d, seen = modulus.d, set()
+        for e in self.monomials:
+            if (not isinstance(e, tuple) or len(e) != n
+                    or any(type(a) is not int or not 0 <= a < d for a in e)):
+                raise ValueError(f"exponent tuple {e!r} not reduced for d={d}, n={n}")
+            if e in seen:
+                raise ValueError(f"exponent tuple {e!r} repeated")
+            seen.add(e)
+        self._support = frozenset(seen)
 
     def __len__(self):
         return self.modulus.d ** len(self.monomials)
@@ -485,18 +501,19 @@ class MonomialSpan(Set):
         return self._members()
 
     def _members(self):
-        m, n, elems = self.modulus, self.n, self.modulus.elements()
-        # the coefficient choices on every monomial but the last; each dict
-        # sits in one place of heads, so a zero coefficient keeps it as it is
-        heads = [{}]
-        for e in self.monomials[:-1]:
-            heads = [{**h, e: c} if c else h for h in heads for c in elems]
-        last = self.monomials[-1:]
+        m, n, elems, half = self.modulus, self.n, self.modulus.elements(), len(self.monomials) // 2
+        # the coefficient choices on the last k - half monomials, built once
+        # and only read; a zero coefficient keeps its dict as it is
+        lows = [{}]
+        for e in self.monomials[half:]:
+            lows = [{**low, e: c} if c else low for low in lows for c in elems]
         new = object.__new__
-        for h in heads:
-            for c in elems if last else (0,):
+        for coeffs in itertools.product(elems, repeat=half):
+            # coeffs has half entries, so zip pairs them with the first half
+            head = {e: c for e, c in zip(self.monomials, coeffs) if c}
+            for member in map(head.__or__, lows):
                 poly = new(MultiPoly)
-                poly.modulus, poly.n, poly.coeffs = m, n, {**h, last[0]: c} if c else h
+                poly.modulus, poly.n, poly.coeffs = m, n, member
                 yield poly
 
     def __eq__(self, other):

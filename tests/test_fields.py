@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -488,6 +489,30 @@ class TestMonomialSpan:
         return [MultiPoly._trusted(f, n, zip(mons, coeffs))
                 for coeffs in itertools.product(f.elements(), repeat=len(mons))]
 
+    def _check_span(self, f, n, chosen, rng):
+        d, mons = f.d, list(itertools.product(range(f.d), repeat=n))
+        span = MonomialSpan(f, n, chosen)
+        members, want = list(span), self._listing(f, n, chosen)
+        assert members == want
+        assert len(members) == len(span) == len(set(span)) == d**len(chosen)
+        again = list(span)
+        assert again == members
+        assert len({id(p.coeffs) for p in members + again}) == 2 * len(members)
+        plain = set(want)
+        assert span == plain and plain == span
+        if plain:
+            fewer = plain - {want[-1]}
+            assert span != fewer and fewer != span and span - {want[-1]} == fewer
+        for _ in range(20):
+            support = rng.sample(mons, rng.randint(0, min(3, len(mons))))
+            p = MultiPoly(f, n, {e: rng.randrange(d) for e in support})
+            assert (p in span) == (p in plain)
+            other = MultiPoly(make_field(11), n, p.coeffs)
+            assert other not in span
+            wider = MultiPoly(f, n + 1, {e + (0,): c for e, c in p.coeffs.items()})
+            assert wider not in span
+        assert "x" not in span
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
     def test_span_matches_the_listing(self, d):
         f = make_field(d)
@@ -496,28 +521,39 @@ class TestMonomialSpan:
             mons = list(itertools.product(range(d), repeat=n))
             for _ in range(4):
                 k = rng.randint(0, min(len(mons), int(math.log(SPAN_GUARD, d))))
-                chosen = rng.sample(mons, k)
-                span = MonomialSpan(f, n, chosen)
-                members, want = list(span), self._listing(f, n, chosen)
-                assert members == want
-                assert len(members) == len(span) == len(set(span)) == d**k
-                again = list(span)
-                assert again == members
-                assert len({id(p.coeffs) for p in members + again}) == 2 * len(members)
-                plain = set(want)
-                assert span == plain and plain == span
-                if plain:
-                    fewer = plain - {want[-1]}
-                    assert span != fewer and fewer != span and span - {want[-1]} == fewer
-                for _ in range(20):
-                    support = rng.sample(mons, rng.randint(0, min(3, len(mons))))
-                    p = MultiPoly(f, n, {e: rng.randrange(d) for e in support})
-                    assert (p in span) == (p in plain)
-                    other = MultiPoly(make_field(11), n, p.coeffs)
-                    assert other not in span
-                    wider = MultiPoly(f, n + 1, {e + (0,): c for e, c in p.coeffs.items()})
-                    assert wider not in span
-                assert "x" not in span
+                self._check_span(f, n, rng.sample(mons, k), rng)
+        # fixed sizes on every run: an empty first part (k <= 1), both
+        # parities of the split and, at d = 3, the guard edge 3^9
+        for k in {2: (0, 1, 2, 3), 3: (0, 1, 2, 3, 9)}.get(d, ()):
+            self._check_span(f, 2, rng.sample(list(itertools.product(range(d), repeat=2)), k), rng)
+
+    def test_a_guard_edge_listing_holds_few_dicts(self):
+        # 3^9 members, listed while holding the 3^5 dicts of the last five
+        # monomials and one head dict, not a dict per member of the first 8
+        span = closure_generate(MultiPoly(make_field(3), 2, {(2, 2): 1}))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in span)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(span) == 3**9
+        assert peak < 256 * 2**10, peak
+
+    @pytest.mark.parametrize("n, monomials, refused", [
+        (1, [(1,), (0,), (1,)], "(1,) repeated"),
+        (2, [(0, 0), (1,)], "(1,) not reduced"),
+        (1, [(0, 0)], "(0, 0) not reduced"),
+        (1, [(5,)], "(5,) not reduced"),
+        (1, [(-1,)], "(-1,) not reduced"),
+        (1, [(1.0,)], "(1.0,) not reduced"),
+        (1, [(True,)], "(True,) not reduced"),
+        (1, [[1]], "[1] not reduced"),
+    ], ids=["repeated", "too_short", "too_long", "exponent_d_or_more", "negative_exponent",
+            "float_exponent", "bool_exponent", "not_a_tuple"])
+    def test_invalid_monomials_refused(self, n, monomials, refused):
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            MonomialSpan(make_field(3), n, monomials)
 
     def test_spans_compare_by_their_monomials(self):
         f = make_field(5)
