@@ -181,8 +181,9 @@ def _delta_sum(target: dict, d: int, gadget, s0: int, construction: str) -> Comp
     setting k(x-j), weight m(j)/2.  The gadget's outcomes must sum to 2 + c
     at x = j and to c elsewhere; s0 = -c * sum_j m(j)/2 cancels c."""
     inv2 = pow(2, -1, d)
-    rows = [(control, (k,), -k * j, target[(j,)] * inv2)
-            for j in range(d) for k, control in gadget]
+    directions = [(control, (k,), k) for k, control in gadget]  # one Q row per gadget pair
+    rows = [(control, row, -k * j, target[(j,)] * inv2)
+            for j in range(d) for control, row, k in directions]
     plan = _layout(d, 1, basis_state(d, (1,) * len(rows)), (1, 0), rows, s0)
     return _verified(plan, construction, target)
 

@@ -73,6 +73,8 @@ EXACT_BRANCH_BUDGET = 20000  # branches one layer of an exact walk may hold
 # freeing a larger one raises its mmap threshold for the rest of the
 # process (an analyze_plan at p = 37 then peaked 20 % higher)
 _FLAT_CHUNK = 2**12
+# the plan-file encoder; MbqcPlan.dumps encodes one field per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class TableResource:
@@ -363,25 +365,27 @@ class MbqcPlan:
         return (sum(map(operator.mul, self.z, outcomes)) + self.s0) % self.d
 
     # -- serialization ------------------------------------------------------
-    def to_json(self) -> dict:
-        obj = {
-            "d": self.d,
-            "n": self.n,
-            "N": self.N,
-            "resource": self.resource.to_json(),
-            "parties": [  # a repeated party is the index of its first occurrence
-                self._first[kind] if self._first[kind] < k
-                else {"fiducial": fid.to_json(), "control": ctrl.to_json()}
-                for k, (kind, (fid, ctrl)) in enumerate(zip(self._kind, self.parties))
-            ],
-            "Q": [list(r) for r in self.Q],
-            "T": [{str(j): v for j, v in row} for row in self._t_nonzero],
-            "z": list(self.z),
-            "s0": self.s0,
-        }
+    def _json_fields(self):
+        """The plan-file fields as (key, value) pairs, in file order, each
+        value built only when its pair is reached."""
+        yield "d", self.d
+        yield "n", self.n
+        yield "N", self.N
+        yield "resource", self.resource.to_json()
+        yield "parties", [  # a repeated party is the index of its first occurrence
+            self._first[kind] if self._first[kind] < k
+            else {"fiducial": fid.to_json(), "control": ctrl.to_json()}
+            for k, (kind, (fid, ctrl)) in enumerate(zip(self._kind, self.parties))
+        ]
+        yield "Q", [list(r) for r in self.Q]
+        yield "T", [{str(j): v for j, v in row} if row else {} for row in self._t_nonzero]
+        yield "z", list(self.z)
+        yield "s0", self.s0
         if any(self.q0):
-            obj["q0"] = list(self.q0)
-        return obj
+            yield "q0", list(self.q0)
+
+    def to_json(self) -> dict:
+        return dict(self._json_fields())
 
     @classmethod
     def from_json(cls, obj: dict) -> "MbqcPlan":
@@ -415,7 +419,11 @@ class MbqcPlan:
             raise PlanFormatError(f"malformed plan: {exc}") from exc
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":")) + "\n"
+        """The plan file: the bytes of json.dumps(self.to_json(), separators=
+        (",", ":")) and a newline, encoded one field at a time, so that only
+        one field's objects and tokens are alive at once."""
+        encode = _ENCODER.encode
+        return "{%s}\n" % ",".join([f'"{key}":{encode(value)}' for key, value in self._json_fields()])
 
     @classmethod
     def loads(cls, text: str) -> "MbqcPlan":
@@ -423,6 +431,10 @@ class MbqcPlan:
             obj = json.loads(text, parse_float=_reject_number, parse_constant=_reject_number)
         except json.JSONDecodeError as exc:
             raise PlanFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        # nesting past the recursion limit, or an integer literal past the
+        # int-string digit limit
+        except (RecursionError, ValueError) as exc:
+            raise PlanFormatError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise PlanFormatError("plan file must contain a JSON object")
         return cls.from_json(obj)
@@ -442,16 +454,21 @@ class MbqcPlan:
 
 def _int_rows(rows, length: int, d: int, name, expected) -> tuple[tuple[int, ...], ...]:
     """rows, each a list or tuple of `length` integers, as tuples reduced
-    mod d.  The rows are checked in bulk; only a failed check looks for the
-    first bad row, to refuse it as name(k), its length against expected."""
+    mod d, equal rows one tuple object.  The rows are checked in bulk; only
+    a failed check looks for the first bad row, to refuse it as name(k),
+    its length against expected."""
     if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {length}
             and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
         for k, row in enumerate(rows):  # a list subclass passes here, not in bulk
             plain_ints(row, name(k))
             if len(row) != length:
                 raise QuditMbqcError(f"{name(k)} has {len(row)} entries, expected {expected}")
+    if not length:
+        return ((),) * len(rows)
     flat = [v % d for v in itertools.chain.from_iterable(rows)]
-    return tuple(zip(*[iter(flat)] * length)) if length else ((),) * len(rows)  # cut into rows
+    cut = list(zip(*[iter(flat)] * length))
+    one: dict = {}  # each distinct row -> its first tuple
+    return tuple(map(one.setdefault, cut, cut))
 
 
 def _sparse_rows(T, N: int, d: int) -> tuple:
@@ -468,6 +485,8 @@ def _sparse_rows(T, N: int, d: int) -> tuple:
         raise QuditMbqcError(f"T must be a list of {N} rows, got {type(T).__name__}")
     if len(T) != N:
         raise QuditMbqcError(f"T must have {N} rows, got {len(T)}")
+    if set(map(type, T)) <= {dict} and not any(T):  # a flat plan's file form, checked in bulk
+        return ((),) * N
     rows = []
     for k, row in enumerate(T):
         if isinstance(row, dict):

@@ -217,9 +217,11 @@ class SparseState:
             raise QuditMbqcError("a sparse state needs at least one term")
         if len(set(kets)) != len(kets):
             raise QuditMbqcError("sparse terms must have pairwise distinct kets")
-        for k in kets:
-            if len(k) != self.N or any(not 0 <= z < self.d for z in k):
-                raise QuditMbqcError(f"ket {k} out of range for d={self.d}, N={self.N}")
+        if set(map(len, kets)) != {self.N} or self.N and not (
+                0 <= min(map(min, kets)) and max(map(max, kets)) < self.d):
+            # checked in bulk; then the first offender
+            k = next(k for k in kets if len(k) != self.N or any(not 0 <= z < self.d for z in k))
+            raise QuditMbqcError(f"ket {k} out of range for d={self.d}, N={self.N}")
         object.__setattr__(self, "terms", tuple(seen))
 
     @classmethod

@@ -302,6 +302,17 @@ class TestAnalyze:
         assert main(["analyze", "--plan", str(bad)]) == 4
         assert capsys.readouterr().err == "error: plan file must contain a JSON object\n"
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000,  # nested past the recursion limit
+        '{"d":' + "7" * 5000 + "}",  # past the int-string digit limit, or a d without a plan
+    ], ids=["deep_nesting", "long_integer"])
+    def test_decoder_limit_exit_4(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["analyze", "--plan", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_field_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "bad2.json"
         bad.write_text('{"d": 2, "n": 1}')

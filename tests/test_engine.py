@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -1048,6 +1049,65 @@ class TestPlanSerialization:
         assert again == plan and again.q0 == plan.q0
         assert '"q0"' in plan.dumps()
         assert '"q0"' not in nand_plan().dumps()  # omitted when all zero
+
+    @staticmethod
+    def _plans():
+        """Random flat and ordered GHZ plans, table-resource plans and
+        compiled plans, each with and without a q0."""
+        rng = random.Random(45)
+        plans = [random_ghz_plan(rng, d, N, n, ordered, tau_phased)
+                 for d, N, n in ((2, 3, 2), (3, 4, 1), (5, 3, 2), (4, 2, 0))
+                 for ordered in (False, True) for tau_phased in (False, True)]
+        res = TableResource(2, {q: [(q, Fraction(1, 3)), ((1, q[0]), Fraction(2, 3))]
+                                for q in itertools.product(range(2), repeat=2)})
+        plans += [MbqcPlan(d=2, n=1, N=2, resource=res,
+                           parties=[(WeylLabel(2, (1, 0)), named_clifford(2, "weyl-displacement",
+                                                                          x=(0, 0)))] * 2,
+                           Q=[[1], [0]], z=[1, 1], s0=1, q0=q0) for q0 in (None, [0, 1])]
+        plans += [compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan,
+                  compile_odd_ring([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9]).plan, nand_plan()]
+        for plan in plans[:]:  # the same plan with q0 dropped, or set where it was all zero
+            obj = plan.to_json()
+            obj["q0"] = None if any(plan.q0) else [1] * plan.N
+            plans.append(MbqcPlan.from_json(obj))
+        return plans
+
+    def test_dumps_is_one_json_dumps_of_to_json(self):
+        plans = self._plans()
+        assert {bool(any(plan.q0)) for plan in plans} == {False, True}
+        for plan in plans:
+            text = plan.dumps()
+            assert text == json.dumps(plan.to_json(), separators=(",", ":")) + "\n"
+            assert MbqcPlan.loads(text) == plan
+
+    def test_dumps_holds_one_field_at_a_time(self):
+        # the p = 13 file is about 30 KB; one json.dumps of the whole
+        # to_json() kept every token until its final join, a 1,059 KiB peak
+        plan = compile_general_prime([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9], 13).plan
+        plan.dumps()  # every cached property the encoding reads is built
+        tracemalloc.start()
+        try:
+            text = plan.dumps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == json.dumps(plan.to_json(), separators=(",", ":")) + "\n"
+        assert peak < 640 * 2**10, peak
+
+    def test_equal_rows_are_one_tuple(self):
+        plan = compile_general_prime([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9], 13).plan
+        for each in (plan, MbqcPlan.loads(plan.dumps())):
+            assert len({id(r) for r in each.Q}) == len(set(each.Q)) == 12
+        for plan in self._plans():
+            assert len({id(r) for r in plan.Q}) == len(set(plan.Q))
+        rng = random.Random(5)  # 40 rows of two symbols, unreduced, many of them equal
+        Q = [[rng.randrange(-3, 6) for _ in range(2)] for _ in range(40)]
+        plan = MbqcPlan(d=3, n=2, N=40, resource=basis_state(3, (0,) * 40),
+                        parties=[(WeylLabel(3, (1, 0)), named_clifford(3, "weyl-displacement",
+                                                                       x=(0, 0)))] * 40,
+                        Q=Q, z=[1] * 40, s0=0)
+        assert plan.Q == tuple(tuple(v % 3 for v in row) for row in Q)
+        assert len({id(r) for r in plan.Q}) == len(set(plan.Q))
 
     def test_golden_plan_file_byte_exact(self):
         import pathlib

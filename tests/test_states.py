@@ -62,6 +62,17 @@ class TestStates:
         with pytest.raises(QuditMbqcError):
             SparseState(2, 1, ((0, (0,)), (2, (0,))))
 
+    @pytest.mark.parametrize("terms, refused", [
+        # kets are checked in ket order: the first offender after sorting is named
+        (((0, (2, 5)), (0, (1, -1)), (0, (0, 1))), "ket (1, -1) out of range for d=3, N=2"),
+        (((0, (2, 3)), (0, (0, 1)), (0, (1, 1, 1))), "ket (1, 1, 1) out of range for d=3, N=2"),
+        (((0, (0,)), (0, (1, 1))), "ket (0,) out of range for d=3, N=2"),
+        (((0, (0, 1)), (0, (1, 1.0)), (0, (True, 2))), "term 1 ket has 1.0, expected an integer"),
+    ])
+    def test_first_bad_ket_named(self, terms, refused):
+        with pytest.raises(QuditMbqcError, match=re.escape(refused) + "$"):
+            SparseState(3, 2, terms)
+
     def test_json_round_trip(self):
         psi = make_example2_state(3)
         assert SparseState.from_json(psi.to_json()) == psi
