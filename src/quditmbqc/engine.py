@@ -21,7 +21,10 @@ M_k(q_k(i))**z_k is one N-qudit Weyl operator whose label _flat_labels
 gathers from that table, for many inputs per call in a point table.  Runs,
 the ordered walk, site_observable and weighted_observable share one
 MonomialOp per distinct label (MbqcPlan._ops), whatever party, setting or
-power it comes from.  Runs and the ordered walk measure party k with
+power it comes from.  Runs, the ordered walk and site_observable read
+M_k(q) by column, at entry c*d + q of one table (MbqcPlan._site_ops, c the
+kind of party k), built from _ops at the first of them, so columns with
+one label hold one operator.  Runs and the ordered walk measure party k with
 states._measurement_branches on level k of the resource's suffix trie
 (MbqcPlan._trie, built at the first use), passed as it is: a rest is (tau
 exponent, suffix class) terms, so a step costs O(K) for its K <= the
@@ -32,8 +35,9 @@ and a run step draws over the weights and builds the one rest it keeps,
 so it costs O(K) however many outcomes the step has.  A run step on one
 ket skips the kernel and draws straight off the cycle of the site
 operator that holds the ket's digit, read from that operator's row of
-(cycle length, outcomes) per digit (MonomialOp._digit_cycles), kept in
-one list slot per column of _sites (MbqcPlan._digit_rows).
+(cycle length, outcomes) per digit (MonomialOp._digit_cycles): one row per
+entry of _site_ops (MbqcPlan._digit_rows, built once from that table), so
+columns with one operator share one row.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 from .errors import (PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_index, plain_int, plain_ints)
 from .fields import MultiPoly, _table_values, is_polynomial_over_ring
-from .phases import _reduce, omega_exponent, tau_exponent_of_omega, tau_period
+from .phases import _as_integer, _reduce, omega_exponent, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
     MonomialOp,
@@ -304,11 +308,8 @@ class MbqcPlan:
         """M_k(q_k) = U_k^{q_k} M_k(0) U_k^{-q_k}, exact monomial form, for a
         party k in 0..N-1 and a setting q_k in 0..d-1 (a control's d-th power
         need not act as the identity, so q_k is not read mod d)."""
-        return self._site_op(plain_index(k, "party", self.N), plain_index(q_k, "setting", self.d))
-
-    def _site_op(self, k: int, q_k: int) -> MonomialOp:
-        """M_k(q_k), looked up by its label in _sites."""
-        return self._ops[self._sites[self._site_columns[k] + q_k]]
+        k, q_k = plain_index(k, "party", self.N), plain_index(q_k, "setting", self.d)
+        return self._site_ops[self._site_columns[k] + q_k]
 
     @functools.cached_property
     def _sites(self) -> tuple[tuple[int, int, int], ...]:
@@ -329,16 +330,17 @@ class MbqcPlan:
         return tuple([c * d for c in self._kind])
 
     @functools.cached_property
-    def _digit_rows(self) -> list:
-        """One slot per column of _sites for one-ket run steps: None until
-        _digit_row fills it."""
-        return [None] * len(self._sites)
+    def _site_ops(self) -> tuple[MonomialOp, ...]:
+        """M_k(q) as a MonomialOp at entry c*d + q of _sites, c the kind of
+        party k, read from _ops, so columns with one label hold one object;
+        built at the first run, ordered walk or site_observable."""
+        return tuple(map(self._ops.__getitem__, self._sites))
 
-    def _digit_row(self, column: int) -> tuple:
-        """Fill column's slot with its site operator's _digit_cycles, which
-        columns with one label share, as they share the operator."""
-        row = self._digit_rows[column] = self._ops[self._sites[column]]._digit_cycles
-        return row
+    @functools.cached_property
+    def _digit_rows(self) -> tuple:
+        """The _digit_cycles of each entry of _site_ops, for one-ket run
+        steps; columns with one operator share its row."""
+        return tuple([op._digit_cycles for op in self._site_ops])
 
     @functools.cached_property
     def _flat(self) -> SimpleNamespace:
@@ -560,14 +562,13 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     alone, in the kernel's order, and only then is the drawn branch's rest
     built: one rest per step, not one per branch, for the same bits and
     the same rest as a draw over fully built branches.  The site operator
-    is read straight from the plan's tables, _ops[_sites[column + q]].
+    is read straight from the plan's per-column table, _site_ops[column + q].
     Once one ket is left (from the start,
     on a product resource), a step draws the outcome straight off the
-    cycle of the site operator that holds the ket's digit: slot c*d + q of
+    cycle of the site operator that holds the ket's digit: entry c*d + q of
     MbqcPlan._digit_rows holds each digit's (cycle length, outcomes) under
-    M_k(q) for the parties k of kind c, the operator's _digit_cycles, put
-    there by MbqcPlan._digit_row at the column's first use, so columns with
-    one label share one row.
+    M_k(q) for the parties k of kind c, the _digit_cycles of entry c*d + q
+    of _site_ops, so columns with one label share one row.
     Every draw, in the head and the tail, reads the Random's getrandbits
     by states._below, which takes the bits and gives the value that
     rng.randrange would.  The tail's draws at L = 1 choose nothing but
@@ -593,14 +594,14 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     outcomes: list[int] = []
     terms, levels = plan._trie
     d, t_rows = plan.d, plan._t_nonzero
-    columns, sites, ops = plan._site_columns, plan._sites, plan._ops
+    columns, ops = plan._site_columns, plan._site_ops
     bits = _read_seed(seed).getrandbits if caller or len(terms) > 1 else None
     k = 0
     while len(terms) > 1:  # the head: two or more kets, through the kernel
         if t_rows[k]:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in t_rows[k])) % d
         m_k, _, _, rest = _draw_branch(
-            _measurement_branches(d, ops[sites[columns[k] + settings[k]]], terms, levels[k]), bits)
+            _measurement_branches(d, ops[columns[k] + settings[k]], terms, levels[k]), bits)
         terms = rest()
         outcomes.append(m_k)
         k += 1
@@ -612,11 +613,11 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     ((_, c),) = terms
     rows, owed = plan._digit_rows, 0
     for k, level, reads, column, q in zip(range(k, plan.N), levels[k:], t_rows[k:],
-                                          plan._site_columns[k:], settings[k:]):
+                                          columns[k:], settings[k:]):
         if reads:
             q = settings[k] = (q + sum(v * outcomes[j] for j, v in reads)) % d
         digit, c = level[c]
-        L, on_cycle = (rows[column + q] or plan._digit_row(column + q))[digit]
+        L, on_cycle = rows[column + q][digit]
         if L == 1:
             owed += 1
             outcomes.append(on_cycle[0])
@@ -632,7 +633,11 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
-    """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d)."""
+    """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d).
+    Only a temporally flat plan has one such W(i): an ordered plan's
+    settings read the outcomes, so it is refused."""
+    if not plan.temporally_flat:
+        raise QuditMbqcError("weighted_observable applies to temporally flat plans")
     d, sites = plan.d, plan._sites
     power = {}  # (site label, z_k) -> the operator of its power, once per call
     ops = []
@@ -756,7 +761,7 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     if plan.temporally_flat:
         return _spectral_law(plan, i)
     d, z, reads = plan.d, plan.z, plan._reads
-    settings = plan._settings(i)
+    settings, columns, ops = plan._settings(i), plan._site_columns, plan._site_ops
     start, levels = plan._trie
     # (rest terms, the nonzero outcome corrections to later settings as
     # sorted (party, delta) pairs, partial output) -> probability times den
@@ -768,7 +773,7 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
             q = settings[k]
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
-            for m_k, weight, b_den, rest in _measurement_branches(d, plan._site_op(k, q), terms, level):
+            for m_k, weight, b_den, rest in _measurement_branches(d, ops[columns[k] + q], terms, level):
                 corrections = later
                 if m_k and reads[k]:
                     delta = dict(later)
@@ -795,7 +800,7 @@ def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with
     psi, read off the labels of W (_flat_labels): one integer coefficient
     list per outcome o, reduced by phases._reduce, rational exactly when
-    only its tau^0 coefficient survives."""
+    only its tau^0 coefficient survives (phases._as_integer)."""
     labels = _flat_labels(plan, [i])
     (o,) = _eigenphases(plan, *labels)  # the j = 1 moment decides a point mass
     if o is not None:
@@ -810,12 +815,9 @@ def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
                 for law in laws:  # outcome o adds tau^(e - 2*j*o)
                     law[e % P] += 1
                     e -= 2 * j
-    weights = []
-    for law in laws:
-        w, *rest = _reduce(law, P)
-        if any(rest):
-            raise SparseFormError(f"output law at input {i} has an irrational probability")
-        weights.append(w)
+    weights = [_as_integer(_reduce(law, P)) for law in laws]
+    if None in weights:
+        raise SparseFormError(f"output law at input {i} has an irrational probability")
     return {o: Fraction(w, d * len(f.taus)) for o, w in enumerate(weights) if w}
 
 

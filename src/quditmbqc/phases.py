@@ -118,10 +118,7 @@ class PhaseSum:
 
     def as_rational_integer(self) -> int | None:
         """The value as a plain integer, or None if it is not one."""
-        rem = self._reduced()
-        if any(rem[1:]):
-            return None
-        return rem[0]
+        return _as_integer(self._reduced())
 
 
 def _reduce(coeffs: list[int], period: int) -> list[int]:
@@ -136,6 +133,12 @@ def _reduce(coeffs: list[int], period: int) -> list[int]:
             for j in range(deg + 1):
                 rem[i - deg + j] -= c * phi[j]
     return rem[:deg]
+
+
+def _as_integer(reduced: list[int]) -> int | None:
+    """A tau sum reduced by _reduce as a plain integer, which it is exactly
+    when only its tau^0 coefficient survives; None otherwise."""
+    return None if any(reduced[1:]) else reduced[0]
 
 
 def _correlation(a: list[int], b: list[int], period: int) -> list[int]:

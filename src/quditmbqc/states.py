@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_int, plain_ints)
-from .phases import _correlation, _reduce, omega_exponent, tau_period, tau_power_keys, tau_value
+from .phases import _as_integer, _correlation, _reduce, omega_exponent, tau_period, tau_power_keys, tau_value
 from .weyl import CliffordSpec
 
 DENSE_GUARD = 10**6  # maximum d**N amplitudes for the dense backend
@@ -493,8 +493,8 @@ def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
     if not survivors:
         return (), 0
     b = survivors[0][1]
-    norm_sq, *rest_of_norm = _correlation(b, b, period)
-    if any(rest_of_norm) or norm_sq <= 0:
+    norm_sq = _as_integer(_correlation(b, b, period))
+    if norm_sq is None or norm_sq <= 0:
         raise SparseFormError(
             "projection produced an amplitude with non-integral norm; "
             "state left the sparse form"

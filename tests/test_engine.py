@@ -81,6 +81,18 @@ class TestRun:
             with pytest.raises(QuditMbqcError, match=r"^input has .*, expected an integer$"):
                 call(plan, i)
 
+    def test_weighted_observable_refuses_an_ordered_plan(self):
+        # party 1 reads m_0, so no single W(i) holds the output: the one of
+        # the zero-outcome settings q0 + Q*i has no eigenphase on the GHZ
+        # state, while the exact law is spread
+        party = (WeylLabel(3, (0, 1)), named_clifford(3, "S"))
+        plan = MbqcPlan(3, 1, 2, make_ghz(3, 2), [party] * 2, [[1], [0]], [[0, 0], [1, 0]],
+                        z=[1, 1], s0=0)
+        assert output_distribution(plan, (1,)) == {0: Fraction(5, 9), 1: Fraction(2, 9),
+                                                   2: Fraction(2, 9)}
+        with pytest.raises(QuditMbqcError, match="^weighted_observable applies to temporally flat plans$"):
+            weighted_observable(plan, (1,))
+
     def test_big_and_negative_input_symbols_reduce_mod_d(self):
         plan = compile_general_prime([2, 0, 1], 3).plan
         assert run(plan, (-1,), 0).input == (2,)
@@ -130,38 +142,34 @@ class TestRun:
         assert sorted(built) == [0, 1, 2, 3, 4]
 
     def test_runs_decompose_each_site_operator_once(self, monkeypatch):
-        # a one-ket run reads one digit row per party, put in a column's
-        # slot at its first use from the site operator's _digit_cycles,
-        # read from MonomialOp.spectrum, cached on each operator object:
-        # seven runs of a compiled p=7 plan (252 parties, 6 party kinds x 7
-        # settings) fill at most 42 columns, each once, and decompose at
-        # most 6 operators, each once, where a per-call decomposition made
-        # 7 x 252; columns with one label share a row
+        # a one-ket run reads one digit row per party from the plan's
+        # per-column table _digit_rows, entry c the _digit_cycles of entry c
+        # of _site_ops, read from MonomialOp.spectrum, cached on each
+        # operator object: seven runs of a compiled p=7 plan (252 parties, 6
+        # party kinds x 7 settings) decompose at most 6 operators, each
+        # once, where a per-call decomposition made 7 x 252; columns with
+        # one label share one operator and one row
         plan = MbqcPlan.loads(compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan.dumps())
-        made, filled = [], []
+        made = []
         cached = MonomialOp.__dict__["spectrum"]
-        fill = MbqcPlan._digit_row
 
         def counting(op):
             made.append(op)
             return cached.func(op)
 
-        def filling(plan, column):
-            filled.append(column)
-            return fill(plan, column)
-
         spy = functools.cached_property(counting)
         spy.__set_name__(MonomialOp, "spectrum")
         monkeypatch.setattr(MonomialOp, "spectrum", spy)
-        monkeypatch.setattr(MbqcPlan, "_digit_row", filling)
         for x in range(7):
             run(plan, (x,), x)
-        assert plan.N == 252 and isinstance(plan._digit_rows, list)
-        assert 0 < len(filled) == len(set(filled)) <= 6 * 7
+        assert plan.N == 252 and isinstance(plan._digit_rows, tuple)
+        assert len(plan._digit_rows) == len(plan._site_ops) == len(plan._sites) == 6 * 7
         assert 0 < len(made) == len({id(op) for op in made}) <= 6
-        rows = [row for row in plan._digit_rows if row is not None]
-        assert len(rows) == len(filled)
-        assert len({id(row) for row in rows}) == len({plan._sites[c] for c in filled})
+        first = {}
+        for label, op, row in zip(plan._sites, plan._site_ops, plan._digit_rows):
+            op0, row0 = first.setdefault(label, (op, row))
+            assert op is op0 and row is row0 and row == op._digit_cycles
+        assert len({id(row) for row in plan._digit_rows}) == len(first) <= 6
 
     def test_one_ket_steps_bypass_the_kernel(self, monkeypatch):
         # a compiled plan sits on one ket, so its runs never call the
@@ -965,7 +973,8 @@ def _frozen_ordered_walk(plan: MbqcPlan, i) -> dict[int, Fraction]:
             q = settings[k]
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
-            branches = states._measurement_branches(d, plan._site_op(k, q), terms, level)
+            op = plan._site_ops[plan._site_columns[k] + q]
+            branches = states._measurement_branches(d, op, terms, level)
             for m_k, weight, den, rest in branches:
                 corrections = later
                 if m_k and reads[k]:

@@ -281,13 +281,12 @@ def test_point_table_in_chunks(monkeypatch):
 
 def test_flat_law_builds_no_operator(monkeypatch):
     # the flat law reads labels: no MonomialOp is built, no observable
-    # applied and no site operator looked up; the first point table walks
-    # the orbit of each distinct (fiducial, control) pair once, and a second
-    # point table and the laws after it walk none
+    # applied and no per-column operator table built; the first point table
+    # walks the orbit of each distinct (fiducial, control) pair once, and a
+    # second point table and the laws after it walk none
     built, walked = [], []
     monkeypatch.setattr(MonomialOp, "__post_init__", lambda op: built.append(op))
     monkeypatch.setattr(states, "apply_observable", lambda *args: built.append(args))
-    monkeypatch.setattr(MbqcPlan, "_site_op", lambda *args: built.append(args))
     real = engine._orbit
     monkeypatch.setattr(engine, "_orbit", lambda *args: walked.append(args) or real(*args))
     for name, plan in PLANS:
@@ -305,6 +304,7 @@ def test_flat_law_builds_no_operator(monkeypatch):
             except SparseFormError:
                 pass
         assert walked == [], name
+        assert "_site_ops" not in vars(plan) and "_digit_rows" not in vars(plan), name
     assert built == []
 
 
@@ -341,7 +341,7 @@ def test_weighted_observable_reuses_one_power_per_kind_setting_and_weight(name, 
     for i in plan.inputs():
         settings = plan._settings(i)
         sites = weighted_observable(plan, i).sites
-        assert sites == tuple(plan._site_op(k, q).power(e)
+        assert sites == tuple(plan._site_ops[plan._site_columns[k] + q].power(e)
                               for k, (q, e) in enumerate(zip(settings, plan.z)))
         shared = {}
         for k, (op, q, e) in enumerate(zip(sites, settings, plan.z)):

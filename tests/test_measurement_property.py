@@ -336,8 +336,10 @@ def test_one_ket_steps_draw_what_the_kernel_draws(case):
         psi = SparseState(d, 2, ((t, (z, z2)),))
         plan = MbqcPlan(d=d, n=1, N=2, resource=psi, parties=parties,
                         Q=[[0], [0]], z=[1, 1], s0=0)
+        site_ops = list(plan._site_ops)
         for k, op in enumerate(ops):  # party k's site operator at setting 0
-            plan._ops[plan._sites[plan._kind[k] * d]] = op
+            site_ops[plan._site_columns[k]] = op
+        plan._site_ops = tuple(site_ops)  # before the first run reads its digit rows
         terms, levels = _suffix_trie(psi)
         rng, outcomes = random.Random(seed), []
         for k, op in enumerate(ops):

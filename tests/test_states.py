@@ -9,7 +9,7 @@ import pytest
 
 from quditmbqc import states
 from quditmbqc.compiler import compile_nand
-from quditmbqc.errors import QuditMbqcError, SizeGuardError, SparseFormError
+from quditmbqc.errors import InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.phases import tau_period
 from quditmbqc.states import (
     GlobalObservable,
@@ -215,6 +215,24 @@ class TestDenseOracle:
                         sites.append(MonomialOp.from_weyl(d, v, t))
                     M = GlobalObservable(d, sites)
                     assert eigenphase_of(M, psi) == dense_oracle(M, psi)
+
+    def test_ambiguous_residual_raises(self, monkeypatch):
+        # |0> is a Z eigenvector; a dense vector 1e-8 off it leaves a
+        # residual near 1.7e-8, between the eigenstate and non-eigenstate
+        # cuts, which raises rather than round
+        real = SparseState.to_dense
+        monkeypatch.setattr(SparseState, "to_dense", lambda psi: real(psi) + np.array([0, 1e-8, 0]))
+        with pytest.raises(InconsistencyError, match=r"^ambiguous eigenstate residual 1\.7\d*e-08$"):
+            dense_oracle(GlobalObservable(3, [Z(3)]), basis_state(3, (0,)))
+
+    def test_eigenvalue_off_the_roots_of_unity_raises(self, monkeypatch):
+        # a global phase exp(i*pi/3) on the dense Z keeps |0> an eigenvector
+        # but puts its eigenvalue halfway between two cube roots of unity,
+        # which raises rather than snap to either
+        real = MonomialOp.to_dense
+        monkeypatch.setattr(MonomialOp, "to_dense", lambda op: real(op) * np.exp(1j * np.pi / 3))
+        with pytest.raises(InconsistencyError, match=r" is 1\.000e\+00 from any d-th root of unity$"):
+            dense_oracle(GlobalObservable(3, [Z(3)]), basis_state(3, (0,)))
 
     def test_guard(self):
         psi = make_ghz(2, 3)
