@@ -56,7 +56,7 @@ import numpy as np
 from .errors import (PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_index, plain_int, plain_ints)
 from .fields import MultiPoly, _table_values, is_polynomial_over_ring
-from .phases import _as_integer, _reduce, omega_exponent, tau_exponent_of_omega, tau_period
+from .phases import _as_integer, _reduce, _tau_sum, omega_exponent, tau_exponent_of_omega, tau_period
 from .states import (
     GlobalObservable,
     MonomialOp,
@@ -798,24 +798,22 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
 
 def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with
-    psi, read off the labels of W (_flat_labels): one integer coefficient
-    list per outcome o, reduced by phases._reduce, rational exactly when
-    only its tau^0 coefficient survives (phases._as_integer)."""
+    psi, read off the labels of W (_flat_labels): the moment terms are
+    collected once, and each outcome o's sum is one integer coefficient
+    list built by phases._tau_sum, reduced by phases._reduce, rational
+    exactly when only its tau^0 coefficient survives (phases._as_integer)."""
     labels = _flat_labels(plan, [i])
     (o,) = _eigenphases(plan, *labels)  # the j = 1 moment decides a point mass
     if o is not None:
         return {o: Fraction(1)}
     d, P, s0, f = plan.d, tau_period(plan.d), plan.s0, plan._flat
     A1, A2, AX, beta = int(labels[0][0]), int(labels[1][0]), labels[2][0].tolist(), labels[3][0]
-    laws = [[0] * P for _ in range(d)]  # coefficients of tau^0 .. tau^(P-1)
-    for j in range(d):
-        for r, ket in enumerate(map(tuple, ((f.kets + j * beta) % d).tolist())):  # W^j moves x_r to ket
-            if ket in f.row_of:
-                e = f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * (AX[r] + s0)
-                for law in laws:  # outcome o adds tau^(e - 2*j*o)
-                    law[e % P] += 1
-                    e -= 2 * j
-    weights = [_as_integer(_reduce(law, P)) for law in laws]
+    # (j, tau exponent at o = 0) for each ket W^j keeps in psi's support; W^j moves x_r to ket
+    terms = [(j, f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * (AX[r] + s0))
+             for j in range(d) for r, ket in enumerate(map(tuple, ((f.kets + j * beta) % d).tolist()))
+             if ket in f.row_of]
+    # outcome o adds tau^(e - 2*j*o) for each term
+    weights = [_as_integer(_reduce(_tau_sum([e - 2 * j * o for j, e in terms], P), P)) for o in range(d)]
     if None in weights:
         raise SparseFormError(f"output law at input {i} has an irrational probability")
     return {o: Fraction(w, d * len(f.taus)) for o, w in enumerate(weights) if w}

@@ -232,7 +232,10 @@ def make_field(d: int) -> Modulus:
 def primitive_element(m: Modulus):
     """The first element, in elements() order, that generates the
     multiplicative group of the field: u^((d-1)/q) != 1 for every prime
-    q dividing d-1."""
+    q dividing d-1.  d-1 is that group's order only over a field, so a
+    ring modulus is refused."""
+    if not m.is_field:
+        raise UnsupportedModulusError("primitive element needs a field modulus")
     return next(a for a in m.elements()[1:]
                 if all(m.pow_(a, (m.d - 1) // q) != m.one for q in factorize(m.d - 1)))
 

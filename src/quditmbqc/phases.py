@@ -75,9 +75,11 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
 class PhaseSum:
     """An exact integer combination of tau-powers for dimension d.
 
-    Used to accumulate interference terms in measurement projections.
-    Reduction modulo the cyclotomic polynomial of the tau order makes the
-    zero test and the k*tau^t recognition exact.
+    No package code builds one: the package sums tau powers with _tau_sum
+    and reduces the lists with _reduce.  It is kept as the tests' frozen
+    referee arithmetic and as a benchmark tracer target.  Reduction modulo
+    the cyclotomic polynomial of the tau order makes the zero test and the
+    k*tau^t recognition exact.
     """
 
     __slots__ = ("d", "period", "coeffs")
@@ -135,6 +137,15 @@ def _reduce(coeffs: list[int], period: int) -> list[int]:
     return rem[:deg]
 
 
+def _tau_sum(exponents, period: int) -> list[int]:
+    """The sum of tau^e over the exponents e, as its unreduced coefficient
+    list over tau^0 .. tau^(period-1)."""
+    coeffs = [0] * period
+    for e in exponents:
+        coeffs[e % period] += 1
+    return coeffs
+
+
 def _as_integer(reduced: list[int]) -> int | None:
     """A tau sum reduced by _reduce as a plain integer, which it is exactly
     when only its tau^0 coefficient survives; None otherwise."""
@@ -156,5 +167,4 @@ def _correlation(a: list[int], b: list[int], period: int) -> list[int]:
 def tau_power_keys(d: int) -> tuple[tuple[int, ...], ...]:
     """PhaseSum.key of tau^r for r = 0 .. period-1."""
     period = tau_period(d)
-    return tuple(tuple(_reduce([int(j == r) for j in range(period)], period))
-                 for r in range(period))
+    return tuple(tuple(_reduce(_tau_sum([r], period), period)) for r in range(period))

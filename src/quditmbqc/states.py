@@ -13,6 +13,7 @@ parallelize across inputs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections.abc import Callable
@@ -24,7 +25,8 @@ import numpy as np
 
 from .errors import (InconsistencyError, QuditMbqcError, SizeGuardError, SparseFormError,
                      plain_dimension, plain_int, plain_ints)
-from .phases import _as_integer, _correlation, _reduce, omega_exponent, tau_period, tau_power_keys, tau_value
+from .phases import (_as_integer, _correlation, _reduce, _tau_sum, omega_exponent, tau_period, tau_power_keys,
+                     tau_value)
 from .weyl import CliffordSpec
 
 DENSE_GUARD = 10**6  # maximum d**N amplitudes for the dense backend
@@ -281,11 +283,8 @@ def make_example2_state(d: int) -> SparseState:
     """The 2d-qudit state sum_z |z>^2 |z+1>^2 ... |z+d-1>^2 / sqrt(d)."""
     if plain_dimension(d) < 3 or d % 2 == 0:
         raise QuditMbqcError("this resource state needs odd d >= 3")
-    terms = []
-    for z in range(d):
-        ket = tuple((z + t) % d for t in range(d) for _ in range(2))
-        terms.append((0, ket))
-    return SparseState(d, 2 * d, tuple(terms))
+    return SparseState(d, 2 * d, tuple((0, tuple((z + t) % d for t in range(d) for _ in range(2)))
+                                       for z in range(d)))
 
 
 def _check_shapes(M: GlobalObservable, psi: SparseState) -> None:
@@ -477,18 +476,17 @@ def _merged_rest(d: int, group, m: int) -> tuple[tuple, int]:
     which some rests are shared, and their common |amplitude|^2; no terms
     when every amplitude cancels.
 
-    Each rest's amplitude is an integer coefficient list over tau^0 ..
-    tau^(P-1), P the tau period, zero when its reduction (phases._reduce)
-    is.  With b the first survivor, a = tau^r*b exactly when a*conj(b) =
-    tau^r*|b|^2 (phases._correlation gives both), so each survivor's r is
-    looked up among the reduced tau powers (phases.tau_power_keys) scaled
-    by |b|^2.  A lone survivor needs no lookup."""
+    Each rest's amplitude is the sum of its entries' tau powers, an
+    unreduced integer coefficient list over tau^0 .. tau^(P-1) (P the tau
+    period) built by phases._tau_sum, zero when its reduction
+    (phases._reduce) is.  With b the first survivor, a = tau^r*b exactly
+    when a*conj(b) = tau^r*|b|^2 (phases._correlation gives both), so each
+    survivor's r is looked up among the reduced tau powers
+    (phases.tau_power_keys) scaled by |b|^2.  A lone survivor needs no
+    lookup."""
     period = tau_period(d)
-    amps: list[tuple] = []  # (rest, its amplitude's coefficients)
-    for rest, e, s in group:
-        if not amps or amps[-1][0] != rest:
-            amps.append((rest, [0] * period))
-        amps[-1][1][(e + 2 * m * s) % period] += 1
+    amps = [(rest, _tau_sum([e + 2 * m * s for _, e, s in terms], period))
+            for rest, terms in itertools.groupby(group, itemgetter(0))]
     survivors = [(rest, a) for rest, a in amps if any(_reduce(a, period))]
     if not survivors:
         return (), 0

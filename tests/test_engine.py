@@ -438,7 +438,7 @@ class TestDeterminism:
             Q=[[0]], T=[[0]], z=[1], s0=0,
         )
         assert not is_deterministic(plan)
-        with pytest.raises(SparseFormError):
+        with pytest.raises(SparseFormError, match=r"^output law at input \(0,\) has an irrational probability$"):
             output_distribution(plan, (0,))
         with pytest.raises(QuditMbqcError, match="empirical_success"):
             extract_output_function(plan)

@@ -188,6 +188,29 @@ class TestMakeField:
             if a != f.zero:
                 assert f.pow_(a, d - 1) == f.one
 
+    def test_primitive_element_generates_the_group(self):
+        values = {d: primitive_element(make_field(d)) for d in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)}
+        assert values == {2: 1, 3: 2, 4: 2, 5: 2, 7: 3, 8: 2, 9: 4, 16: 2, 25: 7, 27: 3}
+        for d, u in values.items():  # the powers of u reach every nonzero element
+            f, powers, x = make_field(d), set(), 1
+            for _ in range(d - 1):
+                x = f.mul(x, u)
+                powers.add(x)
+            assert powers == set(f.elements()) - {f.zero}
+
+    @pytest.mark.parametrize("d", [9, 12, 15])
+    def test_primitive_element_refuses_a_ring(self, d):
+        # d-1 is no group order here: at 12, 2 is not a unit; at 15 no unit generates
+        with pytest.raises(UnsupportedModulusError, match=r"^primitive element needs a field modulus$"):
+            primitive_element(IntegerRing(d))
+
+    def test_moduli_hash_by_size_and_kind(self):
+        assert len({make_field(9), make_field(9), make_field(3), IntegerRing(3)}) == 2
+
+    def test_repr_names_kind_and_size(self):
+        assert repr(make_field(6)) == "composite-ring(6)"
+        assert repr(make_field(9)) == "prime-power-field(9)"
+
 
 class TestDeltaPoly:
     def test_d3_at_zero(self):
@@ -564,6 +587,9 @@ class TestMonomialSpan:
         assert span != MonomialSpan(f, 2, mons[:2])
         assert span != MonomialSpan(make_field(7), 2, mons)
         assert span != MonomialSpan(f, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+
+    def test_repr_names_modulus_and_size(self):
+        assert repr(enumerate_subspace(make_field(3), 2, 2)) == "MonomialSpan(prime-field(3), n=2, 6 monomials)"
 
     def test_a_listing_hashes_no_member(self, monkeypatch):
         g = MultiPoly(make_field(3), 2, {(2, 1): 1})

@@ -1,5 +1,11 @@
+import random
+
+import pytest
+
 from quditmbqc.phases import (
     PhaseSum,
+    _reduce,
+    _tau_sum,
     cyclotomic_poly,
     omega_exponent,
     tau_period,
@@ -78,3 +84,38 @@ class TestPhaseSum:
         for d in (2, 3, 4, 5, 9):
             for k in range(d):
                 assert omega_exponent(2 * k, d) == k % d
+
+
+def _random_exponents(rng: random.Random) -> list[int]:
+    """Up to 30 exponents: small, negative and far past any period."""
+    pick = [lambda: rng.randrange(-40, 40), lambda: rng.randrange(-10**6, 10**6),
+            lambda: rng.choice([-1, 10**20 + 3, -(10**20) - 7])]
+    return [rng.choice(pick)() for _ in range(rng.randrange(31))]
+
+
+class TestTauSum:
+    @pytest.mark.parametrize("period", range(2, 19))
+    def test_matches_phase_sum_accumulation(self, period):
+        rng = random.Random(period)
+        for _ in range(50):
+            exponents = _random_exponents(rng)
+            ref = PhaseSum(2)
+            ref.period, ref.coeffs = period, [0] * period  # add_tau_power reads only these
+            for e in exponents:
+                ref.add_tau_power(e)
+            assert _tau_sum(exponents, period) == ref.coeffs
+            assert sum(ref.coeffs) == len(exponents)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_reduces_to_the_phase_sum_key(self, d):
+        rng, period = random.Random(100 + d), tau_period(d)
+        for _ in range(50):
+            exponents = _random_exponents(rng)
+            ref = PhaseSum(d)
+            for e in exponents:
+                ref.add_tau_power(e)
+            assert tuple(_reduce(_tau_sum(exponents, period), period)) == ref.key()
+
+    def test_takes_any_iterable(self):
+        assert _tau_sum(iter([0, 3, -1, 7]), 4) == [1, 0, 0, 3]
+        assert _tau_sum([], 5) == [0] * 5
