@@ -263,8 +263,9 @@ class MbqcPlan:
 
     def setting(self, k: int, i: tuple[int, ...], outcomes) -> int:
         """q_k for input i, reading the outcomes of the parties measured so
-        far (any sequence; run passes its growing list)."""
+        far, a list or tuple of ints."""
         k, i = plain_index(k, "party", self.N), _read_input(self, i)
+        outcomes = plain_ints(outcomes, "outcomes")
         acc = self.q0[k] + sum(map(operator.mul, self.Q[k], i))
         if outcomes:
             acc += sum(v * outcomes[j] for j, v in self._t_nonzero[k] if j < len(outcomes))
@@ -362,8 +363,13 @@ class MbqcPlan:
             row_of={ket: r for r, ket in enumerate(kets)})
 
     def output_of(self, outcomes: tuple[int, ...]) -> int:
-        if len(outcomes) != self.N:
+        """o = z*m + s0 mod d for the N outcomes m, a list or tuple of ints."""
+        if len(plain_ints(outcomes, "outcomes")) != self.N:
             raise QuditMbqcError(f"{len(outcomes)} outcomes for {self.N} parties")
+        return self._output(outcomes)
+
+    def _output(self, outcomes) -> int:
+        """output_of for N outcomes known to be ints: those of a run or a table."""
         return (sum(map(operator.mul, self.z, outcomes)) + self.s0) % self.d
 
     # -- serialization ------------------------------------------------------
@@ -589,7 +595,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         m, _, _ = _draw_branch([(m, p.numerator, p.denominator)
                                 for m, p in plan.resource.distribution(settings)],
                                _read_seed(seed).getrandbits)
-        return RunTrace(i, settings, m, plan.output_of(m))
+        return RunTrace(i, settings, m, plan._output(m))
     settings = list(settings)
     outcomes: list[int] = []
     terms, levels = plan._trie
@@ -629,7 +635,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
             outcomes.append(on_cycle[_below(bits, L)])
     while caller and owed:
         owed -= not bits(1)
-    return RunTrace(i, tuple(settings), tuple(outcomes), plan.output_of(outcomes))
+    return RunTrace(i, tuple(settings), tuple(outcomes), plan._output(outcomes))
 
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
@@ -755,7 +761,7 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     if isinstance(plan.resource, TableResource):
         out = {}
         for m, p in plan.resource.distribution(plan._settings(i)):
-            o = plan.output_of(m)
+            o = plan._output(m)
             out[o] = out.get(o, Fraction(0)) + p
         return {o: p for o, p in out.items() if p}
     if plan.temporally_flat:

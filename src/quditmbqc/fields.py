@@ -401,6 +401,8 @@ def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[
     point is the 1-tuple of it, and the points must be distinct mod d and
     all of one arity, which must be n when n is given (an empty table has
     arity n, or 0 without n)."""
+    if type(d) is not int:
+        raise ValueError(f"modulus must be an integer >= 2, got {d!r}")
     if d < 2:
         raise ValueError(f"modulus must be at least 2, got {d}")
     points = [(x,) if type(x) is int else x for x in table]

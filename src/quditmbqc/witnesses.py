@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import MbqcPlan, _point_table, longest_path, temporal_graph
-from .errors import QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError
+from .engine import MbqcPlan, _int_rows, _point_table, longest_path, temporal_graph
+from .errors import (QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError,
+                     plain_dimension, plain_int)
 from .fields import (
     IntegerRing,
     MultiPoly,
@@ -118,8 +119,7 @@ def ncva_search(plan: MbqcPlan, target: dict | None = None) -> Witness:
         target = _point_table(plan)
         if target is None:
             raise QuditMbqcError("plan is not deterministic; use empirical_success instead")
-    return ncva_search_raw(plan.d, plan.n, plan.N, plan.Q, plan.z, plan.s0,
-                           target, q0=plan.q0)
+    return _ncva_search(plan.d, plan.n, plan.N, plan.Q, plan.z, plan.s0, target, plan.q0)
 
 
 def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
@@ -139,20 +139,32 @@ def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
     with sum_k c_k z_k = g_a (mod d) over the group; entries of unreached
     cells are 0.  The table is read by fields._table_values; its arity
     must be n.
+
+    Refused with QuditMbqcError, in MbqcPlan's words: a d that is not an
+    int >= 2; an n, N or s0 that is not an int; Q, z and q0 that are not
+    lists or tuples of N rows, or a row of Q not a list or tuple of n
+    entries; an entry of them that is not an int.  A bool is not an int here.
     """
-    q0 = tuple(q0) if q0 is not None else (0,) * N
-    if len(Q) != N or len(z) != N or len(q0) != N or set(map(len, Q)) - {n}:
+    d, n, N = plain_dimension(d), plain_int(n, "n"), plain_int(N, "N")
+    s0 = plain_int(s0, "s0")
+    q0 = (0,) * N if q0 is None else q0
+    if not (isinstance(Q, (list, tuple)) and all(isinstance(x, (list, tuple)) for x in (z, q0, *Q))
+            and len(Q) == len(z) == len(q0) == N and set(map(len, Q)) <= {n}):
         raise QuditMbqcError(f"Q, z and q0 need N = {N} rows, and each row of Q "
                              f"n = {n} entries")
+    Q = _int_rows(Q, n, d, "Q row {}".format, n)
+    z, q0 = _int_rows((z, q0), N, d, ("z", "q0").__getitem__, f"one per party ({N})")
+    return _ncva_search(d, n, N, Q, z, s0, table, q0)
+
+
+def _ncva_search(d: int, n: int, N: int, Q, z, s0: int, table: dict, q0) -> Witness:
+    """ncva_search_raw on checked arguments, with the rows of Q and the
+    entries of z and q0 tuples of ints reduced mod d, as a plan's are."""
     _, target = _table_values(table, d, n)
-    given = {}  # Q row as given -> its weighted parties
-    for k, row, zk in zip(range(N), map(tuple, Q), z):
-        if zk % d:
-            given.setdefault(row, []).append(k)
-    groups = {}  # direction (the Q row mod d) -> its weighted parties
-    for row, ks in given.items():
-        a = tuple([v % d for v in row])
-        groups[a] = groups[a] + ks if a in groups else ks
+    groups = {}  # direction (a Q row) -> its weighted parties
+    for k, a, zk in zip(range(N), Q, z):
+        if zk:
+            groups.setdefault(a, []).append(k)
     # column c*d + v holds x_a(v) for the c-th direction a
     rows = [{} for _ in range(d**n)]
     g, cells = [], 0
@@ -174,7 +186,7 @@ def ncva_search_raw(d: int, n: int, N: int, Q, z, s0: int, table: dict,
     for c, (ks, gc) in enumerate(zip(groups.values(), g)):
         x = values[c * d:c * d + d]
         for k, ck in _bezout(d, z, ks, gc).items():
-            shift = q0[k] % d
+            shift = q0[k]
             if (c, ck, shift) not in tables:
                 rotated = x[-shift:] + x[:-shift]  # x(q - q0_k) at q
                 tables[c, ck, shift] = tuple([ck * v % d for v in rotated])
@@ -309,8 +321,8 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     only); never heuristic.  At d = 2 the class is the affine functions
     and the distance is the Hamming distance.
     """
-    ring = IntegerRing(d)
     _, values = _table_values(table, d, n)
+    ring = IntegerRing(d)
     if ring.is_field and combined_degree(poly := interpolate(ring, table)) < d:
         return 0, poly
     mons = subspace_monomials(ring, n, d - 1)

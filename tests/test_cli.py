@@ -112,15 +112,15 @@ class TestDemo:
         # qudit at a time, and must give the closed form x(x-1)/2
         assert main(["demo", "quadratic", "--d", str(d), "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["simulated"] is True and obj["verified"] is True
+        assert obj["simulated"] is obj["verified"] is obj["deterministic"] is True
         assert obj["table"] == [x * (x - 1) // 2 % d for x in range(d)]
 
     def test_json_mode(self, capsys):
         assert main(["demo", "nand", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["table"] == [1, 1, 1, 0]
-        assert obj["degree_witness"] == "strongly-nonlocal"
-        assert obj["verified"] is True
+        assert obj["degree_witness"] == obj["assignment_search"] == "strongly-nonlocal"
+        assert obj["verified"] is obj["simulated"] is True
 
     def test_verification_failure_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(comp, "verify", _failing_verify("nand-ghz"))
@@ -337,10 +337,12 @@ class TestAnalyze:
         (_table_plan, lambda o: o["resource"]["entries"][0].__setitem__("dist", [
             {"m": [0, 0], "num": 3, "den": 2}, {"m": [1, 1], "num": -1, "den": 2}])),
         (_table_plan, lambda o: o["resource"]["entries"][0]["dist"][0].__setitem__("m", [7, 0])),
+        (_prime3, lambda o: o["Q"].__setitem__(5, {"0": o["Q"][5][0]})),
+        (_prime3, lambda o: o["Q"][5].pop()),
     ], ids=["non_triangular_T", "d_zero", "short_z", "ket_out_of_range", "non_symplectic_C",
             "fiducial_spectrum", "ordered_table_resource", "table_missing_entry",
             "even_d_lower_triangular_control", "table_negative_probability",
-            "table_outcome_out_of_range"])
+            "table_outcome_out_of_range", "Q_row_object", "Q_row_short"])
     def test_semantically_bad_plan_exit_4(self, tmp_path, capsys, base, mutate):
         obj = base().plan.to_json()
         mutate(obj)
@@ -438,6 +440,32 @@ class TestAnalyze:
         assert "temporally flat: no\n" in out
         assert "deterministic: no\n" in out
 
+    def test_ordered_plan_report_is_the_readme_example(self, tmp_path, capsys):
+        # Z on |00> under S controls, party 1 reading m_0: every outcome is 0
+        S = named_clifford(3, "S")
+        plan = MbqcPlan(3, 1, 2, basis_state(3, (0, 0)), [(WeylLabel(3, (1, 0)), S)] * 2,
+                        [[1], [0]], [[0, 0], [1, 0]], z=[1, 1], s0=0)
+        assert _analyze(tmp_path, plan, "--json") == 0
+        assert list(json.loads(capsys.readouterr().out).items())[3:8] == [
+            ("temporally_flat", False), ("temporal_bound", 4), ("deterministic", True),
+            ("inputs", [[0], [1], [2]]), ("table", [0, 0, 0])]
+        assert _analyze(tmp_path, plan) == 0
+        readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("plans alike:\n\n```\n", 1)[1].split("```", 1)[0]
+        assert capsys.readouterr().out.splitlines() == example.splitlines()
+
+    def test_p13_plan_file_space(self, tmp_path, capsys):
+        # the README's p = 13 plan: 1872 parties, each reaching all 13 settings
+        table = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9]
+        plan_file = tmp_path / "p13.json"
+        assert main(["compile", "--d", "13", "--table", ",".join(map(str, table)),
+                     "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--plan", str(plan_file), "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["parties"], obj["table"], obj["deterministic"]) == (1872, table, True)
+        assert (obj["assignment_search"], obj["searched"]) == ("ncva-found", "13^24336")
+
     def test_refused_walk_reads_unknown(self, tmp_path, capsys):
         assert _analyze(tmp_path, wide_x_chain()) == 0
         line = next(ln for ln in capsys.readouterr().out.splitlines()
@@ -503,6 +531,16 @@ class TestVerifyAll:
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
         assert "FAIL" not in out
+
+    def test_second_seed_all_pass(self, capsys):
+        # the seeded cross-check draws other branches on the plans that draw
+        # (nand, quadratic d = 3 and 5); compiled one-ket plans draw nothing
+        assert main(["verify-all"]) == 0
+        first = capsys.readouterr().out
+        assert main(["verify-all", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 8 and "FAIL" not in out
+        assert out == first
 
     def test_failure_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(comp, "verify", _failing_verify("odd-ring"))

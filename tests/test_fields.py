@@ -295,10 +295,12 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="table point False is neither a tuple nor an integer"):
             interpolate(make_field(2), {False: 0, True: 1})
 
-    @pytest.mark.parametrize("d", [1, 0, -3])
+    @pytest.mark.parametrize("d", [1, 0, -3, 3.0, "3"])
     def test_modulus_below_two_rejected(self, d):
-        # d = 0 ended in ZeroDivisionError, d = 1 gave a polynomial over Z_1
-        message = f"modulus must be at least 2, got {d}"
+        # d = 0 ended in ZeroDivisionError, d = 1 gave a polynomial over Z_1;
+        # 3.0 and "3" ended in a TypeError, in make_field's words here
+        message = (f"modulus must be at least 2, got {d}" if type(d) is int
+                   else f"modulus must be an integer >= 2, got {d!r}")
         with pytest.raises(ValueError, match=re.escape(message)):
             is_polynomial_over_ring({(0,): 0}, d)
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -3,7 +3,7 @@ its error type and message (or its value)."""
 
 import pytest
 
-from planlib import nand_plan
+from planlib import ghz_chain, nand_plan
 from quditmbqc import compiler
 from quditmbqc.compiler import compile_exponential
 from quditmbqc.engine import MbqcPlan, TableResource, longest_path, run
@@ -115,6 +115,22 @@ def _outcome(call):
     (lambda: nand_plan().setting(3, (0, 0), ()), (QuditMbqcError, "party 3 is outside 0..2")),
     (lambda: nand_plan().output_of((1, 0)),
      (QuditMbqcError, "2 outcomes for 3 parties")),
+    # an outcome is an int, as an input symbol is: 0.5 was read as an
+    # output, and "a" ended in a TypeError
+    (lambda: ghz_chain(3, 3).setting(1, (0,), [0.5]),
+     (QuditMbqcError, "outcomes has 0.5, expected an integer")),
+    (lambda: ghz_chain(3, 3).setting(1, (0,), ["a"]),
+     (QuditMbqcError, "outcomes has 'a', expected an integer")),
+    (lambda: ghz_chain(3, 3).setting(1, (0,), (True,)),
+     (QuditMbqcError, "outcomes has True, expected an integer")),
+    (lambda: ghz_chain(3, 3).output_of([0.5, 0, 0]),
+     (QuditMbqcError, "outcomes has 0.5, expected an integer")),
+    (lambda: ghz_chain(3, 3).output_of(["a", 0, 0]),
+     (QuditMbqcError, "outcomes has 'a', expected an integer")),
+    (lambda: ghz_chain(3, 3).output_of((0, False, 0)),
+     (QuditMbqcError, "outcomes has False, expected an integer")),
+    (lambda: ghz_chain(3, 3).setting(1, (1,), [2]), 0),  # q_1 = i + m_0 = 1 + 2 mod 3
+    (lambda: ghz_chain(3, 3).output_of((1, 2, 2)), 2),  # z.m = 1 + 2 + 2 mod 3
     (lambda: conjugate_weyl(named_clifford(3, "S"), (1, 0), True),
      (QuditMbqcError, "f is True, expected an integer")),
     (lambda: conjugate_weyl(named_clifford(3, "S"), (1, 0), "2"),
@@ -132,6 +148,9 @@ def _outcome(call):
         "longest-path-int-edges", "longest-path-none-edges", "longest-path-str-edges",
         "site-party-N", "site-party-negative", "site-party-bool", "site-setting-d",
         "site-setting-negative", "site-setting-float", "setting-party-N", "output-of-short",
+        "setting-float-outcome", "setting-str-outcome", "setting-bool-outcome",
+        "output-of-float-outcome", "output-of-str-outcome", "output-of-bool-outcome",
+        "setting-int-outcome", "output-of-int-outcomes",
         "conjugate-bool", "conjugate-str"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want

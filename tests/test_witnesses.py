@@ -202,11 +202,35 @@ class TestNcvaSearch:
         ([[1, 0], [1]], [1, 1], [0, 0]),  # a Q row without the second input
         ([[1, 0], [0, 1]], [1], [0, 0]),
         ([[1, 0], [0, 1]], [1, 1], [0]),
+        # rows that are no lists: each ended in a TypeError from len
+        ([1, 1], [1, 1], [0, 0]),
+        (None, [1, 1], [0, 0]),
+        ([[1, 0], [0, 1]], 1, [0, 0]),
+        ([[1, 0], [0, 1]], [1, 1], 0),
     ])
     def test_misshaped_rows_refused(self, Q, z, q0):
         table = {(x, y): 0 for x in range(3) for y in range(3)}
         with pytest.raises(QuditMbqcError, match="need N = 2 rows, and each row of Q n = 2"):
             ncva_search_raw(3, 2, 2, Q, z, 0, table, q0=q0)
+
+    @pytest.mark.parametrize("args, message", [
+        # s0 = 0.5 read strongly-nonlocal, where s0 = 0 reads ncva-found
+        ((3, 1, 1, [[1]], [1], 0.5), "s0 is 0.5, expected an integer"),
+        ((3.0, 1, 1, [[1]], [1], 0), "d is 3.0, expected an integer"),
+        ((1, 1, 1, [[1]], [1], 0), "d is 1, expected an integer >= 2"),
+        ((3, 1.0, 1, [[1]], [1], 0), "n is 1.0, expected an integer"),
+        ((3, 1, True, [[1]], [1], 0), "N is True, expected an integer"),
+        ((3, 1, 1, [[1.0]], [1], 0), "Q row 0 has 1.0, expected an integer"),
+        ((3, 1, 1, [[1]], [0.5], 0), "z has 0.5, expected an integer"),
+        ((3, 1, 1, [[1]], [1], 0, [0.5]), "q0 has 0.5, expected an integer"),
+        ((3, 1, 1, [[1]], [1], 0, ["0"]), "q0 has '0', expected an integer"),
+    ], ids=["s0", "d-float", "d-one", "n", "N", "Q", "z", "q0-float", "q0-str"])
+    def test_non_integer_argument_refused(self, args, message):
+        table = {0: 1, 1: 0, 2: 1}
+        assert ncva_search_raw(3, 1, 1, [[1]], [1], 0, table).verdict == NCVA_FOUND
+        d, n, N, Q, z, s0, *q0 = args
+        with pytest.raises(QuditMbqcError, match=re.escape(message)):
+            ncva_search_raw(d, n, N, Q, z, s0, table, *q0)
 
     def test_int_keyed_target(self):
         # read as the one-variable table it names (it used to end in KeyError)
