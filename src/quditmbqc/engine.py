@@ -32,8 +32,13 @@ resource's term count, whatever N is, and the plan's proof that every site
 operator has an omega spectrum stands in for a check per step.  The kernel
 weighs every branch before it builds a rest; the walk builds every rest,
 and a run step draws over the weights and builds the one rest it keeps,
-so it costs O(K) however many outcomes the step has.  A run step on one
-ket skips the kernel and draws straight off the cycle of the site
+so it costs O(K) however many outcomes the step has.  Both reach the
+kernel through MbqcPlan._branches, which keeps one branch list per
+distinct step, (site operator, rest terms, trie level), in the plan's
+step memo (MbqcPlan._steps), emptied when it reaches EXACT_BRANCH_BUDGET
+entries: a step met again, as on a periodic resource, whose equal trie
+levels are one object, costs a lookup keyed by its rest terms.  A run
+step on one ket skips the kernel and draws straight off the cycle of the site
 operator that holds the ket's digit, read from that operator's row of
 (cycle length, outcomes) per digit (MonomialOp._digit_cycles): one row per
 entry of _site_ops (MbqcPlan._digit_rows, built once from that table), so
@@ -70,7 +75,8 @@ from .states import (
 )
 from .weyl import CliffordSpec, WeylLabel, _orbit, weyl_power
 
-EXACT_BRANCH_BUDGET = 20000  # branches one layer of an exact walk may hold
+# branches one layer of an exact walk may hold, and steps a plan's step memo may hold
+EXACT_BRANCH_BUDGET = 20000
 # (input, party) pairs per _flat_labels call of a point table, so that its
 # int64 arrays (the largest, the gathered labels, 3 x 32 KiB) stay under
 # 128 KiB where N allows: glibc serves smaller blocks from its heap, and
@@ -338,6 +344,30 @@ class MbqcPlan:
         return tuple(map(self._ops.__getitem__, self._sites))
 
     @functools.cached_property
+    def _steps(self) -> dict:
+        """The step memo of _branches, empty until the first run or
+        ordered walk that reaches the kernel."""
+        return {}
+
+    def _branches(self, op: MonomialOp, terms: tuple, level: tuple) -> list:
+        """states._measurement_branches(d, op, terms, level) for an entry op
+        of _site_ops and a level of _trie, computed once per distinct step:
+        the kernel reads nothing else, and the plan holds its operators and
+        levels for its lifetime, so (their ids, terms) names the step.  The
+        branch list is shared read-only and its rests stay lazy; a
+        SparseFormError leaves nothing stored, so it is raised again on the
+        next visit.  _steps is emptied when it reaches EXACT_BRANCH_BUDGET
+        entries."""
+        steps, key = self._steps, (id(op), id(level), terms)
+        branches = steps.get(key)
+        if branches is None:
+            branches = _measurement_branches(self.d, op, terms, level)
+            if len(steps) >= EXACT_BRANCH_BUDGET:
+                steps.clear()
+            steps[key] = branches
+        return branches
+
+    @functools.cached_property
     def _digit_rows(self) -> tuple:
         """The _digit_cycles of each entry of _site_ops, for one-ket run
         steps; columns with one operator share its row."""
@@ -569,7 +599,12 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     built: one rest per step, not one per branch, for the same bits and
     the same rest as a draw over fully built branches.  The site operator
     is read straight from the plan's per-column table, _site_ops[column + q].
-    Once one ket is left (from the start,
+    The branch list comes from the plan's step memo (MbqcPlan._branches),
+    which computes each distinct (operator, rest terms, trie level) step
+    once and shares it with later runs and ordered walks of the plan, at
+    most EXACT_BRANCH_BUDGET steps at a time; its rests stay lazy, so a
+    run takes the same bits and builds the rest it draws as a run without
+    the memo.  Once one ket is left (from the start,
     on a product resource), a step draws the outcome straight off the
     cycle of the site operator that holds the ket's digit: entry c*d + q of
     MbqcPlan._digit_rows holds each digit's (cycle length, outcomes) under
@@ -600,14 +635,13 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     outcomes: list[int] = []
     terms, levels = plan._trie
     d, t_rows = plan.d, plan._t_nonzero
-    columns, ops = plan._site_columns, plan._site_ops
+    columns, ops, step = plan._site_columns, plan._site_ops, plan._branches
     bits = _read_seed(seed).getrandbits if caller or len(terms) > 1 else None
     k = 0
     while len(terms) > 1:  # the head: two or more kets, through the kernel
         if t_rows[k]:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in t_rows[k])) % d
-        m_k, _, _, rest = _draw_branch(
-            _measurement_branches(d, ops[columns[k] + settings[k]], terms, levels[k]), bits)
+        m_k, _, _, rest = _draw_branch(step(ops[columns[k] + settings[k]], terms, levels[k]), bits)
         terms = rest()
         outcomes.append(m_k)
         k += 1
@@ -748,7 +782,8 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     irrational.  Ordered plans are walked party by party,
     merging branches that agree on the rest state (global phase dropped),
     the outcome corrections to later parties' settings and the partial
-    output; the walk
+    output; each step's branches come from the plan's step memo
+    (MbqcPlan._branches), shared with other inputs and runs.  The walk
     raises SizeGuardError when its widest layer, the branches after one
     party, exceeds EXACT_BRANCH_BUDGET.  The walk's weights are integers
     over one denominator per layer: a branch of weight w / den from a
@@ -766,7 +801,7 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
         return {o: p for o, p in out.items() if p}
     if plan.temporally_flat:
         return _spectral_law(plan, i)
-    d, z, reads = plan.d, plan.z, plan._reads
+    d, z, reads, step = plan.d, plan.z, plan._reads, plan._branches
     settings, columns, ops = plan._settings(i), plan._site_columns, plan._site_ops
     start, levels = plan._trie
     # (rest terms, the nonzero outcome corrections to later settings as
@@ -779,7 +814,7 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
             q = settings[k]
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
-            for m_k, weight, b_den, rest in _measurement_branches(d, ops[columns[k] + q], terms, level):
+            for m_k, weight, b_den, rest in step(ops[columns[k] + q], terms, level):
                 corrections = later
                 if m_k and reads[k]:
                     delta = dict(later)

@@ -251,7 +251,10 @@ class MultiPoly:
     __slots__ = ("modulus", "n", "coeffs")
 
     def __init__(self, modulus: Modulus, n: int, coeffs: dict):
-        """Validated: int coefficients, read mod d, on reduced exponent tuples."""
+        """Validated: an int n >= 0, int coefficients, read mod d, on
+        reduced exponent tuples."""
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
         d = modulus.d
         clean = {}
         for exps, val in coeffs.items():
@@ -298,8 +301,11 @@ class MultiPoly:
 
     # -- algebra -----------------------------------------------------------
     def evaluate(self, point: tuple) -> int:
+        """The value at a point of n int coordinates, each read by from_int."""
         if len(point) != self.n:
             raise ValueError(f"point {point} has {len(point)} coordinates, expected n = {self.n}")
+        if any(type(x) is not int for x in point):
+            raise ValueError(f"point {point!r} has a coordinate that is not an integer")
         m = self.modulus
         point = [m.from_int(x) for x in point]
         total = 0
@@ -421,10 +427,10 @@ def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[
         if point in reduced:
             raise ValueError(f"table point {x} repeats the point {point} mod {d}")
         reduced[point] = v % d
-    if len(reduced) != d**arity:
-        raise ValueError(f"table needs {d**arity} entries, got {len(table)}")
     if n is not None and arity != n:
         raise ValueError(f"table points have {arity} coordinates, expected n = {n}")
+    if len(reduced) != d**arity:
+        raise ValueError(f"table needs {d**arity} entries, got {len(table)}")
     return arity, list(map(reduced.__getitem__, itertools.product(range(d), repeat=arity)))
 
 

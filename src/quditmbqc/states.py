@@ -273,6 +273,8 @@ def make_ghz(d: int, N: int, phases: list[int] | None = None) -> SparseState:
     Optional phases gives per-z tau exponents, d of them.
     """
     d, N = plain_dimension(d), plain_int(N, "N")
+    if N < 1:
+        raise QuditMbqcError(f"a GHZ state needs N >= 1 qudits, got {N}")
     phases = [0] * d if phases is None else phases
     if len(phases) != d:
         raise QuditMbqcError(f"a d={d} GHZ state needs {d} phases, got {len(phases)}")

@@ -321,6 +321,8 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     only); never heuristic.  At d = 2 the class is the affine functions
     and the distance is the Hamming distance.
     """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
     _, values = _table_values(table, d, n)
     ring = IntegerRing(d)
     if ring.is_field and combined_degree(poly := interpolate(ring, table)) < d:

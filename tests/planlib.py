@@ -108,3 +108,18 @@ def random_ghz_plan(rng, d, N, n, ordered, tau_phased):
         z=[rng.randrange(1, d) for _ in range(N)], s0=rng.randrange(d),
         q0=[rng.randrange(d) for _ in range(N)],
     )
+
+
+class _Forgetful(dict):
+    """A step memo that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def memoless(plan):
+    """A copy of plan whose step memo (MbqcPlan._steps) stays empty, so
+    every step of its runs and ordered walks calls the kernel."""
+    copy = MbqcPlan.loads(plan.dumps())
+    copy._steps = _Forgetful()
+    return copy

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from quditmbqc import engine, states
-from quditmbqc.compiler import compile_exponential, compile_general_prime, compile_odd_ring
+from quditmbqc.compiler import compile_exponential, compile_general_prime, compile_nand, compile_odd_ring
 from quditmbqc.engine import (
     EXACT_BRANCH_BUDGET,
     MbqcPlan,
@@ -29,8 +29,8 @@ from quditmbqc.engine import (
 from quditmbqc.errors import PlanFormatError, QuditMbqcError, SizeGuardError, SparseFormError
 from quditmbqc.states import (MonomialOp, SparseState, _below, basis_state, make_ghz,
                               measure_local, measurement_distribution)
-from planlib import (exponential_plan, ghz_chain, nand_plan, quadratic_plan, random_ghz_plan,
-                     wide_x_chain, x_chain)
+from planlib import (exponential_plan, ghz_chain, memoless, nand_plan, quadratic_plan,
+                     random_ghz_plan, wide_x_chain, x_chain)
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
 from quditmbqc.witnesses import analyze_plan
 
@@ -102,10 +102,10 @@ class TestRun:
     def test_quadratic_runs_stay_within_resource_support(self, monkeypatch):
         # measured qudits are forgotten, so no measurement step sees more
         # terms than the resource has, and seeded runs give the closed-form
-        # table
+        # table; the step memo stays empty, so every step reaches the kernel
         steps = _spy_steps(monkeypatch)
         for d in (5, 7):
-            plan = quadratic_plan(d)
+            plan = memoless(quadratic_plan(d))
             steps.clear()
             for x in range(d):
                 assert run(plan, (x,), x).output == (x * (x - 1) // 2) % d
@@ -118,7 +118,8 @@ class TestRun:
         # every party, 5 branches a step whose rests are distinct until the
         # last party, where every rest is the empty one and the weights
         # need them (_merged_rest): each distinct-rest step builds the rest
-        # of the branch it draws and no other
+        # of the branch it draws and no other, on a plan whose step memo
+        # stays empty, so that no step is skipped
         built = []
         phased = states._phased_rest
 
@@ -128,7 +129,7 @@ class TestRun:
 
         monkeypatch.setattr(states, "_phased_rest", counting)
         steps = _spy_steps(monkeypatch)
-        plan = quadratic_plan(5)
+        plan = memoless(quadratic_plan(5))
         for x in range(5):
             steps.clear()
             built.clear()
@@ -173,7 +174,8 @@ class TestRun:
 
     def test_one_ket_steps_bypass_the_kernel(self, monkeypatch):
         # a compiled plan sits on one ket, so its runs never call the
-        # K-term kernel or its sampler; a GHZ run calls both until a Z
+        # K-term kernel or its sampler and never build the step memo; a GHZ
+        # run, on a plan whose step memo stays empty, calls both until a Z
         # measurement leaves one ket
         drawn = []
         draw = engine._draw_branch
@@ -187,12 +189,13 @@ class TestRun:
         plan = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan
         for x in range(7):
             assert run(plan, (x,), x).output == [3, 1, 4, 1, 5, 2, 6][x]
-        assert steps == [] and drawn == []
+        assert steps == [] and drawn == [] and "_steps" not in vars(plan)
         x_label, z_label = WeylLabel(3, (0, 1)), WeylLabel(3, (1, 0))
         identity = named_clifford(3, "weyl-displacement", x=(0, 0))
-        ghz = MbqcPlan(d=3, n=1, N=5, resource=make_ghz(3, 5),
-                       parties=[(v, identity) for v in (x_label, x_label, z_label, x_label, x_label)],
-                       Q=[[0]] * 5, z=[1] * 5, s0=0)
+        ghz = memoless(MbqcPlan(
+            d=3, n=1, N=5, resource=make_ghz(3, 5),
+            parties=[(v, identity) for v in (x_label, x_label, z_label, x_label, x_label)],
+            Q=[[0]] * 5, z=[1] * 5, s0=0))
         for seed in range(5):
             run(ghz, (0,), seed)
         assert [size for size, _ in steps] == [3, 3, 3] * 5 and len(drawn) == 3 * 5
@@ -828,7 +831,8 @@ class TestEmpiricalSuccess:
     @pytest.mark.parametrize("target, message", [
         ({(0,): 1}, "table needs 3 entries, got 1"),
         ({(0,): 1.5, (1,): 2, (2,): 0}, "table value 1.5 is not an integer"),
-        ({(x, 0): 0 for x in range(3)}, "table needs 9 entries, got 3"),
+        # the arity is named before the count, as for a complete table
+        ({(x, 0): 0 for x in range(3)}, "table points have 2 coordinates, expected n = 1"),
         ({(x, y): 0 for x in range(3) for y in range(3)},
          "table points have 2 coordinates, expected n = 1"),
         ({}, "table needs 3 entries, got 0"),
@@ -838,6 +842,14 @@ class TestEmpiricalSuccess:
         plan = compile_general_prime([1, 2, 0]).plan
         with pytest.raises(ValueError, match=re.escape(message)):
             empirical_success(plan, target)
+
+    @pytest.mark.parametrize("target", [{(0,): 1}, {(x,): 1 for x in range(2)}],
+                             ids=["incomplete", "complete"])
+    def test_wrong_arity_target_names_the_arity(self, target):
+        # an incomplete one-input target for the two-input NAND plan said
+        # "table needs 2 entries, got 1"
+        with pytest.raises(ValueError, match=re.escape("table points have 1 coordinates, expected n = 2")):
+            empirical_success(compile_nand().plan, target)
 
     def test_int_keyed_target(self):
         plan = compile_general_prime([1, 2, 0]).plan

@@ -885,3 +885,24 @@ class TestMultiPolyConstruction:
         x = MultiPoly.variable(make_field(3), 1, 0)
         with pytest.raises(ValueError, match=f"has {len(point)} coordinates, expected n = 1"):
             x.evaluate(point)
+
+    @pytest.mark.parametrize("q", [3, 4], ids=["Z3", "GF4"])
+    @pytest.mark.parametrize("point", [(1.5,), (1.0,), ("1",), (None,), (True,)],
+                             ids=["float", "integral-float", "string", "none", "bool"])
+    def test_evaluate_rejects_non_integer_coordinates(self, q, point):
+        # (1.5,) read as 1.5 over Z_3 and ended in a TypeError over GF(4)
+        x = MultiPoly.variable(make_field(q), 1, 0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"point {point!r} has a coordinate that is not an integer")):
+            x.evaluate(point)
+        assert [x.evaluate((v,)) for v in range(q + 1)] == [*range(q), 0]
+
+    @pytest.mark.parametrize("n", [-1, 1.0, True, "1", None],
+                             ids=["negative", "float", "bool", "string", "none"])
+    def test_n_must_be_a_non_negative_int(self, n):
+        # -1 and 1.0 both built polynomials
+        for build in (lambda: MultiPoly(make_field(3), n, {}),
+                      lambda: MultiPoly.zero(make_field(4), n)):
+            with pytest.raises(ValueError, match=re.escape(f"n must be >= 0 and an integer, got {n!r}")):
+                build()
+        assert MultiPoly(make_field(3), 0, {(): 4}).evaluate(()) == 1

@@ -9,8 +9,9 @@ from quditmbqc.compiler import compile_exponential
 from quditmbqc.engine import MbqcPlan, TableResource, longest_path, run
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
 from quditmbqc.fields import IntegerRing, MultiPoly, closure_basis, make_field
-from quditmbqc.states import GlobalObservable, MonomialOp, clifford_unitary
+from quditmbqc.states import GlobalObservable, MonomialOp, clifford_unitary, make_ghz
 from quditmbqc.weyl import CliffordSpec, conjugate_weyl, named_clifford, weyl_power
+from quditmbqc.witnesses import nu_distance
 
 
 def _nand_with(**fields):
@@ -135,6 +136,23 @@ def _outcome(call):
      (QuditMbqcError, "f is True, expected an integer")),
     (lambda: conjugate_weyl(named_clifford(3, "S"), (1, 0), "2"),
      (QuditMbqcError, "f is '2', expected an integer")),
+    # nu_distance checks n before any work, in threshold_check's words: a
+    # float n ended in a TypeError at d = 4, and True built a polynomial
+    # whose n was True
+    (lambda: nu_distance({0: 1, 1: 0, 2: 0, 3: 1}, 4, 1.0),
+     (ValueError, "n must be >= 0 and an integer, got 1.0")),
+    (lambda: nu_distance({0: 1, 1: 0, 2: 0}, 3, 1.0),
+     (ValueError, "n must be >= 0 and an integer, got 1.0")),
+    (lambda: nu_distance({0: 1, 1: 0, 2: 0, 3: 1}, 4, True),
+     (ValueError, "n must be >= 0 and an integer, got True")),
+    (lambda: nu_distance({(): 1}, 3, -1), (ValueError, "n must be >= 0 and an integer, got -1")),
+    (lambda: nu_distance({0: 1, 1: 0, 2: 0}, 3, "1"),
+     (ValueError, "n must be >= 0 and an integer, got '1'")),
+    (lambda: nu_distance({0: 1, 1: 0, 2: 0}, 3, 1)[0], 0),
+    # a GHZ state of no qudits was refused as a state with repeated kets
+    (lambda: make_ghz(3, 0), (QuditMbqcError, "a GHZ state needs N >= 1 qudits, got 0")),
+    (lambda: make_ghz(2, -2), (QuditMbqcError, "a GHZ state needs N >= 1 qudits, got -2")),
+    (lambda: make_ghz(3, 1).terms, ((0, (0,)), (0, (1,)), (0, (2,)))),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "plan-Q-none", "plan-Q-int-rows", "plan-Q-mapping-rows", "plan-Q-set-row",
         "plan-parties-none",
@@ -151,6 +169,8 @@ def _outcome(call):
         "setting-float-outcome", "setting-str-outcome", "setting-bool-outcome",
         "output-of-float-outcome", "output-of-str-outcome", "output-of-bool-outcome",
         "setting-int-outcome", "output-of-int-outcomes",
-        "conjugate-bool", "conjugate-str"])
+        "conjugate-bool", "conjugate-str",
+        "nu-float-n-composite", "nu-float-n-prime", "nu-bool-n", "nu-negative-n", "nu-str-n",
+        "nu-int-n", "ghz-no-qudits", "ghz-negative-qudits", "ghz-one-qudit"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want
