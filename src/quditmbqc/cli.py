@@ -169,7 +169,7 @@ def cmd_table(args) -> int:
     for k in range(1, p):
         row = [pow(u, k * x, p) for x in range(p)]
         print(f"{labels[k - 1]:<{width}} : " + " ".join(str(v) for v in row))
-    sigma = comp.sigma_table(p, u)
+    sigma = comp.sigma_table(p)
     print(f"{labels[-1]:<{width}} : " + " ".join(str(v) for v in sigma))
     return EXIT_OK
 

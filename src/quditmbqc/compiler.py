@@ -39,7 +39,9 @@ class CompileReport:
             "construction": self.construction,
             "qudit_count": self.qudit_count,
             "verified": self.verified,
-            "target": {",".join(map(str, k)): v for k, v in sorted(self.target.items())},
+            # a plain int point is the 1-tuple of it, as verify reads it
+            "target": {",".join(map(str, k)) if isinstance(k, tuple) else str(k): v
+                       for k, v in sorted(self.target.items())},
             "plan": self.plan.to_json(),
         }
 
@@ -47,20 +49,24 @@ class CompileReport:
 def verify(report: CompileReport) -> bool:
     """Recompute the output table and compare against the target.
 
-    Marks the report verified on success; raises VerificationError naming
-    the first differing input, or saying that the plan is not
-    deterministic, otherwise.
+    The target is read by fields._table_values: a complete table on the
+    plan's inputs, with integer values read mod d; a bad target raises
+    QuditMbqcError.  Marks the report verified on success; raises
+    VerificationError naming the first differing input, in input order, or
+    saying that the plan is not deterministic, otherwise.
     """
-    table = _point_table(report.plan)
+    plan = report.plan
     report.verified = False
+    try:
+        values = fields._table_values(report.target, plan.d, plan.n)[1]
+    except ValueError as exc:
+        raise QuditMbqcError(f"target: {exc}") from None
+    table = _point_table(plan)
     if table is None:
         raise VerificationError("plan is not deterministic: an output law is not a point mass")
-    for i in sorted(report.target):
-        want = report.target[i] % report.plan.d
-        if table[i] != want:
-            raise VerificationError(
-                f"output mismatch at input {i}: plan gives {table[i]}, target {want}"
-            )
+    for (i, got), want in zip(table.items(), values):  # both in input order
+        if got != want:
+            raise VerificationError(f"output mismatch at input {i}: plan gives {got}, target {want}")
     report.verified = True
     return True
 
@@ -144,16 +150,17 @@ def exponential_sum(p: int, u: int, x: int) -> int:
     return sum(pow(u, x * k, p) for k in range(1, p)) % p
 
 
-def sigma_table(p: int, u: int | None = None) -> list[int]:
-    """Normalized exponential sum (p-1)^-1 sum_l (u^x)^l for x = 0..p-1."""
-    u = primitive_element(p) if u is None else u
+def sigma_table(p: int) -> list[int]:
+    """Normalized exponential sum (p-1)^-1 sum_l (u^x)^l for x = 0..p-1, u
+    the primitive element; every generator of Z_p^* gives this table."""
+    u = primitive_element(p)
     inv = pow(p - 1, -1, p)
     return [(inv * exponential_sum(p, u, x)) % p for x in range(p)]
 
 
-def delta_from_sigma(p: int, u: int | None = None) -> list[int]:
+def delta_from_sigma(p: int) -> list[int]:
     """Recover the delta table via 1 + (p-1)/2 * (1 + sum_k sigma((k*x) mod p))."""
-    sigma = sigma_table(p, u)
+    sigma = sigma_table(p)
     half = (p - 1) // 2
     out = []
     for x in range(p):

@@ -22,9 +22,11 @@ gathers from that table, for many inputs per call in a point table.  Runs,
 the ordered walk, site_observable and weighted_observable share one
 MonomialOp per distinct label (MbqcPlan._ops), whatever party, setting or
 power it comes from.  Runs, the ordered walk and site_observable read
-M_k(q) by column, at entry c*d + q of one table (MbqcPlan._site_ops, c the
-kind of party k), built from _ops at the first of them, so columns with
-one label hold one operator.  Runs and the ordered walk measure party k with
+M_k(q) from one table of operators (MbqcPlan._site_ops), built from _ops
+at the first of them, so columns with one label hold one operator.  Every
+per-column table is read at entry _site_columns[k] + q, the one per-party
+index the plan stores: c*d for the kind c of party k, recorded while
+__init__ numbers the kinds.  Runs and the ordered walk measure party k with
 states._measurement_branches on level k of the resource's suffix trie
 (MbqcPlan._trie, built at the first use), passed as it is: a rest is (tau
 exponent, suffix class) terms, so a step costs O(K) for its K <= the
@@ -197,14 +199,14 @@ class MbqcPlan:
                                  f"got {type(parties).__name__}")
         if len(parties) != N:
             raise QuditMbqcError(f"expected {N} parties, got {len(parties)}")
-        # each party's kind, numbered in order of first occurrence; conjugation
-        # by the control keeps the spectrum, so one check per kind covers
-        # every party and setting
-        kinds: dict = {}  # (fiducial, control) -> kind
-        # id of each party object -> its kind: the compiler and from_json
+        # each party's column c*d in _sites, c its kind, numbered in order of
+        # first occurrence; conjugation by the control keeps the spectrum, so
+        # one check per kind covers every party and setting
+        kinds: dict = {}  # (fiducial, control) -> column
+        # id of each party object -> its column: the compiler and from_json
         # repeat party objects, which then are not checked or hashed again
         seen: dict = {}
-        kind, first = [], []
+        columns, first = [], []
         for k, party in enumerate(parties):
             c = seen.get(id(party))
             if c is None:
@@ -221,12 +223,13 @@ class MbqcPlan:
                     if d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
                         raise QuditMbqcError(f"party {k} control needs an upper-triangular "
                                              "symplectic part at even d")
-                    c = kinds[pair] = len(first)
+                    c = kinds[pair] = len(first) * d
                     first.append(k)
                 seen[id(party)] = c
-            kind.append(c)
+            columns.append(c)
         self.parties = tuple(map(tuple, parties))
-        self._kind, self._first = tuple(kind), tuple(first)
+        # each party's first column in _sites, and the first party of each kind
+        self._site_columns, self._first = tuple(columns), tuple(first)
         self._ops = _WeylOps(d)  # every site operator and power the plan has used
         if not isinstance(Q, (list, tuple)):
             raise QuditMbqcError("Q must be a list of rows of integers")
@@ -320,26 +323,18 @@ class MbqcPlan:
 
     @functools.cached_property
     def _sites(self) -> tuple[tuple[int, int, int], ...]:
-        """Every M_k(q) = tau^t W_(a,b) as (t, a, b) at entry c*d + q, c the
-        kind of party k: one orbit walk of each kind's fiducial under its
-        control.  Equal labels are one tuple object, so a lookup in _ops
-        matches its key by identity."""
-        d, P, one = self.d, tau_period(self.d), {}
-        return tuple(one.setdefault(label, label) for label in (
-            ((fid.tau_exp + tau_exponent_of_omega(phase, d)) % P, a, b)
-            for fid, ctrl in map(self.parties.__getitem__, self._first)
-            for phase, (a, b) in _orbit(ctrl, fid.v, d)))
-
-    @functools.cached_property
-    def _site_columns(self) -> tuple[int, ...]:
-        """Each party's first column in _sites: its kind times d."""
-        d = self.d
-        return tuple([c * d for c in self._kind])
+        """Every M_k(q) = tau^t W_(a,b) as (t, a, b) at entry
+        _site_columns[k] + q: one orbit walk of each kind's fiducial under
+        its control."""
+        d, P = self.d, tau_period(self.d)
+        return tuple(((fid.tau_exp + tau_exponent_of_omega(phase, d)) % P, a, b)
+                     for fid, ctrl in map(self.parties.__getitem__, self._first)
+                     for phase, (a, b) in _orbit(ctrl, fid.v, d))
 
     @functools.cached_property
     def _site_ops(self) -> tuple[MonomialOp, ...]:
-        """M_k(q) as a MonomialOp at entry c*d + q of _sites, c the kind of
-        party k, read from _ops, so columns with one label hold one object;
+        """M_k(q) as a MonomialOp at entry _site_columns[k] + q, as in
+        _sites, read from _ops, so columns with one label hold one object;
         built at the first run, ordered walk or site_observable."""
         return tuple(map(self._ops.__getitem__, self._sites))
 
@@ -410,10 +405,11 @@ class MbqcPlan:
         yield "n", self.n
         yield "N", self.N
         yield "resource", self.resource.to_json()
+        d, first = self.d, self._first
         yield "parties", [  # a repeated party is the index of its first occurrence
-            self._first[kind] if self._first[kind] < k
+            j if (j := first[column // d]) < k
             else {"fiducial": fid.to_json(), "control": ctrl.to_json()}
-            for k, (kind, (fid, ctrl)) in enumerate(zip(self._kind, self.parties))
+            for k, (column, (fid, ctrl)) in enumerate(zip(self._site_columns, self.parties))
         ]
         yield "Q", [list(r) for r in self.Q]
         yield "T", [{str(j): v for j, v in row} if row else {} for row in self._t_nonzero]
@@ -606,10 +602,10 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     run takes the same bits and builds the rest it draws as a run without
     the memo.  Once one ket is left (from the start,
     on a product resource), a step draws the outcome straight off the
-    cycle of the site operator that holds the ket's digit: entry c*d + q of
-    MbqcPlan._digit_rows holds each digit's (cycle length, outcomes) under
-    M_k(q) for the parties k of kind c, the _digit_cycles of entry c*d + q
-    of _site_ops, so columns with one label share one row.
+    cycle of the site operator that holds the ket's digit: entry
+    _site_columns[k] + q of MbqcPlan._digit_rows holds each digit's (cycle
+    length, outcomes) under M_k(q), the _digit_cycles of that entry of
+    _site_ops, so columns with one label share one row.
     Every draw, in the head and the tail, reads the Random's getrandbits
     by states._below, which takes the bits and gives the value that
     rng.randrange would.  The tail's draws at L = 1 choose nothing but
@@ -878,6 +874,8 @@ def temporal_graph(plan: MbqcPlan) -> dict[int, list[int]]:
 
 def longest_path(adj: dict[int, list[int]]) -> int:
     """Longest directed path, counted in vertices; 1 for an edgeless graph."""
+    if not isinstance(adj, dict):
+        raise QuditMbqcError(f"temporal graph is {adj!r}, expected a dict of vertex -> vertices")
     indegree = {v: 0 for v in adj}
     for v, out in adj.items():
         if not isinstance(out, (list, tuple)):

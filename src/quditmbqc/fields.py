@@ -255,6 +255,8 @@ class MultiPoly:
         reduced exponent tuples."""
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
+        if not isinstance(coeffs, dict):
+            raise ValueError(f"coefficients are {coeffs!r}, expected a dict of exponent tuple -> int")
         d = modulus.d
         clean = {}
         for exps, val in coeffs.items():
@@ -291,6 +293,9 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, modulus: Modulus, n: int, j: int) -> "MultiPoly":
+        """x_j, for an index j in 0..n-1."""
+        if type(n) is not int or type(j) is not int or not 0 <= j < n:
+            raise ValueError(f"variable index {j!r} is not in 0..n-1 for n = {n!r}")
         exps = [0] * n
         exps[j] = 1
         return cls(modulus, n, {tuple(exps): modulus.one})
@@ -302,6 +307,8 @@ class MultiPoly:
     # -- algebra -----------------------------------------------------------
     def evaluate(self, point: tuple) -> int:
         """The value at a point of n int coordinates, each read by from_int."""
+        if not isinstance(point, (tuple, list)):
+            raise ValueError(f"point {point!r} is not a tuple of coordinates")
         if len(point) != self.n:
             raise ValueError(f"point {point} has {len(point)} coordinates, expected n = {self.n}")
         if any(type(x) is not int for x in point):
@@ -377,6 +384,8 @@ def _along_axes(m: Modulus, values: list, n: int, matrix: list[list]) -> list:
 def delta_poly(modulus: Modulus, y: tuple) -> MultiPoly:
     """The reduced polynomial equal to 1 at y and 0 elsewhere: the
     interpolation of that indicator table; needs a field modulus."""
+    if not isinstance(y, (tuple, list)) or any(type(c) is not int for c in y):
+        raise ValueError(f"point {y!r} is not a tuple of integer coordinates")
     y = tuple(c % modulus.d for c in y)
     return interpolate(modulus, {x: int(x == y) for x in all_points(modulus, len(y))})
 
@@ -411,6 +420,8 @@ def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[
         raise ValueError(f"modulus must be an integer >= 2, got {d!r}")
     if d < 2:
         raise ValueError(f"modulus must be at least 2, got {d}")
+    if not isinstance(table, dict):
+        raise ValueError(f"table is {table!r}, expected a dict of point -> value")
     points = [(x,) if type(x) is int else x for x in table]
     arity = len(points[0]) if points and isinstance(points[0], tuple) else (n or 0)
     reduced = {}

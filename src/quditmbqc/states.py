@@ -374,11 +374,16 @@ def measurement_distribution(psi: SparseState, site: int,
     physically irrelevant global phase, which is dropped); otherwise
     SparseFormError is raised, as it is when a cycle's branch weights break
     Parseval (they must sum to L times the number of terms on C, which
-    makes the probabilities sum to 1).  A site outside 0..N-1, or an op of
-    another d or without an omega spectrum, raises QuditMbqcError.  The
+    makes the probabilities sum to 1).  A psi that is not a SparseState, a
+    site outside 0..N-1, or an op that is not a MonomialOp, of another d or
+    without an omega spectrum, raises QuditMbqcError.  The
     branches come from _measurement_branches, on a level that holds each
     term's digit and sliced ket, and every rest is built.
     """
+    if not isinstance(psi, SparseState):
+        raise QuditMbqcError(f"state is {psi!r}, expected a SparseState")
+    if not isinstance(op, MonomialOp):
+        raise QuditMbqcError(f"site operator is {op!r}, expected a MonomialOp")
     d = psi.d
     if op.d != d:
         raise QuditMbqcError(f"site operator has dimension {op.d}, the state {d}")

@@ -24,7 +24,8 @@ from .phases import omega_exponent, tau_period
 
 def symplectic_product(v: tuple[int, int], w: tuple[int, int], d: int) -> int:
     """[v, w] = v^T sigma w mod d with sigma = [[0,1],[-1,0]]."""
-    return (v[0] * w[1] - v[1] * w[0]) % d
+    (a, b), (c, e) = plain_ints(v, "label v", 2), plain_ints(w, "label w", 2)
+    return (a * e - b * c) % plain_dimension(d)
 
 
 def check_symplectic(C, d: int) -> bool:
@@ -42,14 +43,6 @@ def reduce_label(a: int, b: int, d: int) -> tuple[int, int, int]:
     ar, br = a % d, b % d
     corr = (a * b - ar * br) % tau_period(d)
     return ar, br, corr
-
-
-def weyl_product(t1: int, v1: tuple[int, int], t2: int, v2: tuple[int, int], d: int) -> tuple[int, tuple[int, int]]:
-    """(tau^t1 W_v1)(tau^t2 W_v2) as (tau_exp, label)."""
-    cross = v1[0] * v2[1] - v1[1] * v2[0]
-    a, b, corr = reduce_label(v1[0] + v2[0], v1[1] + v2[1], d)
-    t = (t1 + t2 + cross + corr) % tau_period(d)
-    return t, (a, b)
 
 
 def weyl_power(t: int, v: tuple[int, int], e: int, d: int) -> tuple[int, tuple[int, int]]:
@@ -85,6 +78,9 @@ class WeylLabel:
 
 def commutation_phase(v: WeylLabel, w: WeylLabel) -> int:
     """Exponent k with W_v W_w = omega^k W_w W_v."""
+    for label in (v, w):
+        if not isinstance(label, WeylLabel):
+            raise QuditMbqcError(f"label is {label!r}, expected a WeylLabel")
     if v.d != w.d:
         raise QuditMbqcError(f"dimension mismatch: {v.d} != {w.d}")
     return symplectic_product(v.v, w.v, v.d)
@@ -184,6 +180,9 @@ def conjugate_weyl(spec: CliffordSpec, v: tuple[int, int], f: int) -> tuple[int,
     C = C_(M_s) C_(S^m), and its lift [[s^-1, s^-1 m], [0, s]] with s^-1 taken
     mod 2d acts exactly on labels mod 2d.
     """
+    if not isinstance(spec, CliffordSpec):
+        raise QuditMbqcError(f"control is {spec!r}, expected a CliffordSpec")
+    v = plain_ints(v, "label v", 2)
     if plain_int(f, "f") < 0:
         raise ValueError("f must be non-negative")
     return deque(_orbit(spec, v, f + 1), maxlen=1)[0]

@@ -302,6 +302,10 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
 
 def delta_distance(q: int, d: int) -> int:
     """Distance of q from 0 on the cycle Z_d: min(q mod d, -q mod d)."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d must be >= 1 and an integer, got {d!r}")
+    if type(q) is not int:
+        raise ValueError(f"q must be an integer, got {q!r}")
     return min(q % d, -q % d)
 
 

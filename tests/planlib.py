@@ -69,12 +69,9 @@ def wide_x_chain():
 def ghz_chain(d, N):
     """X on a d-level GHZ state, each setting reading the previous outcome
     through the S control."""
-    T = [[0] * N for _ in range(N)]
-    for k in range(1, N):
-        T[k][k - 1] = 1
     return MbqcPlan(d=d, n=1, N=N, resource=make_ghz(d, N),
                     parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "S"))] * N,
-                    Q=[[1]] * N, T=T, z=[1] * N, s0=0)
+                    Q=[[1]] * N, T=[{}] + [{k - 1: 1} for k in range(1, N)], z=[1] * N, s0=0)
 
 
 def random_ghz_plan(rng, d, N, n, ordered, tau_phased):

@@ -167,6 +167,14 @@ class TestExponentialSums:
     def test_sigma5(self):
         assert sigma_table(5) == [1, 0, 0, 0, 1]
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_every_generator_gives_the_one_sigma_table(self, p):
+        inv = pow(p - 1, -1, p)
+        generators = [g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1]
+        assert len(generators) > 1 or p == 3
+        for g in generators:
+            assert [inv * exponential_sum(p, g, x) % p for x in range(p)] == sigma_table(p)
+
     def test_sigma3(self):
         assert sigma_table(3) == [1, 0, 1]
 
@@ -430,6 +438,41 @@ class TestVerify:
         with pytest.raises(VerificationError, match="plan is not deterministic"):
             verify(bad)
         assert not bad.verified
+
+    @pytest.mark.parametrize("target, message", [
+        ({}, "table needs 4 entries, got 0"),
+        ({(0, 0): 1}, "table needs 4 entries, got 1"),
+        ({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1.0}, "table value 1.0 is not an integer"),
+        ({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1, 0): 0},
+         "table point (1, 1, 0) has 3 coordinates, expected 2"),
+        ({0: 1, 1: 0}, "table points have 1 coordinates, expected n = 2"),
+        ([1, 1, 1, 0], "table is [1, 1, 1, 0], expected a dict of point -> value"),
+    ], ids=["empty", "one-point", "float-value", "long-point", "short-points", "list"])
+    def test_bad_target_is_refused_and_not_verified(self, target, message):
+        # the target is read as empirical_success reads it: an empty or
+        # partial table verified, and a float value passed
+        bad = CompileReport(compile_nand().plan, 3, "nand-ghz", target)
+        bad.verified = True
+        with pytest.raises(QuditMbqcError, match=re.escape(f"target: {message}")) as info:
+            verify(bad)
+        assert type(info.value) is QuditMbqcError and not bad.verified
+
+    def test_target_points_and_values_are_read_mod_d(self):
+        nand = compile_nand()
+        target = {(x + 2, y - 2): v + 4 for (x, y), v in nand.target.items()}
+        assert verify(CompileReport(nand.plan, 3, "nand-ghz", target))
+
+    def test_plain_int_points_verify_and_write_as_one_tuples(self):
+        rep = compile_exponential(5, 2)
+        plain = CompileReport(rep.plan, 1, "exponential", {x: v for (x,), v in rep.target.items()})
+        assert verify(plain) and plain.to_json() == rep.to_json()
+
+    def test_first_mismatch_is_named_in_input_order(self):
+        nand = compile_nand()
+        wrong = {i: v + 1 for i, v in reversed(nand.target.items())}
+        with pytest.raises(VerificationError, match=re.escape(
+                "output mismatch at input (0, 0): plan gives 1, target 0")):
+            verify(CompileReport(nand.plan, 3, "nand-ghz", wrong))
 
     def test_empty_input_plan(self):
         rep = compile_exponential(5, 2)

@@ -629,11 +629,11 @@ class TestTemporal:
         fields = dict(d=d, n=1, N=3, resource=basis_state(d, (0, 0, 0)), Q=[[1]] * 3,
                       z=[1] * 3, s0=0)
         want = MbqcPlan(**fields, parties=pairs)
-        assert (want._kind, want._first) == ((0, 1, 0), (0, 1))
+        assert [c // d for c in want._site_columns] == [0, 1, 0] and want._first == (0, 1)
         for parties in ([list(p) for p in pairs], [list(pairs[0]), pairs[1], list(pairs[2])]):
             plan = MbqcPlan(**fields, parties=parties)
             assert plan.parties == want.parties and type(plan.parties[0]) is tuple
-            assert (plan._kind, plan._first) == (want._kind, want._first)
+            assert (plan._site_columns, plan._first) == (want._site_columns, want._first)
             assert plan.dumps() == want.dumps()
         for bad in ((fid, [1]), {}):
             with pytest.raises(QuditMbqcError, match=re.escape(
@@ -656,7 +656,7 @@ class TestTemporal:
             plan = MbqcPlan(d=d, n=1, N=2 * copies, resource=basis_state(d, (0,) * 2 * copies),
                             parties=[pair, other] * copies, Q=[[1]] * 2 * copies,
                             z=[1] * 2 * copies, s0=0)
-            assert plan._kind == (0, 1) * copies
+            assert [c // d for c in plan._site_columns] == [0, 1] * copies
             counts.append(len(hashes))
         assert counts[0] == counts[1] > 0
         plan = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan

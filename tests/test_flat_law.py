@@ -310,14 +310,15 @@ def test_flat_law_builds_no_operator(monkeypatch):
 
 @pytest.mark.parametrize("name, plan", PLANS, ids=[name for name, _ in PLANS])
 def test_site_table_matches_conjugation(name, plan):
-    # entry kind*d + q of the site table is M_k(q) as (t, a, b), whatever
-    # the orbit walk that filled it
+    # entry _site_columns[k] + q of the site table, with _site_columns[k] =
+    # kind*d, is M_k(q) as (t, a, b), whatever the orbit walk that filled it
     P = tau_period(plan.d)
     for k, (fid, ctrl) in enumerate(plan.parties):
         for q in range(plan.d):
             phase, (a, b) = conjugate_weyl(ctrl, fid.v, q)
             want = ((fid.tau_exp + tau_exponent_of_omega(phase, plan.d)) % P, a, b)
-            assert plan._sites[plan._kind[k] * plan.d + q] == want, (k, q)
+            column = plan._site_columns[k]
+            assert column % plan.d == 0 and plan._sites[column + q] == want, (k, q)
 
 
 def test_point_table_reads_no_per_party_setting(monkeypatch):
@@ -345,7 +346,7 @@ def test_weighted_observable_reuses_one_power_per_kind_setting_and_weight(name, 
                               for k, (q, e) in enumerate(zip(settings, plan.z)))
         shared = {}
         for k, (op, q, e) in enumerate(zip(sites, settings, plan.z)):
-            assert shared.setdefault((plan._kind[k], q, e), op) is op
+            assert shared.setdefault((plan._site_columns[k] // plan.d, q, e), op) is op
         assert all(map(is_, weighted_observable(plan, i).sites, sites))
 
 
@@ -358,7 +359,7 @@ def test_parties_of_different_kinds_share_one_operator_per_label():
                     parties=[(fid, named_clifford(3, "S")), (fid, still),
                              (WeylLabel(3, (2, 0)), still)],
                     Q=[[0], [1], [1]], z=[2, 1, 1], s0=0)
-    assert plan._kind == (0, 1, 2)
+    assert [c // 3 for c in plan._site_columns] == [0, 1, 2]
     one, two = plan.site_observable(0, 0), plan.site_observable(2, 0)
     assert one == MonomialOp.from_weyl(3, (1, 0)) and two == one.power(2)
     assert all(plan.site_observable(1, q) is one and plan.site_observable(2, q) is two

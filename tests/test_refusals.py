@@ -6,12 +6,14 @@ import pytest
 from planlib import ghz_chain, nand_plan
 from quditmbqc import compiler
 from quditmbqc.compiler import compile_exponential
-from quditmbqc.engine import MbqcPlan, TableResource, longest_path, run
+from quditmbqc.engine import MbqcPlan, TableResource, empirical_success, longest_path, run
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
-from quditmbqc.fields import IntegerRing, MultiPoly, closure_basis, make_field
-from quditmbqc.states import GlobalObservable, MonomialOp, clifford_unitary, make_ghz
-from quditmbqc.weyl import CliffordSpec, conjugate_weyl, named_clifford, weyl_power
-from quditmbqc.witnesses import nu_distance
+from quditmbqc.fields import IntegerRing, MultiPoly, closure_basis, delta_poly, make_field
+from quditmbqc.states import (GlobalObservable, MonomialOp, clifford_unitary, make_ghz,
+                              measurement_distribution)
+from quditmbqc.weyl import (CliffordSpec, WeylLabel, commutation_phase, conjugate_weyl,
+                            named_clifford, symplectic_product, weyl_power)
+from quditmbqc.witnesses import delta_distance, nu_distance
 
 
 def _nand_with(**fields):
@@ -153,6 +155,45 @@ def _outcome(call):
     (lambda: make_ghz(3, 0), (QuditMbqcError, "a GHZ state needs N >= 1 qudits, got 0")),
     (lambda: make_ghz(2, -2), (QuditMbqcError, "a GHZ state needs N >= 1 qudits, got -2")),
     (lambda: make_ghz(3, 1).terms, ((0, (0,)), (0, (1,)), (0, (2,)))),
+    # public entry points refuse a malformed argument at entry: each of
+    # these ended in an IndexError, AttributeError, TypeError or
+    # ZeroDivisionError, or returned a wrong answer
+    (lambda: conjugate_weyl(named_clifford(3, "S"), (1,), 1),
+     (QuditMbqcError, "label v is (1,), expected a list of 2 integers")),
+    (lambda: conjugate_weyl("S", (1, 0), 1),
+     (QuditMbqcError, "control is 'S', expected a CliffordSpec")),
+    (lambda: symplectic_product((1,), (0, 1), 3),
+     (QuditMbqcError, "label v is (1,), expected a list of 2 integers")),
+    (lambda: symplectic_product((1, 0), (0, 1), 0),
+     (QuditMbqcError, "d is 0, expected an integer >= 2")),
+    (lambda: symplectic_product((1, 0), (0, 1), 3), 1),
+    (lambda: commutation_phase((1, 0), (0, 1)),
+     (QuditMbqcError, "label is (1, 0), expected a WeylLabel")),
+    (lambda: commutation_phase(WeylLabel(3, (1, 0)), WeylLabel(3, (0, 1))), 1),
+    (lambda: measurement_distribution(make_ghz(3, 2), 0, "x"),
+     (QuditMbqcError, "site operator is 'x', expected a MonomialOp")),
+    (lambda: measurement_distribution("psi", 0, MonomialOp.from_weyl(3, (1, 0))),
+     (QuditMbqcError, "state is 'psi', expected a SparseState")),
+    (lambda: longest_path([1, 2]),
+     (QuditMbqcError, "temporal graph is [1, 2], expected a dict of vertex -> vertices")),
+    (lambda: delta_distance(1, 0), (ValueError, "d must be >= 1 and an integer, got 0")),
+    (lambda: delta_distance(1.5, 3), (ValueError, "q must be an integer, got 1.5")),
+    (lambda: delta_distance(2, 3), 1),
+    (lambda: delta_poly(make_field(3), (1.5,)),
+     (ValueError, "point (1.5,) is not a tuple of integer coordinates")),
+    (lambda: delta_poly(make_field(3), 1),
+     (ValueError, "point 1 is not a tuple of integer coordinates")),
+    (lambda: MultiPoly.variable(make_field(3), 1, 1),
+     (ValueError, "variable index 1 is not in 0..n-1 for n = 1")),
+    (lambda: MultiPoly.variable(make_field(3), 1, -1),
+     (ValueError, "variable index -1 is not in 0..n-1 for n = 1")),
+    (lambda: MultiPoly.variable(make_field(3), 2, 1).coeffs, {(0, 1): 1}),
+    (lambda: MultiPoly.variable(make_field(3), 1, 0).evaluate(5),
+     (ValueError, "point 5 is not a tuple of coordinates")),
+    (lambda: MultiPoly(make_field(3), 1, [((1,), 1)]),
+     (ValueError, "coefficients are [((1,), 1)], expected a dict of exponent tuple -> int")),
+    (lambda: empirical_success(nand_plan(), [1, 1, 1, 0]),
+     (ValueError, "table is [1, 1, 1, 0], expected a dict of point -> value")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "plan-Q-none", "plan-Q-int-rows", "plan-Q-mapping-rows", "plan-Q-set-row",
         "plan-parties-none",
@@ -171,6 +212,13 @@ def _outcome(call):
         "setting-int-outcome", "output-of-int-outcomes",
         "conjugate-bool", "conjugate-str",
         "nu-float-n-composite", "nu-float-n-prime", "nu-bool-n", "nu-negative-n", "nu-str-n",
-        "nu-int-n", "ghz-no-qudits", "ghz-negative-qudits", "ghz-one-qudit"])
+        "nu-int-n", "ghz-no-qudits", "ghz-negative-qudits", "ghz-one-qudit",
+        "conjugate-short-label", "conjugate-str-control", "symplectic-short-label",
+        "symplectic-zero-d", "symplectic-int-labels", "commutation-tuples",
+        "commutation-labels", "measurement-str-op", "measurement-str-state",
+        "longest-path-list", "delta-distance-zero-d", "delta-distance-float-q",
+        "delta-distance-int", "delta-poly-float-point", "delta-poly-int-point",
+        "variable-index-n", "variable-index-negative", "variable-index-last",
+        "evaluate-int-point", "multipoly-list-coefficients", "success-list-target"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want
