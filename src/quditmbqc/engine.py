@@ -44,7 +44,12 @@ step on one ket skips the kernel and draws straight off the cycle of the site
 operator that holds the ket's digit, read from that operator's row of
 (cycle length, outcomes) per digit (MonomialOp._digit_cycles): one row per
 entry of _site_ops (MbqcPlan._digit_rows, built once from that table), so
-columns with one operator share one row.
+columns with one operator share one row.  A temporally flat plan whose
+resource is one ket (every compiled plan) runs in one numpy pass
+(_one_ket_run): its settings come from the arrays of MbqcPlan._flat, which
+flat laws read too, and its outcomes from one take of MbqcPlan._sure, the
+sure outcome of each (site entry, digit), -1 where the cycle has L >= 2;
+only those parties draw, in party order, from _digit_rows.
 """
 
 from __future__ import annotations
@@ -369,10 +374,18 @@ class MbqcPlan:
         return tuple([op._digit_cycles for op in self._site_ops])
 
     @functools.cached_property
+    def _sure(self) -> np.ndarray:
+        """Entry e*d + x: the one outcome of entry e of _site_ops on the
+        digit x, or -1 where the cycle holding x has L >= 2 outcomes; read
+        off _digit_rows, for the runs of _one_ket_run."""
+        return np.array([on_cycle[0] if L == 1 else -1
+                         for row in self._digit_rows for L, on_cycle in row], np.int64)
+
+    @functools.cached_property
     def _flat(self) -> SimpleNamespace:
         """Q's columns, q0, z, _sites as a (3, kinds*d) array, the first
         column of each party's kind in it and the resource in numpy form
-        for _flat_labels."""
+        for _flat_labels and _one_ket_run."""
         d, P, N, n = self.d, tau_period(self.d), self.N, self.n
         if P * P * (N + n + 1) >= 2**63:  # bounds every value of _flat_labels
             raise SizeGuardError(f"flat laws at d={d} with {N} parties and {n} inputs need int64 "
@@ -600,12 +613,12 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     once and shares it with later runs and ordered walks of the plan, at
     most EXACT_BRANCH_BUDGET steps at a time; its rests stay lazy, so a
     run takes the same bits and builds the rest it draws as a run without
-    the memo.  Once one ket is left (from the start,
-    on a product resource), a step draws the outcome straight off the
-    cycle of the site operator that holds the ket's digit: entry
-    _site_columns[k] + q of MbqcPlan._digit_rows holds each digit's (cycle
-    length, outcomes) under M_k(q), the _digit_cycles of that entry of
-    _site_ops, so columns with one label share one row.
+    the memo.  Once one ket is left (after the head, or from the start on
+    an ordered plan whose resource is one ket), a step draws the outcome
+    straight off the cycle of the site operator that holds the ket's
+    digit: entry _site_columns[k] + q of MbqcPlan._digit_rows holds each
+    digit's (cycle length, outcomes) under M_k(q), the _digit_cycles of
+    that entry of _site_ops, so columns with one label share one row.
     Every draw, in the head and the tail, reads the Random's getrandbits
     by states._below, which takes the bits and gives the value that
     rng.randrange would.  The tail's draws at L = 1 choose nothing but
@@ -617,17 +630,24 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     run's own Random only at its first draw that chooses: the first head
     step, the first tail step with L >= 2, or a table resource's draw, so
     a run on one ket that never meets L >= 2 (every run of a compiled
-    plan) seeds none and draws nothing.
+    plan) seeds none and draws nothing.  A temporally flat plan on one ket
+    takes none of these steps: _one_ket_run reads its settings, sure
+    outcomes and output in one numpy pass and makes the draws of the
+    parties with L >= 2 alone, in party order, each after the owed draws
+    before it, so its bits, outcomes and caller's Random state are those
+    of the tail loop.
     """
     i = _read_input(plan, i)
     caller = _check_seed(seed)
-    settings = plan._settings(i)
     if isinstance(plan.resource, TableResource):
+        settings = plan._settings(i)
         m, _, _ = _draw_branch([(m, p.numerator, p.denominator)
                                 for m, p in plan.resource.distribution(settings)],
                                _read_seed(seed).getrandbits)
         return RunTrace(i, settings, m, plan._output(m))
-    settings = list(settings)
+    if plan.temporally_flat and len(plan.resource.terms) == 1:
+        return _one_ket_run(plan, i, seed, caller)
+    settings = list(plan._settings(i))
     outcomes: list[int] = []
     terms, levels = plan._trie
     d, t_rows = plan.d, plan._t_nonzero
@@ -660,12 +680,51 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
         else:
             if bits is None:
                 bits = _read_seed(seed).getrandbits
-            while owed:
-                owed -= not bits(1)
+            _pay(bits, owed)
+            owed = 0
             outcomes.append(on_cycle[_below(bits, L)])
-    while caller and owed:
-        owed -= not bits(1)
+    if caller:
+        _pay(bits, owed)
     return RunTrace(i, tuple(settings), tuple(outcomes), plan._output(outcomes))
+
+
+def _one_ket_run(plan: MbqcPlan, i: tuple[int, ...], seed, caller: bool) -> RunTrace:
+    """run on a temporally flat plan whose resource is one ket, in one
+    numpy pass: the settings s = q0 + Q*i mod d, each party's outcome
+    taken from plan._sure at (_site_columns[k] + s_k)*d + ket[k], and the
+    output z*m + s0 mod d.  Only the parties whose cycle has L >= 2
+    outcomes (-1 in _sure) draw, in party order, as run's tail loop
+    does: the owed one-outcome draws first, then _below(bits, L) from
+    _digit_rows; so the bits, and a caller's Random, are those of that
+    loop.  Every value (settings below d + n*d*d, indices below kinds*d*d,
+    z*m below N*d*d) stays under plan._flat's int64 bound P*P*(N + n + 1),
+    P <= 2d, which holds on every plan whose N parties and _site_ops
+    (kinds*d operators of d entries each) fit in memory."""
+    d, f, settings = plan.d, plan._flat, plan._flat.q0
+    for v, row in zip(i, f.QT):  # new arrays only: f's stay as they are
+        if v:
+            settings = settings + v * row
+    settings = settings % d
+    entries, digits = f.column + settings, f.kets[0]
+    outcomes = plan._sure.take(entries * d + digits)
+    (chosen,) = (outcomes < 0).nonzero()
+    if caller or chosen.size:
+        bits, rows, last = _read_seed(seed).getrandbits, plan._digit_rows, -1
+        for k, entry, digit in zip(chosen.tolist(), entries[chosen].tolist(), digits[chosen].tolist()):
+            _pay(bits, k - last - 1)
+            L, on_cycle = rows[entry][digit]
+            outcomes[k], last = on_cycle[_below(bits, L)], k
+        if caller:
+            _pay(bits, plan.N - last - 1)
+    return RunTrace(i, tuple(settings.tolist()), tuple(outcomes.tolist()),
+                    (int(f.z @ outcomes) + plan.s0) % d)
+
+
+def _pay(bits, owed: int) -> None:
+    """Read bits(1) until it has returned 0 owed times: the bits of owed
+    _below(bits, 1) draws."""
+    while owed:
+        owed -= not bits(1)
 
 
 def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:

@@ -229,11 +229,21 @@ def make_field(d: int) -> Modulus:
     return IntegerRing(d)
 
 
+def _check_modulus(modulus, n=0) -> None:
+    """Refuse, with ValueError, a modulus that is not a Modulus (such as
+    the int d that make_field reads) and an n that is not an int >= 0."""
+    if not isinstance(modulus, Modulus):
+        raise ValueError(f"modulus is {modulus!r}, expected a Modulus such as make_field(d)")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
+
+
 def primitive_element(m: Modulus):
     """The first element, in elements() order, that generates the
     multiplicative group of the field: u^((d-1)/q) != 1 for every prime
     q dividing d-1.  d-1 is that group's order only over a field, so a
     ring modulus is refused."""
+    _check_modulus(m)
     if not m.is_field:
         raise UnsupportedModulusError("primitive element needs a field modulus")
     return next(a for a in m.elements()[1:]
@@ -251,10 +261,9 @@ class MultiPoly:
     __slots__ = ("modulus", "n", "coeffs")
 
     def __init__(self, modulus: Modulus, n: int, coeffs: dict):
-        """Validated: an int n >= 0, int coefficients, read mod d, on
-        reduced exponent tuples."""
-        if type(n) is not int or n < 0:
-            raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
+        """Validated: a Modulus, an int n >= 0, int coefficients, read mod
+        d, on reduced exponent tuples."""
+        _check_modulus(modulus, n)
         if not isinstance(coeffs, dict):
             raise ValueError(f"coefficients are {coeffs!r}, expected a dict of exponent tuple -> int")
         d = modulus.d
@@ -298,11 +307,11 @@ class MultiPoly:
             raise ValueError(f"variable index {j!r} is not in 0..n-1 for n = {n!r}")
         exps = [0] * n
         exps[j] = 1
-        return cls(modulus, n, {tuple(exps): modulus.one})
+        return cls(modulus, n, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, modulus: Modulus, n: int, exps: tuple[int, ...], coeff=None) -> "MultiPoly":
-        return cls(modulus, n, {tuple(exps): modulus.one if coeff is None else coeff})
+        return cls(modulus, n, {tuple(exps): 1 if coeff is None else coeff})
 
     # -- algebra -----------------------------------------------------------
     def evaluate(self, point: tuple) -> int:
@@ -363,6 +372,7 @@ def _monomial_text(exps: tuple[int, ...]) -> str:
 
 def all_points(modulus: Modulus, n: int) -> list[tuple]:
     """All of F^n in lexicographic order of element indices."""
+    _check_modulus(modulus, n)
     return list(itertools.product(modulus.elements(), repeat=n))
 
 
@@ -386,6 +396,7 @@ def delta_poly(modulus: Modulus, y: tuple) -> MultiPoly:
     interpolation of that indicator table; needs a field modulus."""
     if not isinstance(y, (tuple, list)) or any(type(c) is not int for c in y):
         raise ValueError(f"point {y!r} is not a tuple of integer coordinates")
+    _check_modulus(modulus)
     y = tuple(c % modulus.d for c in y)
     return interpolate(modulus, {x: int(x == y) for x in all_points(modulus, len(y))})
 
@@ -398,6 +409,7 @@ def interpolate(modulus: Modulus, table: dict) -> MultiPoly:
     the coefficient of x^0 is f(0), that of x^k (k >= 1) is
     -sum_y f(y) y^(q-1-k) with 0^0 = 1.  It is applied along every axis.
     """
+    _check_modulus(modulus)
     if not modulus.is_field:
         raise UnsupportedModulusError("interpolation needs a field modulus")
     q = modulus.d
@@ -455,13 +467,16 @@ def combined_degree(g: MultiPoly) -> int:
 def in_subspace(g: MultiPoly, delta: int) -> bool:
     """Membership in Omega_n(delta): every monomial has exponent sum <= delta."""
     nmax = g.n * (g.modulus.d - 1)
-    if not 1 <= delta <= nmax:
-        raise ValueError(f"delta must be in 1..{nmax}")
+    if type(delta) is not int or not 1 <= delta <= nmax:
+        raise ValueError(f"delta must be an integer in 1..{nmax}, got {delta!r}")
     return combined_degree(g) <= delta
 
 
 def subspace_monomials(modulus: Modulus, n: int, delta: int) -> list[tuple[int, ...]]:
     """Exponent tuples spanning Omega_n(delta), in lex order."""
+    _check_modulus(modulus, n)
+    if type(delta) is not int:
+        raise ValueError(f"delta must be an integer, got {delta!r}")
     d = modulus.d
     return [e for e in itertools.product(range(d), repeat=n) if sum(e) <= delta]
 
@@ -494,6 +509,7 @@ class MonomialSpan(Set):
     __slots__ = ("modulus", "n", "monomials", "_support")
 
     def __init__(self, modulus: Modulus, n: int, monomials):
+        _check_modulus(modulus, n)
         self.modulus = modulus
         self.n = n
         self.monomials = tuple(monomials)

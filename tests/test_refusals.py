@@ -8,12 +8,18 @@ from quditmbqc import compiler
 from quditmbqc.compiler import compile_exponential
 from quditmbqc.engine import MbqcPlan, TableResource, empirical_success, longest_path, run
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
-from quditmbqc.fields import IntegerRing, MultiPoly, closure_basis, delta_poly, make_field
+from quditmbqc.fields import (IntegerRing, MonomialSpan, MultiPoly, all_points, closure_basis,
+                              delta_poly, enumerate_subspace, in_subspace, interpolate, make_field,
+                              primitive_element)
 from quditmbqc.states import (GlobalObservable, MonomialOp, clifford_unitary, make_ghz,
                               measurement_distribution)
 from quditmbqc.weyl import (CliffordSpec, WeylLabel, commutation_phase, conjugate_weyl,
                             named_clifford, symplectic_product, weyl_power)
 from quditmbqc.witnesses import delta_distance, nu_distance
+
+
+# every fields entry point given the int 5 for its modulus
+_NOT_A_MODULUS = "modulus is 5, expected a Modulus such as make_field(d)"
 
 
 def _nand_with(**fields):
@@ -194,6 +200,26 @@ def _outcome(call):
      (ValueError, "coefficients are [((1,), 1)], expected a dict of exponent tuple -> int")),
     (lambda: empirical_success(nand_plan(), [1, 1, 1, 0]),
      (ValueError, "table is [1, 1, 1, 0], expected a dict of point -> value")),
+    # an int d where a fields entry point takes a Modulus, refused by one check
+    (lambda: delta_poly(5, (1,)), (ValueError, _NOT_A_MODULUS)),
+    (lambda: MultiPoly(5, 1, {}), (ValueError, _NOT_A_MODULUS)),
+    (lambda: MultiPoly.zero(5, 1), (ValueError, _NOT_A_MODULUS)),
+    (lambda: MultiPoly.variable(5, 1, 0), (ValueError, _NOT_A_MODULUS)),
+    (lambda: MultiPoly.monomial(5, 1, (1,)), (ValueError, _NOT_A_MODULUS)),
+    (lambda: interpolate(5, {(0,): 1}), (ValueError, _NOT_A_MODULUS)),
+    (lambda: all_points(5, 1), (ValueError, _NOT_A_MODULUS)),
+    (lambda: enumerate_subspace(5, 1, 2), (ValueError, _NOT_A_MODULUS)),
+    (lambda: MonomialSpan(5, 1, []), (ValueError, _NOT_A_MODULUS)),
+    (lambda: primitive_element(5), (ValueError, _NOT_A_MODULUS)),
+    (lambda: MultiPoly(None, 1, {}),
+     (ValueError, "modulus is None, expected a Modulus such as make_field(d)")),
+    (lambda: all_points(make_field(5), 1.5), (ValueError, "n must be >= 0 and an integer, got 1.5")),
+    (lambda: enumerate_subspace(make_field(5), -1, 2),
+     (ValueError, "n must be >= 0 and an integer, got -1")),
+    (lambda: enumerate_subspace(make_field(5), 1, "2"),
+     (ValueError, "delta must be an integer, got '2'")),
+    (lambda: in_subspace(MultiPoly.zero(make_field(3), 1), 1.5),
+     (ValueError, "delta must be an integer in 1..2, got 1.5")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "plan-Q-none", "plan-Q-int-rows", "plan-Q-mapping-rows", "plan-Q-set-row",
         "plan-parties-none",
@@ -219,6 +245,11 @@ def _outcome(call):
         "longest-path-list", "delta-distance-zero-d", "delta-distance-float-q",
         "delta-distance-int", "delta-poly-float-point", "delta-poly-int-point",
         "variable-index-n", "variable-index-negative", "variable-index-last",
-        "evaluate-int-point", "multipoly-list-coefficients", "success-list-target"])
+        "evaluate-int-point", "multipoly-list-coefficients", "success-list-target",
+        "delta-poly-int-modulus", "multipoly-int-modulus", "zero-int-modulus",
+        "variable-int-modulus", "monomial-int-modulus", "interpolate-int-modulus",
+        "all-points-int-modulus", "enumerate-subspace-int-modulus", "span-int-modulus",
+        "primitive-element-int-modulus", "multipoly-none-modulus", "all-points-float-n",
+        "enumerate-subspace-negative-n", "enumerate-subspace-str-delta", "in-subspace-float-delta"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want
