@@ -9,24 +9,26 @@ Settings follow q = T*m + Q*i + q0 mod d and the output is o = z*m + s0.
 Plans are immutable after load; runs are pure given a seed, so enumeration
 over inputs can be parallelized freely.
 
-Extraction, the determinism check and success scoring read exact output
-laws (output_distribution, or its point masses in _point_table): the
-spectral law of W(i) for flat plans, a party-by-party walk that merges
-equal branches for ordered ones; none of them samples.  Every site
-observable M_k(q) = V_k^q W_k V_k^-q of a plan comes from one table
-(MbqcPlan._sites) of Weyl labels (t, a, b), M_k(q) = tau^t W_(a,b), filled
-at first use by one orbit walk of each distinct (fiducial, control) pair
-under its control.  A flat law builds no operator: W(i) = (x)_k
-M_k(q_k(i))**z_k is one N-qudit Weyl operator whose label _flat_labels
-gathers from that table, for many inputs per call in a point table.  Runs,
-the ordered walk, site_observable and weighted_observable share one
-MonomialOp per distinct label (MbqcPlan._ops), whatever party, setting or
-power it comes from.  Runs, the ordered walk and site_observable read
-M_k(q) from one table of operators (MbqcPlan._site_ops), built from _ops
-at the first of them, so columns with one label hold one operator.  Every
-per-column table is read at entry _site_columns[k] + q, the one per-party
-index the plan stores: c*d for the kind c of party k, recorded while
-__init__ numbers the kinds.  Runs and the ordered walk measure party k with
+Extraction, the determinism check, success scoring and output_distribution
+read exact output laws from one stream (_laws), in input order: the
+spectral law of W(i) for flat plans, a chunk of inputs at a time, and a
+party-by-party walk that merges equal branches for ordered ones; none of
+them samples.  Every site observable M_k(q) = V_k^q W_k V_k^-q of a plan
+comes from one table (MbqcPlan._sites) of Weyl labels (t, a, b), M_k(q) =
+tau^t W_(a,b), filled at first use by one orbit walk of each distinct
+(fiducial, control) pair under its control.  A flat law builds no
+operator: W(i) = (x)_k M_k(q_k(i))**z_k is one N-qudit Weyl operator whose
+label _flat_labels gathers from that table, for a whole chunk of inputs
+per call: the point table reads the chunk's point masses alone, and a
+spread law its own row of the chunk's labels.  Runs, the ordered walk,
+site_observable and weighted_observable share one MonomialOp per distinct
+label (MbqcPlan._ops), whatever party, setting or power it comes from.
+Runs, the ordered walk and site_observable read M_k(q) from one table of
+operators (MbqcPlan._site_ops), built from _ops at the first of them, so
+columns with one label hold one operator.  Every per-column table is read
+at entry _site_columns[k] + q, the one per-party index the plan stores:
+c*d for the kind c of party k, recorded while __init__ numbers the kinds.
+Runs and the ordered walk measure party k with
 states._measurement_branches on level k of the resource's suffix trie
 (MbqcPlan._trie, built at the first use), passed as it is: a rest is (tau
 exponent, suffix class) terms, so a step costs O(K) for its K <= the
@@ -84,7 +86,7 @@ from .weyl import CliffordSpec, WeylLabel, _orbit, weyl_power
 
 # branches one layer of an exact walk may hold, and steps a plan's step memo may hold
 EXACT_BRANCH_BUDGET = 20000
-# (input, party) pairs per _flat_labels call of a point table, so that its
+# (input, party) pairs per _flat_labels call of the law stream, so that its
 # int64 arrays (the largest, the gathered labels, 3 x 32 KiB) stay under
 # 128 KiB where N allows: glibc serves smaller blocks from its heap, and
 # freeing a larger one raises its mmap threshold for the rest of the
@@ -762,28 +764,43 @@ def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
 
 
 def _point_table(plan: MbqcPlan) -> dict[tuple[int, ...], int] | None:
-    """The output per input, or None when some law is not a point mass.
-
-    A flat quantum plan decides its inputs by _flat_labels, _FLAT_CHUNK
-    (input, party) pairs a call, and never computes a spread law; other
-    plans read the laws in input order.  Both stop at the first input
-    whose law is not a point mass.
+    """The output per input, or None when some law is not a point mass:
+    the point outcomes of _laws, read chunk by chunk up to the first chunk
+    with a spread input.  It never asks a chunk for a law, so on a flat
+    quantum plan no spread law is computed, and an irrational one reads as
+    not a point mass.
     """
-    inputs, table = plan.inputs(), {}
+    table = {}
+    for chunk, points, _ in _laws(plan, plan.inputs()):
+        if None in points:
+            return None
+        table.update(zip(chunk, points))
+    return table
+
+
+def _laws(plan: MbqcPlan, inputs: list):
+    """The exact output law of each input, in input order, as (chunk,
+    points, law) for consecutive chunks of the inputs: points[r] is o when
+    the law of chunk[r] is the point mass at o and None when it is spread,
+    and law(r) is that law, {o: probability}.
+
+    A flat quantum plan takes _FLAT_CHUNK (input, party) pairs a chunk: one
+    _flat_labels and one _eigenphases call give the chunk's labels and
+    point outcomes, and law(r) reads a spread law off row r of those labels
+    (_spectral_law) only when it is called, raising SparseFormError there
+    when that law is irrational.  Table resources and ordered plans go one
+    input a chunk, their law computed at once (_law).
+    """
     if plan.temporally_flat and isinstance(plan.resource, SparseState):
         step = max(1, _FLAT_CHUNK // max(plan.N, 1))
         for s in range(0, len(inputs), step):
-            outs = _eigenphases(plan, *_flat_labels(plan, inputs[s:s + step]))
-            if None in outs:
-                return None
-            table.update(zip(inputs[s:s + step], outs))
-        return table
-    for i in inputs:
-        law = output_distribution(plan, i)
-        if len(law) != 1:
-            return None
-        (table[i],) = law
-    return table
+            chunk = inputs[s:s + step]
+            points = _eigenphases(plan, *(labels := _flat_labels(plan, chunk)))
+            yield chunk, points, functools.partial(_spectral_law, plan, chunk, points, labels)
+        return
+    for i in inputs:  # a one-input chunk, whose law(0) is the law itself
+        law = _law(plan, i)
+        yield (i,), [next(iter(law)) if len(law) == 1 else None], [law].__getitem__
 
 
 def _flat_labels(plan: MbqcPlan, inputs) -> tuple:
@@ -828,34 +845,39 @@ def _eigenphases(plan: MbqcPlan, A1, A2, AX, beta) -> list[int | None]:
 
 
 def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
-    """Exact distribution of the output for one input.
+    """Exact distribution of the output for one input: the one-input case
+    of _laws.
 
     Flat plans are exact on every input: a table resource is read off, a
     quantum one follows P(o) = <psi|(1/d) sum_j omega^(-j(o-s0)) W^j|psi>
     with W = weighted_observable(plan, i), read off W's labels
-    (_flat_labels), or raises SparseFormError when a probability is
-    irrational.  Ordered plans are walked party by party,
-    merging branches that agree on the rest state (global phase dropped),
-    the outcome corrections to later parties' settings and the partial
-    output; each step's branches come from the plan's step memo
-    (MbqcPlan._branches), shared with other inputs and runs.  The walk
-    raises SizeGuardError when its widest layer, the branches after one
-    party, exceeds EXACT_BRANCH_BUDGET.  The walk's weights are integers
-    over one denominator per layer: a branch of weight w / den from a
-    branch of numerator num adds num * w * (scale // den), scale the lcm
-    of the layer's branch denominators, which multiplies the denominator;
-    the gcd of the numerators and the denominator is divided out after
-    each layer, and Fractions are built for the returned law alone.
+    (_spectral_law), or raises SparseFormError when a probability is
+    irrational.  Ordered plans are walked party by party (_law).
     """
-    i = _read_input(plan, i)
+    return next(_laws(plan, [_read_input(plan, i)]))[2](0)
+
+
+def _law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
+    """The exact output law of input i on a table resource, read off the
+    table, or of an ordered plan, walked party by party, merging branches
+    that agree on the rest state (global phase dropped), the outcome
+    corrections to later parties' settings and the partial output; each
+    step's branches come from the plan's step memo (MbqcPlan._branches),
+    shared with other inputs and runs.  The walk raises SizeGuardError when
+    its widest layer, the branches after one party, exceeds
+    EXACT_BRANCH_BUDGET.  The walk's weights are integers over one
+    denominator per layer: a branch of weight w / den from a branch of
+    numerator num adds num * w * (scale // den), scale the lcm of the
+    layer's branch denominators, which multiplies the denominator; the gcd
+    of the numerators and the denominator is divided out after each layer,
+    and Fractions are built for the returned law alone.
+    """
     if isinstance(plan.resource, TableResource):
         out = {}
         for m, p in plan.resource.distribution(plan._settings(i)):
             o = plan._output(m)
             out[o] = out.get(o, Fraction(0)) + p
         return {o: p for o, p in out.items() if p}
-    if plan.temporally_flat:
-        return _spectral_law(plan, i)
     d, z, reads, step = plan.d, plan.z, plan._reads, plan._branches
     settings, columns, ops = plan._settings(i), plan._site_columns, plan._site_ops
     start, levels = plan._trie
@@ -892,26 +914,28 @@ def output_distribution(plan: MbqcPlan, i) -> dict[int, Fraction]:
     return {o: Fraction(num, den) for (_, _, o), num in layer.items()}
 
 
-def _spectral_law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
-    """d*K*P(o) as exact tau-power sums over the kets W^j psi shares with
-    psi, read off the labels of W (_flat_labels): the moment terms are
-    collected once, and each outcome o's sum is one integer coefficient
-    list built by phases._tau_sum, reduced by phases._reduce, rational
-    exactly when only its tau^0 coefficient survives (phases._as_integer)."""
-    labels = _flat_labels(plan, [i])
-    (o,) = _eigenphases(plan, *labels)  # the j = 1 moment decides a point mass
-    if o is not None:
-        return {o: Fraction(1)}
+def _spectral_law(plan: MbqcPlan, chunk: list, points: list, labels: tuple, row: int) -> dict[int, Fraction]:
+    """The law of chunk[row] on a flat quantum plan, from its chunk's point
+    outcomes (_eigenphases) and that row of its labels (_flat_labels): the
+    point mass at points[row], or else d*K*P(o) as exact tau-power sums over
+    the kets W^j psi shares with psi: the moment terms are collected once,
+    and each outcome o's sum is one integer coefficient list built by
+    phases._tau_sum, reduced by phases._reduce, rational exactly when only
+    its tau^0 coefficient survives (phases._as_integer)."""
+    if points[row] is not None:
+        return {points[row]: Fraction(1)}
     d, P, s0, f = plan.d, tau_period(plan.d), plan.s0, plan._flat
-    A1, A2, AX, beta = int(labels[0][0]), int(labels[1][0]), labels[2][0].tolist(), labels[3][0]
-    # (j, tau exponent at o = 0) for each ket W^j keeps in psi's support; W^j moves x_r to ket
-    terms = [(j, f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * (AX[r] + s0))
-             for j in range(d) for r, ket in enumerate(map(tuple, ((f.kets + j * beta) % d).tolist()))
-             if ket in f.row_of]
+    A1, A2, AX, beta = int(labels[0][row]), int(labels[1][row]), labels[2][row].tolist(), labels[3][row]
+    # (j, tau exponent at o = 0) for each ket W^j keeps in psi's support: W^0 keeps every ket
+    # at exponent 0, and W^j, j >= 1, moves x_r to ket
+    terms = [(0, 0)] * len(f.taus) + [
+        (j, f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * (AX[r] + s0))
+        for j in range(1, d) for r, ket in enumerate(map(tuple, ((f.kets + j * beta) % d).tolist()))
+        if ket in f.row_of]
     # outcome o adds tau^(e - 2*j*o) for each term
     weights = [_as_integer(_reduce(_tau_sum([e - 2 * j * o for j, e in terms], P), P)) for o in range(d)]
     if None in weights:
-        raise SparseFormError(f"output law at input {i} has an irrational probability")
+        raise SparseFormError(f"output law at input {chunk[row]} has an irrational probability")
     return {o: Fraction(w, d * len(f.taus)) for o, w in enumerate(weights) if w}
 
 
@@ -959,11 +983,13 @@ def longest_path(adj: dict[int, list[int]]) -> int:
 def empirical_success(plan: MbqcPlan, target: dict) -> tuple[Fraction, Fraction]:
     """(worst-case, average) probability of matching the target table.
 
-    Every input is scored from its exact output law (output_distribution),
-    so the result is exact or an error, never an estimate.  The target is
-    read by fields._table_values; its arity must be n.
+    Every input is scored from its exact output law, read from _laws chunk
+    by chunk (on a flat quantum plan, the moment sum runs for its spread
+    inputs alone), so the result is exact or an error, never an estimate:
+    the first input, in input order, whose law is irrational is refused.
+    The target is read by fields._table_values; its arity must be n.
     """
-    _, values = _table_values(target, plan.d, plan.n)
-    per_input = [output_distribution(plan, i).get(o, Fraction(0))
-                 for i, o in zip(plan.inputs(), values)]
+    values, per_input = iter(_table_values(target, plan.d, plan.n)[1]), []
+    for _, points, law in _laws(plan, plan.inputs()):
+        per_input += [law(r).get(o, Fraction(0)) for r, o in zip(range(len(points)), values)]
     return min(per_input), sum(per_input, Fraction(0)) / len(per_input)

@@ -238,6 +238,13 @@ def _check_modulus(modulus, n=0) -> None:
         raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
 
 
+def _check_poly(g) -> None:
+    """Refuse, with ValueError, a g that is not a MultiPoly (such as the
+    int d), before any of its fields is read."""
+    if not isinstance(g, MultiPoly):
+        raise ValueError(f"polynomial is {g!r}, expected a MultiPoly")
+
+
 def primitive_element(m: Modulus):
     """The first element, in elements() order, that generates the
     multiplicative group of the field: u^((d-1)/q) != 1 for every prime
@@ -298,6 +305,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, modulus: Modulus, n: int, value) -> "MultiPoly":
+        _check_modulus(modulus, n)  # before n builds the exponent tuple
         return cls(modulus, n, {(0,) * n: value})
 
     @classmethod
@@ -311,7 +319,10 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, modulus: Modulus, n: int, exps: tuple[int, ...], coeff=None) -> "MultiPoly":
-        return cls(modulus, n, {tuple(exps): 1 if coeff is None else coeff})
+        """coeff (default 1) times x^exps, for exps a tuple or a list of n
+        exponents; __init__ refuses any other exps."""
+        exps = tuple(exps) if isinstance(exps, list) else exps
+        return cls(modulus, n, {exps: 1 if coeff is None else coeff})
 
     # -- algebra -----------------------------------------------------------
     def evaluate(self, point: tuple) -> int:
@@ -459,6 +470,7 @@ def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[
 
 def combined_degree(g: MultiPoly) -> int:
     """Maximal exponent sum over monomials; 0 for constants and zero."""
+    _check_poly(g)
     if not g.coeffs:
         return 0
     return max(sum(e) for e in g.coeffs)
@@ -466,10 +478,10 @@ def combined_degree(g: MultiPoly) -> int:
 
 def in_subspace(g: MultiPoly, delta: int) -> bool:
     """Membership in Omega_n(delta): every monomial has exponent sum <= delta."""
-    nmax = g.n * (g.modulus.d - 1)
+    degree, nmax = combined_degree(g), g.n * (g.modulus.d - 1)
     if type(delta) is not int or not 1 <= delta <= nmax:
         raise ValueError(f"delta must be an integer in 1..{nmax}, got {delta!r}")
-    return combined_degree(g) <= delta
+    return degree <= delta
 
 
 def subspace_monomials(modulus: Modulus, n: int, delta: int) -> list[tuple[int, ...]]:
@@ -578,12 +590,12 @@ def closure_basis(g: MultiPoly) -> list[tuple]:
     are found); interpolate() turns one into its monomial.  The number of
     vectors is the closure's dimension.
     """
-    m = g.modulus
+    exponents, m = _closure_monomials(g), g.modulus  # _closure_monomials checks g first
     rows = [[m.one] * m.d]  # rows[a][x] = x^a, with 0^0 = 1
     for _ in range(m.d - 1):
         rows.append(list(map(m.mul, rows[-1], m.elements())))
     basis = []
-    for exps in _closure_monomials(g):
+    for exps in exponents:
         values = [m.one]
         for a in exps:
             values = [m.mul(v, c) for v in values for c in rows[a]]
@@ -618,6 +630,7 @@ def _closure_monomials(g: MultiPoly) -> list[tuple[int, ...]]:
     x1^(a-k)*x2^(b+k) for the same k, folded by x^q = x.  Distinct k give
     distinct monomials, so no terms cancel and no field arithmetic is done.
     """
+    _check_poly(g)
     m, n = g.modulus, g.n
     if not m.is_field:
         raise UnsupportedModulusError("closure needs a field modulus")
@@ -650,7 +663,8 @@ def _closure_monomials(g: MultiPoly) -> list[tuple[int, ...]]:
 def closure_generate(g: MultiPoly) -> MonomialSpan:
     """The closure of g (see closure_basis) as a MonomialSpan of reduced
     polynomials: d^dim members."""
-    return MonomialSpan(g.modulus, g.n, _closure_monomials(g))
+    exponents = _closure_monomials(g)  # which checks g first
+    return MonomialSpan(g.modulus, g.n, exponents)
 
 
 # -- the least-degree polynomial of a table over Z_d -------------------------

@@ -74,6 +74,15 @@ def ghz_chain(d, N):
                     Q=[[1]] * N, T=[{}] + [{k - 1: 1} for k in range(1, N)], z=[1] * N, s0=0)
 
 
+def mermin_plan(d, N):
+    """Mermin's GHZ game on a d-level GHZ state: party k measures X
+    (fiducial (0, 1)) rotated by S to the power of input symbol k, and the
+    output is the sum of all outcomes."""
+    return MbqcPlan(d=d, n=N, N=N, resource=make_ghz(d, N),
+                    parties=[(WeylLabel(d, (0, 1)), named_clifford(d, "S"))] * N,
+                    Q=[[int(j == k) for j in range(N)] for k in range(N)], z=[1] * N, s0=0)
+
+
 def random_ghz_plan(rng, d, N, n, ordered, tau_phased):
     """GHZ resource with random Weyl fiducials and monomial-class controls.
 

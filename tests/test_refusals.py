@@ -9,8 +9,8 @@ from quditmbqc.compiler import compile_exponential
 from quditmbqc.engine import MbqcPlan, TableResource, empirical_success, longest_path, run
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
 from quditmbqc.fields import (IntegerRing, MonomialSpan, MultiPoly, all_points, closure_basis,
-                              delta_poly, enumerate_subspace, in_subspace, interpolate, make_field,
-                              primitive_element)
+                              closure_generate, combined_degree, delta_poly, enumerate_subspace,
+                              in_subspace, interpolate, make_field, primitive_element)
 from quditmbqc.states import (GlobalObservable, MonomialOp, clifford_unitary, make_ghz,
                               measurement_distribution)
 from quditmbqc.weyl import (CliffordSpec, WeylLabel, commutation_phase, conjugate_weyl,
@@ -20,6 +20,8 @@ from quditmbqc.witnesses import delta_distance, nu_distance
 
 # every fields entry point given the int 5 for its modulus
 _NOT_A_MODULUS = "modulus is 5, expected a Modulus such as make_field(d)"
+# every fields entry point given the int 5 for its polynomial
+_NOT_A_POLY = "polynomial is 5, expected a MultiPoly"
 
 
 def _nand_with(**fields):
@@ -220,6 +222,17 @@ def _outcome(call):
      (ValueError, "delta must be an integer, got '2'")),
     (lambda: in_subspace(MultiPoly.zero(make_field(3), 1), 1.5),
      (ValueError, "delta must be an integer in 1..2, got 1.5")),
+    # an int where a polynomial belongs, refused by one check before a field is read
+    (lambda: closure_basis(5), (ValueError, _NOT_A_POLY)),
+    (lambda: closure_generate(5), (ValueError, _NOT_A_POLY)),
+    (lambda: combined_degree(5), (ValueError, _NOT_A_POLY)),
+    (lambda: in_subspace(5, 1), (ValueError, _NOT_A_POLY)),
+    # constructor arguments refused by the checks of MultiPoly itself
+    (lambda: MultiPoly.monomial(make_field(3), 1, 5),
+     (ValueError, "exponent tuple 5 not reduced for d=3")),
+    (lambda: MultiPoly.monomial(make_field(3), 1, [2]).coeffs, {(2,): 1}),
+    (lambda: MultiPoly.constant(make_field(3), "x", 1),
+     (ValueError, "n must be >= 0 and an integer, got 'x'")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "plan-Q-none", "plan-Q-int-rows", "plan-Q-mapping-rows", "plan-Q-set-row",
         "plan-parties-none",
@@ -250,6 +263,8 @@ def _outcome(call):
         "variable-int-modulus", "monomial-int-modulus", "interpolate-int-modulus",
         "all-points-int-modulus", "enumerate-subspace-int-modulus", "span-int-modulus",
         "primitive-element-int-modulus", "multipoly-none-modulus", "all-points-float-n",
-        "enumerate-subspace-negative-n", "enumerate-subspace-str-delta", "in-subspace-float-delta"])
+        "enumerate-subspace-negative-n", "enumerate-subspace-str-delta", "in-subspace-float-delta",
+        "closure-basis-int", "closure-generate-int", "combined-degree-int", "in-subspace-int",
+        "monomial-int-exponents", "monomial-list-exponents", "constant-str-n"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want
