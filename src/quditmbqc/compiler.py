@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import MbqcPlan, _point_table
+from .engine import MbqcPlan, _check_plan, _point_table
 from .errors import QuditMbqcError, VerificationError, plain_int
 from . import fields
 from .fields import is_prime, make_field
@@ -55,7 +55,9 @@ def verify(report: CompileReport) -> bool:
     VerificationError naming the first differing input, in input order, or
     saying that the plan is not deterministic, otherwise.
     """
-    plan = report.plan
+    if not isinstance(report, CompileReport):
+        raise QuditMbqcError(f"report is {report!r}, expected a CompileReport")
+    plan = _check_plan(report.plan)
     report.verified = False
     try:
         values = fields._table_values(report.target, plan.d, plan.n)[1]
@@ -122,7 +124,7 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
     """
     if plain_int(d, "d") < 3 or d % 2 == 0:
         raise QuditMbqcError("quadratic compilation needs odd d >= 3")
-    f = list(f) if f is not None else [1]
+    f = [1] if f is None else list(_listed(f, "f", (list, tuple), "a list of coefficients"))
     first = CliffordSpec(d, ((1, 1), (0, 1)), (0, d - 1))
     rows = [(first, f, 0, 1)] + [(named_clifford(d, "S"), f, 0, 1)] * (2 * d - 1)
     plan = _layout(d, len(f), make_example2_state(d), (0, 1), rows, 0)
@@ -132,7 +134,7 @@ def compile_quadratic(d: int, f: list[int] | None = None) -> CompileReport:
 def compile_exponential(d: int, u: int, f: list[int] | None = None) -> CompileReport:
     """Single-qudit exponential output u^-f(i) via the multiplier gate, for
     any d >= 2 and unit u mod d."""
-    f = list(f) if f is not None else [1]
+    f = [1] if f is None else list(_listed(f, "f", (list, tuple), "a list of coefficients"))
     rows = [(named_clifford(d, "Mu", u=u), f, 0, 1)]
     plan = _layout(d, len(f), basis_state(d, (1,)), (1, 0), rows, 0)
     return _verified(plan, "exponential", _of_linear(plan, f, lambda x: pow(u, -x, d)))
@@ -167,6 +169,14 @@ def delta_from_sigma(p: int) -> list[int]:
         acc = sum(sigma[(k * x) % p] for k in range(1, p))
         out.append((1 + half * (1 + acc)) % p)
     return out
+
+
+def _listed(value, name: str, kinds: tuple, expected: str):
+    """value, if an instance of kinds, before len or list reads it; else
+    refused as not being the expected container."""
+    if not isinstance(value, kinds):
+        raise QuditMbqcError(f"{name} is {value!r}, expected {expected}")
+    return value
 
 
 def _normalize_target(m, d: int) -> dict:
@@ -206,6 +216,7 @@ def compile_general_prime(m, p: int | None = None) -> CompileReport:
 
     For p = 2 every target is affine and a single-qubit plan suffices.
     """
+    m = _listed(m, "target", (list, tuple, dict), "a list or dict of values")
     p = plain_int(len(m) if p is None else p, "p")
     if not is_prime(p):
         raise QuditMbqcError(f"general compilation needs prime p, got {p}")
@@ -234,6 +245,7 @@ def compile_odd_ring(m, d: int | None = None) -> CompileReport:
     (d-1)^(k(x-j) mod d) for k = +-1 pairs exponents of opposite parity
     whenever x != j, so each (j, +-) pair contributes the delta at j.
     """
+    m = _listed(m, "target", (list, tuple, dict), "a list or dict of values")
     d = plain_int(len(m) if d is None else d, "d")
     if d < 3 or d % 2 == 0:
         raise QuditMbqcError("odd-ring compilation needs odd d >= 3 (2 must be a unit)")

@@ -46,12 +46,14 @@ step on one ket skips the kernel and draws straight off the cycle of the site
 operator that holds the ket's digit, read from that operator's row of
 (cycle length, outcomes) per digit (MonomialOp._digit_cycles): one row per
 entry of _site_ops (MbqcPlan._digit_rows, built once from that table), so
-columns with one operator share one row.  A temporally flat plan whose
-resource is one ket (every compiled plan) runs in one numpy pass
-(_one_ket_run): its settings come from the arrays of MbqcPlan._flat, which
-flat laws read too, and its outcomes from one take of MbqcPlan._sure, the
-sure outcome of each (site entry, digit), -1 where the cycle has L >= 2;
-only those parties draw, in party order, from _digit_rows.
+columns with one operator share one row.  That per-party loop is the one
+place a run on one ket draws.  A run that cannot draw, on a temporally flat
+plan whose resource is one ket and whose site operators are all diagonal
+(every compiled plan), is one numpy gather (_one_ket_run): its settings
+come from the arrays of MbqcPlan._flat, which flat laws read too, and its
+outcomes from MbqcPlan._sure, one row of d sure outcomes per distinct
+operator of _site_ops and the row start of each entry; _sure is None, and
+the plan runs by the loop, when some operator has a cycle of L >= 2.
 """
 
 from __future__ import annotations
@@ -105,6 +107,9 @@ class TableResource:
 
     def __init__(self, N: int, behavior: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]]):
         self.N = N = plain_int(N, "table N")
+        if not isinstance(behavior, dict):
+            raise QuditMbqcError(f"table behavior is {behavior!r}, "
+                                 "expected a dict of settings -> distribution")
         self.behavior = {}
         for q, dist in behavior.items():
             q = plain_ints(q, "table q", N)
@@ -376,12 +381,19 @@ class MbqcPlan:
         return tuple([op._digit_cycles for op in self._site_ops])
 
     @functools.cached_property
-    def _sure(self) -> np.ndarray:
-        """Entry e*d + x: the one outcome of entry e of _site_ops on the
-        digit x, or -1 where the cycle holding x has L >= 2 outcomes; read
-        off _digit_rows, for the runs of _one_ket_run."""
-        return np.array([on_cycle[0] if L == 1 else -1
-                         for row in self._digit_rows for L, on_cycle in row], np.int64)
+    def _sure(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(outcomes, starts) for the runs of _one_ket_run: outcomes holds
+        one row of d sure outcomes per distinct operator of _site_ops, the
+        one outcome of each digit, and starts[e] is the first index of the
+        row of entry e.  None when some operator has a cycle of L >= 2
+        outcomes: it is not diagonal, and runs on it draw."""
+        self._flat  # its int64 guard first, which at a huge d refuses before _site_ops is built
+        d, unique = self.d, {id(op): op for op in self._site_ops}
+        sure = [on_cycle[0] for op in unique.values() for L, on_cycle in op._digit_cycles if L == 1]
+        if len(sure) < len(unique) * d:
+            return None
+        row = {key: r * d for r, key in enumerate(unique)}
+        return np.array(sure, np.int64), np.array([row[id(op)] for op in self._site_ops], np.int64)
 
     @functools.cached_property
     def _flat(self) -> SimpleNamespace:
@@ -401,6 +413,14 @@ class MbqcPlan:
             sites=np.array(self._sites, np.int64).reshape(-1, 3).T,
             taus=taus, kets=np.array(kets, np.int64).reshape(len(kets), N),
             row_of={ket: r for r, ket in enumerate(kets)})
+
+    @functools.cached_property
+    def _moments(self) -> list:
+        """The powers j = 1..d-1 of a spread law's moments, for _spectral_law:
+        (first j, (m, 1, 1) array of the m powers from it) chunks, each
+        giving at most _FLAT_CHUNK ket images; built after _flat's guard."""
+        d, step = self.d, max(1, _FLAT_CHUNK // self._flat.kets.size)
+        return [(s, np.arange(s, min(s + step, d)).reshape(-1, 1, 1)) for s in range(1, d, step)]
 
     def output_of(self, outcomes: tuple[int, ...]) -> int:
         """o = z*m + s0 mod d for the N outcomes m, a list or tuple of ints."""
@@ -591,8 +611,17 @@ def _reject_number(text: str):
     raise PlanFormatError(f"malformed plan: {text} is not an integer")
 
 
+def _check_plan(plan) -> MbqcPlan:
+    """plan, if an MbqcPlan: the one check of every public reader of a plan."""
+    if not isinstance(plan, MbqcPlan):
+        raise QuditMbqcError(f"plan is {plan!r}, expected an MbqcPlan")
+    return plan
+
+
 def _read_input(plan: MbqcPlan, i) -> tuple[int, ...]:
-    """Input i as n integer symbols reduced mod d."""
+    """Input i of plan, checked by _check_plan, as n integer symbols
+    reduced mod d."""
+    _check_plan(plan)
     i = plain_ints(i, "input")
     if len(i) != plan.n:
         raise QuditMbqcError(f"input needs {plan.n} symbols, got {len(i)}")
@@ -616,7 +645,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     most EXACT_BRANCH_BUDGET steps at a time; its rests stay lazy, so a
     run takes the same bits and builds the rest it draws as a run without
     the memo.  Once one ket is left (after the head, or from the start on
-    an ordered plan whose resource is one ket), a step draws the outcome
+    a plan whose resource is one ket), a step draws the outcome
     straight off the cycle of the site operator that holds the ket's
     digit: entry _site_columns[k] + q of MbqcPlan._digit_rows holds each
     digit's (cycle length, outcomes) under M_k(q), the _digit_cycles of
@@ -633,11 +662,12 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     step, the first tail step with L >= 2, or a table resource's draw, so
     a run on one ket that never meets L >= 2 (every run of a compiled
     plan) seeds none and draws nothing.  A temporally flat plan on one ket
-    takes none of these steps: _one_ket_run reads its settings, sure
-    outcomes and output in one numpy pass and makes the draws of the
-    parties with L >= 2 alone, in party order, each after the owed draws
-    before it, so its bits, outcomes and caller's Random state are those
-    of the tail loop.
+    whose _sure is not None, that is whose site operators are all
+    diagonal, takes none of these steps: no step of it can draw, and
+    _one_ket_run reads its settings, outcomes and output in one numpy
+    gather, with the caller's Random state of the tail loop.  The three
+    tests run in that order, so multi-ket and ordered plans never build
+    _sure.
     """
     i = _read_input(plan, i)
     caller = _check_seed(seed)
@@ -647,7 +677,7 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
                                 for m, p in plan.resource.distribution(settings)],
                                _read_seed(seed).getrandbits)
         return RunTrace(i, settings, m, plan._output(m))
-    if plan.temporally_flat and len(plan.resource.terms) == 1:
+    if plan.temporally_flat and len(plan.resource.terms) == 1 and plan._sure is not None:
         return _one_ket_run(plan, i, seed, caller)
     settings = list(plan._settings(i))
     outcomes: list[int] = []
@@ -691,33 +721,23 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
 
 
 def _one_ket_run(plan: MbqcPlan, i: tuple[int, ...], seed, caller: bool) -> RunTrace:
-    """run on a temporally flat plan whose resource is one ket, in one
-    numpy pass: the settings s = q0 + Q*i mod d, each party's outcome
-    taken from plan._sure at (_site_columns[k] + s_k)*d + ket[k], and the
-    output z*m + s0 mod d.  Only the parties whose cycle has L >= 2
-    outcomes (-1 in _sure) draw, in party order, as run's tail loop
-    does: the owed one-outcome draws first, then _below(bits, L) from
-    _digit_rows; so the bits, and a caller's Random, are those of that
-    loop.  Every value (settings below d + n*d*d, indices below kinds*d*d,
-    z*m below N*d*d) stays under plan._flat's int64 bound P*P*(N + n + 1),
-    P <= 2d, which holds on every plan whose N parties and _site_ops
-    (kinds*d operators of d entries each) fit in memory."""
-    d, f, settings = plan.d, plan._flat, plan._flat.q0
+    """run on a temporally flat plan whose resource is one ket and whose
+    site operators are all diagonal (plan._sure is not None), in one numpy
+    gather: the settings s = q0 + Q*i mod d, each party's outcome read from
+    plan._sure's outcomes at starts[_site_columns[k] + s_k] + ket[k], and
+    the output z*m + s0 mod d.  No party draws: each of the N steps has one
+    outcome, and the N one-outcome draws of run's tail loop are paid to a
+    caller's Random alone, so its state is that loop's.  Every value
+    (settings below d + n*d*d, indices below kinds*d*d, z*m below N*d*d)
+    stays under plan._flat's int64 bound P*P*(N + n + 1), P <= 2d."""
+    d, f, settings, (sure, starts) = plan.d, plan._flat, plan._flat.q0, plan._sure
     for v, row in zip(i, f.QT):  # new arrays only: f's stay as they are
         if v:
             settings = settings + v * row
     settings = settings % d
-    entries, digits = f.column + settings, f.kets[0]
-    outcomes = plan._sure.take(entries * d + digits)
-    (chosen,) = (outcomes < 0).nonzero()
-    if caller or chosen.size:
-        bits, rows, last = _read_seed(seed).getrandbits, plan._digit_rows, -1
-        for k, entry, digit in zip(chosen.tolist(), entries[chosen].tolist(), digits[chosen].tolist()):
-            _pay(bits, k - last - 1)
-            L, on_cycle = rows[entry][digit]
-            outcomes[k], last = on_cycle[_below(bits, L)], k
-        if caller:
-            _pay(bits, plan.N - last - 1)
+    outcomes = sure.take(starts.take(f.column + settings) + f.kets[0])
+    if caller:
+        _pay(seed.getrandbits, plan.N)
     return RunTrace(i, tuple(settings.tolist()), tuple(outcomes.tolist()),
                     (int(f.z @ outcomes) + plan.s0) % d)
 
@@ -733,12 +753,13 @@ def weighted_observable(plan: MbqcPlan, i) -> GlobalObservable:
     """Tensor product of M_k(q_k)**z_k; its eigenphase is z*m (mod d).
     Only a temporally flat plan has one such W(i): an ordered plan's
     settings read the outcomes, so it is refused."""
+    i = _read_input(plan, i)
     if not plan.temporally_flat:
         raise QuditMbqcError("weighted_observable applies to temporally flat plans")
     d, sites = plan.d, plan._sites
     power = {}  # (site label, z_k) -> the operator of its power, once per call
     ops = []
-    for c, q, e in zip(plan._site_columns, plan._settings(_read_input(plan, i)), plan.z):
+    for c, q, e in zip(plan._site_columns, plan._settings(i), plan.z):
         label = sites[c + q]
         op = power.get((label, e))
         if op is None:
@@ -757,7 +778,7 @@ def extract_output_function(plan: MbqcPlan) -> tuple[dict, MultiPoly | None]:
     Requires a deterministic plan: the output law of every input must be a
     point mass.  A refused ordered walk raises SizeGuardError or SparseFormError.
     """
-    table = _point_table(plan)
+    table = _point_table(_check_plan(plan))
     if table is None:
         raise QuditMbqcError("plan is not deterministic; use empirical_success instead")
     return table, is_polynomial_over_ring(table, plan.d)
@@ -919,7 +940,8 @@ def _spectral_law(plan: MbqcPlan, chunk: list, points: list, labels: tuple, row:
     outcomes (_eigenphases) and that row of its labels (_flat_labels): the
     point mass at points[row], or else d*K*P(o) as exact tau-power sums over
     the kets W^j psi shares with psi: the moment terms are collected once,
-    and each outcome o's sum is one integer coefficient list built by
+    from the kets' images under one chunk of powers j at a time
+    (MbqcPlan._moments), and each outcome o's sum is one integer coefficient list built by
     phases._tau_sum, reduced by phases._reduce, rational exactly when only
     its tau^0 coefficient survives (phases._as_integer)."""
     if points[row] is not None:
@@ -930,8 +952,8 @@ def _spectral_law(plan: MbqcPlan, chunk: list, points: list, labels: tuple, row:
     # at exponent 0, and W^j, j >= 1, moves x_r to ket
     terms = [(0, 0)] * len(f.taus) + [
         (j, f.taus[r] - f.taus[f.row_of[ket]] + j * A1 + j * j * A2 + 2 * j * (AX[r] + s0))
-        for j in range(1, d) for r, ket in enumerate(map(tuple, ((f.kets + j * beta) % d).tolist()))
-        if ket in f.row_of]
+        for first, js in plan._moments for j, kets in enumerate(((f.kets + js * beta) % d).tolist(), first)
+        for r, ket in enumerate(map(tuple, kets)) if ket in f.row_of]
     # outcome o adds tau^(e - 2*j*o) for each term
     weights = [_as_integer(_reduce(_tau_sum([e - 2 * j * o for j, e in terms], P), P)) for o in range(d)]
     if None in weights:
@@ -947,12 +969,12 @@ def is_deterministic(plan: MbqcPlan) -> bool:
     plan's merged walk raises SizeGuardError or SparseFormError rather
     than guess.
     """
-    return _point_table(plan) is not None
+    return _point_table(_check_plan(plan)) is not None
 
 
 def temporal_graph(plan: MbqcPlan) -> dict[int, list[int]]:
     """Dependency DAG: edge j -> k whenever party k's setting reads m_j."""
-    return {j: [k for k, _ in column] for j, column in enumerate(plan._reads)}
+    return {j: [k for k, _ in column] for j, column in enumerate(_check_plan(plan)._reads)}
 
 
 def longest_path(adj: dict[int, list[int]]) -> int:
@@ -989,7 +1011,7 @@ def empirical_success(plan: MbqcPlan, target: dict) -> tuple[Fraction, Fraction]
     the first input, in input order, whose law is irrational is refused.
     The target is read by fields._table_values; its arity must be n.
     """
-    values, per_input = iter(_table_values(target, plan.d, plan.n)[1]), []
+    values, per_input = iter(_table_values(target, _check_plan(plan).d, plan.n)[1]), []
     for _, points, law in _laws(plan, plan.inputs()):
         per_input += [law(r).get(o, Fraction(0)) for r, o in zip(range(len(points)), values)]
     return min(per_input), sum(per_input, Fraction(0)) / len(per_input)

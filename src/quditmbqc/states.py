@@ -177,6 +177,8 @@ class GlobalObservable:
 
     def __init__(self, d: int, sites: list[MonomialOp]):
         self.d = d = plain_dimension(d)
+        if not isinstance(sites, (list, tuple)):
+            raise QuditMbqcError(f"sites are {sites!r}, expected a list of MonomialOps")
         self.sites = sites = tuple(sites)
         # sites share operators: each distinct object is checked once, at
         # its first site, in site order, so a refusal names the first bad site
@@ -264,6 +266,8 @@ class SparseState:
 
 
 def basis_state(d: int, ket: tuple[int, ...]) -> SparseState:
+    if not isinstance(ket, (list, tuple)):  # its entries are checked by SparseState
+        raise QuditMbqcError(f"ket is {ket!r}, expected a list of integers")
     return SparseState(d, len(ket), ((0, tuple(ket)),))
 
 
@@ -276,6 +280,8 @@ def make_ghz(d: int, N: int, phases: list[int] | None = None) -> SparseState:
     if N < 1:
         raise QuditMbqcError(f"a GHZ state needs N >= 1 qudits, got {N}")
     phases = [0] * d if phases is None else phases
+    if not isinstance(phases, (list, tuple)):  # its entries are checked as the terms' exponents
+        raise QuditMbqcError(f"GHZ phases are {phases!r}, expected a list of {d} integers")
     if len(phases) != d:
         raise QuditMbqcError(f"a d={d} GHZ state needs {d} phases, got {len(phases)}")
     return SparseState(d, N, tuple((phases[z], (z,) * N) for z in range(d)))
@@ -290,6 +296,10 @@ def make_example2_state(d: int) -> SparseState:
 
 
 def _check_shapes(M: GlobalObservable, psi: SparseState) -> None:
+    if not isinstance(M, GlobalObservable):
+        raise QuditMbqcError(f"observable is {M!r}, expected a GlobalObservable")
+    if not isinstance(psi, SparseState):
+        raise QuditMbqcError(f"state is {psi!r}, expected a SparseState")
     if M.N != psi.N or M.d != psi.d:
         raise QuditMbqcError("observable and state shapes differ")
 

@@ -29,9 +29,14 @@ def symplectic_product(v: tuple[int, int], w: tuple[int, int], d: int) -> int:
 
 
 def check_symplectic(C, d: int) -> bool:
-    """True iff C^T sigma C == sigma mod d (2x2 case: det C == 1)."""
-    (a, b), (c, e) = C
-    return (a * e - b * c) % d == 1 % d
+    """True iff C^T sigma C == sigma mod d (2x2 case: det C == 1); a C
+    that cannot be read as 2 rows of 2 numbers is refused."""
+    try:
+        (a, b), (c, e) = C
+        det = a * e - b * c
+    except (TypeError, ValueError):
+        raise QuditMbqcError(f"matrix is {C!r}, expected 2 rows of 2 integers") from None
+    return det % plain_dimension(d) == 1 % d
 
 
 def reduce_label(a: int, b: int, d: int) -> tuple[int, int, int]:

@@ -14,12 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import MbqcPlan, _int_rows, _point_table, longest_path, temporal_graph
+from .engine import MbqcPlan, _check_plan, _int_rows, _point_table, longest_path, temporal_graph
 from .errors import (QuditMbqcError, SizeGuardError, SparseFormError, UnsupportedWitnessError,
                      plain_dimension, plain_int)
 from .fields import (
     IntegerRing,
     MultiPoly,
+    _check_poly,
     _monomial_text,
     _table_values,
     all_points,
@@ -81,6 +82,7 @@ def degree_witness(o: MultiPoly) -> Witness:
     model exists).  Over a composite ring Z_d the verdict is always
     inconclusive: a local output there need not have degree <= d-1.
     """
+    _check_poly(o)
     d = o.modulus.d
     if not o.modulus.is_field:
         return Witness(INCONCLUSIVE, detail=f"Z_{d} is not a field: a local output "
@@ -113,7 +115,7 @@ def _polynomial_witness(poly: MultiPoly | None, d: int) -> Witness:
 def ncva_search(plan: MbqcPlan, target: dict | None = None) -> Witness:
     """Exact search for local value assignments reproducing the target, by
     default the plan's own output table (_point_table)."""
-    if not plan.temporally_flat:
+    if not _check_plan(plan).temporally_flat:
         raise QuditMbqcError("assignment search applies to temporally flat plans")
     if target is None:
         target = _point_table(plan)
@@ -211,7 +213,7 @@ def temporal_degree_bound(plan: MbqcPlan) -> int:
     Output degree beyond this bound certifies strong contextuality even
     for temporally ordered plans; flat plans give the base bound d-1.
     """
-    return (plan.d - 1) ** _temporal_path(plan)
+    return (_check_plan(plan).d - 1) ** _temporal_path(plan)
 
 
 def _temporal_path(plan: MbqcPlan) -> int:
@@ -266,7 +268,7 @@ def analyze_plan(plan: MbqcPlan) -> Analysis:
     at prime d, the interpolation); a table that is no polynomial over Z_d
     reports none and its degree witness reads unsupported.
     """
-    path = _temporal_path(plan)
+    path = _temporal_path(_check_plan(plan))
     out = Analysis(d=plan.d, n=plan.n, parties=plan.N, temporally_flat=plan.temporally_flat,
                    temporal_bound=(plan.d - 1) ** path)
     out.temporal_path = path

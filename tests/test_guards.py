@@ -6,7 +6,7 @@ import pytest
 
 from planlib import wide_x_chain
 from quditmbqc import witnesses
-from quditmbqc.engine import MbqcPlan, is_deterministic
+from quditmbqc.engine import MbqcPlan, is_deterministic, run
 from quditmbqc.errors import SizeGuardError
 from quditmbqc.fields import (
     SPAN_GUARD,
@@ -47,8 +47,11 @@ def _gf9_x8():
     (lambda: is_deterministic(wide_x_chain()), 2**15, 20000),
     # tau period 2**33: its square passes the int64 range of the flat law
     (lambda: is_deterministic(_huge_d_plan()), 2**67, 2**63),
+    # a flat run on one ket reads the same guard before it builds any of
+    # the plan's 2**32 site operators
+    (lambda: run(_huge_d_plan(), ()), 2**67, 2**63),
 ], ids=["dense_state", "dense_oracle", "enumerate_subspace", "closure_span_gf9",
-        "nu", "ordered_walk", "flat_law_int64"])
+        "nu", "ordered_walk", "flat_law_int64", "one_ket_run_int64"])
 def test_guard_names_size_and_limit(call, size, limit):
     with pytest.raises(SizeGuardError) as info:
         call()

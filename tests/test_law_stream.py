@@ -85,9 +85,12 @@ def _check_stream(plan, rng):
 
 
 # _FLAT_CHUNK is counted in (input, party) pairs: 1 and 3 give one input a
-# chunk on these plans (N >= 2), "3 inputs" three, and the default all of them
+# chunk on these plans (N >= 2), "3 inputs" three, and the default all of them.
+# A spread law's moments take it in ket images (MbqcPlan._moments): 1, 3 and
+# "3 inputs" give one power j a chunk, "4 moments" four powers at d = 6 and 7
+# (GHZ plans have d kets), the last chunk partial, and the default all of them
 CHUNKS = {"1": lambda N: 1, "3": lambda N: 3, "3 inputs": lambda N: 3 * N,
-          "default": lambda N: engine._FLAT_CHUNK}
+          "4 moments": lambda N: 4 * 7 * N, "default": lambda N: engine._FLAT_CHUNK}
 
 
 @pytest.mark.parametrize("chunk", list(CHUNKS))

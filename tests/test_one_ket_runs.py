@@ -1,5 +1,6 @@
 """Runs of temporally flat plans on one ket, which engine.run reads in one
-numpy pass, against a referee that walks the parties one by one through
+numpy gather when every site operator is diagonal and party by party
+otherwise, against a referee that walks the parties one by one through
 the public API: party k's setting from plan.setting, its operator from
 plan.site_observable, and the cycle of that operator through the ket's
 digit, from which it draws _below(getrandbits, L) at every party, L = 1
@@ -17,12 +18,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditmbqc.compiler import compile_general_prime
+from quditmbqc import engine
+from quditmbqc.compiler import compile_exponential, compile_general_prime, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.fields import is_prime
 from quditmbqc.phases import tau_period
-from quditmbqc.states import SparseState, _below
-from quditmbqc.weyl import CliffordSpec, WeylLabel
+from quditmbqc.states import SparseState, _below, basis_state
+from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
 
 
 def _referee(plan: MbqcPlan, i: tuple, getrandbits) -> tuple[tuple, list]:
@@ -83,9 +85,10 @@ def one_ket_plans(draw):
 
 
 def _cached_arrays(plan: MbqcPlan) -> list:
-    """Copies of every numpy array the plan caches for its runs."""
+    """Copies of every numpy array the plan caches for its runs: both
+    arrays of _sure, which is None when some party can draw."""
     f = plan._flat
-    return [a.copy() for a in (f.QT, f.q0, f.z, f.column, f.sites, f.kets, plan._sure)]
+    return [a.copy() for a in (f.QT, f.q0, f.z, f.column, f.sites, f.kets, *(plan._sure or ()))]
 
 
 def test_one_ket_runs_match_the_party_by_party_referee():
@@ -158,3 +161,70 @@ def test_compiled_p23_runs_reproduce_the_table():
         for _ in range(plan.N):
             assert _below(twin.getrandbits, 1) == 0
         assert mine.getstate() == twin.getstate()
+
+
+def _gathered_runs(plan: MbqcPlan, monkeypatch) -> int:
+    """The number of runs of plan, one per input and seed 0, 1 and a
+    caller's Random, that engine.run answers by _one_ket_run."""
+    calls = []
+    gather = engine._one_ket_run
+    monkeypatch.setattr(engine, "_one_ket_run", lambda *args: calls.append(1) or gather(*args))
+    for i in plan.inputs():
+        for seed in (0, 1, random.Random(2)):
+            run(plan, i, seed)
+    return len(calls)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: compile_general_prime([3, 1, 4, 1, 0], 5).plan,
+    lambda: compile_exponential(5, 2).plan,
+], ids=["prime5", "exponential5"])
+def test_plans_of_diagonal_operators_run_by_the_gather(build, monkeypatch):
+    plan = build()
+    assert _gathered_runs(plan, monkeypatch) == 3 * len(plan.inputs())
+    assert plan._sure is not None
+
+
+def test_a_flat_one_ket_plan_with_an_x_kind_never_runs_by_the_gather(monkeypatch):
+    # X has one cycle of 3 outcomes at d = 3: its parties draw, in run's loop
+    identity = named_clifford(3, "weyl-displacement", x=(0, 0))
+    plan = MbqcPlan(d=3, n=1, N=3, resource=basis_state(3, (0, 1, 2)),
+                    parties=[(WeylLabel(3, (1, 0)), identity), (WeylLabel(3, (0, 1)), identity),
+                             (WeylLabel(3, (1, 0)), named_clifford(3, "S"))],
+                    Q=[[1], [0], [1]], z=[1, 1, 1], s0=0)
+    assert _gathered_runs(plan, monkeypatch) == 0
+    assert plan._sure is None
+
+
+def test_odd_ring_d1001_runs_match_the_referee_and_keep_one_row_per_operator():
+    # 2,002 parties of one kind, whose 1,001 site operators are two distinct
+    # ones: _sure keeps 2 rows of 1,001 outcomes and 1,001 row starts, where
+    # a row per (site entry, digit) would keep 1,002,001 outcomes
+    d = 1001
+    rng = random.Random(1001)
+    m = [rng.randrange(d) for _ in range(d)]
+    plan = compile_odd_ring(m, d).plan
+    assert plan.N == 2 * d
+    for x, seed in ((0, 0), (500, 7), (1000, 2**40 + 1)):
+        trace = run(plan, (x,), seed)
+        want, lengths = _referee(plan, (x,), random.Random(seed).getrandbits)
+        assert (trace.settings, trace.outcomes, trace.output) == want and want[2] == m[x]
+        assert set(lengths) == {1}
+    outcomes, starts = plan._sure
+    distinct = len({id(op) for op in plan._site_ops})
+    assert distinct == 2 and outcomes.shape == (distinct * d,) and starts.shape == (len(plan._site_ops),)
+    assert len(plan._site_ops) == d
+
+
+def test_multi_ket_and_ordered_plans_never_build_the_sure_table():
+    # run tests flatness, then one ket, then _sure: neither plan reaches _sure
+    identity = named_clifford(3, "weyl-displacement", x=(0, 0))
+    z_party = (WeylLabel(3, (1, 0)), identity)
+    ordered = MbqcPlan(d=3, n=1, N=2, resource=basis_state(3, (0, 1)), parties=[z_party] * 2,
+                       Q=[[1], [0]], T=[[0, 0], [1, 0]], z=[1, 1], s0=0)
+    ghz = MbqcPlan(d=3, n=1, N=2, resource=SparseState(3, 2, ((0, (0, 0)), (0, (1, 1)))),
+                   parties=[z_party] * 2, Q=[[1], [0]], z=[1, 1], s0=0)
+    for plan in (ordered, ghz):
+        for x in range(3):
+            run(plan, (x,), x)
+        assert "_sure" not in vars(plan) and "_flat" not in vars(plan)

@@ -5,23 +5,30 @@ import pytest
 
 from planlib import ghz_chain, nand_plan
 from quditmbqc import compiler
-from quditmbqc.compiler import compile_exponential
-from quditmbqc.engine import MbqcPlan, TableResource, empirical_success, longest_path, run
+from quditmbqc.compiler import (compile_exponential, compile_general_prime, compile_odd_ring,
+                                compile_quadratic)
+from quditmbqc.engine import (MbqcPlan, TableResource, empirical_success, extract_output_function,
+                              is_deterministic, longest_path, output_distribution, run,
+                              temporal_graph, weighted_observable)
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
 from quditmbqc.fields import (IntegerRing, MonomialSpan, MultiPoly, all_points, closure_basis,
                               closure_generate, combined_degree, delta_poly, enumerate_subspace,
                               in_subspace, interpolate, make_field, primitive_element)
-from quditmbqc.states import (GlobalObservable, MonomialOp, clifford_unitary, make_ghz,
+from quditmbqc.states import (GlobalObservable, MonomialOp, apply_observable, basis_state,
+                              clifford_unitary, dense_oracle, eigenphase_of, make_ghz,
                               measurement_distribution)
-from quditmbqc.weyl import (CliffordSpec, WeylLabel, commutation_phase, conjugate_weyl,
-                            named_clifford, symplectic_product, weyl_power)
-from quditmbqc.witnesses import delta_distance, nu_distance
+from quditmbqc.weyl import (CliffordSpec, WeylLabel, check_symplectic, commutation_phase,
+                            conjugate_weyl, named_clifford, symplectic_product, weyl_power)
+from quditmbqc.witnesses import (analyze_plan, degree_witness, delta_distance, ncva_search,
+                                 nu_distance, temporal_degree_bound)
 
 
 # every fields entry point given the int 5 for its modulus
 _NOT_A_MODULUS = "modulus is 5, expected a Modulus such as make_field(d)"
 # every fields entry point given the int 5 for its polynomial
 _NOT_A_POLY = "polynomial is 5, expected a MultiPoly"
+# every public reader of a plan given the int 5 for it
+_NOT_A_PLAN = (QuditMbqcError, "plan is 5, expected an MbqcPlan")
 
 
 def _nand_with(**fields):
@@ -233,6 +240,44 @@ def _outcome(call):
     (lambda: MultiPoly.monomial(make_field(3), 1, [2]).coeffs, {(2,): 1}),
     (lambda: MultiPoly.constant(make_field(3), "x", 1),
      (ValueError, "n must be >= 0 and an integer, got 'x'")),
+    # an int where a plan, report, polynomial or target belongs: each ended
+    # in an AttributeError or a TypeError
+    (lambda: run(5, (0,)), _NOT_A_PLAN),
+    (lambda: output_distribution(5, (0,)), _NOT_A_PLAN),
+    (lambda: is_deterministic(5), _NOT_A_PLAN),
+    (lambda: extract_output_function(5), _NOT_A_PLAN),
+    (lambda: empirical_success(5, {}), _NOT_A_PLAN),
+    (lambda: weighted_observable(5, (0, 0)), _NOT_A_PLAN),
+    (lambda: temporal_graph(5), _NOT_A_PLAN),
+    (lambda: analyze_plan(5), _NOT_A_PLAN),
+    (lambda: ncva_search(5), _NOT_A_PLAN),
+    (lambda: temporal_degree_bound(5), _NOT_A_PLAN),
+    (lambda: compiler.verify(5), (QuditMbqcError, "report is 5, expected a CompileReport")),
+    (lambda: compiler.verify(compiler.CompileReport(5, 1, "x", {})), _NOT_A_PLAN),
+    (lambda: degree_witness(5), (ValueError, _NOT_A_POLY)),
+    (lambda: compile_general_prime(5),
+     (QuditMbqcError, "target is 5, expected a list or dict of values")),
+    (lambda: compile_general_prime(5, 3),
+     (QuditMbqcError, "target is 5, expected a list or dict of values")),
+    (lambda: compile_odd_ring(5), (QuditMbqcError, "target is 5, expected a list or dict of values")),
+    (lambda: compile_quadratic(3, 5), (QuditMbqcError, "f is 5, expected a list of coefficients")),
+    (lambda: compile_exponential(5, 2, 5),
+     (QuditMbqcError, "f is 5, expected a list of coefficients")),
+    # the same for the resource, observable and Clifford helpers
+    (lambda: make_ghz(3, 2, 5), (QuditMbqcError, "GHZ phases are 5, expected a list of 3 integers")),
+    (lambda: basis_state(3, 5), (QuditMbqcError, "ket is 5, expected a list of integers")),
+    (lambda: GlobalObservable(3, 5), (QuditMbqcError, "sites are 5, expected a list of MonomialOps")),
+    (lambda: apply_observable(5, 5),
+     (QuditMbqcError, "observable is 5, expected a GlobalObservable")),
+    (lambda: eigenphase_of(GlobalObservable(3, []), 5),
+     (QuditMbqcError, "state is 5, expected a SparseState")),
+    (lambda: dense_oracle(5, 5), (QuditMbqcError, "observable is 5, expected a GlobalObservable")),
+    (lambda: TableResource(1, 5),
+     (QuditMbqcError, "table behavior is 5, expected a dict of settings -> distribution")),
+    (lambda: check_symplectic(5, 3), (QuditMbqcError, "matrix is 5, expected 2 rows of 2 integers")),
+    (lambda: check_symplectic(((1, 0), (0,)), 3),
+     (QuditMbqcError, "matrix is ((1, 0), (0,)), expected 2 rows of 2 integers")),
+    (lambda: check_symplectic(((1, 1), (0, 1)), 0), (QuditMbqcError, "d is 0, expected an integer >= 2")),
 ], ids=["exponential-composite-d", "primitive-element-composite", "unknown-resource",
         "plan-Q-none", "plan-Q-int-rows", "plan-Q-mapping-rows", "plan-Q-set-row",
         "plan-parties-none",
@@ -265,6 +310,14 @@ def _outcome(call):
         "primitive-element-int-modulus", "multipoly-none-modulus", "all-points-float-n",
         "enumerate-subspace-negative-n", "enumerate-subspace-str-delta", "in-subspace-float-delta",
         "closure-basis-int", "closure-generate-int", "combined-degree-int", "in-subspace-int",
-        "monomial-int-exponents", "monomial-list-exponents", "constant-str-n"])
+        "monomial-int-exponents", "monomial-list-exponents", "constant-str-n",
+        "run-int-plan", "distribution-int-plan", "deterministic-int-plan", "extract-int-plan",
+        "success-int-plan", "weighted-int-plan", "temporal-graph-int-plan", "analyze-int-plan",
+        "ncva-int-plan", "temporal-bound-int-plan", "verify-int-report", "verify-int-plan",
+        "degree-witness-int", "compile-prime-int-target", "compile-prime-int-target-with-p",
+        "compile-odd-ring-int-target", "compile-quadratic-int-f", "compile-exponential-int-f",
+        "ghz-int-phases", "basis-state-int-ket", "observable-int-sites", "apply-int-observable",
+        "eigenphase-int-state", "dense-oracle-int-observable", "table-int-behavior",
+        "symplectic-int-matrix", "symplectic-short-row", "check-symplectic-zero-d"])
 def test_unreached_branch(call, want):
     assert _outcome(call) == want
