@@ -34,14 +34,17 @@ states._measurement_branches on level k of the resource's suffix trie
 exponent, suffix class) terms, so a step costs O(K) for its K <= the
 resource's term count, whatever N is, and the plan's proof that every site
 operator has an omega spectrum stands in for a check per step.  The kernel
-weighs every branch before it builds a rest; the walk builds every rest,
-and a run step draws over the weights and builds the one rest it keeps,
-so it costs O(K) however many outcomes the step has.  Both reach the
-kernel through MbqcPlan._branches, which keeps one branch list per
-distinct step, (site operator, rest terms, trie level), in the plan's
-step memo (MbqcPlan._steps), emptied when it reaches EXACT_BRANCH_BUDGET
-entries: a step met again, as on a periodic resource, whose equal trie
-levels are one object, costs a lookup keyed by its rest terms.  A run
+weighs every branch before it builds a rest; the walk asks for every rest,
+and a run step draws over the weights and asks for the one rest it keeps.
+Both reach the kernel through MbqcPlan._branches, which keeps one entry
+(_Step) per distinct step, (site operator, rest terms, trie level), in
+the plan's step memo (MbqcPlan._steps), emptied when it reaches
+EXACT_BRANCH_BUDGET entries.  An entry holds the step's branches, each
+rest built once per memo entry, at the first run or walk that asks for
+it, and the draw table (states._draw_table) made at its first draw: a
+step met again, as on every run of a plan after its first or on a
+periodic resource, whose equal trie levels are one object, costs a lookup
+keyed by its rest terms, and a run's draw there one states._drawn.  A run
 step on one ket skips the kernel and draws straight off the cycle of the site
 operator that holds the ket's digit, read from that operator's row of
 (cycle length, outcomes) per digit (MonomialOp._digit_cycles): one row per
@@ -79,7 +82,8 @@ from .states import (
     SparseState,
     _below,
     _check_seed,
-    _draw_branch,
+    _draw_table,
+    _drawn,
     _measurement_branches,
     _read_seed,
     _suffix_trie,
@@ -187,6 +191,33 @@ class _WeylOps(dict):
         t, a, b = label
         op = self[label] = MonomialOp.from_weyl(self.d, (a, b), t)
         return op
+
+
+class _Step:
+    """One entry of a plan's step memo (MbqcPlan._branches): a step's
+    branches from states._measurement_branches, each branch's rest once it
+    is built, and the step's draw table (states._draw_table) once a run
+    draws from it, so a walk that never draws builds none."""
+
+    __slots__ = ("branches", "rests", "table")
+
+    def __init__(self, branches: list):
+        self.branches, self.rests, self.table = branches, [None] * len(branches), None
+
+    def rest(self, j: int) -> tuple:
+        """The rest terms of branch j, built at the first call."""
+        rest = self.rests[j]
+        if rest is None:
+            rest = self.rests[j] = self.branches[j][3]()
+        return rest
+
+    def draw(self, getrandbits) -> tuple[int, tuple]:
+        """(outcome, rest terms) of a branch drawn with its exact
+        probability by states._drawn."""
+        if self.table is None:
+            self.table = _draw_table(self.branches)
+        j = _drawn(self.table, getrandbits)
+        return self.branches[j][0], self.rest(j)
 
 
 class MbqcPlan:
@@ -356,23 +387,24 @@ class MbqcPlan:
         ordered walk that reaches the kernel."""
         return {}
 
-    def _branches(self, op: MonomialOp, terms: tuple, level: tuple) -> list:
+    def _branches(self, op: MonomialOp, terms: tuple, level: tuple) -> _Step:
         """states._measurement_branches(d, op, terms, level) for an entry op
-        of _site_ops and a level of _trie, computed once per distinct step:
-        the kernel reads nothing else, and the plan holds its operators and
-        levels for its lifetime, so (their ids, terms) names the step.  The
-        branch list is shared read-only and its rests stay lazy; a
-        SparseFormError leaves nothing stored, so it is raised again on the
-        next visit.  _steps is emptied when it reaches EXACT_BRANCH_BUDGET
-        entries."""
+        of _site_ops and a level of _trie, as a _Step computed once per
+        distinct step: the kernel reads nothing else, and the plan holds its
+        operators and levels for its lifetime, so (their ids, terms) names
+        the step.  The entry is shared: each rest is built once per entry,
+        at the first run that draws it or walk that visits it, and the draw
+        table at the first run; a SparseFormError leaves nothing stored, so
+        it is raised again on the next visit.  _steps is emptied when it
+        reaches EXACT_BRANCH_BUDGET entries."""
         steps, key = self._steps, (id(op), id(level), terms)
-        branches = steps.get(key)
-        if branches is None:
-            branches = _measurement_branches(self.d, op, terms, level)
+        entry = steps.get(key)
+        if entry is None:
+            entry = _Step(_measurement_branches(self.d, op, terms, level))
             if len(steps) >= EXACT_BRANCH_BUDGET:
                 steps.clear()
-            steps[key] = branches
-        return branches
+            steps[key] = entry
+        return entry
 
     @functools.cached_property
     def _digit_rows(self) -> tuple:
@@ -634,17 +666,19 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     Each measurement draws one (outcome, eigenvector cycle) branch of
     states._measurement_branches and forgets the measured qudit, so the
     party measured next is always at position 0 of the remaining state,
-    read off the plan's suffix trie.  The draw reads the branches' weights
-    alone, in the kernel's order, and only then is the drawn branch's rest
-    built: one rest per step, not one per branch, for the same bits and
-    the same rest as a draw over fully built branches.  The site operator
-    is read straight from the plan's per-column table, _site_ops[column + q].
-    The branch list comes from the plan's step memo (MbqcPlan._branches),
-    which computes each distinct (operator, rest terms, trie level) step
-    once and shares it with later runs and ordered walks of the plan, at
-    most EXACT_BRANCH_BUDGET steps at a time; its rests stay lazy, so a
-    run takes the same bits and builds the rest it draws as a run without
-    the memo.  Once one ket is left (after the head, or from the start on
+    read off the plan's suffix trie.  The site operator is read straight
+    from the plan's per-column table, _site_ops[column + q].  A step's
+    branches come from the plan's step memo (MbqcPlan._branches), which
+    computes each distinct (operator, rest terms, trie level) step once
+    and shares it with later runs and ordered walks of the plan, at most
+    EXACT_BRANCH_BUDGET steps at a time.  The draw reads the branches'
+    weights alone, in the kernel's order, through the entry's draw table
+    (states._draw_table, made at the entry's first draw, then one
+    states._drawn per draw), and only the drawn branch's rest is asked
+    for: built once per memo entry, at its first draw or walk visit, and
+    handed out again after.  So a run takes the same bits and keeps the
+    same rest as a draw over fully built branches without the memo.  Once
+    one ket is left (after the head, or from the start on
     a plan whose resource is one ket), a step draws the outcome
     straight off the cycle of the site operator that holds the ket's
     digit: entry _site_columns[k] + q of MbqcPlan._digit_rows holds each
@@ -673,9 +707,8 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     caller = _check_seed(seed)
     if isinstance(plan.resource, TableResource):
         settings = plan._settings(i)
-        m, _, _ = _draw_branch([(m, p.numerator, p.denominator)
-                                for m, p in plan.resource.distribution(settings)],
-                               _read_seed(seed).getrandbits)
+        dist = [(m, p.numerator, p.denominator) for m, p in plan.resource.distribution(settings)]
+        m = dist[_drawn(_draw_table(dist), _read_seed(seed).getrandbits)][0]
         return RunTrace(i, settings, m, plan._output(m))
     if plan.temporally_flat and len(plan.resource.terms) == 1 and plan._sure is not None:
         return _one_ket_run(plan, i, seed, caller)
@@ -689,14 +722,13 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     while len(terms) > 1:  # the head: two or more kets, through the kernel
         if t_rows[k]:
             settings[k] = (settings[k] + sum(v * outcomes[j] for j, v in t_rows[k])) % d
-        m_k, _, _, rest = _draw_branch(step(ops[columns[k] + settings[k]], terms, levels[k]), bits)
-        terms = rest()
+        m_k, terms = step(ops[columns[k] + settings[k]], terms, levels[k]).draw(bits)
         outcomes.append(m_k)
         k += 1
     # the tail: one ket, whose digit lies on one cycle of length L, whose L
     # outcomes each have probability 1/L (the plan proved L of them per
     # cycle, so no Parseval check can fire), and the rest is the child
-    # class alone.  A step draws as _draw_branch would on those L branches,
+    # class alone.  A step draws as states._drawn would on those L branches,
     # _below(bits, L), and one at L = 1 is owed (see the docstring).
     ((_, c),) = terms
     rows, owed = plan._digit_rows, 0
@@ -883,8 +915,10 @@ def _law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
     table, or of an ordered plan, walked party by party, merging branches
     that agree on the rest state (global phase dropped), the outcome
     corrections to later parties' settings and the partial output; each
-    step's branches come from the plan's step memo (MbqcPlan._branches),
-    shared with other inputs and runs.  The walk raises SizeGuardError when
+    step's branches and rests come from the plan's step memo
+    (MbqcPlan._branches), shared with other inputs and runs: a rest is
+    built once per memo entry, so equal branches met again share one rest
+    object, and the walk makes no draw table.  The walk raises SizeGuardError when
     its widest layer, the branches after one party, exceeds
     EXACT_BRANCH_BUDGET.  The walk's weights are integers over one
     denominator per layer: a branch of weight w / den from a branch of
@@ -912,14 +946,15 @@ def _law(plan: MbqcPlan, i: tuple[int, ...]) -> dict[int, Fraction]:
             q = settings[k]
             if later and later[0][0] == k:
                 q, later = (q + later[0][1]) % d, later[1:]
-            for m_k, weight, b_den, rest in step(ops[columns[k] + q], terms, level):
+            entry = step(ops[columns[k] + q], terms, level)
+            for b, (m_k, weight, b_den, _) in enumerate(entry.branches):
                 corrections = later
                 if m_k and reads[k]:
                     delta = dict(later)
                     for j, v in reads[k]:
                         delta[j] = (delta.get(j, 0) + v * m_k) % d
                     corrections = tuple(sorted((j, x) for j, x in delta.items() if x))
-                branches.append(((rest(), corrections, (part + z[k] * m_k) % d), num * weight, b_den))
+                branches.append(((entry.rest(b), corrections, (part + z[k] * m_k) % d), num * weight, b_den))
         scale = math.lcm(*{b_den for _, _, b_den in branches})
         merged: dict[tuple, int] = {}
         for key, num, b_den in branches:

@@ -12,6 +12,7 @@ parallelize across inputs.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -421,10 +422,11 @@ def _measurement_branches(d: int, op: MonomialOp, terms,
     sorted by key.  Every weight and every check comes first; a rest is
     built only when rest() is called, except on a cycle where rests are
     shared, whose weights need them (_merged_rest).  So a run draws over
-    the weights and builds the one rest it keeps.  op must have an omega
-    spectrum, which the caller has checked (or its plan has proved).  All
-    of op's data is read from op.spectrum, cached on the operator, so a
-    call only groups the K terms by cycle and visits the cycles they meet.
+    the weights (_draw_table) and builds only the rests it draws.  op must
+    have an omega spectrum, which the caller has checked (or its plan has
+    proved).  All of op's data is read from op.spectrum, cached on the
+    operator, so a call only groups the K terms by cycle and visits the
+    cycles they meet.
     """
     place, cycles = op.spectrum
     period = tau_period(d)
@@ -533,15 +535,16 @@ def measure_local(psi: SparseState, site: int, op: MonomialOp,
     """Projective measurement of a monomial site operator.
 
     Samples a branch of measurement_distribution with exact integer
-    weights and returns its outcome and the state without the measured
+    weights (_drawn over a _draw_table made for this one draw, the rule
+    runs use) and returns its outcome and the state without the measured
     qudit; deterministic under a fixed seed, and zero-probability branches
     are never returned.  rng takes engine.run's seed forms: None, an int
     (not a bool), or a Random, which is used as it is; the draw reads its
     getrandbits, taking the bits randrange would (see _below).
     """
-    m, _, _, rest = _draw_branch([(m, p.numerator, p.denominator, rest) for m, p, rest
-                                  in measurement_distribution(psi, site, op)],
-                                 _read_seed(rng).getrandbits)
+    branches = [(m, p.numerator, p.denominator, rest) for m, p, rest
+                in measurement_distribution(psi, site, op)]
+    m, _, _, rest = branches[_drawn(_draw_table(branches), _read_seed(rng).getrandbits)]
     return m, rest
 
 
@@ -576,15 +579,18 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _draw_branch(branches, getrandbits):
-    """A branch drawn with its exact probability branch[1] / branch[2]
-    (integers); never a zero-weight one.  One _below draw over the least
-    common denominator of the reduced probabilities."""
+def _draw_table(branches) -> tuple[int, list[int]]:
+    """The draw table of branches with exact probabilities branch[1] /
+    branch[2] (integers): den, the least common denominator of the reduced
+    probabilities, and each branch's cumulative weight over den."""
     den = math.lcm(*(b[2] // math.gcd(b[1], b[2]) for b in branches))
-    draw = _below(getrandbits, den)
-    acc = 0
-    for branch in branches:
-        acc += branch[1] * den // branch[2]
-        if draw < acc:
-            return branch
-    raise AssertionError("sampling fell through")  # unreachable
+    return den, list(itertools.accumulate(b[1] * den // b[2] for b in branches))
+
+
+def _drawn(table: tuple[int, list[int]], getrandbits) -> int:
+    """The index of a branch drawn with its exact probability from its
+    _draw_table: one _below draw over den, and the first branch whose
+    cumulative weight exceeds it, so never a zero-weight one.  The one draw
+    rule of runs and measure_local, whether the table is kept or not."""
+    den, thresholds = table
+    return bisect.bisect_right(thresholds, _below(getrandbits, den))

@@ -174,17 +174,17 @@ class TestRun:
 
     def test_one_ket_steps_bypass_the_kernel(self, monkeypatch):
         # a compiled plan sits on one ket, so its runs never call the
-        # K-term kernel or its sampler and never build the step memo; a GHZ
-        # run, on a plan whose step memo stays empty, calls both until a Z
-        # measurement leaves one ket
+        # K-term kernel or draw from a step's draw table and never build the
+        # step memo; a GHZ run, on a plan whose step memo stays empty, calls
+        # both until a Z measurement leaves one ket
         drawn = []
-        draw = engine._draw_branch
+        draw = engine._drawn
 
-        def counting(branches, rng):
-            drawn.append(len(branches))
-            return draw(branches, rng)
+        def counting(table, getrandbits):
+            drawn.append(table)
+            return draw(table, getrandbits)
 
-        monkeypatch.setattr(engine, "_draw_branch", counting)
+        monkeypatch.setattr(engine, "_drawn", counting)
         steps = _spy_steps(monkeypatch)
         plan = compile_general_prime([3, 1, 4, 1, 5, 2, 6], 7).plan
         for x in range(7):

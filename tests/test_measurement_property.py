@@ -8,11 +8,14 @@ amplitude's correlation with the first among the scaled tau powers.  Runs and
 ordered walks measure position 0 again and again through the suffix
 trie of the resource, which must give measurement_distribution's branches
 at every step; a run's head step, which draws over the kernel's weights
-and builds the one rest it keeps, must give what a draw over branches
+and, on a fresh plan, builds only the one rest it keeps, must give what a draw over branches
 with every rest built gives, refusals and Random state included; a run's
 one-ket step, which draws straight off the site operator's cycle, must
-draw what the kernel and _draw_branch draw.  Both draw by _below, which
-must take the bits Random.randrange takes."""
+draw what the kernel draws.  Both draw by _below, which must take the
+bits Random.randrange takes.  The referee of every draw is a frozen copy
+of the earlier threshold walk, _threshold_draw, which the draw of
+states._drawn over a states._draw_table must match, branch and Random
+state, on any branch list."""
 
 import functools
 import math
@@ -30,11 +33,49 @@ from quditmbqc.compiler import compile_general_prime, compile_odd_ring
 from quditmbqc.engine import MbqcPlan, run
 from quditmbqc.errors import QuditMbqcError, SparseFormError
 from quditmbqc.phases import PhaseSum, tau_period, tau_power_keys
-from quditmbqc.states import (MonomialOp, SparseState, _below, _draw_branch,
+from quditmbqc.states import (MonomialOp, SparseState, _below, _draw_table, _drawn,
                               _measurement_branches, _merged_rest, _suffix_trie,
                               measure_local, measurement_distribution)
 from quditmbqc.weyl import WeylLabel, named_clifford
 from planlib import random_ghz_plan
+
+
+def _threshold_draw(branches, getrandbits):
+    """A branch drawn with its exact probability branch[1] / branch[2]: one
+    _below draw over the least common denominator of the reduced
+    probabilities, then a walk over the cumulative weights (a frozen copy
+    of the earlier states._draw_branch)."""
+    den = math.lcm(*(b[2] // math.gcd(b[1], b[2]) for b in branches))
+    draw = _below(getrandbits, den)
+    acc = 0
+    for branch in branches:
+        acc += branch[1] * den // branch[2]
+        if draw < acc:
+            return branch
+    raise AssertionError("sampling fell through")
+
+
+@st.composite
+def branch_lists(draw):
+    """(outcome, weight, denominator) lists whose probabilities sum to 1:
+    weights up to 50 over one denominator, some zero, each branch's
+    fraction written over a multiple of its denominator, so many reduce."""
+    weights = draw(st.lists(st.integers(0, 50), min_size=1, max_size=8).filter(any))
+    total = sum(weights)
+    scales = draw(st.lists(st.integers(1, 6), min_size=len(weights), max_size=len(weights)))
+    return [(m, w * c, total * c) for m, (w, c) in enumerate(zip(weights, scales))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(st.one_of(branch_lists(), st.builds(lambda c: [(0, c, c)], st.integers(1, 50))),
+       st.integers(0, 2**32), st.integers(1, 4))
+def test_draw_table_draws_what_the_threshold_walk_draws(branches, seed, repeats):
+    # a table built once and drawn from again and again, as a step memo
+    # entry is, gives the branch and leaves the Random state of the walk
+    table, mine, twin = _draw_table(branches), random.Random(seed), random.Random(seed)
+    for _ in range(repeats):
+        assert branches[_drawn(table, mine.getrandbits)] is _threshold_draw(branches, twin.getrandbits)
+        assert mine.getstate() == twin.getstate()
 
 
 def _reference_cycles(op: MonomialOp):
@@ -345,8 +386,8 @@ def test_one_ket_steps_draw_what_the_kernel_draws(case):
         for k, op in enumerate(ops):
             ((_, c),) = terms
             _, child = levels[k][c]
-            m, _, _, rest = _draw_branch(_measurement_branches(d, op, terms, levels[k]),
-                                         rng.getrandbits)
+            m, _, _, rest = _threshold_draw(_measurement_branches(d, op, terms, levels[k]),
+                                            rng.getrandbits)
             terms = rest()
             assert terms == ((0, child),)  # the rest the one-ket step keeps
             outcomes.append(m)
@@ -435,7 +476,7 @@ def head_runs(draw):
 
 def _built_run(plan: MbqcPlan, i, rng: random.Random, head: list) -> tuple[int, ...]:
     """A run whose every step builds the rest of each branch before it
-    draws, _draw_branch over the full list; the (outcome, rest terms) of
+    draws, _threshold_draw over the full list; the (outcome, rest terms) of
     each step on two or more kets go to head."""
     terms, levels = plan._trie
     outcomes = []
@@ -443,7 +484,7 @@ def _built_run(plan: MbqcPlan, i, rng: random.Random, head: list) -> tuple[int, 
         op = plan.site_observable(k, plan.setting(k, i, outcomes))
         built = [(m, w, den, rest()) for m, w, den, rest
                  in _measurement_branches(plan.d, op, terms, levels[k])]
-        m, _, _, rest = _draw_branch(built, rng.getrandbits)
+        m, _, _, rest = _threshold_draw(built, rng.getrandbits)
         if len(terms) > 1:
             head.append((m, rest))
         terms = rest
@@ -452,8 +493,8 @@ def _built_run(plan: MbqcPlan, i, rng: random.Random, head: list) -> tuple[int, 
 
 
 def test_head_steps_draw_then_build_what_a_built_list_draws(monkeypatch):
-    # a run's head step draws over the weights and builds the one rest it
-    # keeps: the same outcome, rest terms, refusal and Random state as a
+    # a run's head step on a fresh plan draws over the weights and builds
+    # only the one rest it keeps: the same outcome, rest terms, refusal and Random state as a
     # draw over every branch with its rest built
     seen, built, calls = set(), [], []
     kernel = engine._measurement_branches

@@ -1,7 +1,8 @@
 """The step memo of MbqcPlan (MbqcPlan._branches): runs and ordered walks
 share one kernel result per distinct (site operator, rest terms, trie
-level), and a plan whose memo is warm gives the seeded traces, exact laws
-and refusals of a plan whose memo stays empty."""
+level), with its draw table and each rest built once, and a plan whose
+memo is warm gives the seeded traces, exact laws, refusals and rests of a
+plan whose memo stays empty."""
 
 import random
 
@@ -11,10 +12,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditmbqc import engine
+from quditmbqc import engine, states
 from quditmbqc.engine import MbqcPlan, output_distribution, run
 from quditmbqc.errors import SizeGuardError, SparseFormError
-from planlib import ghz_chain, memoless, quadratic_plan, random_ghz_plan
+from planlib import ghz_chain, memoless, mermin_plan, quadratic_plan, random_ghz_plan
 
 
 def _spy_kernel(monkeypatch) -> list:
@@ -31,6 +32,19 @@ def _spy_kernel(monkeypatch) -> list:
 
     monkeypatch.setattr(engine, "_measurement_branches", spy)
     return calls
+
+
+def _spy_rests(monkeypatch) -> list:
+    """Records every rest a memo entry hands to a run or a walk, in order."""
+    handed = []
+    rest = engine._Step.rest
+
+    def spy(entry, j):
+        handed.append(rest(entry, j))
+        return handed[-1]
+
+    monkeypatch.setattr(engine._Step, "rest", spy)
+    return handed
 
 
 def _outcome(call):
@@ -69,26 +83,32 @@ def test_warm_plans_give_what_memoless_plans_give(monkeypatch):
     # copy that calls the kernel at every step, and a refusing step is met
     # again, never stored
     seen = set()
-    calls = _spy_kernel(monkeypatch)
+    calls, handed = _spy_kernel(monkeypatch), _spy_rests(monkeypatch)
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(ghz_plans(), st.lists(st.integers(0, 2**32), min_size=1, max_size=3))
     def check(case, seeds):
         plan, tag = case
+        handed.clear()
         want = _results(memoless(plan), seeds)
+        want_rests = handed[:]
         refused = sum(isinstance(r, tuple) and r[0] is SparseFormError for r in want)
         visits = []
         step = plan._branches
         plan._branches = lambda *args: visits.append(args) or step(*args)
         calls.clear()
+        handed.clear()
         assert _results(plan, seeds) == want
+        assert handed == want_rests
         computed = [key for key, ok in calls if ok]
         assert len(computed) == len(set(computed)) == len(plan._steps)
         assert len(calls) == len(computed) + refused
         if len(visits) > len(calls):
             seen.add("a cold pass shares steps")
         calls.clear()
+        handed.clear()
         assert _results(plan, seeds) == want
+        assert handed == want_rests
         # the warm pass calls the kernel at the refusing steps alone
         assert len(calls) == refused and not any(ok or key in plan._steps for key, ok in calls)
         seen.add(tag)
@@ -120,14 +140,18 @@ def test_each_distinct_step_calls_the_kernel_once(monkeypatch):
 
 def test_memo_is_bounded_by_the_branch_budget(monkeypatch):
     # with the budget at 5, the memo is emptied whenever it holds 5 steps,
-    # so it never holds more, and every result stays that of a memoless plan
+    # so it never holds more, and every result and every rest handed out
+    # stays that of a memoless plan
+    handed = _spy_rests(monkeypatch)
     plans = [quadratic_plan(5), ghz_chain(3, 12)]
     rng = random.Random(7)
     plans += [random_ghz_plan(rng, d, 4, 1, ordered, False) for d in (3, 5) for ordered in (False, True)]
     monkeypatch.setattr(engine, "EXACT_BRANCH_BUDGET", 5)
     emptied = 0
     for plan in plans:
+        handed.clear()
         want = _results(memoless(plan), range(4))
+        want_rests = handed[:]
         sizes = []
         kernel = engine._measurement_branches
 
@@ -137,9 +161,43 @@ def test_memo_is_bounded_by_the_branch_budget(monkeypatch):
 
         monkeypatch.setattr(engine, "_measurement_branches", spy)
         for _ in range(2):
+            handed.clear()
             assert _results(plan, range(4)) == want
+            assert handed == want_rests
             assert len(plan._steps) <= 5
         monkeypatch.setattr(engine, "_measurement_branches", kernel)
         assert max(sizes) <= 5
         emptied += 5 in sizes
     assert emptied >= 2
+
+
+def test_warm_runs_build_each_rest_once_per_entry(monkeypatch):
+    # a rest is built at the first run that draws its branch, or walk that
+    # visits it, and kept in its memo entry: runs of GHZ plans, one ordered
+    # (with its laws) and one flat, call _phased_rest at most once per
+    # (entry, branch), and a second pass builds no rest and makes no draw
+    # table; both passes give the runs and laws of a memoless plan
+    built = []
+    phased = states._phased_rest
+
+    def counting(period, group, m):
+        built.append((id(group), m))
+        return phased(period, group, m)
+
+    tables = []
+    tabulate = engine._draw_table
+    monkeypatch.setattr(engine, "_draw_table", lambda branches: tables.append(1) or tabulate(branches))
+    for plan in (ghz_chain(3, 6), mermin_plan(3, 4)):
+        want = _results(memoless(plan), range(6))
+        monkeypatch.setattr(states, "_phased_rest", counting)
+        built.clear()
+        tables.clear()
+        assert _results(plan, range(6)) == want
+        entries = plan._steps.values()
+        assert 0 < len(built) == len(set(built)) <= sum(len(entry.branches) for entry in entries)
+        assert len(tables) == sum(entry.table is not None for entry in entries)
+        cold = len(built)
+        tables.clear()
+        assert _results(plan, range(6)) == want
+        assert len(built) == cold and tables == []
+        monkeypatch.setattr(states, "_phased_rest", phased)
