@@ -38,10 +38,11 @@ weighs every branch before it builds a rest; the walk asks for every rest,
 and a run step draws over the weights and asks for the one rest it keeps.
 Both reach the kernel through MbqcPlan._branches, which keeps one entry
 (_Step) per distinct step, (site operator, rest terms, trie level), in
-the plan's step memo (MbqcPlan._steps), emptied when it reaches
-EXACT_BRANCH_BUDGET entries.  An entry holds the step's branches, each
-rest built once per memo entry, at the first run or walk that asks for
-it, and the draw table (states._draw_table) made at its first draw: a
+the plan's step memo (MbqcPlan._steps), emptied before its entries and
+the distinct rests they built together pass EXACT_BRANCH_BUDGET.  An entry
+holds the step's branches, each rest built once per memo entry, at the
+first run or walk that asks for it, as the memo's one object for that
+rest, and the draw table (states._draw_table) made at its first draw: a
 step met again, as on every run of a plan after its first or on a
 periodic resource, whose equal trie levels are one object, costs a lookup
 keyed by its rest terms, and a run's draw there one states._drawn.  A run
@@ -196,19 +197,21 @@ class _WeylOps(dict):
 class _Step:
     """One entry of a plan's step memo (MbqcPlan._branches): a step's
     branches from states._measurement_branches, each branch's rest once it
-    is built, and the step's draw table (states._draw_table) once a run
-    draws from it, so a walk that never draws builds none."""
+    is built, as the memo's one object for that rest (_StepMemo.share),
+    and the step's draw table (states._draw_table) once a run draws from
+    it, so a walk that never draws builds none."""
 
-    __slots__ = ("branches", "rests", "table")
+    __slots__ = ("branches", "rests", "table", "share")
 
-    def __init__(self, branches: list):
+    def __init__(self, branches: list, share):
         self.branches, self.rests, self.table = branches, [None] * len(branches), None
+        self.share = share
 
     def rest(self, j: int) -> tuple:
         """The rest terms of branch j, built at the first call."""
         rest = self.rests[j]
         if rest is None:
-            rest = self.rests[j] = self.branches[j][3]()
+            rest = self.rests[j] = self.share(self.branches[j][3]())
         return rest
 
     def draw(self, getrandbits) -> tuple[int, tuple]:
@@ -218,6 +221,34 @@ class _Step:
             self.table = _draw_table(self.branches)
         j = _drawn(self.table, getrandbits)
         return self.branches[j][0], self.rest(j)
+
+
+class _StepMemo(dict):
+    """A plan's step memo (MbqcPlan._steps): its _Step entries by step, and
+    one object per distinct rest they have built (shared), handed out for
+    every equal rest: different steps often leave equal rests (20 seeded
+    runs of quadratic_plan(13) at every input build 5,989 rests of 170
+    values).  It is emptied before its entries and its distinct rests
+    together pass EXACT_BRANCH_BUDGET, so it holds at most that many rests,
+    each of at most K terms, as one walk layer may."""
+
+    def __init__(self):
+        super().__init__()
+        self.shared: dict[tuple, tuple] = {}
+
+    def _make_room(self) -> None:
+        if len(self) + len(self.shared) >= EXACT_BRANCH_BUDGET:
+            self.clear()
+            self.shared.clear()
+
+    def hold(self, key: tuple, entry: _Step) -> None:
+        self._make_room()
+        self[key] = entry
+
+    def share(self, rest: tuple) -> tuple:
+        """rest, or the equal rest shared before it."""
+        self._make_room()
+        return self.shared.setdefault(rest, rest)
 
 
 class MbqcPlan:
@@ -382,10 +413,10 @@ class MbqcPlan:
         return tuple(map(self._ops.__getitem__, self._sites))
 
     @functools.cached_property
-    def _steps(self) -> dict:
+    def _steps(self) -> "_StepMemo":
         """The step memo of _branches, empty until the first run or
         ordered walk that reaches the kernel."""
-        return {}
+        return _StepMemo()
 
     def _branches(self, op: MonomialOp, terms: tuple, level: tuple) -> _Step:
         """states._measurement_branches(d, op, terms, level) for an entry op
@@ -395,15 +426,13 @@ class MbqcPlan:
         the step.  The entry is shared: each rest is built once per entry,
         at the first run that draws it or walk that visits it, and the draw
         table at the first run; a SparseFormError leaves nothing stored, so
-        it is raised again on the next visit.  _steps is emptied when it
-        reaches EXACT_BRANCH_BUDGET entries."""
+        it is raised again on the next visit.  _steps holds at most
+        EXACT_BRANCH_BUDGET entries and distinct rests together."""
         steps, key = self._steps, (id(op), id(level), terms)
         entry = steps.get(key)
         if entry is None:
-            entry = _Step(_measurement_branches(self.d, op, terms, level))
-            if len(steps) >= EXACT_BRANCH_BUDGET:
-                steps.clear()
-            steps[key] = entry
+            entry = _Step(_measurement_branches(self.d, op, terms, level), steps.share)
+            steps.hold(key, entry)
         return entry
 
     @functools.cached_property
@@ -671,10 +700,10 @@ def run(plan: MbqcPlan, i, seed=None) -> RunTrace:
     branches come from the plan's step memo (MbqcPlan._branches), which
     computes each distinct (operator, rest terms, trie level) step once
     and shares it with later runs and ordered walks of the plan, at most
-    EXACT_BRANCH_BUDGET steps at a time.  The draw reads the branches'
-    weights alone, in the kernel's order, through the entry's draw table
-    (states._draw_table, made at the entry's first draw, then one
-    states._drawn per draw), and only the drawn branch's rest is asked
+    EXACT_BRANCH_BUDGET steps and distinct rests at a time.  The draw
+    reads the branches' weights alone, in the kernel's order, through the
+    entry's draw table (states._draw_table, made at the entry's first
+    draw, then one states._drawn per draw), and only the drawn branch's rest is asked
     for: built once per memo entry, at its first draw or walk visit, and
     handed out again after.  So a run takes the same bits and keeps the
     same rest as a draw over fully built branches without the memo.  Once

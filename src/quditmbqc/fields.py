@@ -438,22 +438,13 @@ def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[
     all_points order; points and integer values are read mod d, a plain int
     point is the 1-tuple of it, and the points must be distinct mod d and
     all of one arity, which must be n when n is given (an empty table has
-    arity n, or 0 without n).  A table whose keys are the int tuples of
-    all_points, in that order, with int values, is read in bulk; any other
-    table takes the per-point checks, which give every refusal."""
+    arity n, or 0 without n)."""
     if type(d) is not int:
         raise ValueError(f"modulus must be an integer >= 2, got {d!r}")
     if d < 2:
         raise ValueError(f"modulus must be at least 2, got {d}")
     if not isinstance(table, dict):
         raise ValueError(f"table is {table!r}, expected a dict of point -> value")
-    keys, values = list(table), list(table.values())
-    width = n if n is not None else len(keys[0]) if keys and type(keys[0]) is tuple else None
-    if (width is not None and len(keys) == d**width and set(map(type, keys)) <= {tuple}
-            and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
-            and set(map(type, values)) <= {int}
-            and keys == list(itertools.product(range(d), repeat=width))):
-        return width, [v % d for v in values]
     points = [(x,) if type(x) is int else x for x in table]
     arity = len(points[0]) if points and isinstance(points[0], tuple) else (n or 0)
     reduced = {}

@@ -2,7 +2,7 @@
 
 import math
 
-from quditmbqc.engine import MbqcPlan
+from quditmbqc.engine import MbqcPlan, _StepMemo
 from quditmbqc.phases import tau_period
 from quditmbqc.states import SparseState, basis_state, make_example2_state, make_ghz
 from quditmbqc.weyl import CliffordSpec, WeylLabel, named_clifford
@@ -116,7 +116,7 @@ def random_ghz_plan(rng, d, N, n, ordered, tau_phased):
     )
 
 
-class _Forgetful(dict):
+class _Forgetful(_StepMemo):
     """A step memo that stores nothing."""
 
     def __setitem__(self, key, value):

@@ -295,27 +295,6 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="table point False is neither a tuple nor an integer"):
             interpolate(make_field(2), {False: 0, True: 1})
 
-    def test_ordered_tables_read_as_the_per_point_checks_read_them(self):
-        # a table keyed by all_points in order is read in bulk; the same
-        # table in reverse order takes the per-point checks, and both give
-        # the values mod d in all_points order.  One bool coordinate or
-        # value, or a wrong n, leaves the bulk read and is refused as before
-        rng = random.Random(5)
-        for d, n in [(2, 0), (2, 3), (3, 2), (4, 2), (5, 1)]:
-            points = list(itertools.product(range(d), repeat=n))
-            table = {x: rng.randint(-40, 40) for x in points}
-            want = (n, [table[x] % d for x in points])
-            assert fields._table_values(table, d) == fields._table_values(table, d, n) == want
-            assert fields._table_values(dict(reversed(table.items())), d, n) == want
-        ordered = {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
-        for table, n, message in [
-                ({**ordered, (1, 1): True}, None, "table value True is not an integer"),
-                ({(False, 0) if x == (0, 0) else x: v for x, v in ordered.items()}, None,
-                 "table point (False, 0) has a coordinate that is not an integer"),
-                (ordered, 1, "table points have 2 coordinates, expected n = 1")]:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                fields._table_values(table, 2, n)
-
     @pytest.mark.parametrize("d", [1, 0, -3, 3.0, "3"])
     def test_modulus_below_two_rejected(self, d):
         # d = 0 ended in ZeroDivisionError, d = 1 gave a polynomial over Z_1;

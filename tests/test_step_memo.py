@@ -139,9 +139,9 @@ def test_each_distinct_step_calls_the_kernel_once(monkeypatch):
 
 
 def test_memo_is_bounded_by_the_branch_budget(monkeypatch):
-    # with the budget at 5, the memo is emptied whenever it holds 5 steps,
-    # so it never holds more, and every result and every rest handed out
-    # stays that of a memoless plan
+    # with the budget at 5, the memo is emptied before its entries and its
+    # distinct rests together pass 5, so they never do, and every result
+    # and every rest handed out stays that of a memoless plan
     handed = _spy_rests(monkeypatch)
     plans = [quadratic_plan(5), ghz_chain(3, 12)]
     rng = random.Random(7)
@@ -152,11 +152,13 @@ def test_memo_is_bounded_by_the_branch_budget(monkeypatch):
         handed.clear()
         want = _results(memoless(plan), range(4))
         want_rests = handed[:]
-        sizes = []
+        calls = []
         kernel = engine._measurement_branches
 
         def spy(d, op, terms, level):
-            sizes.append(len(plan._steps))
+            memo = plan._steps
+            assert len(memo) + len(memo.shared) <= 5
+            calls.append(1)
             return kernel(d, op, terms, level)
 
         monkeypatch.setattr(engine, "_measurement_branches", spy)
@@ -164,11 +166,23 @@ def test_memo_is_bounded_by_the_branch_budget(monkeypatch):
             handed.clear()
             assert _results(plan, range(4)) == want
             assert handed == want_rests
-            assert len(plan._steps) <= 5
+            assert len(plan._steps) + len(plan._steps.shared) <= 5
         monkeypatch.setattr(engine, "_measurement_branches", kernel)
-        assert max(sizes) <= 5
-        emptied += 5 in sizes
+        emptied += len(calls) > len(plan._steps)  # every call stores its entry
     assert emptied >= 2
+
+
+def test_equal_rests_are_one_object():
+    # different steps leave equal rests; the memo hands out one object for
+    # each value, the one its shared table holds, and the runs stay those
+    # of a memoless plan
+    plan = quadratic_plan(7)
+    want = _results(memoless(plan), range(10))
+    assert _results(plan, range(10)) == want
+    memo = plan._steps
+    rests = [rest for entry in memo.values() for rest in entry.rests if rest is not None]
+    assert len(rests) > len(memo.shared) == len(set(rests)) == len({id(rest) for rest in rests})
+    assert all(memo.shared[rest] is rest for rest in rests)
 
 
 def test_warm_runs_build_each_rest_once_per_entry(monkeypatch):
