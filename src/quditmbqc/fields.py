@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 from collections.abc import Set
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import SizeGuardError, UnsupportedModulusError
 
@@ -92,11 +92,15 @@ class Modulus:
         """The printed form of an element."""
         return str(a)
 
+    def _key(self) -> tuple:
+        """What equal moduli share: equal keys give equal arithmetic."""
+        return self.d, self.kind
+
     def __eq__(self, other):
-        return isinstance(other, Modulus) and self.d == other.d and self.kind == other.kind
+        return isinstance(other, Modulus) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.d, self.kind))
+        return hash(self._key())
 
     def __repr__(self):
         return f"{self.kind}({self.d})"
@@ -137,11 +141,29 @@ class PrimePowerField(Modulus):
     """
 
     def __init__(self, p: int, r: int, modpoly: tuple[int, ...]):
+        """GF(p^r) = Z_p[t]/modpoly, for p prime, an int r >= 1 and modpoly
+        the r+1 ascending coefficients, in 0..p-1, of a monic irreducible
+        polynomial of degree r; anything else is refused with ValueError
+        before a table is built."""
+        if type(p) is not int or not is_prime(p):
+            raise ValueError(f"p must be a prime integer, got {p!r}")
+        if type(r) is not int or r < 1:
+            raise ValueError(f"r must be an integer >= 1, got {r!r}")
+        if (not isinstance(modpoly, (tuple, list)) or len(modpoly) != r + 1
+                or any(type(c) is not int or not 0 <= c < p for c in modpoly)):
+            raise ValueError(f"modpoly {modpoly!r} is not r + 1 = {r + 1} coefficients in 0..{p - 1}")
+        if modpoly[-1] != 1:
+            raise ValueError(f"modpoly {modpoly!r} is not monic: its last coefficient is not 1")
+        if not _is_irreducible_zp(modpoly, p):
+            raise ValueError(f"modpoly {modpoly!r} is reducible over Z_{p}")
         super().__init__(p**r, PRIME_POWER_FIELD)
         self.p = p
         self.r = r
-        self.modpoly = modpoly  # length r+1, monic, ascending coefficients
-        self._exp, self._log, self._zech = _power_tables(p, r, modpoly)
+        self.modpoly = tuple(modpoly)  # length r+1, monic, ascending coefficients
+        self._exp, self._log, self._zech = _power_tables(p, r, self.modpoly)
+
+    def _key(self):
+        return self.d, self.kind, self.modpoly
 
     def add(self, a, b):
         if not a or not b:
@@ -171,12 +193,12 @@ def _power_tables(p: int, r: int, modpoly: tuple[int, ...]) -> tuple[list, list,
     Multiplying by a fixed g is Z_p-linear on digit vectors, with column j
     the digits of g*t^j; each candidate g, in element order, is multiplied
     into 1 until 1 recurs, and the first one that takes q-1 steps is a
-    generator whose powers are exp.
+    generator whose powers are exp (g = 1 only in GF(2)).
     """
     q = p**r
     weights = [p**j for j in range(r)]
     unit = [1] + [0] * (r - 1)
-    for g in range(2, q):
+    for g in range(1, q):
         column = [g // w % p for w in weights]
         columns = [column]
         for _ in range(r - 1):  # times t: shift up, then reduce t^r by modpoly
@@ -423,14 +445,27 @@ def interpolate(modulus: Modulus, table: dict) -> MultiPoly:
     _check_modulus(modulus)
     if not modulus.is_field:
         raise UnsupportedModulusError("interpolation needs a field modulus")
-    q = modulus.d
-    n, values = _table_values(table, q)
-    elems = modulus.elements()
-    lagrange = [[int(y == 0) for y in elems]]
-    lagrange += [[modulus.neg(modulus.pow_(y, q - 1 - k)) for y in elems] for k in range(1, q)]
-    coeffs = _along_axes(modulus, values, n, lagrange)
-    exponents = itertools.product(range(q), repeat=n)
+    n, values = _table_values(table, modulus.d)
+    coeffs = _along_axes(modulus, values, n, _lagrange(modulus))
+    exponents = itertools.product(range(modulus.d), repeat=n)
     return MultiPoly._trusted(modulus, n, zip(exponents, coeffs))
+
+
+@lru_cache(maxsize=None)
+def _lagrange(modulus: Modulus) -> tuple[tuple[int, ...], ...]:
+    """interpolate's one-variable Lagrange map over a field modulus, built
+    once per modulus and shared by every call: row 0 is the indicator of
+    y = 0, row k >= 1 holds -y^(q-1-k) at each y, by running products.
+    A tuple of rows, each a tuple of the same q int objects, so it holds
+    q^2 references but only q ints."""
+    q, elems = modulus.d, modulus.elements()
+    values = tuple(range(q))
+    rows, power = [], [modulus.one] * q  # power: y^e at each y, e = 0, 1, ..., q-2
+    for _ in range(q - 1):
+        rows.append(tuple([values[modulus.neg(v)] for v in power]))
+        power = list(map(modulus.mul, power, elems))
+    rows.append(tuple([int(y == 0) for y in elems]))
+    return tuple(reversed(rows))
 
 
 def _table_values(table: dict, d: int, n: int | None = None) -> tuple[int, list[int]]:
@@ -685,10 +720,7 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
     n, values = _table_values(table, d)
     ring = IntegerRing(d)
     points = all_points(ring, n)
-    differences = [[1] + [0] * (d - 1)]  # row k: (-1)^(k+j) C(k, j) mod d, by Pascal's rule
-    for _ in range(d - 1):
-        differences.append([(a - b) % d for a, b in zip([0] + differences[-1], differences[-1])])
-    factorial = [math.factorial(k) % d for k in range(d)]
+    differences, factorial, stirling, powers = _ring_tables(d)
     falling = []
     for exps, delta in zip(points, _along_axes(ring, values, n, differences)):
         kf = math.prod(factorial[k] for k in exps) % d
@@ -696,16 +728,42 @@ def is_polynomial_over_ring(table: dict, d: int) -> MultiPoly | None:
         if delta % g:
             return None
         falling.append(delta // g * pow(kf // g, -1, d // g) % (d // g))
-    stirling = [[1] + [0] * (d - 1)]  # row k: the power coefficients of x^(k)
-    for k in range(d - 1):
-        stirling.append([(a - k * b) % d for a, b in zip([0] + stirling[-1], stirling[-1])])
-    coeffs = _along_axes(ring, falling, n, [list(col) for col in zip(*stirling)])
-    powers = [[1] * d for _ in range(d)]  # powers[x][j] = x^j mod d, by running products
-    for x, row in enumerate(powers):
-        for j in range(1, d):
-            row[j] = row[j - 1] * x % d
+    coeffs = _along_axes(ring, falling, n, stirling)
     assert _along_axes(ring, coeffs, n, powers) == values  # it reproduces the table
     return MultiPoly._trusted(ring, n, zip(points, coeffs))
+
+
+@lru_cache(maxsize=None)
+def _ring_tables(d: int) -> tuple[tuple, tuple[int, ...], tuple, tuple]:
+    """The tables of is_polynomial_over_ring over Z_d, built once per d and
+    shared by every call: the forward differences (row k: (-1)^(k+j) C(k,
+    j) mod d, by Pascal's rule), the factorials k! mod d, the Stirling
+    numbers of the first kind transposed (row j: the coefficient of x^j in
+    each falling factorial x^(k)) and the powers (row x: x^j mod d, by
+    running products).  All are tuples whose entries are the same d int
+    objects, so a d x d table holds d^2 references but only d ints.  Each
+    row is built in its final place, never transposed, so the build holds
+    little more than the tables it returns."""
+    values = tuple(range(d))
+    differences = [(1,) + (0,) * (d - 1)]
+    for _ in range(d - 1):
+        prev = differences[-1]
+        differences.append(tuple([values[(a - b) % d] for a, b in zip((0,) + prev, prev)]))
+    # running products and sums in comprehensions: each := is the entry before the next
+    f = 1
+    factorial = (1,) + tuple([f := values[f * k % d] for k in range(1, d)])
+    # x^(k+1) = x^(k) (x - k), so s(k+1, j) = s(k, j-1) - k s(k, j): row j
+    # runs down k from s(0, j) = 0, reading row j-1
+    stirling = [differences[0]]
+    for _ in range(d - 1):
+        s = 0
+        stirling.append((0,) + tuple([s := values[(a - k * s) % d]
+                                      for a, k in zip(stirling[-1], range(d - 1))]))
+    powers = []
+    for x in range(d):
+        p = 1
+        powers.append((1,) + tuple([p := values[p * x % d] for _ in range(d - 1)]))
+    return tuple(differences), factorial, tuple(stirling), tuple(powers)
 
 
 def solve_mod(rows: list[dict[int, int]], rhs: list[int], cols: int, d: int) -> list[int] | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -318,14 +319,15 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     of Z_d^n at a time: the d^M candidate coefficient vectors (M monomials,
     itertools.product order) times the M monomial values at the point,
     read mod d, give every candidate's value there.  Each entry is at most
-    M * (d-1)^2, so int64 is exact, and no array holds more than d^M
-    entries whatever d^n is.  Returns (minimal summed distance,
-    lexicographically first minimizer).  At prime d a table whose
-    interpolation lies in the class is answered (0, that polynomial)
+    M * (d-1)^2, so int64 is exact, and no array holds d^M * d^n entries:
+    each point's scores are one vector of d^M.  Returns (minimal summed
+    distance, lexicographically first minimizer).  At prime d a table
+    whose interpolation lies in the class is answered (0, that polynomial)
     without enumerating: distinct reduced polynomials are distinct
     functions, so it is the one minimizer.  Guarded (the enumeration
-    only); never heuristic.  At d = 2 the class is the affine functions
-    and the distance is the Hamming distance.
+    only): NU_GUARD bounds the candidate count d^M, not the work, which
+    is d^M times the d^n points.  Never heuristic.  At d = 2 the class is
+    the affine functions and the distance is the Hamming distance.
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
@@ -333,18 +335,33 @@ def nu_distance(table: dict, d: int, n: int) -> tuple[int, MultiPoly]:
     ring = IntegerRing(d)
     if ring.is_field and combined_degree(poly := interpolate(ring, table)) < d:
         return 0, poly
-    mons = subspace_monomials(ring, n, d - 1)
+    mons, monomials, candidates = _nu_tables(d, n)
+    dist = sum(np.minimum(diff := (candidates @ row - v) % d, d - diff)
+               for row, v in zip(monomials, values))
+    best = int(dist.argmin())
+    return int(dist[best]), MultiPoly._trusted(ring, n, zip(mons, candidates[best].tolist()))
+
+
+@lru_cache(maxsize=None)
+def _nu_tables(d: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """nu_distance's tables over Z_d^n, built once per (d, n) and shared by
+    every call, the arrays read-only: the M monomials of combined degree
+    <= d-1, their values mod d at each point (row x: the M values at x, in
+    all_points order) and the d^M candidate coefficient vectors (one row
+    each, itertools.product order).  A class of more than NU_GUARD
+    candidates is refused before an array is built; a raised call is not
+    cached, so every call over the guard is refused."""
+    ring = IntegerRing(d)
+    mons = tuple(subspace_monomials(ring, n, d - 1))
     if d ** len(mons) > NU_GUARD:
         raise SizeGuardError(f"candidate class has {d}^{len(mons)} = {d ** len(mons)} "
                              f"polynomials, over the limit {NU_GUARD}")
     # a monomial of degree <= d-1 is at most (d-1)^(d-1) before reduction
     points = np.array(all_points(ring, n))
     monomials = np.prod(points[None, :, :] ** np.array(mons)[:, None, :], axis=2) % d
-    candidates = np.indices((d,) * len(mons)).reshape(len(mons), -1).T
-    dist = sum(np.minimum(diff := (candidates @ row - v) % d, d - diff)
-               for row, v in zip(monomials.T, values))
-    best = int(dist.argmin())
-    return int(dist[best]), MultiPoly._trusted(ring, n, zip(mons, candidates[best].tolist()))
+    grid = np.indices((d,) * len(mons))
+    monomials.flags.writeable = grid.flags.writeable = False  # so their views are read-only too
+    return mons, monomials.T, grid.reshape(len(mons), -1).T
 
 
 @dataclass(frozen=True)

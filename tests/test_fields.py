@@ -724,6 +724,7 @@ class TestRingRepresentability:
     def test_difference_matrix_is_the_binomial_one(self, monkeypatch):
         # the forward-difference matrix comes from the signed Pascal rule
         # mod d; it must equal (-1)^(k+j) C(k, j) mod d, the math.comb form
+        # (its rows are tuples, so each is read as a list)
         matrices = []
         along = fields._along_axes
 
@@ -735,8 +736,8 @@ class TestRingRepresentability:
         for d in range(2, 102):
             matrices.clear()
             assert is_polynomial_over_ring({(x,): x for x in range(d)}, d).coeffs == {(1,): 1}
-            assert matrices[0] == [[(-1) ** (k + j) * math.comb(k, j) % d for j in range(d)]
-                                   for k in range(d)]
+            assert [list(row) for row in matrices[0]] == [
+                [(-1) ** (k + j) * math.comb(k, j) % d for j in range(d)] for k in range(d)]
 
 
 def _ring_reference(table, d):

@@ -11,9 +11,10 @@ from quditmbqc.engine import (MbqcPlan, TableResource, empirical_success, extrac
                               is_deterministic, longest_path, output_distribution, run,
                               temporal_graph, weighted_observable)
 from quditmbqc.errors import QuditMbqcError, UnsupportedModulusError
-from quditmbqc.fields import (IntegerRing, MonomialSpan, MultiPoly, all_points, closure_basis,
-                              closure_generate, combined_degree, delta_poly, enumerate_subspace,
-                              in_subspace, interpolate, make_field, primitive_element)
+from quditmbqc.fields import (IntegerRing, MonomialSpan, MultiPoly, PrimePowerField, all_points,
+                              closure_basis, closure_generate, combined_degree, delta_poly,
+                              enumerate_subspace, in_subspace, interpolate, make_field,
+                              primitive_element)
 from quditmbqc.states import (GlobalObservable, MonomialOp, apply_observable, basis_state,
                               clifford_unitary, dense_oracle, eigenphase_of, make_ghz,
                               measurement_distribution)
@@ -94,6 +95,24 @@ def _outcome(call):
     (lambda: longest_path({0: [1]}),
      (QuditMbqcError, "temporal graph has an edge 0 -> 1, but 1 is not a vertex")),
     (lambda: make_field(2.0), (ValueError, "modulus must be an integer >= 2, got 2.0")),
+    # GF(p^r) is built only on a prime p, an int r >= 1 and a monic
+    # irreducible modpoly of degree r; a reducible one looped for ever
+    (lambda: PrimePowerField(4, 2, (1, 1, 1)), (ValueError, "p must be a prime integer, got 4")),
+    (lambda: PrimePowerField(3.0, 2, (1, 0, 1)), (ValueError, "p must be a prime integer, got 3.0")),
+    (lambda: PrimePowerField(3, 0, (1,)), (ValueError, "r must be an integer >= 1, got 0")),
+    (lambda: PrimePowerField(3, 2.0, (1, 0, 1)), (ValueError, "r must be an integer >= 1, got 2.0")),
+    (lambda: PrimePowerField(3, 2, (1, 1)),
+     (ValueError, "modpoly (1, 1) is not r + 1 = 3 coefficients in 0..2")),
+    (lambda: PrimePowerField(3, 2, (1, 0, 3)),
+     (ValueError, "modpoly (1, 0, 3) is not r + 1 = 3 coefficients in 0..2")),
+    (lambda: PrimePowerField(3, 2, (1, 0.0, 1)),
+     (ValueError, "modpoly (1, 0.0, 1) is not r + 1 = 3 coefficients in 0..2")),
+    (lambda: PrimePowerField(3, 2, 5), (ValueError, "modpoly 5 is not r + 1 = 3 coefficients in 0..2")),
+    (lambda: PrimePowerField(3, 2, (1, 0, 2)),
+     (ValueError, "modpoly (1, 0, 2) is not monic: its last coefficient is not 1")),
+    (lambda: PrimePowerField(3, 2, (0, 0, 1)), (ValueError, "modpoly (0, 0, 1) is reducible over Z_3")),
+    (lambda: PrimePowerField(3, 2, (2, 0, 1)), (ValueError, "modpoly (2, 0, 1) is reducible over Z_3")),
+    (lambda: PrimePowerField(2, 1, (1, 1)).mul(1, 1), 1),  # GF(2): its generator is 1
     # a seed is None, an int that is not a bool, or a random.Random
     (lambda: run(nand_plan(), (0, 0), seed=[1]),
      (QuditMbqcError, "seed is [1], expected None, an integer or a random.Random")),
@@ -286,7 +305,10 @@ def _outcome(call):
         "closure-over-Z6", "inverse-of-non-unit", "negative-power", "monomial-power-negative",
         "monomial-power-float", "observable-site-not-monomial", "observable-float-d",
         "table-distribution-not-pairs", "table-outcome-not-a-vector", "longest-path-unknown-vertex",
-        "field-float-modulus", "seed-list", "seed-float", "seed-str", "seed-bool",
+        "field-float-modulus", "field-composite-p", "field-float-p", "field-zero-r",
+        "field-float-r", "field-short-modpoly", "field-modpoly-entry-p", "field-modpoly-float-entry",
+        "field-int-modpoly", "field-modpoly-not-monic", "field-modpoly-square-t",
+        "field-modpoly-factors", "field-gf2", "seed-list", "seed-float", "seed-str", "seed-bool",
         "compiled-seed-list", "compiled-seed-float", "compiled-seed-str", "compiled-seed-bool",
         "longest-path-int-edges", "longest-path-none-edges", "longest-path-str-edges",
         "site-party-N", "site-party-negative", "site-party-bool", "site-setting-d",
