@@ -76,14 +76,11 @@ def verify(report: CompileReport) -> bool:
 def _layout(d: int, n: int, resource: SparseState, v: tuple[int, int], rows,
             s0: int) -> MbqcPlan:
     """The flat plan on resource with fiducial W_v at every party, one party
-    per (control, Q row, q0, z) row, and output constant s0."""
-    fid = WeylLabel(d, v)
+    per (control, Q row, q0, z) row, and output constant s0, built by
+    MbqcPlan._trusted, which checks each distinct control and Q-row object
+    once."""
     controls, Q, q0, z = zip(*rows)
-    # one party tuple per distinct control object, which MbqcPlan numbers
-    # by identity without hashing it again
-    party = {key: (fid, c) for key, c in zip(map(id, controls), controls)}
-    return MbqcPlan(d=d, n=n, N=len(Q), resource=resource,
-                    parties=[party[id(c)] for c in controls], Q=Q, z=z, s0=s0, q0=q0)
+    return MbqcPlan._trusted(d, n, resource, WeylLabel(d, v), controls, Q, q0, z, s0)
 
 
 def _of_linear(plan: MbqcPlan, f: list[int], g) -> dict:
@@ -199,8 +196,8 @@ def _delta_sum(target: dict, d: int, gadget, s0: int, construction: str) -> Comp
     at x = j and to c elsewhere; s0 = -c * sum_j m(j)/2 cancels c."""
     inv2 = pow(2, -1, d)
     directions = [(control, (k,), k) for k, control in gadget]  # one Q row per gadget pair
-    rows = [(control, row, -k * j, target[(j,)] * inv2)
-            for j in range(d) for control, row, k in directions]
+    weights = [target[(j,)] * inv2 for j in range(d)]
+    rows = [(control, row, -k * j, w) for j, w in enumerate(weights) for control, row, k in directions]
     plan = _layout(d, 1, basis_state(d, (1,) * len(rows)), (1, 0), rows, s0)
     return _verified(plan, construction, target)
 

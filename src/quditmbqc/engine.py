@@ -15,8 +15,9 @@ spectral law of W(i) for flat plans, a chunk of inputs at a time, and a
 party-by-party walk that merges equal branches for ordered ones; none of
 them samples.  Every site observable M_k(q) = V_k^q W_k V_k^-q of a plan
 comes from one table (MbqcPlan._sites) of Weyl labels (t, a, b), M_k(q) =
-tau^t W_(a,b), filled at first use by one orbit walk of each distinct
-(fiducial, control) pair under its control.  A flat law builds no
+tau^t W_(a,b), filled at first use with the d labels of each kind: one
+orbit walk of each distinct (fiducial, control) pair under its control,
+made once per process (_kind_sites).  A flat law builds no
 operator: W(i) = (x)_k M_k(q_k(i))**z_k is one N-qudit Weyl operator whose
 label _flat_labels gathers from that table, for a whole chunk of inputs
 per call: the point table reads the chunk's point masses alone, and a
@@ -27,7 +28,8 @@ Runs, the ordered walk and site_observable read M_k(q) from one table of
 operators (MbqcPlan._site_ops), built from _ops at the first of them, so
 columns with one label hold one operator.  Every per-column table is read
 at entry _site_columns[k] + q, the one per-party index the plan stores:
-c*d for the kind c of party k, recorded while __init__ numbers the kinds.
+c*d for the kind c of party k, recorded while __init__ (or _trusted, which
+lays out the compilers' plans) numbers the kinds.
 Runs and the ordered walk measure party k with
 states._measurement_branches on level k of the resource's suffix trie
 (MbqcPlan._trie, built at the first use), passed as it is: a rest is (tau
@@ -94,12 +96,13 @@ from .weyl import CliffordSpec, WeylLabel, _orbit, weyl_power
 # branches one layer of an exact walk may hold, and steps a plan's step memo may hold
 EXACT_BRANCH_BUDGET = 20000
 # (input, party) pairs per _flat_labels call of the law stream, so that its
-# int64 arrays (the largest, the gathered labels, 3 x 32 KiB) stay under
-# 128 KiB where N allows: glibc serves smaller blocks from its heap, and
-# freeing a larger one raises its mmap threshold for the rest of the
-# process (an analyze_plan at p = 37 then peaked 20 % higher)
+# int64 arrays (the largest, each of its four gathers, one chunk x N array
+# of 32 KiB at a time) stay under 128 KiB where N allows: glibc serves
+# smaller blocks from its heap, and freeing a larger one raises its mmap
+# threshold for the rest of the process (an analyze_plan at p = 37 then
+# peaked 20 % higher)
 _FLAT_CHUNK = 2**12
-# the plan-file encoder; MbqcPlan.dumps encodes one field per call
+# the plan-file encoder of MbqcPlan.dumps: one call per kind and per table resource
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -274,11 +277,10 @@ class MbqcPlan:
         if len(parties) != N:
             raise QuditMbqcError(f"expected {N} parties, got {len(parties)}")
         # each party's column c*d in _sites, c its kind, numbered in order of
-        # first occurrence; conjugation by the control keeps the spectrum, so
-        # one check per kind covers every party and setting
+        # first occurrence, each kind checked once (_check_kind)
         kinds: dict = {}  # (fiducial, control) -> column
-        # id of each party object -> its column: the compiler and from_json
-        # repeat party objects, which then are not checked or hashed again
+        # id of each party object -> its column: from_json repeats party
+        # objects, which then are not checked or hashed again
         seen: dict = {}
         columns, first = [], []
         for k, party in enumerate(parties):
@@ -287,16 +289,10 @@ class MbqcPlan:
                 if not (isinstance(party, (tuple, list)) and len(party) == 2
                         and isinstance(party[0], WeylLabel) and isinstance(party[1], CliffordSpec)):
                     raise QuditMbqcError(f"party {k} is {party!r}, expected a (WeylLabel, CliffordSpec) pair")
-                fid, ctrl = pair = tuple(party)
+                pair = tuple(party)
                 c = kinds.get(pair)
                 if c is None:  # a new kind
-                    if fid.d != d or ctrl.d != d:
-                        raise QuditMbqcError("party dimension does not match the plan")
-                    if weyl_power(fid.tau_exp, fid.v, d, d) != (0, (0, 0)):
-                        raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
-                    if d % 2 == 0 and ctrl.monomial_factors() is None:  # as conjugate_weyl needs
-                        raise QuditMbqcError(f"party {k} control needs an upper-triangular "
-                                             "symplectic part at even d")
+                    _check_kind(k, *pair, d)
                     c = kinds[pair] = len(first) * d
                     first.append(k)
                 seen[id(party)] = c
@@ -324,6 +320,45 @@ class MbqcPlan:
                         raise QuditMbqcError(f"outcome {m} for settings {q} lies outside 0..{d - 1}")
             for i in self.inputs():  # raises at the first settings without an entry
                 resource.distribution(self._settings(i))
+
+    @classmethod
+    def _trusted(cls, d: int, n: int, resource: SparseState, fid: WeylLabel, controls: tuple,
+                 Q: tuple, q0: tuple, z: tuple, s0: int) -> "MbqcPlan":
+        """The temporally flat plan whose party k is (fid, controls[k]) with
+        Q row Q[k], offset q0[k] and weight z[k]: the compilers' layout, which
+        repeats a few objects over many parties.  It makes __init__'s checks
+        of the plan and of each kind, checks and reduces each distinct Q-row
+        object once and z and q0 in bulk, in __init__'s words, and maps the
+        parties to their kinds and rows in C-level passes; each compiled
+        plan is then verified against its target."""
+        plan = object.__new__(cls)
+        plan.d = d = plain_dimension(d)
+        plan.n = n = plain_int(n, "n")
+        plan.N = N = len(controls)
+        plan.s0 = plain_int(s0, "s0") % d
+        if resource.d != d or resource.N != N:
+            raise QuditMbqcError("resource state shape does not match the plan")
+        plan.resource = resource
+        keys, uses = _first_uses(controls)
+        kinds: dict = {}  # (fiducial, control) -> column, as in __init__
+        column, party, first = {}, {}, []
+        for k in uses:
+            pair = party[keys[k]] = (fid, controls[k])
+            c = kinds.get(pair)
+            if c is None:
+                _check_kind(k, *pair, d)
+                c = kinds[pair] = len(first) * d
+                first.append(k)
+            column[keys[k]] = c
+        plan.parties = tuple(map(party.__getitem__, keys))
+        plan._site_columns, plan._first = tuple(map(column.__getitem__, keys)), tuple(first)
+        plan._ops = _WeylOps(d)
+        keys, uses = _first_uses(Q)
+        reduced = _int_rows([Q[k] for k in uses], n, d, lambda j: f"Q row {uses[j]}", n)
+        plan.Q = tuple(map(dict(zip([keys[k] for k in uses], reduced)).__getitem__, keys))
+        plan.z, plan.q0 = _int_rows((z, q0), N, d, ("z", "q0").__getitem__, f"one per party ({N})")
+        plan._t_nonzero, plan.temporally_flat = ((),) * N, True
+        return plan
 
     @functools.cached_property
     def T(self) -> tuple[tuple[int, ...], ...]:
@@ -398,12 +433,10 @@ class MbqcPlan:
     @functools.cached_property
     def _sites(self) -> tuple[tuple[int, int, int], ...]:
         """Every M_k(q) = tau^t W_(a,b) as (t, a, b) at entry
-        _site_columns[k] + q: one orbit walk of each kind's fiducial under
-        its control."""
-        d, P = self.d, tau_period(self.d)
-        return tuple(((fid.tau_exp + tau_exponent_of_omega(phase, d)) % P, a, b)
-                     for fid, ctrl in map(self.parties.__getitem__, self._first)
-                     for phase, (a, b) in _orbit(ctrl, fid.v, d))
+        _site_columns[k] + q: the d labels of each kind (_kind_sites), in
+        kind order."""
+        return tuple(itertools.chain.from_iterable(
+            itertools.starmap(_kind_sites, map(self.parties.__getitem__, self._first))))
 
     @functools.cached_property
     def _site_ops(self) -> tuple[MonomialOp, ...]:
@@ -458,9 +491,10 @@ class MbqcPlan:
 
     @functools.cached_property
     def _flat(self) -> SimpleNamespace:
-        """Q's columns, q0, z, _sites as a (3, kinds*d) array, the first
-        column of each party's kind in it and the resource in numpy form
-        for _flat_labels and _one_ket_run."""
+        """The numpy form of a flat plan for _flat_labels and _one_ket_run:
+        per party Q's columns, q0, z, z*z mod P, z times each resource ket
+        mod d (zkets) and the first column of its kind; per _sites entry its
+        t, a*b mod P, a and b; and the resource's kets."""
         d, P, N, n = self.d, tau_period(self.d), self.N, self.n
         if P * P * (N + n + 1) >= 2**63:  # bounds every value of _flat_labels
             raise SizeGuardError(f"flat laws at d={d} with {N} parties and {n} inputs need int64 "
@@ -468,12 +502,13 @@ class MbqcPlan:
         rows = np.array([self._site_columns, self.z, self.q0, *self._columns],
                         np.int64).reshape(n + 3, N)
         column, z, q0, QT = rows[0], rows[1], rows[2], rows[3:]
+        t, a, b = np.array(self._sites, np.int64).reshape(-1, 3).T.copy()
         taus, kets = zip(*self.resource.terms)
+        ket_rows = np.array(kets, np.int64).reshape(len(kets), N)
         return SimpleNamespace(
-            QT=QT, q0=q0, z=z, column=column,
-            sites=np.array(self._sites, np.int64).reshape(-1, 3).T,
-            taus=taus, kets=np.array(kets, np.int64).reshape(len(kets), N),
-            row_of={ket: r for r, ket in enumerate(kets)})
+            QT=QT, q0=q0, z=z, z2=z * z % P, zkets=z * ket_rows % d, column=column,
+            t=t, ab=a * b % P, a=a, b=b,
+            taus=taus, kets=ket_rows, row_of={ket: r for r, ket in enumerate(kets)})
 
     @functools.cached_property
     def _moments(self) -> list:
@@ -494,28 +529,20 @@ class MbqcPlan:
         return (sum(map(operator.mul, self.z, outcomes)) + self.s0) % self.d
 
     # -- serialization ------------------------------------------------------
-    def _json_fields(self):
-        """The plan-file fields as (key, value) pairs, in file order, each
-        value built only when its pair is reached."""
-        yield "d", self.d
-        yield "n", self.n
-        yield "N", self.N
-        yield "resource", self.resource.to_json()
-        d, first = self.d, self._first
-        yield "parties", [  # a repeated party is the index of its first occurrence
-            j if (j := first[column // d]) < k
-            else {"fiducial": fid.to_json(), "control": ctrl.to_json()}
-            for k, (column, (fid, ctrl)) in enumerate(zip(self._site_columns, self.parties))
-        ]
-        yield "Q", [list(r) for r in self.Q]
-        yield "T", [{str(j): v for j, v in row} if row else {} for row in self._t_nonzero]
-        yield "z", list(self.z)
-        yield "s0", self.s0
-        if any(self.q0):
-            yield "q0", list(self.q0)
-
     def to_json(self) -> dict:
-        return dict(self._json_fields())
+        d, first = self.d, self._first
+        obj = {
+            "d": d, "n": self.n, "N": self.N, "resource": self.resource.to_json(),
+            "parties": [  # a repeated kind is the index of its first party
+                j if (j := first[column // d]) < k else _party_json(fid, ctrl)
+                for k, (column, (fid, ctrl)) in enumerate(zip(self._site_columns, self.parties))],
+            "Q": [list(r) for r in self.Q],
+            "T": [{str(j): v for j, v in row} if row else {} for row in self._t_nonzero],
+            "z": list(self.z), "s0": self.s0,
+        }
+        if any(self.q0):
+            obj["q0"] = list(self.q0)
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "MbqcPlan":
@@ -550,10 +577,32 @@ class MbqcPlan:
 
     def dumps(self) -> str:
         """The plan file: the bytes of json.dumps(self.to_json(), separators=
-        (",", ":")) and a newline, encoded one field at a time, so that only
-        one field's objects and tokens are alive at once."""
-        encode = _ENCODER.encode
-        return "{%s}\n" % ",".join([f'"{key}":{encode(value)}' for key, value in self._json_fields()])
+        (",", ":")) and a newline.  The text of each distinct value is made
+        once, the d reduced ints, each distinct Q row and T row and each
+        kind's first party, and the per-party lists and kets are joined from
+        those texts in C."""
+        d, first = self.d, self._first
+        ints = list(map(str, range(d)))  # every entry of Q, T, z and q0 is reduced
+
+        def listed(values) -> str:
+            return ",".join(map(ints.__getitem__, values))
+
+        # a repeated kind is the index of its first party, and that party its object
+        parties = list(map(dict(zip(range(0, len(first) * d, d), map(str, first))).__getitem__,
+                           self._site_columns))
+        for k in first:
+            parties[k] = _ENCODER.encode(_party_json(*self.parties[k]))
+        if isinstance(self.resource, SparseState):  # kets are reduced too
+            terms = ",".join([f'{{"tau_exp":{t},"ket":[{listed(ket)}]}}' for t, ket in self.resource.terms])
+            resource = f'{{"d":{d},"N":{self.N},"terms":[{terms}]}}'
+        else:
+            resource = _ENCODER.encode(self.resource.to_json())
+        Q = _joined(self.Q, lambda row: f"[{listed(row)}]")
+        T = _joined(self._t_nonzero, lambda row: "{%s}" % ",".join([f'"{j}":{v}' for j, v in row]))
+        q0 = f',"q0":[{listed(self.q0)}]' if any(self.q0) else ""
+        return (f'{{"d":{d},"n":{self.n},"N":{self.N},"resource":{resource},'
+                f'"parties":[{",".join(parties)}],"Q":[{Q}],"T":[{T}],'
+                f'"z":[{listed(self.z)}],"s0":{self.s0}{q0}}}\n')
 
     @classmethod
     def loads(cls, text: str) -> "MbqcPlan":
@@ -580,6 +629,51 @@ class MbqcPlan:
 
     def __eq__(self, other):
         return isinstance(other, MbqcPlan) and self.to_json() == other.to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_sites(fid: WeylLabel, ctrl: CliffordSpec) -> tuple[tuple[int, int, int], ...]:
+    """V^q W V^-q = tau^t W_(a,b) as (t, a, b) for q = 0..d-1, W the
+    fiducial fid and V the control ctrl of one kind: one orbit walk, made
+    once per process for each distinct kind, so plans built in one process
+    with equal kinds share the walk.  It holds d labels per kind."""
+    d, P = fid.d, tau_period(fid.d)
+    return tuple([((fid.tau_exp + tau_exponent_of_omega(phase, d)) % P, a, b)
+                  for phase, (a, b) in _orbit(ctrl, fid.v, d)])
+
+
+def _first_uses(objects) -> tuple[list[int], list[int]]:
+    """The id of each of objects, and the index of the first use of each
+    distinct object, in increasing order."""
+    keys = list(map(id, objects))
+    return keys, sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())
+
+
+def _party_json(fid: WeylLabel, ctrl: CliffordSpec) -> dict:
+    """The plan-file object of a party."""
+    return {"fiducial": fid.to_json(), "control": ctrl.to_json()}
+
+
+def _joined(values, text) -> str:
+    """",".join(map(text, values)) for hashable values, with text called
+    once per distinct value."""
+    texts = {value: text(value) for value in set(values)}
+    return ",".join(map(texts.__getitem__, values))
+
+
+def _check_kind(k: int, fid: WeylLabel, ctrl: CliffordSpec, d: int) -> None:
+    """Refuse the kind (fid, ctrl) of party k, its first party, unless both
+    are of dimension d, fid's spectrum is omega powers and, at even d, ctrl
+    has the upper-triangular symplectic part conjugate_weyl needs;
+    conjugation by the control keeps the spectrum, so one check per kind
+    covers every party and setting."""
+    if fid.d != d or ctrl.d != d:
+        raise QuditMbqcError("party dimension does not match the plan")
+    if weyl_power(fid.tau_exp, fid.v, d, d) != (0, (0, 0)):
+        raise QuditMbqcError(f"party {k} fiducial spectrum is not omega powers")
+    if d % 2 == 0 and ctrl.monomial_factors() is None:
+        raise QuditMbqcError(f"party {k} control needs an upper-triangular "
+                             "symplectic part at even d")
 
 
 def _int_rows(rows, length: int, d: int, name, expected) -> tuple[tuple[int, ...], ...]:
@@ -894,17 +988,17 @@ def _flat_labels(plan: MbqcPlan, inputs) -> tuple:
     (weyl_power and MonomialOp.from_weyl), where M_k(q_k(i)) = tau^t_k
     W_(a_k, b_k) is read from plan._sites, A1 = sum z_k t_k and A2 = sum
     z_k^2 a_k b_k mod the tau period, alpha = z*a and beta = z*b mod d, and
-    AX[:, r] = alpha.x_r mod d for each resource ket x_r.
+    AX[:, r] = alpha.x_r mod d for each resource ket x_r: four gathers from
+    the per-entry arrays of plan._flat at each party's entry, and three
+    products with its per-party z, z*z and z*x_r.
     """
     d, P, f = plan.d, tau_period(plan.d), plan._flat
     # int64 throughout, every value below P*P*(N + n + 1) (plan._flat checks
     # it): settings before reduction are below d + n*d**2, and the sums over
-    # the parties below N*d*P (of z*t), N*P*P (of z*a times z*b, each
-    # reduced) and N*d*d (alpha @ kets)
+    # the parties below N*P*d (t @ z), N*P*P (ab @ z2) and N*d*d (a @ zkets)
     keys = (np.array(inputs, np.int64).reshape(len(inputs), plan.n) @ f.QT + f.q0) % d + f.column
-    t, a, b = f.sites.take(keys, axis=1) * f.z
-    A1, A2 = t.sum(1) % P, (a % P * (b % P)).sum(1) % P
-    return A1, A2, a % d @ f.kets.T % d, b % d
+    return (f.t.take(keys) @ f.z % P, f.ab.take(keys) @ f.z2 % P,
+            f.a.take(keys) @ f.zkets.T % d, f.b.take(keys) * f.z % d)
 
 
 def _eigenphases(plan: MbqcPlan, A1, A2, AX, beta) -> list[int | None]:

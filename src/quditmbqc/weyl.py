@@ -14,6 +14,7 @@ gives every power up to f (Appleby, J. Math. Phys. 46, 052107 (2005)).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -160,8 +161,19 @@ def named_clifford(d: int, name: str, u: int | None = None,
     """Construct S, M_u, or a pure Weyl displacement.
 
     S acts on labels as [[1,1],[0,1]] (X goes to ZX up to phase); M_u as
-    diag(u^-1, u); a displacement has identity symplectic part.
+    diag(u^-1, u); a displacement has identity symplectic part.  A call
+    with an int d, a string name, an int u or none, and no x returns one
+    shared object per (d, name, u) in a process; any other call builds a
+    new one.
     """
+    if x is None and type(d) is int and type(name) is str and (u is None or type(u) is int):
+        return _named_clifford(d, name, u)
+    return _named_clifford.__wrapped__(d, name, u, x)
+
+
+@functools.lru_cache(maxsize=None)
+def _named_clifford(d, name, u, x=None) -> CliffordSpec:
+    """named_clifford's construction; a refusal is raised, not cached."""
     d = plain_dimension(d)
     if name == "S":
         return CliffordSpec(d, ((1, 1), (0, 1)))

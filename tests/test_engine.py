@@ -1103,7 +1103,9 @@ class TestPlanSerialization:
 
     def test_dumps_holds_one_field_at_a_time(self):
         # the p = 13 file is about 30 KB; one json.dumps of the whole
-        # to_json() kept every token until its final join, a 1,059 KiB peak
+        # to_json() kept every token until its final join, a 1,059 KiB
+        # peak, and encoding one field at a time peaked at 327 KiB; the
+        # text of each distinct value, made once, stays under that
         plan = compile_general_prime([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9], 13).plan
         plan.dumps()  # every cached property the encoding reads is built
         tracemalloc.start()
@@ -1113,7 +1115,7 @@ class TestPlanSerialization:
         finally:
             tracemalloc.stop()
         assert text == json.dumps(plan.to_json(), separators=(",", ":")) + "\n"
-        assert peak < 640 * 2**10, peak
+        assert peak < 327 * 2**10, peak
 
     def test_equal_rows_are_one_tuple(self):
         plan = compile_general_prime([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9], 13).plan
@@ -1267,14 +1269,18 @@ class TestSparseT:
         real, post = engine._orbit, MonomialOp.__post_init__
         monkeypatch.setattr(engine, "_orbit", lambda *args: walks.append(args) or real(*args))
         monkeypatch.setattr(MonomialOp, "__post_init__", lambda op: built.append(op) or post(op))
+        engine._kind_sites.cache_clear()
         assert main(["analyze", "--plan", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["table"] == [3, 1, 4, 1, 5, 2, 6]
         # 7 * 6^2 = 252 parties, but 6 distinct controls: one orbit walk
-        # each, and the flat law builds no operator
+        # each per process, and the flat law builds no operator
         assert len(walks) == 6 and built == []
         plan = MbqcPlan.load(path)
         walks.clear()
         ops = {id(plan.site_observable(k, q)) for k in range(plan.N) for q in range(7)}
-        # 6 kinds x 7 settings read 6 labels, Z^a for a = 1..6: one operator each
-        assert len(walks) == 6 and len(ops) == len(built) == len(plan._ops) == 6
+        # a second plan with equal kinds walks none; 6 kinds x 7 settings
+        # read 6 labels, Z^a for a = 1..6: one operator each
+        assert walks == [] and len(ops) == len(built) == len(plan._ops) == 6
+        engine._kind_sites.cache_clear()
+        assert len({id(op) for op in MbqcPlan.load(path)._site_ops}) == 6 and len(walks) == 6
         assert plan.site_observable(5, 3) is plan.site_observable(5 + 6, 3)  # both read u^-6

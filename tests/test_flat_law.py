@@ -281,9 +281,10 @@ def test_point_table_in_chunks(monkeypatch):
 
 def test_flat_law_builds_no_operator(monkeypatch):
     # the flat law reads labels: no MonomialOp is built, no observable
-    # applied and no per-column operator table built; the first point table
-    # walks the orbit of each distinct (fiducial, control) pair once, and a
-    # second point table and the laws after it walk none
+    # applied and no per-column operator table built; after a cache_clear
+    # the first point table walks the orbit of each distinct (fiducial,
+    # control) pair once, and a second point table, the laws after it and a
+    # second plan with equal kinds walk none
     built, walked = [], []
     monkeypatch.setattr(MonomialOp, "__post_init__", lambda op: built.append(op))
     monkeypatch.setattr(states, "apply_observable", lambda *args: built.append(args))
@@ -293,6 +294,7 @@ def test_flat_law_builds_no_operator(monkeypatch):
         if isinstance(plan.resource, TableResource):
             continue
         plan = MbqcPlan.loads(plan.dumps())
+        engine._kind_sites.cache_clear()
         walked.clear()
         _point_table(plan)
         assert Counter(walked) == Counter((ctrl, fid.v, plan.d) for fid, ctrl in set(plan.parties)), name
@@ -303,6 +305,7 @@ def test_flat_law_builds_no_operator(monkeypatch):
                 output_distribution(plan, i)
             except SparseFormError:
                 pass
+        _point_table(MbqcPlan.loads(plan.dumps()))
         assert walked == [], name
         assert "_site_ops" not in vars(plan) and "_digit_rows" not in vars(plan), name
     assert built == []

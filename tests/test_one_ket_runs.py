@@ -88,7 +88,8 @@ def _cached_arrays(plan: MbqcPlan) -> list:
     """Copies of every numpy array the plan caches for its runs: both
     arrays of _sure, which is None when some party can draw."""
     f = plan._flat
-    return [a.copy() for a in (f.QT, f.q0, f.z, f.column, f.sites, f.kets, *(plan._sure or ()))]
+    return [a.copy() for a in (f.QT, f.q0, f.z, f.z2, f.zkets, f.column, f.t, f.ab, f.a, f.b,
+                               f.kets, *(plan._sure or ()))]
 
 
 def test_one_ket_runs_match_the_party_by_party_referee():

@@ -65,3 +65,28 @@ def test_incorrect_or_failed_runs_are_not_sound():
     assert not perf_pairs.run_sound(json.loads(_line(1000, 0.004, correct=False)))
     assert not perf_pairs.run_sound(json.loads(_line(1000, 0.004, failed=1)))
     assert not perf_pairs.run_sound(None)  # no result line
+
+
+CANNED = """workload compile_prime  seed 11  trace 0
+ops: 33 in the list, 1 pass(es) in 0.153 s; timings are each op's median pass at the reference pace
+  malformed.d_zero                1 ops     0.0004 s  median 0.00036 s
+  odd21                           9 ops     0.0126 s  median 0.00135 s
+  prime7                          8 ops     0.0198 s  median 0.00228 s
+compile_s.p50 0.000612 s (26 samples, as measured)
+ops_per_s 496.5 1/s
+"""
+
+
+def test_kind_medians_are_read_from_the_per_kind_lines():
+    assert perf_pairs.kind_medians(CANNED) == {
+        "malformed.d_zero": 0.00036, "odd21": 0.00135, "prime7": 0.00228}
+    assert perf_pairs.kind_medians("ops_per_s 496.5 1/s\n") == {}
+
+
+def test_kind_report_gives_each_sides_median_per_kind():
+    parent = [{"kinds": {"odd21": v, "prime7": 0.002}} for v in (0.0010, 0.0012, 0.0020)]
+    change = [{"kinds": {"odd21": v, "prime7": 0.002}} for v in (0.0009, 0.0006, 0.0030)]
+    lines = perf_pairs.kind_report(parent, change).splitlines()
+    assert lines[0].split() == ["op", "kind", "parent", "median", "change", "median", "change"]
+    assert lines[1].split() == ["odd21", "0.0012", "0.0009", "-25.0%"]
+    assert lines[2].split() == ["prime7", "0.002", "0.002", "+0.0%"]

@@ -22,6 +22,10 @@ two verdicts:
   bound  the change's median is no worse than the parent's by more than
          the metric's bound, a fraction of the parent's median.
 
+Then it prints each op kind's median for each side: the median over a
+side's runs of the kind's median op time, read from the per-kind lines
+that perfbench/run.py prints, so a change shows which kinds moved.
+
 It exits 1 when any run failed to give a result line, read incorrect, or
 had a failed operation; otherwise 0, whatever the verdicts.
 """
@@ -30,24 +34,38 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+# a per-kind line of perfbench/run.py: "  odd21    9 ops  0.0126 s  median 0.00135 s"
+KIND_LINE = re.compile(r"^\s+(\S+)\s+\d+ ops\s+\S+ s\s+median (\S+) s$")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The JSON result line of one benchmark run in a checkout, or None when
-    the run printed none."""
+    """The JSON result line of one benchmark run in a checkout, with the
+    run's median op time per op kind under "kinds", or None when the run
+    printed no result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}", "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     except json.JSONDecodeError:
         return None
+    if isinstance(result, dict):
+        result["kinds"] = kind_medians(proc.stdout)
+    return result
+
+
+def kind_medians(stdout: str) -> dict[str, float]:
+    """Each op kind's median op time, in seconds, from a run's per-kind lines."""
+    return {m[1]: float(m[2]) for m in map(KIND_LINE.match, stdout.splitlines()) if m}
 
 
 def run_sound(result: dict | None) -> bool:
@@ -101,6 +119,17 @@ def report(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def kind_report(parent: list[dict], change: list[dict]) -> str:
+    """Each op kind's median over a side's runs of its per-run median, for
+    both sides, and the change's against the parent's, as a text table."""
+    lines = [f"{'op kind':<28} {'parent median':>14} {'change median':>14} {'change':>8}"]
+    for kind in sorted({kind for run in parent + change for kind in run["kinds"]}):
+        a, b = ([run["kinds"][kind] for run in side if kind in run["kinds"]] for side in (parent, change))
+        pa, pb = (statistics.median(v) if v else float("nan") for v in (a, b))
+        lines.append(f"{kind:<28} {pa:>14.6g} {pb:>14.6g} {(pb - pa) / pa if pa else 0.0:>+8.1%}")
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -133,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         pairs = (f"{p['metrics'][name]['value']:.6g}/{c['metrics'][name]['value']:.6g}"
                  for p, c in zip(runs["parent"], runs["change"]))
         print(f"{name} by pair (parent/change): {', '.join(pairs)}")
+    print(kind_report(runs["parent"], runs["change"]))
     return 0
 
 
